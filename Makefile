@@ -1,4 +1,4 @@
-.PHONY: all build test fmt chaos overload shard ckpt sched telem elastic check clean
+.PHONY: all build test fmt harnesses check clean
 
 all: build
 
@@ -17,80 +17,18 @@ fmt:
 		echo "ocamlformat not found: skipping fmt"; \
 	fi
 
-# Chaos sweep: seeded randomized fault schedules (kills and revives,
-# including the KVS master mid-commit) with every consistency guarantee
-# asserted per run. The alcotest suite covers 24 seeds; the bench sweep
-# adds 10 more and prints per-seed fault counters.
-chaos:
-	dune exec test/test_chaos.exe -- -q
-	dune exec bench/main.exe -- chaos
-
-# Overload soak: open-loop producers drive the KVS write path past the
-# master's capacity with bounded queues, TBON credits and admission
-# control engaged; every run asserts bounded occupancy, zero acked-write
-# loss, monotonic reads and eventual drain. The alcotest suite covers
-# 8 seeds; the bench sweep adds the goodput-vs-offered-rate table
-# (BENCH_OVERLOAD.json).
-overload:
-	dune exec test/test_overload.exe -- -q
-	dune exec bench/main.exe -- overload
-
-# Sharded-KVS sweep: 16 seeded cross-shard fence chaos schedules (a
-# shard master killed mid-fence; zero lost acked writes, monotonic
-# reads, fence atomicity, same-seed determinism) plus the
-# goodput-vs-shards soak at 2x one master's capacity
-# (BENCH_SHARD.json — the distributed-master scaling claim).
-shard:
-	dune exec test/test_shard.exe -- -q
-	dune exec bench/main.exe -- shard
-
-# Checkpoint/requeue sweep: 16 seeded kill schedules (worker mid-job,
-# KVS master mid-snapshot, worker between a committed checkpoint and
-# the next fence) with zero acked-write loss, restart-equivalent reads,
-# monotonic recovery points and same-seed determinism asserted per run,
-# plus the checkpoint-overhead and recovery-vs-depth bench
-# (BENCH_CKPT.json).
-ckpt:
-	dune exec test/test_ckpt.exe -- -q
-	dune exec bench/main.exe -- ckpt
-
-# Scheduling ablation: the hierarchical instance tree vs the
-# centralized baseline under a pilot-style many-task workload, with
-# per-level scheduler-hop latency decomposed from the trace span chain
-# (sched.submit -> sched.match -> wexec.start -> wexec.complete). The
-# alcotest suite asserts exactly-once task accounting across an
-# 8-seed leaf-kill sweep; the bench writes the throughput-vs-depth and
-# throughput-vs-fanout tables (BENCH_SCHED.json).
-sched:
-	dune exec test/test_sched.exe -- -q
-	dune exec bench/main.exe -- sched
-
-# Live telemetry plane: the snapshot-algebra qcheck oracle, the
-# Series/Detect/Flight unit suites, the four fault scenarios (straggler,
-# kill, silent, growth — each asserting the plane catches its fault in
-# time), the mon-module reduction suite, and the rollup-overhead bench
-# (BENCH_TELEM.json — telem-off fingerprint stability and on/off
-# events/s at two cadences).
-telem:
-	dune exec test/test_telem.exe -- -q
-	dune exec test/test_mon.exe -- -q
-	dune exec bench/main.exe -- telem
-
-# Closed-loop elasticity: control-law qcheck properties (cooldown
-# freeze, step/min/max bounds, no-flap over random input sequences),
-# the drain-before-shrink and on_job_failed regression suites, and the
-# three-regime bursty soak (unprotected collapses, protected plateaus,
-# elastic recovers >= 1.5x protected goodput; zero acked-write loss
-# across every rescale; same-seed determinism — BENCH_ELASTIC.json).
-elastic:
-	dune exec test/test_elastic.exe -- -q
-	dune exec bench/main.exe -- elastic
+# Every harness in Flux_harness.Registry (chaos, overload, shard, ckpt,
+# sched, telem, elastic): each bench sweep asserts its invariants and
+# headline checks, writes BENCH_<NAME>.json, and any violation fails the
+# target. BENCH_FAST=1 selects the reduced scales CI uses.
+harnesses:
+	dune exec bench/main.exe -- harnesses
 
 # The pre-merge gate: format (when available), build with warnings
-# promoted to errors under lib/ (see lib/dune), and run every test,
-# then the chaos, overload, shard, ckpt, sched, telem and elastic
-# sweeps.
-check: fmt build test chaos overload shard ckpt sched telem elastic
+# promoted to errors under lib/ (see lib/dune), run every test suite,
+# every harness sweep, and the benchmark's toy-size self-test.
+check: fmt build test harnesses
+	python3 perfbench/run.py --self-test
 
 clean:
 	dune clean

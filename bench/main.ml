@@ -3,10 +3,10 @@
 
    Usage: main.exe [experiment...] where experiment is one of
      table1 fig2 fig3 fig4a fig4b sweep model ablate-sched ablate-fanout
-     ablate-shards faults chaos micro overload shard ckpt sched observe telem
-     elastic perf
-   No arguments runs everything. Scales can be reduced with
-   BENCH_FAST=1 for a quick pass. *)
+     ablate-shards faults
+   or the name of a harness in Flux_harness.Registry (chaos overload shard
+   ckpt sched telem elastic; "harnesses" runs them all). No arguments runs
+   everything. Scales can be reduced with BENCH_FAST=1 for a quick pass. *)
 
 module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
@@ -16,24 +16,16 @@ module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
 module Client = Flux_kvs.Client
-module Tree = Flux_kvs.Tree
-module Sha1 = Flux_sha1.Sha1
 module Kap = Flux_kap.Kap
+module Harness = Flux_harness.Harness
+module Registry = Flux_harness.Registry
 module Rng = Flux_util.Rng
-module Heap = Flux_util.Heap
 module Center = Flux_core.Center
 module Instance = Flux_core.Instance
 module Job = Flux_core.Job
 module Jobspec = Flux_core.Jobspec
 module Workload = Flux_core.Workload
 module Central = Flux_baseline.Central
-module Chaos = Flux_kap.Chaos
-module Overload = Flux_kap.Overload
-module Shard = Flux_kap.Shard
-module Ckpt = Flux_kap.Ckpt
-module Sched = Flux_kap.Sched
-module KTelem = Flux_kap.Telem
-module KElastic = Flux_kap.Elastic
 module Export = Flux_trace.Export
 
 let fast = Sys.getenv_opt "BENCH_FAST" <> None
@@ -404,72 +396,6 @@ let ablate_shards () =
         (Flux_util.Stats.max fence_s) (Flux_util.Stats.max get_s) max_master_bytes)
     [ 1; 2; 4; 8 ]
 
-(* --- Bechamel micro-benchmarks --------------------------------------------------- *)
-
-let micro () =
-  header "Micro-benchmarks (bechamel, per-run cost of the hot primitives)";
-  let open Bechamel in
-  let payload = String.make 4096 'x' in
-  let json_val = Json.obj [ ("key", Json.string "kap.o123"); ("v", Json.pad 256) ] in
-  let tree_store = Hashtbl.create 64 in
-  let store v =
-    let sha = Sha1.digest_json v in
-    Hashtbl.replace tree_store (Sha1.to_hex sha) v;
-    sha
-  in
-  let fetch sha = Hashtbl.find_opt tree_store (Sha1.to_hex sha) in
-  ignore (store Tree.empty_dir : Sha1.digest);
-  let base_root =
-    Tree.apply_tuples ~fetch ~store ~root:Tree.empty_dir_sha
-      (List.init 128 (fun i -> (Printf.sprintf "d.k%d" i, Tree.dirent_val (Json.int i))))
-  in
-  let counter = ref 0 in
-  let tests =
-    [
-      Test.make ~name:"sha1-4KiB"
-        (Staged.stage (fun () -> ignore (Sha1.digest_string payload : Sha1.digest)));
-      Test.make ~name:"json-print+parse"
-        (Staged.stage (fun () -> ignore (Json.of_string (Json.to_string json_val) : Json.t)));
-      Test.make ~name:"json-size-model"
-        (Staged.stage (fun () -> ignore (Json.serialized_size json_val : int)));
-      Test.make ~name:"hashtree-apply-1-tuple"
-        (Staged.stage (fun () ->
-             incr counter;
-             ignore
-               (Tree.apply_tuples ~fetch ~store ~root:base_root
-                  [
-                    ( Printf.sprintf "d.k%d" (!counter mod 128),
-                      Tree.dirent_val (Json.int !counter) );
-                  ]
-                 : Sha1.digest)));
-      Test.make ~name:"heap-push-pop"
-        (Staged.stage
-           (let h = Heap.create () in
-            fun () ->
-              Heap.push h 1.0 ();
-              ignore (Heap.pop h : (float * unit) option)));
-      Test.make ~name:"kap-4nodes-end-to-end"
-        (Staged.stage (fun () -> ignore (Kap.run { Kap.default with Kap.nodes = 4 } : Kap.result)));
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:false () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          instance results
-      in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "  %-26s %12.1f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-26s (no estimate)\n%!" name)
-        ols)
-    tests
-
 (* --- Fault injection: the RPC lifecycle under loss and parent death ------ *)
 
 let faults () =
@@ -548,840 +474,6 @@ let faults () =
     ~dead_letters:(Session.rpc_net_stats sess).Net.dead_letters
     ~dropped:(Session.rpc_net_stats sess).Net.dropped ())
 
-let chaos () =
-  header "Chaos: seeded fault schedules over a live workload (consistency proved per run)";
-  let seeds = if fast then [ 1; 2; 3 ] else List.init 10 (fun i -> 1 + i) in
-  let total_viol = ref 0 in
-  List.iter
-    (fun seed ->
-      let r = Chaos.run { Chaos.default with Chaos.seed } in
-      total_viol := !total_viol + List.length r.Chaos.violations;
-      Printf.printf
-        "  seed %2d: commits %3d (+%d indet), fences %2d (+%d indet), kills %2d (%d master), \
-         takeovers %d, final v%d, violations %d\n%!"
-        seed r.Chaos.commits_ok r.Chaos.commits_indeterminate r.Chaos.fences_ok
-        r.Chaos.fences_indeterminate r.Chaos.kills r.Chaos.master_kills r.Chaos.takeovers
-        r.Chaos.final_version
-        (List.length r.Chaos.violations);
-      List.iter (fun v -> Printf.printf "    violation: %s\n%!" v) r.Chaos.violations;
-      Printf.printf "  summary %s\n%!"
-        (Json.to_string
-           (Json.obj
-              [
-                ("experiment", Json.string "chaos");
-                ("seed", Json.int seed);
-                ("rpc_timeouts", Json.int r.Chaos.rpc_timeouts);
-                ("rpc_retries", Json.int r.Chaos.rpc_retries);
-                ("dead_letters", Json.int r.Chaos.dead_letters);
-                ("dropped", Json.int r.Chaos.dropped);
-                ("master_kills", Json.int r.Chaos.master_kills);
-                ("takeovers", Json.int r.Chaos.takeovers);
-                ("keys_checked", Json.int r.Chaos.keys_checked);
-                ("violations", Json.int (List.length r.Chaos.violations));
-              ])))
-    seeds;
-  Printf.printf "  %d seeds, %d total violations%s\n%!" (List.length seeds) !total_viol
-    (if !total_viol = 0 then " — all consistency guarantees held" else " — INVARIANT BREACH")
-
-(* --- Overload: open-loop soak past master capacity ------------------------ *)
-
-let overload () =
-  header "Overload: open-loop soak past master capacity (bounded queues, credits, admission)";
-  let size = if fast then 64 else 512 in
-  let nproducers = if fast then 8 else 16 in
-  let producers = List.init nproducers (fun i -> size - nproducers + i) in
-  let duration = if fast then 0.3 else 0.5 in
-  let base = { Overload.default with Overload.size; producers; duration } in
-  let cap = Overload.master_capacity base in
-  Printf.printf "(%d nodes, %d producers, %.1fs window, master capacity %.0f ops/s)\n%!"
-    size nproducers duration cap;
-  Printf.printf "%-10s %8s %8s %8s %8s %10s %10s %6s %6s %6s %5s\n" "profile" "x-cap"
-    "offered" "acked" "shed" "goodput" "p99(s)" "stash" "link" "intake" "viol";
-  let scenarios =
-    [
-      ("sustained", 0.5, Overload.Sustained, false);
-      ("sustained", 1.0, Overload.Sustained, false);
-      ("sustained", 2.0, Overload.Sustained, false);
-      ("bursty", 2.0, Overload.Bursty, false);
-      ("chaos", 1.0, Overload.Sustained, true);
-    ]
-  in
-  let rows =
-    List.map
-      (fun (label, mult, profile, chaos_kill) ->
-        let cfg = { base with Overload.rate = cap *. mult; profile; chaos_kill } in
-        let r = Overload.run cfg in
-        Printf.printf "%-10s %8.1f %8d %8d %8d %10.0f %10.6f %6d %6d %6d %5d\n%!" label
-          mult r.Overload.offered r.Overload.acked r.Overload.shed r.Overload.goodput
-          r.Overload.ack_p99 r.Overload.flow_stash_hwm r.Overload.link_depth_hwm
-          r.Overload.intake_hwm
-          (List.length r.Overload.violations);
-        List.iter (fun v -> Printf.printf "    violation: %s\n%!" v) r.Overload.violations;
-        ( (label, mult, r),
-          Json.obj
-            [
-              ("profile", Json.string label);
-              ("capacity_multiple", Json.float mult);
-              ("rate", Json.float cfg.Overload.rate);
-              ("offered", Json.int r.Overload.offered);
-              ("acked", Json.int r.Overload.acked);
-              ("shed", Json.int r.Overload.shed);
-              ("failed", Json.int r.Overload.failed);
-              ("goodput", Json.float r.Overload.goodput);
-              ("ack_p50", Json.float r.Overload.ack_p50);
-              ("ack_p99", Json.float r.Overload.ack_p99);
-              ("admission_sheds", Json.int r.Overload.admission_sheds);
-              ("intake_hwm", Json.int r.Overload.intake_hwm);
-              ("flow_stash_hwm", Json.int r.Overload.flow_stash_hwm);
-              ("link_depth_hwm", Json.int r.Overload.link_depth_hwm);
-              ("lost_acks", Json.int r.Overload.lost_acks);
-              ("drained", Json.bool r.Overload.drained);
-              ("sim_events", Json.int r.Overload.sim_events);
-              ("violations", Json.int (List.length r.Overload.violations));
-            ] ))
-      scenarios
-  in
-  (* The shape the protection stack must produce: goodput at 2x capacity
-     plateaus near the 1x level instead of collapsing under retry storms
-     and unbounded queueing. *)
-  let goodput_at m =
-    List.filter_map
-      (fun ((label, mult, r), _) ->
-        if label = "sustained" && mult = m then Some r.Overload.goodput else None)
-      rows
-    |> function g :: _ -> g | [] -> 0.0
-  in
-  let g1 = goodput_at 1.0 and g2 = goodput_at 2.0 in
-  Printf.printf "  goodput at 2x capacity retains %.0f%% of the 1x level (%s)\n%!"
-    (if g1 > 0.0 then 100.0 *. g2 /. g1 else 0.0)
-    (if g2 >= 0.5 *. g1 then "plateau — protected" else "COLLAPSE");
-  let doc =
-    Json.obj
-      [
-        ("experiment", Json.string "overload");
-        ("nodes", Json.int size);
-        ("producers", Json.int nproducers);
-        ("duration", Json.float duration);
-        ("master_capacity", Json.float cap);
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-        ("rows", Json.list (List.map snd rows));
-      ]
-  in
-  let oc = open_out "BENCH_OVERLOAD.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_OVERLOAD.json (%d scenarios)\n%!" (List.length rows)
-
-(* --- Shard: goodput vs shard count at 2x offered load --------------------- *)
-
-let shard () =
-  header "Shard: goodput vs shards at 2x one master's capacity (distributed KVS master)";
-  let duration = if fast then 0.25 else 0.4 in
-  let base = { Shard.soak_default with Shard.duration } in
-  let cap = Shard.soak_capacity base in
-  Printf.printf
-    "(%d nodes, %d producers, %.2fs window, per-master capacity %.0f ops/s, offered %.0f)\n%!"
-    base.Shard.size
-    (List.length base.Shard.producers)
-    duration cap base.Shard.rate;
-  Printf.printf "%-7s %8s %8s %8s %10s %8s %6s %5s\n" "shards" "offered" "acked" "shed"
-    "goodput" "intake" "lost" "viol";
-  let rows =
-    List.map
-      (fun shards ->
-        let r = Shard.soak { base with Shard.shards } in
-        Printf.printf "%-7d %8d %8d %8d %10.0f %8d %6d %5d\n%!" shards
-          r.Shard.offered r.Shard.acked r.Shard.shed r.Shard.goodput r.Shard.intake_hwm
-          r.Shard.lost_acks
-          (List.length r.Shard.violations);
-        List.iter (fun v -> Printf.printf "    violation: %s\n%!" v) r.Shard.violations;
-        ( r,
-          Json.obj
-            [
-              ("shards", Json.int shards);
-              ("offered", Json.int r.Shard.offered);
-              ("acked", Json.int r.Shard.acked);
-              ("shed", Json.int r.Shard.shed);
-              ("failed", Json.int r.Shard.failed);
-              ("goodput", Json.float r.Shard.goodput);
-              ("ack_p50", Json.float r.Shard.ack_p50);
-              ("ack_p99", Json.float r.Shard.ack_p99);
-              ("admission_sheds", Json.int r.Shard.admission_sheds);
-              ("intake_hwm", Json.int r.Shard.intake_hwm);
-              ("lost_acks", Json.int r.Shard.lost_acks);
-              ("drained", Json.bool r.Shard.drained);
-              ("sim_events", Json.int r.Shard.sim_events);
-              ("violations", Json.int (List.length r.Shard.violations));
-            ] ))
-      [ 1; 2; 4 ]
-  in
-  let goodput_of n =
-    List.filter_map
-      (fun (r, _) -> if r.Shard.shards = n then Some r.Shard.goodput else None)
-      rows
-    |> function g :: _ -> g | [] -> 0.0
-  in
-  let g1 = goodput_of 1 and g4 = goodput_of 4 in
-  let ratio = if g1 > 0.0 then g4 /. g1 else 0.0 in
-  Printf.printf "  goodput scales %.2fx from 1 to 4 shards (%s)\n%!" ratio
-    (if ratio >= 1.8 then "distributed master relieves the bottleneck"
-     else "BELOW the 1.8x bar");
-  let doc =
-    Json.obj
-      [
-        ("experiment", Json.string "shard");
-        ("nodes", Json.int base.Shard.size);
-        ("producers", Json.int (List.length base.Shard.producers));
-        ("duration", Json.float duration);
-        ("per_master_capacity", Json.float cap);
-        ("offered_rate", Json.float base.Shard.rate);
-        ("scaling_1_to_4", Json.float ratio);
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-        ("rows", Json.list (List.map snd rows));
-      ]
-  in
-  let oc = open_out "BENCH_SHARD.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_SHARD.json (%d shard counts)\n%!" (List.length rows)
-
-(* --- Ckpt: checkpoint overhead + recovery time vs snapshot depth ---------- *)
-
-let ckpt () =
-  header "Ckpt: checkpoint overhead vs plain fences, recovery time vs checkpoint depth";
-  let pr_violations label r =
-    List.iter (fun v -> Printf.printf "    %s violation: %s\n%!" label v) r.Ckpt.r_violations
-  in
-  (* Curve 1: fault-free runs, manifests on vs off. The manifest put +
-     commit after each checkpoint fence is the whole overhead of making
-     the fence a durable recovery point. *)
-  let epochs = if fast then 4 else 8 in
-  let base = { Ckpt.default with Ckpt.kill = None; epochs } in
-  let plain = Ckpt.run { base with Ckpt.manifests = false } in
-  let durable = Ckpt.run { base with Ckpt.manifests = true } in
-  pr_violations "plain" plain;
-  pr_violations "durable" durable;
-  let overhead_pct =
-    if plain.Ckpt.r_ckpt_mean > 0.0 then
-      100.0 *. ((durable.Ckpt.r_ckpt_mean /. plain.Ckpt.r_ckpt_mean) -. 1.0)
-    else 0.0
-  in
-  Printf.printf "%-10s %14s %14s\n" "fences" "mean(s)" "p50(s)";
-  Printf.printf "%-10s %14.6f %14.6f\n" "plain" plain.Ckpt.r_ckpt_mean plain.Ckpt.r_ckpt_p50;
-  Printf.printf "%-10s %14.6f %14.6f\n%!" "durable" durable.Ckpt.r_ckpt_mean
-    durable.Ckpt.r_ckpt_p50;
-  Printf.printf "  checkpoint overhead over a plain fence: %+.1f%%\n%!" overhead_pct;
-  (* Curve 2: kill a worker right after epoch [epochs-1] commits its
-     manifest and measure first-kill-to-completion as checkpoint depth
-     grows. Because a recovery point is just a root hash, resuming from
-     a deep manifest costs the same as a shallow one — recovery time
-     should stay flat while the snapshot grows. The seed is chosen so
-     the window assassin's target epoch is [epochs - 1]. *)
-  let depths = if fast then [ 2; 4 ] else [ 2; 4; 8 ] in
-  Printf.printf "%-8s %12s %10s %12s %10s %10s\n" "epochs" "recovery(s)" "attempts"
-    "resume_from" "snap_objs" "snap_bytes";
-  let rows =
-    List.map
-      (fun epochs ->
-        let r =
-          Ckpt.run
-            { Ckpt.default with
-              Ckpt.kill = Some Ckpt.Between_ckpt_and_fence;
-              epochs;
-              seed = (2 * epochs) - 3
-            }
-        in
-        pr_violations (Printf.sprintf "depth-%d" epochs) r;
-        let resume_from =
-          match List.rev r.Ckpt.r_resume_epochs with e :: _ -> e | [] -> 0
-        in
-        Printf.printf "%-8d %12.3f %10d %12d %10d %10d\n%!" epochs r.Ckpt.r_recovery_time
-          r.Ckpt.r_attempts resume_from r.Ckpt.r_snapshot_objects r.Ckpt.r_snapshot_bytes;
-        Json.obj
-          [
-            ("epochs", Json.int epochs);
-            ("recovery_time", Json.float r.Ckpt.r_recovery_time);
-            ("attempts", Json.int r.Ckpt.r_attempts);
-            ("requeues", Json.int r.Ckpt.r_requeues);
-            ("resume_from", Json.int resume_from);
-            ("acked_epoch", Json.int r.Ckpt.r_acked_epoch);
-            ("snapshot_objects", Json.int r.Ckpt.r_snapshot_objects);
-            ("snapshot_bytes", Json.int r.Ckpt.r_snapshot_bytes);
-            ("violations", Json.int (List.length r.Ckpt.r_violations));
-          ])
-      depths
-  in
-  let doc =
-    Json.obj
-      [
-        ("experiment", Json.string "ckpt");
-        ("nodes", Json.int Ckpt.default.Ckpt.size);
-        ("workers", Json.int (List.length Ckpt.default.Ckpt.workers));
-        ("overhead_epochs", Json.int epochs);
-        ("plain_fence_mean", Json.float plain.Ckpt.r_ckpt_mean);
-        ("plain_fence_p50", Json.float plain.Ckpt.r_ckpt_p50);
-        ("durable_ckpt_mean", Json.float durable.Ckpt.r_ckpt_mean);
-        ("durable_ckpt_p50", Json.float durable.Ckpt.r_ckpt_p50);
-        ("overhead_pct", Json.float overhead_pct);
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-        ("recovery_rows", Json.list rows);
-      ]
-  in
-  let oc = open_out "BENCH_CKPT.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_CKPT.json (%d depths)\n%!" (List.length depths)
-
-(* --- Sched: hierarchical vs centralized under a pilot-style task storm ---- *)
-
-let sched () =
-  header "Sched: hierarchical vs centralized scheduling of a pilot-style task storm";
-  let nodes = if fast then 16 else 32 in
-  let tasks = if fast then 400 else 1200 in
-  let base =
-    { Sched.default with
-      Sched.nodes;
-      tasks;
-      fanout = 2;
-      children = 2;
-      mean_duration = 0.1;
-      min_duration = 0.01;
-      task_kind = Sched.Wexec_tasks;
-      trace = true
-    }
-  in
-  let level_row lv =
-    Json.obj
-      [
-        ("level", Json.int lv.Sched.lv_depth);
-        ("jobs", Json.int lv.Sched.lv_jobs);
-        ("submit_match_mean", Json.float lv.Sched.lv_submit_match_mean);
-        ("submit_match_p95", Json.float lv.Sched.lv_submit_match_p95);
-      ]
-  in
-  let report_row ~label (r : Sched.report) =
-    List.iter (fun v -> Printf.printf "    %s violation: %s\n%!" label v) r.Sched.r_violations;
-    Json.obj
-      [
-        ("config", Json.string label);
-        ("depth", Json.int r.Sched.r_depth);
-        ("children", Json.int r.Sched.r_children);
-        ("leaves", Json.int r.Sched.r_leaves);
-        ("tasks", Json.int r.Sched.r_tasks);
-        ("acked", Json.int r.Sched.r_acked);
-        ("jobs_per_s", Json.float r.Sched.r_jobs_per_s);
-        ("makespan", Json.float r.Sched.r_makespan);
-        ("mean_wait", Json.float r.Sched.r_mean_wait);
-        ("sched_cycles", Json.int r.Sched.r_sched_cycles);
-        ("hop_match_start_mean", Json.float r.Sched.r_hop_match_start_mean);
-        ("hop_start_complete_mean", Json.float r.Sched.r_hop_start_complete_mean);
-        ("levels", Json.list (List.map level_row r.Sched.r_levels));
-        ("requeues", Json.int r.Sched.r_requeues);
-        ("kills", Json.int r.Sched.r_kills);
-        ("violations", Json.int (List.length r.Sched.r_violations));
-      ]
-  in
-  (* Curve 1: throughput vs hierarchy depth at fixed fanout 2 — the
-     paper's log2(C)*T(G) argument. Depth 0 is one flat Flux instance;
-     the centralized baseline is the traditional monolithic scheduler
-     with the same decision-cost model. *)
-  Printf.printf "%-14s %8s %10s %12s %10s %12s\n" "config" "acked" "jobs/s" "makespan(s)"
-    "cycles" "mean_wait(s)";
-  let central = Sched.run_central base in
-  Printf.printf "%-14s %8d %10.1f %12.3f %10d %12.4f\n%!" "central" central.Sched.c_completed
-    central.Sched.c_jobs_per_s central.Sched.c_makespan central.Sched.c_sched_cycles
-    central.Sched.c_mean_wait;
-  let depth_rows =
-    List.map
-      (fun depth ->
-        let r = Sched.run { base with Sched.depth } in
-        let label = Printf.sprintf "depth-%d" depth in
-        Printf.printf "%-14s %8d %10.1f %12.3f %10d %12.4f\n%!" label r.Sched.r_acked
-          r.Sched.r_jobs_per_s r.Sched.r_makespan r.Sched.r_sched_cycles r.Sched.r_mean_wait;
-        List.iter
-          (fun lv ->
-            Printf.printf "    level %d: %6d jobs  submit->match mean %.5fs  p95 %.5fs\n%!"
-              lv.Sched.lv_depth lv.Sched.lv_jobs lv.Sched.lv_submit_match_mean
-              lv.Sched.lv_submit_match_p95)
-          r.Sched.r_levels;
-        (depth, r, report_row ~label r))
-      [ 0; 1; 2; 3 ]
-  in
-  (* Curve 2: throughput vs hierarchy fanout at depth 1 — wider trees
-     shrink T(G) per level but shorten the tree; the sweet spot moves
-     with the task grain, which is the tunability argument. *)
-  let fanout_rows =
-    List.filter_map
-      (fun children ->
-        if nodes / children < 1 then None
-        else begin
-          let r = Sched.run { base with Sched.depth = 1; children } in
-          let label = Printf.sprintf "fanout-%d" children in
-          Printf.printf "%-14s %8d %10.1f %12.3f %10d %12.4f\n%!" label r.Sched.r_acked
-            r.Sched.r_jobs_per_s r.Sched.r_makespan r.Sched.r_sched_cycles
-            r.Sched.r_mean_wait;
-          Some (report_row ~label r)
-        end)
-      [ 2; 4; 8 ]
-  in
-  (* Curve 3: the chaos row — kill a worker rank of leaf 0 mid-batch and
-     let the surviving siblings drain the backlog via requeues. The
-     invariant set (no lost task, no double ack, no exec-after-ack) must
-     hold with zero violations. *)
-  let chaos_cfg =
-    { base with
-      Sched.depth = 2;
-      children = 2;
-      kill_leaf = true;
-      tasks = (if fast then 200 else 600)
-    }
-  in
-  let chaos_r = Sched.run chaos_cfg in
-  Printf.printf "%-14s %8d %10.1f %12.3f %10d %12.4f  (kills %d, requeues %d)\n%!"
-    "chaos-leaf" chaos_r.Sched.r_acked chaos_r.Sched.r_jobs_per_s chaos_r.Sched.r_makespan
-    chaos_r.Sched.r_sched_cycles chaos_r.Sched.r_mean_wait chaos_r.Sched.r_kills
-    chaos_r.Sched.r_requeues;
-  let chaos_row = report_row ~label:"chaos-leaf" chaos_r in
-  (* Headline: the hierarchy must beat the monolithic controller once
-     it is at least two levels deep. *)
-  let speedup_at d =
-    List.filter_map
-      (fun (depth, r, _) ->
-        if depth = d && central.Sched.c_jobs_per_s > 0.0 then
-          Some (r.Sched.r_jobs_per_s /. central.Sched.c_jobs_per_s)
-        else None)
-      depth_rows
-  in
-  (match speedup_at 2 with
-  | [ s ] ->
-    Printf.printf "  hierarchical depth-2 vs central: %.2fx jobs/s (%s)\n%!" s
-      (if s > 1.0 then "hierarchy wins" else "UNEXPECTED: central wins")
-  | _ -> ());
-  let doc =
-    Json.obj
-      [
-        ("experiment", Json.string "sched");
-        ("nodes", Json.int nodes);
-        ("tasks", Json.int tasks);
-        ("mean_duration", Json.float base.Sched.mean_duration);
-        ("policy", Json.string base.Sched.policy);
-        ( "central",
-          Json.obj
-            [
-              ("completed", Json.int central.Sched.c_completed);
-              ("jobs_per_s", Json.float central.Sched.c_jobs_per_s);
-              ("makespan", Json.float central.Sched.c_makespan);
-              ("mean_wait", Json.float central.Sched.c_mean_wait);
-              ("sched_cycles", Json.int central.Sched.c_sched_cycles);
-            ] );
-        ("depth_rows", Json.list (List.map (fun (_, _, j) -> j) depth_rows));
-        ("fanout_rows", Json.list fanout_rows);
-        ("chaos", chaos_row);
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-      ]
-  in
-  let oc = open_out "BENCH_SCHED.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_SCHED.json (%d depth rows, %d fanout rows)\n%!"
-    (List.length depth_rows) (List.length fanout_rows)
-
-(* --- Observe: traced fence critical path + metrics registry export -------- *)
-
-let observe () =
-  header "Observe: traced put-fence critical path (Fig. 4 decomposition) and metrics";
-  let nodes = if fast then 16 else 64 in
-  let cfg = { (Kap.fully_populated ~nodes) with Kap.value_size = 512; trace = true } in
-  let r = Kap.run cfg in
-  let tr = match r.Kap.r_trace with Some tr -> tr | None -> failwith "observe: no tracer" in
-  let m = match r.Kap.r_metrics with Some m -> m | None -> failwith "observe: no metrics" in
-  match Export.fence_critical_path tr ~name:"kap-sync" with
-  | Error e -> failwith ("observe: " ^ e)
-  | Ok fb ->
-    Format.printf "%a@." Export.pp_fence_breakdown fb;
-    Printf.printf "  measured sync phase max %.6f s (mean %.6f s)\n" r.Kap.r_sync.Kap.ph_max
-      r.Kap.r_sync.Kap.ph_mean;
-    let doc =
-      Json.obj
-        [
-          ("experiment", Json.string "observe");
-          ("nodes", Json.int nodes);
-          ("procs", Json.int (nodes * cfg.Kap.procs_per_node));
-          ("fence", Json.string "kap-sync");
-          ("ascent_s", Json.float fb.Export.fb_ascent);
-          ("commit_s", Json.float fb.Export.fb_commit);
-          ("broadcast_s", Json.float fb.Export.fb_broadcast);
-          ("total_s", Json.float fb.Export.fb_total);
-          ("sync_max_s", Json.float r.Kap.r_sync.Kap.ph_max);
-          ("trace_events", Json.int (List.length (Flux_trace.Tracer.events tr)));
-          ("trace_dropped", Json.int (Flux_trace.Tracer.dropped tr));
-          ("metrics", Flux_trace.Metrics.to_json m);
-        ]
-    in
-    let oc = open_out "BENCH_TRACE.json" in
-    output_string oc (Json.to_string doc);
-    output_char oc '\n';
-    close_out oc;
-    let oc = open_out "METRICS.csv" in
-    output_string oc (Flux_trace.Metrics.to_csv m);
-    close_out oc;
-    Printf.printf "  wrote BENCH_TRACE.json and METRICS.csv (%d nodes x %d procs)\n%!" nodes
-      cfg.Kap.procs_per_node
-
-(* --- Telem: telemetry-plane overhead and rollup footprint ----------------- *)
-
-(* Two questions the telemetry plane must answer before it is allowed
-   on by default anywhere: (a) what does running it in-band cost — the
-   overload soak with [telem] off twice (proving the fingerprint is
-   untouched when disabled) and once with it on, comparing wall-clock
-   events/s; (b) how much TBON traffic do rollups generate per epoch as
-   the interval shrinks — a fault-free Telem harness sweep. Rows land
-   in BENCH_TELEM.json. *)
-
-let telem () =
-  header "Telem: in-band rollup overhead (off vs on) and bytes/epoch vs interval";
-  let size = if fast then 48 else 256 in
-  let nproducers = if fast then 6 else 12 in
-  let producers = List.init nproducers (fun i -> size - nproducers + i) in
-  let duration = if fast then 0.25 else 0.4 in
-  let base = { Overload.default with Overload.size; producers; duration } in
-  let cap = Overload.master_capacity base in
-  let base = { base with Overload.rate = cap } in
-  let timed cfg =
-    Gc.compact ();
-    let s0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    let r = Overload.run cfg in
-    let wall = Unix.gettimeofday () -. t0 in
-    let s1 = Gc.quick_stat () in
-    let alloc = s1.Gc.minor_words +. s1.Gc.major_words -. s1.Gc.promoted_words
-                -. (s0.Gc.minor_words +. s0.Gc.major_words -. s0.Gc.promoted_words) in
-    (wall, alloc, r)
-  in
-  Printf.printf "(%d nodes, %d producers, %.2fs soak at 1x capacity)\n%!" size nproducers
-    duration;
-  Printf.printf "%-12s %10s %12s %12s %10s %8s %8s %8s\n" "run" "wall(s)" "sim-events"
-    "events/s" "alloc(Mw)" "epochs" "alerts" "dumps";
-  (* Discard a warm-up run so the first timed row doesn't pay code and
-     allocator warm-up that the later rows don't. *)
-  ignore (Overload.run { base with Overload.telem = false });
-  let w_off1, a_off1, off1 = timed { base with Overload.telem = false } in
-  let w_off2, a_off2, off2 = timed { base with Overload.telem = false } in
-  (* Two cadences: coarse (2 rollup epochs over the window — the
-     realistic regime, where a soak window is a fraction of one
-     telemetry epoch) and aggressive (10 epochs — oversampling, to make
-     the plane's marginal cost visible). *)
-  let w_on, a_on, on =
-    timed
-      { base with Overload.telem = true; telem_interval = base.Overload.duration /. 2.0 }
-  in
-  let w_fast, a_fast, on_fast =
-    timed
-      { base with Overload.telem = true; telem_interval = base.Overload.duration /. 10.0 }
-  in
-  let rate_of wall (r : Overload.report) = float_of_int r.Overload.sim_events /. wall in
-  let soak_row name wall alloc (r : Overload.report) =
-    Printf.printf "%-12s %10.2f %12d %12.0f %10.1f %8d %8d %8d\n%!" name wall
-      r.Overload.sim_events (rate_of wall r) (alloc /. 1e6) r.Overload.telem_epochs
-      r.Overload.telem_alerts r.Overload.telem_dumps;
-    Json.obj
-      [
-        ("run", Json.string name);
-        ("wall_s", Json.float wall);
-        ("sim_events", Json.int r.Overload.sim_events);
-        ("events_per_s", Json.float (rate_of wall r));
-        ("alloc_words", Json.float alloc);
-        ("acked", Json.int r.Overload.acked);
-        ("telem_epochs", Json.int r.Overload.telem_epochs);
-        ("telem_alerts", Json.int r.Overload.telem_alerts);
-        ("telem_dumps", Json.int r.Overload.telem_dumps);
-        ("violations", Json.int (List.length r.Overload.violations));
-      ]
-  in
-  let row1 = soak_row "telem-off/1" w_off1 a_off1 off1 in
-  let row2 = soak_row "telem-off/2" w_off2 a_off2 off2 in
-  let row3 = soak_row "telem-on" w_on a_on on in
-  let row4 = soak_row "telem-on/10x" w_fast a_fast on_fast in
-  let soak_rows = [ row1; row2; row3; row4 ] in
-  let fingerprint_stable = off1.Overload.sim_events = off2.Overload.sim_events in
-  (* Wall-clock is noisy; take the faster of the two off runs as the
-     baseline so measured overhead is conservative (an upper bound),
-     and record the off-run spread as the noise floor the overhead
-     should be judged against. *)
-  let off_rate = Float.max (rate_of w_off1 off1) (rate_of w_off2 off2) in
-  let off_spread_pct =
-    100.0
-    *. ((off_rate /. Float.min (rate_of w_off1 off1) (rate_of w_off2 off2)) -. 1.0)
-  in
-  let overhead_of wall r =
-    let rate = rate_of wall r in
-    if rate > 0.0 then 100.0 *. ((off_rate /. rate) -. 1.0) else 0.0
-  in
-  let overhead_pct = overhead_of w_on on in
-  let overhead_fast_pct = overhead_of w_fast on_fast in
-  Printf.printf
-    "  telem-off fingerprint %s (%d = %d); off-run spread %.1f%%\n\
-    \  telem-on overhead %+.1f%% events/s (%d epochs); %+.1f%% oversampled (%d epochs)\n\
-     %!"
-    (if fingerprint_stable then "IDENTICAL" else "DIVERGED")
-    off1.Overload.sim_events off2.Overload.sim_events off_spread_pct overhead_pct
-    on.Overload.telem_epochs overhead_fast_pct on_fast.Overload.telem_epochs;
-  Printf.printf "%-10s %8s %12s %12s %8s %8s %6s\n" "interval" "epochs" "bytes" "bytes/ep"
-    "alerts" "late" "viol";
-  let intervals = if fast then [ 0.025; 0.05; 0.1 ] else [ 0.0125; 0.025; 0.05; 0.1 ] in
-  let sweep_rows =
-    List.map
-      (fun interval ->
-        let cfg =
-          {
-            KTelem.default with
-            KTelem.straggler = None;
-            interval;
-            epochs = (if fast then 10 else 20);
-            size = (if fast then 16 else 32);
-          }
-        in
-        let r = KTelem.run cfg in
-        let per_epoch =
-          if r.KTelem.t_epochs > 0 then
-            float_of_int r.KTelem.t_rollup_bytes /. float_of_int r.KTelem.t_epochs
-          else 0.0
-        in
-        Printf.printf "%-10.4f %8d %12d %12.0f %8d %8d %6d\n%!" interval r.KTelem.t_epochs
-          r.KTelem.t_rollup_bytes per_epoch
-          (List.length r.KTelem.t_alerts)
-          r.KTelem.t_late_drops
-          (List.length r.KTelem.t_violations);
-        List.iter
-          (fun v -> Printf.printf "    violation: %s\n%!" v)
-          r.KTelem.t_violations;
-        Json.obj
-          [
-            ("interval", Json.float interval);
-            ("epochs", Json.int r.KTelem.t_epochs);
-            ("rollup_bytes", Json.int r.KTelem.t_rollup_bytes);
-            ("bytes_per_epoch", Json.float per_epoch);
-            ("alerts", Json.int (List.length r.KTelem.t_alerts));
-            ("late_drops", Json.int r.KTelem.t_late_drops);
-            ("sim_events", Json.int r.KTelem.t_events);
-            ("violations", Json.int (List.length r.KTelem.t_violations));
-          ])
-      intervals
-  in
-  let doc =
-    Json.obj
-      [
-        ("experiment", Json.string "telem");
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-        ("soak_nodes", Json.int size);
-        ("soak_duration", Json.float duration);
-        ("fingerprint_stable", Json.bool fingerprint_stable);
-        ("off_spread_pct", Json.float off_spread_pct);
-        ("telem_overhead_pct", Json.float overhead_pct);
-        ("telem_overhead_oversampled_pct", Json.float overhead_fast_pct);
-        ("soak", Json.list soak_rows);
-        ("interval_sweep", Json.list sweep_rows);
-      ]
-  in
-  let oc = open_out "BENCH_TELEM.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_TELEM.json (%d soak runs, %d sweep points)\n%!"
-    (List.length soak_rows) (List.length sweep_rows)
-
-(* --- Elasticity: three-regime bursty soak --------------------------------- *)
-
-(* One seeded bursty task stream against a small child instance under
-   the three protection regimes: unprotected (the queue grows without
-   bound and scheduler-cycle cost collapses goodput), protected (PR 5's
-   static shed bounds the queue; goodput plateaus at the child's fixed
-   capacity), and elastic (the closed-loop controller buys nodes from
-   the root's headroom while the burst lasts and returns them after).
-   The headline number is the recovery ratio — elastic goodput over
-   protected goodput at the same (over-capacity) offered load — plus
-   the safety counters: zero acked-write loss across every rescale and
-   a same-seed fingerprint match over a double run. Rows land in
-   BENCH_ELASTIC.json. *)
-
-let elastic () =
-  header "Elastic: unprotected collapse vs static shed vs closed-loop autoscale";
-  let base =
-    if fast then { KElastic.default with KElastic.duration = 3.0; drain = 1.5 }
-    else KElastic.default
-  in
-  let row mode =
-    let r = KElastic.run { base with KElastic.mode } in
-    Printf.printf
-      "  %-12s goodput %6.1f/s  acked %4d/%-4d shed %4d  queue^ %4d  nodes %2d^%-2d  \
-       grows %d shrinks %d denied %d  viol %d\n\
-       %!"
-      (KElastic.mode_to_string r.KElastic.e_mode)
-      r.KElastic.e_goodput r.KElastic.e_acked r.KElastic.e_offered r.KElastic.e_shed
-      r.KElastic.e_queue_peak r.KElastic.e_nodes_final r.KElastic.e_nodes_peak
-      r.KElastic.e_grows r.KElastic.e_shrinks r.KElastic.e_denied
-      (List.length r.KElastic.e_violations);
-    List.iter (fun v -> Printf.printf "      violation: %s\n%!" v) r.KElastic.e_violations;
-    r
-  in
-  Printf.printf "(%d ranks, child of %d, %.1fs arrivals + %.1fs drain, cap %d)\n%!"
-    base.KElastic.size base.KElastic.child_nodes base.KElastic.duration
-    base.KElastic.drain base.KElastic.queue_cap;
-  let unprot = row KElastic.Unprotected in
-  let prot = row KElastic.Protected in
-  let elas = row KElastic.Elastic in
-  let recovery =
-    if prot.KElastic.e_goodput > 0.0 then elas.KElastic.e_goodput /. prot.KElastic.e_goodput
-    else 0.0
-  in
-  let elas2 = KElastic.run { base with KElastic.mode = KElastic.Elastic } in
-  let deterministic = String.equal elas.KElastic.e_fingerprint elas2.KElastic.e_fingerprint in
-  Printf.printf "  recovery ratio (elastic/protected): %.2fx\n%!" recovery;
-  Printf.printf "  same-seed double run: %s\n%!"
-    (if deterministic then "fingerprints match" else "FINGERPRINT MISMATCH");
-  let regime_json (r : KElastic.report) =
-    Json.obj
-      [
-        ("mode", Json.string (KElastic.mode_to_string r.KElastic.e_mode));
-        ("offered", Json.int r.KElastic.e_offered);
-        ("submitted", Json.int r.KElastic.e_submitted);
-        ("shed", Json.int r.KElastic.e_shed);
-        ("acked", Json.int r.KElastic.e_acked);
-        ("failed", Json.int r.KElastic.e_failed);
-        ("cancelled", Json.int r.KElastic.e_cancelled);
-        ("goodput_per_s", Json.float r.KElastic.e_goodput);
-        ("queue_peak", Json.int r.KElastic.e_queue_peak);
-        ("nodes_final", Json.int r.KElastic.e_nodes_final);
-        ("nodes_peak", Json.int r.KElastic.e_nodes_peak);
-        ("grows", Json.int r.KElastic.e_grows);
-        ("shrinks", Json.int r.KElastic.e_shrinks);
-        ("denied", Json.int r.KElastic.e_denied);
-        ("drains", Json.int r.KElastic.e_drains);
-        ("decisions", Json.int r.KElastic.e_decisions);
-        ("telem_epochs", Json.int r.KElastic.e_telem_epochs);
-        ("alerts", Json.int r.KElastic.e_alerts);
-        ("write_loss", Json.int r.KElastic.e_write_loss);
-        ( "node_trajectory",
-          Json.list
-            (List.map
-               (fun (t, n) -> Json.obj [ ("t", Json.float t); ("nodes", Json.int n) ])
-               r.KElastic.e_trajectory) );
-        ("fingerprint", Json.string r.KElastic.e_fingerprint);
-        ("violations", Json.strings r.KElastic.e_violations);
-        ("sim_events", Json.int r.KElastic.e_events);
-      ]
-  in
-  let doc =
-    Json.obj
-      [
-        ("bench", Json.string "elastic");
-        ("fast", Json.int (if fast then 1 else 0));
-        ("regimes", Json.list (List.map regime_json [ unprot; prot; elas ]));
-        ("recovery_ratio", Json.float recovery);
-        ("deterministic", Json.int (if deterministic then 1 else 0));
-      ]
-  in
-  let oc = open_out "BENCH_ELASTIC.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_ELASTIC.json (3 regimes, recovery %.2fx)\n%!" recovery
-
-(* --- Perf tier: paper-scale workloads with a machine-readable baseline ---- *)
-
-(* Runs fig2/fig4-shaped KAP workloads at the paper's largest published
-   tier (512 nodes x 16 cores; Section V) and records, per scenario:
-   real wall-clock seconds, simulated events per real second (the
-   engine-throughput figure the tentpole optimizations target), total
-   allocation (minor+major words from [Gc.quick_stat]), and the
-   simulated clock + event count (the determinism fingerprint every
-   future PR must preserve). The rows land in BENCH_PERF.json so the
-   perf trajectory survives across PRs. *)
-
-let perf () =
-  header "Perf: paper-scale tier (wall s, simulated events/s, allocation words)";
-  let nodes = if fast then 64 else 512 in
-  let scenarios =
-    [
-      ( "fig2-put-fence",
-        fun () ->
-          Kap.run { (Kap.fully_populated ~nodes) with Kap.value_size = 512 } );
-      ( "fig2-redundant",
-        fun () ->
-          Kap.run
-            {
-              (Kap.fully_populated ~nodes) with
-              Kap.value_size = 512;
-              value_kind = Kap.Redundant;
-            } );
-      ( "fig4-multi-dir-get",
-        fun () ->
-          Kap.run
-            {
-              (Kap.fully_populated ~nodes) with
-              Kap.ngets = 4;
-              dir_layout = Kap.Multi_dir 128;
-              access_stride = 7;
-            } );
-    ]
-  in
-  Printf.printf "(%d nodes x 16 procs per scenario)\n" nodes;
-  Printf.printf "%-20s %10s %14s %14s %16s %12s\n" "scenario" "wall(s)" "sim-events"
-    "events/s" "alloc(Mwords)" "sim-clock";
-  let rows =
-    List.map
-      (fun (name, f) ->
-        (* Collect the previous scenario's garbage (dead sessions, caches,
-           memo tables) so each row measures its own workload, not its
-           predecessor's heap. *)
-        Gc.compact ();
-        let s0 = Gc.quick_stat () in
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        let wall = Unix.gettimeofday () -. t0 in
-        let s1 = Gc.quick_stat () in
-        let alloc_words =
-          s1.Gc.minor_words +. s1.Gc.major_words -. s1.Gc.promoted_words
-          -. (s0.Gc.minor_words +. s0.Gc.major_words -. s0.Gc.promoted_words)
-        in
-        let events_per_s = float_of_int r.Kap.r_events /. wall in
-        Printf.printf "%-20s %10.2f %14d %14.0f %16.1f %12.6f\n%!" name wall
-          r.Kap.r_events events_per_s (alloc_words /. 1e6) r.Kap.r_wallclock;
-        Json.obj
-          [
-            ("scenario", Json.string name);
-            ("nodes", Json.int nodes);
-            ("procs", Json.int (nodes * 16));
-            ("wall_s", Json.float wall);
-            ("sim_events", Json.int r.Kap.r_events);
-            ("sim_events_per_s", Json.float events_per_s);
-            ("alloc_words", Json.float alloc_words);
-            ("sim_clock", Json.float r.Kap.r_wallclock);
-            ("rpc_messages", Json.int r.Kap.r_rpc_messages);
-            ("put_max_s", Json.float r.Kap.r_producer.Kap.ph_max);
-            ("fence_max_s", Json.float r.Kap.r_sync.Kap.ph_max);
-            ("get_max_s", Json.float r.Kap.r_consumer.Kap.ph_max);
-          ])
-      scenarios
-  in
-  let doc =
-    Json.obj
-      [
-        ("tier", Json.string (if fast then "fast" else "paper-scale"));
-        ("scenarios", Json.list rows);
-      ]
-  in
-  let oc = open_out "BENCH_PERF.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "  wrote BENCH_PERF.json (%d scenarios, %s tier)\n%!" (List.length rows)
-    (if fast then "fast" else "paper-scale")
-
 (* --- Driver -------------------------------------------------------------------------- *)
 
 let experiments =
@@ -1397,33 +489,35 @@ let experiments =
     ("ablate-fanout", ablate_fanout);
     ("ablate-shards", ablate_shards);
     ("faults", faults);
-    ("chaos", chaos);
-    ("micro", micro);
-    ("overload", overload);
-    ("shard", shard);
-    ("ckpt", ckpt);
-    ("sched", sched);
-    ("observe", observe);
-    ("telem", telem);
-    ("elastic", elastic);
-    ("perf", perf);
   ]
+
+(* Every registered harness is also an experiment; "harnesses" names
+   them all (it is what [make check] runs). A harness sweep that reports
+   a violation makes the whole run exit 1. *)
+let harness_names = List.map (fun h -> h.Harness.name) Registry.all
 
 let () =
   let requested =
     match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as names) -> names
-    | _ -> List.map fst experiments
+    | _ :: (_ :: _ as names) ->
+      List.concat_map (fun n -> if n = "harnesses" then harness_names else [ n ]) names
+    | _ -> List.map fst experiments @ harness_names
   in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment %S; available: %s\n" name
-          (String.concat " " (List.map fst experiments));
-        exit 1)
-    requested;
-  Printf.printf "\nall requested experiments done in %.1fs (real time)\n"
-    (Unix.gettimeofday () -. t0)
+  let violations =
+    List.fold_left
+      (fun acc name ->
+        match (List.assoc_opt name experiments, Registry.find name) with
+        | Some f, _ ->
+          f ();
+          acc
+        | None, Some h -> acc + Harness.run ~fast h
+        | None, None ->
+          Printf.eprintf "unknown experiment %S; available: %s harnesses\n" name
+            (String.concat " " (List.map fst experiments @ harness_names));
+          exit 1)
+      0 requested
+  in
+  Printf.printf "\nall requested experiments done in %.1fs (real time), %d harness violations\n"
+    (Unix.gettimeofday () -. t0) violations;
+  if violations > 0 then exit 1

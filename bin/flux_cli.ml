@@ -597,7 +597,7 @@ let trace_cmd =
 (* --- flux ckpt ----------------------------------------------------------- *)
 
 let ckpt_cmd =
-  let module Ckpt = Flux_kap.Ckpt in
+  let module Ckpt = Flux_harness.Ckpt in
   let ppn_arg =
     Arg.(value & opt int 1 & info [ "ppn" ] ~docv:"PPN" ~doc:"Tasks per worker node.")
   in
@@ -676,7 +676,7 @@ let ckpt_cmd =
 (* --- flux sched ---------------------------------------------------------- *)
 
 let sched_cmd =
-  let module Sched = Flux_kap.Sched in
+  let module Sched = Flux_harness.Sched in
   let depth_arg =
     Arg.(
       value & opt int 2
@@ -767,7 +767,7 @@ let sched_cmd =
 (* --- flux telem ---------------------------------------------------------- *)
 
 let telem_cmd =
-  let module Telem = Flux_kap.Telem in
+  let module Telem = Flux_harness.Telem in
   let module Series = Flux_trace.Series in
   let module Flight = Flux_trace.Flight in
   let module Detect = Flux_trace.Detect in
@@ -882,7 +882,7 @@ let telem_cmd =
 (* --- flux elastic --------------------------------------------------------- *)
 
 let elastic_cmd =
-  let module E = Flux_kap.Elastic in
+  let module E = Flux_harness.Elastic in
   let module Ctl = Flux_core.Elastic in
   let mode_arg =
     Arg.(

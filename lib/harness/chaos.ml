@@ -413,16 +413,50 @@ let run cfg =
     sim_events = Engine.events_executed eng;
   }
 
-let pp_report ppf (r : report) =
-  Format.fprintf ppf
-    "@[<v>commits ok/indet: %d/%d@,fences ok/indet: %d/%d@,gets ok/failed: %d/%d@,\
-     kills/revives: %d/%d (master kills %d)@,takeovers: %d@,final: master=%d version=%d@,\
-     keys checked/indet: %d/%d@,rpc timeouts/retries: %d/%d@,net dead_letters/dropped: %d/%d@,\
-     clock: %.6f (%d events)@,violations: %d%a@]"
-    r.commits_ok r.commits_indeterminate r.fences_ok r.fences_indeterminate r.gets_ok
-    r.gets_failed r.kills r.revives r.master_kills r.takeovers r.final_master
-    r.final_version r.keys_checked r.keys_indeterminate r.rpc_timeouts r.rpc_retries
-    r.dead_letters r.dropped r.final_clock r.sim_events
-    (List.length r.violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.violations
+let harness =
+  let sweep ~fast =
+    let seeds = if fast then [ 1; 2; 3 ] else List.init 10 (fun i -> 1 + i) in
+    let runs = List.map (fun seed -> (seed, run { default with seed })) seeds in
+    let rows =
+      List.map
+        (fun (seed, (r : report)) ->
+          [
+            ("seed", Json.int seed);
+            ("commits_ok", Json.int r.commits_ok);
+            ("commits_indeterminate", Json.int r.commits_indeterminate);
+            ("fences_ok", Json.int r.fences_ok);
+            ("fences_indeterminate", Json.int r.fences_indeterminate);
+            ("kills", Json.int r.kills);
+            ("master_kills", Json.int r.master_kills);
+            ("takeovers", Json.int r.takeovers);
+            ("final_version", Json.int r.final_version);
+            ("rpc_timeouts", Json.int r.rpc_timeouts);
+            ("rpc_retries", Json.int r.rpc_retries);
+            ("dead_letters", Json.int r.dead_letters);
+            ("dropped", Json.int r.dropped);
+            ("keys_checked", Json.int r.keys_checked);
+            ("violations", Json.int (List.length r.violations));
+          ])
+        runs
+    in
+    Harness.print_table rows;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "chaos");
+            ("tier", Harness.tier ~fast);
+            ("rows", Json.list (List.map Json.obj rows));
+          ];
+      violations =
+        List.concat_map
+          (fun (seed, (r : report)) ->
+            Harness.labelled (Printf.sprintf "seed %d" seed) r.violations)
+          runs;
+    }
+  in
+  {
+    Harness.name = "chaos";
+    title = "seeded fault schedules over a live workload (consistency proved per run)";
+    sweep;
+  }

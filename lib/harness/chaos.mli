@@ -78,4 +78,5 @@ val run : config -> report
 (** Deterministic for a given config: same seed, same schedule, same
     report. *)
 
-val pp_report : Format.formatter -> report -> unit
+val harness : Harness.t
+(** The bench sweep: 10 seeds ([fast]: 3) at the default config. *)

@@ -556,3 +556,89 @@ let pp_report ppf (r : report) =
 (* Fingerprint for same-seed determinism comparisons. *)
 let fingerprint (r : report) =
   (r.r_final_clock, r.r_sim_events, r.r_final_version, r.r_final_root)
+
+let harness =
+  let sweep ~fast =
+    (* Curve 1: fault-free runs, manifests on vs off. The manifest put +
+       commit after each checkpoint fence is the whole overhead of making
+       the fence a durable recovery point. *)
+    let epochs = if fast then 4 else 8 in
+    let base = { default with kill = None; epochs } in
+    let plain = run { base with manifests = false } in
+    let durable = run { base with manifests = true } in
+    let overhead_pct =
+      if plain.r_ckpt_mean > 0.0 then 100.0 *. ((durable.r_ckpt_mean /. plain.r_ckpt_mean) -. 1.0)
+      else 0.0
+    in
+    Harness.print_table
+      (List.map
+         (fun (label, r) ->
+           [
+             ("fences", Json.string label);
+             ("mean_s", Json.float r.r_ckpt_mean);
+             ("p50_s", Json.float r.r_ckpt_p50);
+           ])
+         [ ("plain", plain); ("durable", durable) ]);
+    Printf.printf "  checkpoint overhead over a plain fence: %+.1f%%\n%!" overhead_pct;
+    (* Curve 2: kill a worker right after epoch [epochs-1] commits its
+       manifest and measure first-kill-to-completion as checkpoint depth
+       grows. Because a recovery point is just a root hash, resuming from
+       a deep manifest costs the same as a shallow one — recovery time
+       should stay flat while the snapshot grows. The seed is chosen so
+       the window assassin's target epoch is [epochs - 1]. *)
+    let depths = if fast then [ 2; 4 ] else [ 2; 4; 8 ] in
+    let runs =
+      List.map
+        (fun epochs ->
+          ( epochs,
+            run { default with kill = Some Between_ckpt_and_fence; epochs; seed = (2 * epochs) - 3 }
+          ))
+        depths
+    in
+    let rows =
+      List.map
+        (fun (epochs, r) ->
+          [
+            ("epochs", Json.int epochs);
+            ("recovery_time", Json.float r.r_recovery_time);
+            ("attempts", Json.int r.r_attempts);
+            ("requeues", Json.int r.r_requeues);
+            ( "resume_from",
+              Json.int (match List.rev r.r_resume_epochs with e :: _ -> e | [] -> 0) );
+            ("acked_epoch", Json.int r.r_acked_epoch);
+            ("snapshot_objects", Json.int r.r_snapshot_objects);
+            ("snapshot_bytes", Json.int r.r_snapshot_bytes);
+            ("violations", Json.int (List.length r.r_violations));
+          ])
+        runs
+    in
+    Harness.print_table rows;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "ckpt");
+            ("nodes", Json.int default.size);
+            ("workers", Json.int (List.length default.workers));
+            ("overhead_epochs", Json.int epochs);
+            ("plain_fence_mean", Json.float plain.r_ckpt_mean);
+            ("plain_fence_p50", Json.float plain.r_ckpt_p50);
+            ("durable_ckpt_mean", Json.float durable.r_ckpt_mean);
+            ("durable_ckpt_p50", Json.float durable.r_ckpt_p50);
+            ("overhead_pct", Json.float overhead_pct);
+            ("tier", Harness.tier ~fast);
+            ("recovery_rows", Json.list (List.map Json.obj rows));
+          ];
+      violations =
+        Harness.labelled "plain" plain.r_violations
+        @ Harness.labelled "durable" durable.r_violations
+        @ List.concat_map
+            (fun (epochs, r) -> Harness.labelled (Printf.sprintf "depth-%d" epochs) r.r_violations)
+            runs;
+    }
+  in
+  {
+    Harness.name = "ckpt";
+    title = "checkpoint overhead vs plain fences, recovery time vs checkpoint depth";
+    sweep;
+  }

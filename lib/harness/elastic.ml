@@ -489,3 +489,88 @@ let pp_report ppf r =
     (List.length r.e_violations)
     (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
     r.e_violations
+
+(* --- Bench sweep ----------------------------------------------------------- *)
+
+(* One seeded bursty task stream under the three regimes. The headline
+   number is the recovery ratio — elastic goodput over protected goodput
+   at the same (over-capacity) offered load — plus the safety counters:
+   zero acked-write loss across every rescale and a same-seed
+   fingerprint match over a double run. *)
+let harness =
+  let sweep ~fast =
+    let base = if fast then { default with duration = 3.0; drain = 1.5 } else default in
+    Printf.printf "(%d ranks, child of %d, %.1fs arrivals + %.1fs drain, cap %d)\n%!" base.size
+      base.child_nodes base.duration base.drain base.queue_cap;
+    let runs = List.map (fun mode -> run { base with mode }) [ Unprotected; Protected; Elastic ] in
+    let goodput m =
+      List.find_map (fun r -> if r.e_mode = m then Some r.e_goodput else None) runs
+      |> Option.value ~default:0.0
+    in
+    let recovery =
+      if goodput Protected > 0.0 then goodput Elastic /. goodput Protected else 0.0
+    in
+    let again = run { base with mode = Elastic } in
+    let deterministic =
+      List.exists
+        (fun r -> r.e_mode = Elastic && String.equal r.e_fingerprint again.e_fingerprint)
+        runs
+    in
+    let rows =
+      List.map
+        (fun r ->
+          [
+            ("mode", Json.string (mode_to_string r.e_mode));
+            ("offered", Json.int r.e_offered);
+            ("submitted", Json.int r.e_submitted);
+            ("shed", Json.int r.e_shed);
+            ("acked", Json.int r.e_acked);
+            ("failed", Json.int r.e_failed);
+            ("cancelled", Json.int r.e_cancelled);
+            ("goodput_per_s", Json.float r.e_goodput);
+            ("queue_peak", Json.int r.e_queue_peak);
+            ("nodes_final", Json.int r.e_nodes_final);
+            ("nodes_peak", Json.int r.e_nodes_peak);
+            ("grows", Json.int r.e_grows);
+            ("shrinks", Json.int r.e_shrinks);
+            ("denied", Json.int r.e_denied);
+            ("drains", Json.int r.e_drains);
+            ("decisions", Json.int r.e_decisions);
+            ("telem_epochs", Json.int r.e_telem_epochs);
+            ("alerts", Json.int r.e_alerts);
+            ("write_loss", Json.int r.e_write_loss);
+            ( "node_trajectory",
+              Json.list
+                (List.map
+                   (fun (t, n) -> Json.obj [ ("t", Json.float t); ("nodes", Json.int n) ])
+                   r.e_trajectory) );
+            ("fingerprint", Json.string r.e_fingerprint);
+            ("violations", Json.strings r.e_violations);
+            ("sim_events", Json.int r.e_events);
+          ])
+        runs
+    in
+    Harness.print_table rows;
+    Printf.printf "  recovery ratio (elastic/protected): %.2fx\n%!" recovery;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "elastic");
+            ("tier", Harness.tier ~fast);
+            ("regimes", Json.list (List.map Json.obj rows));
+            ("recovery_ratio", Json.float recovery);
+            ("deterministic", Json.int (if deterministic then 1 else 0));
+          ];
+      violations =
+        List.concat_map (fun r -> Harness.labelled (mode_to_string r.e_mode) r.e_violations) runs
+        @ Harness.check deterministic "same-seed elastic runs produced different fingerprints"
+        @ Harness.check (recovery >= 1.5)
+            (Printf.sprintf "elastic recovers only %.2fx protected goodput (bar: 1.5x)" recovery);
+    }
+  in
+  {
+    Harness.name = "elastic";
+    title = "unprotected collapse vs static shed vs closed-loop autoscale";
+    sweep;
+  }

@@ -98,3 +98,8 @@ val run : config -> report
     that cannot be run (bad sizes, rates, or controller policy). *)
 
 val pp_report : Format.formatter -> report -> unit
+
+val harness : Harness.t
+(** The bench sweep: the three regimes on one stream plus a same-seed
+    rerun of [Elastic]; elastic must recover >= 1.5x protected goodput
+    with identical fingerprints. *)

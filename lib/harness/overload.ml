@@ -342,7 +342,7 @@ let run cfg =
       (* The plane samples the *metric* registry — counters, gauges and
          histograms every layer already maintains — so metrics attach to
          the whole stack. Full per-event tracing is a separate opt-in
-         (the observe experiment): at soak rates it costs ~2x wall
+         (`flux trace`): at soak rates it costs ~2x wall
          clock, so the tracer here is a small dedicated ring carrying
          only the plane's own rollup/alert events and feeding the
          flight recorder. *)
@@ -422,19 +422,91 @@ let run cfg =
     telem_dumps = (match st.flight with Some f -> List.length (Flight.dumps f) | None -> 0);
   }
 
-let pp_report ppf (r : report) =
-  Format.fprintf ppf
-    "@[<v>offered/acked/shed/failed: %d/%d/%d/%d@,goodput: %.0f ops/s (ack p50 %.6f p99 %.6f)@,\
-     admission sheds: %d (intake hwm %d)@,flow defers/sheds: %d/%d (stash hwm %d)@,\
-     link defers/drops: %d/%d (depth hwm %d)@,rpc busy/retries/timeouts: %d/%d/%d@,\
-     lost acks: %d, monotonic violations: %d, drained: %b@,\
-     telem: %d epochs, %d alerts, %d dumps@,\
-     final: v%d clock %.6f (%d events)@,violations: %d%a@]"
-    r.offered r.acked r.shed r.failed r.goodput r.ack_p50 r.ack_p99 r.admission_sheds
-    r.intake_hwm r.flow_defers r.flow_sheds r.flow_stash_hwm r.link_defers r.link_drops
-    r.link_depth_hwm r.rpc_busy_retries r.rpc_retries r.rpc_timeouts r.lost_acks
-    r.monotonic_violations r.drained r.telem_epochs r.telem_alerts r.telem_dumps
-    r.final_version r.final_clock r.sim_events
-    (List.length r.violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.violations
+let harness =
+  let sweep ~fast =
+    let size = if fast then 64 else 512 in
+    let nproducers = if fast then 8 else 16 in
+    let producers = List.init nproducers (fun i -> size - nproducers + i) in
+    let duration = if fast then 0.3 else 0.5 in
+    let base = { default with size; producers; duration } in
+    let cap = master_capacity base in
+    Printf.printf "(%d nodes, %d producers, %.1fs window, master capacity %.0f ops/s)\n%!" size
+      nproducers duration cap;
+    let runs =
+      List.map
+        (fun (label, mult, profile, chaos_kill) ->
+          let cfg = { base with rate = cap *. mult; profile; chaos_kill } in
+          (label, mult, cfg, run cfg))
+        [
+          ("sustained", 0.5, Sustained, false);
+          ("sustained", 1.0, Sustained, false);
+          ("sustained", 2.0, Sustained, false);
+          ("bursty", 2.0, Bursty, false);
+          ("chaos", 1.0, Sustained, true);
+        ]
+    in
+    let rows =
+      List.map
+        (fun (label, mult, cfg, (r : report)) ->
+          [
+            ("profile", Json.string label);
+            ("capacity_multiple", Json.float mult);
+            ("rate", Json.float cfg.rate);
+            ("offered", Json.int r.offered);
+            ("acked", Json.int r.acked);
+            ("shed", Json.int r.shed);
+            ("failed", Json.int r.failed);
+            ("goodput", Json.float r.goodput);
+            ("ack_p50", Json.float r.ack_p50);
+            ("ack_p99", Json.float r.ack_p99);
+            ("admission_sheds", Json.int r.admission_sheds);
+            ("intake_hwm", Json.int r.intake_hwm);
+            ("flow_stash_hwm", Json.int r.flow_stash_hwm);
+            ("link_depth_hwm", Json.int r.link_depth_hwm);
+            ("lost_acks", Json.int r.lost_acks);
+            ("drained", Json.bool r.drained);
+            ("sim_events", Json.int r.sim_events);
+            ("violations", Json.int (List.length r.violations));
+          ])
+        runs
+    in
+    Harness.print_table rows;
+    (* The shape the protection stack must produce: goodput at 2x capacity
+       plateaus near the 1x level instead of collapsing under retry storms
+       and unbounded queueing. *)
+    let goodput_at m =
+      List.find_map
+        (fun (label, mult, _, (r : report)) ->
+          if label = "sustained" && mult = m then Some r.goodput else None)
+        runs
+      |> Option.value ~default:0.0
+    in
+    let g1 = goodput_at 1.0 and g2 = goodput_at 2.0 in
+    let retained = if g1 > 0.0 then 100.0 *. g2 /. g1 else 0.0 in
+    Printf.printf "  goodput at 2x capacity retains %.0f%% of the 1x level\n%!" retained;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "overload");
+            ("nodes", Json.int size);
+            ("producers", Json.int nproducers);
+            ("duration", Json.float duration);
+            ("master_capacity", Json.float cap);
+            ("tier", Harness.tier ~fast);
+            ("rows", Json.list (List.map Json.obj rows));
+          ];
+      violations =
+        List.concat_map
+          (fun (label, mult, _, (r : report)) ->
+            Harness.labelled (Printf.sprintf "%s %.1fx" label mult) r.violations)
+          runs
+        @ Harness.check (g2 >= 0.5 *. g1)
+            (Printf.sprintf "goodput at 2x capacity collapsed to %.0f%% of the 1x level" retained);
+    }
+  in
+  {
+    Harness.name = "overload";
+    title = "open-loop soak past master capacity (bounded queues, credits, admission)";
+    sweep;
+  }

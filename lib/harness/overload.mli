@@ -117,4 +117,7 @@ val run : config -> report
 (** Raises [Invalid_argument] on an empty/out-of-range producer list or
     non-positive rate/duration. *)
 
-val pp_report : Format.formatter -> report -> unit
+val harness : Harness.t
+(** The bench sweep: goodput vs offered rate (0.5x, 1x, 2x capacity,
+    bursty, and a chaos kill); goodput at 2x must keep half the 1x
+    level. *)

@@ -31,8 +31,6 @@ module Jobspec = Flux_core.Jobspec
 module Pool = Flux_core.Pool
 module Workload = Flux_core.Workload
 module Central = Flux_baseline.Central
-module Flight = Flux_trace.Flight
-module Tmod = Flux_modules.Telem
 
 type task_kind =
   | Sleep_tasks  (** synthetic: pure scheduler study, no launch stack *)
@@ -56,8 +54,6 @@ type config = {
   kill_frac : float;  (** strike once this fraction of tasks has acked *)
   revive_after : float;
   max_requeues : int;
-  telem : bool;  (** run the live telemetry plane alongside the workload *)
-  telem_interval : float;
 }
 
 let default =
@@ -79,8 +75,6 @@ let default =
     kill_frac = 0.25;
     revive_after = 1.0;
     max_requeues = 5;
-    telem = false;
-    telem_interval = 0.25;
   }
 
 type level = {
@@ -110,9 +104,6 @@ type report = {
   r_spans : (string * int) list;  (** span-chain counter fingerprint *)
   r_wexec_started : int;
   r_wexec_done : int;
-  r_telem_epochs : int;  (** 0 when the plane is off *)
-  r_telem_alerts : int;
-  r_telem_dumps : int;
   r_violations : string list;
   r_final_clock : float;
   r_sim_events : int;
@@ -138,21 +129,11 @@ type state = {
   mutable kills : int;
   mutable revives : int;
   mutable violations : string list;  (** reversed *)
-  mutable flight : Flight.t option;
 }
 
 let violate st fmt =
   Printf.ksprintf
-    (fun s ->
-      st.violations <- Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations;
-      (* A tripped guarantee preserves its own evidence: the first one
-         dumps the master's recent events before the trace moves on. *)
-      match st.flight with
-      | Some f ->
-        ignore
-          (Flight.dump_once f ~rank:0 ~tag:"violation" ~reason:("guarantee tripped: " ^ s)
-            : Flight.dump option)
-      | None -> ())
+    (fun s -> st.violations <- Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations)
     fmt
 
 let prog_name = "sched.task"
@@ -479,7 +460,6 @@ let run cfg =
       kills = 0;
       revives = 0;
       violations = [];
-      flight = None;
     }
   in
   Wexec.register_program prog_name (task_body st);
@@ -494,54 +474,6 @@ let run cfg =
       ~nnodes:cfg.nodes stream
   in
   Instance.submit_plan root plan;
-  (* Optional live telemetry plane alongside the workload. Its rollup
-     length is data-dependent (the makespan is what the harness
-     measures), so a watcher proc stops the plane once every task has
-     resolved and the engine is free to drain. *)
-  let telem =
-    if not cfg.telem then None
-    else begin
-      if cfg.telem_interval <= 0.0 then
-        invalid_arg "Sched.run: telem_interval must be positive";
-      let ts =
-        Tmod.load sess
-          ~config:{ Tmod.default_config with Tmod.interval = cfg.telem_interval }
-          ()
-      in
-      Tmod.set_metrics_all ts metrics;
-      (match tracer with
-      | Some tr ->
-        Tmod.set_tracer_all ts tr;
-        let f = Flight.create ~capacity:128 tr in
-        st.flight <- Some f;
-        Tmod.set_flight_all ts f
-      | None -> ());
-      Tmod.start ts;
-      ignore
-        (Proc.spawn eng ~name:"sched-telem-stop" (fun () ->
-             (* Ground truth: every logical task has arrived and every
-                job attempt is terminal. (The ack ledger only updates
-                in kill mode, so it cannot drive this.) *)
-             let workload_done () =
-               let js = task_jobs st in
-               List.length js >= cfg.tasks
-               && List.for_all
-                    (fun (j : Job.t) ->
-                      match j.Job.jstate with
-                      | Job.Complete | Job.Failed _ -> true
-                      | _ -> false)
-                    js
-             in
-             while (not (workload_done ())) && Engine.now eng < time_limit do
-               Proc.sleep cfg.telem_interval
-             done;
-             (* One grace epoch so the final deltas still roll up. *)
-             Proc.sleep (2.0 *. cfg.telem_interval);
-             Tmod.stop ts)
-          : Proc.pid);
-      Some ts
-    end
-  in
   if cfg.kill_leaf then begin
     install_monitor st;
     ignore (Proc.spawn eng ~name:"sched-assassin" (fun () -> assassin st) : Proc.pid);
@@ -615,9 +547,6 @@ let run cfg =
     r_spans = spans;
     r_wexec_started = Metrics.counter_total metrics ~name:"wexec.tasks.started";
     r_wexec_done = Metrics.counter_total metrics ~name:"wexec.tasks.done";
-    r_telem_epochs = (match telem with Some ts -> Tmod.epochs_completed ts | None -> 0);
-    r_telem_alerts = (match telem with Some ts -> List.length (Tmod.alerts ts) | None -> 0);
-    r_telem_dumps = (match st.flight with Some f -> List.length (Flight.dumps f) | None -> 0);
     r_violations = List.rev st.violations;
     r_final_clock = Engine.now eng;
     r_sim_events = Engine.events_executed eng;
@@ -695,3 +624,128 @@ let pp_central ppf (c : central_report) =
    and the span-chain counts must all be bit-for-bit reproducible. *)
 let fingerprint (r : report) =
   (r.r_acked, r.r_jobs_per_s, r.r_makespan, r.r_final_clock, r.r_sim_events, r.r_spans)
+
+(* --- Bench sweep ----------------------------------------------------------- *)
+
+let harness =
+  let sweep ~fast =
+    let nodes = if fast then 16 else 32 in
+    let tasks = if fast then 400 else 1200 in
+    let base = { default with nodes; tasks } in
+    let level_row lv =
+      [
+        ("level", Json.int lv.lv_depth);
+        ("jobs", Json.int lv.lv_jobs);
+        ("submit_match_mean", Json.float lv.lv_submit_match_mean);
+        ("submit_match_p95", Json.float lv.lv_submit_match_p95);
+      ]
+    in
+    let report_row (label, r) =
+      [
+        ("config", Json.string label);
+        ("depth", Json.int r.r_depth);
+        ("children", Json.int r.r_children);
+        ("leaves", Json.int r.r_leaves);
+        ("tasks", Json.int r.r_tasks);
+        ("acked", Json.int r.r_acked);
+        ("jobs_per_s", Json.float r.r_jobs_per_s);
+        ("makespan", Json.float r.r_makespan);
+        ("mean_wait", Json.float r.r_mean_wait);
+        ("sched_cycles", Json.int r.r_sched_cycles);
+        ("hop_match_start_mean", Json.float r.r_hop_match_start_mean);
+        ("hop_start_complete_mean", Json.float r.r_hop_start_complete_mean);
+        ("levels", Json.list (List.map (fun lv -> Json.obj (level_row lv)) r.r_levels));
+        ("requeues", Json.int r.r_requeues);
+        ("kills", Json.int r.r_kills);
+        ("violations", Json.int (List.length r.r_violations));
+      ]
+    in
+    (* Curve 1: throughput vs hierarchy depth at fixed fanout 2 — the
+       paper's log2(C)*T(G) argument. Depth 0 is one flat Flux instance;
+       the centralized baseline is the traditional monolithic scheduler
+       with the same decision-cost model. *)
+    let central = run_central base in
+    let depth_runs =
+      List.map
+        (fun depth -> (Printf.sprintf "depth-%d" depth, run { base with depth }))
+        [ 0; 1; 2; 3 ]
+    in
+    (* Curve 2: throughput vs hierarchy fanout at depth 1 — wider trees
+       shrink T(G) per level but shorten the tree; the sweet spot moves
+       with the task grain, which is the tunability argument. *)
+    let fanout_runs =
+      List.filter_map
+        (fun children ->
+          if nodes / children < 1 then None
+          else Some (Printf.sprintf "fanout-%d" children, run { base with depth = 1; children }))
+        [ 2; 4; 8 ]
+    in
+    (* Curve 3: the chaos row — kill a worker rank of leaf 0 mid-batch and
+       let the surviving siblings drain the backlog via requeues. The
+       invariant set (no lost task, no double ack, no exec-after-ack) must
+       hold with zero violations. *)
+    let chaos_run =
+      ("chaos-leaf", run { base with kill_leaf = true; tasks = (if fast then 200 else 600) })
+    in
+    let runs = depth_runs @ fanout_runs @ [ chaos_run ] in
+    Harness.print_table
+      (List.map report_row runs
+      @ [
+          [
+            ("config", Json.string "central");
+            ("acked", Json.int central.c_completed);
+            ("jobs_per_s", Json.float central.c_jobs_per_s);
+            ("makespan", Json.float central.c_makespan);
+            ("mean_wait", Json.float central.c_mean_wait);
+            ("sched_cycles", Json.int central.c_sched_cycles);
+          ];
+        ]);
+    Harness.print_table
+      (List.concat_map
+         (fun (label, r) ->
+           List.map (fun lv -> ("config", Json.string label) :: level_row lv) r.r_levels)
+         depth_runs);
+    (* Headline: the hierarchy must beat the monolithic controller once
+       it is at least two levels deep. *)
+    let speedup =
+      match List.assoc_opt "depth-2" depth_runs with
+      | Some r when central.c_jobs_per_s > 0.0 -> r.r_jobs_per_s /. central.c_jobs_per_s
+      | _ -> 0.0
+    in
+    Printf.printf "  hierarchical depth-2 vs central: %.2fx jobs/s\n%!" speedup;
+    let rows runs = Json.list (List.map (fun x -> Json.obj (report_row x)) runs) in
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "sched");
+            ("nodes", Json.int nodes);
+            ("tasks", Json.int tasks);
+            ("mean_duration", Json.float base.mean_duration);
+            ("policy", Json.string base.policy);
+            ( "central",
+              Json.obj
+                [
+                  ("completed", Json.int central.c_completed);
+                  ("jobs_per_s", Json.float central.c_jobs_per_s);
+                  ("makespan", Json.float central.c_makespan);
+                  ("mean_wait", Json.float central.c_mean_wait);
+                  ("sched_cycles", Json.int central.c_sched_cycles);
+                ] );
+            ("depth_rows", rows depth_runs);
+            ("fanout_rows", rows fanout_runs);
+            ("chaos", Json.obj (report_row chaos_run));
+            ("tier", Harness.tier ~fast);
+          ];
+      violations =
+        List.concat_map (fun (label, r) -> Harness.labelled label r.r_violations) runs
+        @ Harness.check (speedup > 1.0)
+            (Printf.sprintf "depth-2 hierarchy at %.2fx of central jobs/s (must beat 1x)"
+               speedup);
+    }
+  in
+  {
+    Harness.name = "sched";
+    title = "hierarchical vs centralized scheduling of a pilot-style task storm";
+    sweep;
+  }

@@ -1,0 +1,102 @@
+(** Center-scale scheduling ablation harness: a pilot-style open-loop
+    stream of sub-second single-node tasks fed either to a hierarchy of
+    nested Flux instances or to the centralized baseline controller,
+    measuring jobs/s, makespan and — from the tracer's causal span chain
+    (sched.submit -> sched.match -> wexec.start -> wexec.complete) —
+    per-level scheduler-hop latency.
+
+    With [kill_leaf], a seeded assassin kills a worker rank inside one
+    leaf instance mid-batch and a requeue monitor moves its failed tasks
+    to surviving sibling leaves. Checked (breaches land in
+    [r_violations]): every task acked exactly once, every acked task
+    executed, no execution after its task's ack. *)
+
+type task_kind =
+  | Sleep_tasks  (** synthetic: pure scheduler study, no launch stack *)
+  | Wexec_tasks  (** real launches through wexec with the full span chain *)
+
+type config = {
+  seed : int;
+  nodes : int;  (** session size = compute nodes of the center *)
+  fanout : int;  (** CMB tree fanout *)
+  depth : int;  (** levels of child instances (0 = one flat instance) *)
+  children : int;  (** instance-tree fanout per level *)
+  tasks : int;
+  mean_duration : float;
+  min_duration : float;
+  arrival_rate : float;  (** offered tasks/s, open loop; 0 = batch at t=0 *)
+  policy : string;
+  task_kind : task_kind;
+  cost_model : Flux_core.Instance.cost_model;
+  trace : bool;
+  kill_leaf : bool;  (** kill a worker rank of leaf 0 mid-batch *)
+  kill_frac : float;  (** strike once this fraction of tasks has acked *)
+  revive_after : float;
+  max_requeues : int;
+}
+
+val default : config
+(** 16 nodes, depth 2 with 2 children per level, 200 wexec tasks of
+    mean 0.1 s submitted as one batch, FCFS, traced. *)
+
+type level = {
+  lv_depth : int;  (** 0 = root *)
+  lv_jobs : int;  (** matches observed at this level *)
+  lv_submit_match_mean : float;  (** scheduler-hop latency (wait in queue) *)
+  lv_submit_match_p95 : float;
+}
+
+type report = {
+  r_depth : int;
+  r_children : int;
+  r_leaves : int;
+  r_tasks : int;
+  r_acked : int;  (** logical tasks whose job completed *)
+  r_failed_jobs : int;  (** job attempts that ended Failed (pre-requeue) *)
+  r_requeues : int;
+  r_kills : int;
+  r_revives : int;
+  r_makespan : float;  (** last task completion - first task submission *)
+  r_jobs_per_s : float;
+  r_mean_wait : float;
+  r_sched_cycles : int;  (** summed over every instance in the tree *)
+  r_levels : level list;  (** per-level hop decomposition, root first *)
+  r_hop_match_start_mean : float;  (** sched.match -> wexec.start *)
+  r_hop_start_complete_mean : float;  (** wexec.start -> wexec.complete *)
+  r_spans : (string * int) list;  (** span-chain counter fingerprint *)
+  r_wexec_started : int;
+  r_wexec_done : int;
+  r_violations : string list;
+  r_final_clock : float;
+  r_sim_events : int;
+}
+
+val run : config -> report
+(** Raises [Invalid_argument] on an impossible tree (negative depth,
+    fewer than 2 children, more leaves than nodes) or [kill_leaf]
+    without [Wexec_tasks]. *)
+
+type central_report = {
+  c_tasks : int;
+  c_completed : int;
+  c_makespan : float;
+  c_jobs_per_s : float;
+  c_mean_wait : float;
+  c_sched_cycles : int;
+  c_final_clock : float;
+}
+
+val run_central : config -> central_report
+(** The identical pilot stream against the centralized baseline
+    ({!Flux_baseline.Central}). *)
+
+val pp_report : Format.formatter -> report -> unit
+val pp_central : Format.formatter -> central_report -> unit
+
+val fingerprint : report -> int * float * float * float * int * (string * int) list
+(** Acked tasks, jobs/s, makespan, final clock, engine events and span
+    counts: equal for same-seed runs. *)
+
+val harness : Harness.t
+(** The bench sweep: central vs depth 0..3, fanout 2/4/8 at depth 1, and
+    a leaf-kill chaos row; depth 2 must beat central's jobs/s. *)

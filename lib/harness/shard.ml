@@ -13,9 +13,6 @@ module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
 module Volumes = Flux_kvs.Volumes
 module Proto = Flux_kvs.Proto
-module Tracer = Flux_trace.Tracer
-module Metrics = Flux_trace.Metrics
-module Tmod = Flux_modules.Telem
 
 (* First path components that route to each volume, found by search so
    harness keys land on the shard we intend. *)
@@ -43,7 +40,6 @@ type soak_config = {
   op_timeout : float;
   op_attempts : int;
   kvs : Kvs.config;
-  telem : bool; (* run the live telemetry plane in-band with the soak *)
 }
 
 let soak_default =
@@ -66,7 +62,6 @@ let soak_default =
         Kvs.apply_cpu_per_tuple = 100e-6;
         admission_max_intake = 256;
       };
-    telem = false;
   }
 
 let soak_capacity cfg =
@@ -90,8 +85,6 @@ type soak_report = {
   violations : string list;
   final_clock : float;
   sim_events : int;
-  telem_epochs : int; (* 0 when the plane is off *)
-  telem_alerts : int;
 }
 
 type soak_state = {
@@ -222,26 +215,6 @@ let soak cfg =
       violations = [];
     }
   in
-  (* Optional telemetry plane: rollups ride the same tree as the
-     sharded write streams, so per-shard pressure shows up live. *)
-  let telem =
-    if not cfg.telem then None
-    else begin
-      let tr = Tracer.create ~capacity:500_000 ~now:(fun () -> Engine.now eng) () in
-      let m = Metrics.create () in
-      Session.set_tracer sess (Some tr);
-      Session.set_metrics sess (Some m);
-      let ts =
-        Tmod.load sess
-          ~config:{ Tmod.default_config with Tmod.interval = cfg.duration /. 10.0 }
-          ()
-      in
-      Tmod.set_metrics_all ts m;
-      Tmod.set_tracer_all ts tr;
-      Tmod.start ~until:cfg.duration ts;
-      Some ts
-    end
-  in
   List.iteri (fun idx rank -> soak_producer st ~idx ~rank) cfg.producers;
   Engine.run eng;
   let drain_clock = Float.max cfg.duration st.last_ack in
@@ -282,23 +255,7 @@ let soak cfg =
     violations = List.rev st.violations;
     final_clock = Engine.now eng;
     sim_events = Engine.events_executed eng;
-    telem_epochs = (match telem with Some ts -> Tmod.epochs_completed ts | None -> 0);
-    telem_alerts = (match telem with Some ts -> List.length (Tmod.alerts ts) | None -> 0);
   }
-
-let pp_soak_report ppf (r : soak_report) =
-  Format.fprintf ppf
-    "@[<v>shards: %d@,offered/acked/shed/failed: %d/%d/%d/%d@,\
-     goodput: %.0f ops/s (ack p50 %.6f p99 %.6f)@,\
-     admission sheds: %d (intake hwm %d), busy retries: %d@,\
-     lost acks: %d, drained: %b@,telem: %d epochs, %d alerts@,\
-     clock: %.6f (%d events)@,violations: %d%a@]"
-    r.shards r.offered r.acked r.shed r.failed r.goodput r.ack_p50 r.ack_p99
-    r.admission_sheds r.intake_hwm r.rpc_busy_retries r.lost_acks r.drained
-    r.telem_epochs r.telem_alerts r.final_clock r.sim_events
-    (List.length r.violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.violations
 
 (* --- Cross-shard fence chaos ---------------------------------------------- *)
 
@@ -683,16 +640,71 @@ let chaos cfg =
     csim_events = Engine.events_executed eng;
   }
 
-let pp_chaos_report ppf (r : chaos_report) =
-  Format.fprintf ppf
-    "@[<v>fences ok/failed: %d/%d@,kills/revives: %d/%d (takeovers %d)@,\
-     xepoch: %d, keys checked: %d@,final versions: [%s] roots: [%s]@,\
-     clock: %.6f (%d events)@,violations: %d%a@]"
-    r.fences_ok r.fences_failed r.kills r.revives r.takeovers r.xepoch
-    r.keys_checked
-    (String.concat ";" (List.map string_of_int r.final_versions))
-    (String.concat ";" (List.map (fun s -> String.sub s 0 8) r.final_roots))
-    r.cfinal_clock r.csim_events
-    (List.length r.cviolations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.cviolations
+(* --- Bench sweep ------------------------------------------------------------ *)
+
+let harness =
+  let sweep ~fast =
+    let duration = if fast then 0.25 else 0.4 in
+    let base = { soak_default with duration } in
+    let cap = soak_capacity base in
+    Printf.printf
+      "(%d nodes, %d producers, %.2fs window, per-master capacity %.0f ops/s, offered %.0f)\n%!"
+      base.size (List.length base.producers) duration cap base.rate;
+    let runs = List.map (fun shards -> soak { base with shards }) [ 1; 2; 4 ] in
+    let rows =
+      List.map
+        (fun (r : soak_report) ->
+          [
+            ("shards", Json.int r.shards);
+            ("offered", Json.int r.offered);
+            ("acked", Json.int r.acked);
+            ("shed", Json.int r.shed);
+            ("failed", Json.int r.failed);
+            ("goodput", Json.float r.goodput);
+            ("ack_p50", Json.float r.ack_p50);
+            ("ack_p99", Json.float r.ack_p99);
+            ("admission_sheds", Json.int r.admission_sheds);
+            ("intake_hwm", Json.int r.intake_hwm);
+            ("lost_acks", Json.int r.lost_acks);
+            ("drained", Json.bool r.drained);
+            ("sim_events", Json.int r.sim_events);
+            ("violations", Json.int (List.length r.violations));
+          ])
+        runs
+    in
+    Harness.print_table rows;
+    let goodput_of n =
+      List.find_map (fun (r : soak_report) -> if r.shards = n then Some r.goodput else None) runs
+      |> Option.value ~default:0.0
+    in
+    let g1 = goodput_of 1 and g4 = goodput_of 4 in
+    let ratio = if g1 > 0.0 then g4 /. g1 else 0.0 in
+    Printf.printf "  goodput scales %.2fx from 1 to 4 shards\n%!" ratio;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "shard");
+            ("nodes", Json.int base.size);
+            ("producers", Json.int (List.length base.producers));
+            ("duration", Json.float duration);
+            ("per_master_capacity", Json.float cap);
+            ("offered_rate", Json.float base.rate);
+            ("scaling_1_to_4", Json.float ratio);
+            ("tier", Harness.tier ~fast);
+            ("rows", Json.list (List.map Json.obj rows));
+          ];
+      violations =
+        List.concat_map
+          (fun (r : soak_report) ->
+            Harness.labelled (Printf.sprintf "%d shards" r.shards) r.violations)
+          runs
+        @ Harness.check (ratio >= 1.8)
+            (Printf.sprintf "goodput scales only %.2fx from 1 to 4 shards (bar: 1.8x)" ratio);
+    }
+  in
+  {
+    Harness.name = "shard";
+    title = "goodput vs shards at 2x one master's capacity (distributed KVS master)";
+    sweep;
+  }

@@ -292,3 +292,149 @@ let pp_report ppf r =
     (List.length r.t_violations)
     (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
     r.t_violations
+
+(* --- Bench sweep ----------------------------------------------------------- *)
+
+(* Two questions the telemetry plane must answer before it is allowed
+   on by default anywhere: (a) what does running it in-band cost — the
+   overload soak with [telem] off twice (proving the fingerprint is
+   untouched when disabled) and once with it on, comparing wall-clock
+   events/s; (b) how much TBON traffic do rollups generate per epoch as
+   the interval shrinks — a fault-free sweep of this harness. *)
+let harness =
+  let sweep ~fast =
+    let size = if fast then 48 else 256 in
+    let nproducers = if fast then 6 else 12 in
+    let producers = List.init nproducers (fun i -> size - nproducers + i) in
+    let duration = if fast then 0.25 else 0.4 in
+    let base = { Overload.default with Overload.size; producers; duration } in
+    let base = { base with Overload.rate = Overload.master_capacity base } in
+    let timed name cfg =
+      Gc.compact ();
+      let s0 = Gc.quick_stat () in
+      let t0 = Unix.gettimeofday () in
+      let r = Overload.run cfg in
+      let wall = Unix.gettimeofday () -. t0 in
+      let s1 = Gc.quick_stat () in
+      let words (s : Gc.stat) = s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words in
+      (name, wall, words s1 -. words s0, r)
+    in
+    Printf.printf "(%d nodes, %d producers, %.2fs soak at 1x capacity)\n%!" size nproducers
+      duration;
+    (* Discard a warm-up run so the first timed row doesn't pay code and
+       allocator warm-up that the later rows don't. *)
+    ignore (Overload.run { base with Overload.telem = false } : Overload.report);
+    let off1 = timed "telem-off/1" { base with Overload.telem = false } in
+    let off2 = timed "telem-off/2" { base with Overload.telem = false } in
+    (* Two cadences: coarse (2 rollup epochs over the window — the
+       realistic regime, where a soak window is a fraction of one
+       telemetry epoch) and aggressive (10 epochs — oversampling, to make
+       the plane's marginal cost visible). *)
+    let on =
+      timed "telem-on" { base with Overload.telem = true; telem_interval = duration /. 2.0 }
+    in
+    let on_fast =
+      timed "telem-on/10x" { base with Overload.telem = true; telem_interval = duration /. 10.0 }
+    in
+    let soak = [ off1; off2; on; on_fast ] in
+    let rate_of (_, wall, _, (r : Overload.report)) = float_of_int r.Overload.sim_events /. wall in
+    let soak_rows =
+      List.map
+        (fun ((name, wall, alloc, (r : Overload.report)) as run) ->
+          [
+            ("run", Json.string name);
+            ("wall_s", Json.float wall);
+            ("sim_events", Json.int r.Overload.sim_events);
+            ("events_per_s", Json.float (rate_of run));
+            ("alloc_words", Json.float alloc);
+            ("acked", Json.int r.Overload.acked);
+            ("telem_epochs", Json.int r.Overload.telem_epochs);
+            ("telem_alerts", Json.int r.Overload.telem_alerts);
+            ("telem_dumps", Json.int r.Overload.telem_dumps);
+            ("violations", Json.int (List.length r.Overload.violations));
+          ])
+        soak
+    in
+    Harness.print_table soak_rows;
+    let events (_, _, _, (r : Overload.report)) = r.Overload.sim_events in
+    let fingerprint_stable = events off1 = events off2 in
+    (* Wall-clock is noisy; take the faster of the two off runs as the
+       baseline so measured overhead is conservative (an upper bound),
+       and record the off-run spread as the noise floor the overhead
+       should be judged against. *)
+    let off_rate = Float.max (rate_of off1) (rate_of off2) in
+    let off_spread_pct = 100.0 *. ((off_rate /. Float.min (rate_of off1) (rate_of off2)) -. 1.0) in
+    let overhead_of run =
+      let rate = rate_of run in
+      if rate > 0.0 then 100.0 *. ((off_rate /. rate) -. 1.0) else 0.0
+    in
+    let overhead_pct = overhead_of on and overhead_fast_pct = overhead_of on_fast in
+    Printf.printf
+      "  off-run spread %.1f%%; telem-on overhead %+.1f%% events/s, %+.1f%% oversampled\n%!"
+      off_spread_pct overhead_pct overhead_fast_pct;
+    let sweep_runs =
+      List.map
+        (fun interval ->
+          ( interval,
+            run
+              {
+                default with
+                straggler = None;
+                interval;
+                epochs = (if fast then 10 else 20);
+                size = (if fast then 16 else 32);
+              } ))
+        (if fast then [ 0.025; 0.05; 0.1 ] else [ 0.0125; 0.025; 0.05; 0.1 ])
+    in
+    let sweep_rows =
+      List.map
+        (fun (interval, r) ->
+          [
+            ("interval", Json.float interval);
+            ("epochs", Json.int r.t_epochs);
+            ("rollup_bytes", Json.int r.t_rollup_bytes);
+            ( "bytes_per_epoch",
+              Json.float
+                (if r.t_epochs > 0 then float_of_int r.t_rollup_bytes /. float_of_int r.t_epochs
+                 else 0.0) );
+            ("alerts", Json.int (List.length r.t_alerts));
+            ("late_drops", Json.int r.t_late_drops);
+            ("sim_events", Json.int r.t_events);
+            ("violations", Json.int (List.length r.t_violations));
+          ])
+        sweep_runs
+    in
+    Harness.print_table sweep_rows;
+    {
+      Harness.doc =
+        Json.obj
+          [
+            ("experiment", Json.string "telem");
+            ("tier", Harness.tier ~fast);
+            ("soak_nodes", Json.int size);
+            ("soak_duration", Json.float duration);
+            ("fingerprint_stable", Json.bool fingerprint_stable);
+            ("off_spread_pct", Json.float off_spread_pct);
+            ("telem_overhead_pct", Json.float overhead_pct);
+            ("telem_overhead_oversampled_pct", Json.float overhead_fast_pct);
+            ("soak", Json.list (List.map Json.obj soak_rows));
+            ("interval_sweep", Json.list (List.map Json.obj sweep_rows));
+          ];
+      violations =
+        List.concat_map
+          (fun (name, _, _, (r : Overload.report)) -> Harness.labelled name r.Overload.violations)
+          soak
+        @ List.concat_map
+            (fun (interval, r) ->
+              Harness.labelled (Printf.sprintf "interval %g" interval) r.t_violations)
+            sweep_runs
+        @ Harness.check fingerprint_stable
+            (Printf.sprintf "telem-off fingerprint diverged (%d <> %d events)" (events off1)
+               (events off2));
+    }
+  in
+  {
+    Harness.name = "telem";
+    title = "in-band rollup overhead (off vs on) and bytes/epoch vs interval";
+    sweep;
+  }

@@ -10,7 +10,7 @@ module Proc = Flux_sim.Proc
 module Session = Flux_cmb.Session
 module Kvs = Flux_kvs.Kvs_module
 module Client = Flux_kvs.Client
-module Chaos = Flux_kap.Chaos
+module Chaos = Flux_harness.Chaos
 
 let check = Alcotest.check
 let int = Alcotest.int

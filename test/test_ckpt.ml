@@ -4,7 +4,7 @@
    store rebuilt from serialized bytes must read back identically; and
    any single flipped byte must decode to a structured error. *)
 
-module Ckpt = Flux_kap.Ckpt
+module Ckpt = Flux_harness.Ckpt
 module Snapshot = Flux_kvs.Snapshot
 module Tree = Flux_kvs.Tree
 module Kvs = Flux_kvs.Kvs_module

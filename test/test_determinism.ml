@@ -5,8 +5,8 @@
    simulated clock, event and message counts — must match exactly. *)
 
 module Kap = Flux_kap.Kap
-module Chaos = Flux_kap.Chaos
-module Sched = Flux_kap.Sched
+module Chaos = Flux_harness.Chaos
+module Sched = Flux_harness.Sched
 module Export = Flux_trace.Export
 
 let check = Alcotest.check

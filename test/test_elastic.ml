@@ -15,7 +15,7 @@ module Center = Flux_core.Center
 module Ctl = Flux_core.Elastic
 module Wexec = Flux_modules.Wexec
 module Client = Flux_kvs.Client
-module KElastic = Flux_kap.Elastic
+module KElastic = Flux_harness.Elastic
 
 let check = Alcotest.check
 let int = Alcotest.int

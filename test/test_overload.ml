@@ -13,7 +13,7 @@ module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
 module Barrier = Flux_modules.Barrier
-module Overload = Flux_kap.Overload
+module Overload = Flux_harness.Overload
 
 let check = Alcotest.check
 let int = Alcotest.int

@@ -3,7 +3,7 @@
    instance losing a worker mid-batch — and the trace span chain must
    decompose scheduler-hop latency per hierarchy level. *)
 
-module Sched = Flux_kap.Sched
+module Sched = Flux_harness.Sched
 module Workload = Flux_core.Workload
 module Rng = Flux_util.Rng
 module Job = Flux_core.Job

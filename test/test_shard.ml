@@ -3,7 +3,7 @@
    monotonic reads, or let any client observe one shard's post-fence
    state alongside another's pre-fence state. *)
 
-module Shard = Flux_kap.Shard
+module Shard = Flux_harness.Shard
 
 let check = Alcotest.check
 

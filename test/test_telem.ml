@@ -1,6 +1,6 @@
 (* Tests for the live telemetry plane: Metrics snapshot algebra against
    a brute-force oracle (qcheck), the Series/Detect/Flight building
-   blocks, and the end-to-end Flux_kap.Telem fault scenarios the plane
+   blocks, and the end-to-end Flux_harness.Telem fault scenarios the plane
    exists to catch. *)
 
 module Json = Flux_json.Json
@@ -10,7 +10,7 @@ module Metrics = Flux_trace.Metrics
 module Series = Flux_trace.Series
 module Detect = Flux_trace.Detect
 module Flight = Flux_trace.Flight
-module KTelem = Flux_kap.Telem
+module KTelem = Flux_harness.Telem
 
 let check = Alcotest.check
 let int = Alcotest.int
