@@ -272,28 +272,54 @@ let schedule_cmd =
 
 (* --- flux kap --------------------------------------------------------------------- *)
 
+(* The flags of the paper's KAP tester. *)
 let kap_cmd =
-  let producers_arg =
-    Arg.(value & opt int 0 & info [ "producers" ] ~doc:"Producer count (0 = all).")
-  in
-  let vsize_arg = Arg.(value & opt int 8 & info [ "vsize" ] ~doc:"Value size in bytes.") in
+  let int_arg names default doc = Arg.(value & opt int default & info names ~doc) in
+  let ppn_arg = int_arg [ "ppn" ] 16 "Processes per node." in
+  let producers_arg = int_arg [ "producers" ] 0 "Producer count (0 = all)." in
+  let consumers_arg = int_arg [ "consumers" ] 0 "Consumer count (0 = all)." in
+  let nputs_arg = int_arg [ "nputs" ] 1 "Objects put per producer." in
+  let ngets_arg = int_arg [ "ngets" ] 1 "Objects read per consumer." in
+  let vsize_arg = int_arg [ "vsize" ] 8 "Value size in bytes." in
   let redundant_arg =
     Arg.(value & flag & info [ "redundant" ] ~doc:"All producers write identical values.")
   in
-  let run nodes fanout producers vsize redundant =
+  let dir_size_arg =
+    int_arg [ "dir-size" ] 1 "Max objects per KVS directory (1 = one directory)."
+  in
+  let stride_arg = int_arg [ "stride" ] 1 "Consumer access stride." in
+  let sync_arg = Arg.(value & opt string "fence" & info [ "sync" ] ~doc:"fence | commit.") in
+  let run nodes fanout ppn producers consumers nputs ngets vsize redundant dir_size stride sync =
+    let total = nodes * ppn in
     checked
       (base_checks nodes fanout
-      @ [ at_least "--producers" 0 producers; positive "--vsize" vsize ])
+      @ [
+          positive "--ppn" ppn;
+          in_range "--producers" ~lo:0 ~hi:total producers;
+          in_range "--consumers" ~lo:0 ~hi:total consumers;
+          at_least "--nputs" 0 nputs;
+          at_least "--ngets" 0 ngets;
+          positive "--vsize" vsize;
+          at_least "--dir-size" 1 dir_size;
+          at_least "--stride" 1 stride;
+          one_of "--sync" [ "fence"; "commit" ] sync;
+        ])
     @@ fun () ->
-    let base = Kap.fully_populated ~nodes in
-    let total = nodes * base.Kap.procs_per_node in
+    let all n = if n = 0 then total else n in
     let cfg =
       {
-        base with
-        Kap.fanout;
+        (Kap.fully_populated ~nodes) with
+        Kap.procs_per_node = ppn;
+        fanout;
+        producers = all producers;
+        consumers = all consumers;
+        nputs;
+        ngets;
         value_size = vsize;
         value_kind = (if redundant then Kap.Redundant else Kap.Unique);
-        producers = (if producers = 0 then total else producers);
+        dir_layout = (if dir_size = 1 then Kap.Single_dir else Kap.Multi_dir dir_size);
+        sync = (if sync = "fence" then Kap.Fence else Kap.Commit_wait);
+        access_stride = stride;
       }
     in
     let r = Kap.run cfg in
@@ -302,7 +328,10 @@ let kap_cmd =
   in
   Cmd.v
     (Cmd.info "kap" ~doc:"Run one KVS-Access-Patterns configuration.")
-    Term.(ret (const run $ nodes_arg $ fanout_arg $ producers_arg $ vsize_arg $ redundant_arg))
+    Term.(
+      ret
+        (const run $ nodes_arg $ fanout_arg $ ppn_arg $ producers_arg $ consumers_arg $ nputs_arg
+       $ ngets_arg $ vsize_arg $ redundant_arg $ dir_size_arg $ stride_arg $ sync_arg))
 
 (* --- flux exec --------------------------------------------------------------------- *)
 

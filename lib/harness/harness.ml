@@ -3,13 +3,14 @@ module Json = Flux_json.Json
 type sweep = { doc : Json.t; violations : string list }
 type t = { name : string; title : string; sweep : fast:bool -> sweep }
 
-let report_file h = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii h.name)
+let report_file ~fast h =
+  Printf.sprintf "BENCH_%s%s.json" (String.uppercase_ascii h.name) (if fast then ".fast" else "")
 
 let run ~fast h =
   Printf.printf "\n=== %s: %s ===\n%!" h.name h.title;
   let { doc; violations } = h.sweep ~fast in
   List.iter (fun v -> Printf.printf "  violation: %s\n%!" v) violations;
-  let file = report_file h in
+  let file = report_file ~fast h in
   Out_channel.with_open_text file (fun oc ->
       Out_channel.output_string oc (Json.to_string doc);
       Out_channel.output_char oc '\n');

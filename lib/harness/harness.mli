@@ -3,7 +3,7 @@
     A harness is a seeded simulation whose end-of-run audit returns a
     list of violations (empty = every guarantee held). Its {e sweep} is
     the set of runs the bench records: it prints its rows, returns the
-    report document written to [BENCH_<NAME>.json], and returns every
+    report document written to {!report_file}, and returns every
     violation its runs reported plus any failed headline check (e.g.
     "goodput scales >= 1.8x from 1 to 4 shards").
 
@@ -25,8 +25,10 @@ type t = {
       (** [fast] selects the reduced scales used by CI ([BENCH_FAST=1]) *)
 }
 
-val report_file : t -> string
-(** [BENCH_<NAME>.json], [NAME] being [name] upper-cased. *)
+val report_file : fast:bool -> t -> string
+(** [BENCH_<NAME>.json] at paper scale and [BENCH_<NAME>.fast.json] at
+    the fast tier, [NAME] being [name] upper-cased, so a fast run never
+    overwrites a paper-scale report. *)
 
 val run : fast:bool -> t -> int
 (** Run the sweep, print its violations and write its report into the

@@ -159,33 +159,53 @@ let to_string v =
 
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
+(* Physical-identity memo ------------------------------------------------ *)
+
+(* Values are immutable and containers are structurally shared (a message
+   payload keeps the same [Obj] across every tree hop; a rebuilt KVS
+   directory shares all untouched children), so facts derived from a
+   container are memoized by physical identity. Keys are held weakly:
+   entries die with the value they describe. [Hashtbl.hash] only inspects
+   a bounded prefix of the structure, and [(==)] resolves collisions
+   exactly. *)
+module Memo = struct
+  module Tbl = Ephemeron.K1.Make (struct
+    type nonrec t = t
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+  type 'a t = 'a Tbl.t
+
+  let capacity = 512
+  let create () = Tbl.create (2 * capacity)
+  let find = Tbl.find_opt
+
+  (* Structurally similar containers (successive versions of one growing
+     directory) share a bucket, and weak entries are only swept lazily —
+     keep the table small so lookups stay O(1). *)
+  let add memo v x =
+    if Tbl.length memo > capacity then begin
+      Tbl.clean memo;
+      if Tbl.length memo > capacity then Tbl.reset memo
+    end;
+    Tbl.replace memo v x
+end
+
 (* Size model --------------------------------------------------------- *)
 
 let escaped_length s =
   let n = ref 2 in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' -> n := !n + 2
-      | c when Char.code c < 0x20 -> n := !n + 6
-      | _ -> incr n)
-    s;
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' -> n := !n + 2
+    | c when Char.code c < 0x20 -> n := !n + 6
+    | _ -> incr n
+  done;
   !n
 
-(* Values are immutable and containers are structurally shared (a message
-   payload keeps the same [Obj] across every tree hop; a rebuilt KVS
-   directory shares all untouched children), so the size of a container is
-   memoized by physical identity. Keys are held weakly: entries die with
-   the value they describe. [Hashtbl.hash] only inspects a bounded prefix
-   of the structure, and [(==)] resolves collisions exactly. *)
-module Size_memo = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let size_memo : int Size_memo.t = Size_memo.create 1024
+let size_memo : int Memo.t = Memo.create ()
 
 (* Small containers are cheaper to re-walk than to track: keeping every
    two-field RPC payload in the weak table just fills it with entries
@@ -202,20 +222,11 @@ let rec serialized_size v =
   | Float f -> String.length (float_repr f)
   | String s -> escaped_length s
   | List _ | Obj _ -> (
-    match Size_memo.find_opt size_memo v with
+    match Memo.find size_memo v with
     | Some n -> n
     | None ->
       let n = container_size v in
-      if n >= memo_threshold then begin
-        (* Structurally similar containers (successive versions of one
-           growing directory) share a bucket, and weak entries are only
-           swept lazily — keep the table small so lookups stay O(1). *)
-        if Size_memo.length size_memo > 512 then begin
-          Size_memo.clean size_memo;
-          if Size_memo.length size_memo > 512 then Size_memo.reset size_memo
-        end;
-        Size_memo.replace size_memo v n
-      end;
+      if n >= memo_threshold then Memo.add size_memo v n;
       n)
 
 and container_size = function

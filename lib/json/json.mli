@@ -88,6 +88,30 @@ val serialized_size : t -> int
     shared across message hops), so repeated queries on a shared node
     are O(1). *)
 
+(** {1 Physical-identity memo}
+
+    Facts derived from an immutable container — its serialized size, its
+    digest, a name index over a directory — keyed by the physical value,
+    so a container shared across message hops, caches and commits pays
+    for them once. Keys are weak: an entry dies with its value. *)
+
+module Memo : sig
+  type json := t
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val find : 'a t -> json -> 'a option
+  (** [find memo v] is what was recorded for this very value ([(==)]),
+      never for a structurally equal copy. *)
+
+  val add : 'a t -> json -> 'a -> unit
+  (** Record a fact. The table holds about 512 entries: past that, dead
+      entries are swept, and if it is still full it is emptied. Callers
+      only record values big enough that recomputing is worse than a
+      lookup. *)
+end
+
 (** {1 Miscellany} *)
 
 val pad : int -> t

@@ -14,7 +14,6 @@ type config = {
   put_cpu : float;
   hash_cpu_per_byte : float;
   apply_cpu_per_tuple : float;
-  dir_index_threshold : int;
   inline_threshold : int;
   setroot_delta_max : int;
   admission_max_intake : int;
@@ -28,7 +27,6 @@ let default_config =
     put_cpu = 1e-6;
     hash_cpu_per_byte = 1.5e-9;
     apply_cpu_per_tuple = 0.3e-6;
-    dir_index_threshold = 64;
     inline_threshold = 256;
     setroot_delta_max = 0;
     admission_max_intake = 0;
@@ -99,7 +97,6 @@ type t = {
   fences : (string, fence_state) Hashtbl.t;
   master_fences : (string, master_fence) Hashtbl.t;
   mutable version_waiters : (int * Message.t) list;
-  dir_index : (string, (string, Json.t) Hashtbl.t) Hashtbl.t;
   mutable cpu_free_at : float; (* serializes local put hashing *)
   mutable next_fid : int; (* stamps outgoing flushes for dedup *)
   flush_seen : (int * int, flush_dup) Hashtbl.t; (* (origin, fid) *)
@@ -203,28 +200,10 @@ let lookup_obj t sha =
 let expire_cache t =
   if not t.master then begin
     Lru.clear t.cache;
-    Hashtbl.reset t.dir_index;
     t.bytes_held <- 0;
     (* Dirty objects are pinned until the next flush. *)
     Hashtbl.iter (fun _ v -> t.bytes_held <- t.bytes_held + Json.serialized_size v) t.dirty_objs
   end
-
-(* Indexed directory-entry lookup for large directories: the linear scan
-   over an 8k-entry directory object would otherwise dominate run time. *)
-let find_entry t sha dir name =
-  let h = hex sha in
-  match Hashtbl.find_opt t.dir_index h with
-  | Some idx -> Hashtbl.find_opt idx name
-  | None ->
-    let entries = Json.to_obj dir in
-    if List.length entries < t.cfg.dir_index_threshold then Json.member_opt name dir
-    else begin
-      let idx = Hashtbl.create (List.length entries) in
-      List.iter (fun (k, v) -> Hashtbl.replace idx k v) entries;
-      if Hashtbl.length t.dir_index > 256 then Hashtbl.reset t.dir_index;
-      Hashtbl.replace t.dir_index h idx;
-      Hashtbl.find_opt idx name
-    end
 
 (* Service peers that are currently reachable (election candidates and
    fetch sources). *)
@@ -884,10 +863,7 @@ let handle_get t (req : Message.t) =
   let pinned_root = t.root in
   let rec walk () =
     match
-      Tree.lookup
-        ~fetch:(fun sha -> lookup_obj t sha)
-        ~find_entry:(fun sha dir name -> find_entry t sha dir name)
-        ~root:pinned_root ~key ()
+      Tree.lookup ~fetch:(fun sha -> lookup_obj t sha) ~root:pinned_root ~key ()
     with
     | Tree.Found v -> Session.respond t.b req (Proto.load_reply v)
     | Tree.No_key -> Session.respond_error t.b req (Printf.sprintf "key not found: %s" key)
@@ -1325,7 +1301,6 @@ let promote t =
   in
   Lru.iter adopt t.cache;
   Lru.clear t.cache;
-  Hashtbl.reset t.dir_index;
   Hashtbl.iter adopt t.dirty_objs
 
 (* Deterministic, non-preemptive takeover: freeze, snapshot the newest
@@ -1456,7 +1431,6 @@ let create_instance cfg ?routing b =
       fences = Hashtbl.create 8;
       master_fences = Hashtbl.create 8;
       version_waiters = [];
-      dir_index = Hashtbl.create 16;
       cpu_free_at = 0.0;
       fence_hold = None;
       held = None;

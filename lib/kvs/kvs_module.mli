@@ -28,7 +28,6 @@ type config = {
   put_cpu : float;  (** fixed local cost of a put *)
   hash_cpu_per_byte : float;  (** hashing/serialization cost per value byte *)
   apply_cpu_per_tuple : float;  (** master cost to apply one tuple *)
-  dir_index_threshold : int;  (** index directories larger than this *)
   inline_threshold : int;
       (** values serialized to at most this many bytes are stored inline
           in their directory entry, as in the prototype — reading one

@@ -26,9 +26,32 @@ let split_key key =
 
 type lookup_result = Found of Json.t | No_key | Need of Sha1.digest
 
-let default_find_entry _sha dir name = Json.member_opt name dir
+(* A linear scan over an 8k-entry directory would dominate a read-heavy
+   run, so large directories are searched through a name index. A
+   directory object is immutable, and every cache that holds it holds
+   the same physical value, so the index is built once per object and
+   shared by every broker. *)
+let index_threshold = 64
 
-let lookup ~fetch ?(find_entry = default_find_entry) ~root ~key () =
+let index_memo : (string, Json.t) Hashtbl.t Json.Memo.t = Json.Memo.create ()
+
+(* Agrees with [Json.member_opt]: the first binding of a name wins. *)
+let find_entry dir name =
+  match dir with
+  | Json.Obj entries when List.compare_length_with entries index_threshold >= 0 ->
+    let index =
+      match Json.Memo.find index_memo dir with
+      | Some index -> index
+      | None ->
+        let index = Hashtbl.create (List.length entries) in
+        List.iter (fun (k, v) -> if not (Hashtbl.mem index k) then Hashtbl.add index k v) entries;
+        Json.Memo.add index_memo dir index;
+        index
+    in
+    Hashtbl.find_opt index name
+  | _ -> Json.member_opt name dir
+
+let lookup ~fetch ~root ~key () =
   let comps = split_key key in
   let rec walk dir_sha = function
     | [] -> No_key (* key named a directory, not a value *)
@@ -36,7 +59,7 @@ let lookup ~fetch ?(find_entry = default_find_entry) ~root ~key () =
       match fetch dir_sha with
       | None -> Need dir_sha
       | Some dir -> (
-        match find_entry dir_sha dir name with
+        match find_entry dir name with
         | None -> No_key
         | Some entry -> (
           match dirent_ref entry with

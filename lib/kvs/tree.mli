@@ -52,15 +52,11 @@ type lookup_result =
           in and retry (lookups are idempotent against a pinned root) *)
 
 val lookup :
-  fetch:(Sha1.digest -> Json.t option) ->
-  ?find_entry:(Sha1.digest -> Json.t -> string -> Json.t option) ->
-  root:Sha1.digest ->
-  key:string ->
-  unit ->
-  lookup_result
+  fetch:(Sha1.digest -> Json.t option) -> root:Sha1.digest -> key:string -> unit -> lookup_result
 (** [lookup ~fetch ~root ~key ()] walks the path from the directory at
-    [root]. [find_entry] (default: linear scan) lets callers index
-    large directory objects. *)
+    [root]. A directory of 64 or more entries is searched through a name
+    index, built once per directory object and shared by every caller
+    that fetches the same physical value (see {!Json.Memo}). *)
 
 (** {1 Update (master side)} *)
 

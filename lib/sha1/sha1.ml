@@ -1,3 +1,5 @@
+module Json = Flux_json.Json
+
 type digest = string
 
 (* FIPS 180-1 compression implemented on native ints (32-bit words kept
@@ -101,18 +103,9 @@ let digest_string s = Flux_util.Hexs.encode (digest_bytes_raw s)
 (* The KVS tree shares unchanged interior nodes across commits (only the
    rebuilt directory spine is fresh), so re-hashing a node the store has
    already digested is pure waste: memoize per physical value, exactly
-   like git reuses the object id of an unchanged subtree. Weak keys let
-   entries die with their value; [(==)] resolves the (bounded-prefix)
-   structural-hash collisions exactly. Scalars are cheap to hash and
-   rarely shared, so only containers are memoized. *)
-module Digest_memo = Ephemeron.K1.Make (struct
-  type t = Flux_json.Json.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let digest_memo : string Digest_memo.t = Digest_memo.create 256
+   like git reuses the object id of an unchanged subtree. Scalars are
+   cheap to hash and rarely shared, so only containers are memoized. *)
+let digest_memo : string Json.Memo.t = Json.Memo.create ()
 
 (* Matches the size-memo policy in [Json]: small values are cheaper to
    re-hash than to track in the weak table. *)
@@ -120,28 +113,29 @@ let memo_threshold = 1024
 
 let digest_json v =
   match v with
-  | Flux_json.Json.List _ | Flux_json.Json.Obj _ -> (
-    match Digest_memo.find_opt digest_memo v with
+  | Json.List _ | Json.Obj _ -> (
+    match Json.Memo.find digest_memo v with
     | Some d -> d
     | None ->
-      let s = Flux_json.Json.to_string v in
+      let s = Json.to_string v in
       let d = digest_string s in
-      if String.length s >= memo_threshold then begin
-        (* Same bucket-hygiene policy as the Json size memo: weak entries
-           are swept lazily, so keep the table small. *)
-        if Digest_memo.length digest_memo > 512 then begin
-          Digest_memo.clean digest_memo;
-          if Digest_memo.length digest_memo > 512 then Digest_memo.reset digest_memo
-        end;
-        Digest_memo.replace digest_memo v d
-      end;
+      if String.length s >= memo_threshold then Json.Memo.add digest_memo v d;
       d)
-  | _ -> digest_string (Flux_json.Json.to_string v)
+  | _ -> digest_string (Json.to_string v)
 
+(* One pass that validates and notes whether any digit needs lowering:
+   a digest this module printed (the common case) comes back as is. *)
 let of_hex s =
-  if String.length s <> 40 || not (Flux_util.Hexs.is_hex s) then
-    invalid_arg "Sha1.of_hex: expected 40 hex characters";
-  String.lowercase_ascii s
+  let invalid () = invalid_arg "Sha1.of_hex: expected 40 hex characters" in
+  if String.length s <> 40 then invalid ();
+  let upper = ref false in
+  for i = 0 to 39 do
+    match String.unsafe_get s i with
+    | '0' .. '9' | 'a' .. 'f' -> ()
+    | 'A' .. 'F' -> upper := true
+    | _ -> invalid ()
+  done;
+  if !upper then String.lowercase_ascii s else s
 
 let to_hex d = d
 let equal = String.equal

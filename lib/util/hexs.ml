@@ -26,9 +26,3 @@ let decode h =
     Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
   done;
   Bytes.unsafe_to_string out
-
-let is_hex h =
-  String.length h mod 2 = 0
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
-       h

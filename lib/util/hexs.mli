@@ -6,7 +6,3 @@ val encode : string -> string
 val decode : string -> string
 (** [decode h] inverts {!encode}. Raises [Invalid_argument] on odd length
     or non-hex characters. *)
-
-val is_hex : string -> bool
-(** [is_hex h] is true when [h] consists solely of hex digits and has even
-    length. *)

@@ -1,7 +1,9 @@
 (** Fixed-capacity circular buffer.
 
     The CMB [log] comms module keeps a circular debug buffer of recent log
-    messages to dump as context in response to a fault event. *)
+    messages to dump as context in response to a fault event. Storage is
+    allocated as elements arrive, so an unused buffer costs nothing
+    however large its capacity. *)
 
 type 'a t
 

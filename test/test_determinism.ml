@@ -2,7 +2,9 @@
    (heap compaction, memoized payload sizes and digests, session fast
    paths) must be unobservable. Each workload here runs twice in the
    same process; everything a user can see — trace counters, the final
-   simulated clock, event and message counts — must match exactly. *)
+   simulated clock, event and message counts — must match exactly. The
+   fig2 run is also pinned to recorded values, which holds across
+   commits. *)
 
 module Kap = Flux_kap.Kap
 module Chaos = Flux_harness.Chaos
@@ -41,6 +43,19 @@ let test_kap_run_twice () =
     r2.Kap.r_producer.Kap.ph_max;
   check (Alcotest.float 0.0) "sync max identical" r1.Kap.r_sync.Kap.ph_max
     r2.Kap.r_sync.Kap.ph_max
+
+(* The same run against recorded values, so a change that moves the
+   simulation moves this test even when it repeats within one build.
+   128 procs put into one directory, so every get searches that
+   directory through its name index. A change that is meant to move
+   these values says so and records the new ones. *)
+let test_kap_goldens () =
+  let r = Kap.run fig2_cfg in
+  check Alcotest.int "engine events" 1980 r.Kap.r_events;
+  check Alcotest.string "final simulated clock" "0x1.475a07c480b47p-10"
+    (Printf.sprintf "%h" r.Kap.r_wallclock);
+  check Alcotest.int "rpc messages" 56 r.Kap.r_rpc_messages;
+  check Alcotest.int "loads" 14 r.Kap.r_loads_issued
 
 (* Tracing must be pay-for-what-you-use in behaviour, not just cost:
    attaching the tracer and metrics registry (trace = true) must leave
@@ -123,6 +138,7 @@ let () =
       ( "golden",
         [
           Alcotest.test_case "fig2 workload repeats exactly" `Quick test_kap_run_twice;
+          Alcotest.test_case "fig2 workload matches its goldens" `Quick test_kap_goldens;
           Alcotest.test_case "tracing on vs off is unobservable" `Quick
             test_trace_on_off_identical;
           Alcotest.test_case "chaos seed repeats exactly" `Quick test_chaos_run_twice;

@@ -26,7 +26,12 @@ let test_registry () =
     Alcotest.(list string)
     "one report file per harness"
     (List.map (fun n -> "BENCH_" ^ String.uppercase_ascii n ^ ".json") names)
-    (List.map Harness.report_file Registry.all)
+    (List.map (Harness.report_file ~fast:false) Registry.all);
+  check
+    Alcotest.(list string)
+    "fast reports never overwrite paper-scale ones"
+    (List.map (fun n -> "BENCH_" ^ String.uppercase_ascii n ^ ".fast.json") names)
+    (List.map (Harness.report_file ~fast:true) Registry.all)
 
 (* A sweep with planted violations — one from a run, one a missed
    headline check — must be counted, and its report still written. *)
@@ -47,7 +52,7 @@ let test_run_counts_violations () =
           });
     }
   in
-  let file = Harness.report_file planted in
+  let file = Harness.report_file ~fast:true planted in
   check Alcotest.int "violations counted" 2 (Harness.run ~fast:true planted);
   let written = In_channel.with_open_text file In_channel.input_all in
   Sys.remove file;

@@ -139,7 +139,9 @@ let gen_json =
                   map Json.int (int_range (-1000000) 1000000);
                   map (fun f -> Json.float (Float.of_int (int_of_float (f *. 100.)) /. 4.))
                     (float_bound_inclusive 100.0);
-                  map Json.string (string_size ~gen:printable (0 -- 10));
+                  (* Every byte, so control characters reach the
+                     printer's escapes and the size model. *)
+                  map Json.string (string_size ~gen:char (0 -- 10));
                 ]
             in
             if n <= 0 then leaf

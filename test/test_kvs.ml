@@ -119,24 +119,40 @@ let test_lookup_reports_missing () =
   | Tree.Need sha -> check bool "names the missing object" true (Sha1.equal sha sv)
   | _ -> Alcotest.fail "expected Need"
 
+(* Up to 200 names spread over 1-4 directories, so some directories
+   cross the 64-entry size at which lookups switch to a name index. Two
+   batches: the second rebuilds the directories the first created, and
+   both snapshots must still answer every name, present or absent. *)
 let prop_tree_many_keys =
+  let names = 200 in
   QCheck.Test.make ~name:"bulk apply then lookup" ~count:30
-    QCheck.(list_of_size Gen.(1 -- 40) (pair (int_range 0 30) (int_range 0 1000)))
-    (fun pairs ->
+    QCheck.(
+      triple (int_range 1 4)
+        (list_of_size Gen.(1 -- 400) (pair (int_range 0 (names - 1)) (int_range 0 1000)))
+        (list_of_size Gen.(0 -- 100) (pair (int_range 0 (names - 1)) (int_range 0 1000))))
+    (fun (ndirs, first, second) ->
       let _, store, fetch = memory_store () in
-      let tuples =
-        List.map (fun (k, v) -> (Printf.sprintf "dir%d.key%d" (k mod 5) k, Tree.dirent_file (store (Json.int v)))) pairs
+      let key k = Printf.sprintf "dir%d.key%d" (k mod ndirs) k in
+      let apply root pairs =
+        Tree.apply_tuples ~fetch ~store ~root
+          (List.map (fun (k, v) -> (key k, Tree.dirent_file (store (Json.int v)))) pairs)
       in
-      let root = Tree.apply_tuples ~fetch ~store ~root:Tree.empty_dir_sha tuples in
-      (* Later tuples win; compute expected final bindings. *)
-      let expected = Hashtbl.create 16 in
-      List.iter2
-        (fun (k, v) (key, _) -> ignore k; Hashtbl.replace expected key v)
-        pairs tuples;
-      Hashtbl.fold
-        (fun key v acc ->
-          acc && lookup_value fetch root key = Some (Json.int v))
-        expected true)
+      (* Later tuples win. *)
+      let bind expected pairs = List.iter (fun (k, v) -> Hashtbl.replace expected k v) pairs in
+      let agrees root expected =
+        List.for_all
+          (fun k ->
+            lookup_value fetch root (key k) = Option.map Json.int (Hashtbl.find_opt expected k))
+          (List.init names Fun.id)
+      in
+      let expected1 = Hashtbl.create names in
+      bind expected1 first;
+      let root1 = apply Tree.empty_dir_sha first in
+      let ok1 = agrees root1 expected1 in
+      let expected2 = Hashtbl.copy expected1 in
+      bind expected2 second;
+      let root2 = apply root1 second in
+      ok1 && agrees root2 expected2 && agrees root1 expected1)
 
 (* --- Distributed KVS harness ------------------------------------------ *)
 

@@ -41,8 +41,16 @@ let test_json_digest_dedup () =
 let test_of_hex () =
   let d = Sha1.digest_string "x" in
   check bool "of_hex roundtrip" true (Sha1.equal d (Sha1.of_hex (Sha1.to_hex d)));
-  Alcotest.check_raises "bad hex" (Invalid_argument "Sha1.of_hex: expected 40 hex characters")
-    (fun () -> ignore (Sha1.of_hex "zz"));
+  check string "upper case comes back lower" (hex d)
+    (hex (Sha1.of_hex (String.uppercase_ascii (hex d))));
+  let rejects label s =
+    Alcotest.check_raises label (Invalid_argument "Sha1.of_hex: expected 40 hex characters")
+      (fun () -> ignore (Sha1.of_hex s))
+  in
+  rejects "bad hex" "zz";
+  rejects "non-hex 40th character" (String.sub (hex d) 0 39 ^ "g");
+  rejects "39 characters" (String.sub (hex d) 0 39);
+  rejects "41 characters" (hex d ^ "0");
   check string "short" (String.sub (Sha1.to_hex d) 0 8) (Sha1.short d)
 
 let prop_no_trivial_collisions =
@@ -54,7 +62,8 @@ let prop_no_trivial_collisions =
 let prop_digest_length =
   QCheck.Test.make ~name:"digest is 40 hex chars" ~count:100 QCheck.string (fun s ->
       let h = Sha1.to_hex (Sha1.digest_string s) in
-      String.length h = 40 && Flux_util.Hexs.is_hex h)
+      String.length h = 40
+      && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) h)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 

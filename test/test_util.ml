@@ -211,9 +211,7 @@ let test_hex_roundtrip () =
 
 let test_hex_invalid () =
   Alcotest.check_raises "odd length" (Invalid_argument "Hexs.decode: odd length")
-    (fun () -> ignore (Hexs.decode "abc"));
-  check bool "is_hex" true (Hexs.is_hex "deadBEEF");
-  check bool "not hex" false (Hexs.is_hex "xyz1")
+    (fun () -> ignore (Hexs.decode "abc"))
 
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:200 QCheck.string (fun s ->
@@ -282,9 +280,11 @@ let prop_ring_dropped_counts =
       Ring_buffer.dropped b = max 0 (List.length xs - cap)
       && Ring_buffer.length b = min cap (List.length xs))
 
+(* Capacities past 16 make the storage grow more than once before the
+   buffer fills. *)
 let prop_ring_keeps_latest =
   QCheck.Test.make ~name:"ring keeps the most recent k" ~count:100
-    QCheck.(pair (int_range 1 10) (small_list small_int))
+    QCheck.(pair (int_range 1 80) (list_of_size Gen.(0 -- 200) small_int))
     (fun (cap, xs) ->
       let b = Ring_buffer.create ~capacity:cap in
       List.iter (Ring_buffer.push b) xs;
