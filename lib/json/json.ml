@@ -102,63 +102,6 @@ let set_member k x v =
 let remove_member k v =
   Obj (List.filter (fun (k', _) -> not (String.equal k k')) (to_obj v))
 
-(* Printing ---------------------------------------------------------- *)
-
-let escape_to buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.17g" f
-
-let rec write buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool true -> Buffer.add_string buf "true"
-  | Bool false -> Buffer.add_string buf "false"
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
-  | String s -> escape_to buf s
-  | List l ->
-    Buffer.add_char buf '[';
-    List.iteri
-      (fun i v ->
-        if i > 0 then Buffer.add_char buf ',';
-        write buf v)
-      l;
-    Buffer.add_char buf ']'
-  | Obj fields ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        escape_to buf k;
-        Buffer.add_char buf ':';
-        write buf v)
-      fields;
-    Buffer.add_char buf '}'
-
-let to_string v =
-  let buf = Buffer.create 256 in
-  write buf v;
-  Buffer.contents buf
-
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 (* Physical-identity memo ------------------------------------------------ *)
 
 (* Values are immutable and containers are structurally shared (a message
@@ -193,18 +136,6 @@ module Memo = struct
     Tbl.replace memo v x
 end
 
-(* Size model --------------------------------------------------------- *)
-
-let escaped_length s =
-  let n = ref 2 in
-  for i = 0 to String.length s - 1 do
-    match String.unsafe_get s i with
-    | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' -> n := !n + 2
-    | c when Char.code c < 0x20 -> n := !n + 6
-    | _ -> incr n
-  done;
-  !n
-
 let size_memo : int Memo.t = Memo.create ()
 
 (* Small containers are cheaper to re-walk than to track: keeping every
@@ -212,6 +143,157 @@ let size_memo : int Memo.t = Memo.create ()
    that die by the next GC, and the dead slots slow later lookups. Only
    payloads big enough for the walk itself to hurt are remembered. *)
 let memo_threshold = 1024
+
+let note_size v n = if n >= memo_threshold then Memo.add size_memo v n
+
+let float_repr f =
+  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%.17g" f
+
+(* The printed width of each byte inside a string: 1, 2 for a
+   two-character escape, 6 for [\u00XX]. The size walk and the printer's
+   scan make one lookup per byte instead of a chain of tests. *)
+let escaped_width =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '"' | '\\' | '\n' | '\r' | '\t' | '\b' | '\012' -> '\002'
+      | c when Char.code c < 0x20 -> '\006'
+      | _ -> '\001')
+
+(* Printing ---------------------------------------------------------- *)
+
+(* The printer fills a caller-owned chunk and hands it to [full] each
+   time it is full, so a consumer (a buffer, a hash) takes the bytes in
+   fixed-size pieces and the rendering is never held whole. Helpers are
+   top-level functions of the printer state: a local closure would be
+   allocated per string. *)
+type printer = {
+  chunk : Bytes.t;
+  full : Bytes.t -> unit;
+  mutable pos : int;  (** bytes pending in [chunk] *)
+  mutable flushed : int;  (** bytes already handed to [full] *)
+}
+
+let printed p = p.flushed + p.pos
+
+let advance p n =
+  p.pos <- p.pos + n;
+  if p.pos = Bytes.length p.chunk then begin
+    p.full p.chunk;
+    p.flushed <- p.flushed + p.pos;
+    p.pos <- 0
+  end
+
+let add_char p c =
+  Bytes.unsafe_set p.chunk p.pos c;
+  advance p 1
+
+let rec add_sub p s off len =
+  if len > 0 then begin
+    let n = Int.min len (Bytes.length p.chunk - p.pos) in
+    Bytes.blit_string s off p.chunk p.pos n;
+    advance p n;
+    add_sub p s (off + n) (len - n)
+  end
+
+let add_string p s = add_sub p s 0 (String.length s)
+
+let hex_digits = "0123456789abcdef"
+
+(* Copy [s] from [start] in runs between the bytes that need escaping. *)
+let rec add_escaped_from p s start i =
+  if i = String.length s then add_sub p s start (i - start)
+  else
+    let c = String.unsafe_get s i in
+    if String.unsafe_get escaped_width (Char.code c) = '\001' then add_escaped_from p s start (i + 1)
+    else begin
+      add_sub p s start (i - start);
+      (match c with
+      | '\n' -> add_string p "\\n"
+      | '\r' -> add_string p "\\r"
+      | '\t' -> add_string p "\\t"
+      | '\b' -> add_string p "\\b"
+      | '\012' -> add_string p "\\f"
+      | '"' | '\\' ->
+        add_char p '\\';
+        add_char p c
+      | c ->
+        add_string p "\\u00";
+        add_char p hex_digits.[Char.code c lsr 4];
+        add_char p hex_digits.[Char.code c land 0xf]);
+      add_escaped_from p s (i + 1) (i + 1)
+    end
+
+let add_escaped p s =
+  add_char p '"';
+  add_escaped_from p s 0 0;
+  add_char p '"'
+
+let rec write p v =
+  match v with
+  | Null -> add_string p "null"
+  | Bool true -> add_string p "true"
+  | Bool false -> add_string p "false"
+  | Int i -> add_string p (string_of_int i)
+  | Float f -> add_string p (float_repr f)
+  | String s -> add_escaped p s
+  | List l ->
+    let start = printed p in
+    add_char p '[';
+    write_items p l;
+    add_char p ']';
+    note_size v (printed p - start)
+  | Obj fields ->
+    let start = printed p in
+    add_char p '{';
+    write_fields p fields;
+    add_char p '}';
+    note_size v (printed p - start)
+
+and write_items p = function
+  | [] -> ()
+  | [ v ] -> write p v
+  | v :: rest ->
+    write p v;
+    add_char p ',';
+    write_items p rest
+
+and write_fields p = function
+  | [] -> ()
+  | [ (k, v) ] -> write_field p k v
+  | (k, v) :: rest ->
+    write_field p k v;
+    add_char p ',';
+    write_fields p rest
+
+and write_field p k v =
+  add_escaped p k;
+  add_char p ':';
+  write p v
+
+let print ~chunk full v =
+  if Bytes.length chunk = 0 then invalid_arg "Json.print: empty chunk";
+  let p = { chunk; full; pos = 0; flushed = 0 } in
+  write p v;
+  printed p
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  let chunk = Bytes.create 256 in
+  let n = print ~chunk (Buffer.add_bytes buf) v in
+  Buffer.add_subbytes buf chunk 0 (n mod Bytes.length chunk);
+  Buffer.contents buf
+
+let pp ppf v = Format.pp_print_string ppf (to_string v)
+
+(* Size model --------------------------------------------------------- *)
+
+let escaped_length s =
+  let n = ref 2 in
+  for i = 0 to String.length s - 1 do
+    n := !n + Char.code (String.unsafe_get escaped_width (Char.code (String.unsafe_get s i)))
+  done;
+  !n
 
 let rec serialized_size v =
   match v with
@@ -226,7 +308,7 @@ let rec serialized_size v =
     | Some n -> n
     | None ->
       let n = container_size v in
-      if n >= memo_threshold then Memo.add size_memo v n;
+      note_size v n;
       n)
 
 and container_size = function

@@ -64,8 +64,20 @@ val remove_member : string -> t -> t
 
 (** {1 Printing and parsing} *)
 
+val print : chunk:Bytes.t -> (Bytes.t -> unit) -> t -> int
+(** [print ~chunk full v] is the one printer: it writes the compact
+    rendering of [v] into [chunk] and calls [full chunk] each time the
+    chunk fills, then restarts at offset 0. It returns the printed length
+    [n]; the last [n mod Bytes.length chunk] bytes are left at the start
+    of [chunk], not handed to [full]. A consumer sees the rendering in
+    fixed-size pieces and it is never built whole: [Sha1.digest_json]
+    hashes 64-byte chunks as they fill. Like {!serialized_size}, it
+    records the length of every container of 1,024 bytes or more in the
+    size memo, so a size query after printing is O(1). [full] must not
+    keep [chunk]. Raises [Invalid_argument] on an empty chunk. *)
+
 val to_string : t -> string
-(** Compact single-line rendering. *)
+(** Compact single-line rendering: {!print} into a [Buffer]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Same compact rendering, for use with [Fmt]. *)

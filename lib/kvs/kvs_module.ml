@@ -1067,11 +1067,8 @@ let handle_getroot t (req : Message.t) =
 (* Serialize the object store reachable from this instance's current
    root. A master holds every reachable object by construction; a slave
    may not (its cache is lossy), in which case the walk reports the
-   first unavailable object instead of fabricating a partial store.
-   CPU-time metrics use host time, not virtual time: the walk happens
-   between simulation events, so its real cost is what matters. *)
+   first unavailable object instead of fabricating a partial store. *)
 let snapshot t =
-  let t0 = Sys.time () in
   let seen = Hashtbl.create 256 in
   let objects = ref [] in
   let missing = ref None in
@@ -1115,7 +1112,6 @@ let snapshot t =
       in
       metric_incr t "ckpt.snapshot";
       metric_add t "ckpt.bytes" (Snapshot.objects_bytes snap);
-      metric_observe t "ckpt.snapshot.duration" (Sys.time () -. t0);
       Ok snap)
 
 (* Rebuild this instance's store from a verified snapshot and announce
@@ -1124,7 +1120,6 @@ let snapshot t =
    a snapshot older than (or divergent from) the store's current version
    is refused rather than silently losing acked writes. *)
 let restore t (snap : Snapshot.t) =
-  let t0 = Sys.time () in
   if not t.master then
     Error (t.routing.rt_service ^ ": restore requires the acting master")
   else
@@ -1161,7 +1156,6 @@ let restore t (snap : Snapshot.t) =
           ();
         metric_incr t "ckpt.restore";
         metric_add t "ckpt.bytes" (Snapshot.objects_bytes snap);
-        metric_observe t "ckpt.restore.duration" (Sys.time () -. t0);
         Ok ()
       end
 

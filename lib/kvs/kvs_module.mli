@@ -182,8 +182,9 @@ val snapshot : t -> (Snapshot.t, string) result
 (** Serialize every object reachable from this instance's current root.
     The master holds all of them by construction; on a slave the walk
     fails cleanly if its lossy cache is missing one. Updates the
-    [ckpt.snapshot] / [ckpt.bytes] counters and the
-    [ckpt.snapshot.duration] histogram when metrics are attached. *)
+    [ckpt.snapshot] / [ckpt.bytes] counters when metrics are attached;
+    no duration is recorded, since the walk takes no virtual time and
+    host time would make metrics differ between identical runs. *)
 
 val restore : t -> Snapshot.t -> (unit, string) result
 (** Rebuild the authoritative store from a verified snapshot, adopt its
@@ -192,8 +193,8 @@ val restore : t -> Snapshot.t -> (unit, string) result
     (or divergent from) the current version is refused — restoring must
     never silently lose acked writes. Re-verifies integrity, so a
     corrupt store of unknown provenance returns the structured error
-    text rather than poisoning the store. Updates [ckpt.restore] /
-    [ckpt.bytes] / [ckpt.restore.duration] when metrics are attached. *)
+    text rather than poisoning the store. Updates the [ckpt.restore] /
+    [ckpt.bytes] counters when metrics are attached. *)
 
 val set_tracer : t -> Flux_trace.Tracer.t option -> unit
 (** Emit category ["kvs"] events: one per handled request method

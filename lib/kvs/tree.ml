@@ -94,6 +94,31 @@ let rec trie_add t comps dirent =
     in
     trie_add sub rest dirent
 
+(* The entry named [name] in a sorted directory listing. *)
+let rec find_sorted name = function
+  | [] -> None
+  | (k, entry) :: rest ->
+    let c = String.compare k name in
+    if c < 0 then find_sorted name rest else if c = 0 then Some entry else None
+
+(* Merge sorted, unique [updates] into a sorted, unique listing; an
+   update replaces the entry of the same name. The listing's pairs are
+   reused, and so is its whole tail past the last update. *)
+let rec merge entries updates =
+  match (entries, updates) with
+  | _, [] -> entries
+  | [], _ -> updates
+  | ((k, _) as entry) :: entries', ((u, _) as update) :: updates' ->
+    let c = String.compare k u in
+    if c < 0 then entry :: merge entries' updates
+    else update :: merge (if c = 0 then entries' else entries) updates'
+
+(* Keep the first binding of each run of equal names. *)
+let rec first_of_runs = function
+  | ((k, _) as x) :: (k', _) :: rest when String.equal k k' -> first_of_runs (x :: rest)
+  | x :: rest -> x :: first_of_runs rest
+  | [] -> []
+
 let apply_tuples ~fetch ~store ~root tuples =
   let trie = trie_create () in
   List.iter (fun (key, dirent) -> trie_add trie (split_key key) dirent) tuples;
@@ -105,16 +130,15 @@ let apply_tuples ~fetch ~store ~root tuples =
         (Printf.sprintf "Tree.apply_tuples: missing directory object %s" (Sha1.short sha))
   in
   let rec rebuild dir_sha trie =
-    let dir = fetch_dir dir_sha in
-    (* Updated entries accumulate in a table seeded with the existing
-       directory contents; ordering is normalized by sorting names so
-       identical directory contents always hash identically. *)
-    let entries = Hashtbl.create 32 in
-    List.iter (fun (k, v) -> Hashtbl.replace entries k v) (dir_entries dir);
+    let entries = dir_entries (fetch_dir dir_sha) in
+    (* Subdirectories are rebuilt, and their objects stored, in the
+       table's iteration order: that order is part of what the store
+       observes. *)
+    let subs = ref [] in
     Hashtbl.iter
       (fun name sub ->
         let sub_sha =
-          match Hashtbl.find_opt entries name with
+          match find_sorted name entries with
           | Some entry -> (
             match dirent_ref entry with
             | `Dir dsha -> dsha
@@ -123,18 +147,16 @@ let apply_tuples ~fetch ~store ~root tuples =
         in
         (* Ensure the empty dir is present in the store before descending. *)
         if Sha1.equal sub_sha empty_dir_sha then ignore (store empty_dir : Sha1.digest);
-        Hashtbl.replace entries name (dirent_dir (rebuild sub_sha sub)))
+        subs := (name, dirent_dir (rebuild sub_sha sub)) :: !subs)
       trie.subs;
-    (* Leaves applied last so that a value binding wins over an implicit
-       directory creation within the same batch, matching "later tuples
-       win" for exact duplicates (leaves are reversed insertion order). *)
-    List.iter
-      (fun (name, dirent) -> Hashtbl.replace entries name dirent)
-      (List.rev trie.leaves);
-    let sorted =
-      List.sort (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) entries [])
+    (* A value binding wins over an implicit directory creation within the
+       same batch, and a later tuple over an earlier one: leaves are
+       newest first, so after a stable sort of leaves-then-subdirectories
+       the winner heads each run of equal names. *)
+    let updates =
+      first_of_runs
+        (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) (trie.leaves @ !subs))
     in
-    store (Json.obj sorted)
+    store (Json.obj (merge entries updates))
   in
   rebuild root trie

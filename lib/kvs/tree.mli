@@ -33,6 +33,11 @@ val dirent_ref : Json.t -> [ `File of Sha1.digest | `Dir of Sha1.digest | `Val o
 (** Decode an entry. Raises [Json.Type_error] on malformed entries. *)
 
 val dir_entries : Json.t -> (string * Json.t) list
+(** A directory object's [(name, entry)] pairs. Names are sorted
+    ([String.compare]) and unique: {!empty_dir} and every directory
+    {!apply_tuples} stores keep this invariant, and {!apply_tuples}
+    relies on it when it merges updates into an existing directory. *)
+
 val dir_size : Json.t -> int
 (** Number of entries in a directory object. *)
 
@@ -70,14 +75,24 @@ val apply_tuples :
     bindings (build entries with {!dirent_file} or {!dirent_val}) and
     returns the new root reference, creating intermediate directories as
     needed and storing every new directory object via [store]. Later
-    tuples win on duplicate keys. A path component that currently names
-    a value is replaced by a directory when the update descends through
-    it. [fetch] must succeed for every directory on the touched paths
-    (the master's store is authoritative).
+    tuples win on duplicate keys, and a value beats a directory created
+    by a longer key in the same batch. A path component that currently
+    names a value is replaced by a directory when the update descends
+    through it. [fetch] must succeed for every directory on the touched
+    paths (the master's store is authoritative), and every directory it
+    returns must have sorted, unique names (see {!dir_entries}).
 
     The rebuild is git-style structural sharing: only the directory
     spine touched by [tuples] is reconstructed and re-stored; every
     unchanged sibling subtree keeps its existing entry, so its SHA-1 is
     carried over from the previous commit rather than recomputed (and
     {!Sha1.digest_json} additionally memoizes digests of the shared
-    interior nodes themselves by physical identity). *)
+    interior nodes themselves by physical identity). A directory is
+    rebuilt in one pass: the batch's sorted updates are merged into its
+    sorted entries, so the new object shares the old [(name, entry)]
+    pairs, and the whole tail of them past the last updated name.
+
+    [store] sees objects bottom-up: for each touched subdirectory, in an
+    order fixed by the batch's keys, {!empty_dir} first when the
+    subdirectory is new, then its own rebuild; the directory itself
+    last. *)

@@ -11,9 +11,11 @@ val digest_string : string -> digest
 (** [digest_string s] is the SHA-1 of the bytes of [s], in hex. *)
 
 val digest_json : Flux_json.Json.t -> digest
-(** [digest_json v] hashes the compact serialization of [v]. Structurally
-    equal values therefore hash identically, which is what gives the KVS
-    its deduplication behaviour. *)
+(** [digest_json v] hashes the compact serialization of [v], taking the
+    printer's 64-byte chunks as they fill ({!Flux_json.Json.print}), so
+    the serialization is never built as a string. Structurally equal
+    values therefore hash identically, which is what gives the KVS its
+    deduplication behaviour. *)
 
 val of_hex : string -> digest
 (** Validates a 40-char hex string. Raises [Invalid_argument] otherwise. *)

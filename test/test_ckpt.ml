@@ -512,6 +512,39 @@ let test_sharded_roundtrip () =
       : Proc.pid);
   Engine.run eng2
 
+(* --- Metrics are a function of the run ------------------------------------- *)
+
+(* Snapshot and restore take no virtual time, so what they record may not
+   depend on the host either: the same snapshot/restore run twice must
+   leave the same metrics, row for row. *)
+let test_snapshot_metrics_reproducible () =
+  let run () =
+    let eng = Engine.create () in
+    let sess = Session.create eng ~fanout:2 ~size:4 () in
+    let kvs = Kvs.load sess () in
+    let metrics = Metrics.create () in
+    Kvs.set_metrics_all kvs metrics;
+    ignore
+      (Proc.spawn eng (fun () ->
+           let c = Client.connect sess ~rank:3 in
+           for i = 0 to 299 do
+             expect_ok "put" (Client.put c ~key:(Printf.sprintf "d%d.k%d" (i mod 7) i) (Json.int i))
+           done;
+           ignore (expect_ok "commit" (Client.commit c) : int))
+        : Proc.pid);
+    Engine.run eng;
+    for _ = 1 to 3 do
+      let snap = expect_ok "snapshot" (Kvs.snapshot kvs.(0)) in
+      expect_ok "restore" (Kvs.restore kvs.(0) snap);
+      Engine.run eng
+    done;
+    check Alcotest.int "snapshots counted" 3 (counter metrics "ckpt.snapshot");
+    check Alcotest.int "restores counted" 3 (counter metrics "ckpt.restore");
+    Metrics.to_csv metrics
+  in
+  let first = run () in
+  check Alcotest.string "same run, same metrics" first (run ())
+
 let () =
   Alcotest.run "ckpt"
     [
@@ -556,5 +589,10 @@ let () =
         [
           Alcotest.test_case "snapshot/restore round-trip across volumes" `Quick
             test_sharded_roundtrip;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "snapshot/restore metrics reproducible" `Quick
+            test_snapshot_metrics_reproducible;
         ] );
     ]

@@ -125,6 +125,80 @@ let test_strings_helper () =
     (Json.list [ Json.string "a"; Json.string "b" ])
     (Json.strings [ "a"; "b" ])
 
+(* --- Chunked printer ------------------------------------------------------ *)
+
+(* Every byte value, so each escape the printer knows is exercised. *)
+let all_bytes = String.init 256 Char.chr
+
+(* An escaper written independently of the printer, for the golden. *)
+let reference_quote s =
+  let b = Buffer.create (String.length s) in
+  Buffer.add_char b '"';
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\b' -> Buffer.add_string b "\\b"
+      | '\012' -> Buffer.add_string b "\\f"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
+(* A list whose rendering is exactly [n] bytes (n >= 4). *)
+let printed_length n = Json.list [ Json.pad (n - 2) ]
+
+(* Fresh values each call: the printer records sizes by physical
+   identity, so a shared value would hide what a first print does. The
+   lists are 55 to 128 bytes long, either side of one and two 64-byte
+   blocks. *)
+let chunk_cases () =
+  [
+    sample;
+    Json.string all_bytes;
+    Json.obj [ (all_bytes, Json.list [ Json.string all_bytes; Json.int min_int; Json.float 0.1 ]) ];
+    Json.obj (List.init 600 (fun i -> (Printf.sprintf "n%04d" i, Json.obj [ ("v", Json.int i) ])));
+  ]
+  @ List.map printed_length [ 55; 56; 63; 64; 119; 120; 128 ]
+
+(* [Json.print] hands over full chunks only and leaves the tail at the
+   chunk's start; reassembled, the pieces are [to_string]'s bytes. *)
+let test_chunked_printer () =
+  List.iter
+    (fun chunk_len ->
+      List.iter
+        (fun v ->
+          let expected = Json.to_string v in
+          let chunk = Bytes.create chunk_len in
+          let got = Buffer.create 256 in
+          let fulls = ref 0 in
+          let n =
+            Json.print ~chunk
+              (fun c ->
+                incr fulls;
+                check bool "hands over its own chunk" true (c == chunk);
+                Buffer.add_bytes got c)
+              v
+          in
+          Buffer.add_subbytes got chunk 0 (n mod chunk_len);
+          check int (Printf.sprintf "length at chunk %d" chunk_len) (String.length expected) n;
+          check int (Printf.sprintf "full chunks at chunk %d" chunk_len) (n / chunk_len) !fulls;
+          check string (Printf.sprintf "bytes at chunk %d" chunk_len) expected (Buffer.contents got))
+        (chunk_cases ()))
+    [ 1; 7; 64; 4096 ];
+  Alcotest.check_raises "empty chunk" (Invalid_argument "Json.print: empty chunk") (fun () ->
+      ignore (Json.print ~chunk:Bytes.empty ignore sample : int))
+
+let test_escape_golden () =
+  check string "every byte value" (reference_quote all_bytes) (Json.to_string (Json.string all_bytes));
+  check string "as a name" ("{" ^ reference_quote all_bytes ^ ":null}")
+    (Json.to_string (Json.obj [ (all_bytes, Json.null) ]))
+
 (* Random JSON generator for property tests. *)
 let gen_json =
   QCheck.Gen.(
@@ -199,6 +273,11 @@ let () =
           Alcotest.test_case "empty containers" `Quick test_empty_containers;
           Alcotest.test_case "control characters" `Quick test_control_characters;
           Alcotest.test_case "strings helper" `Quick test_strings_helper;
+        ] );
+      ( "chunked-printer",
+        [
+          Alcotest.test_case "chunks reassemble to to_string" `Quick test_chunked_printer;
+          Alcotest.test_case "escapes every byte value" `Quick test_escape_golden;
         ] );
       ( "size-model",
         [

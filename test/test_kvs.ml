@@ -154,6 +154,190 @@ let prop_tree_many_keys =
       let root2 = apply root1 second in
       ok1 && agrees root2 expected2 && agrees root1 expected1)
 
+(* --- Rebuild by merging: equivalence with the table-and-sort rebuild ----- *)
+
+(* The rebuild as it was before directories were merged: every entry of
+   the old directory re-inserted into a table, then all of them sorted.
+   Kept as the reference that the merge must match object for object. *)
+module Reference = struct
+  type trie = { mutable leaves : (string * Json.t) list; subs : (string, trie) Hashtbl.t }
+
+  let trie_create () = { leaves = []; subs = Hashtbl.create 8 }
+
+  let rec trie_add t comps dirent =
+    match comps with
+    | [] -> invalid_arg "empty path"
+    | [ name ] -> t.leaves <- (name, dirent) :: t.leaves
+    | name :: rest ->
+      let sub =
+        match Hashtbl.find_opt t.subs name with
+        | Some s -> s
+        | None ->
+          let s = trie_create () in
+          Hashtbl.replace t.subs name s;
+          s
+      in
+      trie_add sub rest dirent
+
+  let apply_tuples ~fetch ~store ~root tuples =
+    let trie = trie_create () in
+    List.iter (fun (key, dirent) -> trie_add trie (Tree.split_key key) dirent) tuples;
+    let rec rebuild dir_sha trie =
+      let dir = Option.get (fetch dir_sha) in
+      let entries = Hashtbl.create 32 in
+      List.iter (fun (k, v) -> Hashtbl.replace entries k v) (Tree.dir_entries dir);
+      Hashtbl.iter
+        (fun name sub ->
+          let sub_sha =
+            match Hashtbl.find_opt entries name with
+            | Some entry -> (
+              match Tree.dirent_ref entry with
+              | `Dir dsha -> dsha
+              | `File _ | `Val _ -> Tree.empty_dir_sha)
+            | None -> Tree.empty_dir_sha
+          in
+          if Sha1.equal sub_sha Tree.empty_dir_sha then ignore (store Tree.empty_dir : Sha1.digest);
+          Hashtbl.replace entries name (Tree.dirent_dir (rebuild sub_sha sub)))
+        trie.subs;
+      List.iter (fun (name, dirent) -> Hashtbl.replace entries name dirent) (List.rev trie.leaves);
+      let sorted =
+        List.sort
+          (fun (a, _) (b, _) -> String.compare a b)
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) entries [])
+      in
+      store (Json.obj sorted)
+    in
+    rebuild root trie
+end
+
+(* A memory store that also records every value passed to [store], in
+   order. *)
+let recording_store () =
+  let _, store, fetch = memory_store () in
+  let stored = ref [] in
+  let store v =
+    stored := v :: !stored;
+    store v
+  in
+  (store, fetch, fun () -> List.rev !stored)
+
+let rec strictly_increasing = function
+  | (a, _) :: ((b, _) :: _ as rest) -> String.compare a b < 0 && strictly_increasing rest
+  | _ -> true
+
+(* Three to five successive batches. Each mixes random keys from a small
+   nested pool ("a", "a.b", "b.c.a", ...: duplicates, and a name and a
+   path through it, in either order), a slice of fresh names that grows
+   one directory from nothing to about 700 entries (unpadded numbers,
+   so new names land between old ones), and fixed cases: a duplicate key,
+   a value and a directory through it in both orders, a value left by
+   the previous batch overwritten by a directory and a directory left by
+   it overwritten by a value. *)
+let gen_batches =
+  let open QCheck.Gen in
+  let comp = oneofl [ "a"; "b"; "c" ] in
+  let pool_key = map (String.concat ".") (list_size (1 -- 3) comp) in
+  let dirent i =
+    oneofl
+      [
+        Tree.dirent_val (Json.int i);
+        Tree.dirent_val (Json.string (Printf.sprintf "s%d" i));
+        Tree.dirent_file (Sha1.digest_json (Json.int i));
+      ]
+  in
+  let batch nbatches k =
+    let per = 700 / nbatches in
+    let* random = list_size (0 -- 40) (pair pool_key (int_range 0 9)) in
+    let* regrow = list_size (0 -- 20) (int_range 0 (per * (k + 1))) in
+    let fresh = List.init per (fun i -> (Printf.sprintf "big.n%d" ((k * per) + i), i)) in
+    let forced =
+      [
+        ("dup", 1);
+        ("dup", 2);
+        (Printf.sprintf "v%d" k, 3);
+        (Printf.sprintf "v%d.t" k, 4);
+        (Printf.sprintf "d%d.t" k, 5);
+        (Printf.sprintf "d%d" k, 6);
+      ]
+      @
+      if k = 0 then []
+      else [ (Printf.sprintf "leaf%d.t" (k - 1), 7); (Printf.sprintf "dir%d" (k - 1), 8) ]
+    in
+    let left_behind = [ (Printf.sprintf "leaf%d" k, 9); (Printf.sprintf "dir%d.x" k, 10) ] in
+    let* order = shuffle_l (random @ fresh @ List.map (fun i -> (Printf.sprintf "big.n%d" i, i)) regrow) in
+    flatten_l (List.map (fun (key, i) -> map (fun d -> (key, d)) (dirent i)) (order @ left_behind @ forced))
+  in
+  let* nbatches = int_range 3 5 in
+  flatten_l (List.init nbatches (batch nbatches))
+
+let prop_merge_matches_reference =
+  QCheck.Test.make ~name:"merged rebuild matches the table-and-sort rebuild" ~count:20
+    (QCheck.make gen_batches) (fun batches ->
+      let store, fetch, stored = recording_store () in
+      let ref_store, ref_fetch, ref_stored = recording_store () in
+      let _ =
+        List.fold_left
+          (fun (root, ref_root) tuples ->
+            let root = Tree.apply_tuples ~fetch ~store ~root tuples in
+            let ref_root =
+              Reference.apply_tuples ~fetch:ref_fetch ~store:ref_store ~root:ref_root tuples
+            in
+            if not (Sha1.equal root ref_root) then QCheck.Test.fail_report "root digests differ";
+            (root, ref_root))
+          (Tree.empty_dir_sha, Tree.empty_dir_sha) batches
+      in
+      let got = stored () and expected = ref_stored () in
+      if not (List.equal Json.equal got expected) then
+        QCheck.Test.fail_reportf "store saw %d values, the reference %d, or in another order"
+          (List.length got) (List.length expected);
+      if not (List.for_all (fun d -> strictly_increasing (Tree.dir_entries d)) got) then
+        QCheck.Test.fail_report "a stored directory's names are not strictly increasing";
+      List.exists (fun d -> Tree.dir_size d >= 690) got)
+
+(* Allocation counts repeat exactly from run to run: one key into a
+   600-entry directory reuses the old entries and hashes the new object
+   as it prints. *)
+let test_apply_allocation () =
+  let _, store, fetch = memory_store () in
+  let root =
+    Tree.apply_tuples ~fetch ~store ~root:Tree.empty_dir_sha
+      (List.init 600 (fun i -> (Printf.sprintf "lwj.task%d" i, Tree.dirent_val (Json.int i))))
+  in
+  let tuples = [ ("lwj.task300x", Tree.dirent_val (Json.int 1)) ] in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Tree.apply_tuples ~fetch ~store ~root tuples));
+  let words = Gc.minor_words () -. before in
+  if words >= 15_000. then
+    Alcotest.failf "one key into a 600-entry directory allocated %.0f words (limit 15,000)" words
+
+(* Nothing else pins a directory's bytes: a printer that emitted the
+   right number of wrong bytes would keep every size, event count and
+   clock the same. The expected root was computed by the table-and-sort
+   rebuild hashing printed strings, independently of the merge and the
+   streamed hash under test. *)
+let test_pinned_root () =
+  let _, store, fetch = memory_store () in
+  let file i = Tree.dirent_file (Sha1.digest_json (Json.int i)) in
+  let commits =
+    [
+      [ ("a.b.c", Tree.dirent_val (Json.int 1)); ("a.x", Tree.dirent_val (Json.string "s")) ];
+      List.init 100 (fun i -> (Printf.sprintf "big.k%d" i, file i));
+      [
+        ("esc.quote\"d", Tree.dirent_val (Json.string "q\"uote"));
+        ("esc.back\\slash", file 1);
+        ("esc.tab\tand\nline", Tree.dirent_val (Json.list [ Json.null; Json.float 0.5 ]));
+        ("esc.ctl\001\031", Tree.dirent_val (Json.string "\000\127\255"));
+        ("esc.utf8\xc3\xa9", Tree.dirent_val (Json.bool true));
+        ("a.b", Tree.dirent_val (Json.int 2));
+      ];
+      [ ("big.k50", Tree.dirent_val (Json.int (-50))); ("a.b.c", file 3); ("big.k100", file 100) ];
+    ]
+  in
+  let root =
+    List.fold_left (fun root tuples -> Tree.apply_tuples ~fetch ~store ~root tuples) Tree.empty_dir_sha commits
+  in
+  check string "root after four commits" "a7663d4ecd8aecf37b1833f148ac2a1ae98506ca" (Sha1.to_hex root)
+
 (* --- Distributed KVS harness ------------------------------------------ *)
 
 type world = {
@@ -526,8 +710,10 @@ let () =
           Alcotest.test_case "value replaced by dir" `Quick test_tree_value_overwritten_by_dir;
           Alcotest.test_case "invalid keys" `Quick test_split_key_invalid;
           Alcotest.test_case "missing object reported" `Quick test_lookup_reports_missing;
+          Alcotest.test_case "one key into 600 entries: allocation" `Quick test_apply_allocation;
+          Alcotest.test_case "pinned root digest" `Quick test_pinned_root;
         ] );
-      qsuite "tree-props" [ prop_tree_many_keys ];
+      qsuite "tree-props" [ prop_tree_many_keys; prop_merge_matches_reference ];
       ( "consistency",
         [
           Alcotest.test_case "single node" `Quick test_kvs_single_node;

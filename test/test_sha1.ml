@@ -7,6 +7,7 @@ module Json = Flux_json.Json
 let check = Alcotest.check
 let string = Alcotest.string
 let bool = Alcotest.bool
+let int = Alcotest.int
 
 let hex d = Sha1.to_hex d
 
@@ -53,6 +54,101 @@ let test_of_hex () =
   rejects "41 characters" (hex d ^ "0");
   check string "short" (String.sub (Sha1.to_hex d) 0 8) (Sha1.short d)
 
+(* --- Hashing the printer's chunks ---------------------------------------- *)
+
+(* A value whose rendering is exactly [n] bytes (n >= 4). *)
+let printed_length n = Json.list [ Json.pad (n - 2) ]
+
+let hex_entry i = Json.obj [ ("d", Json.string (hex (Sha1.digest_string (string_of_int i)))) ]
+
+(* A directory as the KVS stores it: sorted names, one reference each. *)
+let fresh_dir n = Json.obj (List.init n (fun i -> (Printf.sprintf "task%04d" i, hex_entry i)))
+
+(* Values are built afresh for each check: digests and sizes are
+   memoized by physical identity, and a memo hit would skip the
+   streamed path under test. *)
+let streamed_cases () =
+  [
+    Json.null;
+    Json.int (-42);
+    Json.float 0.1;
+    Json.string (String.init 256 Char.chr);
+    fresh_dir 3;
+    fresh_dir 600;
+    Json.list [ fresh_dir 40; Json.obj [ ("k\"\n", fresh_dir 40) ] ];
+  ]
+  @ List.concat_map
+      (fun n -> [ Json.pad n; printed_length n ])
+      [ 55; 56; 63; 64; 119; 120; 128 ]
+
+let test_digest_json_streamed () =
+  List.iter
+    (fun v ->
+      let streamed = Sha1.digest_json v in
+      check string (Json.to_string v |> String.length |> Printf.sprintf "%d bytes")
+        (hex (Sha1.digest_string (Json.to_string v)))
+        (hex streamed))
+    (streamed_cases ())
+
+(* Whichever of the size walk and the hash first records a container's
+   size, the size model still matches the printed length. *)
+let test_size_after_digest () =
+  List.iter2
+    (fun before after ->
+      check int "size before digest" (String.length (Json.to_string before)) (Json.serialized_size before);
+      ignore (Sha1.digest_json after : Sha1.digest);
+      check int "size after digest" (String.length (Json.to_string after)) (Json.serialized_size after))
+    (streamed_cases ()) (streamed_cases ())
+
+let gen_json =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+        let leaf =
+          oneof
+            [
+              map Json.int int;
+              map Json.string (string_size ~gen:char (0 -- 80));
+              return Json.null;
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (2, leaf);
+              (1, map Json.list (list_size (0 -- 30) (self (depth - 1))));
+              ( 1,
+                map Json.obj
+                  (list_size (0 -- 30) (pair (string_size ~gen:char (1 -- 8)) (self (depth - 1)))) );
+            ])
+      3)
+
+let prop_digest_json_streamed =
+  QCheck.Test.make ~name:"digest_json hashes the printed bytes" ~count:200
+    (QCheck.make ~print:Json.to_string gen_json) (fun v ->
+      Sha1.equal (Sha1.digest_json v) (Sha1.digest_string (Json.to_string v)))
+
+(* --- Allocation guards --------------------------------------------------- *)
+
+(* Allocation counts repeat exactly from run to run, unlike wall time, so
+   they pin the streamed hash and the compression loop. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let below label limit words =
+  if words >= limit then Alcotest.failf "%s allocated %.0f words (limit %.0f)" label words limit
+
+let test_allocation () =
+  let dir = fresh_dir 600 in
+  below "digest_json of a fresh 600-entry directory" 1_000.
+    (minor_words_of (fun () -> Sha1.digest_json dir));
+  below "serialized_size straight after" 100. (minor_words_of (fun () -> Json.serialized_size dir));
+  let mb = String.make 1_000_000 'a' in
+  below "digest_string of 1 MB" 1_000. (minor_words_of (fun () -> Sha1.digest_string mb))
+
 let prop_no_trivial_collisions =
   QCheck.Test.make ~name:"distinct strings hash distinctly (sampled)" ~count:300
     QCheck.(pair string string)
@@ -80,5 +176,12 @@ let () =
           Alcotest.test_case "json dedup" `Quick test_json_digest_dedup;
           Alcotest.test_case "hex validation" `Quick test_of_hex;
         ] );
-      qsuite "props" [ prop_no_trivial_collisions; prop_digest_length ];
+      ( "streamed",
+        [
+          Alcotest.test_case "digest_json = digest_string of to_string" `Quick
+            test_digest_json_streamed;
+          Alcotest.test_case "size model after digest" `Quick test_size_after_digest;
+          Alcotest.test_case "allocation" `Quick test_allocation;
+        ] );
+      qsuite "props" [ prop_no_trivial_collisions; prop_digest_length; prop_digest_json_streamed ];
     ]
