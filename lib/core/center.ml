@@ -6,6 +6,7 @@ type t = {
   eng : Engine.t;
   sess : Session.t;
   kvs : Kvs.t array;
+  wexec : Flux_modules.Wexec.t array;
   resources : Resource.t;
   root : Instance.t;
 }
@@ -16,7 +17,7 @@ let create ?(nodes = 64) ?(fanout = 2) ?(policy = "fcfs") ?power_budget ?fs_band
   let sess = Session.create eng ~fanout ~size:nodes () in
   let kvs = Kvs.load sess () in
   ignore (Flux_modules.Barrier.load sess () : Flux_modules.Barrier.t array);
-  ignore (Flux_modules.Wexec.load sess () : Flux_modules.Wexec.t array);
+  let wexec = Flux_modules.Wexec.load sess () in
   let resources =
     Resource.center ~name
       [
@@ -28,7 +29,7 @@ let create ?(nodes = 64) ?(fanout = 2) ?(policy = "fcfs") ?power_budget ?fs_band
     Instance.create_root sess ~policy ?power_budget ?fs_bandwidth ?cost_model ~provenance
       ~name ()
   in
-  { eng; sess; kvs; resources; root }
+  { eng; sess; kvs; wexec; resources; root }
 
 let run ?until t = Engine.run ?until t.eng
 

@@ -6,6 +6,7 @@ type t = {
   eng : Flux_sim.Engine.t;
   sess : Flux_cmb.Session.t;
   kvs : Flux_kvs.Kvs_module.t array;
+  wexec : Flux_modules.Wexec.t array;
   resources : Resource.t;
   root : Instance.t;
 }

@@ -56,7 +56,6 @@ type report = {
   final_version : int;
   final_master : int;
   keys_checked : int;
-  keys_indeterminate : int;
   violations : string list;
   rpc_timeouts : int;
   rpc_retries : int;
@@ -403,7 +402,6 @@ let run cfg =
     final_version;
     final_master;
     keys_checked;
-    keys_indeterminate = Hashtbl.length st.indeterminate;
     violations = List.rev st.violations;
     rpc_timeouts = Session.rpc_timeouts sess;
     rpc_retries = Session.rpc_retries sess;
@@ -413,32 +411,29 @@ let run cfg =
     sim_events = Engine.events_executed eng;
   }
 
+let row (r : report) =
+  [
+    ("commits_ok", Json.int r.commits_ok);
+    ("commits_indeterminate", Json.int r.commits_indeterminate);
+    ("fences_ok", Json.int r.fences_ok);
+    ("fences_indeterminate", Json.int r.fences_indeterminate);
+    ("kills", Json.int r.kills);
+    ("master_kills", Json.int r.master_kills);
+    ("takeovers", Json.int r.takeovers);
+    ("final_version", Json.int r.final_version);
+    ("rpc_timeouts", Json.int r.rpc_timeouts);
+    ("rpc_retries", Json.int r.rpc_retries);
+    ("dead_letters", Json.int r.dead_letters);
+    ("dropped", Json.int r.dropped);
+    ("keys_checked", Json.int r.keys_checked);
+    ("violations", Json.int (List.length r.violations));
+  ]
+
 let harness =
   let sweep ~fast =
     let seeds = if fast then [ 1; 2; 3 ] else List.init 10 (fun i -> 1 + i) in
     let runs = List.map (fun seed -> (seed, run { default with seed })) seeds in
-    let rows =
-      List.map
-        (fun (seed, (r : report)) ->
-          [
-            ("seed", Json.int seed);
-            ("commits_ok", Json.int r.commits_ok);
-            ("commits_indeterminate", Json.int r.commits_indeterminate);
-            ("fences_ok", Json.int r.fences_ok);
-            ("fences_indeterminate", Json.int r.fences_indeterminate);
-            ("kills", Json.int r.kills);
-            ("master_kills", Json.int r.master_kills);
-            ("takeovers", Json.int r.takeovers);
-            ("final_version", Json.int r.final_version);
-            ("rpc_timeouts", Json.int r.rpc_timeouts);
-            ("rpc_retries", Json.int r.rpc_retries);
-            ("dead_letters", Json.int r.dead_letters);
-            ("dropped", Json.int r.dropped);
-            ("keys_checked", Json.int r.keys_checked);
-            ("violations", Json.int (List.length r.violations));
-          ])
-        runs
-    in
+    let rows = List.map (fun (seed, r) -> ("seed", Json.int seed) :: row r) runs in
     Harness.print_table rows;
     {
       Harness.doc =
@@ -453,10 +448,12 @@ let harness =
           (fun (seed, (r : report)) ->
             Harness.labelled (Printf.sprintf "seed %d" seed) r.violations)
           runs;
+      host = [];
     }
   in
   {
     Harness.name = "chaos";
     title = "seeded fault schedules over a live workload (consistency proved per run)";
     sweep;
+    cli = Harness.once (fun () -> run default) row (fun r -> r.violations);
   }

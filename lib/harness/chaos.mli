@@ -64,7 +64,6 @@ type report = {
   final_version : int;
   final_master : int;
   keys_checked : int;  (** model keys verified in the final phase *)
-  keys_indeterminate : int;  (** keys dropped after indeterminate ops *)
   violations : string list;  (** consistency breaches; empty = proved *)
   rpc_timeouts : int;
   rpc_retries : int;

@@ -435,13 +435,21 @@ let finalize st =
   (match !snap_ref with Some s -> restore_equivalence st s | None -> ());
   !snap_ref
 
+let validate cfg =
+  Harness.require
+    [
+      (cfg.fanout >= 2, "fanout must be >= 2");
+      (cfg.workers <> [], "no worker ranks (size must be >= 6)");
+      ( List.for_all (fun r -> r > 0 && r < cfg.size - 2) cfg.workers,
+        "workers must avoid ranks 0, size-2 and size-1" );
+      (cfg.per_rank >= 1, "per_rank must be >= 1");
+      (cfg.epochs >= 1, "epochs must be >= 1");
+      (cfg.keys_per_epoch >= 1, "keys_per_epoch must be >= 1");
+      (cfg.seed >= 1, "seed must be >= 1");
+    ]
+
 let run cfg =
-  if cfg.workers = [] then invalid_arg "Ckpt.run: no workers";
-  List.iter
-    (fun r ->
-      if r <= 0 || r >= cfg.size - 2 then
-        invalid_arg "Ckpt.run: workers must avoid ranks 0, size-2 and size-1")
-    cfg.workers;
+  Result.iter_error (fun e -> invalid_arg ("Ckpt.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
   let kvs = Kvs.load sess ~config:cfg.kvs () in
@@ -528,34 +536,38 @@ let run cfg =
     r_sim_events = Engine.events_executed eng;
   }
 
-let pp_report ppf (r : report) =
-  let kind =
-    match r.r_kind with
-    | None -> "none"
-    | Some Node_mid_job -> "node-mid-job"
-    | Some Master_mid_snapshot -> "master-mid-snapshot"
-    | Some Between_ckpt_and_fence -> "between-ckpt-and-fence"
-  in
-  Format.fprintf ppf
-    "@[<v>kill: %s@,kills/revives: %d/%d, attempts: %d (requeues %d)@,\
-     ckpt ok/failed: %d/%d, acked epoch: %d, resumes: [%s]@,\
-     keys checked: %d, snapshot: %d objects / %d bytes@,\
-     recovery: %.3fs, ckpt latency mean/p50: %.6f/%.6f@,\
-     final version %d root %s@,clock: %.6f (%d events)@,violations: %d%a@]"
-    kind r.r_kills r.r_revives r.r_attempts r.r_requeues r.r_ckpt_ok r.r_ckpt_failed
-    r.r_acked_epoch
-    (String.concat ";" (List.map string_of_int r.r_resume_epochs))
-    r.r_keys_checked r.r_snapshot_objects r.r_snapshot_bytes r.r_recovery_time
-    r.r_ckpt_mean r.r_ckpt_p50 r.r_final_version
-    (if String.length r.r_final_root >= 8 then String.sub r.r_final_root 0 8 else r.r_final_root)
-    r.r_final_clock r.r_sim_events
-    (List.length r.r_violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.r_violations
+let kills =
+  [
+    ("node", Some Node_mid_job);
+    ("master", Some Master_mid_snapshot);
+    ("window", Some Between_ckpt_and_fence);
+    ("none", None);
+  ]
 
-(* Fingerprint for same-seed determinism comparisons. *)
-let fingerprint (r : report) =
-  (r.r_final_clock, r.r_sim_events, r.r_final_version, r.r_final_root)
+let row (r : report) =
+  [
+    ("kill", Json.string (fst (List.find (fun (_, k) -> k = r.r_kind) kills)));
+    ("kills", Json.int r.r_kills);
+    ("revives", Json.int r.r_revives);
+    ("attempts", Json.int r.r_attempts);
+    ("requeues", Json.int r.r_requeues);
+    ("ckpt_ok", Json.int r.r_ckpt_ok);
+    ("ckpt_failed", Json.int r.r_ckpt_failed);
+    ("acked_epoch", Json.int r.r_acked_epoch);
+    ("resume_epochs", Json.list (List.map Json.int r.r_resume_epochs));
+    ("resume_from", Json.int (match List.rev r.r_resume_epochs with e :: _ -> e | [] -> 0));
+    ("keys_checked", Json.int r.r_keys_checked);
+    ("snapshot_objects", Json.int r.r_snapshot_objects);
+    ("snapshot_bytes", Json.int r.r_snapshot_bytes);
+    ("recovery_time", Json.float r.r_recovery_time);
+    ("ckpt_mean", Json.float r.r_ckpt_mean);
+    ("ckpt_p50", Json.float r.r_ckpt_p50);
+    ("final_version", Json.int r.r_final_version);
+    ("final_root", Json.string r.r_final_root);
+    ("final_clock", Json.float r.r_final_clock);
+    ("sim_events", Json.int r.r_sim_events);
+    ("violations", Json.int (List.length r.r_violations));
+  ]
 
 let harness =
   let sweep ~fast =
@@ -570,15 +582,12 @@ let harness =
       if plain.r_ckpt_mean > 0.0 then 100.0 *. ((durable.r_ckpt_mean /. plain.r_ckpt_mean) -. 1.0)
       else 0.0
     in
+    let plain_row = row plain and durable_row = row durable in
     Harness.print_table
       (List.map
          (fun (label, r) ->
-           [
-             ("fences", Json.string label);
-             ("mean_s", Json.float r.r_ckpt_mean);
-             ("p50_s", Json.float r.r_ckpt_p50);
-           ])
-         [ ("plain", plain); ("durable", durable) ]);
+           ("fences", Json.string label) :: Harness.pick [ "ckpt_mean"; "ckpt_p50" ] r)
+         [ ("plain", plain_row); ("durable", durable_row) ]);
     Printf.printf "  checkpoint overhead over a plain fence: %+.1f%%\n%!" overhead_pct;
     (* Curve 2: kill a worker right after epoch [epochs-1] commits its
        manifest and measure first-kill-to-completion as checkpoint depth
@@ -598,18 +607,13 @@ let harness =
     let rows =
       List.map
         (fun (epochs, r) ->
-          [
-            ("epochs", Json.int epochs);
-            ("recovery_time", Json.float r.r_recovery_time);
-            ("attempts", Json.int r.r_attempts);
-            ("requeues", Json.int r.r_requeues);
-            ( "resume_from",
-              Json.int (match List.rev r.r_resume_epochs with e :: _ -> e | [] -> 0) );
-            ("acked_epoch", Json.int r.r_acked_epoch);
-            ("snapshot_objects", Json.int r.r_snapshot_objects);
-            ("snapshot_bytes", Json.int r.r_snapshot_bytes);
-            ("violations", Json.int (List.length r.r_violations));
-          ])
+          ("epochs", Json.int epochs)
+          :: Harness.pick
+               [
+                 "recovery_time"; "attempts"; "requeues"; "resume_from"; "acked_epoch";
+                 "snapshot_objects"; "snapshot_bytes"; "violations";
+               ]
+               (row r))
         runs
     in
     Harness.print_table rows;
@@ -621,10 +625,10 @@ let harness =
             ("nodes", Json.int default.size);
             ("workers", Json.int (List.length default.workers));
             ("overhead_epochs", Json.int epochs);
-            ("plain_fence_mean", Json.float plain.r_ckpt_mean);
-            ("plain_fence_p50", Json.float plain.r_ckpt_p50);
-            ("durable_ckpt_mean", Json.float durable.r_ckpt_mean);
-            ("durable_ckpt_p50", Json.float durable.r_ckpt_p50);
+            ("plain_fence_mean", List.assoc "ckpt_mean" plain_row);
+            ("plain_fence_p50", List.assoc "ckpt_p50" plain_row);
+            ("durable_ckpt_mean", List.assoc "ckpt_mean" durable_row);
+            ("durable_ckpt_p50", List.assoc "ckpt_p50" durable_row);
             ("overhead_pct", Json.float overhead_pct);
             ("tier", Harness.tier ~fast);
             ("recovery_rows", Json.list (List.map Json.obj rows));
@@ -635,10 +639,42 @@ let harness =
         @ List.concat_map
             (fun (epochs, r) -> Harness.labelled (Printf.sprintf "depth-%d" epochs) r.r_violations)
             runs;
+      host = [];
     }
+  in
+  let cli =
+    let open Cmdliner in
+    let int names docv doc v = Harness.opt Arg.int names ~docv ~doc v in
+    let kill =
+      Harness.opt (Arg.enum kills) [ "kill" ] ~docv:"KIND" default.kill
+        ~doc:
+          "Kill schedule: node (worker mid-job), master (KVS master mid-snapshot), window \
+           (worker between checkpoint and fence), or none (fault-free)."
+    in
+    let go size fanout per_rank epochs keys_per_epoch seed kill =
+      (* Up to four workers from rank 2, clear of the never-killed ranks. *)
+      let workers = List.init (max 0 (min 4 (size - 5))) (fun i -> i + 2) in
+      let cfg =
+        { default with size; fanout; kill; workers; per_rank; epochs; keys_per_epoch; seed }
+      in
+      Harness.validated (validate cfg) (fun () ->
+          let r = run cfg in
+          Harness.print_row (row r);
+          r.r_violations)
+    in
+    Term.(
+      ret
+        (const go $ Harness.nodes default.size $ Harness.fanout default.fanout
+        $ int [ "ppn" ] "PPN" "Tasks per worker node." default.per_rank
+        $ int [ "epochs" ] "EPOCHS" "Checkpoint epochs the job runs through." default.epochs
+        $ int [ "interval" ] "KEYS" "Work between checkpoints: keys each task writes per epoch."
+            default.keys_per_epoch
+        $ Harness.seed ~doc:"Kill-schedule seed." default.seed
+        $ kill))
   in
   {
     Harness.name = "ckpt";
-    title = "checkpoint overhead vs plain fences, recovery time vs checkpoint depth";
+    title = "checkpointing job under a seeded kill schedule (recovery time, checkpoint overhead)";
     sweep;
+    cli;
   }

@@ -59,15 +59,13 @@ type report = {
   r_sim_events : int;
 }
 
+val validate : config -> (unit, string) result
+(** Workers present and clear of the never-killed ranks; positive counts. *)
+
 val run : config -> report
-(** Raises [Invalid_argument] without workers, or when a worker is one
-    of the never-killed ranks. *)
+(** Raises [Invalid_argument] when {!validate} fails. *)
 
-val pp_report : Format.formatter -> report -> unit
-
-val fingerprint : report -> float * int * int * string
-(** Final clock, engine events, final version and root: equal for
-    same-seed runs. *)
+val row : report -> Harness.row
 
 val harness : Harness.t
 (** The bench sweep: checkpoint overhead over plain fences, and recovery

@@ -102,13 +102,6 @@ let default =
     converge_margin = 1.0;
   }
 
-let unprotected_case = { default with mode = Unprotected }
-let protected_case = { default with mode = Protected }
-let elastic_case = { default with mode = Elastic }
-
-let silent_case =
-  { default with mode = Elastic; silence_at = Some (0.45 *. default.duration) }
-
 type report = {
   e_mode : mode;
   e_offered : int;
@@ -133,7 +126,6 @@ type report = {
   e_trajectory : (float * int) list;
   e_fingerprint : string;
   e_violations : string list;
-  e_clock : float;
   e_events : int;
 }
 
@@ -156,24 +148,27 @@ let task_body (ctx : Wexec.proc_ctx) =
   | Error e -> failwith ("elastic task commit: " ^ e)
 
 let validate cfg =
-  if cfg.size < 8 then invalid_arg "Elastic.run: need at least 8 ranks";
-  if cfg.child_nodes < 2 || cfg.child_nodes >= cfg.size then
-    invalid_arg "Elastic.run: child_nodes must be in 2..size-1";
-  if cfg.duration <= 0.0 || cfg.drain < 0.0 then
-    invalid_arg "Elastic.run: duration must be positive, drain non-negative";
-  if cfg.base_rate <= 0.0 || cfg.burst_factor < 1.0 || cfg.burst_period <= 0.0 then
-    invalid_arg "Elastic.run: rates must be positive, burst_factor >= 1";
-  if cfg.mean_duration <= 0.0 || cfg.min_duration <= 0.0 then
-    invalid_arg "Elastic.run: task durations must be positive";
-  if cfg.queue_cap < 1 then invalid_arg "Elastic.run: queue_cap must be >= 1";
-  if cfg.telem_interval <= 0.0 || cfg.telem_window < 4 then
-    invalid_arg "Elastic.run: telem_interval positive, telem_window >= 4";
   match Ctl.validate_policy cfg.policy with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Elastic.run: policy: " ^ e)
+  | Error e -> Error ("policy: " ^ e)
+  | Ok () ->
+    Harness.require
+      [
+        (cfg.size >= 8, "size must be >= 8");
+        (cfg.fanout >= 2, "fanout must be >= 2");
+        ( cfg.child_nodes >= 2 && cfg.child_nodes < cfg.size,
+          Printf.sprintf "child_nodes must be in 2..%d (size - 1)" (cfg.size - 1) );
+        (cfg.duration > 0.0 && cfg.drain >= 0.0, "duration must be positive, drain non-negative");
+        (Option.fold ~none:true ~some:(( <= ) 0.0) cfg.silence_at, "silence_at must be >= 0");
+        ( cfg.base_rate > 0.0 && cfg.burst_factor >= 1.0 && cfg.burst_period > 0.0,
+          "rates must be positive, burst_factor >= 1" );
+        (cfg.mean_duration > 0.0 && cfg.min_duration > 0.0, "task durations must be positive");
+        (cfg.queue_cap >= 1 && cfg.seed >= 1, "queue_cap and seed must be >= 1");
+        ( cfg.telem_interval > 0.0 && cfg.telem_window >= 4,
+          "telem_interval must be positive, telem_window >= 4" );
+      ]
 
 let run cfg =
-  validate cfg;
+  Result.iter_error (fun e -> invalid_arg ("Elastic.run: " ^ e)) (validate cfg);
   let t_end = cfg.duration +. cfg.drain in
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
@@ -471,24 +466,47 @@ let run cfg =
     e_trajectory = List.rev !trajectory;
     e_fingerprint = fingerprint;
     e_violations = List.rev !violations;
-    e_clock = Engine.now eng;
     e_events = Engine.events_executed eng;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>%s: offered %d (submitted %d, shed %d), acked %d (%.1f/s)@,\
-     failed %d, cancelled %d, queue peak %d@,\
-     nodes: final %d, peak %d; grows %d, shrinks %d (drains %d, denied %d)@,\
-     decisions %d, fallbacks %d; telem: %d epochs, %d alerts@,\
-     write loss %d@,clock %.3f (%d events)@,violations: %d%a@]"
-    (mode_to_string r.e_mode) r.e_offered r.e_submitted r.e_shed r.e_acked r.e_goodput
-    r.e_failed r.e_cancelled r.e_queue_peak r.e_nodes_final r.e_nodes_peak r.e_grows
-    r.e_shrinks r.e_drains r.e_denied r.e_decisions r.e_fallback_entries r.e_telem_epochs
-    r.e_alerts r.e_write_loss r.e_clock r.e_events
-    (List.length r.e_violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.e_violations
+let row r =
+  [
+    ("mode", Json.string (mode_to_string r.e_mode));
+    ("offered", Json.int r.e_offered);
+    ("submitted", Json.int r.e_submitted);
+    ("shed", Json.int r.e_shed);
+    ("acked", Json.int r.e_acked);
+    ("failed", Json.int r.e_failed);
+    ("cancelled", Json.int r.e_cancelled);
+    ("goodput_per_s", Json.float r.e_goodput);
+    ("queue_peak", Json.int r.e_queue_peak);
+    ("nodes_final", Json.int r.e_nodes_final);
+    ("nodes_peak", Json.int r.e_nodes_peak);
+    ("grows", Json.int r.e_grows);
+    ("shrinks", Json.int r.e_shrinks);
+    ("denied", Json.int r.e_denied);
+    ("drains", Json.int r.e_drains);
+    ("decisions", Json.int r.e_decisions);
+    ("telem_epochs", Json.int r.e_telem_epochs);
+    ("alerts", Json.int r.e_alerts);
+    ("write_loss", Json.int r.e_write_loss);
+    ( "node_trajectory",
+      Json.list
+        (List.map
+           (fun (t, n) -> Json.obj [ ("t", Json.float t); ("nodes", Json.int n) ])
+           r.e_trajectory) );
+    ("fingerprint", Json.string r.e_fingerprint);
+    ("violations", Json.strings r.e_violations);
+    ("sim_events", Json.int r.e_events);
+    ("fallback_entries", Json.int r.e_fallback_entries);
+  ]
+
+let recovery runs =
+  let goodput m =
+    List.find_map (fun r -> if r.e_mode = m then Some r.e_goodput else None) runs
+    |> Option.value ~default:0.0
+  in
+  if goodput Protected > 0.0 then goodput Elastic /. goodput Protected else 0.0
 
 (* --- Bench sweep ----------------------------------------------------------- *)
 
@@ -503,53 +521,14 @@ let harness =
     Printf.printf "(%d ranks, child of %d, %.1fs arrivals + %.1fs drain, cap %d)\n%!" base.size
       base.child_nodes base.duration base.drain base.queue_cap;
     let runs = List.map (fun mode -> run { base with mode }) [ Unprotected; Protected; Elastic ] in
-    let goodput m =
-      List.find_map (fun r -> if r.e_mode = m then Some r.e_goodput else None) runs
-      |> Option.value ~default:0.0
-    in
-    let recovery =
-      if goodput Protected > 0.0 then goodput Elastic /. goodput Protected else 0.0
-    in
+    let recovery = recovery runs in
     let again = run { base with mode = Elastic } in
     let deterministic =
       List.exists
         (fun r -> r.e_mode = Elastic && String.equal r.e_fingerprint again.e_fingerprint)
         runs
     in
-    let rows =
-      List.map
-        (fun r ->
-          [
-            ("mode", Json.string (mode_to_string r.e_mode));
-            ("offered", Json.int r.e_offered);
-            ("submitted", Json.int r.e_submitted);
-            ("shed", Json.int r.e_shed);
-            ("acked", Json.int r.e_acked);
-            ("failed", Json.int r.e_failed);
-            ("cancelled", Json.int r.e_cancelled);
-            ("goodput_per_s", Json.float r.e_goodput);
-            ("queue_peak", Json.int r.e_queue_peak);
-            ("nodes_final", Json.int r.e_nodes_final);
-            ("nodes_peak", Json.int r.e_nodes_peak);
-            ("grows", Json.int r.e_grows);
-            ("shrinks", Json.int r.e_shrinks);
-            ("denied", Json.int r.e_denied);
-            ("drains", Json.int r.e_drains);
-            ("decisions", Json.int r.e_decisions);
-            ("telem_epochs", Json.int r.e_telem_epochs);
-            ("alerts", Json.int r.e_alerts);
-            ("write_loss", Json.int r.e_write_loss);
-            ( "node_trajectory",
-              Json.list
-                (List.map
-                   (fun (t, n) -> Json.obj [ ("t", Json.float t); ("nodes", Json.int n) ])
-                   r.e_trajectory) );
-            ("fingerprint", Json.string r.e_fingerprint);
-            ("violations", Json.strings r.e_violations);
-            ("sim_events", Json.int r.e_events);
-          ])
-        runs
-    in
+    let rows = List.map (fun r -> List.remove_assoc "fallback_entries" (row r)) runs in
     Harness.print_table rows;
     Printf.printf "  recovery ratio (elastic/protected): %.2fx\n%!" recovery;
     {
@@ -567,10 +546,58 @@ let harness =
         @ Harness.check deterministic "same-seed elastic runs produced different fingerprints"
         @ Harness.check (recovery >= 1.5)
             (Printf.sprintf "elastic recovers only %.2fx protected goodput (bar: 1.5x)" recovery);
+      host = [];
     }
+  in
+  let cli =
+    let open Cmdliner in
+    let all = [ Unprotected; Protected; Elastic ] in
+    let modes = ("all", all) :: List.map (fun m -> (mode_to_string m, [ m ])) all in
+    let go size fanout modes child_nodes duration drain queue_cap seed silence_at trajectory =
+      let base =
+        { default with seed; size; fanout; child_nodes; duration; drain; queue_cap; silence_at }
+      in
+      Harness.validated (validate base) (fun () ->
+          let runs = List.map (fun mode -> run { base with mode }) modes in
+          let shown r =
+            if trajectory && r.e_mode = Elastic then row r
+            else List.remove_assoc "node_trajectory" (row r)
+          in
+          List.iter (fun r -> Harness.print_row (shown r)) runs;
+          if List.length runs > 1 then
+            Printf.printf "recovery ratio (elastic/protected goodput): %.2fx\n" (recovery runs);
+          List.concat_map (fun r -> r.e_violations) runs)
+    in
+    Term.(
+      ret
+        (const go $ Harness.nodes default.size $ Harness.fanout default.fanout
+        $ Harness.opt (Arg.enum modes) [ "mode" ] ~docv:"MODE" all
+            ~doc:
+              "Protection regime: unprotected (no admission bound, no controller), protected \
+               (static submission shedding), elastic (shedding plus the closed-loop \
+               controller), or all (run the three-way comparison)."
+        $ Harness.opt Arg.int [ "child-nodes" ] ~docv:"N" ~doc:"Worker child's initial pool size."
+            default.child_nodes
+        $ Harness.opt Arg.float [ "duration" ] ~docv:"SECONDS" ~doc:"Arrival window, sim-seconds."
+            default.duration
+        $ Harness.opt Arg.float [ "drain" ] ~docv:"SECONDS"
+            ~doc:"Controller/telemetry run-on after arrivals stop." default.drain
+        $ Harness.opt Arg.int [ "cap" ] ~docv:"JOBS"
+            ~doc:"Queue cap for submission shedding (protected and elastic modes)."
+            default.queue_cap
+        $ Harness.seed ~doc:"Workload seed." default.seed
+        $ Harness.opt Arg.(some float) [ "silence-at" ] ~docv:"SECONDS" default.silence_at
+            ~doc:
+              "Stop the telemetry plane at this sim time: exercises the telemetry-silent \
+               fallback (elastic mode)."
+        $ Arg.(
+            value & flag
+            & info [ "trajectory" ]
+                ~doc:"Print the sampled (time, child nodes) trajectory for elastic runs.")))
   in
   {
     Harness.name = "elastic";
     title = "unprotected collapse vs static shed vs closed-loop autoscale";
     sweep;
+    cli;
   }

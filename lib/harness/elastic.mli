@@ -56,15 +56,6 @@ val default : config
     controller (band 3..12, step 4, nodes 2..24, cooldown 0.5 s),
     [Elastic] mode. *)
 
-val unprotected_case : config
-val protected_case : config
-val elastic_case : config
-
-val silent_case : config
-(** [Elastic] with the telemetry plane killed mid-run: the controller
-    must detect the silence, hold everything, and never act on stale
-    pressure again. *)
-
 type report = {
   e_mode : mode;
   e_offered : int;  (** arrivals generated (shed ones included) *)
@@ -89,15 +80,16 @@ type report = {
   e_trajectory : (float * int) list;  (** sampled (time, child nodes) *)
   e_fingerprint : string;  (** determinism witness *)
   e_violations : string list;
-  e_clock : float;
   e_events : int;
 }
 
-val run : config -> report
-(** One soak under one regime. Raises [Invalid_argument] on a config
-    that cannot be run (bad sizes, rates, or controller policy). *)
+val validate : config -> (unit, string) result
+(** A child of 2..size-1 of at least 8 ranks, positive durations, rates
+    and counts, non-negative [drain] and [silence_at], a valid policy. *)
 
-val pp_report : Format.formatter -> report -> unit
+val run : config -> report
+(** One soak under one regime. Raises [Invalid_argument] when
+    {!validate} fails. *)
 
 val harness : Harness.t
 (** The bench sweep: the three regimes on one stream plus a same-seed

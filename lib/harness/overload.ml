@@ -88,11 +88,7 @@ type report = {
   ack_p99 : float;
   admission_sheds : int;
   intake_hwm : int;
-  flow_defers : int;
-  flow_sheds : int;
   flow_stash_hwm : int;
-  link_defers : int;
-  link_drops : int;
   link_depth_hwm : int;
   rpc_busy_retries : int;
   rpc_retries : int;
@@ -390,7 +386,6 @@ let run cfg =
   let drained = stash_left = 0 && Kvs.intake_depth kvs.(0) = 0 in
   if not drained then
     violate st "undrained: stash=%d intake=%d" stash_left (Kvs.intake_depth kvs.(0));
-  let rpc = Session.rpc_net_stats sess in
   {
     offered = st.offered;
     acked = st.acked;
@@ -401,11 +396,7 @@ let run cfg =
     ack_p99 = (if Stats.count st.lat = 0 then 0.0 else Stats.percentile st.lat 0.99);
     admission_sheds = Kvs.admission_sheds kvs.(0);
     intake_hwm = Kvs.intake_hwm kvs.(0);
-    flow_defers = Session.flow_defers sess;
-    flow_sheds = Session.flow_sheds sess;
     flow_stash_hwm = Session.flow_stash_hwm sess;
-    link_defers = rpc.Net.overload_defers;
-    link_drops = rpc.Net.overload_drops;
     link_depth_hwm = Net.max_link_depth_hwm (Session.rpc_net sess);
     rpc_busy_retries = Session.rpc_busy_retries sess;
     rpc_retries = Session.rpc_retries sess;
@@ -421,6 +412,28 @@ let run cfg =
     telem_alerts = (match telem with Some ts -> List.length (Tmod.alerts ts) | None -> 0);
     telem_dumps = (match st.flight with Some f -> List.length (Flight.dumps f) | None -> 0);
   }
+
+let row (r : report) =
+  [
+    ("offered", Json.int r.offered);
+    ("acked", Json.int r.acked);
+    ("shed", Json.int r.shed);
+    ("failed", Json.int r.failed);
+    ("goodput", Json.float r.goodput);
+    ("ack_p50", Json.float r.ack_p50);
+    ("ack_p99", Json.float r.ack_p99);
+    ("admission_sheds", Json.int r.admission_sheds);
+    ("intake_hwm", Json.int r.intake_hwm);
+    ("flow_stash_hwm", Json.int r.flow_stash_hwm);
+    ("link_depth_hwm", Json.int r.link_depth_hwm);
+    ("lost_acks", Json.int r.lost_acks);
+    ("drained", Json.bool r.drained);
+    ("sim_events", Json.int r.sim_events);
+    ("violations", Json.int (List.length r.violations));
+    ("telem_epochs", Json.int r.telem_epochs);
+    ("telem_alerts", Json.int r.telem_alerts);
+    ("telem_dumps", Json.int r.telem_dumps);
+  ]
 
 let harness =
   let sweep ~fast =
@@ -447,27 +460,13 @@ let harness =
     in
     let rows =
       List.map
-        (fun (label, mult, cfg, (r : report)) ->
+        (fun (label, mult, cfg, r) ->
           [
             ("profile", Json.string label);
             ("capacity_multiple", Json.float mult);
             ("rate", Json.float cfg.rate);
-            ("offered", Json.int r.offered);
-            ("acked", Json.int r.acked);
-            ("shed", Json.int r.shed);
-            ("failed", Json.int r.failed);
-            ("goodput", Json.float r.goodput);
-            ("ack_p50", Json.float r.ack_p50);
-            ("ack_p99", Json.float r.ack_p99);
-            ("admission_sheds", Json.int r.admission_sheds);
-            ("intake_hwm", Json.int r.intake_hwm);
-            ("flow_stash_hwm", Json.int r.flow_stash_hwm);
-            ("link_depth_hwm", Json.int r.link_depth_hwm);
-            ("lost_acks", Json.int r.lost_acks);
-            ("drained", Json.bool r.drained);
-            ("sim_events", Json.int r.sim_events);
-            ("violations", Json.int (List.length r.violations));
-          ])
+          ]
+          @ List.filter (fun (k, _) -> not (String.starts_with ~prefix:"telem_" k)) (row r))
         runs
     in
     Harness.print_table rows;
@@ -503,10 +502,12 @@ let harness =
           runs
         @ Harness.check (g2 >= 0.5 *. g1)
             (Printf.sprintf "goodput at 2x capacity collapsed to %.0f%% of the 1x level" retained);
+      host = [];
     }
   in
   {
     Harness.name = "overload";
     title = "open-loop soak past master capacity (bounded queues, credits, admission)";
     sweep;
+    cli = Harness.once (fun () -> run default) row (fun r -> r.violations);
   }

@@ -92,11 +92,7 @@ type report = {
   ack_p99 : float;
   admission_sheds : int;  (** master-gate busy rejections *)
   intake_hwm : int;
-  flow_defers : int;
-  flow_sheds : int;
   flow_stash_hwm : int;
-  link_defers : int;  (** sends postponed by [Block] link policy *)
-  link_drops : int;  (** sends shed by drop link policies *)
   link_depth_hwm : int;
   rpc_busy_retries : int;
   rpc_retries : int;
@@ -116,6 +112,8 @@ type report = {
 val run : config -> report
 (** Raises [Invalid_argument] on an empty/out-of-range producer list or
     non-positive rate/duration. *)
+
+val row : report -> Harness.row
 
 val harness : Harness.t
 (** The bench sweep: goodput vs offered rate (0.5x, 1x, 2x capacity,

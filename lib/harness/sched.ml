@@ -31,6 +31,7 @@ module Jobspec = Flux_core.Jobspec
 module Pool = Flux_core.Pool
 module Workload = Flux_core.Workload
 module Central = Flux_baseline.Central
+module Center = Flux_core.Center
 
 type task_kind =
   | Sleep_tasks  (** synthetic: pure scheduler study, no launch stack *)
@@ -417,34 +418,43 @@ let ack_watcher st =
     Proc.sleep 0.001
   done
 
-let run cfg =
-  if cfg.depth < 0 then invalid_arg "Sched.run: depth must be >= 0";
-  if cfg.depth > 0 && cfg.children < 2 then
-    invalid_arg "Sched.run: children must be >= 2 when depth > 0";
-  let leaves_n =
-    int_of_float (float_of_int cfg.children ** float_of_int cfg.depth)
+let leaf_count cfg = int_of_float (float_of_int cfg.children ** float_of_int cfg.depth)
+
+let validate cfg =
+  let known_policy =
+    match Flux_core.Policy.by_name cfg.policy with _ -> true | exception Invalid_argument _ -> false
   in
-  if cfg.depth > 0 && cfg.nodes / leaves_n < 1 then
-    invalid_arg "Sched.run: children^depth exceeds the node count";
-  if cfg.kill_leaf && cfg.task_kind <> Wexec_tasks then
-    invalid_arg "Sched.run: kill_leaf requires Wexec_tasks";
-  let eng = Engine.create () in
-  let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.nodes () in
-  let kvs = Kvs.load sess () in
-  ignore (Flux_modules.Barrier.load sess () : Flux_modules.Barrier.t array);
-  let wexec = Wexec.load sess () in
+  Harness.require
+    [
+      (cfg.nodes >= 2, "nodes must be >= 2");
+      (cfg.fanout >= 2, "fanout must be >= 2");
+      (cfg.depth >= 0 && cfg.depth <= 4, "depth must be in [0,4]");
+      (cfg.children >= 2, "children must be >= 2");
+      ( cfg.depth = 0
+        || float_of_int cfg.children ** float_of_int cfg.depth <= float_of_int cfg.nodes,
+        "children^depth leaves exceed the nodes" );
+      (cfg.tasks >= 1, "tasks must be >= 1");
+      (cfg.seed >= 1, "seed must be >= 1");
+      (known_policy, "unknown policy " ^ cfg.policy);
+      (not cfg.kill_leaf || cfg.task_kind = Wexec_tasks, "kill_leaf requires Wexec_tasks");
+    ]
+
+let run cfg =
+  Result.iter_error (fun e -> invalid_arg ("Sched.run: " ^ e)) (validate cfg);
+  let leaves_n = leaf_count cfg in
+  let c =
+    Center.create ~nodes:cfg.nodes ~fanout:cfg.fanout ~policy:cfg.policy
+      ~cost_model:cfg.cost_model ~name:"sched" ()
+  in
+  let eng = c.Center.eng and sess = c.Center.sess and root = c.Center.root in
   let tracer =
     if cfg.trace then Some (Tracer.create ~capacity:2_000_000 ~now:(fun () -> Engine.now eng) ())
     else None
   in
   let metrics = Metrics.create () in
-  Kvs.set_metrics_all kvs metrics;
-  Wexec.set_tracer_all wexec tracer;
-  Wexec.set_metrics_all wexec metrics;
-  let root =
-    Instance.create_root sess ~policy:cfg.policy ~cost_model:cfg.cost_model ~name:"sched"
-      ()
-  in
+  Kvs.set_metrics_all c.Center.kvs metrics;
+  Wexec.set_tracer_all c.Center.wexec tracer;
+  Wexec.set_metrics_all c.Center.wexec metrics;
   Instance.set_tracer root tracer;
   let st =
     {
@@ -555,13 +565,11 @@ let run cfg =
 (* --- Centralized baseline -------------------------------------------------- *)
 
 type central_report = {
-  c_tasks : int;
   c_completed : int;
   c_makespan : float;
   c_jobs_per_s : float;
   c_mean_wait : float;
   c_sched_cycles : int;
-  c_final_clock : float;
 }
 
 (* The identical pilot stream (same seed, so the same durations and
@@ -582,7 +590,6 @@ let run_central cfg =
   Engine.run eng;
   let s = Central.stats ctl in
   {
-    c_tasks = cfg.tasks;
     c_completed = s.Central.bs_completed;
     c_makespan = s.Central.bs_makespan;
     c_jobs_per_s =
@@ -591,39 +598,47 @@ let run_central cfg =
        else 0.0);
     c_mean_wait = s.Central.bs_mean_wait;
     c_sched_cycles = s.Central.bs_sched_cycles;
-    c_final_clock = Engine.now eng;
   }
 
 (* --- Reporting ------------------------------------------------------------- *)
 
-let pp_report ppf (r : report) =
-  Format.fprintf ppf
-    "@[<v>depth %d x %d children (%d leaves), %d tasks@,\
-     acked %d, failed attempts %d, requeues %d, kills/revives %d/%d@,\
-     makespan %.3fs -> %.1f jobs/s, mean wait %.4fs, %d sched cycles@,\
-     hops: match->start %.5fs, start->complete %.5fs@,"
-    r.r_depth r.r_children r.r_leaves r.r_tasks r.r_acked r.r_failed_jobs r.r_requeues
-    r.r_kills r.r_revives r.r_makespan r.r_jobs_per_s r.r_mean_wait r.r_sched_cycles
-    r.r_hop_match_start_mean r.r_hop_start_complete_mean;
-  List.iter
-    (fun lv ->
-      Format.fprintf ppf "  level %d: %d jobs, submit->match mean %.5fs p95 %.5fs@,"
-        lv.lv_depth lv.lv_jobs lv.lv_submit_match_mean lv.lv_submit_match_p95)
-    r.r_levels;
-  Format.fprintf ppf "violations: %d%a@]"
-    (List.length r.r_violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.r_violations
+let level_row lv =
+  [
+    ("level", Json.int lv.lv_depth);
+    ("jobs", Json.int lv.lv_jobs);
+    ("submit_match_mean", Json.float lv.lv_submit_match_mean);
+    ("submit_match_p95", Json.float lv.lv_submit_match_p95);
+  ]
 
-let pp_central ppf (c : central_report) =
-  Format.fprintf ppf
-    "@[<v>central: %d/%d tasks, makespan %.3fs -> %.1f jobs/s, mean wait %.4fs, %d cycles@]"
-    c.c_completed c.c_tasks c.c_makespan c.c_jobs_per_s c.c_mean_wait c.c_sched_cycles
+let row (r : report) =
+  [
+    ("depth", Json.int r.r_depth);
+    ("children", Json.int r.r_children);
+    ("leaves", Json.int r.r_leaves);
+    ("tasks", Json.int r.r_tasks);
+    ("acked", Json.int r.r_acked);
+    ("jobs_per_s", Json.float r.r_jobs_per_s);
+    ("makespan", Json.float r.r_makespan);
+    ("mean_wait", Json.float r.r_mean_wait);
+    ("sched_cycles", Json.int r.r_sched_cycles);
+    ("hop_match_start_mean", Json.float r.r_hop_match_start_mean);
+    ("hop_start_complete_mean", Json.float r.r_hop_start_complete_mean);
+    ("levels", Json.list (List.map (fun lv -> Json.obj (level_row lv)) r.r_levels));
+    ("requeues", Json.int r.r_requeues);
+    ("kills", Json.int r.r_kills);
+    ("violations", Json.int (List.length r.r_violations));
+  ]
 
-(* Fingerprint for same-seed determinism comparisons: counters, clock,
-   and the span-chain counts must all be bit-for-bit reproducible. *)
-let fingerprint (r : report) =
-  (r.r_acked, r.r_jobs_per_s, r.r_makespan, r.r_final_clock, r.r_sim_events, r.r_spans)
+let central_row (c : central_report) =
+  [
+    ("completed", Json.int c.c_completed);
+    ("jobs_per_s", Json.float c.c_jobs_per_s);
+    ("makespan", Json.float c.c_makespan);
+    ("mean_wait", Json.float c.c_mean_wait);
+    ("sched_cycles", Json.int c.c_sched_cycles);
+  ]
+
+let speedup r c = if c.c_jobs_per_s > 0.0 then r.r_jobs_per_s /. c.c_jobs_per_s else 0.0
 
 (* --- Bench sweep ----------------------------------------------------------- *)
 
@@ -632,34 +647,7 @@ let harness =
     let nodes = if fast then 16 else 32 in
     let tasks = if fast then 400 else 1200 in
     let base = { default with nodes; tasks } in
-    let level_row lv =
-      [
-        ("level", Json.int lv.lv_depth);
-        ("jobs", Json.int lv.lv_jobs);
-        ("submit_match_mean", Json.float lv.lv_submit_match_mean);
-        ("submit_match_p95", Json.float lv.lv_submit_match_p95);
-      ]
-    in
-    let report_row (label, r) =
-      [
-        ("config", Json.string label);
-        ("depth", Json.int r.r_depth);
-        ("children", Json.int r.r_children);
-        ("leaves", Json.int r.r_leaves);
-        ("tasks", Json.int r.r_tasks);
-        ("acked", Json.int r.r_acked);
-        ("jobs_per_s", Json.float r.r_jobs_per_s);
-        ("makespan", Json.float r.r_makespan);
-        ("mean_wait", Json.float r.r_mean_wait);
-        ("sched_cycles", Json.int r.r_sched_cycles);
-        ("hop_match_start_mean", Json.float r.r_hop_match_start_mean);
-        ("hop_start_complete_mean", Json.float r.r_hop_start_complete_mean);
-        ("levels", Json.list (List.map (fun lv -> Json.obj (level_row lv)) r.r_levels));
-        ("requeues", Json.int r.r_requeues);
-        ("kills", Json.int r.r_kills);
-        ("violations", Json.int (List.length r.r_violations));
-      ]
-    in
+    let report_row (label, r) = ("config", Json.string label) :: row r in
     (* Curve 1: throughput vs hierarchy depth at fixed fanout 2 — the
        paper's log2(C)*T(G) argument. Depth 0 is one flat Flux instance;
        the centralized baseline is the traditional monolithic scheduler
@@ -688,17 +676,13 @@ let harness =
       ("chaos-leaf", run { base with kill_leaf = true; tasks = (if fast then 200 else 600) })
     in
     let runs = depth_runs @ fanout_runs @ [ chaos_run ] in
+    let central_row = central_row central in
     Harness.print_table
       (List.map report_row runs
       @ [
-          [
-            ("config", Json.string "central");
-            ("acked", Json.int central.c_completed);
-            ("jobs_per_s", Json.float central.c_jobs_per_s);
-            ("makespan", Json.float central.c_makespan);
-            ("mean_wait", Json.float central.c_mean_wait);
-            ("sched_cycles", Json.int central.c_sched_cycles);
-          ];
+          ("config", Json.string "central")
+          :: ("acked", List.assoc "completed" central_row)
+          :: central_row;
         ]);
     Harness.print_table
       (List.concat_map
@@ -708,9 +692,7 @@ let harness =
     (* Headline: the hierarchy must beat the monolithic controller once
        it is at least two levels deep. *)
     let speedup =
-      match List.assoc_opt "depth-2" depth_runs with
-      | Some r when central.c_jobs_per_s > 0.0 -> r.r_jobs_per_s /. central.c_jobs_per_s
-      | _ -> 0.0
+      match List.assoc_opt "depth-2" depth_runs with Some r -> speedup r central | None -> 0.0
     in
     Printf.printf "  hierarchical depth-2 vs central: %.2fx jobs/s\n%!" speedup;
     let rows runs = Json.list (List.map (fun x -> Json.obj (report_row x)) runs) in
@@ -723,15 +705,7 @@ let harness =
             ("tasks", Json.int tasks);
             ("mean_duration", Json.float base.mean_duration);
             ("policy", Json.string base.policy);
-            ( "central",
-              Json.obj
-                [
-                  ("completed", Json.int central.c_completed);
-                  ("jobs_per_s", Json.float central.c_jobs_per_s);
-                  ("makespan", Json.float central.c_makespan);
-                  ("mean_wait", Json.float central.c_mean_wait);
-                  ("sched_cycles", Json.int central.c_sched_cycles);
-                ] );
+            ("central", Json.obj central_row);
             ("depth_rows", rows depth_runs);
             ("fanout_rows", rows fanout_runs);
             ("chaos", Json.obj (report_row chaos_run));
@@ -742,10 +716,48 @@ let harness =
         @ Harness.check (speedup > 1.0)
             (Printf.sprintf "depth-2 hierarchy at %.2fx of central jobs/s (must beat 1x)"
                speedup);
+      host = [];
     }
+  in
+  let cli =
+    let open Cmdliner in
+    let int names docv doc v = Harness.opt Arg.int names ~docv ~doc v in
+    let go nodes fanout depth children tasks seed policy central kill_leaf =
+      let cfg = { default with nodes; fanout; depth; children; tasks; seed; policy; kill_leaf } in
+      Harness.validated (validate cfg) (fun () ->
+          let r = run cfg in
+          Harness.print_row (row r);
+          if central then begin
+            let c = run_central cfg in
+            Harness.print_row (central_row c);
+            Printf.printf "hierarchy/central throughput: %.2fx\n" (speedup r c)
+          end;
+          r.r_violations)
+    in
+    Term.(
+      ret
+        (const go $ Harness.nodes default.nodes $ Harness.fanout default.fanout
+        $ int [ "depth" ] "DEPTH" "Levels of nested child instances (0 = one flat instance)."
+            default.depth
+        $ int [ "children" ] "C" "Instance-tree fan-out per level." default.children
+        $ int [ "tasks" ] "N" "Pilot tasks to submit." default.tasks
+        $ Harness.seed ~doc:"Workload seed." default.seed
+        $ Harness.opt Arg.string [ "policy" ] ~docv:"POLICY"
+            ~doc:"Scheduling policy at every level." default.policy
+        $ Arg.(
+            value & flag
+            & info [ "central" ]
+                ~doc:"Also run the centralized single-controller baseline for comparison.")
+        $ Arg.(
+            value & flag
+            & info [ "kill-leaf" ]
+                ~doc:
+                  "Kill a worker rank of the first leaf instance mid-batch; surviving sibling \
+                   leaves drain the backlog via requeues.")))
   in
   {
     Harness.name = "sched";
     title = "hierarchical vs centralized scheduling of a pilot-style task storm";
     sweep;
+    cli;
   }

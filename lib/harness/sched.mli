@@ -71,31 +71,25 @@ type report = {
   r_sim_events : int;
 }
 
+val validate : config -> (unit, string) result
+(** A feasible tree of depth 0..4, positive counts, a known policy, and
+    [kill_leaf] only with [Wexec_tasks]. *)
+
 val run : config -> report
-(** Raises [Invalid_argument] on an impossible tree (negative depth,
-    fewer than 2 children, more leaves than nodes) or [kill_leaf]
-    without [Wexec_tasks]. *)
+(** Raises [Invalid_argument] when {!validate} fails. The center comes
+    from {!Flux_core.Center.create}. *)
 
 type central_report = {
-  c_tasks : int;
   c_completed : int;
   c_makespan : float;
   c_jobs_per_s : float;
   c_mean_wait : float;
   c_sched_cycles : int;
-  c_final_clock : float;
 }
 
 val run_central : config -> central_report
 (** The identical pilot stream against the centralized baseline
     ({!Flux_baseline.Central}). *)
-
-val pp_report : Format.formatter -> report -> unit
-val pp_central : Format.formatter -> central_report -> unit
-
-val fingerprint : report -> int * float * float * float * int * (string * int) list
-(** Acked tasks, jobs/s, makespan, final clock, engine events and span
-    counts: equal for same-seed runs. *)
 
 val harness : Harness.t
 (** The bench sweep: central vs depth 0..3, fanout 2/4/8 at depth 1, and

@@ -642,6 +642,24 @@ let chaos cfg =
 
 (* --- Bench sweep ------------------------------------------------------------ *)
 
+let soak_row (r : soak_report) =
+  [
+    ("shards", Json.int r.shards);
+    ("offered", Json.int r.offered);
+    ("acked", Json.int r.acked);
+    ("shed", Json.int r.shed);
+    ("failed", Json.int r.failed);
+    ("goodput", Json.float r.goodput);
+    ("ack_p50", Json.float r.ack_p50);
+    ("ack_p99", Json.float r.ack_p99);
+    ("admission_sheds", Json.int r.admission_sheds);
+    ("intake_hwm", Json.int r.intake_hwm);
+    ("lost_acks", Json.int r.lost_acks);
+    ("drained", Json.bool r.drained);
+    ("sim_events", Json.int r.sim_events);
+    ("violations", Json.int (List.length r.violations));
+  ]
+
 let harness =
   let sweep ~fast =
     let duration = if fast then 0.25 else 0.4 in
@@ -651,27 +669,7 @@ let harness =
       "(%d nodes, %d producers, %.2fs window, per-master capacity %.0f ops/s, offered %.0f)\n%!"
       base.size (List.length base.producers) duration cap base.rate;
     let runs = List.map (fun shards -> soak { base with shards }) [ 1; 2; 4 ] in
-    let rows =
-      List.map
-        (fun (r : soak_report) ->
-          [
-            ("shards", Json.int r.shards);
-            ("offered", Json.int r.offered);
-            ("acked", Json.int r.acked);
-            ("shed", Json.int r.shed);
-            ("failed", Json.int r.failed);
-            ("goodput", Json.float r.goodput);
-            ("ack_p50", Json.float r.ack_p50);
-            ("ack_p99", Json.float r.ack_p99);
-            ("admission_sheds", Json.int r.admission_sheds);
-            ("intake_hwm", Json.int r.intake_hwm);
-            ("lost_acks", Json.int r.lost_acks);
-            ("drained", Json.bool r.drained);
-            ("sim_events", Json.int r.sim_events);
-            ("violations", Json.int (List.length r.violations));
-          ])
-        runs
-    in
+    let rows = List.map soak_row runs in
     Harness.print_table rows;
     let goodput_of n =
       List.find_map (fun (r : soak_report) -> if r.shards = n then Some r.goodput else None) runs
@@ -701,10 +699,12 @@ let harness =
           runs
         @ Harness.check (ratio >= 1.8)
             (Printf.sprintf "goodput scales only %.2fx from 1 to 4 shards (bar: 1.8x)" ratio);
+      host = [];
     }
   in
   {
     Harness.name = "shard";
-    title = "goodput vs shards at 2x one master's capacity (distributed KVS master)";
+    title = "sharded KVS soak at 2x one master's capacity (goodput vs shards)";
     sweep;
+    cli = Harness.once (fun () -> soak soak_default) soak_row (fun r -> r.violations);
   }

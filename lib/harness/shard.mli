@@ -24,9 +24,6 @@ val soak_default : soak_config
 (** 32 ranks, 8 producers, one shard, offering 2x one master's
     10k ops/s capacity for 0.4 s with admission control on. *)
 
-val soak_capacity : soak_config -> float
-(** One master's apply-rate ceiling, ops/second. *)
-
 type soak_report = {
   shards : int;
   offered : int;

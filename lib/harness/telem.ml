@@ -81,8 +81,6 @@ type report = {
   t_events : int; (* engine fingerprint *)
   t_series : Series.t;
   t_flight : Flight.t;
-  t_tracer : Tracer.t;
-  t_metrics : Metrics.t;
 }
 
 let alert_fingerprint alerts =
@@ -94,26 +92,25 @@ let alert_fingerprint alerts =
            a.Detect.al_epoch a.Detect.al_rank a.Detect.al_metric)
        alerts)
 
+let validate cfg =
+  let rank_ok = function Some r -> r > 0 && r < cfg.size | None -> true in
+  Harness.require
+    [
+      (cfg.size >= 4, "size must be >= 4");
+      (cfg.fanout >= 2, "fanout must be >= 2");
+      (cfg.epochs >= 4, "epochs must be >= 4");
+      (cfg.interval > 0.0 && cfg.work_mean > 0.0, "interval and work_mean must be positive");
+      (cfg.window >= 1 && cfg.work_per_epoch >= 1, "window and work_per_epoch must be >= 1");
+      (cfg.seed >= 1, "seed must be >= 1");
+      (cfg.onset_frac >= 0.0 && cfg.onset_frac < 1.0, "onset_frac must be in [0, 1)");
+      ( List.for_all rank_ok [ cfg.kill; cfg.mute; Option.map fst cfg.straggler ],
+        "fault ranks must be in 1..size-1" );
+      ( Option.fold ~none:true ~some:(fun (_, f) -> f > 1.0) cfg.straggler,
+        "straggler factor must exceed 1" );
+    ]
+
 let run cfg =
-  if cfg.size < 4 then invalid_arg "Telem.run: need at least 4 ranks";
-  if cfg.epochs < 4 then invalid_arg "Telem.run: need at least 4 epochs";
-  if cfg.interval <= 0.0 || cfg.work_mean <= 0.0 then
-    invalid_arg "Telem.run: interval and work_mean must be positive";
-  if cfg.work_per_epoch <= 0 then invalid_arg "Telem.run: work_per_epoch must be positive";
-  if cfg.onset_frac < 0.0 || cfg.onset_frac >= 1.0 then
-    invalid_arg "Telem.run: onset_frac must be in [0, 1)";
-  let check_rank what = function
-    | Some r when r <= 0 || r >= cfg.size ->
-      invalid_arg (Printf.sprintf "Telem.run: %s rank out of range (1..size-1)" what)
-    | _ -> ()
-  in
-  check_rank "kill" cfg.kill;
-  check_rank "mute" cfg.mute;
-  (match cfg.straggler with
-  | Some (r, f) ->
-    check_rank "straggler" (Some r);
-    if f <= 1.0 then invalid_arg "Telem.run: straggler factor must exceed 1"
-  | None -> ());
+  Result.iter_error (fun e -> invalid_arg ("Telem.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
   let tracer = Tracer.create ~capacity:500_000 ~now:(fun () -> Engine.now eng) () in
@@ -276,22 +273,30 @@ let run cfg =
     t_events = Engine.events_executed eng;
     t_series = Tmod.series telem;
     t_flight = flight;
-    t_tracer = tracer;
-    t_metrics = metrics;
   }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>epochs: %d, alerts: %d (straggler %d, growth %d, silent %d)@,\
-     first straggler epoch: %d (onset %d)@,\
-     flight dumps: %d (victim events %d)@,\
-     rollup bytes: %d, late drops: %d@,clock %.6f (%d events)@,violations: %d%a@]"
-    r.t_epochs (List.length r.t_alerts) r.t_stragglers r.t_growth r.t_silent
-    r.t_first_straggler_epoch r.t_onset_epoch r.t_dumps r.t_victim_dump_events
-    r.t_rollup_bytes r.t_late_drops r.t_clock r.t_events
-    (List.length r.t_violations)
-    (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@,  %s" v))
-    r.t_violations
+let row r =
+  [
+    ("epochs", Json.int r.t_epochs);
+    ("rollup_bytes", Json.int r.t_rollup_bytes);
+    ( "bytes_per_epoch",
+      Json.float
+        (if r.t_epochs > 0 then float_of_int r.t_rollup_bytes /. float_of_int r.t_epochs else 0.0)
+    );
+    ("alerts", Json.int (List.length r.t_alerts));
+    ("late_drops", Json.int r.t_late_drops);
+    ("sim_events", Json.int r.t_events);
+    ("violations", Json.int (List.length r.t_violations));
+    ("stragglers", Json.int r.t_stragglers);
+    ("growth", Json.int r.t_growth);
+    ("silent", Json.int r.t_silent);
+    ("first_straggler_epoch", Json.int r.t_first_straggler_epoch);
+    ("onset_epoch", Json.int r.t_onset_epoch);
+    ("dumps", Json.int r.t_dumps);
+    ("victim_dump_events", Json.int r.t_victim_dump_events);
+    ("alert_fingerprint", Json.string r.t_alert_fingerprint);
+    ("clock", Json.float r.t_clock);
+  ]
 
 (* --- Bench sweep ----------------------------------------------------------- *)
 
@@ -340,19 +345,13 @@ let harness =
     let rate_of (_, wall, _, (r : Overload.report)) = float_of_int r.Overload.sim_events /. wall in
     let soak_rows =
       List.map
-        (fun ((name, wall, alloc, (r : Overload.report)) as run) ->
-          [
-            ("run", Json.string name);
-            ("wall_s", Json.float wall);
-            ("sim_events", Json.int r.Overload.sim_events);
-            ("events_per_s", Json.float (rate_of run));
-            ("alloc_words", Json.float alloc);
-            ("acked", Json.int r.Overload.acked);
-            ("telem_epochs", Json.int r.Overload.telem_epochs);
-            ("telem_alerts", Json.int r.Overload.telem_alerts);
-            ("telem_dumps", Json.int r.Overload.telem_dumps);
-            ("violations", Json.int (List.length r.Overload.violations));
-          ])
+        (fun ((name, wall, alloc, r) as run) ->
+          let row = Overload.row r in
+          [ ("run", Json.string name); ("wall_s", Json.float wall) ]
+          @ Harness.pick [ "sim_events" ] row
+          @ [ ("events_per_s", Json.float (rate_of run)); ("alloc_words", Json.float alloc) ]
+          @ Harness.pick
+              [ "acked"; "telem_epochs"; "telem_alerts"; "telem_dumps"; "violations" ] row)
         soak
     in
     Harness.print_table soak_rows;
@@ -389,19 +388,13 @@ let harness =
     let sweep_rows =
       List.map
         (fun (interval, r) ->
-          [
-            ("interval", Json.float interval);
-            ("epochs", Json.int r.t_epochs);
-            ("rollup_bytes", Json.int r.t_rollup_bytes);
-            ( "bytes_per_epoch",
-              Json.float
-                (if r.t_epochs > 0 then float_of_int r.t_rollup_bytes /. float_of_int r.t_epochs
-                 else 0.0) );
-            ("alerts", Json.int (List.length r.t_alerts));
-            ("late_drops", Json.int r.t_late_drops);
-            ("sim_events", Json.int r.t_events);
-            ("violations", Json.int (List.length r.t_violations));
-          ])
+          ("interval", Json.float interval)
+          :: Harness.pick
+               [
+                 "epochs"; "rollup_bytes"; "bytes_per_epoch"; "alerts"; "late_drops"; "sim_events";
+                 "violations";
+               ]
+               (row r))
         sweep_runs
     in
     Harness.print_table sweep_rows;
@@ -431,10 +424,83 @@ let harness =
         @ Harness.check fingerprint_stable
             (Printf.sprintf "telem-off fingerprint diverged (%d <> %d events)" (events off1)
                (events off2));
+      host =
+        [
+          "wall_s"; "events_per_s"; "alloc_words"; "off_spread_pct"; "telem_overhead_pct";
+          "telem_overhead_oversampled_pct";
+        ];
     }
+  in
+  let cli =
+    let open Cmdliner in
+    let faults =
+      [
+        ("straggler", straggler_case);
+        ("kill", kill_case);
+        ("silent", silent_case);
+        ("growth", growth_case);
+        ("none", { default with straggler = None });
+      ]
+    in
+    let go size fanout interval epochs window work_per_epoch base seed csv flight_out =
+      (* The canned fault ranks assume 16 ranks: move them inside smaller sessions. *)
+      let adjust r = if r >= size then (size / 2) + 1 else r in
+      let cfg =
+        {
+          base with
+          seed;
+          size;
+          fanout;
+          interval;
+          epochs;
+          window;
+          work_per_epoch;
+          straggler = Option.map (fun (r, f) -> (adjust r, f)) base.straggler;
+          kill = Option.map adjust base.kill;
+          mute = Option.map adjust base.mute;
+        }
+      in
+      Harness.validated (validate cfg) (fun () ->
+          let r = run cfg in
+          Harness.print_row (row r);
+          print_string ((if csv then Series.to_csv else Series.render_top) r.t_series);
+          (match flight_out with
+          | None -> ()
+          | Some path -> (
+            match Flight.dumps r.t_flight with
+            | [] -> Printf.printf "no flight dumps taken; %s not written\n" path
+            | d :: _ ->
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc (Flight.dump_to_perfetto d));
+              Printf.printf "flight dump (rank %d, %s) written to %s\n" d.Flight.d_rank
+                d.Flight.d_reason path));
+          r.t_violations)
+    in
+    Term.(
+      ret
+        (const go $ Harness.nodes default.size $ Harness.fanout default.fanout
+        $ Harness.opt Arg.float [ "interval" ] ~docv:"SECONDS"
+            ~doc:"Rollup epoch length in sim-seconds." default.interval
+        $ Harness.opt Arg.int [ "epochs" ] ~docv:"EPOCHS" ~doc:"Rollup epochs to run."
+            default.epochs
+        $ Harness.opt Arg.int [ "window" ] ~docv:"W"
+            ~doc:"Series ring capacity and trend-detector window, in epochs." default.window
+        $ Harness.opt Arg.int [ "ppn" ] ~docv:"PPN"
+            ~doc:"Work items per rank per epoch (the sampled load)." default.work_per_epoch
+        $ Harness.opt (Arg.enum faults) [ "fault" ] ~docv:"KIND" default
+            ~doc:
+              "Injected fault: straggler (one slow rank), kill (mark_down mid-run), silent \
+               (telemetry agent dies, rank stays up), growth (queue gauge ramp), or none."
+        $ Harness.seed ~doc:"Workload seed." default.seed
+        $ Arg.(
+            value & flag
+            & info [ "csv" ] ~doc:"Print the rollup series as CSV instead of the top-style table.")
+        $ Harness.opt Arg.(some string) [ "flight-out" ] ~docv:"FILE" None
+            ~doc:"Write the first flight-recorder dump as Perfetto trace-event JSON."))
   in
   {
     Harness.name = "telem";
-    title = "in-band rollup overhead (off vs on) and bytes/epoch vs interval";
+    title = "live telemetry plane with an injected fault (alerts, flight dumps, rollup cost)";
     sweep;
+    cli;
   }

@@ -55,15 +55,14 @@ type report = {
   t_events : int;  (** engine fingerprint *)
   t_series : Flux_trace.Series.t;
   t_flight : Flux_trace.Flight.t;
-  t_tracer : Flux_trace.Tracer.t;
-  t_metrics : Flux_trace.Metrics.t;
 }
 
-val run : config -> report
-(** Raises [Invalid_argument] on fewer than 4 ranks or epochs,
-    non-positive timings, or a fault rank out of range. *)
+val validate : config -> (unit, string) result
+(** At least 4 ranks and epochs, positive timings and counts, an onset
+    inside the run, fault ranks in 1..size-1, a straggler factor above 1. *)
 
-val pp_report : Format.formatter -> report -> unit
+val run : config -> report
+(** Raises [Invalid_argument] when {!validate} fails. *)
 
 val harness : Harness.t
 (** The bench sweep: telemetry-on vs -off wall cost on an {!Overload}

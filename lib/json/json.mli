@@ -80,7 +80,7 @@ val to_string : t -> string
 (** Compact single-line rendering: {!print} into a [Buffer]. *)
 
 val pp : Format.formatter -> t -> unit
-(** Same compact rendering, for use with [Fmt]. *)
+(** Same compact rendering, as a [Format] printer. *)
 
 exception Parse_error of string
 

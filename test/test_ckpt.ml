@@ -76,8 +76,6 @@ let test_schedule seed () =
 let test_deterministic kind () =
   let cfg = { Ckpt.default with Ckpt.seed = 7; kill = Some kind } in
   let a = Ckpt.run cfg and b = Ckpt.run cfg in
-  if Ckpt.fingerprint a <> Ckpt.fingerprint b then
-    Alcotest.failf "%s: same seed produced different runs" (kind_name kind);
   if a <> b then
     Alcotest.failf "%s: same seed produced different reports" (kind_name kind)
 
