@@ -72,31 +72,18 @@ type state = {
   sess : Session.t;
   kvs : Kvs.t array;
   rng : Rng.t;
-  (* Authoritative model of what must be readable: key -> committed
-     value. Keys are namespaced per writer, so clients never race on an
+  (* Keys are namespaced per writer, so clients never race on an
      entry. *)
-  model : (string, Json.t) Hashtbl.t;
-  indeterminate : (string, unit) Hashtbl.t;
-  mutable dead : int list; (* in order of death, oldest first *)
+  h : History.t;
   mutable in_flight_commits : int;
-  mutable violations : string list; (* reversed *)
   mutable commits_ok : int;
   mutable commits_indeterminate : int;
   mutable fences_ok : int;
   mutable fences_indeterminate : int;
   mutable gets_ok : int;
   mutable gets_failed : int;
-  mutable kills : int;
-  mutable revives : int;
   mutable master_kills : int;
 }
-
-let violate st fmt =
-  Printf.ksprintf
-    (fun s ->
-      st.violations <-
-        Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations)
-    fmt
 
 (* The rank currently acting as master, if any live instance claims it.
    A dead rank's instance still believes it is master until it rejoins,
@@ -108,21 +95,12 @@ let acting_master st =
     st.kvs;
   !m
 
-let kill_rank st r =
-  if not (Session.is_down st.sess r) then begin
-    if r = acting_master st then st.master_kills <- st.master_kills + 1;
-    Session.mark_down st.sess r;
-    st.dead <- st.dead @ [ r ];
-    st.kills <- st.kills + 1
-  end
+let kill st r =
+  if r = acting_master st then st.master_kills <- st.master_kills + 1;
+  History.kill st.h r
 
 let revive_oldest st =
-  match st.dead with
-  | [] -> ()
-  | r :: rest ->
-    st.dead <- rest;
-    Session.mark_up st.sess r;
-    st.revives <- st.revives + 1
+  match History.dead st.h with [] -> () | r :: _ -> History.revive st.h r
 
 (* --- Fault injection ----------------------------------------------------- *)
 
@@ -146,7 +124,7 @@ let assassin st =
   done;
   let m = acting_master st in
   if m >= 0 && (not (List.mem m st.cfg.clients)) && not (Session.is_down st.sess m)
-  then kill_rank st m
+  then kill st m
 
 let injector st =
   let rng = Rng.split st.rng in
@@ -154,7 +132,7 @@ let injector st =
   while !continue do
     Proc.sleep (Rng.exponential rng st.cfg.fault_mean);
     if Engine.now st.eng >= st.cfg.duration then continue := false
-    else if List.length st.dead >= st.cfg.max_dead then revive_oldest st
+    else if List.length (History.dead st.h) >= st.cfg.max_dead then revive_oldest st
     else begin
       let m = acting_master st in
       let want_master =
@@ -163,12 +141,12 @@ let injector st =
         && (not (List.mem m st.cfg.clients))
         && not (Session.is_down st.sess m)
       in
-      if want_master then kill_rank st m
-      else if st.dead <> [] && Rng.bool rng then revive_oldest st
+      if want_master then kill st m
+      else if History.dead st.h <> [] && Rng.bool rng then revive_oldest st
       else
         match victims st with
         | [] -> ()
-        | vs -> kill_rank st (List.nth vs (Rng.int rng (List.length vs)))
+        | vs -> kill st (List.nth vs (Rng.int rng (List.length vs)))
     end
   done
 
@@ -182,22 +160,24 @@ let fence_key ~round ~rank = Printf.sprintf "f%d.c%d" round rank
 let commit_key ~rank ~round = Printf.sprintf "c%d.k%d" rank round
 
 (* One client process: puts, commits, fences, and checks the guarantees
-   after every op. [last_seen] is this client's version horizon for the
-   monotonic-reads check. *)
+   after every op through the history. A read that errors (the fault
+   window) counts in [gets_failed]; only a returned value is checked. *)
 let client_proc st ~rank =
   let c = Client.connect st.sess ~rank in
   let rng = Rng.split st.rng in
-  let last_seen = ref 0 in
+  let who = Printf.sprintf "rank %d" rank in
   let own_committed = ref [] in
   let nprocs = List.length st.cfg.clients in
-  let observe_version label v =
-    if v < !last_seen then
-      violate st "rank %d: %s version regressed %d -> %d" rank label !last_seen v
-    else last_seen := v
+  let read ~label ~key ~expect =
+    match Client.get c ~key with
+    | Ok _ as got ->
+      st.gets_ok <- st.gets_ok + 1;
+      History.check st.h ~label ~key ~expect got
+    | Error _ -> st.gets_failed <- st.gets_failed + 1
   in
   let check_version () =
     match Client.get_version c with
-    | Ok v -> observe_version "get_version" v
+    | Ok v -> History.observe st.h ~who ~label:"get_version" v
     | Error _ -> st.gets_failed <- st.gets_failed + 1
   in
   (* Pace rounds across the injector's window so ops genuinely overlap
@@ -213,7 +193,7 @@ let client_proc st ~rank =
       | Error _ ->
         (* The local broker never dies in a schedule; treat a failed put
            as an indeterminate round anyway. *)
-        Hashtbl.replace st.indeterminate key ();
+        History.unknown st.h key;
         st.fences_indeterminate <- st.fences_indeterminate + 1;
         Client.abort c
       | Ok () -> (
@@ -227,23 +207,20 @@ let client_proc st ~rank =
         match r with
         | Ok fv ->
           st.fences_ok <- st.fences_ok + 1;
-          observe_version "fence" fv;
-          Hashtbl.replace st.model key v;
+          History.observe st.h ~who ~label:"fence" fv;
+          History.ack st.h key v;
           (* Atomicity: the fence completed, so every participant's
              contribution must be visible — all or nothing. *)
           List.iter
             (fun peer ->
-              let pk = fence_key ~round ~rank:peer in
-              match Client.get c ~key:pk with
-              | Ok pv ->
-                st.gets_ok <- st.gets_ok + 1;
-                if not (Json.equal pv (value_for st.cfg ~rank:peer ~round)) then
-                  violate st "rank %d: fence %d key %s has wrong value" rank round pk
-              | Error _ -> st.gets_failed <- st.gets_failed + 1)
+              read
+                ~label:(Printf.sprintf "%s fence %d" who round)
+                ~key:(fence_key ~round ~rank:peer)
+                ~expect:(value_for st.cfg ~rank:peer ~round))
             st.cfg.clients
         | Error _ ->
           st.fences_indeterminate <- st.fences_indeterminate + 1;
-          Hashtbl.replace st.indeterminate key ();
+          History.unknown st.h key;
           Client.abort c)
     end
     else begin
@@ -251,7 +228,7 @@ let client_proc st ~rank =
       let v = value_for st.cfg ~rank ~round in
       (match Client.put c ~key v with
       | Error _ ->
-        Hashtbl.replace st.indeterminate key ();
+        History.unknown st.h key;
         st.commits_indeterminate <- st.commits_indeterminate + 1;
         Client.abort c
       | Ok () -> (
@@ -261,34 +238,20 @@ let client_proc st ~rank =
         match r with
         | Ok cv ->
           st.commits_ok <- st.commits_ok + 1;
-          (* Read-your-writes: our commit was acked at a version strictly
-             newer than anything we had observed. *)
-          if cv <= !last_seen then
-            violate st "rank %d: commit version %d not newer than seen %d" rank cv !last_seen;
-          last_seen := max !last_seen cv;
-          Hashtbl.replace st.model key v;
+          History.committed st.h ~who cv;
+          History.ack st.h key v;
           own_committed := key :: !own_committed;
-          (match Client.get c ~key with
-          | Ok got ->
-            st.gets_ok <- st.gets_ok + 1;
-            if not (Json.equal got v) then
-              violate st "rank %d: read-your-writes broken for %s" rank key
-          | Error _ -> st.gets_failed <- st.gets_failed + 1)
+          read ~label:(who ^ " read-your-writes") ~key ~expect:v
         | Error _ ->
           st.commits_indeterminate <- st.commits_indeterminate + 1;
-          Hashtbl.replace st.indeterminate key ();
+          History.unknown st.h key;
           Client.abort c));
       (* Lost-write check on a random earlier own key. *)
-      (match !own_committed with
+      match !own_committed with
       | [] -> ()
-      | keys -> (
+      | keys ->
         let k = List.nth keys (Rng.int rng (List.length keys)) in
-        match Client.get c ~key:k with
-        | Ok got ->
-          st.gets_ok <- st.gets_ok + 1;
-          if not (Json.equal got (Hashtbl.find st.model k)) then
-            violate st "rank %d: lost write %s" rank k
-        | Error _ -> st.gets_failed <- st.gets_failed + 1))
+        read ~label:(who ^ " lost-write") ~key:k ~expect:(History.expected st.h k)
     end;
     check_version ()
   done
@@ -297,10 +260,8 @@ let client_proc st ~rank =
 
 let finalize st =
   (* Revive everything and let the rejoin handshakes settle. *)
-  List.iter (fun r -> Session.mark_up st.sess r) st.dead;
-  st.revives <- st.revives + List.length st.dead;
-  let was_dead = st.dead in
-  st.dead <- [];
+  let was_dead = History.dead st.h in
+  List.iter (History.revive st.h) was_dead;
   Engine.run st.eng;
   let masters =
     Array.to_list st.kvs
@@ -309,7 +270,7 @@ let finalize st =
   in
   (match masters with
   | [ _ ] -> ()
-  | ms -> violate st "expected exactly one master, got [%s]"
+  | ms -> History.violate st.h "expected exactly one master, got [%s]"
             (String.concat ";" (List.map string_of_int ms)));
   let final_master = acting_master st in
   let vmax = Array.fold_left (fun acc t -> max acc (Kvs.version t)) 0 st.kvs in
@@ -317,12 +278,12 @@ let finalize st =
   Array.iteri
     (fun r t ->
       if Kvs.version t <> vmax then
-        violate st "rank %d stuck at version %d (cluster at %d)" r (Kvs.version t) vmax;
+        History.violate st.h "rank %d stuck at version %d (cluster at %d)" r (Kvs.version t) vmax;
       if Kvs.epoch t <> emax then
-        violate st "rank %d stuck at epoch %d (cluster at %d)" r (Kvs.epoch t) emax)
+        History.violate st.h "rank %d stuck at epoch %d (cluster at %d)" r (Kvs.epoch t) emax)
     st.kvs;
-  (* Verify the whole surviving model from a rank that died and rejoined
-     (falling back to any non-client rank): it must serve every key. *)
+  (* Verify every acked key from a rank that died and rejoined (falling
+     back to any non-client rank): it must serve every key. *)
   let verify_rank =
     match List.filter (fun r -> not (List.mem r st.cfg.clients)) was_dead with
     | r :: _ -> r
@@ -332,22 +293,23 @@ let finalize st =
   ignore
     (Proc.spawn st.eng (fun () ->
          let c = Client.connect st.sess ~rank:verify_rank in
-         Hashtbl.iter
-           (fun key v ->
-             if not (Hashtbl.mem st.indeterminate key) then begin
-               incr checked;
-               match Client.get c ~key with
-               | Ok got ->
-                 if not (Json.equal got v) then
-                   violate st "verify@%d: key %s diverged" verify_rank key
-               | Error e -> violate st "verify@%d: key %s unreadable: %s" verify_rank key e
-             end)
-           st.model)
+         checked :=
+           History.verify st.h ~label:(Printf.sprintf "verify@%d" verify_rank) (fun key ->
+               Client.get c ~key))
       : Proc.pid);
   Engine.run st.eng;
   (final_master, vmax, emax, !checked)
 
+let validate cfg =
+  Harness.require
+    [
+      (cfg.clients <> [], "no client ranks");
+      (List.for_all (fun r -> r >= 0 && r < cfg.size) cfg.clients, "client rank out of range");
+      (cfg.rounds >= 1, "rounds must be >= 1");
+    ]
+
 let run cfg =
+  Result.iter_error (fun e -> invalid_arg ("Chaos.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
   let kvs = Kvs.load sess ~config:cfg.kvs () in
@@ -358,26 +320,17 @@ let run cfg =
       sess;
       kvs;
       rng = Rng.create cfg.seed;
-      model = Hashtbl.create 256;
-      indeterminate = Hashtbl.create 64;
-      dead = [];
+      h = History.create sess;
       in_flight_commits = 0;
-      violations = [];
       commits_ok = 0;
       commits_indeterminate = 0;
       fences_ok = 0;
       fences_indeterminate = 0;
       gets_ok = 0;
       gets_failed = 0;
-      kills = 0;
-      revives = 0;
       master_kills = 0;
     }
   in
-  List.iter
-    (fun r ->
-      if r < 0 || r >= cfg.size then invalid_arg "Chaos.run: client rank out of range")
-    cfg.clients;
   ignore (Proc.spawn eng (fun () -> assassin st) : Proc.pid);
   ignore (Proc.spawn eng (fun () -> injector st) : Proc.pid);
   List.iter
@@ -395,14 +348,14 @@ let run cfg =
     fences_indeterminate = st.fences_indeterminate;
     gets_ok = st.gets_ok;
     gets_failed = st.gets_failed;
-    kills = st.kills;
-    revives = st.revives;
+    kills = History.kills st.h;
+    revives = History.revives st.h;
     master_kills = st.master_kills;
     takeovers;
     final_version;
     final_master;
     keys_checked;
-    violations = List.rev st.violations;
+    violations = History.violations st.h;
     rpc_timeouts = Session.rpc_timeouts sess;
     rpc_retries = Session.rpc_retries sess;
     dead_letters = rpc.Net.dead_letters + ev.Net.dead_letters + ring.Net.dead_letters;

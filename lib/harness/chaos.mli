@@ -6,22 +6,24 @@
     protected ranks (never killed) while a fault injector kills and
     revives the other ranks — including the KVS master, and including
     one guaranteed master kill while a commit is in flight. Every
-    client checks, op by op:
+    client records its operations in the run's {!History}, which checks
+    them as they land:
 
     - {b monotonic reads}: the version it observes never decreases;
-    - {b read-your-writes}: a key it committed reads back its value;
+    - {b read-your-writes}: a commit is acked at a version newer than
+      any it saw, and its key reads back its value;
     - {b lost writes}: previously committed keys keep their values;
     - {b fence atomicity}: when a fence completes, every participant's
       contribution is visible (all-or-nothing).
 
-    A commit or fence that errors is {e indeterminate} — the paper's
-    guarantees say nothing about it, so its keys are dropped from the
-    model rather than asserted either way.
+    A read that errors counts in [gets_failed], not as a violation. A
+    commit or fence that errors is {e indeterminate} — the paper's
+    guarantees say nothing about it, so its key is never audited.
 
     After the schedule, every dead rank is revived and the run must
     converge: one master, all ranks at the same (epoch, version), and a
-    previously-dead rank must serve every surviving model key correctly
-    from its rejoined state.
+    previously-dead rank must serve every acked key correctly from its
+    rejoined state.
 
     Invariant breaches are collected in [violations] (empty = the
     schedule proved out); the harness never raises on a breach so
@@ -73,9 +75,12 @@ type report = {
   sim_events : int;  (** engine callbacks fired (a determinism fingerprint) *)
 }
 
+val validate : config -> (unit, string) result
+(** Clients present and in range, one or more rounds. *)
+
 val run : config -> report
 (** Deterministic for a given config: same seed, same schedule, same
-    report. *)
+    report. Raises [Invalid_argument] when {!validate} fails. *)
 
 val harness : Harness.t
 (** The bench sweep: 10 seeds ([fast]: 3) at the default config. *)

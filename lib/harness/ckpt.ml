@@ -96,33 +96,20 @@ type state = {
   kvs : Kvs.t array;
   rng : Rng.t;
   metrics : Metrics.t;
-  (* Keys covered by a committed checkpoint manifest -> expected value. *)
-  model : (string, Json.t) Hashtbl.t;
+  h : History.t; (* keys covered by a committed checkpoint manifest are acked *)
   ckpt_lat : Stats.t;
-  mutable dead : int list;
   mutable launch_ok : bool;  (** gates the driver (master-failover pre-phase) *)
   mutable started_tasks : int;
   mutable capturing : bool;
   mutable fencing : int;  (** checkpoint fences currently in flight *)
   mutable acked_epoch : int;
   mutable resume_epochs : int list;  (** reversed *)
-  mutable kills : int;
-  mutable revives : int;
   mutable ckpt_ok : int;
   mutable ckpt_failed : int;
   mutable checked : int;
-  mutable first_kill : float;
   mutable completed_at : float;
   mutable outcome : Checkpoint.outcome option;
-  mutable violations : string list;  (** reversed *)
 }
-
-let violate st fmt =
-  Printf.ksprintf
-    (fun s ->
-      st.violations <-
-        Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations)
-    fmt
 
 let jobid = "ckjob"
 let prog_name = "ckpt.worker"
@@ -147,7 +134,7 @@ let promote st ~ntasks ~from_e ~to_e =
   for e = from_e to to_e do
     for g = 0 to ntasks - 1 do
       for i = 0 to st.cfg.keys_per_epoch - 1 do
-        Hashtbl.replace st.model (key_for ~g ~e ~i) (value_for st.cfg ~g ~e ~i)
+        History.ack st.h (key_for ~g ~e ~i) (value_for st.cfg ~g ~e ~i)
       done
     done
   done
@@ -158,21 +145,6 @@ let acting_kvs_master st =
     (fun r t -> if Kvs.is_master t && not (Session.is_down st.sess r) then m := r)
     st.kvs;
   !m
-
-let kill_rank st r =
-  if not (Session.is_down st.sess r) then begin
-    Session.mark_down st.sess r;
-    st.dead <- st.dead @ [ r ];
-    st.kills <- st.kills + 1;
-    if st.first_kill = 0.0 then st.first_kill <- Engine.now st.eng
-  end
-
-let revive_rank st r =
-  if Session.is_down st.sess r then begin
-    Session.mark_up st.sess r;
-    st.dead <- List.filter (fun d -> d <> r) st.dead;
-    st.revives <- st.revives + 1
-  end
 
 (* --- The checkpointing program ------------------------------------------- *)
 
@@ -197,12 +169,9 @@ let worker st (ctx : Wexec.proc_ctx) =
     | Some m ->
       for e = 1 to m.Wexec.m_epoch do
         let key = key_for ~g:0 ~e ~i:0 in
-        match Client.get ctx.px_kvs ~key with
-        | Ok v ->
-          st.checked <- st.checked + 1;
-          if not (Json.equal v (value_for st.cfg ~g:0 ~e ~i:0)) then
-            violate st "resume: key %s diverged from checkpointed value" key
-        | Error er -> violate st "resume: checkpointed key %s unreadable: %s" key er
+        let r = Client.get ctx.px_kvs ~key in
+        if Result.is_ok r then st.checked <- st.checked + 1;
+        History.check st.h ~label:"resume" ~key ~expect:(value_for st.cfg ~g:0 ~e ~i:0) r
       done
   end;
   for e = start_e to st.cfg.epochs do
@@ -228,7 +197,7 @@ let worker st (ctx : Wexec.proc_ctx) =
       Stats.add st.ckpt_lat (Engine.now st.eng -. t0);
       if ctx.px_global_index = 0 && st.cfg.manifests then begin
         (* Task 0's Ok means the manifest itself committed: only now is
-           the epoch a recovery point the model may rely on. *)
+           the epoch a recovery point whose keys are acked. *)
         if e > st.acked_epoch then st.acked_epoch <- e;
         promote st ~ntasks:ctx.px_ntasks ~from_e:start_e ~to_e:e
       end
@@ -258,11 +227,7 @@ let node_assassin st =
   done;
   Proc.sleep (Rng.float rng 0.0005);
   let v = seeded_worker st rng in
-  if not (protected st v) then begin
-    kill_rank st v;
-    Proc.sleep st.cfg.revive_after;
-    revive_rank st v
-  end
+  if not (protected st v) then History.outage st.h v ~for_:st.cfg.revive_after
 
 let window_assassin st =
   let rng = Rng.split st.rng in
@@ -273,11 +238,7 @@ let window_assassin st =
   (* Strike in the gap between the committed manifest and the next
      fence: the newest recovery point must already be durable. *)
   let v = seeded_worker st rng in
-  if not (protected st v) then begin
-    kill_rank st v;
-    Proc.sleep st.cfg.revive_after;
-    revive_rank st v
-  end
+  if not (protected st v) then History.outage st.h v ~for_:st.cfg.revive_after
 
 (* Move KVS mastership off rank 0 (the fixed wexec master) before the
    job launches, so the mid-snapshot master kill never has to touch a
@@ -287,12 +248,12 @@ let master_prephase st =
      initial master — a kill at t=0 lands before anyone is watching
      liveness and no takeover ever starts. *)
   Proc.sleep 0.05;
-  kill_rank st 0;
+  History.kill st.h 0;
   while acting_kvs_master st < 0 && Engine.now st.eng < 60.0 do
     Proc.sleep 0.005
   done;
   Proc.sleep st.cfg.revive_after;
-  revive_rank st 0;
+  History.revive st.h 0;
   Proc.sleep 0.05;
   st.launch_ok <- true
 
@@ -310,8 +271,8 @@ let snapshotter st =
     match Snapshot.verify snap with
     | Ok () -> ()
     | Error e ->
-      violate st "live capture did not verify: %s" (Snapshot.error_to_string e))
-  | Error e -> violate st "live capture failed: %s" e);
+      History.violate st.h "live capture did not verify: %s" (Snapshot.error_to_string e))
+  | Error e -> History.violate st.h "live capture failed: %s" e);
   st.capturing <- false
 
 let master_assassin st =
@@ -321,11 +282,8 @@ let master_assassin st =
   done;
   Proc.sleep (Rng.float rng 0.001);
   let m = acting_kvs_master st in
-  if m >= 0 && (not (protected st m)) && st.capturing then begin
-    kill_rank st m;
-    Proc.sleep st.cfg.revive_after;
-    revive_rank st m
-  end
+  if m >= 0 && (not (protected st m)) && st.capturing then
+    History.outage st.h m ~for_:st.cfg.revive_after
 
 (* --- Driver and finalization --------------------------------------------- *)
 
@@ -345,46 +303,30 @@ let driver st =
     st.outcome <- Some o;
     st.completed_at <- Engine.now st.eng;
     if o.Checkpoint.o_completion.Wexec.c_failed <> 0 then
-      violate st "job ended with %d failed tasks after %d attempts"
+      History.violate st.h "job ended with %d failed tasks after %d attempts"
         o.Checkpoint.o_completion.Wexec.c_failed o.Checkpoint.o_attempts
-  | Error e -> violate st "run_resilient: %s" e
-
-(* Read every model key back through an uninvolved rank. *)
-let verify_model st ~label =
-  ignore
-    (Proc.spawn st.eng (fun () ->
-         let c = Client.connect st.sess ~rank:(capture_rank st) in
-         Hashtbl.iter
-           (fun key v ->
-             st.checked <- st.checked + 1;
-             match Client.get c ~key with
-             | Ok got ->
-               if not (Json.equal got v) then violate st "%s: key %s diverged" label key
-             | Error e -> violate st "%s: acked key %s lost: %s" label key e)
-           st.model)
-      : Proc.pid);
-  Engine.run st.eng
+  | Error e -> History.violate st.h "run_resilient: %s" e
 
 (* Serialize the final store, damage-check the round-trip, then rebuild
-   a brand-new session from the bytes and require the model to read
-   back identically — restart equivalence. *)
+   a brand-new session from the bytes and require every acked key to
+   read back identically — restart equivalence. *)
 let restore_equivalence st snap =
   let encoded = Snapshot.encode snap in
   (match Snapshot.decode encoded with
-  | Error e -> violate st "decode(encode) failed: %s" (Snapshot.error_to_string e)
+  | Error e -> History.violate st.h "decode(encode) failed: %s" (Snapshot.error_to_string e)
   | Ok snap2 ->
     if not (String.equal encoded (Snapshot.encode snap2)) then
-      violate st "decode(encode) is not a fixed point";
+      History.violate st.h "decode(encode) is not a fixed point";
     if not (Sha1.equal snap.Snapshot.s_root snap2.Snapshot.s_root) then
-      violate st "decode(encode) changed the root");
+      History.violate st.h "decode(encode) changed the root");
   let eng2 = Engine.create () in
   let sess2 = Session.create eng2 ~fanout:2 ~size:4 () in
   let kvs2 = Kvs.load sess2 ~config:st.cfg.kvs () in
   match Kvs.restore kvs2.(0) snap with
-  | Error e -> violate st "restore into fresh session failed: %s" e
+  | Error e -> History.violate st.h "restore into fresh session failed: %s" e
   | Ok () ->
     if Kvs.version kvs2.(0) <> snap.Snapshot.s_version then
-      violate st "restored version %d <> snapshot version %d" (Kvs.version kvs2.(0))
+      History.violate st.h "restored version %d <> snapshot version %d" (Kvs.version kvs2.(0))
         snap.Snapshot.s_version;
     ignore
       (Proc.spawn eng2 (fun () ->
@@ -393,43 +335,42 @@ let restore_equivalence st snap =
               its reads mean anything. *)
            (match Client.wait_version c snap.Snapshot.s_version with
            | Ok () -> ()
-           | Error e -> violate st "restored: wait_version: %s" e);
-           Hashtbl.iter
-             (fun key v ->
-               st.checked <- st.checked + 1;
-               match Client.get c ~key with
-               | Ok got ->
-                 if not (Json.equal got v) then
-                   violate st "restored: key %s diverged" key
-               | Error e -> violate st "restored: acked key %s unreadable: %s" key e)
-             st.model)
+           | Error e -> History.violate st.h "restored: wait_version: %s" e);
+           st.checked <-
+             st.checked + History.verify st.h ~label:"restored" (fun key -> Client.get c ~key))
         : Proc.pid);
     Engine.run eng2
 
 let finalize st =
   Engine.run st.eng;
-  List.iter (fun r -> revive_rank st r) st.dead;
+  List.iter (History.revive st.h) (History.dead st.h);
   Engine.run st.eng;
   (match st.outcome with
   | Some _ -> ()
-  | None -> violate st "job never completed");
+  | None -> History.violate st.h "job never completed");
   (* Monotonic recovery: every requeue resumed at or past its
      predecessor's epoch. *)
   let resumes = List.rev st.resume_epochs in
   ignore
     (List.fold_left
        (fun prev e ->
-         if e < prev then violate st "recovery regressed: resumed e%d after e%d" e prev;
+         if e < prev then History.violate st.h "recovery regressed: resumed e%d after e%d" e prev;
          e)
        0 resumes
       : int);
-  verify_model st ~label:"final";
+  (* Read every acked key back through an uninvolved rank. *)
+  ignore
+    (Proc.spawn st.eng (fun () ->
+         let c = Client.connect st.sess ~rank:(capture_rank st) in
+         st.checked <- st.checked + History.verify st.h ~label:"final" (fun key -> Client.get c ~key))
+      : Proc.pid);
+  Engine.run st.eng;
   let snap_ref = ref None in
   ignore
     (Proc.spawn st.eng (fun () ->
          match Snapshot.capture st.sess ~rank:(capture_rank st) () with
          | Ok s -> snap_ref := Some s
-         | Error e -> violate st "final capture failed: %s" e)
+         | Error e -> History.violate st.h "final capture failed: %s" e)
       : Proc.pid);
   Engine.run st.eng;
   (match !snap_ref with Some s -> restore_equivalence st s | None -> ());
@@ -464,24 +405,19 @@ let run cfg =
       kvs;
       rng = Rng.create cfg.seed;
       metrics;
-      model = Hashtbl.create 256;
+      h = History.create sess;
       ckpt_lat = Stats.create ();
-      dead = [];
       launch_ok = cfg.kill <> Some Master_mid_snapshot;
       started_tasks = 0;
       capturing = false;
       fencing = 0;
       acked_epoch = 0;
       resume_epochs = [];
-      kills = 0;
-      revives = 0;
       ckpt_ok = 0;
       ckpt_failed = 0;
       checked = 0;
-      first_kill = 0.0;
       completed_at = 0.0;
       outcome = None;
-      violations = [];
     }
   in
   Wexec.register_program prog_name (worker st);
@@ -510,8 +446,8 @@ let run cfg =
   in
   {
     r_kind = cfg.kill;
-    r_kills = st.kills;
-    r_revives = st.revives;
+    r_kills = History.kills st.h;
+    r_revives = History.revives st.h;
     r_attempts = attempts;
     r_requeues = requeues;
     r_ckpt_ok = st.ckpt_ok;
@@ -523,13 +459,13 @@ let run cfg =
       (match snap with Some s -> List.length s.Snapshot.s_objects | None -> 0);
     r_snapshot_bytes = (match snap with Some s -> Snapshot.objects_bytes s | None -> 0);
     r_recovery_time =
-      (if st.first_kill > 0.0 && st.completed_at > st.first_kill then
-         st.completed_at -. st.first_kill
-       else 0.0);
+      (match History.first_kill st.h with
+      | Some t when st.completed_at > t -> st.completed_at -. t
+      | _ -> 0.0);
     r_ckpt_mean = (if Stats.count st.ckpt_lat = 0 then 0.0 else Stats.mean st.ckpt_lat);
     r_ckpt_p50 =
       (if Stats.count st.ckpt_lat = 0 then 0.0 else Stats.percentile st.ckpt_lat 0.50);
-    r_violations = List.rev st.violations;
+    r_violations = History.violations st.h;
     r_final_version = final_version;
     r_final_root = final_root;
     r_final_clock = Engine.now eng;

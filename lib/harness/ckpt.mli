@@ -6,7 +6,9 @@
     Checked guarantees (breaches land in [r_violations]; empty = proved):
     zero acked-write loss, restart-equivalent reads from the serialized
     store in a fresh session, and monotonically advancing recovery
-    points. Deterministic for a given config. *)
+    points. The keys a committed manifest covers are acked into the
+    run's {!History}, whose audit reads them back from both stores.
+    Deterministic for a given config. *)
 
 type kill_kind =
   | Node_mid_job  (** a worker rank dies while its tasks run *)

@@ -180,17 +180,7 @@ let run cfg =
   Flux_kvs.Kvs_module.set_metrics_all kvs_mod metrics;
   Wexec.set_metrics_all wexec metrics;
   let flight = Flight.create ~capacity:128 tracer in
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf
-      (fun s ->
-        violations := Printf.sprintf "t=%.3f %s" (Engine.now eng) s :: !violations;
-        ignore
-          (Flight.dump_once flight ~rank:0 ~tag:("violation:" ^ s)
-             ~reason:("guarantee tripped: " ^ s)
-            : Flight.dump option))
-      fmt
-  in
+  let h = History.create ~flight sess in
   Wexec.register_program prog_name task_body;
   (* Telemetry plane: rolls up the queue gauge the harness publishes,
      trend-checks it, and feeds the controller. On in every mode so the
@@ -333,8 +323,8 @@ let run cfg =
                | _ -> ())
              (Instance.jobs c))
       : Engine.handle);
-  (* Acked-write audit, after the horizon sweep and the wexec tails:
-     every completed attempt's tid must have its committed key. *)
+  (* Acked-write audit, after the horizon sweep and the wexec tails: a
+     completed attempt's job record acks its tid's committed key. *)
   ignore
     (Engine.schedule eng ~delay:(t_end +. 0.3) (fun () ->
          ignore
@@ -342,25 +332,19 @@ let run cfg =
                 match !child with
                 | None -> ()
                 | Some c ->
-                  let kv = Client.connect sess ~rank:0 in
                   List.iter
                     (fun (j : Job.t) ->
                       match (j.Job.jstate, j.Job.job_payload) with
-                      | Job.Complete, Job.App { args; _ } -> (
-                        match Json.member_opt "tid" args with
-                        | None -> ()
-                        | Some t -> (
-                          let tid = Json.to_int t in
-                          match Client.get kv ~key:(key_of_tid tid) with
-                          | Ok v when Json.to_int v = tid -> ()
-                          | Ok _ ->
-                            incr write_loss;
-                            violate "task %d: key holds wrong value" tid
-                          | Error _ ->
-                            incr write_loss;
-                            violate "task %d acked but its write is gone" tid))
+                      | Job.Complete, Job.App { args; _ } ->
+                        Option.iter
+                          (fun t -> History.ack h (key_of_tid (Json.to_int t)) t)
+                          (Json.member_opt "tid" args)
                       | _ -> ())
-                    (Instance.jobs c))
+                    (Instance.jobs c);
+                  let kv = Client.connect sess ~rank:0 in
+                  let before = List.length (History.violations h) in
+                  ignore (History.verify h ~label:"audit" (fun key -> Client.get kv ~key) : int);
+                  write_loss := List.length (History.violations h) - before)
               : Proc.pid))
       : Engine.handle);
   Engine.run eng;
@@ -396,9 +380,9 @@ let run cfg =
        (Instance.jobs c)
    with
   | Some j when j.Job.jstate <> Job.Complete ->
-    violate "sentinel job ended %s" (Job.state_to_string j.Job.jstate)
+    History.violate h "sentinel job ended %s" (Job.state_to_string j.Job.jstate)
   | Some _ -> ()
-  | None -> violate "sentinel job missing");
+  | None -> History.violate h "sentinel job missing");
   (match !ctl with
   | None -> ()
   | Some k ->
@@ -409,21 +393,20 @@ let run cfg =
       (fun (ts, d) ->
         match d with
         | Ctl.Grow _ when ts > cfg.duration +. cfg.converge_margin ->
-          violate "grow at t=%.3f, %.3f after arrivals stopped" ts (ts -. cfg.duration)
+          History.violate h "grow at t=%.3f, %.3f after arrivals stopped" ts (ts -. cfg.duration)
         | _ -> ())
       (Ctl.actions k);
     (match cfg.silence_at with
     | Some at ->
-      if Ctl.fallback_entries k = 0 then violate "telemetry went silent, no fallback";
+      if Ctl.fallback_entries k = 0 then History.violate h "telemetry went silent, no fallback";
       let deadline = at +. cfg.policy.Ctl.p_silence +. (2.0 *. cfg.policy.Ctl.p_period) in
       List.iter
         (fun (ts, _) ->
-          if ts > deadline then violate "action at t=%.3f on silent telemetry" ts)
+          if ts > deadline then History.violate h "action at t=%.3f on silent telemetry" ts)
         (Ctl.actions k)
     | None ->
-      if Tmod.alerts telem = [] then violate "overload ran but telemetry never alerted"));
-  if cfg.mode = Unprotected && !shed > 0 then violate "unprotected mode shed arrivals";
-  if !write_loss > 0 then violate "%d acked writes lost" !write_loss;
+      if Tmod.alerts telem = [] then History.violate h "overload ran but telemetry never alerted"));
+  if cfg.mode = Unprotected && !shed > 0 then History.violate h "unprotected mode shed arrivals";
   let alerts = Tmod.alerts telem in
   let fingerprint =
     let ctl_fp = match !ctl with None -> "-" | Some k -> Ctl.fingerprint k in
@@ -465,7 +448,7 @@ let run cfg =
     e_write_loss = !write_loss;
     e_trajectory = List.rev !trajectory;
     e_fingerprint = fingerprint;
-    e_violations = List.rev !violations;
+    e_violations = History.violations h;
     e_events = Engine.events_executed eng;
   }
 

@@ -94,7 +94,6 @@ type report = {
   rpc_retries : int;
   rpc_timeouts : int;
   lost_acks : int;
-  monotonic_violations : int;
   drained : bool;
   violations : string list;
   final_version : int;
@@ -111,32 +110,14 @@ type state = {
   eng : Engine.t;
   sess : Session.t;
   kvs : Kvs.t array;
-  model : (string, Json.t) Hashtbl.t; (* key -> value, acked writes only *)
+  h : History.t;
   lat : Stats.t;
   mutable offered : int;
   mutable acked : int;
   mutable shed : int;
   mutable failed : int;
-  mutable monotonic_violations : int;
   mutable last_ack : float; (* when the final ack landed *)
-  mutable violations : string list; (* reversed *)
-  mutable flight : Flight.t option;
 }
-
-let violate st fmt =
-  Printf.ksprintf
-    (fun s ->
-      st.violations <-
-        Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations;
-      (* A tripped guarantee preserves its own evidence: the first one
-         dumps the master's recent events before the trace moves on. *)
-      match st.flight with
-      | Some f ->
-        ignore
-          (Flight.dump_once f ~rank:0 ~tag:"violation" ~reason:("guarantee tripped: " ^ s)
-            : Flight.dump option)
-      | None -> ())
-    fmt
 
 (* --- Open-loop producers -------------------------------------------------- *)
 
@@ -183,7 +164,7 @@ let inject st ~api ~rank ~seq =
         st.acked <- st.acked + 1;
         st.last_ack <- Engine.now st.eng;
         Stats.add st.lat (Engine.now st.eng -. sent);
-        Hashtbl.replace st.model key v
+        History.ack st.h key v
       | Error e ->
         if Session.busy_retry_after e <> None then st.shed <- st.shed + 1
         else st.failed <- st.failed + 1)
@@ -216,16 +197,10 @@ let monitor st =
   ignore
     (Proc.spawn st.eng (fun () ->
          let c = Client.connect st.sess ~rank in
-         let last = ref 0 in
          while Engine.now st.eng < st.cfg.duration do
            Proc.sleep (st.cfg.duration /. 200.0);
            match Client.get_version c with
-           | Ok v ->
-             if v < !last then begin
-               st.monotonic_violations <- st.monotonic_violations + 1;
-               violate st "monitor: version regressed %d -> %d" !last v
-             end
-             else last := v
+           | Ok v -> History.observe st.h ~who:"monitor" ~label:"get_version" v
            | Error _ -> ()
          done)
       : Proc.pid)
@@ -243,92 +218,52 @@ let chaos_overlay st =
   | victim :: _ ->
     ignore
       (Engine.schedule st.eng ~delay:(st.cfg.duration /. 3.0) (fun () ->
-           Session.mark_down st.sess victim)
+           History.kill st.h victim)
         : Engine.handle);
     ignore
       (Engine.schedule st.eng ~delay:(2.0 *. st.cfg.duration /. 3.0) (fun () ->
-           Session.mark_up st.sess victim)
+           History.revive st.h victim)
         : Engine.handle)
 
 (* --- Verification --------------------------------------------------------- *)
-
-(* Every acked write must read back with the committed value: shedding
-   may reject offered load, never acknowledged load. *)
-let verify_acked st =
-  let rank = List.hd st.cfg.producers in
-  let lost = ref 0 in
-  ignore
-    (Proc.spawn st.eng (fun () ->
-         let c = Client.connect st.sess ~rank in
-         Hashtbl.iter
-           (fun key v ->
-             match Client.get c ~key with
-             | Ok got ->
-               if not (Json.equal got v) then begin
-                 incr lost;
-                 violate st "acked write %s diverged" key
-               end
-             | Error e ->
-               incr lost;
-               violate st "acked write %s unreadable: %s" key e)
-           st.model)
-      : Proc.pid);
-  Engine.run st.eng;
-  !lost
 
 let check_bounds st =
   (match st.cfg.flow with
   | Some fc ->
     let hwm = Session.flow_stash_hwm st.sess in
     if hwm > fc.Session.flow_stash then
-      violate st "flow stash hwm %d exceeds bound %d" hwm fc.Session.flow_stash
+      History.violate st.h "flow stash hwm %d exceeds bound %d" hwm fc.Session.flow_stash
   | None -> ());
   (match st.cfg.link_limits with
   | Some l ->
     let hwm = Net.max_link_depth_hwm (Session.rpc_net st.sess) in
     if hwm > l.Net.max_msgs then
-      violate st "link depth hwm %d exceeds bound %d" hwm l.Net.max_msgs
+      History.violate st.h "link depth hwm %d exceeds bound %d" hwm l.Net.max_msgs
   | None -> ());
   if st.cfg.kvs.Kvs.admission_max_intake > 0 then begin
     let hwm = Kvs.intake_hwm st.kvs.(0) in
     (* The gate admits at depth < limit; an admitted fence batch can
        still park, so the true ceiling is the threshold itself. *)
     if hwm > st.cfg.kvs.Kvs.admission_max_intake then
-      violate st "master intake hwm %d exceeds bound %d" hwm
+      History.violate st.h "master intake hwm %d exceeds bound %d" hwm
         st.cfg.kvs.Kvs.admission_max_intake
   end
 
+let validate cfg =
+  Harness.require
+    [
+      (cfg.producers <> [], "no producers");
+      ( List.for_all (fun r -> r > 0 && r < cfg.size) cfg.producers,
+        "producer rank out of range (must be 1..size-1)" );
+      (cfg.rate > 0.0 && cfg.duration > 0.0, "rate and duration must be positive");
+    ]
+
 let run cfg =
-  if cfg.producers = [] then invalid_arg "Overload.run: no producers";
-  List.iter
-    (fun r ->
-      if r <= 0 || r >= cfg.size then
-        invalid_arg "Overload.run: producer rank out of range (must be 1..size-1)")
-    cfg.producers;
-  if cfg.rate <= 0.0 || cfg.duration <= 0.0 then
-    invalid_arg "Overload.run: rate and duration must be positive";
+  Result.iter_error (fun e -> invalid_arg ("Overload.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ?flow:cfg.flow ~size:cfg.size () in
   Net.set_link_limits (Session.rpc_net sess) cfg.link_limits;
   let kvs = Kvs.load sess ~config:cfg.kvs () in
-  let st =
-    {
-      cfg;
-      eng;
-      sess;
-      kvs;
-      model = Hashtbl.create 4096;
-      lat = Stats.create ();
-      offered = 0;
-      acked = 0;
-      shed = 0;
-      failed = 0;
-      monotonic_violations = 0;
-      last_ack = 0.0;
-      violations = [];
-      flight = None;
-    }
-  in
   (* Optional live telemetry plane, riding the same overloaded tree as
      the soak traffic — the rollups themselves contend for the links,
      credits, and admission gate under test. *)
@@ -347,7 +282,6 @@ let run cfg =
       Session.set_metrics sess (Some m);
       Kvs.set_metrics_all kvs m;
       let f = Flight.create ~capacity:128 tr in
-      st.flight <- Some f;
       let ts =
         Tmod.load sess
           ~config:{ Tmod.default_config with Tmod.interval =
@@ -359,8 +293,23 @@ let run cfg =
       Tmod.set_tracer_all ts tr;
       Tmod.set_flight_all ts f;
       Tmod.start ~until:cfg.duration ts;
-      Some ts
+      Some (ts, f)
     end
+  in
+  let st =
+    {
+      cfg;
+      eng;
+      sess;
+      kvs;
+      h = History.create ?flight:(Option.map snd telem) sess;
+      lat = Stats.create ();
+      offered = 0;
+      acked = 0;
+      shed = 0;
+      failed = 0;
+      last_ack = 0.0;
+    }
   in
   List.iter (fun r -> producer st ~rank:r) cfg.producers;
   monitor st;
@@ -375,17 +324,30 @@ let run cfg =
      overshoot: idle housekeeping timers (stash sweeps, deadline arming)
      can fire long after the last useful event. *)
   let drain_clock = Float.max cfg.duration st.last_ack in
-  let lost_acks = verify_acked st in
+  (* Every acked write must read back with the committed value: shedding
+     may reject offered load, never acknowledged load. *)
+  let before = List.length (History.violations st.h) in
+  let rank = List.hd cfg.producers in
+  ignore
+    (Proc.spawn eng (fun () ->
+         let c = Client.connect sess ~rank in
+         ignore
+           (History.verify st.h ~label:(Printf.sprintf "verify@%d" rank) (fun key ->
+                Client.get c ~key)
+             : int))
+      : Proc.pid);
+  Engine.run eng;
+  let lost_acks = List.length (History.violations st.h) - before in
   check_bounds st;
   let unresolved = st.offered - st.acked - st.shed - st.failed in
-  if unresolved <> 0 then violate st "%d offered ops never resolved" unresolved;
+  if unresolved <> 0 then History.violate st.h "%d offered ops never resolved" unresolved;
   let stash_left =
     List.init cfg.size (fun r -> Session.flow_stash_depth sess r)
     |> List.fold_left ( + ) 0
   in
   let drained = stash_left = 0 && Kvs.intake_depth kvs.(0) = 0 in
   if not drained then
-    violate st "undrained: stash=%d intake=%d" stash_left (Kvs.intake_depth kvs.(0));
+    History.violate st.h "undrained: stash=%d intake=%d" stash_left (Kvs.intake_depth kvs.(0));
   {
     offered = st.offered;
     acked = st.acked;
@@ -402,15 +364,14 @@ let run cfg =
     rpc_retries = Session.rpc_retries sess;
     rpc_timeouts = Session.rpc_timeouts sess;
     lost_acks;
-    monotonic_violations = st.monotonic_violations;
     drained;
-    violations = List.rev st.violations;
+    violations = History.violations st.h;
     final_version = Kvs.version kvs.(0);
     final_clock = Engine.now eng;
     sim_events = Engine.events_executed eng;
-    telem_epochs = (match telem with Some ts -> Tmod.epochs_completed ts | None -> 0);
-    telem_alerts = (match telem with Some ts -> List.length (Tmod.alerts ts) | None -> 0);
-    telem_dumps = (match st.flight with Some f -> List.length (Flight.dumps f) | None -> 0);
+    telem_epochs = (match telem with Some (ts, _) -> Tmod.epochs_completed ts | None -> 0);
+    telem_alerts = (match telem with Some (ts, _) -> List.length (Tmod.alerts ts) | None -> 0);
+    telem_dumps = (match telem with Some (_, f) -> List.length (Flight.dumps f) | None -> 0);
   }
 
 let row (r : report) =

@@ -19,11 +19,11 @@
 
     - {b bounded occupancy}: every configured queue's high-water mark
       stays within its cap;
-    - {b zero acked-write loss}: every acknowledged mput reads back with
-      its committed value after the run drains — shedding may reject
+    - {b zero acked-write loss}: the run's {!History} reads every
+      acknowledged mput back after the run drains — shedding may reject
       offered load, never acknowledged load;
-    - {b monotonic reads}: a monitor polling [get_version] through the
-      storm never observes a version regression;
+    - {b monotonic reads}: a monitor polls [get_version] through the
+      storm and the history flags any version regression;
     - {b eventual drain}: once arrivals stop, every stash and intake
       queue empties and every offered op resolves (ack, busy, or
       timeout).
@@ -98,7 +98,6 @@ type report = {
   rpc_retries : int;
   rpc_timeouts : int;
   lost_acks : int;  (** acked writes that failed read-back — must be 0 *)
-  monotonic_violations : int;  (** version regressions seen — must be 0 *)
   drained : bool;  (** all queues empty after arrivals stopped *)
   violations : string list;  (** invariant breaches; empty = proved *)
   final_version : int;
@@ -109,9 +108,11 @@ type report = {
   telem_dumps : int;  (** flight-recorder dumps taken *)
 }
 
+val validate : config -> (unit, string) result
+(** Producers present and in 1..size-1; positive rate and duration. *)
+
 val run : config -> report
-(** Raises [Invalid_argument] on an empty/out-of-range producer list or
-    non-positive rate/duration. *)
+(** Raises [Invalid_argument] when {!validate} fails. *)
 
 val row : report -> Harness.row
 

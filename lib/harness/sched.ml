@@ -126,16 +126,9 @@ type state = {
   root : Instance.t;
   tracer : Tracer.t option;
   tasks : task_state array;  (** indexed by logical task id *)
+  h : History.t;
   mutable requeues : int;
-  mutable kills : int;
-  mutable revives : int;
-  mutable violations : string list;  (** reversed *)
 }
-
-let violate st fmt =
-  Printf.ksprintf
-    (fun s -> st.violations <- Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations)
-    fmt
 
 let prog_name = "sched.task"
 
@@ -157,7 +150,7 @@ let task_body st (ctx : Wexec.proc_ctx) =
   let ts = st.tasks.(tid) in
   ts.ts_execs <- ts.ts_execs + 1;
   if ts.ts_acked_at >= 0.0 then
-    violate st "task %d executed after its ack (execs=%d)" tid ts.ts_execs
+    History.violate st.h "task %d executed after its ack (execs=%d)" tid ts.ts_execs
 
 let rec instances st i = i :: List.concat_map (instances st) (Instance.children i)
 
@@ -199,7 +192,7 @@ let assassin st =
   done;
   Proc.sleep (Rng.float rng 0.01);
   match leaves st with
-  | [] -> violate st "assassin found no leaf instance"
+  | [] -> History.violate st.h "assassin found no leaf instance"
   | leaf :: _ -> (
     (* Kill a worker rank owned by the first leaf — never rank 0 (the
        wexec/KVS master is fixed there). Prefer a rank that is busy
@@ -215,13 +208,8 @@ let assassin st =
         (busy @ Pool.free_node_list (Instance.pool leaf))
     in
     match candidates with
-    | [] -> violate st "assassin found no killable rank in leaf %s" (Instance.name leaf)
-    | v :: _ ->
-      Session.mark_down st.sess v;
-      st.kills <- st.kills + 1;
-      Proc.sleep st.cfg.revive_after;
-      Session.mark_up st.sess v;
-      st.revives <- st.revives + 1)
+    | [] -> History.violate st.h "assassin found no killable rank in leaf %s" (Instance.name leaf)
+    | v :: _ -> History.outage st.h v ~for_:st.cfg.revive_after)
 
 (* Requeue failed task attempts onto a surviving sibling leaf: the
    logical task id rides along, the jobid is fresh (wexec requires
@@ -382,12 +370,12 @@ let audit st =
   Array.iteri
     (fun tid ts ->
       if ts.ts_acks = 0 then
-        violate st "task %d lost: never acked (requeues %d)" tid ts.ts_requeues
-      else if ts.ts_acks > 1 then violate st "task %d acked %d times" tid ts.ts_acks;
+        History.violate st.h "task %d lost: never acked (requeues %d)" tid ts.ts_requeues
+      else if ts.ts_acks > 1 then History.violate st.h "task %d acked %d times" tid ts.ts_acks;
       if ts.ts_acks > 0 && ts.ts_execs = 0 then
-        violate st "task %d acked but never executed" tid;
+        History.violate st.h "task %d acked but never executed" tid;
       if ts.ts_execs > ts.ts_requeues + 1 then
-        violate st "task %d executed %d times with only %d requeues" tid ts.ts_execs
+        History.violate st.h "task %d executed %d times with only %d requeues" tid ts.ts_execs
           ts.ts_requeues)
     st.tasks
   end
@@ -412,7 +400,7 @@ let ack_watcher st =
               ts.ts_acks <- 1;
               ts.ts_acked_at <- j.Job.end_time
             end
-            else violate st "task %d acked twice (live)" tid
+            else History.violate st.h "task %d acked twice (live)" tid
         end)
       (task_jobs st);
     Proc.sleep 0.001
@@ -466,10 +454,8 @@ let run cfg =
       tasks =
         Array.init cfg.tasks (fun _ ->
             { ts_acked_at = -1.0; ts_acks = 0; ts_execs = 0; ts_requeues = 0 });
+      h = History.create sess;
       requeues = 0;
-      kills = 0;
-      revives = 0;
-      violations = [];
     }
   in
   Wexec.register_program prog_name (task_body st);
@@ -542,8 +528,8 @@ let run cfg =
       | Sleep_tasks -> List.length completed);
     r_failed_jobs = List.length failed;
     r_requeues = st.requeues;
-    r_kills = st.kills;
-    r_revives = st.revives;
+    r_kills = History.kills st.h;
+    r_revives = History.revives st.h;
     r_makespan = makespan;
     r_jobs_per_s =
       (if makespan > 0.0 then float_of_int (List.length completed) /. makespan else 0.0);
@@ -557,7 +543,7 @@ let run cfg =
     r_spans = spans;
     r_wexec_started = Metrics.counter_total metrics ~name:"wexec.tasks.started";
     r_wexec_done = Metrics.counter_total metrics ~name:"wexec.tasks.done";
-    r_violations = List.rev st.violations;
+    r_violations = History.violations st.h;
     r_final_clock = Engine.now eng;
     r_sim_events = Engine.events_executed eng;
   }

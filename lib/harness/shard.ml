@@ -92,27 +92,22 @@ type soak_state = {
   eng : Engine.t;
   sess : Session.t;
   vt : Volumes.t;
-  model : (int * string, Json.t) Hashtbl.t; (* (volume, key) -> acked value *)
+  h : History.t;
   lat : Stats.t;
   mutable offered : int;
   mutable acked : int;
   mutable shed : int;
   mutable failed : int;
   mutable last_ack : float;
-  mutable violations : string list; (* reversed *)
 }
-
-let soak_violate st fmt =
-  Printf.ksprintf
-    (fun s ->
-      st.violations <-
-        Printf.sprintf "t=%.3f %s" (Engine.now st.eng) s :: st.violations)
-    fmt
 
 (* Producers are assigned to volumes round-robin and address their
    volume by topic ("kvs-<v>.mput"), so the offered load spreads across
    the shard masters exactly — the scaling the sweep measures — rather
-   than by the luck of key hashing. *)
+   than by the luck of key hashing. A key names the volume it was
+   written to. *)
+let soak_volume key = Scanf.sscanf key "sh%d." Fun.id
+
 let soak_inject st ~api ~vol ~rank ~seq =
   let key = Printf.sprintf "sh%d.%d.%d.%d" vol rank (seq land 63) seq in
   let v =
@@ -136,7 +131,7 @@ let soak_inject st ~api ~vol ~rank ~seq =
         st.acked <- st.acked + 1;
         st.last_ack <- Engine.now st.eng;
         Stats.add st.lat (Engine.now st.eng -. sent);
-        Hashtbl.replace st.model (vol, key) v
+        History.ack st.h key v
       | Error e ->
         if Session.busy_retry_after e <> None then st.shed <- st.shed + 1
         else st.failed <- st.failed + 1)
@@ -162,37 +157,18 @@ let soak_producer st ~idx ~rank =
   in
   arm ()
 
-(* Acked writes must read back through the owning volume. *)
-let soak_verify st =
-  let rank = List.hd st.scfg.producers in
-  let lost = ref 0 in
-  ignore
-    (Proc.spawn st.eng (fun () ->
-         let api = Api.connect st.sess ~rank in
-         Hashtbl.iter
-           (fun (vol, key) v ->
-             match
-               Api.rpc api
-                 ~topic:(Printf.sprintf "kvs-%d.get" vol)
-                 (Json.obj [ ("key", Json.string key) ])
-             with
-             | Ok payload ->
-               if not (Json.equal (Proto.load_reply_value payload) v) then begin
-                 incr lost;
-                 soak_violate st "acked write %s diverged" key
-               end
-             | Error e ->
-               incr lost;
-               soak_violate st "acked write %s unreadable: %s" key e)
-           st.model)
-      : Proc.pid);
-  Engine.run st.eng;
-  !lost
+let soak_validate (cfg : soak_config) =
+  Harness.require
+    [
+      (cfg.shards >= 1, "shards must be >= 1");
+      (cfg.producers <> [], "no producers");
+      ( List.for_all (fun r -> r >= 0 && r < cfg.size) cfg.producers,
+        "producer rank out of range (must be 0..size-1)" );
+      (cfg.rate > 0.0 && cfg.duration > 0.0, "rate and duration must be positive");
+    ]
 
 let soak cfg =
-  if cfg.producers = [] then invalid_arg "Shard.soak: no producers";
-  if cfg.rate <= 0.0 || cfg.duration <= 0.0 then
-    invalid_arg "Shard.soak: rate and duration must be positive";
+  Result.iter_error (fun e -> invalid_arg ("Shard.soak: " ^ e)) (soak_validate cfg);
   let eng = Engine.create () in
   let sess =
     Session.create eng ~fanout:cfg.fanout ~rank_topology:Session.Direct
@@ -205,20 +181,34 @@ let soak cfg =
       eng;
       sess;
       vt;
-      model = Hashtbl.create 4096;
+      h = History.create sess;
       lat = Stats.create ();
       offered = 0;
       acked = 0;
       shed = 0;
       failed = 0;
       last_ack = 0.0;
-      violations = [];
     }
   in
   List.iteri (fun idx rank -> soak_producer st ~idx ~rank) cfg.producers;
   Engine.run eng;
   let drain_clock = Float.max cfg.duration st.last_ack in
-  let lost_acks = soak_verify st in
+  (* Acked writes must read back through the owning volume. *)
+  let before = List.length (History.violations st.h) in
+  let rank = List.hd cfg.producers in
+  ignore
+    (Proc.spawn eng (fun () ->
+         let api = Api.connect sess ~rank in
+         ignore
+           (History.verify st.h ~label:(Printf.sprintf "verify@%d" rank) (fun key ->
+                Api.rpc api
+                  ~topic:(Printf.sprintf "kvs-%d.get" (soak_volume key))
+                  (Json.obj [ ("key", Json.string key) ])
+                |> Result.map Proto.load_reply_value)
+             : int))
+      : Proc.pid);
+  Engine.run eng;
+  let lost_acks = List.length (History.violations st.h) - before in
   let masters = List.init cfg.shards (Volumes.master_rank vt) in
   let inst vol = Volumes.instance vt ~volume:vol ~rank:(List.nth masters vol) in
   let hwm = ref 0 and sheds = ref 0 and intake_left = ref 0 in
@@ -230,14 +220,14 @@ let soak cfg =
       cfg.kvs.Kvs.admission_max_intake > 0
       && Kvs.intake_hwm (inst vol) > cfg.kvs.Kvs.admission_max_intake
     then
-      soak_violate st "volume %d intake hwm %d exceeds bound %d" vol
+      History.violate st.h "volume %d intake hwm %d exceeds bound %d" vol
         (Kvs.intake_hwm (inst vol))
         cfg.kvs.Kvs.admission_max_intake
   done;
   let unresolved = st.offered - st.acked - st.shed - st.failed in
-  if unresolved <> 0 then soak_violate st "%d offered ops never resolved" unresolved;
+  if unresolved <> 0 then History.violate st.h "%d offered ops never resolved" unresolved;
   let drained = !intake_left = 0 in
-  if not drained then soak_violate st "undrained: intake=%d" !intake_left;
+  if not drained then History.violate st.h "undrained: intake=%d" !intake_left;
   {
     shards = cfg.shards;
     offered = st.offered;
@@ -252,7 +242,7 @@ let soak cfg =
     rpc_busy_retries = Session.rpc_busy_retries sess;
     lost_acks;
     drained;
-    violations = List.rev st.violations;
+    violations = History.violations st.h;
     final_clock = Engine.now eng;
     sim_events = Engine.events_executed eng;
   }
@@ -312,23 +302,13 @@ type chaos_state = {
   cvt : Volumes.t;
   comps : string array;
   crng : Rng.t;
-  cmodel : (string, Json.t) Hashtbl.t; (* key -> value acked by a fence *)
+  ch : History.t; (* every key a completed fence covers is acked *)
   seen : (string, unit) Hashtbl.t; (* keys a client has observed *)
   mutable in_flight_fences : int;
-  mutable ckills : int;
-  mutable crevives : int;
   mutable cfences_ok : int;
   mutable cfences_failed : int;
   mutable checked : int;
-  mutable cviolations : string list; (* reversed *)
 }
-
-let chaos_violate st fmt =
-  Printf.ksprintf
-    (fun s ->
-      st.cviolations <-
-        Printf.sprintf "t=%.3f %s" (Engine.now st.ceng) s :: st.cviolations)
-    fmt
 
 let chaos_key st ~vol ~rank ~round =
   Printf.sprintf "%s.c%d.r%d" st.comps.(vol) rank round
@@ -367,13 +347,8 @@ let assassin st =
   (* A seeded extra beat varies which phase of the fence the kill hits. *)
   Proc.sleep (Rng.float rng 0.01);
   let m = acting_master st ~vol:target_vol in
-  if m >= 0 && not (List.mem m st.ccfg.cclients) then begin
-    Session.mark_down st.csess m;
-    st.ckills <- st.ckills + 1;
-    Proc.sleep st.ccfg.revive_after;
-    Session.mark_up st.csess m;
-    st.crevives <- st.crevives + 1
-  end
+  if m >= 0 && not (List.mem m st.ccfg.cclients) then
+    History.outage st.ch m ~for_:st.ccfg.revive_after
 
 (* Odd seeds also fell an interior slave of the other volume's tree
    mid-run, exercising the healed-tree forwarding under the same fence
@@ -392,12 +367,7 @@ let slave_killer st =
         (List.init st.ccfg.csize Fun.id)
     with
     | [] -> ()
-    | v :: _ ->
-      Session.mark_down st.csess v;
-      st.ckills <- st.ckills + 1;
-      Proc.sleep st.ccfg.revive_after;
-      Session.mark_up st.csess v;
-      st.crevives <- st.crevives + 1
+    | v :: _ -> History.outage st.ch v ~for_:st.ccfg.revive_after
   end
 
 (* Poll a key until visible: fence completion guarantees every shard
@@ -405,41 +375,27 @@ let slave_killer st =
    reach a reader's local slave. A key that never appears is a real
    atomicity/durability violation, not propagation lag. *)
 let await_key st c ~label ~key ~expect =
-  let tries = ref 0 in
-  let rec go () =
+  let rec go tries =
     match Volumes.get c ~key with
-    | Ok got ->
-      st.checked <- st.checked + 1;
-      Hashtbl.replace st.seen key ();
-      if not (Json.equal got expect) then
-        chaos_violate st "%s: key %s has wrong value" label key
-    | Error e ->
-      incr tries;
-      if !tries >= 100 then
-        chaos_violate st "%s: key %s never became visible: %s" label key e
-      else begin
-        Proc.sleep 0.005;
-        go ()
-      end
+    | Error _ when tries < 99 ->
+      Proc.sleep 0.005;
+      go (tries + 1)
+    | r ->
+      if Result.is_ok r then begin
+        st.checked <- st.checked + 1;
+        Hashtbl.replace st.seen key ()
+      end;
+      History.check st.ch ~label ~key ~expect r
   in
-  go ()
+  go 0
 
 let chaos_client st ~rank =
   let c = Volumes.client st.cvt ~rank in
   let rng = Rng.split st.crng in
   let nprocs = List.length st.ccfg.cclients in
-  (* Per-volume version horizon, read from this rank's local instances:
-     monotonic reads must hold on every shard independently. *)
-  let horizon = Array.make st.ccfg.cshards 0 in
-  let check_monotonic label =
-    for vol = 0 to st.ccfg.cshards - 1 do
-      let v = Kvs.version (Volumes.instance st.cvt ~volume:vol ~rank) in
-      if v < horizon.(vol) then
-        chaos_violate st "rank %d: %s volume %d version regressed %d -> %d" rank
-          label vol horizon.(vol) v
-      else horizon.(vol) <- v
-    done
-  in
+  (* One version horizon per volume: monotonic reads must hold on every
+     shard independently. *)
+  let who = Array.init st.ccfg.cshards (Printf.sprintf "rank %d volume %d" rank) in
   for round = 1 to st.ccfg.crounds do
     Proc.sleep (Rng.exponential rng st.ccfg.round_gap);
     (* One write per volume, so every cross-shard fence really spans
@@ -450,7 +406,7 @@ let chaos_client st ~rank =
       let v = chaos_value st.ccfg ~vol ~rank ~round in
       match Volumes.put c ~key v with
       | Ok () -> wrote := (key, v) :: !wrote
-      | Error e -> chaos_violate st "rank %d: put %s failed: %s" rank key e
+      | Error e -> History.violate st.ch "rank %d: put %s failed: %s" rank key e
     done;
     st.in_flight_fences <- st.in_flight_fences + 1;
     let r = Volumes.fence c ~name:(Printf.sprintf "r%d" round) ~nprocs in
@@ -458,7 +414,7 @@ let chaos_client st ~rank =
     (match r with
     | Ok () ->
       st.cfences_ok <- st.cfences_ok + 1;
-      List.iter (fun (k, v) -> Hashtbl.replace st.cmodel k v) !wrote;
+      List.iter (fun (k, v) -> History.ack st.ch k v) !wrote;
       (* Read-your-writes per shard, then fence atomicity: the fence
          returned, so every participant's contribution on every shard
          must (become) readable — all or nothing. *)
@@ -469,27 +425,27 @@ let chaos_client st ~rank =
         (fun peer ->
           for vol = 0 to st.ccfg.cshards - 1 do
             let pk = chaos_key st ~vol ~rank:peer ~round in
-            Hashtbl.replace st.cmodel pk
-              (chaos_value st.ccfg ~vol ~rank:peer ~round);
-            await_key st c ~label:"atomicity" ~key:pk
-              ~expect:(chaos_value st.ccfg ~vol ~rank:peer ~round)
+            let pv = chaos_value st.ccfg ~vol ~rank:peer ~round in
+            History.ack st.ch pk pv;
+            await_key st c ~label:"atomicity" ~key:pk ~expect:pv
           done)
         (List.filter (fun p -> p <> rank) st.ccfg.cclients);
       (* Monotonic reads over keys: anything this client has already
          observed must still be there. *)
       Hashtbl.iter
         (fun k () ->
-          match Volumes.get c ~key:k with
-          | Ok got ->
-            st.checked <- st.checked + 1;
-            if not (Json.equal got (Hashtbl.find st.cmodel k)) then
-              chaos_violate st "rank %d: seen key %s diverged" rank k
-          | Error e -> chaos_violate st "rank %d: seen key %s vanished: %s" rank k e)
+          let r = Volumes.get c ~key:k in
+          if Result.is_ok r then st.checked <- st.checked + 1;
+          History.check st.ch ~label:(Printf.sprintf "rank %d seen" rank) ~key:k
+            ~expect:(History.expected st.ch k) r)
         st.seen
     | Error e ->
       st.cfences_failed <- st.cfences_failed + 1;
-      chaos_violate st "rank %d: fence r%d failed: %s" rank round e);
-    check_monotonic "post-fence"
+      History.violate st.ch "rank %d: fence r%d failed: %s" rank round e);
+    for vol = 0 to st.ccfg.cshards - 1 do
+      History.observe st.ch ~who:who.(vol) ~label:"post-fence"
+        (Kvs.version (Volumes.instance st.cvt ~volume:vol ~rank))
+    done
   done
 
 let chaos_finalize st =
@@ -506,7 +462,7 @@ let chaos_finalize st =
         (List.init n Fun.id)
     in
     if List.length ms <> 1 then
-      chaos_violate st "volume %d: expected one master, got [%s]" vol
+      History.violate st.ch "volume %d: expected one master, got [%s]" vol
         (String.concat ";" (List.map string_of_int ms))
   done;
   (* Every rank converged to the same per-volume (version, root) and
@@ -520,10 +476,10 @@ let chaos_finalize st =
     for r = 1 to n - 1 do
       let t = Volumes.instance st.cvt ~volume:vol ~rank:r in
       if Kvs.version t <> v0 then
-        chaos_violate st "volume %d rank %d stuck at version %d (cluster at %d)"
+        History.violate st.ch "volume %d rank %d stuck at version %d (cluster at %d)"
           vol r (Kvs.version t) v0;
       if not (Flux_sha1.Sha1.equal (Kvs.root_ref t) r0) then
-        chaos_violate st "volume %d rank %d root diverged" vol r
+        History.violate st.ch "volume %d rank %d root diverged" vol r
     done;
     versions := v0 :: !versions;
     roots := Flux_sha1.Sha1.to_hex r0 :: !roots
@@ -532,7 +488,7 @@ let chaos_finalize st =
   let cx0 = Volumes.last_composite st.cvt ~rank:0 in
   for r = 1 to n - 1 do
     if Volumes.xfence_epoch st.cvt ~rank:r <> xe0 then
-      chaos_violate st "rank %d xfence epoch %d <> rank 0's %d" r
+      History.violate st.ch "rank %d xfence epoch %d <> rank 0's %d" r
         (Volumes.xfence_epoch st.cvt ~rank:r)
         xe0;
     match (cx0, Volumes.last_composite st.cvt ~rank:r) with
@@ -548,12 +504,11 @@ let chaos_finalize st =
                  Flux_sha1.Sha1.equal x.Proto.ri_root y.Proto.ri_root
                  && x.Proto.ri_version = y.Proto.ri_version)
                a.Proto.cx_roots b.Proto.cx_roots)
-      then chaos_violate st "rank %d composite diverged from rank 0" r
-    | _ -> chaos_violate st "rank %d composite presence diverged from rank 0" r
+      then History.violate st.ch "rank %d composite diverged from rank 0" r
+    | _ -> History.violate st.ch "rank %d composite presence diverged from rank 0" r
   done;
-  (* Zero lost acked writes: the whole fence-acked model must be
-     readable from a rank that is not a client (including the revived
-     ex-master's). *)
+  (* Zero lost acked writes: every fence-acked key must be readable from
+     a rank that is not a client (including the revived ex-master's). *)
   let verify_rank =
     match
       List.filter (fun r -> not (List.mem r st.ccfg.cclients)) (List.init n Fun.id)
@@ -564,27 +519,25 @@ let chaos_finalize st =
   ignore
     (Proc.spawn st.ceng (fun () ->
          let c = Volumes.client st.cvt ~rank:verify_rank in
-         Hashtbl.iter
-           (fun key v ->
-             st.checked <- st.checked + 1;
-             match Volumes.get c ~key with
-             | Ok got ->
-               if not (Json.equal got v) then
-                 chaos_violate st "verify@%d: key %s diverged" verify_rank key
-             | Error e ->
-               chaos_violate st "verify@%d: acked key %s lost: %s" verify_rank key e)
-           st.cmodel)
+         st.checked <-
+           st.checked
+           + History.verify st.ch ~label:(Printf.sprintf "verify@%d" verify_rank) (fun key ->
+                 Volumes.get c ~key))
       : Proc.pid);
   Engine.run st.ceng;
   (!versions, !roots, xe0)
 
+let chaos_validate cfg =
+  Harness.require
+    [
+      (cfg.cshards >= 2, "needs at least two shards");
+      (cfg.cclients <> [], "no client ranks");
+      (List.for_all (fun r -> r >= 0 && r < cfg.csize) cfg.cclients, "client rank out of range");
+      (cfg.crounds >= 1, "crounds must be >= 1");
+    ]
+
 let chaos cfg =
-  if cfg.cshards < 2 then invalid_arg "Shard.chaos: needs at least two shards";
-  List.iter
-    (fun r ->
-      if r < 0 || r >= cfg.csize then
-        invalid_arg "Shard.chaos: client rank out of range")
-    cfg.cclients;
+  Result.iter_error (fun e -> invalid_arg ("Shard.chaos: " ^ e)) (chaos_validate cfg);
   let eng = Engine.create () in
   let sess =
     Session.create eng ~fanout:cfg.cfanout ~rank_topology:Session.Direct
@@ -599,15 +552,12 @@ let chaos cfg =
       cvt = vt;
       comps = comps_for vt ~shards:cfg.cshards;
       crng = Rng.create cfg.cseed;
-      cmodel = Hashtbl.create 256;
+      ch = History.create sess;
       seen = Hashtbl.create 256;
       in_flight_fences = 0;
-      ckills = 0;
-      crevives = 0;
       cfences_ok = 0;
       cfences_failed = 0;
       checked = 0;
-      cviolations = [];
     }
   in
   ignore (Proc.spawn eng (fun () -> assassin st) : Proc.pid);
@@ -628,12 +578,12 @@ let chaos cfg =
   {
     fences_ok = st.cfences_ok;
     fences_failed = st.cfences_failed;
-    kills = st.ckills;
-    revives = st.crevives;
+    kills = History.kills st.ch;
+    revives = History.revives st.ch;
     takeovers;
     xepoch;
     keys_checked = st.checked;
-    cviolations = List.rev st.cviolations;
+    cviolations = History.violations st.ch;
     final_versions = versions;
     final_roots = roots;
     cfinal_clock = Engine.now eng;

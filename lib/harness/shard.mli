@@ -45,9 +45,11 @@ type soak_report = {
   sim_events : int;
 }
 
+val soak_validate : soak_config -> (unit, string) result
+(** Shards, producers in 0..size-1, a positive rate and duration. *)
+
 val soak : soak_config -> soak_report
-(** Raises [Invalid_argument] without producers or with a non-positive
-    rate or duration. *)
+(** Raises [Invalid_argument] when {!soak_validate} fails. *)
 
 (** {1 Cross-shard fence chaos} *)
 
@@ -77,7 +79,8 @@ type chaos_report = {
   xepoch : int;  (** cross-shard fence epoch at rank 0 after quiescence *)
   keys_checked : int;
   cviolations : string list;
-      (** read-your-writes, fence atomicity, monotonic reads,
+      (** read-your-writes, fence atomicity, monotonic reads and zero
+          acked-write loss (checked by the run's {!History}),
           convergence and identical composites at every rank *)
   final_versions : int list;  (** per volume *)
   final_roots : string list;  (** per volume, hex *)
@@ -85,9 +88,11 @@ type chaos_report = {
   csim_events : int;
 }
 
+val chaos_validate : chaos_config -> (unit, string) result
+(** Two or more shards, clients in range, one or more rounds. *)
+
 val chaos : chaos_config -> chaos_report
-(** Raises [Invalid_argument] with fewer than two shards or a client
-    rank out of range. *)
+(** Raises [Invalid_argument] when {!chaos_validate} fails. *)
 
 val harness : Harness.t
 (** The bench sweep: the soak at 1, 2 and 4 shards; goodput must scale

@@ -7,8 +7,8 @@
    rank's telemetry agent dies while the rank stays up — the silent-rank
    case), and a queue ramp (a gauge growing linearly, the trend the
    elasticity roadmap item wants detected). Guarantees trip into the
-   violations list and themselves take a flight dump, so every failed
-   run carries its own evidence. *)
+   run's History, whose first violation takes a flight dump, so every
+   failed run carries its own evidence. *)
 
 module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
@@ -118,6 +118,7 @@ let run cfg =
   Session.set_tracer sess (Some tracer);
   Session.set_metrics sess (Some metrics);
   let flight = Flight.create ~capacity:128 tracer in
+  let h = History.create ~flight sess in
   let tconfig =
     {
       Tmod.default_config with
@@ -174,7 +175,7 @@ let run cfg =
   (match cfg.kill with
   | Some r ->
     ignore
-      (Engine.schedule eng ~delay:onset (fun () -> Session.mark_down sess r)
+      (Engine.schedule eng ~delay:onset (fun () -> History.kill h r)
         : Engine.handle)
   | None -> ());
   (match cfg.mute with
@@ -185,18 +186,6 @@ let run cfg =
   | None -> ());
   Engine.run eng;
   (* --- Guarantees -------------------------------------------------------- *)
-  let violations = ref [] in
-  let violate fmt =
-    Printf.ksprintf
-      (fun s ->
-        violations := s :: !violations;
-        (* A tripped guarantee preserves its own evidence. *)
-        ignore
-          (Flight.dump_once flight ~rank:0 ~tag:("violation:" ^ s)
-             ~reason:("guarantee tripped: " ^ s)
-            : Flight.dump option))
-      fmt
-  in
   let alerts = Tmod.alerts telem in
   let count k =
     List.length (List.filter (fun (a : Detect.alert) -> a.Detect.al_kind = k) alerts)
@@ -217,9 +206,9 @@ let run cfg =
   in
   (match cfg.straggler with
   | Some (r, _) ->
-    if first_straggler < 0 then violate "no straggler alert for rank %d" r
+    if first_straggler < 0 then History.violate h "no straggler alert for rank %d" r
     else if first_straggler > onset_epoch + 2 then
-      violate "straggler alert late: epoch %d, onset epoch %d" first_straggler onset_epoch
+      History.violate h "straggler alert late: epoch %d, onset epoch %d" first_straggler onset_epoch
   | None -> ());
   let victim_dump_events =
     match cfg.kill with
@@ -232,11 +221,11 @@ let run cfg =
           (Flight.dumps flight)
       with
       | None ->
-        violate "no flight dump for killed rank %d" r;
+        History.violate h "no flight dump for killed rank %d" r;
         0
       | Some d ->
         let n = List.length d.Flight.d_events in
-        if n = 0 then violate "killed rank %d flight dump is empty" r;
+        if n = 0 then History.violate h "killed rank %d flight dump is empty" r;
         n)
   in
   (match cfg.mute with
@@ -247,14 +236,14 @@ let run cfg =
            (fun (a : Detect.alert) ->
              a.Detect.al_kind = Detect.Silent && a.Detect.al_rank = r)
            alerts)
-    then violate "no silent alert for muted rank %d" r
+    then History.violate h "no silent alert for muted rank %d" r
   | None -> ());
   (match cfg.ramp with
-  | Some _ -> if count Detect.Queue_growth = 0 then violate "no queue-growth alert"
+  | Some _ -> if count Detect.Queue_growth = 0 then History.violate h "no queue-growth alert"
   | None -> ());
   let rollups = Tmod.epochs_completed telem in
   if rollups < cfg.epochs - 2 then
-    violate "only %d/%d rollup epochs completed" rollups cfg.epochs;
+    History.violate h "only %d/%d rollup epochs completed" rollups cfg.epochs;
   {
     t_epochs = rollups;
     t_alerts = alerts;
@@ -268,7 +257,7 @@ let run cfg =
     t_rollup_bytes = Tmod.rollup_bytes telem;
     t_late_drops = Tmod.late_drops telem;
     t_alert_fingerprint = alert_fingerprint alerts;
-    t_violations = List.rev !violations;
+    t_violations = History.violations h;
     t_clock = Engine.now eng;
     t_events = Engine.events_executed eng;
     t_series = Tmod.series telem;

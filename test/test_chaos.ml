@@ -196,6 +196,11 @@ let test_chaos_deterministic () =
   check int "takeovers" a.Chaos.takeovers b.Chaos.takeovers;
   check int "final version" a.Chaos.final_version b.Chaos.final_version
 
+let test_rejects_no_clients () =
+  Alcotest.check_raises "no clients is not a vacuous pass"
+    (Invalid_argument "Chaos.run: no client ranks") (fun () ->
+      ignore (Chaos.run { Chaos.default with Chaos.clients = [] } : Chaos.report))
+
 let () =
   let schedules =
     List.init n_schedules (fun i ->
@@ -213,5 +218,6 @@ let () =
             test_fence_atomicity_under_master_kill;
         ] );
       ("determinism", [ Alcotest.test_case "same seed, same report" `Quick test_chaos_deterministic ]);
+      ("validate", [ Alcotest.test_case "rejects no clients" `Quick test_rejects_no_clients ]);
       ("schedules", schedules);
     ]

@@ -85,6 +85,13 @@ let test_soak_deterministic () =
   let a = Shard.soak (soak_cfg 2) and b = Shard.soak (soak_cfg 2) in
   if a <> b then Alcotest.fail "same seed produced different soak reports"
 
+let test_soak_rejects_producer_out_of_range () =
+  (* Rank 40 does not exist in the 32-rank soak: the config is refused
+     before a session is built. *)
+  Alcotest.check_raises "producer outside the session"
+    (Invalid_argument "Shard.soak: producer rank out of range (must be 0..size-1)") (fun () ->
+      ignore (Shard.soak { Shard.soak_default with Shard.producers = [ 40 ] } : Shard.soak_report))
+
 let () =
   Alcotest.run "shard"
     [
@@ -104,5 +111,7 @@ let () =
           Alcotest.test_case "goodput scales >= 1.8x at 4 shards" `Quick
             test_soak_scaling;
           Alcotest.test_case "same seed, same report" `Quick test_soak_deterministic;
+          Alcotest.test_case "rejects a producer out of range" `Quick
+            test_soak_rejects_producer_out_of_range;
         ] );
     ]
