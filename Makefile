@@ -20,9 +20,20 @@ fmt:
 # Every harness in Flux_harness.Registry (chaos, overload, shard, ckpt,
 # sched, telem, elastic): each bench sweep asserts its invariants and
 # headline checks, writes BENCH_<NAME>.json, and any violation fails the
-# target. BENCH_FAST=1 selects the reduced scales CI uses.
+# target. BENCH_FAST=1 selects the reduced scales CI uses; there the
+# sweep's `fingerprint NAME HEX` lines must also equal the tracked
+# bench/fingerprints.fast, so a change that moves any simulated result
+# fails until it regenerates that file (and says why).
 harnesses:
-	dune exec bench/main.exe -- harnesses
+	@log=$$(mktemp); \
+	{ dune exec bench/main.exe -- harnesses; echo $$? > $$log.status; } | tee $$log; \
+	status=$$(cat $$log.status); \
+	if [ -n "$$BENCH_FAST" ] && ! grep '^fingerprint ' $$log | diff -u bench/fingerprints.fast -; then \
+		echo "fast-tier fingerprints differ from bench/fingerprints.fast"; \
+		status=1; \
+	fi; \
+	rm -f $$log $$log.status; \
+	exit $$status
 
 # The pre-merge gate: format (when available), build with warnings
 # promoted to errors under lib/ (see lib/dune), run every test suite,

@@ -270,7 +270,7 @@ let kap_cmd =
   let consumers_arg = int_arg [ "consumers" ] 0 "Consumer count (0 = all)." in
   let nputs_arg = int_arg [ "nputs" ] 1 "Objects put per producer." in
   let ngets_arg = int_arg [ "ngets" ] 1 "Objects read per consumer." in
-  let vsize_arg = int_arg [ "vsize" ] 8 "Value size in bytes." in
+  let vsize_arg = int_arg [ "vsize" ] 8 "Value size in bytes (at least 2)." in
   let redundant_arg =
     Arg.(value & flag & info [ "redundant" ] ~doc:"All producers write identical values.")
   in
@@ -294,7 +294,7 @@ let kap_cmd =
           in_range "--consumers" ~lo:0 ~hi:total consumers;
           at_least "--nputs" 0 nputs;
           at_least "--ngets" 0 ngets;
-          positive "--vsize" vsize;
+          at_least "--vsize" 2 vsize;
           at_least "--dir-size" 1 dir_size;
           at_least "--stride" 1 stride;
         ])

@@ -9,38 +9,32 @@ type t = {
   eng : Engine.t;
   pool : Pool.t;
   policy : (module Policy.S);
-  cost : Instance.cost_model;
   mutable queue : Job.t list;
   mutable running : (Job.t * Pool.grant) list;
   mutable all_jobs : Job.t list; (* reversed *)
-  mutable pending_submissions : int;
   mutable sched_armed : bool;
   mutable cpu_free_at : float;
   mutable sched_cycles : int;
-  mutable idle_cbs : (unit -> unit) list;
   jids : Flux_util.Idgen.t;
 }
 
-let create eng ~nnodes ?(policy = "fcfs") ?(cost_model = Instance.default_cost_model) () =
+(* The same decision-cost model as Flux instances, so comparisons
+   isolate the architecture, not the constants. *)
+let cost = Instance.default_cost_model
+
+let create eng ~nnodes ?(policy = "fcfs") () =
   {
     eng;
     pool = Pool.create ~nodes:(List.init nnodes Fun.id) ();
     policy = Policy.by_name policy;
-    cost = cost_model;
     queue = [];
     running = [];
     all_jobs = [];
-    pending_submissions = 0;
     sched_armed = false;
     cpu_free_at = 0.0;
     sched_cycles = 0;
-    idle_cbs = [];
     jids = Flux_util.Idgen.create ~prefix:"central." ();
   }
-
-let is_idle t = t.queue = [] && t.running = [] && t.pending_submissions = 0
-let check_idle t = if is_idle t then List.iter (fun f -> f ()) t.idle_cbs
-let on_idle t f = t.idle_cbs <- t.idle_cbs @ [ f ]
 
 let rec kick t =
   if not t.sched_armed then begin
@@ -48,9 +42,9 @@ let rec kick t =
     (* The monolithic controller pays for the entire center's resources
        and the entire center's queue, on one CPU. *)
     let cost =
-      t.cost.Instance.decision_base
-      +. (t.cost.Instance.decision_per_node *. float_of_int (Pool.total_nodes t.pool))
-      +. (t.cost.Instance.decision_per_job *. float_of_int (List.length t.queue))
+      cost.Instance.decision_base
+      +. (cost.Instance.decision_per_node *. float_of_int (Pool.total_nodes t.pool))
+      +. (cost.Instance.decision_per_job *. float_of_int (List.length t.queue))
     in
     let start = Float.max (Engine.now t.eng) t.cpu_free_at in
     t.cpu_free_at <- start +. cost;
@@ -73,7 +67,7 @@ and cycle t =
         match Pool.try_grant t.pool ~spec:job.Job.spec ~nnodes:s_nnodes with
         | Some grant ->
           t.cpu_free_at <-
-            Float.max (Engine.now t.eng) t.cpu_free_at +. t.cost.Instance.start_cost;
+            Float.max (Engine.now t.eng) t.cpu_free_at +. cost.Instance.start_cost;
           t.queue <- List.filter (fun j -> j != job) t.queue;
           job.Job.granted_nodes <- grant.Pool.g_nodes;
           Job.set_state job ~now:(Engine.now t.eng) Job.Allocated;
@@ -88,15 +82,13 @@ and cycle t =
           ignore
             (Engine.schedule t.eng ~delay:d (fun () -> finish t job grant) : Engine.handle)
         | None -> ())
-    starts;
-  check_idle t
+    starts
 
 and finish t job grant =
   Job.set_state job ~now:(Engine.now t.eng) Job.Complete;
   t.running <- List.filter (fun (j, _) -> j != job) t.running;
   Pool.release t.pool grant;
-  kick t;
-  check_idle t
+  kick t
 
 let submit t (s : Job.submission) =
   let job =
@@ -111,12 +103,8 @@ let submit t (s : Job.submission) =
 let submit_plan t subs =
   List.iter
     (fun (s : Job.submission) ->
-      t.pending_submissions <- t.pending_submissions + 1;
       ignore
-        (Engine.schedule t.eng ~delay:s.Job.sub_after (fun () ->
-             t.pending_submissions <- t.pending_submissions - 1;
-             submit t s)
-          : Engine.handle))
+        (Engine.schedule t.eng ~delay:s.Job.sub_after (fun () -> submit t s) : Engine.handle))
     subs
 
 let jobs t = List.rev t.all_jobs

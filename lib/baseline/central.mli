@@ -9,24 +9,15 @@
 
 type t
 
-val create :
-  Flux_sim.Engine.t ->
-  nnodes:int ->
-  ?policy:string ->
-  ?cost_model:Flux_core.Instance.cost_model ->
-  unit ->
-  t
+val create : Flux_sim.Engine.t -> nnodes:int -> ?policy:string -> unit -> t
 (** A controller over [nnodes] nodes. No comms session is modeled —
     the traditional design keeps its own monolithic daemon
-    infrastructure; decision costs use the same model as Flux instances
-    so comparisons isolate the architecture, not the constants. *)
+    infrastructure; decision costs use Flux instances' default model
+    ({!Flux_core.Instance.default_cost_model}) so comparisons isolate
+    the architecture, not the constants. *)
 
 val submit_plan : t -> Flux_core.Job.submission list -> unit
 (** Feed a workload ([Sleep] payloads only — the baseline cannot nest). *)
-
-val on_idle : t -> (unit -> unit) -> unit
-
-val jobs : t -> Flux_core.Job.t list
 
 type stats = {
   bs_completed : int;

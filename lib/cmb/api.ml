@@ -24,19 +24,19 @@ let rpc_async t ?timeout ?attempts ?idempotent ?trace_ctx ~topic payload ~reply 
              ignore (Engine.schedule eng ~delay:t.ipc (fun () -> reply r) : Engine.handle)))
       : Engine.handle)
 
-let rpc t ?timeout ?attempts ?idempotent ?trace_ctx ~topic payload =
+let rpc t ?timeout ?idempotent ?trace_ctx ~topic payload =
   let iv = Ivar.create () in
   let eng = Session.engine t.sess in
-  rpc_async t ?timeout ?attempts ?idempotent ?trace_ctx ~topic payload ~reply:(fun r ->
+  rpc_async t ?timeout ?idempotent ?trace_ctx ~topic payload ~reply:(fun r ->
       Ivar.fill eng iv r);
   Proc.await iv
 
-let rpc_rank t ?timeout ?attempts ?idempotent ~dst ~topic payload =
+let rpc_rank t ~dst ~topic payload =
   let iv = Ivar.create () in
   let eng = Session.engine t.sess in
   ignore
     (Engine.schedule eng ~delay:t.ipc (fun () ->
-         Session.rpc_rank (broker t) ?timeout ?attempts ?idempotent ~dst ~topic payload
+         Session.rpc_rank (broker t) ~dst ~topic payload
            ~reply:(fun r ->
              ignore
                (Engine.schedule eng ~delay:t.ipc (fun () -> Ivar.fill eng iv r)

@@ -16,7 +16,6 @@ val session : t -> Session.t
 val rpc :
   t ->
   ?timeout:float ->
-  ?attempts:int ->
   ?idempotent:bool ->
   ?trace_ctx:Flux_trace.Tracer.ctx ->
   topic:string ->
@@ -24,8 +23,8 @@ val rpc :
   Session.reply
 (** Blocking RPC injected at the local broker and routed upstream. Only
     valid inside a process body. Returns [Error "timeout"] if the
-    deadline (see {!Session.rpc_config}) expires; [timeout]/[attempts]/
-    [idempotent]/[trace_ctx] are forwarded to {!Session.request_up}
+    deadline (see {!Session.request_up}'s retry policy) expires;
+    [timeout]/[idempotent]/[trace_ctx] are forwarded to {!Session.request_up}
     ([trace_ctx] rides the message envelope out-of-band, so it never
     perturbs payload sizes or simulated timing). *)
 
@@ -40,16 +39,9 @@ val rpc_async :
   reply:(Session.reply -> unit) ->
   unit
 
-val rpc_rank :
-  t ->
-  ?timeout:float ->
-  ?attempts:int ->
-  ?idempotent:bool ->
-  dst:int ->
-  topic:string ->
-  Flux_json.Json.t ->
-  Session.reply
-(** Blocking rank-addressed RPC over the ring plane. *)
+val rpc_rank : t -> dst:int -> topic:string -> Flux_json.Json.t -> Session.reply
+(** Blocking rank-addressed RPC over the ring plane: one transmission
+    with the session's 2 s deadline. *)
 
 val publish : t -> topic:string -> Flux_json.Json.t -> unit
 

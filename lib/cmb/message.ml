@@ -72,14 +72,3 @@ let push_hop m rank = { m with route = rank :: m.route }
 
 let pop_hop m =
   match m.route with [] -> None | hop :: rest -> Some (hop, { m with route = rest })
-
-let kind_to_string = function
-  | Request -> "request"
-  | Response -> "response"
-  | Event -> "event"
-
-let pp ppf m =
-  Format.fprintf ppf "%s %s nonce=%d origin=%d%s%s" (kind_to_string m.kind) m.topic
-    m.nonce m.origin
-    (match m.dst with Some d -> Printf.sprintf " dst=%d" d | None -> "")
-    (match m.error with Some e -> Printf.sprintf " error=%S" e | None -> "")

@@ -44,6 +44,3 @@ val with_trace : t -> Flux_trace.Tracer.ctx -> t
 
 val push_hop : t -> int -> t
 val pop_hop : t -> (int * t) option
-
-val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

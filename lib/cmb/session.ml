@@ -12,30 +12,21 @@ type rank_topology = Ring | Direct
 
 type reply = (Json.t, string) result
 
-(* --- RPC lifecycle configuration ----------------------------------- *)
+(* --- RPC retry policy ------------------------------------------------ *)
 
-type rpc_config = {
-  rpc_timeout : float;
-  rpc_attempts : int;
-  rpc_backoff_base : float;
-  rpc_backoff_cap : float;
-  rpc_jitter : float;
-}
-
-let default_rpc_config =
-  {
-    rpc_timeout = 2.0;
-    rpc_attempts = 4;
-    rpc_backoff_base = 0.05;
-    rpc_backoff_cap = 1.0;
-    rpc_jitter = 0.1;
-  }
+let rpc_timeout = 2.0 (* per-attempt deadline, seconds *)
+let rpc_attempts = 4 (* transmissions for idempotent requests *)
+let rpc_backoff_base = 0.05 (* delay before the first retransmit *)
+let rpc_backoff_cap = 1.0
+let rpc_jitter = 0.1 (* fraction of the backoff randomized away *)
 
 (* --- Credit-based flow control ------------------------------------- *)
 
-type flow_config = { flow_credits : int; flow_stash : int; flow_timeout : float }
+type flow_config = { flow_credits : int; flow_stash : int }
 
-let default_flow_config = { flow_credits = 64; flow_stash = 256; flow_timeout = 4.0 }
+(* Seconds before an unanswered credit is considered leaked and
+   reclaimed (responses lost to drops or dead parents). *)
+let flow_timeout = 4.0
 
 (* Structured overload rejection: servers shed with
    [Error "busy retry_after=<seconds>"] and the RPC retry machinery
@@ -81,13 +72,10 @@ type t = {
   mutable parent : (t * int list) option; (* parent session + host ranks *)
   mutable children : t list; (* creation order, live only *)
   mutable destroyed : bool;
-  rpc : rpc_config;
   flow : flow_config option;
   mutable rpc_timeouts : int;
   mutable rpc_retries : int;
   mutable rpc_busy_retries : int;
-  mutable flow_defers : int;
-  mutable flow_sheds : int;
   mutable flow_stash_hwm : int;
   mutable root_rank : int; (* lowest live rank; overlay root after heal *)
   mutable topo_epoch : int; (* bumped on every mark_down / mark_up *)
@@ -155,8 +143,6 @@ let set_metrics t m =
   Net.set_metrics t.event_net ~label:"net.event" m;
   Net.set_metrics t.ring_net ~label:"net.ring" m
 
-let metrics t = t.metrics
-
 let trace t ~name ?rank ?ctx ?fields () =
   match t.tracer with
   | Some tr -> Tracer.emit tr ~cat:"cmb" ~name ?rank ?ctx ?fields ()
@@ -191,8 +177,6 @@ let find_module b name = Hashtbl.find_opt b.mod_index name
 let install_module b m =
   b.modules <- b.modules @ [ m ];
   Hashtbl.replace b.mod_index m.mod_name m
-
-let last_event_seq b = b.last_seq
 
 let is_down t r = t.down.(r)
 
@@ -316,22 +300,18 @@ let cancel_deadline pr =
    reproducible. Pure exponential backoff would retransmit a
    simultaneous-entry fence in lockstep — the classic synchronized-retry
    stampede. *)
-let jitter_factor t ~rank ~nonce ~sends =
-  let j = t.rpc.rpc_jitter in
-  if j <= 0.0 then 1.0
-  else begin
-    let seed =
-      0x6a746a72 lxor (rank * 0x9e3779b1) lxor (nonce * 0x85ebca77) lxor (sends * 0xc2b2ae3d)
-    in
-    1.0 -. (j *. Rng.float (Rng.create seed) 1.0)
-  end
-
-let backoff_delay t ~rank ~nonce ~sends ~floor =
-  let backoff =
-    Float.min t.rpc.rpc_backoff_cap
-      (Float.max floor (t.rpc.rpc_backoff_base *. (2.0 ** float_of_int (sends - 1))))
+let jitter_factor ~rank ~nonce ~sends =
+  let seed =
+    0x6a746a72 lxor (rank * 0x9e3779b1) lxor (nonce * 0x85ebca77) lxor (sends * 0xc2b2ae3d)
   in
-  backoff *. jitter_factor t ~rank ~nonce ~sends
+  1.0 -. (rpc_jitter *. Rng.float (Rng.create seed) 1.0)
+
+let backoff_delay ~rank ~nonce ~sends ~floor =
+  let backoff =
+    Float.min rpc_backoff_cap
+      (Float.max floor (rpc_backoff_base *. (2.0 ** float_of_int (sends - 1))))
+  in
+  backoff *. jitter_factor ~rank ~nonce ~sends
 
 let rec arm_deadline b nonce pr =
   if pr.pr_timeout < infinity then
@@ -365,7 +345,7 @@ and expire_pending b nonce pr =
          is in effect by then (a healed overlay routes via the new
          parent). *)
       retry_pending b nonce pr
-        ~delay:(backoff_delay t ~rank:b.b_rank ~nonce ~sends:pr.pr_sends ~floor:0.0)
+        ~delay:(backoff_delay ~rank:b.b_rank ~nonce ~sends:pr.pr_sends ~floor:0.0)
     | _ ->
       Hashtbl.remove b.pending nonce;
       t.rpc_timeouts <- t.rpc_timeouts + 1;
@@ -391,7 +371,7 @@ let complete_pending b nonce r =
         ~fields:[ ("retry_after", Json.float after) ]
         ();
       retry_pending b nonce pr
-        ~delay:(backoff_delay t ~rank:b.b_rank ~nonce ~sends:pr.pr_sends ~floor:after)
+        ~delay:(backoff_delay ~rank:b.b_rank ~nonce ~sends:pr.pr_sends ~floor:after)
     | _ ->
       Hashtbl.remove b.pending nonce;
       cancel_deadline pr;
@@ -412,13 +392,13 @@ let register_pending b ~nonce ~timeout ~attempts ?resend ?ctx reply =
   Hashtbl.replace b.pending nonce pr;
   arm_deadline b nonce pr
 
-let rpc_opts t ?timeout ?attempts ~idempotent () =
-  let timeout = match timeout with Some x -> x | None -> t.rpc.rpc_timeout in
+let rpc_opts ?timeout ?attempts ~idempotent () =
+  let timeout = match timeout with Some x -> x | None -> rpc_timeout in
   let attempts =
     match attempts with
     | Some a when a < 1 -> invalid_arg "Session: rpc attempts must be >= 1"
     | Some a -> a
-    | None -> if idempotent then t.rpc.rpc_attempts else 1
+    | None -> if idempotent then rpc_attempts else 1
   in
   (timeout, attempts)
 
@@ -443,14 +423,13 @@ and forward_up b msg =
          Exhausted credit defers into a bounded stash; a full stash
          sheds with a structured busy error that propagates pressure
          down the TBON instead of accumulating bytes at the root. *)
-      expire_charges b fc;
+      expire_charges b;
       if Queue.length b.fc_charges < fc.flow_credits then begin
         Queue.add (Engine.now t.eng) b.fc_charges;
         send_parent b p msg
       end
       else if Queue.length b.fc_stash < fc.flow_stash then begin
         Queue.add msg b.fc_stash;
-        t.flow_defers <- t.flow_defers + 1;
         let depth = Queue.length b.fc_stash in
         if depth > t.flow_stash_hwm then t.flow_stash_hwm <- depth;
         (match t.metrics with
@@ -466,13 +445,12 @@ and forward_up b msg =
         arm_flow_timer b fc
       end
       else begin
-        t.flow_sheds <- t.flow_sheds + 1;
         (match t.metrics with
         | None -> ()
         | Some m -> Metrics.incr m ~name:"cmb.flow.shed" ~rank:b.b_rank);
         trace t ~name:"flow.shed" ~rank:b.b_rank ?ctx:msg.Message.trace ();
         deliver_response b
-          (Message.error_response ~of_:msg (busy_error ~retry_after:fc.flow_timeout))
+          (Message.error_response ~of_:msg (busy_error ~retry_after:flow_timeout))
       end)
   | None ->
     (* At the root with no matching module: fail the RPC. *)
@@ -488,11 +466,11 @@ and send_parent b p msg =
 (* Credits older than [flow_timeout] belong to requests whose response
    was lost (drops, failed parents): expire them so the window cannot
    leak shut. *)
-and expire_charges b fc =
+and expire_charges b =
   let now = Engine.now b.b_session.eng in
   let rec go () =
     match Queue.peek_opt b.fc_charges with
-    | Some t0 when now -. t0 > fc.flow_timeout ->
+    | Some t0 when now -. t0 > flow_timeout ->
       ignore (Queue.take b.fc_charges : float);
       go ()
     | _ -> ()
@@ -500,7 +478,7 @@ and expire_charges b fc =
   go ()
 
 and flow_drain b fc =
-  expire_charges b fc;
+  expire_charges b;
   let rec go () =
     if Queue.length b.fc_charges < fc.flow_credits then
       match Queue.take_opt b.fc_stash with
@@ -528,7 +506,7 @@ and arm_flow_timer b fc =
   if not b.fc_timer then begin
     b.fc_timer <- true;
     ignore
-      (Engine.schedule b.b_session.eng ~delay:(fc.flow_timeout /. 2.0) (fun () ->
+      (Engine.schedule b.b_session.eng ~delay:(flow_timeout /. 2.0) (fun () ->
            b.fc_timer <- false;
            flow_drain b fc;
            if not (Queue.is_empty b.fc_stash) then arm_flow_timer b fc)
@@ -624,7 +602,7 @@ let instrument_reply b ~topic ~ctx reply =
 
 let request_up b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payload ~reply =
   let t = b.b_session in
-  let timeout, attempts = rpc_opts t ?timeout ?attempts ~idempotent () in
+  let timeout, attempts = rpc_opts ?timeout ?attempts ~idempotent () in
   let ctx = request_ctx t trace_ctx in
   let reply = instrument_reply b ~topic ~ctx reply in
   let nonce = fresh_nonce b in
@@ -638,7 +616,7 @@ let request_up b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payl
 let request_from_module b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payload
     ~reply =
   let t = b.b_session in
-  let timeout, attempts = rpc_opts t ?timeout ?attempts ~idempotent () in
+  let timeout, attempts = rpc_opts ?timeout ?attempts ~idempotent () in
   let ctx = request_ctx t trace_ctx in
   let reply = instrument_reply b ~topic ~ctx reply in
   let nonce = fresh_nonce b in
@@ -651,10 +629,10 @@ let request_from_module b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~t
 
 (* --- Ring plane ------------------------------------------------------ *)
 
-let rec rpc_rank b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ?route ~dst ~topic
-    payload ~reply =
+let rec rpc_rank b ?timeout ?(idempotent = false) ?trace_ctx ?route ~dst ~topic payload
+    ~reply =
   let t = b.b_session in
-  let timeout, attempts = rpc_opts t ?timeout ?attempts ~idempotent () in
+  let timeout, attempts = rpc_opts ?timeout ~idempotent () in
   let ctx = request_ctx t trace_ctx in
   let reply = instrument_reply b ~topic ~ctx reply in
   let nonce = fresh_nonce b in
@@ -859,19 +837,14 @@ let cmb_module b =
 
 (* --- Session construction --------------------------------------------- *)
 
-let create eng ?net_config ?(fanout = 2) ?(rank_topology = Ring)
-    ?(rpc_config = default_rpc_config) ?flow ~size () =
+let create eng ?(fanout = 2) ?(rank_topology = Ring) ?flow ~size () =
   (match flow with
-  | Some fc when fc.flow_credits < 1 || fc.flow_stash < 1 || fc.flow_timeout <= 0.0 ->
+  | Some fc when fc.flow_credits < 1 || fc.flow_stash < 1 ->
     invalid_arg "Session.create: flow_config bounds must be positive"
   | _ -> ());
   if size <= 0 then invalid_arg "Session.create: size must be positive";
   if fanout < 2 then invalid_arg "Session.create: fanout must be >= 2";
-  let mk_net () =
-    match net_config with
-    | Some config -> Net.create eng ~config ~nodes:size ()
-    | None -> Net.create eng ~nodes:size ()
-  in
+  let mk_net () = Net.create eng ~nodes:size () in
   let t =
     {
       eng;
@@ -892,13 +865,10 @@ let create eng ?net_config ?(fanout = 2) ?(rank_topology = Ring)
       parent = None;
       children = [];
       destroyed = false;
-      rpc = rpc_config;
       flow;
       rpc_timeouts = 0;
       rpc_retries = 0;
       rpc_busy_retries = 0;
-      flow_defers = 0;
-      flow_sheds = 0;
       flow_stash_hwm = 0;
       root_rank = 0;
       topo_epoch = 0;
@@ -960,7 +930,7 @@ let hosted_on t r =
   if r < 0 || r >= t.n then invalid_arg "Session.hosted_on: rank out of range";
   match t.parent with Some (_, hosts) -> List.nth hosts r | None -> r
 
-let create_child parent ?fanout ?rank_topology ~nodes () =
+let create_child parent ~nodes () =
   if parent.destroyed then invalid_arg "Session.create_child: parent destroyed";
   if nodes = [] then invalid_arg "Session.create_child: empty node list";
   if List.length (List.sort_uniq compare nodes) <> List.length nodes then
@@ -972,12 +942,7 @@ let create_child parent ?fanout ?rank_topology ~nodes () =
       if parent.down.(r) then
         invalid_arg (Printf.sprintf "Session.create_child: parent rank %d is down" r))
     nodes;
-  let fanout = match fanout with Some k -> k | None -> 2 in
-  let rank_topology = match rank_topology with Some rt -> rt | None -> Ring in
-  let child =
-    create parent.eng ~fanout ~rank_topology ~rpc_config:parent.rpc ?flow:parent.flow
-      ~size:(List.length nodes) ()
-  in
+  let child = create parent.eng ?flow:parent.flow ~size:(List.length nodes) () in
   child.parent <- Some (parent, nodes);
   parent.children <- child :: parent.children;
   child
@@ -1058,14 +1023,10 @@ let rpc_timeouts t = t.rpc_timeouts
 let rpc_retries t = t.rpc_retries
 let rpc_busy_retries t = t.rpc_busy_retries
 let pending_rpc_count t r = Hashtbl.length t.brokers.(r).pending
-let flow_defers t = t.flow_defers
-let flow_sheds t = t.flow_sheds
 let flow_stash_hwm t = t.flow_stash_hwm
 let flow_stash_depth t r = Queue.length t.brokers.(r).fc_stash
-let flow_inflight t r = Queue.length t.brokers.(r).fc_charges
 
 let rpc_net t = t.rpc_net
-let event_net t = t.event_net
 let ring_net t = t.ring_net
 
 let rpc_net_stats t = Net.stats t.rpc_net

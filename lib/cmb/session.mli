@@ -36,7 +36,7 @@ type module_instance = {
 
 type module_factory = broker -> module_instance
 
-(** {1 RPC lifecycle configuration}
+(** {1 RPC retry policy}
 
     Every RPC registered in a broker's pending table carries a deadline
     scheduled on the engine: if no response arrives in time the
@@ -46,27 +46,16 @@ type module_factory = broker -> module_instance
     nonce, so duplicate responses are ignored) with exponential backoff,
     re-routed through whatever topology is in effect at retransmit time
     — a slave whose parent died retries through its new parent once the
-    overlay heals. *)
+    overlay heals.
 
-type rpc_config = {
-  rpc_timeout : float;  (** per-attempt deadline, seconds; [infinity]
-                            disables the timer (for RPCs that block by
-                            design, e.g. a fence) *)
-  rpc_attempts : int;  (** default max transmissions for idempotent
-                           requests; non-idempotent requests always use 1 *)
-  rpc_backoff_base : float;  (** delay before the first retransmit *)
-  rpc_backoff_cap : float;  (** upper bound on the backoff delay *)
-  rpc_jitter : float;
-      (** fraction of the backoff randomized away per retry, drawn from
-          a deterministic hash of (rank, nonce, attempt) — seeded
-          jitter that desynchronizes retransmit stampedes without
-          making runs irreproducible; 0 restores pure exponential
-          backoff *)
-}
-
-val default_rpc_config : rpc_config
-(** 2 s per-attempt timeout, 4 attempts, 50 ms base backoff doubling up
-    to a 1 s cap, 10% retransmit jitter. *)
+    The policy is fixed: a 2 s deadline per attempt, 4 transmissions
+    for idempotent requests (1 otherwise), and a 50 ms backoff that
+    doubles up to a 1 s cap, less up to 10% jitter. The jitter is drawn
+    from a deterministic hash of (rank, nonce, attempt), so it
+    desynchronizes retransmit stampedes without making runs
+    irreproducible. Callers override the deadline and attempt count per
+    request ([?timeout], [?attempts]); [infinity] disables the timer for
+    RPCs that block by design, e.g. a fence. *)
 
 (** {1 Overload protection}
 
@@ -91,13 +80,10 @@ val default_rpc_config : rpc_config
 type flow_config = {
   flow_credits : int;  (** in-flight upstream requests allowed per broker *)
   flow_stash : int;  (** deferred sends held per broker before shedding *)
-  flow_timeout : float;
-      (** seconds before an unanswered credit is considered leaked and
-          reclaimed (responses lost to drops or dead parents) *)
 }
-
-val default_flow_config : flow_config
-(** 64 credits, 256 stashed sends, 4 s credit expiry. *)
+(** A credit unanswered for 4 s is considered leaked (its response was
+    lost to drops or a dead parent) and reclaimed; a shed carries the
+    same 4 s as its [retry_after] hint. *)
 
 val busy_error : retry_after:float -> string
 (** The structured shed error: [busy retry_after=<seconds>]. *)
@@ -116,18 +102,16 @@ type rank_topology =
 
 val create :
   Flux_sim.Engine.t ->
-  ?net_config:Flux_sim.Net.config ->
   ?fanout:int ->
   ?rank_topology:rank_topology ->
-  ?rpc_config:rpc_config ->
   ?flow:flow_config ->
   size:int ->
   unit ->
   t
 (** [create eng ~size ()] wires up a session of [size] brokers with the
-    given RPC-tree fan-out (default 2, the paper's binary tree),
-    rank-addressed overlay topology (default {!Ring}), and RPC deadline
-    policy (default {!default_rpc_config}). [flow] (default off) turns
+    given RPC-tree fan-out (default 2, the paper's binary tree) and
+    rank-addressed overlay topology (default {!Ring}); its three planes
+    use {!Flux_sim.Net.default_config}. [flow] (default off) turns
     on credit-based flow control on the request tree; children created
     with {!create_child} inherit it. Raises [Invalid_argument] on
     non-positive flow bounds. *)
@@ -154,8 +138,6 @@ val tree_parent : broker -> int option
 val tree_children : broker -> int list
 (** Effective children after healing. *)
 
-val find_module : broker -> string -> module_instance option
-
 val respond : broker -> Message.t -> Flux_json.Json.t -> unit
 (** [respond b req payload] sends the response back along [req]'s
     recorded route. *)
@@ -175,13 +157,13 @@ val request_up :
 (** Inject a request at this broker destined upstream: local modules are
     consulted first, then it ascends hop by hop. [reply] always fires
     exactly once: with the response, or with [Error "timeout"] after the
-    deadline (and any retransmits) are exhausted. [timeout] and
-    [attempts] override the session {!rpc_config}; [idempotent] (default
-    [false]) opts into retransmission with the configured attempt
-    budget. With a tracer attached the RPC becomes a span: a fresh root
-    context unless [trace_ctx] supplies the causal parent (a module
-    forwarding work it received); the context rides the message through
-    every hop, retransmit and the response. *)
+    deadline (and any retransmits) are exhausted. [timeout] and [attempts]
+    override the retry policy above; [idempotent] (default [false]) opts
+    into retransmission with its attempt budget. With a tracer attached
+    the RPC becomes a span: a fresh root context unless [trace_ctx]
+    supplies the causal parent (a module forwarding work it received); the
+    context rides the message through every hop, retransmit and the
+    response. *)
 
 val request_from_module :
   broker ->
@@ -199,7 +181,6 @@ val request_from_module :
 val rpc_rank :
   broker ->
   ?timeout:float ->
-  ?attempts:int ->
   ?idempotent:bool ->
   ?trace_ctx:Flux_trace.Tracer.ctx ->
   ?route:(unit -> int) ->
@@ -209,11 +190,11 @@ val rpc_rank :
   reply:(reply -> unit) ->
   unit
 (** Rank-addressed RPC over the ring plane. Deadline semantics as in
-    {!request_up}. When [route] is given, every (re)transmission calls
-    it to resolve the destination, so idempotent retries follow the
-    current topology (a healed volume tree, a newly elected master)
-    instead of retransmitting to the rank first addressed; [dst] is
-    then only the first attempt's target. *)
+    {!request_up}, with the policy's attempt budget. When [route] is
+    given, every (re)transmission calls it to resolve the destination, so
+    idempotent retries follow the current topology (a healed volume tree,
+    a newly elected master) instead of retransmitting to the rank first
+    addressed; [dst] is then only the first attempt's target. *)
 
 val publish : broker -> ?trace_ctx:Flux_trace.Tracer.ctx -> topic:string -> Flux_json.Json.t -> unit
 (** Publish an event: it ascends to the session root, receives a session
@@ -225,8 +206,6 @@ val publish : broker -> ?trace_ctx:Flux_trace.Tracer.ctx -> topic:string -> Flux
 val subscribe : broker -> prefix:string -> (Message.t -> unit) -> unit
 (** Local event subscription with component-wise topic prefix match. *)
 
-val last_event_seq : broker -> int
-
 (** {1 Session hierarchy}
 
     New comms sessions are created, destroyed and monitored by existing
@@ -235,9 +214,10 @@ val last_event_seq : broker -> int
     bootstrap, which is why nested-instance creation is charged only a
     small cost), and destroying a parent tears down its descendants. *)
 
-val create_child : t -> ?fanout:int -> ?rank_topology:rank_topology -> nodes:int list -> unit -> t
+val create_child : t -> nodes:int list -> unit -> t
 (** [create_child parent ~nodes ()] builds a session over the given
-    parent ranks (child rank [i] runs on parent rank [List.nth nodes i]).
+    parent ranks (child rank [i] runs on parent rank [List.nth nodes i]),
+    with a binary RPC tree and a {!Ring} rank overlay.
     Raises [Invalid_argument] on an empty list, duplicate ranks, ranks
     out of range, or dead parent ranks. *)
 
@@ -281,10 +261,6 @@ val mark_up : t -> int -> unit
     live child over the rank plane), and liveness watchers fire with
     [is_up = true]. Idempotent; a no-op on destroyed sessions. *)
 
-val heal : t -> unit
-(** Recompute effective topology from liveness (called by {!mark_down}
-    and {!mark_up}). *)
-
 val is_down : t -> int -> bool
 
 val alive_ranks : t -> int list
@@ -323,8 +299,6 @@ val set_metrics : t -> Flux_trace.Metrics.t option -> unit
     queue/transit histograms under labels [net.rpc]/[net.event]/
     [net.ring]. *)
 
-val metrics : t -> Flux_trace.Metrics.t option
-
 (** {1 Accounting} *)
 
 val rpc_timeouts : t -> int
@@ -341,12 +315,6 @@ val pending_rpc_count : t -> int -> int
 (** In-flight RPCs registered at one rank's broker (dangling entries
     would show up here). *)
 
-val flow_defers : t -> int
-(** Upstream sends deferred into a broker stash by exhausted credit. *)
-
-val flow_sheds : t -> int
-(** Upstream sends rejected with the busy error by a full stash. *)
-
 val flow_stash_hwm : t -> int
 (** Highest stash occupancy any broker reached — the bound the overload
     harness asserts against [flow_stash]. *)
@@ -354,14 +322,10 @@ val flow_stash_hwm : t -> int
 val flow_stash_depth : t -> int -> int
 (** Requests currently stashed at one rank's broker. *)
 
-val flow_inflight : t -> int -> int
-(** Credits currently spent (in-flight upstream requests) at one rank. *)
-
 val rpc_net : t -> Message.t Flux_sim.Net.t
 (** The RPC-tree fabric — exposed so tests and benchmarks can inject
     faults ({!Flux_sim.Net.set_loss}, {!Flux_sim.Net.cut_link}, ...). *)
 
-val event_net : t -> Message.t Flux_sim.Net.t
 val ring_net : t -> Message.t Flux_sim.Net.t
 
 val rpc_net_stats : t -> Flux_sim.Net.stats

@@ -12,7 +12,7 @@ type t = {
 }
 
 let create ?(nodes = 64) ?(fanout = 2) ?(policy = "fcfs") ?power_budget ?fs_bandwidth
-    ?cost_model ?(provenance = false) ?(name = "center") () =
+    ?(provenance = false) ?(name = "center") () =
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout ~size:nodes () in
   let kvs = Kvs.load sess () in
@@ -26,13 +26,10 @@ let create ?(nodes = 64) ?(fanout = 2) ?(policy = "fcfs") ?power_budget ?fs_band
       ]
   in
   let root =
-    Instance.create_root sess ~policy ?power_budget ?fs_bandwidth ?cost_model ~provenance
-      ~name ()
+    Instance.create_root sess ~policy ?power_budget ?fs_bandwidth ~provenance ~name ()
   in
   { eng; sess; kvs; wexec; resources; root }
 
-let run ?until t = Engine.run ?until t.eng
+let run t = Engine.run t.eng
 
 let kvs_client t ~rank = Flux_kvs.Client.connect t.sess ~rank
-
-let api t ~rank = Flux_cmb.Api.connect t.sess ~rank

@@ -17,16 +17,16 @@ val create :
   ?policy:string ->
   ?power_budget:float ->
   ?fs_bandwidth:float ->
-  ?cost_model:Instance.cost_model ->
   ?provenance:bool ->
   ?name:string ->
   unit ->
   t
 (** Build a center of [nodes] nodes (default 64) with kvs, barrier and
-    wexec loaded and the resource tree registered. *)
+    wexec loaded and the resource tree registered. Its root instance
+    uses the default scheduler cost model. *)
 
-val run : ?until:float -> t -> unit
-(** Drive the simulation (wraps {!Flux_sim.Engine.run}). *)
+val run : t -> unit
+(** Drive the simulation until its queue drains (wraps
+    {!Flux_sim.Engine.run}). *)
 
 val kvs_client : t -> rank:int -> Flux_kvs.Client.t
-val api : t -> rank:int -> Flux_cmb.Api.t

@@ -42,8 +42,10 @@ let newest_across kvs ~jobids ~max_epoch =
         | _ -> Some m))
     None jobids
 
-let run_resilient api ~kvs ?metrics ?(max_requeues = 3) ?(max_epoch = 64) ~jobid ~prog
-    ?(args = Json.null) ?(per_rank = 1) ~ranks () =
+(* Requeue budget of {!run_resilient}. *)
+let max_requeues = 3
+
+let run_resilient api ~kvs ?metrics ?(max_epoch = 64) ~jobid ~prog ?(per_rank = 1) ~ranks () =
   let sess = Api.session api in
   let active = ref true in
   let cur_jobid = ref (attempt_jobid jobid 0) in
@@ -69,7 +71,7 @@ let run_resilient api ~kvs ?metrics ?(max_requeues = 3) ?(max_epoch = 64) ~jobid
       Error (Printf.sprintf "job %S: no live ranks left to requeue on" jobid)
     end
     else begin
-      let args = with_resume args resumed in
+      let args = with_resume Json.null resumed in
       match Wexec.run api ~jobid:this ~prog ~args ~per_rank ~ranks:live () with
       | Error e ->
         active := false;

@@ -45,21 +45,20 @@ val run_resilient :
   Flux_cmb.Api.t ->
   kvs:Flux_kvs.Client.t ->
   ?metrics:Flux_trace.Metrics.t ->
-  ?max_requeues:int ->
   ?max_epoch:int ->
   jobid:string ->
   prog:string ->
-  ?args:Flux_json.Json.t ->
   ?per_rank:int ->
   ranks:int list ->
   unit ->
   (outcome, string) result
-(** Run [prog] to completion, requeueing up to [max_requeues] (default
-    3) times. Each requeue runs under a fresh jobid ([<jobid>.r<k>], so
-    its checkpoint fences cannot collide with aggregation state stranded
-    by the dead attempt), restricted to ranks live at resubmission, with
-    args carrying the newest manifest found across all prior attempts
-    (epochs scanned down from [max_epoch], default 64).
+(** Run [prog] to completion, requeueing up to 3 times. The first
+    attempt gets [null] args. Each requeue runs under a fresh jobid
+    ([<jobid>.r<k>], so its checkpoint fences cannot collide with
+    aggregation state stranded by the dead attempt), restricted to ranks
+    live at resubmission, with args [{"resume": manifest}] carrying the
+    newest manifest found across all prior attempts (epochs scanned down
+    from [max_epoch], default 64).
 
     A liveness watch kills the running attempt when one of its ranks
     goes down: the wexec master's death accounting completes the job

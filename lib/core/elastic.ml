@@ -282,7 +282,6 @@ let actions t =
 
 let denied t = t.e_denied
 let drains t = t.e_drains
-let fallback t = t.e_fallback
 let fallback_entries t = t.e_fallback_entries
 
 let fingerprint t =

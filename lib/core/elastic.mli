@@ -64,8 +64,6 @@ type decision =
   | Shrink of int  (** return this many nodes to the parent *)
   | Hold of string  (** do nothing; the reason is the interesting part *)
 
-val decision_to_string : decision -> string
-
 type inputs = {
   in_now : float;  (** sim time of the decision tick *)
   in_pressure : float option;
@@ -128,10 +126,8 @@ val set_flight : t -> Flux_trace.Flight.t -> unit
 
 val start : ?until:float -> t -> unit
 (** Arm the decision timer (period [p_period], first tick one period
-    from now). [?until] schedules {!stop} that many sim-seconds from
-    now. Idempotent while running. *)
-
-val stop : t -> unit
+    from now). [?until] disarms it that many sim-seconds from now.
+    Idempotent while running. *)
 
 (** {1 Introspection} *)
 
@@ -148,9 +144,6 @@ val denied : t -> int
 
 val drains : t -> int
 (** Shrinks answered with [Resize_draining] (preemption in progress). *)
-
-val fallback : t -> bool
-(** Currently holding because telemetry went silent. *)
 
 val fallback_entries : t -> int
 (** Times the controller entered telemetry-silent fallback. *)

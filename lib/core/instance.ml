@@ -67,14 +67,9 @@ type t = {
 
 let name t = t.i_name
 let pool t = t.i_pool
-let parent t = t.i_parent
 let children t = t.i_children
 
 let rec depth t = match t.i_parent with None -> 0 | Some p -> 1 + depth p
-
-let policy_name t =
-  let module P = (val t.i_policy) in
-  P.name
 
 let jobs t = List.rev t.all_jobs
 let queue_length t = List.length t.queue

@@ -50,10 +50,8 @@ val create_root :
 
 val name : t -> string
 val pool : t -> Pool.t
-val parent : t -> t option
 val children : t -> t list
 val depth : t -> int
-val policy_name : t -> string
 val jobs : t -> Job.t list
 (** Every job ever submitted to this instance, in submission order. *)
 
@@ -71,10 +69,6 @@ val submit_plan : t -> Job.submission list -> unit
 
 val cancel : t -> jid:string -> bool
 (** Cancel a pending or running job; false if unknown or terminal. *)
-
-val on_idle : t -> (unit -> unit) -> unit
-(** [f] fires whenever the instance drains (empty queue, nothing
-    running, no submissions pending). *)
 
 val on_job_failed : t -> (t -> Job.t -> unit) -> unit
 (** [on_job_failed t f] calls [f owner job] whenever a job transitions

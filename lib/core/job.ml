@@ -82,6 +82,3 @@ let runtime t =
   if Float.is_nan t.end_time || Float.is_nan t.start_time then
     invalid_arg "Job.runtime: not finished";
   t.end_time -. t.start_time
-
-let pp ppf t =
-  Format.fprintf ppf "%s [%s] %a" t.jid (state_to_string t.jstate) Jobspec.pp t.spec

@@ -62,4 +62,3 @@ val turnaround : t -> float
 val runtime : t -> float
 
 val state_to_string : state -> string
-val pp : Format.formatter -> t -> unit

@@ -54,13 +54,3 @@ let validate t =
       else if t.nnodes < min_n || t.nnodes > max_n then
         Error "nnodes outside elasticity bounds"
       else Ok ()
-
-let pp ppf t =
-  Format.fprintf ppf "%d nodes x %d cores, est %.0fs%s%s%s" t.nnodes t.cores_per_node
-    t.walltime_est
-    (if t.power_per_node > 0.0 then Printf.sprintf ", %.0fW/node" t.power_per_node else "")
-    (if t.fs_bandwidth > 0.0 then Printf.sprintf ", %.1fGB/s fs" t.fs_bandwidth else "")
-    (match t.elasticity with
-    | Rigid -> ""
-    | Moldable (a, b) -> Printf.sprintf ", moldable %d-%d" a b
-    | Malleable (a, b) -> Printf.sprintf ", malleable %d-%d" a b)

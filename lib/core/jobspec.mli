@@ -46,5 +46,3 @@ val max_nodes : t -> int
 val power_needed : t -> nnodes:int -> float
 
 val validate : t -> (unit, string) result
-
-val pp : Format.formatter -> t -> unit

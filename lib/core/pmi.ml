@@ -22,9 +22,6 @@ let init sess ~jobid ~rank ~node ~size =
     epoch = 0;
   }
 
-let rank t = t.p_rank
-let size t = t.p_size
-
 let key_for t ~rank key = Printf.sprintf "pmi.%s.r%d.%s" t.jobid rank key
 
 let put t ~key value =

@@ -13,9 +13,6 @@ val init : Flux_cmb.Session.t -> jobid:string -> rank:int -> node:int -> size:in
 (** [init sess ~jobid ~rank ~node ~size] prepares rank [rank] of [size]
     for job [jobid], talking to the broker on [node]. *)
 
-val rank : t -> int
-val size : t -> int
-
 val put : t -> key:string -> string -> (unit, string) result
 (** Stage a key-value pair (e.g. an address) under this rank's
     namespace; visible to peers only after {!exchange}. *)

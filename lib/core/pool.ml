@@ -27,8 +27,6 @@ let power_budget t = t.power_budget
 let power_in_use t = t.power_used
 let bandwidth_in_use t = t.bw_used
 
-let node_count_fits t n = n <= List.length t.free
-
 let rec take n = function
   | rest when n = 0 -> ([], rest)
   | [] -> ([], [])
@@ -103,16 +101,6 @@ let donate_nodes t n =
   t.members <- List.filter (fun r -> not (List.mem r got)) t.members;
   got
 
-let donate_power t w =
-  (* An unconstrained budget has unlimited headroom to give. *)
-  if t.power_budget = infinity then w
-  else begin
-    let headroom = Float.max 0.0 (t.power_budget -. t.power_used) in
-    let given = Float.min w headroom in
-    t.power_budget <- t.power_budget -. given;
-    given
-  end
-
 let absorb_nodes t nodes =
   t.members <- List.sort_uniq compare (nodes @ t.members);
   t.free <- List.sort_uniq compare (nodes @ t.free)
@@ -123,13 +111,3 @@ let remove_granted_nodes t grant =
 let release_consumables t grant =
   t.power_used <- Float.max 0.0 (t.power_used -. grant.g_power);
   t.bw_used <- Float.max 0.0 (t.bw_used -. grant.g_bandwidth)
-
-let absorb_power t w =
-  if t.power_budget <> infinity then t.power_budget <- t.power_budget +. w
-
-let pp ppf t =
-  Format.fprintf ppf "%d/%d nodes free, power %.0f/%s W, bw %.1f/%s GB/s"
-    (List.length t.free) (List.length t.members) t.power_used
-    (if t.power_budget = infinity then "inf" else Printf.sprintf "%.0f" t.power_budget)
-    t.bw_used
-    (if t.bw_budget = infinity then "inf" else Printf.sprintf "%.1f" t.bw_budget)

@@ -24,8 +24,6 @@ val power_budget : t -> float
 val power_in_use : t -> float
 val bandwidth_in_use : t -> float
 
-val node_count_fits : t -> int -> bool
-
 val try_grant : t -> spec:Jobspec.t -> nnodes:int -> grant option
 (** [try_grant t ~spec ~nnodes] allocates [nnodes] nodes plus the
     spec's consumables, or [None] if any dimension is short. *)
@@ -51,14 +49,8 @@ val donate_nodes : t -> int -> int list
 (** Take up to [n] free nodes out of the pool entirely (to hand to a
     child instance). Returns the ranks actually removed. *)
 
-val donate_power : t -> float -> float
-(** Take up to [w] watts of headroom out of the budget; returns the
-    amount actually removed. *)
-
 val absorb_nodes : t -> int list -> unit
 (** Return previously donated nodes (or add brand-new ones). *)
-
-val absorb_power : t -> float -> unit
 
 val remove_granted_nodes : t -> grant -> unit
 (** Convert a grant into a donation: the granted nodes leave the pool's
@@ -69,5 +61,3 @@ val release_consumables : t -> grant -> unit
 (** Return only the power/bandwidth of a grant (used when the nodes were
     removed via {!remove_granted_nodes} and come back via
     {!absorb_nodes}). *)
-
-val pp : Format.formatter -> t -> unit

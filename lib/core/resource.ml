@@ -74,7 +74,9 @@ let node ?(sockets = 2) ?(cores_per_socket = 8) ?(memory_gb = 32.0) ~name () =
 
 let rack ~nodes ~name () = composite ~name Rack nodes
 
-let cluster ?(nodes_per_rack = 32) ?(power_watts = 0.0) ~nnodes ~name () =
+let nodes_per_rack = 32
+
+let cluster ?(power_watts = 0.0) ~nnodes ~name () =
   let nracks = (nnodes + nodes_per_rack - 1) / nodes_per_rack in
   let racks =
     List.init nracks (fun r ->

@@ -29,12 +29,7 @@ type t = {
   children : t list;
 }
 
-val rtype_to_string : rtype -> string
-
 (** {1 Builders} *)
-
-val leaf : ?quantity:float -> name:string -> rtype -> t
-val composite : name:string -> rtype -> t list -> t
 
 val node : ?sockets:int -> ?cores_per_socket:int -> ?memory_gb:float -> name:string -> unit -> t
 (** A compute node (default 2 sockets x 8 cores, 32 GB: the Zin/Cab
@@ -42,15 +37,9 @@ val node : ?sockets:int -> ?cores_per_socket:int -> ?memory_gb:float -> name:str
 
 val rack : nodes:t list -> name:string -> unit -> t
 
-val cluster :
-  ?nodes_per_rack:int ->
-  ?power_watts:float ->
-  nnodes:int ->
-  name:string ->
-  unit ->
-  t
-(** A cluster of [nnodes] nodes split into racks, with a power envelope
-    attached at cluster level. *)
+val cluster : ?power_watts:float -> nnodes:int -> name:string -> unit -> t
+(** A cluster of [nnodes] nodes split into racks of 32, with a power
+    envelope attached at cluster level. *)
 
 val filesystem : ?bandwidth_gbs:float -> name:string -> unit -> t
 

@@ -20,14 +20,8 @@ type selection = {
   sel_racks : string list;  (** names of the racks touched, deduplicated *)
 }
 
-val node_cores : Resource.t -> int
-(** Core vertices under a node. *)
-
 val node_memory_gb : Resource.t -> float
 (** Memory quantity under a node. *)
-
-val qualifies : Resource.t -> spec:Jobspec.t -> bool
-(** Does one Node vertex satisfy the spec's per-node demands? *)
 
 val select : Resource.t -> spec:Jobspec.t -> strategy -> selection option
 (** [select tree ~spec strategy] picks [spec.nnodes] qualifying nodes,

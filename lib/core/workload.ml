@@ -15,17 +15,14 @@ let poisson_arrivals rng ~rate ~n =
         !t
       end)
 
-let uq_ensemble rng ~n ?(nodes_each = 1) ?(mean_duration = 60.0) ?(arrival_rate = 0.0) () =
-  let arrivals = poisson_arrivals rng ~rate:arrival_rate ~n in
-  List.map
-    (fun at ->
+let uq_ensemble rng ~n ?(mean_duration = 60.0) () =
+  List.init n (fun _ ->
       let d = Float.max 1.0 (Rng.exponential rng mean_duration) in
       {
-        Job.sub_after = at;
-        sub_spec = Jobspec.make ~nnodes:nodes_each ~walltime_est:(2.0 *. d) ();
+        Job.sub_after = 0.0;
+        sub_spec = Jobspec.make ~nnodes:1 ~walltime_est:(2.0 *. d) ();
         sub_payload = Job.Sleep d;
       })
-    arrivals
 
 let log_uniform rng ~max_value =
   (* 1 .. max_value with log-uniform mass. *)
@@ -35,24 +32,20 @@ let log_uniform rng ~max_value =
   let hi = min max_value (2 * lo) in
   lo + Rng.int rng (max 1 (hi - lo))
 
-let batch_mix rng ~n ~max_nodes ?(mean_duration = 120.0) ?(arrival_rate = 0.0)
-    ?(overestimate = 2.0) () =
-  let arrivals = poisson_arrivals rng ~rate:arrival_rate ~n in
-  List.map
-    (fun at ->
-      let nnodes = min max_nodes (log_uniform rng ~max_value:max_nodes) in
-      let d = Float.max 1.0 (Rng.exponential rng mean_duration) in
-      {
-        Job.sub_after = at;
-        sub_spec = Jobspec.make ~nnodes ~walltime_est:(overestimate *. d) ();
-        sub_payload = Job.Sleep d;
-      })
-    arrivals
-
-let io_phased rng ~n ~max_nodes ~fs_bandwidth_each ?(mean_duration = 120.0) () =
+let batch_mix rng ~n ~max_nodes ?(mean_duration = 120.0) () =
   List.init n (fun _ ->
       let nnodes = min max_nodes (log_uniform rng ~max_value:max_nodes) in
       let d = Float.max 1.0 (Rng.exponential rng mean_duration) in
+      {
+        Job.sub_after = 0.0;
+        sub_spec = Jobspec.make ~nnodes ~walltime_est:(2.0 *. d) ();
+        sub_payload = Job.Sleep d;
+      })
+
+let io_phased rng ~n ~max_nodes ~fs_bandwidth_each () =
+  List.init n (fun _ ->
+      let nnodes = min max_nodes (log_uniform rng ~max_value:max_nodes) in
+      let d = Float.max 1.0 (Rng.exponential rng 120.0) in
       {
         Job.sub_after = 0.0;
         sub_spec =
@@ -60,8 +53,9 @@ let io_phased rng ~n ~max_nodes ~fs_bandwidth_each ?(mean_duration = 120.0) () =
         sub_payload = Job.Sleep d;
       })
 
-let pilot_tasks rng ~n ?(prog = "") ?(mean_duration = 0.1) ?(min_duration = 0.01)
-    ?(arrival_rate = 0.0) () =
+let pilot_mean_duration = 0.1
+
+let pilot_tasks rng ~n ?(prog = "") ?(arrival_rate = 0.0) () =
   (* Merzky-style pilot stream: many single-node sub-second tasks,
      submitted open-loop. With [prog] the tasks are wexec launches
      (args carry a stable logical task id for exactly-once accounting
@@ -71,7 +65,7 @@ let pilot_tasks rng ~n ?(prog = "") ?(mean_duration = 0.1) ?(min_duration = 0.01
   let arrivals = poisson_arrivals rng ~rate:arrival_rate ~n in
   List.mapi
     (fun i at ->
-      let d = Float.max min_duration (Rng.exponential rng mean_duration) in
+      let d = Float.max 0.01 (Rng.exponential rng pilot_mean_duration) in
       let payload =
         if prog = "" then Job.Sleep d
         else

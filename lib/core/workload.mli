@@ -7,59 +7,36 @@
 
 module Rng = Flux_util.Rng
 
-val uq_ensemble :
-  Rng.t ->
-  n:int ->
-  ?nodes_each:int ->
-  ?mean_duration:float ->
-  ?arrival_rate:float ->
-  unit ->
-  Job.submission list
-(** [n] single-or-few-node jobs with exponential durations arriving as a
-    Poisson stream ([arrival_rate] jobs/s, default: all at t=0). *)
+val uq_ensemble : Rng.t -> n:int -> ?mean_duration:float -> unit -> Job.submission list
+(** [n] single-node jobs with exponential durations (at least 1 s), all
+    submitted at t=0, with walltime estimates twice the true
+    duration. *)
 
 val batch_mix :
-  Rng.t ->
-  n:int ->
-  max_nodes:int ->
-  ?mean_duration:float ->
-  ?arrival_rate:float ->
-  ?overestimate:float ->
-  unit ->
-  Job.submission list
-(** A classic batch mix: node counts log-uniform in [1, max_nodes],
-    exponential durations, walltime estimates [overestimate] x the true
-    duration (default 2.0 — users overestimate). *)
+  Rng.t -> n:int -> max_nodes:int -> ?mean_duration:float -> unit -> Job.submission list
+(** A classic batch mix submitted at t=0: node counts log-uniform in
+    [1, max_nodes], exponential durations, walltime estimates twice the
+    true duration (users overestimate). *)
 
 val io_phased :
-  Rng.t ->
-  n:int ->
-  max_nodes:int ->
-  fs_bandwidth_each:float ->
-  ?mean_duration:float ->
-  unit ->
-  Job.submission list
+  Rng.t -> n:int -> max_nodes:int -> fs_bandwidth_each:float -> unit -> Job.submission list
 (** Jobs that also consume shared-filesystem bandwidth while running —
     used to demonstrate co-scheduling compute with the global file
-    system. *)
+    system. Durations are exponential with a 120 s mean. *)
 
 val pilot_tasks :
-  Rng.t ->
-  n:int ->
-  ?prog:string ->
-  ?mean_duration:float ->
-  ?min_duration:float ->
-  ?arrival_rate:float ->
-  unit ->
-  Job.submission list
-(** A pilot-style many-task stream (Merzky et al.): [n] single-node
-    tasks with exponential sub-second durations (default mean 0.1 s,
+  Rng.t -> n:int -> ?prog:string -> ?arrival_rate:float -> unit -> Job.submission list
+(** A pilot-style many-task stream (Merzky et al.): [n] single-node tasks
+    with exponential sub-second durations (mean {!pilot_mean_duration},
     floor 0.01 s) arriving open-loop at [arrival_rate] tasks/s (default:
-    all at t=0). With [prog] each task is a wexec [App] launch whose
-    args carry a stable logical task id ([tid] = stream index) for
-    exactly-once accounting across requeues; without, [Sleep] payloads
-    drawn from the identical random sequence — the same stream shape for
-    baselines with no wexec stack. *)
+    all at t=0). With [prog] each task is a wexec [App] launch whose args
+    carry a stable logical task id ([tid] = stream index) for exactly-once
+    accounting across requeues; without, [Sleep] payloads drawn from the
+    identical random sequence — the same stream shape for baselines with
+    no wexec stack. *)
+
+val pilot_mean_duration : float
+(** 0.1 s. *)
 
 val nest :
   depth:int ->

@@ -7,40 +7,22 @@ module Session = Flux_cmb.Session
 module Kvs = Flux_kvs.Kvs_module
 module Client = Flux_kvs.Client
 
-type config = {
-  seed : int;
-  size : int;
-  fanout : int;
-  clients : int list;
-  rounds : int;
-  fence_every : int;
-  value_bytes : int;
-  fault_mean : float;
-  duration : float;
-  max_dead : int;
-  master_kill_bias : float;
-  op_timeout : float;
-  kvs : Kvs.config;
-}
+type config = { seed : int; clients : int list; rounds : int; duration : float }
 
-let default =
-  {
-    seed = 1;
-    size = 15;
-    fanout = 2;
-    clients = [ 9; 11; 13 ];
-    rounds = 24;
-    fence_every = 6;
-    value_bytes = 400;
-    fault_mean = 0.8;
-    duration = 25.0;
-    max_dead = 3;
-    master_kill_bias = 0.4;
-    op_timeout = 8.0;
-    (* Acked commits must survive master loss: replicate every fresh
-       interior object with the setroot announcing it. *)
-    kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int };
-  }
+let default = { seed = 1; clients = [ 9; 11; 13 ]; rounds = 24; duration = 25.0 }
+
+(* The schedule's fixed shape (see the .mli). *)
+let size = 15
+let fence_every = 6
+let value_bytes = 400
+let fault_mean = 0.8
+let max_dead = 3
+let master_kill_bias = 0.4
+let op_timeout = 8.0
+
+(* Acked commits must survive master loss: replicate every fresh
+   interior object with the setroot announcing it. *)
+let replicated_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
 
 type report = {
   commits_ok : int;
@@ -108,7 +90,7 @@ let revive_oldest st =
 let victims st =
   List.filter
     (fun r -> (not (List.mem r st.cfg.clients)) && not (Session.is_down st.sess r))
-    (List.init st.cfg.size Fun.id)
+    (List.init size Fun.id)
 
 (* Every schedule is guaranteed one master kill while a commit is in
    flight: the assassin waits for the first concurrent commit and
@@ -130,13 +112,13 @@ let injector st =
   let rng = Rng.split st.rng in
   let continue = ref true in
   while !continue do
-    Proc.sleep (Rng.exponential rng st.cfg.fault_mean);
+    Proc.sleep (Rng.exponential rng fault_mean);
     if Engine.now st.eng >= st.cfg.duration then continue := false
-    else if List.length (History.dead st.h) >= st.cfg.max_dead then revive_oldest st
+    else if List.length (History.dead st.h) >= max_dead then revive_oldest st
     else begin
       let m = acting_master st in
       let want_master =
-        Rng.float rng 1.0 < st.cfg.master_kill_bias
+        Rng.float rng 1.0 < master_kill_bias
         && m >= 0
         && (not (List.mem m st.cfg.clients))
         && not (Session.is_down st.sess m)
@@ -152,8 +134,8 @@ let injector st =
 
 (* --- Client workload ----------------------------------------------------- *)
 
-let value_for cfg ~rank ~round =
-  if round mod 3 = 0 then Json.string (String.make cfg.value_bytes (Char.chr (97 + (rank mod 26))))
+let value_for ~rank ~round =
+  if round mod 3 = 0 then Json.string (String.make value_bytes (Char.chr (97 + (rank mod 26))))
   else Json.obj [ ("r", Json.int rank); ("n", Json.int round) ]
 
 let fence_key ~round ~rank = Printf.sprintf "f%d.c%d" round rank
@@ -185,10 +167,9 @@ let client_proc st ~rank =
   let round_gap = st.cfg.duration /. float_of_int (st.cfg.rounds + 1) in
   for round = 1 to st.cfg.rounds do
     Proc.sleep (Rng.exponential rng round_gap);
-    let is_fence = st.cfg.fence_every > 0 && round mod st.cfg.fence_every = 0 in
-    if is_fence then begin
+    if round mod fence_every = 0 then begin
       let key = fence_key ~round ~rank in
-      let v = value_for st.cfg ~rank ~round in
+      let v = value_for ~rank ~round in
       match Client.put c ~key v with
       | Error _ ->
         (* The local broker never dies in a schedule; treat a failed put
@@ -199,7 +180,7 @@ let client_proc st ~rank =
       | Ok () -> (
         st.in_flight_commits <- st.in_flight_commits + 1;
         let r =
-          Client.fence ~timeout:st.cfg.op_timeout c
+          Client.fence ~timeout:op_timeout c
             ~name:(Printf.sprintf "chaos.%d" round)
             ~nprocs
         in
@@ -216,7 +197,7 @@ let client_proc st ~rank =
               read
                 ~label:(Printf.sprintf "%s fence %d" who round)
                 ~key:(fence_key ~round ~rank:peer)
-                ~expect:(value_for st.cfg ~rank:peer ~round))
+                ~expect:(value_for ~rank:peer ~round))
             st.cfg.clients
         | Error _ ->
           st.fences_indeterminate <- st.fences_indeterminate + 1;
@@ -225,7 +206,7 @@ let client_proc st ~rank =
     end
     else begin
       let key = commit_key ~rank ~round in
-      let v = value_for st.cfg ~rank ~round in
+      let v = value_for ~rank ~round in
       (match Client.put c ~key v with
       | Error _ ->
         History.unknown st.h key;
@@ -304,15 +285,15 @@ let validate cfg =
   Harness.require
     [
       (cfg.clients <> [], "no client ranks");
-      (List.for_all (fun r -> r >= 0 && r < cfg.size) cfg.clients, "client rank out of range");
+      (List.for_all (fun r -> r >= 0 && r < size) cfg.clients, "client rank out of range");
       (cfg.rounds >= 1, "rounds must be >= 1");
     ]
 
 let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Chaos.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
-  let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
-  let kvs = Kvs.load sess ~config:cfg.kvs () in
+  let sess = Session.create eng ~size () in
+  let kvs = Kvs.load sess ~config:replicated_kvs () in
   let st =
     {
       cfg;

@@ -27,30 +27,24 @@
 
     Invariant breaches are collected in [violations] (empty = the
     schedule proved out); the harness never raises on a breach so
-    benches can report instead of abort. *)
+    benches can report instead of abort.
 
-module Kvs = Flux_kvs.Kvs_module
+    The schedule's shape is fixed: 15 ranks in a binary tree with delta
+    replication enabled ([setroot_delta_max = max_int]) so acked
+    commits survive master loss; every 6th round is a collective fence
+    with an 8 s deadline; every third value is a 400-byte string (not
+    inlined); and the injector acts every 0.8 s on average, keeps at
+    most 3 ranks dead, and aims 40% of its kills at the master. *)
 
 type config = {
   seed : int;  (** everything stochastic derives from this *)
-  size : int;  (** session ranks *)
-  fanout : int;
   clients : int list;  (** protected client ranks — never killed *)
   rounds : int;  (** put/commit rounds per client *)
-  fence_every : int;  (** every Nth round is a collective fence; 0 = never *)
-  value_bytes : int;  (** size of the periodic large (non-inlined) values *)
-  fault_mean : float;  (** mean virtual seconds between injector actions *)
   duration : float;  (** injector stops after this much virtual time *)
-  max_dead : int;  (** cap on concurrently dead ranks *)
-  master_kill_bias : float;  (** probability an injector kill targets the master *)
-  op_timeout : float;  (** client-side deadline for fences *)
-  kvs : Kvs.config;
 }
 
 val default : config
-(** 15 ranks, 3 clients on leaf ranks, delta replication enabled
-    ([setroot_delta_max = max_int]) so acked commits survive master
-    loss. *)
+(** 3 clients on leaf ranks, 24 rounds, 25 s of faults. *)
 
 type report = {
   commits_ok : int;

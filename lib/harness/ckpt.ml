@@ -35,12 +35,15 @@ type config = {
   per_rank : int;
   epochs : int;
   keys_per_epoch : int;
-  value_bytes : int;
-  ckpt_timeout : float;
-  revive_after : float;
-  max_requeues : int;
-  kvs : Kvs.config;
 }
+
+let value_bytes = 96
+let ckpt_timeout = 4.0
+let revive_after = 1.0
+
+(* Acked state must survive master loss: replicate fresh interior
+   objects with each setroot so a successor rebuilds from survivors. *)
+let replicated_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
 
 (* Rank 0 is the wexec job master (no failover) and the driver runs on
    rank [size-1], so schedules never kill either; [size-2] serves reads
@@ -56,13 +59,6 @@ let default =
     per_rank = 1;
     epochs = 4;
     keys_per_epoch = 2;
-    value_bytes = 96;
-    ckpt_timeout = 4.0;
-    revive_after = 1.0;
-    max_requeues = 3;
-    (* Acked state must survive master loss: replicate fresh interior
-       objects with each setroot so a successor rebuilds from survivors. *)
-    kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int };
   }
 
 type report = {
@@ -118,13 +114,13 @@ let driver_rank st = st.cfg.size - 1
 
 let key_for ~g ~e ~i = Printf.sprintf "ck.g%d.e%d.i%d" g e i
 
-let value_for cfg ~g ~e ~i =
+let value_for ~g ~e ~i =
   Json.obj
     [
       ("g", Json.int g);
       ("e", Json.int e);
       ("i", Json.int i);
-      ("pad", Json.string (String.make cfg.value_bytes 'z'));
+      ("pad", Json.string (String.make value_bytes 'z'));
     ]
 
 (* A committed manifest at epoch [e] covers every task's writes for all
@@ -134,7 +130,7 @@ let promote st ~ntasks ~from_e ~to_e =
   for e = from_e to to_e do
     for g = 0 to ntasks - 1 do
       for i = 0 to st.cfg.keys_per_epoch - 1 do
-        History.ack st.h (key_for ~g ~e ~i) (value_for st.cfg ~g ~e ~i)
+        History.ack st.h (key_for ~g ~e ~i) (value_for ~g ~e ~i)
       done
     done
   done
@@ -171,22 +167,22 @@ let worker st (ctx : Wexec.proc_ctx) =
         let key = key_for ~g:0 ~e ~i:0 in
         let r = Client.get ctx.px_kvs ~key in
         if Result.is_ok r then st.checked <- st.checked + 1;
-        History.check st.h ~label:"resume" ~key ~expect:(value_for st.cfg ~g:0 ~e ~i:0) r
+        History.check st.h ~label:"resume" ~key ~expect:(value_for ~g:0 ~e ~i:0) r
       done
   end;
   for e = start_e to st.cfg.epochs do
     for i = 0 to st.cfg.keys_per_epoch - 1 do
       let key = key_for ~g:ctx.px_global_index ~e ~i in
-      match Client.put ctx.px_kvs ~key (value_for st.cfg ~g:ctx.px_global_index ~e ~i) with
+      match Client.put ctx.px_kvs ~key (value_for ~g:ctx.px_global_index ~e ~i) with
       | Ok () -> ()
       | Error er -> raise (Wexec.Task_failure er)
     done;
     let t0 = Engine.now st.eng in
     st.fencing <- st.fencing + 1;
     let r =
-      if st.cfg.manifests then Wexec.checkpoint ~timeout:st.cfg.ckpt_timeout ctx ~epoch:e
+      if st.cfg.manifests then Wexec.checkpoint ~timeout:ckpt_timeout ctx ~epoch:e
       else
-        Client.fence ~timeout:st.cfg.ckpt_timeout ctx.px_kvs
+        Client.fence ~timeout:ckpt_timeout ctx.px_kvs
           ~name:(Wexec.manifest_key ctx.px_jobid e)
           ~nprocs:ctx.px_ntasks
     in
@@ -227,7 +223,7 @@ let node_assassin st =
   done;
   Proc.sleep (Rng.float rng 0.0005);
   let v = seeded_worker st rng in
-  if not (protected st v) then History.outage st.h v ~for_:st.cfg.revive_after
+  if not (protected st v) then History.outage st.h v ~for_:revive_after
 
 let window_assassin st =
   let rng = Rng.split st.rng in
@@ -238,7 +234,7 @@ let window_assassin st =
   (* Strike in the gap between the committed manifest and the next
      fence: the newest recovery point must already be durable. *)
   let v = seeded_worker st rng in
-  if not (protected st v) then History.outage st.h v ~for_:st.cfg.revive_after
+  if not (protected st v) then History.outage st.h v ~for_:revive_after
 
 (* Move KVS mastership off rank 0 (the fixed wexec master) before the
    job launches, so the mid-snapshot master kill never has to touch a
@@ -252,7 +248,7 @@ let master_prephase st =
   while acting_kvs_master st < 0 && Engine.now st.eng < 60.0 do
     Proc.sleep 0.005
   done;
-  Proc.sleep st.cfg.revive_after;
+  Proc.sleep revive_after;
   History.revive st.h 0;
   Proc.sleep 0.05;
   st.launch_ok <- true
@@ -266,7 +262,7 @@ let snapshotter st =
      assassin's poll gap, so give it a beat to depose the master first —
      the capture then has to ride the takeover. *)
   Proc.sleep 0.002;
-  (match Snapshot.capture st.sess ~rank:(capture_rank st) () with
+  (match Snapshot.capture st.sess ~rank:(capture_rank st) with
   | Ok snap -> (
     match Snapshot.verify snap with
     | Ok () -> ()
@@ -283,7 +279,7 @@ let master_assassin st =
   Proc.sleep (Rng.float rng 0.001);
   let m = acting_kvs_master st in
   if m >= 0 && (not (protected st m)) && st.capturing then
-    History.outage st.h m ~for_:st.cfg.revive_after
+    History.outage st.h m ~for_:revive_after
 
 (* --- Driver and finalization --------------------------------------------- *)
 
@@ -295,8 +291,7 @@ let driver st =
   let api = Api.connect st.sess ~rank in
   let kvs = Client.connect st.sess ~rank in
   match
-    Checkpoint.run_resilient api ~kvs ~metrics:st.metrics
-      ~max_requeues:st.cfg.max_requeues ~max_epoch:st.cfg.epochs ~jobid
+    Checkpoint.run_resilient api ~kvs ~metrics:st.metrics ~max_epoch:st.cfg.epochs ~jobid
       ~prog:prog_name ~per_rank:st.cfg.per_rank ~ranks:st.cfg.workers ()
   with
   | Ok o ->
@@ -321,7 +316,7 @@ let restore_equivalence st snap =
       History.violate st.h "decode(encode) changed the root");
   let eng2 = Engine.create () in
   let sess2 = Session.create eng2 ~fanout:2 ~size:4 () in
-  let kvs2 = Kvs.load sess2 ~config:st.cfg.kvs () in
+  let kvs2 = Kvs.load sess2 ~config:replicated_kvs () in
   match Kvs.restore kvs2.(0) snap with
   | Error e -> History.violate st.h "restore into fresh session failed: %s" e
   | Ok () ->
@@ -368,7 +363,7 @@ let finalize st =
   let snap_ref = ref None in
   ignore
     (Proc.spawn st.eng (fun () ->
-         match Snapshot.capture st.sess ~rank:(capture_rank st) () with
+         match Snapshot.capture st.sess ~rank:(capture_rank st) with
          | Ok s -> snap_ref := Some s
          | Error e -> History.violate st.h "final capture failed: %s" e)
       : Proc.pid);
@@ -393,7 +388,7 @@ let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Ckpt.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
-  let kvs = Kvs.load sess ~config:cfg.kvs () in
+  let kvs = Kvs.load sess ~config:replicated_kvs () in
   let metrics = Metrics.create () in
   Kvs.set_metrics_all kvs metrics;
   ignore (Wexec.load sess () : Wexec.t array);

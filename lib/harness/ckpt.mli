@@ -25,16 +25,14 @@ type config = {
   per_rank : int;
   epochs : int;
   keys_per_epoch : int;
-  value_bytes : int;
-  ckpt_timeout : float;
-  revive_after : float;
-  max_requeues : int;
-  kvs : Flux_kvs.Kvs_module.config;
 }
+(** The KVS always runs with setroot delta replication, so acked state
+    survives master loss. Tasks write 96-byte values; checkpoint fences
+    time out after 4 s; a killed rank is revived 1 s later; the job is
+    requeued at most 3 times. *)
 
 val default : config
-(** 13 ranks, workers on ranks 2..5, 4 epochs, a node killed mid-job,
-    and setroot delta replication so acked state survives master loss.
+(** 13 ranks, workers on ranks 2..5, 4 epochs, a node killed mid-job.
     Rank 0 (the wexec master), [size-2] (reads and captures) and
     [size-1] (which submits the job) are never killed. *)
 

@@ -41,20 +41,38 @@ type config = {
   mode : mode;
   duration : float;
   drain : float;
-  base_rate : float;
-  burst_factor : float;
-  burst_period : float;
-  mean_duration : float;
-  min_duration : float;
   queue_cap : int;
-  telem_interval : float;
-  telem_window : int;
-  slope_threshold : float;
   policy : Ctl.policy;
   silence_at : float option;
-  cost_model : Instance.cost_model;
-  converge_margin : float;
 }
+
+(* Off-burst arrival rate (tasks/s), its multiplier during the burst
+   half, and the square-wave period (burst = first half). *)
+let base_rate = 15.0
+let burst_factor = 4.0
+let burst_period = 1.0
+
+(* Exponential task durations: mean and floor. *)
+let mean_duration = 0.2
+let min_duration = 0.02
+
+(* Telemetry plane: rollup epoch, trend window, queue-growth alert slope
+   (units/epoch). *)
+let telem_interval = 0.25
+let telem_window = 16
+let slope_threshold = 3.0
+
+(* A heavier per-job cycle cost than the default model: this is the
+   regime the paper's admission-control argument lives in, where an
+   unbounded queue slows the very scheduler that must drain it. At the
+   protected cap (40) a cycle costs ~80 ms — painful but below the
+   200 ms mean task, so goodput plateaus; an unbounded queue in the
+   hundreds pushes cycles past the task duration and the collapse feeds
+   itself. *)
+let cost_model = { Instance.default_cost_model with Instance.decision_per_job = 2e-3 }
+
+(* No grow may fire later than this after arrivals stop. *)
+let converge_margin = 1.0
 
 let default =
   {
@@ -65,15 +83,7 @@ let default =
     mode = Elastic;
     duration = 6.0;
     drain = 2.0;
-    base_rate = 15.0;
-    burst_factor = 4.0;
-    burst_period = 1.0;
-    mean_duration = 0.2;
-    min_duration = 0.02;
     queue_cap = 40;
-    telem_interval = 0.25;
-    telem_window = 16;
-    slope_threshold = 3.0;
     policy =
       {
         Ctl.p_metric = "elastic.queue";
@@ -91,15 +101,6 @@ let default =
         p_silence = 1.0;
       };
     silence_at = None;
-    (* A heavier per-job cycle cost than the default model: this is the
-       regime the paper's admission-control argument lives in, where an
-       unbounded queue slows the very scheduler that must drain it. At
-       the protected cap (40) a cycle costs ~80 ms — painful but below
-       the 200 ms mean task, so goodput plateaus; an unbounded queue in
-       the hundreds pushes cycles past the task duration and the
-       collapse feeds itself. *)
-    cost_model = { Instance.default_cost_model with Instance.decision_per_job = 2e-3 };
-    converge_margin = 1.0;
   }
 
 type report = {
@@ -159,12 +160,7 @@ let validate cfg =
           Printf.sprintf "child_nodes must be in 2..%d (size - 1)" (cfg.size - 1) );
         (cfg.duration > 0.0 && cfg.drain >= 0.0, "duration must be positive, drain non-negative");
         (Option.fold ~none:true ~some:(( <= ) 0.0) cfg.silence_at, "silence_at must be >= 0");
-        ( cfg.base_rate > 0.0 && cfg.burst_factor >= 1.0 && cfg.burst_period > 0.0,
-          "rates must be positive, burst_factor >= 1" );
-        (cfg.mean_duration > 0.0 && cfg.min_duration > 0.0, "task durations must be positive");
         (cfg.queue_cap >= 1 && cfg.seed >= 1, "queue_cap and seed must be >= 1");
-        ( cfg.telem_interval > 0.0 && cfg.telem_window >= 4,
-          "telem_interval must be positive, telem_window >= 4" );
       ]
 
 let run cfg =
@@ -188,9 +184,9 @@ let run cfg =
   let tconfig =
     {
       Tmod.default_config with
-      Tmod.interval = cfg.telem_interval;
-      window = cfg.telem_window;
-      slope_threshold = cfg.slope_threshold;
+      Tmod.interval = telem_interval;
+      window = telem_window;
+      slope_threshold;
       queue_metrics = [ cfg.policy.Ctl.p_metric ];
     }
   in
@@ -198,13 +194,13 @@ let run cfg =
   Tmod.set_metrics_all telem metrics;
   Tmod.set_tracer_all telem tracer;
   Tmod.set_flight_all telem flight;
-  Tmod.start ~until:(t_end +. (0.25 *. cfg.telem_interval)) telem;
+  Tmod.start ~until:(t_end +. (0.25 *. telem_interval)) telem;
   (match cfg.silence_at with
   | Some at ->
     ignore (Engine.schedule eng ~delay:at (fun () -> Tmod.stop telem) : Engine.handle)
   | None -> ());
   let root =
-    Instance.create_root sess ~policy:"fcfs" ~cost_model:cfg.cost_model ~name:"elastic" ()
+    Instance.create_root sess ~policy:"fcfs" ~cost_model ~name:"elastic" ()
   in
   Instance.set_tracer root (Some tracer);
   (* The worker child: carved from the root, kept alive past the
@@ -234,9 +230,8 @@ let run cfg =
   let durations : (int, float) Hashtbl.t = Hashtbl.create 512 in
   let arr_rng = Rng.create cfg.seed in
   let rate_at now =
-    let phase = Float.rem now cfg.burst_period in
-    if phase < 0.5 *. cfg.burst_period then cfg.base_rate *. cfg.burst_factor
-    else cfg.base_rate
+    let phase = Float.rem now burst_period in
+    if phase < 0.5 *. burst_period then base_rate *. burst_factor else base_rate
   in
   let setup_at = 0.05 in
   ignore
@@ -281,7 +276,7 @@ let run cfg =
              let tid = !offered in
              incr offered;
              let d =
-               Float.max cfg.min_duration (Rng.exponential arr_rng cfg.mean_duration)
+               Float.max min_duration (Rng.exponential arr_rng mean_duration)
              in
              Hashtbl.replace durations tid d;
              if cfg.mode <> Unprotected && Instance.queue_length c >= cfg.queue_cap then
@@ -392,7 +387,7 @@ let run cfg =
     List.iter
       (fun (ts, d) ->
         match d with
-        | Ctl.Grow _ when ts > cfg.duration +. cfg.converge_margin ->
+        | Ctl.Grow _ when ts > cfg.duration +. converge_margin ->
           History.violate h "grow at t=%.3f, %.3f after arrivals stopped" ts (ts -. cfg.duration)
         | _ -> ())
       (Ctl.actions k);

@@ -32,29 +32,23 @@ type config = {
   mode : mode;
   duration : float;  (** arrival window, sim-seconds *)
   drain : float;  (** controller/telemetry run-on after arrivals stop *)
-  base_rate : float;  (** off-burst arrival rate, tasks/s *)
-  burst_factor : float;  (** rate multiplier during the burst half *)
-  burst_period : float;  (** square-wave period; burst = first half *)
-  mean_duration : float;  (** exponential task-duration mean *)
-  min_duration : float;
   queue_cap : int;  (** Protected/Elastic submission-shed bound *)
-  telem_interval : float;  (** rollup epoch length *)
-  telem_window : int;
-  slope_threshold : float;  (** queue-growth alert slope, units/epoch *)
   policy : Ctl.policy;  (** controller policy (Elastic mode only) *)
   silence_at : float option;
       (** stop the telemetry plane at this sim time — the
           telemetry-silent fallback case *)
-  cost_model : Flux_core.Instance.cost_model;
-  converge_margin : float;
-      (** no grow may fire later than [duration + converge_margin] *)
 }
+(** The stream and plane are fixed: arrivals at 15/s with 4x bursts in
+    the first half of every 1 s period; exponential task durations of
+    mean 0.2 s, at least 20 ms; a telemetry rollup every 0.25 s with a
+    16-epoch trend window and a 3/epoch queue-growth alert slope; a
+    scheduler cost model charging 2 ms per queued job per cycle; and no
+    grow later than 1 s after arrivals stop. *)
 
 val default : config
-(** 32 ranks, child of 4, 6 s of arrivals (15/s base, 4x bursts every
-    1 s) + 2 s drain, 0.2 s mean tasks, cap 40, pressure-driven
-    controller (band 3..12, step 4, nodes 2..24, cooldown 0.5 s),
-    [Elastic] mode. *)
+(** 32 ranks, child of 4, 6 s of arrivals + 2 s drain, cap 40,
+    pressure-driven controller (band 3..12, step 4, nodes 2..24,
+    cooldown 0.5 s), [Elastic] mode. *)
 
 type report = {
   e_mode : mode;
@@ -84,8 +78,9 @@ type report = {
 }
 
 val validate : config -> (unit, string) result
-(** A child of 2..size-1 of at least 8 ranks, positive durations, rates
-    and counts, non-negative [drain] and [silence_at], a valid policy. *)
+(** A child of 2..size-1 of at least 8 ranks, a positive duration,
+    queue cap and seed, non-negative [drain] and [silence_at], a valid
+    policy. *)
 
 val run : config -> report
 (** One soak under one regime. Raises [Invalid_argument] when

@@ -18,16 +18,10 @@ type profile = Sustained | Bursty
 type config = {
   seed : int;
   size : int;
-  fanout : int;
   producers : int list;
   rate : float;
   duration : float;
   profile : profile;
-  burst_factor : float;
-  burst_period : float;
-  value_bytes : int;
-  op_timeout : float;
-  op_attempts : int;
   flow : Session.flow_config option;
   link_limits : Net.queue_limits option;
   kvs : Kvs.config;
@@ -35,6 +29,18 @@ type config = {
   telem : bool; (* run the live telemetry plane in-band with the soak *)
   telem_interval : float; (* rollup epoch length; <= 0 means duration/10 *)
 }
+
+(* Bursty square wave: peak-to-trough ratio and period. *)
+let burst_factor = 4.0
+let burst_period = 0.05
+
+(* Above the inline threshold: values stay by-reference, so directories
+   hold 20-byte shas rather than the payloads. *)
+let value_bytes = 512
+
+(* Per-attempt client deadline and transmissions per mput. *)
+let op_timeout = 1.0
+let op_attempts = 6
 
 let master_capacity cfg =
   if cfg.kvs.Kvs.apply_cpu_per_tuple <= 0.0 then infinity
@@ -44,26 +50,18 @@ let default =
   {
     seed = 1;
     size = 64;
-    fanout = 2;
     (* Leaf-ish ranks, spread across subtrees so the streams converge
        hop by hop — the TBON funnel the credits are protecting. *)
     producers = List.init 8 (fun i -> 56 + i);
     rate = 5_000.0;
     duration = 0.5;
     profile = Sustained;
-    burst_factor = 4.0;
-    burst_period = 0.05;
-    (* Above the inline threshold: values stay by-reference, so
-       directories hold 20-byte shas rather than the payloads. *)
-    value_bytes = 512;
-    op_timeout = 1.0;
-    op_attempts = 6;
     (* The top-of-tree broker funnels nearly all traffic: its window
        must cover the master's queueing delay (window/apply-rate) or the
        credits, not the master, become the bottleneck. 256 credits at
        100 us/op is a 25.6 ms pipe — deep enough to saturate the master,
        shallow enough that admission control still gets exercised. *)
-    flow = Some { Session.default_flow_config with Session.flow_credits = 256; flow_stash = 512 };
+    flow = Some { Session.flow_credits = 256; flow_stash = 512 };
     link_limits = Some { Net.max_msgs = 512; max_bytes = max_int; policy = Net.Block };
     (* A 100 us serial apply makes the master's capacity 10k ops/s —
        small enough to saturate with a short virtual-time run. *)
@@ -133,17 +131,17 @@ let stream_rate st ~now =
     (* Average-preserving square wave with peak-to-trough ratio
        [burst_factor]: bursts hammer the queues while the aggregate
        offered load stays at the configured rate. *)
-    let f = st.cfg.burst_factor in
-    let phase = Float.rem now st.cfg.burst_period in
-    if phase < st.cfg.burst_period /. 2.0 then per *. 2.0 *. f /. (f +. 1.0)
+    let f = burst_factor in
+    let phase = Float.rem now burst_period in
+    if phase < burst_period /. 2.0 then per *. 2.0 *. f /. (f +. 1.0)
     else per *. 2.0 /. (f +. 1.0)
 
-let value_for st ~rank ~seq =
+let value_for ~rank ~seq =
   Json.obj
     [
       ("r", Json.int rank);
       ("n", Json.int seq);
-      ("pad", Json.string (String.make st.cfg.value_bytes 'x'));
+      ("pad", Json.string (String.make value_bytes 'x'));
     ]
 
 let inject st ~api ~rank ~seq =
@@ -152,10 +150,10 @@ let inject st ~api ~rank ~seq =
      path, and a single flat directory would make op cost linear in the
      ops so far. *)
   let key = Printf.sprintf "ov.%d.%d.%d" rank (seq land 63) seq in
-  let v = value_for st ~rank ~seq in
+  let v = value_for ~rank ~seq in
   let sent = Engine.now st.eng in
   st.offered <- st.offered + 1;
-  Api.rpc_async api ~timeout:st.cfg.op_timeout ~attempts:st.cfg.op_attempts
+  Api.rpc_async api ~timeout:op_timeout ~attempts:op_attempts
     ~idempotent:true ~topic:"kvs.mput"
     (Json.obj [ ("bindings", Json.list [ Json.obj [ ("key", Json.string key); ("v", v) ] ]) ])
     ~reply:(fun r ->
@@ -261,7 +259,7 @@ let validate cfg =
 let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Overload.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
-  let sess = Session.create eng ~fanout:cfg.fanout ?flow:cfg.flow ~size:cfg.size () in
+  let sess = Session.create eng ?flow:cfg.flow ~size:cfg.size () in
   Net.set_link_limits (Session.rpc_net sess) cfg.link_limits;
   let kvs = Kvs.load sess ~config:cfg.kvs () in
   (* Optional live telemetry plane, riding the same overloaded tree as

@@ -38,24 +38,20 @@ module Kvs = Flux_kvs.Kvs_module
 type profile =
   | Sustained  (** constant-rate Poisson arrivals *)
   | Bursty
-      (** square-wave modulation: each [burst_period] spends half at
-          [burst_factor] times the stream rate and half at the
-          reciprocal, hammering the queues while the average stays near
-          the configured rate *)
+      (** square-wave modulation: each 50 ms period spends half at a
+          peak and half at a trough a quarter of it, hammering the
+          queues while the average stays at the configured rate *)
 
+(** Producers write 512-byte padded values (above the inline
+    threshold) with idempotent [kvs.mput]s of up to 6 transmissions and
+    a 1 s deadline per attempt, over a binary tree. *)
 type config = {
   seed : int;  (** everything stochastic derives from this *)
   size : int;  (** session ranks *)
-  fanout : int;
   producers : int list;  (** ranks injecting streams (never rank 0) *)
   rate : float;  (** aggregate offered ops/second across producers *)
   duration : float;  (** injection window, virtual seconds *)
   profile : profile;
-  burst_factor : float;
-  burst_period : float;
-  value_bytes : int;  (** padding per written value *)
-  op_timeout : float;  (** per-attempt client deadline *)
-  op_attempts : int;
   flow : Session.flow_config option;  (** TBON credit window; [None] = off *)
   link_limits : Net.queue_limits option;  (** RPC-plane caps; [None] = off *)
   kvs : Kvs.config;  (** admission control lives here *)

@@ -44,18 +44,15 @@ type config = {
   depth : int;  (** levels of child instances (0 = one flat instance) *)
   children : int;  (** instance-tree fanout per level *)
   tasks : int;
-  mean_duration : float;
-  min_duration : float;
-  arrival_rate : float;  (** offered tasks/s, open loop; 0 = batch at t=0 *)
   policy : string;
   task_kind : task_kind;
-  cost_model : Instance.cost_model;
-  trace : bool;
   kill_leaf : bool;  (** kill a worker rank of leaf 0 mid-batch *)
   kill_frac : float;  (** strike once this fraction of tasks has acked *)
   revive_after : float;
-  max_requeues : int;
 }
+
+(* Requeues allowed per logical task. *)
+let max_requeues = 5
 
 let default =
   {
@@ -65,17 +62,11 @@ let default =
     depth = 2;
     children = 2;
     tasks = 200;
-    mean_duration = 0.1;
-    min_duration = 0.01;
-    arrival_rate = 0.0;
     policy = "fcfs";
     task_kind = Wexec_tasks;
-    cost_model = Instance.default_cost_model;
-    trace = true;
     kill_leaf = false;
     kill_frac = 0.25;
     revive_after = 1.0;
-    max_requeues = 5;
   }
 
 type level = {
@@ -124,7 +115,7 @@ type state = {
   eng : Engine.t;
   sess : Session.t;
   root : Instance.t;
-  tracer : Tracer.t option;
+  tracer : Tracer.t;
   tasks : task_state array;  (** indexed by logical task id *)
   h : History.t;
   mutable requeues : int;
@@ -177,7 +168,7 @@ let acked_count st =
    (the monitor stops waiting for it; the final audit flags it). *)
 let unresolved st =
   Array.exists
-    (fun ts -> ts.ts_acks = 0 && ts.ts_requeues <= st.cfg.max_requeues)
+    (fun ts -> ts.ts_acks = 0 && ts.ts_requeues <= max_requeues)
     st.tasks
 
 (* --- Chaos: leaf kill + requeue monitor ----------------------------------- *)
@@ -251,7 +242,7 @@ let install_monitor st =
       | None -> ()
       | Some tid ->
         let ts = st.tasks.(tid) in
-        if ts.ts_acks = 0 && ts.ts_requeues < st.cfg.max_requeues then begin
+        if ts.ts_acks = 0 && ts.ts_requeues < max_requeues then begin
           ts.ts_requeues <- ts.ts_requeues + 1;
           match pick_target () with
           | None ->
@@ -276,74 +267,75 @@ let install_monitor st =
 (* --- Span-chain decomposition --------------------------------------------- *)
 
 let level_decomposition st =
-  match st.tracer with
-  | None -> ([], 0.0, 0.0)
-  | Some tr ->
-    let submits : (string, float * int) Hashtbl.t = Hashtbl.create 1024 in
-    let matches : (string, float) Hashtbl.t = Hashtbl.create 1024 in
-    let starts : (string, float) Hashtbl.t = Hashtbl.create 1024 in
-    let completes : (string, float) Hashtbl.t = Hashtbl.create 1024 in
-    List.iter
-      (fun (e : Tracer.event) ->
-        let jid () = Json.to_string_v (Json.member "jid" (Json.obj e.Tracer.ev_fields)) in
-        match (e.Tracer.ev_cat, e.Tracer.ev_name) with
-        | "sched", "submit" ->
-          let d = Json.to_int (Json.member "depth" (Json.obj e.Tracer.ev_fields)) in
-          Hashtbl.replace submits (jid ()) (e.Tracer.ev_ts, d)
-        | "sched", "match" -> Hashtbl.replace matches (jid ()) e.Tracer.ev_ts
-        | "wexec", "start" ->
-          let jobid =
-            Json.to_string_v (Json.member "jobid" (Json.obj e.Tracer.ev_fields))
-          in
-          if not (Hashtbl.mem starts jobid) then
-            Hashtbl.replace starts jobid e.Tracer.ev_ts
-        | "wexec", "complete" ->
-          let jobid =
-            Json.to_string_v (Json.member "jobid" (Json.obj e.Tracer.ev_fields))
-          in
-          Hashtbl.replace completes jobid e.Tracer.ev_ts
-        | _ -> ())
-      (Tracer.events tr);
-    let per_level : (int, Stats.t) Hashtbl.t = Hashtbl.create 8 in
-    let match_start = Stats.create () in
-    let start_complete = Stats.create () in
-    Hashtbl.iter
-      (fun jid (t_submit, d) ->
-        match Hashtbl.find_opt matches jid with
-        | None -> ()
-        | Some t_match ->
-          let s =
-            match Hashtbl.find_opt per_level d with
-            | Some s -> s
-            | None ->
-              let s = Stats.create () in
-              Hashtbl.replace per_level d s;
-              s
-          in
-          Stats.add s (t_match -. t_submit);
-          (match Hashtbl.find_opt starts jid with
-          | Some t_start -> Stats.add match_start (t_start -. t_match)
-          | None -> ());
-          (match (Hashtbl.find_opt starts jid, Hashtbl.find_opt completes jid) with
-          | Some t_start, Some t_c -> Stats.add start_complete (t_c -. t_start)
-          | _ -> ()))
-      submits;
-    let levels =
-      List.sort (fun a b -> compare a.lv_depth b.lv_depth)
-        (Hashtbl.fold
-           (fun d s acc ->
-             {
-               lv_depth = d;
-               lv_jobs = Stats.count s;
-               lv_submit_match_mean = Stats.mean s;
-               lv_submit_match_p95 = Stats.percentile s 0.95;
-             }
-             :: acc)
-           per_level [])
-    in
-    ( levels,
-      (if Stats.count match_start = 0 then 0.0 else Stats.mean match_start),
-      if Stats.count start_complete = 0 then 0.0 else Stats.mean start_complete )
+  let submits : (string, float * int) Hashtbl.t = Hashtbl.create 1024 in
+  let matches : (string, float) Hashtbl.t = Hashtbl.create 1024 in
+  let starts : (string, float) Hashtbl.t = Hashtbl.create 1024 in
+  let completes : (string, float) Hashtbl.t = Hashtbl.create 1024 in
+  List.iter
+    (fun (e : Tracer.event) ->
+      let jid () = Json.to_string_v (Json.member "jid" (Json.obj e.Tracer.ev_fields)) in
+      match (e.Tracer.ev_cat, e.Tracer.ev_name) with
+      | "sched", "submit" ->
+        let d = Json.to_int (Json.member "depth" (Json.obj e.Tracer.ev_fields)) in
+        Hashtbl.replace submits (jid ()) (e.Tracer.ev_ts, d)
+      | "sched", "match" -> Hashtbl.replace matches (jid ()) e.Tracer.ev_ts
+      | "wexec", "start" ->
+        let jobid =
+          Json.to_string_v (Json.member "jobid" (Json.obj e.Tracer.ev_fields))
+        in
+        if not (Hashtbl.mem starts jobid) then
+          Hashtbl.replace starts jobid e.Tracer.ev_ts
+      | "wexec", "complete" ->
+        let jobid =
+          Json.to_string_v (Json.member "jobid" (Json.obj e.Tracer.ev_fields))
+        in
+        Hashtbl.replace completes jobid e.Tracer.ev_ts
+      | _ -> ())
+    (Tracer.events st.tracer);
+  let per_level : (int, Stats.t) Hashtbl.t = Hashtbl.create 8 in
+  let match_start = Stats.create () in
+  let start_complete = Stats.create () in
+  Hashtbl.iter
+    (fun jid (t_submit, d) ->
+      match Hashtbl.find_opt matches jid with
+      | None -> ()
+      | Some t_match ->
+        let s =
+          match Hashtbl.find_opt per_level d with
+          | Some s -> s
+          | None ->
+            let s = Stats.create () in
+            Hashtbl.replace per_level d s;
+            s
+        in
+        Stats.add s (t_match -. t_submit);
+        (* A revived rank replays the [wexec.exec] events it missed and
+           starts jobs the master already counted as failed; such a
+           start lands after the job's complete and belongs to neither
+           hop. *)
+        match (Hashtbl.find_opt starts jid, Hashtbl.find_opt completes jid) with
+        | Some t_start, Some t_c when t_start > t_c -> ()
+        | Some t_start, t_c ->
+          Stats.add match_start (t_start -. t_match);
+          Option.iter (fun t_c -> Stats.add start_complete (t_c -. t_start)) t_c
+        | None, _ -> ())
+    submits;
+  let levels =
+    List.sort (fun a b -> compare a.lv_depth b.lv_depth)
+      (Hashtbl.fold
+         (fun d s acc ->
+           {
+             lv_depth = d;
+             lv_jobs = Stats.count s;
+             lv_submit_match_mean = Stats.mean s;
+             lv_submit_match_p95 = Stats.percentile s 0.95;
+           }
+           :: acc)
+         per_level [])
+  in
+  ( levels,
+    (if Stats.count match_start = 0 then 0.0 else Stats.mean match_start),
+    if Stats.count start_complete = 0 then 0.0 else Stats.mean start_complete )
 
 (* --- Audit ----------------------------------------------------------------- *)
 
@@ -431,19 +423,15 @@ let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Sched.run: " ^ e)) (validate cfg);
   let leaves_n = leaf_count cfg in
   let c =
-    Center.create ~nodes:cfg.nodes ~fanout:cfg.fanout ~policy:cfg.policy
-      ~cost_model:cfg.cost_model ~name:"sched" ()
+    Center.create ~nodes:cfg.nodes ~fanout:cfg.fanout ~policy:cfg.policy ~name:"sched" ()
   in
   let eng = c.Center.eng and sess = c.Center.sess and root = c.Center.root in
-  let tracer =
-    if cfg.trace then Some (Tracer.create ~capacity:2_000_000 ~now:(fun () -> Engine.now eng) ())
-    else None
-  in
+  let tracer = Tracer.create ~capacity:2_000_000 ~now:(fun () -> Engine.now eng) () in
   let metrics = Metrics.create () in
   Kvs.set_metrics_all c.Center.kvs metrics;
-  Wexec.set_tracer_all c.Center.wexec tracer;
+  Wexec.set_tracer_all c.Center.wexec (Some tracer);
   Wexec.set_metrics_all c.Center.wexec metrics;
-  Instance.set_tracer root tracer;
+  Instance.set_tracer root (Some tracer);
   let st =
     {
       cfg;
@@ -461,10 +449,7 @@ let run cfg =
   Wexec.register_program prog_name (task_body st);
   let rng = Rng.create cfg.seed in
   let prog = match cfg.task_kind with Sleep_tasks -> "" | Wexec_tasks -> prog_name in
-  let stream =
-    Workload.pilot_tasks rng ~n:cfg.tasks ~prog ~mean_duration:cfg.mean_duration
-      ~min_duration:cfg.min_duration ~arrival_rate:cfg.arrival_rate ()
-  in
+  let stream = Workload.pilot_tasks rng ~n:cfg.tasks ~prog () in
   let plan =
     Workload.nest ~depth:cfg.depth ~children:cfg.children ~policy:cfg.policy
       ~nnodes:cfg.nodes stream
@@ -505,17 +490,9 @@ let run cfg =
   in
   let levels, hop_ms, hop_sc = level_decomposition st in
   let spans =
-    match st.tracer with
-    | None -> []
-    | Some tr ->
-      List.map
-        (fun (cat, name) -> (cat ^ "." ^ name, Tracer.count tr ~cat ~name))
-        [
-          ("sched", "submit");
-          ("sched", "match");
-          ("wexec", "start");
-          ("wexec", "complete");
-        ]
+    List.map
+      (fun (cat, name) -> (cat ^ "." ^ name, Tracer.count tracer ~cat ~name))
+      [ ("sched", "submit"); ("sched", "match"); ("wexec", "start"); ("wexec", "complete") ]
   in
   {
     r_depth = cfg.depth;
@@ -564,14 +541,9 @@ type central_report = {
    it: the hierarchy pays wexec RPCs on top and must still win. *)
 let run_central cfg =
   let eng = Engine.create () in
-  let ctl =
-    Central.create eng ~nnodes:cfg.nodes ~policy:cfg.policy ~cost_model:cfg.cost_model ()
-  in
+  let ctl = Central.create eng ~nnodes:cfg.nodes ~policy:cfg.policy () in
   let rng = Rng.create cfg.seed in
-  let stream =
-    Workload.pilot_tasks rng ~n:cfg.tasks ~prog:"" ~mean_duration:cfg.mean_duration
-      ~min_duration:cfg.min_duration ~arrival_rate:cfg.arrival_rate ()
-  in
+  let stream = Workload.pilot_tasks rng ~n:cfg.tasks ~prog:"" () in
   Central.submit_plan ctl stream;
   Engine.run eng;
   let s = Central.stats ctl in
@@ -689,7 +661,7 @@ let harness =
             ("experiment", Json.string "sched");
             ("nodes", Json.int nodes);
             ("tasks", Json.int tasks);
-            ("mean_duration", Json.float base.mean_duration);
+            ("mean_duration", Json.float Workload.pilot_mean_duration);
             ("policy", Json.string base.policy);
             ("central", Json.obj central_row);
             ("depth_rows", rows depth_runs);

@@ -22,22 +22,19 @@ type config = {
   depth : int;  (** levels of child instances (0 = one flat instance) *)
   children : int;  (** instance-tree fanout per level *)
   tasks : int;
-  mean_duration : float;
-  min_duration : float;
-  arrival_rate : float;  (** offered tasks/s, open loop; 0 = batch at t=0 *)
   policy : string;
   task_kind : task_kind;
-  cost_model : Flux_core.Instance.cost_model;
-  trace : bool;
   kill_leaf : bool;  (** kill a worker rank of leaf 0 mid-batch *)
   kill_frac : float;  (** strike once this fraction of tasks has acked *)
   revive_after : float;
-  max_requeues : int;
 }
+(** Every run is traced, submits its {!Flux_core.Workload.pilot_tasks}
+    stream as one batch at t=0, uses the default scheduler cost model,
+    and requeues a failed task at most 5 times. *)
 
 val default : config
-(** 16 nodes, depth 2 with 2 children per level, 200 wexec tasks of
-    mean 0.1 s submitted as one batch, FCFS, traced. *)
+(** 16 nodes, depth 2 with 2 children per level, 200 wexec tasks,
+    FCFS. *)
 
 type level = {
   lv_depth : int;  (** 0 = root *)
@@ -62,7 +59,10 @@ type report = {
   r_sched_cycles : int;  (** summed over every instance in the tree *)
   r_levels : level list;  (** per-level hop decomposition, root first *)
   r_hop_match_start_mean : float;  (** sched.match -> wexec.start *)
-  r_hop_start_complete_mean : float;  (** wexec.start -> wexec.complete *)
+  r_hop_start_complete_mean : float;
+      (** wexec.start -> wexec.complete. Both hop means leave out a
+          start that lands after its job's complete: a revived rank
+          replaying a job the master already failed. *)
   r_spans : (string * int) list;  (** span-chain counter fingerprint *)
   r_wexec_started : int;
   r_wexec_done : int;

@@ -28,45 +28,23 @@ let comps_for vt ~shards =
 
 (* --- Goodput-vs-shards soak ------------------------------------------------ *)
 
-type soak_config = {
-  seed : int;
-  size : int;
-  fanout : int;
-  shards : int;
-  producers : int list;
-  rate : float;  (** aggregate offered ops/s; set to 2x one master's capacity *)
-  duration : float;
-  value_bytes : int;
-  op_timeout : float;
-  op_attempts : int;
-  kvs : Kvs.config;
-}
+type soak_config = { shards : int; producers : int list; duration : float }
 
-let soak_default =
-  {
-    seed = 1;
-    size = 32;
-    fanout = 2;
-    shards = 1;
-    producers = List.init 8 (fun i -> 24 + i);
-    (* One master applies at 1/apply_cpu_per_tuple = 10k ops/s; offer
-       twice that, so shards=1 saturates and shards>=2 has headroom. *)
-    rate = 20_000.0;
-    duration = 0.4;
-    value_bytes = 256;
-    op_timeout = 1.0;
-    op_attempts = 6;
-    kvs =
-      {
-        Kvs.default_config with
-        Kvs.apply_cpu_per_tuple = 100e-6;
-        admission_max_intake = 256;
-      };
-  }
+let soak_default = { shards = 1; producers = List.init 8 (fun i -> 24 + i); duration = 0.4 }
 
-let soak_capacity cfg =
-  if cfg.kvs.Kvs.apply_cpu_per_tuple <= 0.0 then infinity
-  else 1.0 /. cfg.kvs.Kvs.apply_cpu_per_tuple
+let soak_seed = 1
+let soak_size = 32
+let soak_value_bytes = 256
+let soak_op_timeout = 1.0
+let soak_op_attempts = 6
+
+let soak_kvs =
+  { Kvs.default_config with Kvs.apply_cpu_per_tuple = 100e-6; admission_max_intake = 256 }
+
+(* One master applies at 1/apply_cpu_per_tuple = 10k ops/s; offer twice
+   that, so shards=1 saturates and shards>=2 has headroom. *)
+let soak_capacity = 1.0 /. soak_kvs.Kvs.apply_cpu_per_tuple
+let soak_rate = 20_000.0
 
 type soak_report = {
   shards : int;
@@ -115,12 +93,12 @@ let soak_inject st ~api ~vol ~rank ~seq =
       [
         ("r", Json.int rank);
         ("n", Json.int seq);
-        ("pad", Json.string (String.make st.scfg.value_bytes 'x'));
+        ("pad", Json.string (String.make soak_value_bytes 'x'));
       ]
   in
   let sent = Engine.now st.eng in
   st.offered <- st.offered + 1;
-  Api.rpc_async api ~timeout:st.scfg.op_timeout ~attempts:st.scfg.op_attempts
+  Api.rpc_async api ~timeout:soak_op_timeout ~attempts:soak_op_attempts
     ~idempotent:true
     ~topic:(Printf.sprintf "kvs-%d.mput" vol)
     (Json.obj
@@ -139,8 +117,8 @@ let soak_inject st ~api ~vol ~rank ~seq =
 let soak_producer st ~idx ~rank =
   let api = Api.connect st.sess ~rank in
   let vol = idx mod st.scfg.shards in
-  let rng = Rng.create (st.scfg.seed lxor (rank * 0x9e3779b1)) in
-  let per = st.scfg.rate /. float_of_int (List.length st.scfg.producers) in
+  let rng = Rng.create (soak_seed lxor (rank * 0x9e3779b1)) in
+  let per = soak_rate /. float_of_int (List.length st.scfg.producers) in
   let seq = ref 0 in
   let rec arm () =
     if Engine.now st.eng < st.scfg.duration then begin
@@ -162,19 +140,16 @@ let soak_validate (cfg : soak_config) =
     [
       (cfg.shards >= 1, "shards must be >= 1");
       (cfg.producers <> [], "no producers");
-      ( List.for_all (fun r -> r >= 0 && r < cfg.size) cfg.producers,
+      ( List.for_all (fun r -> r >= 0 && r < soak_size) cfg.producers,
         "producer rank out of range (must be 0..size-1)" );
-      (cfg.rate > 0.0 && cfg.duration > 0.0, "rate and duration must be positive");
+      (cfg.duration > 0.0, "duration must be positive");
     ]
 
 let soak cfg =
   Result.iter_error (fun e -> invalid_arg ("Shard.soak: " ^ e)) (soak_validate cfg);
   let eng = Engine.create () in
-  let sess =
-    Session.create eng ~fanout:cfg.fanout ~rank_topology:Session.Direct
-      ~size:cfg.size ()
-  in
-  let vt = Volumes.load sess ~config:cfg.kvs ~shards:cfg.shards () in
+  let sess = Session.create eng ~rank_topology:Session.Direct ~size:soak_size () in
+  let vt = Volumes.load sess ~config:soak_kvs ~shards:cfg.shards () in
   let st =
     {
       scfg = cfg;
@@ -216,13 +191,10 @@ let soak cfg =
     hwm := max !hwm (Kvs.intake_hwm (inst vol));
     sheds := !sheds + Kvs.admission_sheds (inst vol);
     intake_left := !intake_left + Kvs.intake_depth (inst vol);
-    if
-      cfg.kvs.Kvs.admission_max_intake > 0
-      && Kvs.intake_hwm (inst vol) > cfg.kvs.Kvs.admission_max_intake
-    then
+    if Kvs.intake_hwm (inst vol) > soak_kvs.Kvs.admission_max_intake then
       History.violate st.h "volume %d intake hwm %d exceeds bound %d" vol
         (Kvs.intake_hwm (inst vol))
-        cfg.kvs.Kvs.admission_max_intake
+        soak_kvs.Kvs.admission_max_intake
   done;
   let unresolved = st.offered - st.acked - st.shed - st.failed in
   if unresolved <> 0 then History.violate st.h "%d offered ops never resolved" unresolved;
@@ -249,35 +221,18 @@ let soak cfg =
 
 (* --- Cross-shard fence chaos ---------------------------------------------- *)
 
-type chaos_config = {
-  cseed : int;
-  csize : int;
-  cfanout : int;
-  cshards : int;
-  cclients : int list;
-  crounds : int;
-  cvalue_bytes : int;
-  round_gap : float;  (** mean inter-round gap per client *)
-  revive_after : float;  (** kill-to-revive delay *)
-  ckvs : Kvs.config;
-}
+let chaos_size = 12
+let chaos_shards = 2
+let chaos_clients = [ 9; 10; 11 ]
+let chaos_rounds = 6
+let chaos_value_bytes = 64
+let round_gap = 0.25 (* mean inter-round gap per client *)
+let revive_after = 0.6 (* kill-to-revive delay *)
 
-let chaos_default =
-  {
-    cseed = 1;
-    csize = 12;
-    cfanout = 2;
-    cshards = 2;
-    cclients = [ 9; 10; 11 ];
-    crounds = 6;
-    cvalue_bytes = 64;
-    round_gap = 0.25;
-    revive_after = 0.6;
-    (* Acked cross-shard fences must survive a shard-master loss:
-       replicate fresh interior objects with each setroot so a successor
-       can rebuild the authoritative store from survivors. *)
-    ckvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int };
-  }
+(* Acked cross-shard fences must survive a shard-master loss: replicate
+   fresh interior objects with each setroot so a successor can rebuild
+   the authoritative store from survivors. *)
+let chaos_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
 
 type chaos_report = {
   fences_ok : int;
@@ -296,7 +251,7 @@ type chaos_report = {
 }
 
 type chaos_state = {
-  ccfg : chaos_config;
+  cseed : int;
   ceng : Engine.t;
   csess : Session.t;
   cvt : Volumes.t;
@@ -313,20 +268,20 @@ type chaos_state = {
 let chaos_key st ~vol ~rank ~round =
   Printf.sprintf "%s.c%d.r%d" st.comps.(vol) rank round
 
-let chaos_value cfg ~vol ~rank ~round =
+let chaos_value ~vol ~rank ~round =
   Json.obj
     [
       ("v", Json.int vol);
       ("r", Json.int rank);
       ("n", Json.int round);
-      ("pad", Json.string (String.make cfg.cvalue_bytes 'y'));
+      ("pad", Json.string (String.make chaos_value_bytes 'y'));
     ]
 
 (* The rank currently acting as master for a volume (skipping dead ranks,
    whose instances still believe in their old role). *)
 let acting_master st ~vol =
   let m = ref (-1) in
-  for r = 0 to st.ccfg.csize - 1 do
+  for r = 0 to chaos_size - 1 do
     if
       Kvs.is_master (Volumes.instance st.cvt ~volume:vol ~rank:r)
       && not (Session.is_down st.csess r)
@@ -339,7 +294,7 @@ let acting_master st ~vol =
    while another has not — then revive it later. *)
 let assassin st =
   let rng = Rng.split st.crng in
-  let target_vol = st.ccfg.cseed mod st.ccfg.cshards in
+  let target_vol = st.cseed mod chaos_shards in
   Proc.sleep 0.01;
   while st.in_flight_fences = 0 && Engine.now st.ceng < 60.0 do
     Proc.sleep 0.0005
@@ -347,27 +302,26 @@ let assassin st =
   (* A seeded extra beat varies which phase of the fence the kill hits. *)
   Proc.sleep (Rng.float rng 0.01);
   let m = acting_master st ~vol:target_vol in
-  if m >= 0 && not (List.mem m st.ccfg.cclients) then
-    History.outage st.ch m ~for_:st.ccfg.revive_after
+  if m >= 0 && not (List.mem m chaos_clients) then History.outage st.ch m ~for_:revive_after
 
 (* Odd seeds also fell an interior slave of the other volume's tree
    mid-run, exercising the healed-tree forwarding under the same fence
    traffic. *)
 let slave_killer st =
-  if st.ccfg.cseed land 1 = 1 then begin
-    Proc.sleep (st.ccfg.round_gap *. 2.5);
-    let masters = List.init st.ccfg.cshards (Volumes.master_rank st.cvt) in
+  if st.cseed land 1 = 1 then begin
+    Proc.sleep (round_gap *. 2.5);
+    let masters = List.init chaos_shards (Volumes.master_rank st.cvt) in
     match
       List.filter
         (fun r ->
           (not (List.mem r masters))
-          && (not (List.mem r st.ccfg.cclients))
+          && (not (List.mem r chaos_clients))
           && (not (Session.is_down st.csess r))
           && r <> 0)
-        (List.init st.ccfg.csize Fun.id)
+        (List.init chaos_size Fun.id)
     with
     | [] -> ()
-    | v :: _ -> History.outage st.ch v ~for_:st.ccfg.revive_after
+    | v :: _ -> History.outage st.ch v ~for_:revive_after
   end
 
 (* Poll a key until visible: fence completion guarantees every shard
@@ -392,18 +346,18 @@ let await_key st c ~label ~key ~expect =
 let chaos_client st ~rank =
   let c = Volumes.client st.cvt ~rank in
   let rng = Rng.split st.crng in
-  let nprocs = List.length st.ccfg.cclients in
+  let nprocs = List.length chaos_clients in
   (* One version horizon per volume: monotonic reads must hold on every
      shard independently. *)
-  let who = Array.init st.ccfg.cshards (Printf.sprintf "rank %d volume %d" rank) in
-  for round = 1 to st.ccfg.crounds do
-    Proc.sleep (Rng.exponential rng st.ccfg.round_gap);
+  let who = Array.init chaos_shards (Printf.sprintf "rank %d volume %d" rank) in
+  for round = 1 to chaos_rounds do
+    Proc.sleep (Rng.exponential rng round_gap);
     (* One write per volume, so every cross-shard fence really spans
        every shard. *)
     let wrote = ref [] in
-    for vol = 0 to st.ccfg.cshards - 1 do
+    for vol = 0 to chaos_shards - 1 do
       let key = chaos_key st ~vol ~rank ~round in
-      let v = chaos_value st.ccfg ~vol ~rank ~round in
+      let v = chaos_value ~vol ~rank ~round in
       match Volumes.put c ~key v with
       | Ok () -> wrote := (key, v) :: !wrote
       | Error e -> History.violate st.ch "rank %d: put %s failed: %s" rank key e
@@ -423,13 +377,13 @@ let chaos_client st ~rank =
         !wrote;
       List.iter
         (fun peer ->
-          for vol = 0 to st.ccfg.cshards - 1 do
+          for vol = 0 to chaos_shards - 1 do
             let pk = chaos_key st ~vol ~rank:peer ~round in
-            let pv = chaos_value st.ccfg ~vol ~rank:peer ~round in
+            let pv = chaos_value ~vol ~rank:peer ~round in
             History.ack st.ch pk pv;
             await_key st c ~label:"atomicity" ~key:pk ~expect:pv
           done)
-        (List.filter (fun p -> p <> rank) st.ccfg.cclients);
+        (List.filter (fun p -> p <> rank) chaos_clients);
       (* Monotonic reads over keys: anything this client has already
          observed must still be there. *)
       Hashtbl.iter
@@ -442,7 +396,7 @@ let chaos_client st ~rank =
     | Error e ->
       st.cfences_failed <- st.cfences_failed + 1;
       History.violate st.ch "rank %d: fence r%d failed: %s" rank round e);
-    for vol = 0 to st.ccfg.cshards - 1 do
+    for vol = 0 to chaos_shards - 1 do
       History.observe st.ch ~who:who.(vol) ~label:"post-fence"
         (Kvs.version (Volumes.instance st.cvt ~volume:vol ~rank))
     done
@@ -450,8 +404,8 @@ let chaos_client st ~rank =
 
 let chaos_finalize st =
   Engine.run st.ceng;
-  let n = st.ccfg.csize in
-  let shards = st.ccfg.cshards in
+  let n = chaos_size in
+  let shards = chaos_shards in
   (* Exactly one acting master per volume. *)
   for vol = 0 to shards - 1 do
     let ms =
@@ -511,7 +465,7 @@ let chaos_finalize st =
      a rank that is not a client (including the revived ex-master's). *)
   let verify_rank =
     match
-      List.filter (fun r -> not (List.mem r st.ccfg.cclients)) (List.init n Fun.id)
+      List.filter (fun r -> not (List.mem r chaos_clients)) (List.init n Fun.id)
     with
     | r :: _ -> r
     | [] -> 0
@@ -527,31 +481,18 @@ let chaos_finalize st =
   Engine.run st.ceng;
   (!versions, !roots, xe0)
 
-let chaos_validate cfg =
-  Harness.require
-    [
-      (cfg.cshards >= 2, "needs at least two shards");
-      (cfg.cclients <> [], "no client ranks");
-      (List.for_all (fun r -> r >= 0 && r < cfg.csize) cfg.cclients, "client rank out of range");
-      (cfg.crounds >= 1, "crounds must be >= 1");
-    ]
-
-let chaos cfg =
-  Result.iter_error (fun e -> invalid_arg ("Shard.chaos: " ^ e)) (chaos_validate cfg);
+let chaos seed =
   let eng = Engine.create () in
-  let sess =
-    Session.create eng ~fanout:cfg.cfanout ~rank_topology:Session.Direct
-      ~size:cfg.csize ()
-  in
-  let vt = Volumes.load sess ~config:cfg.ckvs ~shards:cfg.cshards () in
+  let sess = Session.create eng ~rank_topology:Session.Direct ~size:chaos_size () in
+  let vt = Volumes.load sess ~config:chaos_kvs ~shards:chaos_shards () in
   let st =
     {
-      ccfg = cfg;
+      cseed = seed;
       ceng = eng;
       csess = sess;
       cvt = vt;
-      comps = comps_for vt ~shards:cfg.cshards;
-      crng = Rng.create cfg.cseed;
+      comps = comps_for vt ~shards:chaos_shards;
+      crng = Rng.create seed;
       ch = History.create sess;
       seen = Hashtbl.create 256;
       in_flight_fences = 0;
@@ -564,15 +505,15 @@ let chaos cfg =
   ignore (Proc.spawn eng (fun () -> slave_killer st) : Proc.pid);
   List.iter
     (fun r -> ignore (Proc.spawn eng (fun () -> chaos_client st ~rank:r) : Proc.pid))
-    cfg.cclients;
+    chaos_clients;
   Engine.run eng;
   let versions, roots, xepoch = chaos_finalize st in
   let takeovers =
-    List.init cfg.cshards (fun vol ->
+    List.init chaos_shards (fun vol ->
         List.fold_left
           (fun acc r -> max acc (Kvs.epoch (Volumes.instance vt ~volume:vol ~rank:r)))
           0
-          (List.init cfg.csize Fun.id))
+          (List.init chaos_size Fun.id))
     |> List.fold_left ( + ) 0
   in
   {
@@ -614,10 +555,9 @@ let harness =
   let sweep ~fast =
     let duration = if fast then 0.25 else 0.4 in
     let base = { soak_default with duration } in
-    let cap = soak_capacity base in
     Printf.printf
       "(%d nodes, %d producers, %.2fs window, per-master capacity %.0f ops/s, offered %.0f)\n%!"
-      base.size (List.length base.producers) duration cap base.rate;
+      soak_size (List.length base.producers) duration soak_capacity soak_rate;
     let runs = List.map (fun shards -> soak { base with shards }) [ 1; 2; 4 ] in
     let rows = List.map soak_row runs in
     Harness.print_table rows;
@@ -633,11 +573,11 @@ let harness =
         Json.obj
           [
             ("experiment", Json.string "shard");
-            ("nodes", Json.int base.size);
+            ("nodes", Json.int soak_size);
             ("producers", Json.int (List.length base.producers));
             ("duration", Json.float duration);
-            ("per_master_capacity", Json.float cap);
-            ("offered_rate", Json.float base.rate);
+            ("per_master_capacity", Json.float soak_capacity);
+            ("offered_rate", Json.float soak_rate);
             ("scaling_1_to_4", Json.float ratio);
             ("tier", Harness.tier ~fast);
             ("rows", Json.list (List.map Json.obj rows));

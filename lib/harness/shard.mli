@@ -6,23 +6,15 @@
 
 (** {1 Goodput-vs-shards soak} *)
 
-type soak_config = {
-  seed : int;
-  size : int;
-  fanout : int;
-  shards : int;
-  producers : int list;
-  rate : float;  (** aggregate offered ops/s *)
-  duration : float;
-  value_bytes : int;
-  op_timeout : float;
-  op_attempts : int;
-  kvs : Flux_kvs.Kvs_module.config;
-}
+(** The soak's session is fixed at 32 ranks in a binary tree, with
+    seed 1. Its producers offer 20k ops/s in aggregate — twice one
+    master's 10k ops/s capacity (a 100 us serial apply) — as idempotent
+    [kvs.mput]s of 256-byte values, up to 6 transmissions with a 1 s
+    deadline each. Admission control sheds past an intake of 256. *)
+type soak_config = { shards : int; producers : int list; duration : float }
 
 val soak_default : soak_config
-(** 32 ranks, 8 producers, one shard, offering 2x one master's
-    10k ops/s capacity for 0.4 s with admission control on. *)
+(** 8 producers, one shard, 0.4 s of offered load. *)
 
 type soak_report = {
   shards : int;
@@ -46,29 +38,26 @@ type soak_report = {
 }
 
 val soak_validate : soak_config -> (unit, string) result
-(** Shards, producers in 0..size-1, a positive rate and duration. *)
+(** Shards, producers in 0..31, a positive duration. *)
 
 val soak : soak_config -> soak_report
 (** Raises [Invalid_argument] when {!soak_validate} fails. *)
 
-(** {1 Cross-shard fence chaos} *)
+(** {1 Cross-shard fence chaos}
 
-type chaos_config = {
-  cseed : int;
-  csize : int;
-  cfanout : int;
-  cshards : int;
-  cclients : int list;
-  crounds : int;
-  cvalue_bytes : int;
-  round_gap : float;  (** mean inter-round gap per client *)
-  revive_after : float;  (** kill-to-revive delay *)
-  ckvs : Flux_kvs.Kvs_module.config;
-}
+    The schedule is fixed but for its seed: 12 ranks in a binary tree, 2
+    shards with setroot delta replication so acked fences survive a
+    shard-master loss, and {!chaos_clients} each running
+    {!chaos_rounds} rounds. A round writes one 64-byte value per shard
+    and joins a cross-shard fence; rounds are 0.25 s apart on average.
+    The seed picks the shard whose master dies mid-fence; odd seeds also
+    kill an interior slave. Each victim is revived 0.6 s later. *)
 
-val chaos_default : chaos_config
-(** 12 ranks, 2 shards, 3 clients, 6 rounds, setroot delta replication
-    so acked fences survive a shard-master loss. *)
+val chaos_clients : int list
+(** The client ranks: 9, 10 and 11. *)
+
+val chaos_rounds : int
+(** Fences per client: 6. *)
 
 type chaos_report = {
   fences_ok : int;
@@ -88,11 +77,8 @@ type chaos_report = {
   csim_events : int;
 }
 
-val chaos_validate : chaos_config -> (unit, string) result
-(** Two or more shards, clients in range, one or more rounds. *)
-
-val chaos : chaos_config -> chaos_report
-(** Raises [Invalid_argument] when {!chaos_validate} fails. *)
+val chaos : int -> chaos_report
+(** [chaos seed] runs the schedule. *)
 
 val harness : Harness.t
 (** The bench sweep: the soak at 1, 2 and 4 shards; goodput must scale

@@ -28,9 +28,6 @@ type config = {
   interval : float; (* rollup epoch length *)
   epochs : int; (* run duration = epochs * interval *)
   window : int;
-  straggler_k : float;
-  slope_threshold : float;
-  work_mean : float; (* mean work-item duration *)
   work_per_epoch : int; (* work items per rank per epoch *)
   straggler : (int * float) option; (* rank, slowdown factor *)
   onset_frac : float; (* fault onset as a fraction of the run *)
@@ -47,9 +44,6 @@ let default =
     interval = 0.05;
     epochs = 12;
     window = 32;
-    straggler_k = 4.0;
-    slope_threshold = 1.0;
-    work_mean = 0.002;
     work_per_epoch = 4;
     straggler = Some (11, 10.0);
     onset_frac = 0.3;
@@ -57,6 +51,9 @@ let default =
     mute = None;
     ramp = None;
   }
+
+(* Mean work-item duration, seconds. *)
+let work_mean = 0.002
 
 let straggler_case = default
 let kill_case = { default with straggler = None; kill = Some 9 }
@@ -99,7 +96,7 @@ let validate cfg =
       (cfg.size >= 4, "size must be >= 4");
       (cfg.fanout >= 2, "fanout must be >= 2");
       (cfg.epochs >= 4, "epochs must be >= 4");
-      (cfg.interval > 0.0 && cfg.work_mean > 0.0, "interval and work_mean must be positive");
+      (cfg.interval > 0.0, "interval must be positive");
       (cfg.window >= 1 && cfg.work_per_epoch >= 1, "window and work_per_epoch must be >= 1");
       (cfg.seed >= 1, "seed must be >= 1");
       (cfg.onset_frac >= 0.0 && cfg.onset_frac < 1.0, "onset_frac must be in [0, 1)");
@@ -124,8 +121,6 @@ let run cfg =
       Tmod.default_config with
       Tmod.interval = cfg.interval;
       window = cfg.window;
-      straggler_k = cfg.straggler_k;
-      slope_threshold = cfg.slope_threshold;
       straggler_metrics = [ "telem.work" ];
       queue_metrics = (match cfg.ramp with Some _ -> [ "telem.qdepth" ] | None -> []);
     }
@@ -155,7 +150,7 @@ let run cfg =
                    | Some (r, f) when r = rank && now >= onset -> f
                    | _ -> 1.0
                  in
-                 let dur = cfg.work_mean *. slow *. (0.75 +. (0.5 *. Rng.float rng 1.0)) in
+                 let dur = work_mean *. slow *. (0.75 +. (0.5 *. Rng.float rng 1.0)) in
                  Tracer.emit tracer ~cat:"work" ~name:"item" ~rank
                    ~fields:[ ("dur", Json.float dur) ]
                    ();

@@ -17,9 +17,6 @@ type config = {
   interval : float;  (** rollup epoch length *)
   epochs : int;  (** run duration = epochs * interval *)
   window : int;  (** series ring capacity and trend-detector window *)
-  straggler_k : float;
-  slope_threshold : float;
-  work_mean : float;  (** mean work-item duration *)
   work_per_epoch : int;  (** work items per rank per epoch *)
   straggler : (int * float) option;  (** rank, slowdown factor *)
   onset_frac : float;  (** fault onset as a fraction of the run *)
@@ -30,7 +27,8 @@ type config = {
 
 val default : config
 (** 16 ranks, 12 epochs of 0.05 s, rank 11 straggling 10x from 30% of
-    the run. *)
+    the run. Work items average 2 ms; the plane runs the module's
+    detectors at their defaults (median + 4 * MAD, slope 1/epoch). *)
 
 val straggler_case : config
 val kill_case : config
@@ -58,7 +56,7 @@ type report = {
 }
 
 val validate : config -> (unit, string) result
-(** At least 4 ranks and epochs, positive timings and counts, an onset
+(** At least 4 ranks and epochs, a positive interval and counts, an onset
     inside the run, fault ranks in 1..size-1, a straggler factor above 1. *)
 
 val run : config -> report

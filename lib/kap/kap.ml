@@ -27,8 +27,6 @@ type config = {
   sync : sync_kind;
   access_stride : int;
   fanout : int;
-  net_config : Flux_sim.Net.config option;
-  kvs_config : Flux_kvs.Kvs_module.config option;
   trace : bool;
 }
 
@@ -46,8 +44,6 @@ let default =
     sync = Fence;
     access_stride = 1;
     fanout = 2;
-    net_config = None;
-    kvs_config = None;
     trace = false;
   }
 
@@ -126,18 +122,11 @@ let run cfg =
   (match cfg.dir_layout with
   | Multi_dir n when n <= 0 -> invalid_arg "Kap.run: directory size must be positive"
   | _ -> ());
+  if cfg.value_size < 2 then invalid_arg "Kap.run: values need at least 2 bytes";
   let total_objects = cfg.producers * cfg.nputs in
   let eng = Engine.create () in
-  let sess =
-    match cfg.net_config with
-    | Some net_config -> Session.create eng ~net_config ~fanout:cfg.fanout ~size:cfg.nodes ()
-    | None -> Session.create eng ~fanout:cfg.fanout ~size:cfg.nodes ()
-  in
-  let kvs =
-    match cfg.kvs_config with
-    | Some config -> Kvs.load sess ~config ()
-    | None -> Kvs.load sess ()
-  in
+  let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.nodes () in
+  let kvs = Kvs.load sess () in
   let barriers = Barrier.load sess () in
   let tracer, metrics =
     if cfg.trace then begin

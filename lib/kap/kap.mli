@@ -28,14 +28,12 @@ type config = {
   consumers : int;  (** first [consumers] global ranks consume *)
   nputs : int;  (** objects put by each producer *)
   ngets : int;  (** objects read by each consumer (the access count) *)
-  value_size : int;  (** serialized bytes per value *)
+  value_size : int;  (** serialized bytes per value; at least 2, the size of [""] *)
   value_kind : value_kind;
   dir_layout : dir_layout;
   sync : sync_kind;
   access_stride : int;  (** consumer c reads objects [c*stride + k] mod total *)
-  fanout : int;  (** CMB tree fan-out *)
-  net_config : Flux_sim.Net.config option;
-  kvs_config : Flux_kvs.Kvs_module.config option;
+  fanout : int;  (** CMB tree fan-out; the network and KVS use their default models *)
   trace : bool;  (** attach a tracer to the session and KVS instances *)
 }
 
@@ -74,7 +72,7 @@ type result = {
 val run : config -> result
 (** Execute one KAP configuration on a fresh simulated cluster. Raises
     [Invalid_argument] on inconsistent configs (e.g. consumers but no
-    producers). *)
+    producers, or values under 2 bytes). *)
 
 val pp_result : Format.formatter -> result -> unit
 (** One-line summary, bench-harness friendly. *)

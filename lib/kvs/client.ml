@@ -21,8 +21,6 @@ type t = {
 let connect sess ~rank =
   { api = Api.connect sess ~rank; pending = []; watches = []; watch_subscribed = false }
 
-let rank t = Api.rank t.api
-
 let unit_reply = function Ok _ -> Ok () | Error e -> Error e
 
 let put t ~key v =

@@ -12,8 +12,6 @@ type t
 val connect : Flux_cmb.Session.t -> rank:int -> t
 (** Client bound to the broker at [rank]. *)
 
-val rank : t -> int
-
 val put : t -> key:string -> Json.t -> (unit, string) result
 (** [put t ~key v] writes asynchronously in write-back mode: the value
     is hashed and cached locally, pending commit. *)

@@ -10,11 +10,7 @@ module Metrics = Flux_trace.Metrics
 
 type config = {
   cache_capacity : int;
-  fence_window : float;
-  put_cpu : float;
-  hash_cpu_per_byte : float;
   apply_cpu_per_tuple : float;
-  inline_threshold : int;
   setroot_delta_max : int;
   admission_max_intake : int;
   admission_retry_after : float;
@@ -23,15 +19,16 @@ type config = {
 let default_config =
   {
     cache_capacity = 100_000;
-    fence_window = 200e-6;
-    put_cpu = 1e-6;
-    hash_cpu_per_byte = 1.5e-9;
     apply_cpu_per_tuple = 0.3e-6;
-    inline_threshold = 256;
     setroot_delta_max = 0;
     admission_max_intake = 0;
     admission_retry_after = 1e-3;
   }
+
+let fence_window = 200e-6
+let put_cpu = 1e-6
+let hash_cpu_per_byte = 1.5e-9
+let inline_threshold = 256
 
 (* Fence aggregation state at a slave (or interior) instance. *)
 type fence_state = {
@@ -118,15 +115,8 @@ type t = {
 
 let hex = Sha1.to_hex
 
-let set_tracer t tr = t.tracer <- tr
-
-let set_tracer_all instances tr =
-  Array.iter (fun t -> set_tracer t (Some tr)) instances
-
-let set_metrics t m = t.metrics <- m
-
-let set_metrics_all instances m =
-  Array.iter (fun t -> set_metrics t (Some m)) instances
+let set_tracer_all instances tr = Array.iter (fun t -> t.tracer <- Some tr) instances
+let set_metrics_all instances m = Array.iter (fun t -> t.metrics <- Some m) instances
 
 let trace t ~name ?ctx ?fields () =
   match t.tracer with
@@ -214,7 +204,7 @@ let live_peers t =
 
 (* Upstream transport: the session's RPC tree by default, or a direct
    rank-addressed hop along the volume's relabeled tree. *)
-let send_up t ?timeout ?attempts ?idempotent ?trace_ctx ~method_ payload ~reply =
+let send_up t ?timeout ?idempotent ?trace_ctx ~method_ payload ~reply =
   let topic = t.routing.rt_service ^ "." ^ method_ in
   if t.routing.rt_direct then
     match t.routing.rt_parent ~master:t.master_rank with
@@ -229,7 +219,7 @@ let send_up t ?timeout ?attempts ?idempotent ?trace_ctx ~method_ payload ~reply 
         | Some p -> p
         | None -> Session.rank t.b
       in
-      Session.rpc_rank t.b ?timeout ?attempts ?idempotent ?trace_ctx ~route ~dst:p ~topic
+      Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~route ~dst:p ~topic
         payload ~reply
     | None ->
       if t.master then reply (Error (t.routing.rt_service ^ ": master has no parent"))
@@ -241,7 +231,7 @@ let send_up t ?timeout ?attempts ?idempotent ?trace_ctx ~method_ payload ~reply 
   else
     match t.routing.rt_parent ~master:t.master_rank with
     | Some _ ->
-      Session.request_from_module t.b ?timeout ?attempts ?idempotent ?trace_ctx ~topic
+      Session.request_from_module t.b ?timeout ?idempotent ?trace_ctx ~topic
         payload ~reply
     | None ->
       (* This broker is the overlay root but not the master: the session
@@ -253,7 +243,7 @@ let send_up t ?timeout ?attempts ?idempotent ?trace_ctx ~method_ payload ~reply 
       else if t.master_rank = Session.rank t.b && t.frozen = None then
         reply (Error (t.routing.rt_service ^ ": no live master"))
       else
-        Session.rpc_rank t.b ?timeout ?attempts ?idempotent ?trace_ctx ~dst:t.master_rank
+        Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~dst:t.master_rank
           ~topic payload ~reply
 
 (* --- Flush duplicate suppression ---------------------------------------- *)
@@ -489,7 +479,7 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
      containing it (Figure 4a); larger values stay by-reference. *)
   let dirent_of (tp : Proto.tuple) =
     match lookup_obj t tp.Proto.sha with
-    | Some v when Json.serialized_size v <= t.cfg.inline_threshold -> Tree.dirent_val v
+    | Some v when Json.serialized_size v <= inline_threshold -> Tree.dirent_val v
     | Some _ | None -> Tree.dirent_file tp.Proto.sha
   in
   let nresp = List.length respond_to in
@@ -795,10 +785,10 @@ and fence_check_ready t name fs =
     let complete = fs.fs_count >= fs.fs_nprocs in
     if
       complete
-      || (all_heard && idle >= t.cfg.fence_window /. 2.0)
-      || idle >= 2.0 *. t.cfg.fence_window
+      || (all_heard && idle >= fence_window /. 2.0)
+      || idle >= 2.0 *. fence_window
     then fence_forward t name fs
-    else arm_fence_timer t name fs (t.cfg.fence_window /. 4.0)
+    else arm_fence_timer t name fs (fence_window /. 4.0)
   end
 
 and arm_fence_timer t name fs delay =
@@ -834,7 +824,7 @@ let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
     | None -> ());
     fs.fs_last_arrival <- Engine.now t.eng;
     if fs.fs_count >= fs.fs_nprocs then fence_check_ready t name fs
-    else arm_fence_timer t name fs (t.cfg.fence_window /. 2.0)
+    else arm_fence_timer t name fs (fence_window /. 2.0)
   end
 
 (* --- Request handlers -------------------------------------------------------- *)
@@ -845,7 +835,7 @@ let handle_put t (req : Message.t) =
   let vsize = Json.serialized_size value in
   let now = Engine.now t.eng in
   let start = Float.max now t.cpu_free_at in
-  let cost = t.cfg.put_cpu +. (float_of_int vsize *. t.cfg.hash_cpu_per_byte) in
+  let cost = put_cpu +. (float_of_int vsize *. hash_cpu_per_byte) in
   t.cpu_free_at <- start +. cost;
   let finish_at = start +. cost in
   ignore key;

@@ -24,14 +24,7 @@ module Session = Flux_cmb.Session
 
 type config = {
   cache_capacity : int;  (** slave LRU capacity, in objects *)
-  fence_window : float;  (** aggregation window, seconds *)
-  put_cpu : float;  (** fixed local cost of a put *)
-  hash_cpu_per_byte : float;  (** hashing/serialization cost per value byte *)
   apply_cpu_per_tuple : float;  (** master cost to apply one tuple *)
-  inline_threshold : int;
-      (** values serialized to at most this many bytes are stored inline
-          in their directory entry, as in the prototype — reading one
-          small value then requires faulting in its whole directory *)
   setroot_delta_max : int;
       (** byte budget for replicating a commit's freshly created interior
           tree objects inside its [setroot] event: with the interiors
@@ -55,6 +48,19 @@ type config = {
 }
 
 val default_config : config
+(** 100,000 cached objects, 0.3 us per applied tuple, no setroot
+    replication, no admission control, a 1 ms [retry_after] floor.
+
+    The rest of the cost model is fixed: a put costs 1 us plus 1.5 ns
+    per value byte of hashing and serialization; values serialized to
+    at most 256 bytes are stored inline in their directory entry, as in
+    the prototype, so reading one small value faults in its whole
+    directory; and a fence aggregates over the window below. *)
+
+val fence_window : float
+(** Fence aggregation window, 200 us: an interior instance forwards
+    once every live child has contributed and the fence has been quiet
+    for half a window, or after two windows of quiet. *)
 
 type t
 (** Per-rank instance state (introspection handle for tests/benches). *)
@@ -196,24 +202,21 @@ val restore : t -> Snapshot.t -> (unit, string) result
     text rather than poisoning the store. Updates the [ckpt.restore] /
     [ckpt.bytes] counters when metrics are attached. *)
 
-val set_tracer : t -> Flux_trace.Tracer.t option -> unit
-(** Emit category ["kvs"] events: one per handled request method
-    (put/get/commit/fence/flush/load/...) with the rank and the
-    request's causal context, plus the fence/commit lifecycle —
+val set_tracer_all : t array -> Flux_trace.Tracer.t -> unit
+(** Emit category ["kvs"] events from every instance: one per handled
+    request method (put/get/commit/fence/flush/load/...) with the rank
+    and the request's causal context, plus the fence/commit lifecycle —
     [fence.enter] at each client's broker, [flush.forward] per tree
     reduction hop, [commit.begin] when the master has heard every
     contribution, [apply], [setroot.publish] and per-rank
     [setroot.deliver] — and [fault_in] spans with their duration. These
     are the events {!Flux_trace.Export.fence_critical_path} consumes. *)
 
-val set_tracer_all : t array -> Flux_trace.Tracer.t -> unit
-
-val set_metrics : t -> Flux_trace.Metrics.t option -> unit
-(** Per-rank numeric aggregation: [kvs.cache.hit]/[kvs.cache.miss]
-    counters on every object lookup, [kvs.fault_in] counts with a
-    [kvs.fault_in.latency] histogram, and at the master [kvs.commits]
-    with a [kvs.commit.tuples] batch-size histogram. With admission
+val set_metrics_all : t array -> Flux_trace.Metrics.t -> unit
+(** Per-rank numeric aggregation from every instance:
+    [kvs.cache.hit]/[kvs.cache.miss] counters on every object lookup,
+    [kvs.fault_in] counts with a [kvs.fault_in.latency] histogram, and
+    at the master [kvs.commits] with a [kvs.commit.tuples] batch-size
+    histogram. With admission
     control enabled the master also maintains [kvs.intake] /
     [kvs.intake_hwm] gauges and a [kvs.admission.shed] counter. *)
-
-val set_metrics_all : t array -> Flux_trace.Metrics.t -> unit

@@ -46,9 +46,6 @@ type root_info = {
     ([ri_epoch], [ri_version]); decoders default missing [epoch]/[master]
     fields to [0] for compatibility with pre-failover peers. *)
 
-val root_info_to_json : root_info -> Json.t
-val root_info_of_json : Json.t -> root_info
-
 val setroot_to_json : root_info -> objects:obj list -> Json.t
 (** The [setroot] event payload: the new root plus the interior tree
     objects this commit created, so slaves can replicate them eagerly

@@ -211,9 +211,9 @@ let decode s =
    while it runs: that is the git-store property the paper leans on,
    and exactly what the master-death-mid-snapshot chaos schedule
    exercises. Runs inside a {!Flux_sim.Proc} body. *)
-let capture sess ~rank ?(service = "kvs") () =
+let capture sess ~rank =
   let api = Api.connect sess ~rank in
-  match Api.rpc api ~idempotent:true ~timeout:30.0 ~topic:(service ^ ".getroot") Json.null with
+  match Api.rpc api ~idempotent:true ~timeout:30.0 ~topic:"kvs.getroot" Json.null with
   | Error e -> Error e
   | Ok reply ->
     let ri = Proto.commit_reply_decode reply in
@@ -225,7 +225,7 @@ let capture sess ~rank ?(service = "kvs") () =
       | Some v -> Ok v
       | None -> (
         match
-          Api.rpc api ~idempotent:true ~timeout:30.0 ~topic:(service ^ ".load")
+          Api.rpc api ~idempotent:true ~timeout:30.0 ~topic:"kvs.load"
             (Proto.load_request sha)
         with
         | Error e -> Error e
@@ -260,7 +260,7 @@ let capture sess ~rank ?(service = "kvs") () =
     | Ok () ->
       Ok
         {
-          s_service = service;
+          s_service = "kvs";
           s_root = ri.Proto.ri_root;
           s_version = ri.Proto.ri_version;
           s_epoch = ri.Proto.ri_epoch;

@@ -54,10 +54,9 @@ val decode : string -> (t, error) result
 (** Parse and fully verify a serialized store. Total: malformed input
     of any shape returns [Error], never raises. *)
 
-val capture :
-  Flux_cmb.Session.t -> rank:int -> ?service:string -> unit -> (t, string) result
-(** [capture sess ~rank ()] snapshots the store through ordinary client
-    RPCs from [rank]: one [getroot] pins an (epoch, version, root)
+val capture : Flux_cmb.Session.t -> rank:int -> (t, string) result
+(** [capture sess ~rank] snapshots the ["kvs"] store through ordinary
+    client RPCs from [rank]: one [getroot] pins an (epoch, version, root)
     triple, then idempotent [load]s walk every reachable object.
     Because objects are immutable and content-addressed the walk is
     consistent at the pinned root even if commits land — or the master

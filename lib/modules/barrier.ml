@@ -22,26 +22,24 @@ type enter_dup = {
   mutable ed_waiting : Message.t list;
 }
 
+(* Aggregation window, seconds. *)
+let window = 200e-6
+
 type t = {
   b : Session.broker;
   eng : Engine.t;
-  window : float;
   max_pending : int; (* 0 = unbounded; else shed direct enters past this *)
   master : bool;
   states : (string, barrier_state) Hashtbl.t;
   master_counts : (string, int * Message.t list) Hashtbl.t;
   mutable next_bid : int; (* stamps forwarded aggregates for dedup *)
   seen : (int * int, enter_dup) Hashtbl.t; (* (origin, bid) *)
-  mutable total_enters : int;
   mutable shed_enters : int;
   mutable tracer : Tracer.t option;
 }
 
-let enters_seen t = t.total_enters
 let sheds t = t.shed_enters
-
-let set_tracer t tr = t.tracer <- tr
-let set_tracer_all ts tr = Array.iter (fun t -> set_tracer t (Some tr)) ts
+let set_tracer_all ts tr = Array.iter (fun t -> t.tracer <- Some tr) ts
 
 let trace t ~name ?ctx ?(fields = []) () =
   match t.tracer with
@@ -131,10 +129,10 @@ let rec check_ready t name s =
     let idle = Engine.now t.eng -. s.bs_last_arrival in
     if
       s.bs_count >= s.bs_nprocs
-      || (all_heard && idle >= t.window /. 2.0)
-      || idle >= 2.0 *. t.window
+      || (all_heard && idle >= window /. 2.0)
+      || idle >= 2.0 *. window
     then forward t name s
-    else arm t name s (t.window /. 4.0)
+    else arm t name s (window /. 4.0)
   end
 
 and arm t name s delay =
@@ -186,10 +184,9 @@ let contribute t ~name ~nprocs ~count ~from_child req =
        re-enter after the hinted delay. *)
     t.shed_enters <- t.shed_enters + 1;
     trace t ~name:"shed" ?ctx:req.Message.trace ~fields:[ ("name", Json.string name) ] ();
-    Session.respond_error t.b req (Session.busy_error ~retry_after:t.window)
+    Session.respond_error t.b req (Session.busy_error ~retry_after:window)
   end
   else begin
-  t.total_enters <- t.total_enters + count;
   (match from_child with
   | None ->
     trace t ~name:"enter" ?ctx:req.Message.trace
@@ -209,7 +206,7 @@ let contribute t ~name ~nprocs ~count ~from_child req =
     | None -> ());
     s.bs_last_arrival <- Engine.now t.eng;
     if s.bs_count >= s.bs_nprocs then check_ready t name s
-    else arm t name s (t.window /. 2.0)
+    else arm t name s (window /. 2.0)
   end
   end
 
@@ -255,7 +252,7 @@ let module_of t =
     on_event = (fun _ -> ());
   }
 
-let load sess ?(window = 200e-6) ?(max_pending = 0) () =
+let load sess ?(max_pending = 0) () =
   if max_pending < 0 then invalid_arg "Barrier.load: max_pending must be >= 0";
   let instances =
     Array.init (Session.size sess) (fun r ->
@@ -263,14 +260,12 @@ let load sess ?(window = 200e-6) ?(max_pending = 0) () =
         {
           b;
           eng = Session.b_engine b;
-          window;
           max_pending;
           master = r = 0;
           states = Hashtbl.create 8;
           master_counts = Hashtbl.create 8;
           next_bid = 0;
           seen = Hashtbl.create 16;
-          total_enters = 0;
           shed_enters = 0;
           tracer = None;
         })

@@ -9,9 +9,9 @@
 
 type t
 
-val load : Flux_cmb.Session.t -> ?window:float -> ?max_pending:int -> unit -> t array
-(** Load on every rank. [window] is the aggregation window (default
-    200 us). [max_pending] (default [0] = unbounded) caps the replies an
+val load : Flux_cmb.Session.t -> ?max_pending:int -> unit -> t array
+(** Load on every rank, aggregating enters over a 200 us window.
+    [max_pending] (default [0] = unbounded) caps the replies an
     instance will hold per barrier name: a direct client enter arriving
     past the cap is shed with a structured [Session.busy_error] (hint:
     the window) instead of being queued — aggregated contributions from
@@ -21,17 +21,13 @@ val load : Flux_cmb.Session.t -> ?window:float -> ?max_pending:int -> unit -> t 
 val enter : Flux_cmb.Api.t -> name:string -> nprocs:int -> (unit, string) result
 (** Blocking enter; must run inside a {!Flux_sim.Proc} body. *)
 
-val enters_seen : t -> int
-(** Total enter contributions this instance has counted (diagnostics). *)
-
 val sheds : t -> int
 (** Direct client enters rejected busy under [max_pending]. *)
 
-val set_tracer : t -> Flux_trace.Tracer.t option -> unit
-(** Emit category ["barrier"] events: [enter] per client contribution
-    (with the request's causal context), [forward] per aggregate hop up
-    the tree (child span of the first latched contribution, threaded
-    into the upstream RPC), and [exit] when the root releases the
-    barrier (threaded into the [barrier.exit] publish). *)
-
 val set_tracer_all : t array -> Flux_trace.Tracer.t -> unit
+(** Emit category ["barrier"] events from every instance: [enter] per
+    client contribution (with the request's causal context), [forward]
+    per aggregate hop up the tree (child span of the first latched
+    contribution, threaded into the upstream RPC), and [exit] when the
+    root releases the barrier (threaded into the [barrier.exit]
+    publish). *)

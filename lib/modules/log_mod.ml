@@ -4,7 +4,6 @@ module Message = Flux_cmb.Message
 module Topic = Flux_cmb.Topic
 module Engine = Flux_sim.Engine
 module Ring_buffer = Flux_util.Ring_buffer
-module Metrics = Flux_trace.Metrics
 
 type level = Debug | Info | Warn | Error
 
@@ -25,28 +24,25 @@ let level_of_string = function
 
 type entry = { e_rank : int; e_level : level; e_text : string; e_count : int }
 
+(* Messages below [Info] stay in the local circular buffer only. *)
+let forward_level = Info
+
+let buffer_capacity = 128
+
+(* Forwarded messages are batched this long, in seconds. *)
+let window = 1e-3
+
 type t = {
   b : Session.broker;
-  forward_level : level;
-  window : float;
   master : bool;
   buffer : entry Ring_buffer.t;
   mutable batch : entry list; (* reversed; pending upstream flush *)
   mutable batch_timer_armed : bool;
   mutable root_entries : entry list; (* root only; reversed *)
-  mutable metrics : Metrics.t option;
 }
 
 let root_log t = List.rev t.root_entries
 let local_buffer t = Ring_buffer.to_list t.buffer
-
-let set_metrics t m = t.metrics <- m
-let set_metrics_all ts m = Array.iter (fun t -> set_metrics t (Some m)) ts
-
-let metric_add t name n =
-  match t.metrics with
-  | None -> ()
-  | Some m -> Metrics.add m ~name ~rank:(Session.rank t.b) n
 
 let entry_to_json e =
   Json.obj
@@ -86,23 +82,18 @@ let flush_batch t =
   if t.batch <> [] then begin
     let entries = reduce (List.rev t.batch) in
     t.batch <- [];
-    if t.master then begin
-      metric_add t "log.root_entries" (List.length entries);
-      t.root_entries <- List.rev_append entries t.root_entries
-    end
-    else begin
-      metric_add t "log.forwarded_entries" (List.length entries);
+    if t.master then t.root_entries <- List.rev_append entries t.root_entries
+    else
       Session.request_from_module t.b ~topic:"log.append"
         (Json.obj [ ("entries", Json.list (List.map entry_to_json entries)) ])
         ~reply:(fun _ -> ())
-    end
   end
 
 let arm_batch_timer t =
   if not t.batch_timer_armed then begin
     t.batch_timer_armed <- true;
     ignore
-      (Engine.schedule (Session.b_engine t.b) ~delay:t.window (fun () ->
+      (Engine.schedule (Session.b_engine t.b) ~delay:window (fun () ->
            t.batch_timer_armed <- false;
            flush_batch t)
         : Engine.handle)
@@ -110,7 +101,7 @@ let arm_batch_timer t =
 
 let ingest t e =
   Ring_buffer.push t.buffer e;
-  if level_rank e.e_level >= level_rank t.forward_level then begin
+  if level_rank e.e_level >= level_rank forward_level then begin
     t.batch <- e :: t.batch;
     arm_batch_timer t
   end
@@ -148,32 +139,24 @@ let module_of t =
           (* Dump the circular buffer toward the root for post-mortem
              context. *)
           let entries = Ring_buffer.to_list t.buffer in
-          if t.master then begin
-            metric_add t "log.root_entries" (List.length entries);
-            t.root_entries <- List.rev_append entries t.root_entries
-          end
-          else if entries <> [] then begin
-            metric_add t "log.forwarded_entries" (List.length entries);
+          if t.master then t.root_entries <- List.rev_append entries t.root_entries
+          else if entries <> [] then
             Session.request_from_module t.b ~topic:"log.append"
               (Json.obj [ ("entries", Json.list (List.map entry_to_json entries)) ])
               ~reply:(fun _ -> ())
-          end
         end);
   }
 
-let load sess ?(forward_level = Info) ?(window = 1e-3) ?(buffer_capacity = 128) () =
+let load sess () =
   let instances =
     Array.init (Session.size sess) (fun r ->
         {
           b = Session.broker sess r;
-          forward_level;
-          window;
           master = r = 0;
           buffer = Ring_buffer.create ~capacity:buffer_capacity;
           batch = [];
           batch_timer_armed = false;
           root_entries = [];
-          metrics = None;
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));

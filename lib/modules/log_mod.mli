@@ -14,16 +14,10 @@ type entry = {
 
 type t
 
-val load :
-  Flux_cmb.Session.t ->
-  ?forward_level:level ->
-  ?window:float ->
-  ?buffer_capacity:int ->
-  unit ->
-  t array
-(** Messages below [forward_level] (default [Info]) stay in the local
-    circular buffer only; others are batched for [window] seconds
-    (default 1 ms), duplicates folded, and forwarded to the root log. *)
+val load : Flux_cmb.Session.t -> unit -> t array
+(** Messages below [Info] stay in the local circular buffer only, which
+    keeps the last 128 messages; others are batched for 1 ms,
+    duplicates folded, and forwarded to the root log. *)
 
 val log : Flux_cmb.Api.t -> level:level -> string -> unit
 (** Fire-and-forget log call for clients. *)
@@ -32,19 +26,11 @@ val root_log : t -> entry list
 (** The accumulated session log (meaningful at rank 0), oldest first. *)
 
 val local_buffer : t -> entry list
-(** This rank's circular debug buffer, oldest first. *)
+(** This rank's circular debug buffer (the last 128 messages), oldest
+    first. *)
 
 val dump_buffers : Flux_cmb.Api.t -> unit
 (** Publish a fault event asking every rank to dump its debug buffer to
     the root log. *)
 
 val level_to_string : level -> string
-val level_of_string : string -> level
-
-val set_metrics : t -> Flux_trace.Metrics.t option -> unit
-(** Registry wiring: entries appended to the root log bump
-    [log.root_entries] (at rank 0); entries a non-root instance
-    forwards upstream (batch flushes and fault dumps) bump
-    [log.forwarded_entries] at that rank. *)
-
-val set_metrics_all : t array -> Flux_trace.Metrics.t -> unit

@@ -3,7 +3,6 @@ module Session = Flux_cmb.Session
 module Message = Flux_cmb.Message
 module Topic = Flux_cmb.Topic
 module Engine = Flux_sim.Engine
-module Metrics = Flux_trace.Metrics
 
 type sample = { s_min : float; s_max : float; s_sum : float; s_count : int }
 
@@ -53,14 +52,10 @@ type t = {
   mutable latest : (int * sample) option;
   mutable taken : int;
   window : float;
-  mutable metrics : Metrics.t option;
 }
 
 let latest_aggregate t = t.latest
 let samples_taken t = t.taken
-
-let set_metrics t m = t.metrics <- m
-let set_metrics_all ts m = Array.iter (fun t -> set_metrics t (Some m)) ts
 
 let acc_get t epoch =
   match Hashtbl.find_opt t.epochs epoch with
@@ -86,15 +81,6 @@ let forward t epoch a =
     Hashtbl.remove t.epochs epoch;
     if t.master then begin
       t.latest <- Some (epoch, s);
-      (match t.metrics with
-      | None -> ()
-      | Some m ->
-        let rank = Session.rank t.b in
-        Metrics.incr m ~name:"mon.aggregates" ~rank;
-        Metrics.set_gauge m ~name:"mon.epoch" ~rank (float_of_int epoch);
-        if s.s_count > 0 then
-          Metrics.observe m ~name:"mon.aggregate.mean" ~rank
-            (s.s_sum /. float_of_int s.s_count));
       match t.script with
       | Some name ->
         kvs_put_root t ~key:(Printf.sprintf "mon.%s.%d" name epoch) (sample_to_json s)
@@ -146,9 +132,6 @@ let on_heartbeat t epoch =
     | Some f ->
       t.taken <- t.taken + 1;
       let v = f ~rank:(Session.rank t.b) ~epoch in
-      (match t.metrics with
-      | None -> ()
-      | Some m -> Metrics.incr m ~name:"mon.samples" ~rank:(Session.rank t.b));
       contribute t ~epoch ~from_child:None (sample_of_value v))
 
 let module_of t =
@@ -191,7 +174,6 @@ let load sess ~(hb : Hb.t array) () =
           latest = None;
           taken = 0;
           window = Hb.period hb.(r) /. 2.0;
-          metrics = None;
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));

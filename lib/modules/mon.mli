@@ -27,11 +27,3 @@ val latest_aggregate : t -> (int * sample) option
     [mon.<script>.<epoch>]. *)
 
 val samples_taken : t -> int
-
-val set_metrics : t -> Flux_trace.Metrics.t option -> unit
-(** Per-rank registry wiring: every heartbeat sample bumps
-    [mon.samples]; each completed epoch at the root bumps
-    [mon.aggregates], sets the [mon.epoch] gauge and feeds the epoch
-    mean into the [mon.aggregate.mean] histogram. *)
-
-val set_metrics_all : t array -> Flux_trace.Metrics.t -> unit

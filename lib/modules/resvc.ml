@@ -12,9 +12,6 @@ type t = {
   allocations : (string, int list) Hashtbl.t; (* jobid -> ranks, root only *)
 }
 
-let allocated_to t ~jobid =
-  match Hashtbl.find_opt t.allocations jobid with Some l -> l | None -> []
-
 let enumerate_in_kvs t resources =
   (* Write the whole inventory under resrc.* in one atomic batch through
      the root's kvs module. *)

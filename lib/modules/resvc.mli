@@ -27,6 +27,3 @@ val free : Flux_cmb.Api.t -> jobid:string -> (int, string) result
 
 val free_nodes : Flux_cmb.Api.t -> (int, string) result
 (** Number of currently unallocated nodes. *)
-
-val allocated_to : t -> jobid:string -> int list
-(** Root-side introspection: ranks currently held by [jobid]. *)

@@ -34,23 +34,22 @@ module Tracer = Flux_trace.Tracer
 type config = {
   interval : float; (* sim-seconds between rollup epochs *)
   window : int; (* series ring capacity and trend window *)
-  straggler_k : float; (* flag beyond median + k * MAD *)
   slope_threshold : float; (* queue-growth units/epoch *)
   straggler_metrics : string list;
   queue_metrics : string list;
-  reduce_window : float; (* partial-forward timeout; <= 0 -> interval / 2 *)
 }
 
 let default_config =
   {
     interval = 0.1;
     window = 64;
-    straggler_k = 4.0;
     slope_threshold = 1.0;
     straggler_metrics = [];
     queue_metrics = [];
-    reduce_window = 0.0;
   }
+
+(* Flag ranks beyond median + k * MAD. *)
+let straggler_k = 4.0
 
 (* One hop's payload: the merged delta plus the ranks it covers. The
    rank list is carried explicitly because a live rank with a
@@ -93,8 +92,8 @@ type t = {
   mutable rollup_subs : (int -> unit) list;
 }
 
-let reduce_window t =
-  if t.cfg.reduce_window > 0.0 then t.cfg.reduce_window else t.cfg.interval /. 2.0
+(* Partial-forward timeout for an epoch's reduction. *)
+let reduce_window t = t.cfg.interval /. 2.0
 
 let set_metrics t m = t.metrics <- m
 let set_metrics_all ts m = Array.iter (fun t -> set_metrics t (Some m)) ts
@@ -162,7 +161,7 @@ let finalize t epoch c =
   let stragglers =
     List.concat_map
       (fun metric ->
-        Detect.stragglers ~k:t.cfg.straggler_k ~epoch ~metric
+        Detect.stragglers ~k:straggler_k ~epoch ~metric
           (straggler_values c.c_snap ~metric))
       t.cfg.straggler_metrics
   in
@@ -412,4 +411,3 @@ let alerts ts = List.rev ts.(0).alerts
 let epochs_completed ts = ts.(0).rollups
 let rollup_bytes ts = Array.fold_left (fun acc t -> acc + t.sent_bytes) 0 ts
 let late_drops ts = Array.fold_left (fun acc t -> acc + t.late) 0 ts
-let local_epoch t = t.epoch

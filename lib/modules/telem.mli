@@ -26,7 +26,6 @@ module Detect = Flux_trace.Detect
 type config = {
   interval : float;  (** sim-seconds between rollup epochs *)
   window : int;  (** series ring capacity and trend window *)
-  straggler_k : float;  (** flag ranks beyond median + k * MAD *)
   slope_threshold : float;  (** queue-growth alert slope, units/epoch *)
   straggler_metrics : string list;
       (** metrics scanned for cross-rank outliers (histogram mean per
@@ -34,14 +33,13 @@ type config = {
   queue_metrics : string list;
       (** metrics trend-checked at the root over the last [window]
           epochs *)
-  reduce_window : float;
-      (** partial-forward timeout for an epoch's reduction; [<= 0]
-          means [interval /. 2] *)
 }
 
 val default_config : config
-(** interval 0.1 s, window 64, k 4.0, slope 1.0/epoch, no metrics
-    watched (detectors idle until told what matters). *)
+(** interval 0.1 s, window 64, slope 1.0/epoch, no metrics watched
+    (detectors idle until told what matters). Fixed: the straggler
+    detector flags ranks beyond median + 4 * MAD, and an epoch's
+    reduction forwards a partial after [interval /. 2]. *)
 
 type t
 
@@ -108,6 +106,3 @@ val rollup_bytes : t array -> int
 
 val late_drops : t array -> int
 (** Contributions that arrived after their epoch was forwarded. *)
-
-val local_epoch : t -> int
-(** One rank's tick count (advances even while the rank is down). *)

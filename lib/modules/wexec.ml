@@ -55,9 +55,6 @@ type t = {
   mutable wx_metrics : Metrics.t option;
 }
 
-let running_tasks t =
-  Hashtbl.fold (fun _ jl acc -> acc + jl.jl_remaining) t.jobs 0
-
 let set_tracer_all ts tr = Array.iter (fun t -> t.wx_tracer <- tr) ts
 let set_metrics_all ts m = Array.iter (fun t -> t.wx_metrics <- Some m) ts
 

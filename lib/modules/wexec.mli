@@ -78,9 +78,6 @@ val kill : Flux_cmb.Api.t -> jobid:string -> unit
 (** Deliver a kill signal: every task of the job is terminated; the job
     then completes with the killed tasks counted as failed. *)
 
-val running_tasks : t -> int
-(** Tasks currently executing on this rank. *)
-
 (** {1 Checkpoint manifests}
 
     The SCR-style application pattern: tasks periodically fence, and one
@@ -101,17 +98,14 @@ val manifest_key : string -> int -> string
 (** [manifest_key jobid epoch] — the manifest's KVS key, also used as
     the checkpoint fence name. *)
 
-val latest_key : string -> string
-(** Convenience pointer to the most recent manifest (may be torn if the
-    writer died mid-sequence; {!newest_manifest} never trusts it). *)
-
 val manifest_to_json : manifest -> Flux_json.Json.t
 val manifest_of_json : Flux_json.Json.t -> manifest option
 
 val checkpoint : ?timeout:float -> proc_ctx -> epoch:int -> (int, string) result
 (** Collective checkpoint: all [px_ntasks] tasks fence under
     [manifest_key px_jobid epoch]; task 0 then writes the manifest at
-    that key (and at {!latest_key}) and commits. Returns the resulting
+    that key (and at the [ckpt.<jobid>.latest] pointer, which may be
+    torn if the writer dies mid-sequence) and commits. Returns the resulting
     root version. Pass [timeout] so tasks survive a fence stranded by a
     dead participant — the fence is then aborted up the tree and the
     caller may retry or give up (see {!Flux_kvs.Client.fence}). *)

@@ -180,6 +180,4 @@ let of_hex s =
 
 let to_hex d = d
 let equal = String.equal
-let compare = String.compare
-let pp ppf d = Format.pp_print_string ppf d
 let short d = String.sub d 0 8

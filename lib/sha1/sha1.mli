@@ -24,8 +24,6 @@ val to_hex : digest -> string
 (** Identity downcast. *)
 
 val equal : digest -> digest -> bool
-val compare : digest -> digest -> int
-val pp : Format.formatter -> digest -> unit
 
 val short : digest -> string
 (** First 8 hex characters, for log messages. *)

@@ -26,10 +26,6 @@ let create () =
 
 let now t = t.clock
 
-let pending t = Heap.length t.queue
-
-let cancelled_pending t = t.cancelled_pending
-
 let compactions t = t.compactions
 
 (* Cancelled entries never advance the clock or the executed count (see

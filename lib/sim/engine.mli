@@ -16,18 +16,10 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
-val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    drained or compacted away). *)
-
-val cancelled_pending : t -> int
-(** Cancelled entries still physically in the queue. The engine compacts
-    the queue — dropping them in one O(n) pass — whenever they outnumber
-    the live entries, so this is bounded by [pending t / 2] plus a small
-    floor. *)
-
 val compactions : t -> int
-(** Number of compaction passes run since creation. *)
+(** Number of compaction passes run since creation. The engine compacts
+    its queue — dropping cancelled entries in one O(n) pass — whenever
+    they outnumber the live entries. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative delays

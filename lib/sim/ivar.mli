@@ -17,8 +17,6 @@ val try_fill : Engine.t -> 'a t -> 'a -> bool
 (** Like {!fill} but returns [false] instead of raising when already
     full. *)
 
-val is_full : 'a t -> bool
-
 val peek : 'a t -> 'a option
 
 val on_full : Engine.t -> 'a t -> ('a -> unit) -> unit

@@ -1,5 +1,3 @@
-module Metrics = Flux_trace.Metrics
-
 type overflow = Block | Drop_newest | Drop_oldest
 
 type 'a t = {
@@ -10,16 +8,13 @@ type 'a t = {
   max_bytes : int;
   policy : overflow;
   size_of : ('a -> int) option;
-  (* [Block]-policy senders parked until space frees. [None] wakers come
-     from plain [send] calls outside a process body: the value is held
-     back (bounding the mailbox) but nothing can be suspended. *)
-  senders : ('a * unit Ivar.t option) Queue.t;
-  mutable eng : Engine.t option;
+  (* [Block]-policy values held back until space frees; the sender is
+     never suspended. *)
+  senders : 'a Queue.t;
   mutable bytes : int;
   mutable hwm : int;
   mutable hwm_bytes : int;
   mutable dropped : int;
-  mutable metrics : (Metrics.t * string * int) option;
 }
 
 let create ?(capacity = max_int) ?(max_bytes = max_int) ?(policy = Block) ?size_of () =
@@ -33,33 +28,20 @@ let create ?(capacity = max_int) ?(max_bytes = max_int) ?(policy = Block) ?size_
     policy;
     size_of;
     senders = Queue.create ();
-    eng = None;
     bytes = 0;
     hwm = 0;
     hwm_bytes = 0;
     dropped = 0;
-    metrics = None;
   }
-
-let set_metrics mb ?(label = "mailbox") ~rank m = mb.metrics <- Some (m, label, rank)
 
 let size_of mb v = match mb.size_of with None -> 0 | Some f -> f v
 
 let note_depth mb =
   let n = Queue.length mb.msgs in
   if n > mb.hwm then mb.hwm <- n;
-  if mb.bytes > mb.hwm_bytes then mb.hwm_bytes <- mb.bytes;
-  match mb.metrics with
-  | None -> ()
-  | Some (m, label, rank) ->
-    Metrics.set_gauge m ~name:(label ^ ".depth") ~rank (float_of_int n);
-    Metrics.set_gauge m ~name:(label ^ ".depth_hwm") ~rank (float_of_int mb.hwm)
+  if mb.bytes > mb.hwm_bytes then mb.hwm_bytes <- mb.bytes
 
-let note_drop mb =
-  mb.dropped <- mb.dropped + 1;
-  match mb.metrics with
-  | None -> ()
-  | Some (m, label, rank) -> Metrics.incr m ~name:(label ^ ".dropped") ~rank
+let note_drop mb = mb.dropped <- mb.dropped + 1
 
 let fits mb extra = Queue.length mb.msgs < mb.capacity && mb.bytes + extra <= mb.max_bytes
 
@@ -81,19 +63,15 @@ let dequeue mb =
 let drain_senders mb =
   let rec go () =
     match Queue.peek_opt mb.senders with
-    | Some (v, waker) when fits mb (size_of mb v) ->
-      ignore (Queue.take mb.senders : 'a * unit Ivar.t option);
+    | Some v when fits mb (size_of mb v) ->
+      ignore (Queue.take mb.senders : 'a);
       enqueue mb v;
-      (match (waker, mb.eng) with
-      | Some iv, Some eng -> Ivar.fill eng iv ()
-      | _ -> ());
       go ()
     | _ -> ()
   in
   go ()
 
 let send eng mb v =
-  mb.eng <- Some eng;
   match Queue.take_opt mb.waiters with
   | Some iv -> Ivar.fill eng iv v
   | None ->
@@ -108,22 +86,7 @@ let send eng mb v =
           note_drop mb
         done;
         if fits mb sz then enqueue mb v else note_drop mb
-      | Block -> Queue.add (v, None) mb.senders
-    end
-
-let send_wait eng mb v =
-  mb.eng <- Some eng;
-  match Queue.take_opt mb.waiters with
-  | Some iv -> Ivar.fill eng iv v
-  | None ->
-    if fits mb (size_of mb v) && Queue.is_empty mb.senders then enqueue mb v
-    else begin
-      match mb.policy with
-      | Block ->
-        let iv = Ivar.create () in
-        Queue.add (v, Some iv) mb.senders;
-        Proc.await iv
-      | Drop_newest | Drop_oldest -> send eng mb v
+      | Block -> Queue.add v mb.senders
     end
 
 let recv mb =

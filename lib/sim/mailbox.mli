@@ -25,13 +25,7 @@ val send : Engine.t -> 'a t -> 'a -> unit
     [Drop_newest] the message is counted dropped and discarded, under
     [Drop_oldest] queued messages are evicted from the head to make
     room, and under [Block] the value is parked in send order and
-    admitted as receives free space (the caller is never suspended —
-    use {!send_wait} from a process for true backpressure). *)
-
-val send_wait : Engine.t -> 'a t -> 'a -> unit
-(** Like {!send} but under the [Block] policy a full mailbox suspends
-    the calling process until its value has been admitted. Only valid
-    inside a {!Proc} body; under drop policies it behaves as {!send}. *)
+    admitted as receives free space (the caller is never suspended). *)
 
 val recv : 'a t -> 'a
 (** Blocking receive; only valid inside a {!Proc} body. Multiple blocked
@@ -57,8 +51,3 @@ val hwm_bytes : 'a t -> int
 
 val dropped : 'a t -> int
 (** Messages discarded by [Drop_newest]/[Drop_oldest] overflow. *)
-
-val set_metrics : 'a t -> ?label:string -> rank:int -> Flux_trace.Metrics.t -> unit
-(** Publish occupancy as gauges [<label>.depth] / [<label>.depth_hwm]
-    and overflow as counter [<label>.dropped] under [rank] (label
-    defaults to ["mailbox"]). *)

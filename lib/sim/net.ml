@@ -60,7 +60,6 @@ type 'msg t = {
   cuts : (int, float) Hashtbl.t; (* key: src * n + dst -> blackout end *)
   rng : Rng.t;
   mutable loss_prob : float;
-  mutable jitter : float;
   mutable limits : queue_limits option;
   mutable messages : int;
   mutable total_bytes : int;
@@ -103,7 +102,7 @@ let resolve_families label m =
     mf_link_depth_hwm = Metrics.gauge_family m ~name:(label ^ ".link_depth_hwm");
   }
 
-let create eng ?(config = default_config) ?(fault_seed = 0x464c5558) ~nodes () =
+let create eng ?(config = default_config) ~nodes () =
   if nodes <= 0 then invalid_arg "Net.create: need at least one node";
   {
     eng;
@@ -112,9 +111,8 @@ let create eng ?(config = default_config) ?(fault_seed = 0x464c5558) ~nodes () =
     hosts = Array.init nodes (fun _ -> { alive = true; cpu_free_at = 0.0; handler = None });
     links = Hashtbl.create 64;
     cuts = Hashtbl.create 8;
-    rng = Rng.create fault_seed;
+    rng = Rng.create 0x464c5558;
     loss_prob = 0.0;
-    jitter = 0.0;
     limits = None;
     messages = 0;
     total_bytes = 0;
@@ -128,14 +126,12 @@ let create eng ?(config = default_config) ?(fault_seed = 0x464c5558) ~nodes () =
     label = "net";
   }
 
-let engine t = t.eng
-
 let set_tracer t tr = t.tracer <- tr
 
 let set_metrics t ?label m =
   (match label with Some l -> t.label <- l | None -> ());
   t.metrics <- Option.map (resolve_families t.label) m
-let nodes t = t.n
+
 let config t = t.cfg
 
 let set_link_limits t lim =
@@ -177,21 +173,12 @@ let set_loss t p =
   if p < 0.0 || p > 1.0 then invalid_arg "Net.set_loss: probability out of [0,1]";
   t.loss_prob <- p
 
-let set_jitter t j =
-  if j < 0.0 then invalid_arg "Net.set_jitter: negative jitter";
-  t.jitter <- j
-
 let cut_key t ~src ~dst = (src * t.n) + dst
 
 let cut_link t ~src ~dst =
   check_rank t src "cut_link";
   check_rank t dst "cut_link";
   Hashtbl.replace t.cuts (cut_key t ~src ~dst) infinity
-
-let heal_link t ~src ~dst =
-  check_rank t src "heal_link";
-  check_rank t dst "heal_link";
-  Hashtbl.remove t.cuts (cut_key t ~src ~dst)
 
 let blackout t ~src ~dst ~duration =
   check_rank t src "blackout";
@@ -200,26 +187,9 @@ let blackout t ~src ~dst ~duration =
   Hashtbl.replace t.cuts (cut_key t ~src ~dst) (Engine.now t.eng +. duration)
 
 let link_cut t ~src ~dst =
-  check_rank t src "link_cut";
-  check_rank t dst "link_cut";
   match Hashtbl.find_opt t.cuts (cut_key t ~src ~dst) with
   | Some until -> Engine.now t.eng < until
   | None -> false
-
-let partition t ranks =
-  List.iter (fun r -> check_rank t r "partition") ranks;
-  let inside = Array.make t.n false in
-  List.iter (fun r -> inside.(r) <- true) ranks;
-  for a = 0 to t.n - 1 do
-    for b = 0 to t.n - 1 do
-      if inside.(a) <> inside.(b) then begin
-        cut_link t ~src:a ~dst:b;
-        cut_link t ~src:b ~dst:a
-      end
-    done
-  done
-
-let heal_all_links t = Hashtbl.reset t.cuts
 
 (* --- Delivery ----------------------------------------------------------- *)
 
@@ -333,7 +303,7 @@ let admit t link ~wire ~src =
       | Block ->
         (* Earliest instant enough in-flight messages will have drained
            for this one to fit: walk live entries in send order, which
-           is arrival order up to jitter. *)
+           is arrival order. *)
         let need_msgs = link.q_msgs - lim.max_msgs + 1 in
         let need_bytes = link.q_bytes + wire - lim.max_bytes in
         let freed_msgs = ref 0 and freed_bytes = ref 0 and at = ref (Engine.now t.eng) in
@@ -371,14 +341,13 @@ let rec send_remote t ~src ~dst ~size m =
           : Engine.handle)
     | Admitted ->
       let lost = t.loss_prob > 0.0 && Rng.float t.rng 1.0 < t.loss_prob in
-      let jit = if t.jitter > 0.0 then Rng.float t.rng t.jitter else 0.0 in
       let now = Engine.now t.eng in
       let xfer = float_of_int wire /. t.cfg.bandwidth in
       let start = Float.max now link.free_at in
       (* Lost messages still occupy the pipe: the sender transmitted
          them, the fault eats them en route. *)
       link.free_at <- start +. xfer;
-      let arrive = start +. xfer +. t.cfg.link_latency +. jit in
+      let arrive = start +. xfer +. t.cfg.link_latency in
       occupy link ~wire;
       (match t.metrics with
       | None -> ()
@@ -456,10 +425,6 @@ let revive_node t r =
   check_rank t r "revive_node";
   t.hosts.(r).alive <- true
 
-let is_alive t r =
-  check_rank t r "is_alive";
-  t.hosts.(r).alive
-
 type stats = {
   messages : int;
   bytes : int;
@@ -484,16 +449,6 @@ let stats (t : _ t) =
 let link_bytes t ~src ~dst =
   match Hashtbl.find_opt t.links ((src * t.n) + dst) with
   | Some l -> l.bytes
-  | None -> 0
-
-let link_depth t ~src ~dst =
-  match Hashtbl.find_opt t.links ((src * t.n) + dst) with
-  | Some l -> l.q_msgs
-  | None -> 0
-
-let link_depth_hwm t ~src ~dst =
-  match Hashtbl.find_opt t.links ((src * t.n) + dst) with
-  | Some l -> l.q_hwm
   | None -> 0
 
 let max_link_depth_hwm t = Hashtbl.fold (fun _ l acc -> max acc l.q_hwm) t.links 0

@@ -8,7 +8,7 @@
     the paper's measurements.
 
     The fabric can also inject faults — probabilistic message loss,
-    latency jitter, directed link cuts and timed blackouts — so the
+    directed link cuts and timed blackouts — so the
     layers above (CMB RPC timeouts/retries, KVS failover) can be
     exercised under realistic failure semantics.
 
@@ -30,15 +30,13 @@ val default_config : config
 
 type 'msg t
 
-val create : Engine.t -> ?config:config -> ?fault_seed:int -> nodes:int -> unit -> 'msg t
+val create : Engine.t -> ?config:config -> nodes:int -> unit -> 'msg t
 (** [create eng ~nodes ()] builds a fabric connecting ranks
-    [0 .. nodes-1]. [fault_seed] seeds the generator behind {!set_loss}
-    and {!set_jitter}; with faults disabled (the default) no random
-    draws occur and runs are bit-for-bit deterministic. Raises
+    [0 .. nodes-1]. The generator behind {!set_loss} has the fixed seed
+    [0x464c5558]; with loss disabled (the default) no random draws
+    occur and runs are bit-for-bit deterministic. Raises
     [Invalid_argument] if [nodes <= 0]. *)
 
-val engine : 'msg t -> Engine.t
-val nodes : 'msg t -> int
 val config : 'msg t -> config
 
 (** {1 Bounded links}
@@ -111,8 +109,6 @@ val fail_node : 'msg t -> int -> unit
 
 val revive_node : 'msg t -> int -> unit
 
-val is_alive : 'msg t -> int -> bool
-
 val set_loss : 'msg t -> float -> unit
 (** [set_loss t p] drops each subsequent non-loopback message with
     probability [p]. Lost messages still occupy link bandwidth (they
@@ -120,30 +116,13 @@ val set_loss : 'msg t -> float -> unit
     dead letters at their would-be arrival time. Raises
     [Invalid_argument] unless [0 <= p <= 1]. *)
 
-val set_jitter : 'msg t -> float -> unit
-(** [set_jitter t j] adds a uniform extra delay in [[0, j)] seconds to
-    every subsequent non-loopback delivery. *)
-
 val cut_link : 'msg t -> src:int -> dst:int -> unit
-(** [cut_link t ~src ~dst] severs the directed link: subsequent sends
-    over it become dead letters until {!heal_link}. *)
-
-val heal_link : 'msg t -> src:int -> dst:int -> unit
+(** [cut_link t ~src ~dst] severs the directed link for good:
+    subsequent sends over it become dead letters. *)
 
 val blackout : 'msg t -> src:int -> dst:int -> duration:float -> unit
 (** [blackout t ~src ~dst ~duration] cuts the directed link for
     [duration] seconds of virtual time, then it heals by itself. *)
-
-val link_cut : 'msg t -> src:int -> dst:int -> bool
-(** Whether the directed link is currently cut or blacked out. *)
-
-val partition : 'msg t -> int list -> unit
-(** [partition t ranks] cuts every link (both directions) between
-    [ranks] and the rest of the fabric. Heal with {!heal_link} or
-    {!heal_all_links}. *)
-
-val heal_all_links : 'msg t -> unit
-(** Removes every cut and blackout. *)
 
 (** {1 Accounting} *)
 
@@ -166,12 +145,7 @@ val stats : 'msg t -> stats
 val link_bytes : 'msg t -> src:int -> dst:int -> int
 (** Wire bytes delivered so far over one directed link. *)
 
-val link_depth : 'msg t -> src:int -> dst:int -> int
-(** Messages currently in flight on one directed link. *)
-
-val link_depth_hwm : 'msg t -> src:int -> dst:int -> int
-(** High-water mark of {!link_depth} over the link's lifetime. *)
-
 val max_link_depth_hwm : 'msg t -> int
-(** Highest {!link_depth_hwm} across all links of the fabric — the
-    bound the overload harness asserts against configured caps. *)
+(** Highest number of messages ever in flight at once on one link of
+    the fabric — the bound the overload harness asserts against
+    configured caps. *)

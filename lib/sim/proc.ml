@@ -63,8 +63,6 @@ let spawn eng ?name f =
 
 let kill _eng p = if not p.finished then p.killed <- true
 
-let name_of p = p.name
-
 let sleep d =
   if d < 0.0 then invalid_arg "Proc.sleep: negative duration";
   Effect.perform (Sleep d)

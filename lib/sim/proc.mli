@@ -22,8 +22,6 @@ val kill : Engine.t -> pid -> unit
     {!Stopped}; a process that already finished is unaffected. Used for
     failure injection. *)
 
-val name_of : pid -> string
-
 (** {1 Operations valid only inside a process body} *)
 
 val sleep : float -> unit

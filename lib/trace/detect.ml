@@ -33,8 +33,6 @@ let alert_fields a =
     ("detail", Json.string a.al_detail);
   ]
 
-let alert_to_json a = Json.obj (alert_fields a)
-
 let pp_alert ppf a =
   Format.fprintf ppf "epoch %d %s %s rank=%d value=%.6g threshold=%.6g (%s)" a.al_epoch
     (kind_to_string a.al_kind) a.al_metric a.al_rank a.al_value a.al_threshold a.al_detail
@@ -57,21 +55,16 @@ let mad ~center values =
 
 (* A rank straggles when its value exceeds median + k * MAD (one-sided:
    being fast is not an anomaly). Degenerate epochs where every rank
-   agrees make MAD 0; [min_spread] (default 1% of |median|, floored at
-   1 ns) keeps noise-level jitter from flagging the whole cluster. *)
-let stragglers ?min_spread ~k ~epoch ~metric values =
+   agrees make MAD 0; a floor of 1% of |median| (at least 1 ns) keeps
+   noise-level jitter from flagging the whole cluster. *)
+let stragglers ~k ~epoch ~metric values =
   if List.length values < 3 then [] (* no meaningful distribution *)
   else begin
     let arr = Array.of_list (List.map snd values) in
     let sorted = Array.copy arr in
     Array.sort compare sorted;
     let med = median sorted in
-    let spread =
-      let floor_ =
-        match min_spread with Some s -> s | None -> Float.max 1e-9 (0.01 *. Float.abs med)
-      in
-      Float.max floor_ (mad ~center:med arr)
-    in
+    let spread = Float.max (Float.max 1e-9 (0.01 *. Float.abs med)) (mad ~center:med arr) in
     let threshold = med +. (k *. spread) in
     List.filter_map
       (fun (rank, v) ->
@@ -117,9 +110,9 @@ let trend_slope points =
 (* The shed *precursor*: a queue-depth gauge climbing steadily is the
    signal an elasticity controller acts on before admission control
    starts rejecting work. Fires when the slope over the window exceeds
-   [slope_threshold] (units/epoch) and the window is fully observed. *)
-let queue_growth ?(min_points = 3) ~slope_threshold ~epoch ~metric points =
-  if List.length points < min_points then []
+   [slope_threshold] (units/epoch) over at least 3 observed epochs. *)
+let queue_growth ~slope_threshold ~epoch ~metric points =
+  if List.length points < 3 then []
   else begin
     let slope = trend_slope points in
     if slope > slope_threshold then

@@ -27,21 +27,14 @@ val kind_to_string : kind -> string
 val alert_fields : alert -> (string * Json.t) list
 (** The field list a [telem.alert] trace event carries. *)
 
-val alert_to_json : alert -> Json.t
 val pp_alert : Format.formatter -> alert -> unit
 
-val stragglers :
-  ?min_spread:float ->
-  k:float ->
-  epoch:int ->
-  metric:string ->
-  (int * float) list ->
-  alert list
+val stragglers : k:float -> epoch:int -> metric:string -> (int * float) list -> alert list
 (** [stragglers ~k ~epoch ~metric per_rank] flags every rank whose
     value exceeds [median + k * MAD] of the cross-rank distribution
-    (one-sided — fast ranks are not anomalies). MAD is floored at
-    [min_spread] (default 1% of |median|, at least 1 ns) so degenerate
-    all-equal epochs never flag noise. Fewer than 3 ranks yields no
+    (one-sided — fast ranks are not anomalies). MAD is floored at 1% of
+    |median|, at least 1 ns, so degenerate all-equal epochs never flag
+    noise. Fewer than 3 ranks yields no
     alerts (no meaningful distribution). Output is rank-ascending. *)
 
 val trend_slope : (int * float) list -> float
@@ -49,15 +42,9 @@ val trend_slope : (int * float) list -> float
     than two points or a degenerate epoch axis. *)
 
 val queue_growth :
-  ?min_points:int ->
-  slope_threshold:float ->
-  epoch:int ->
-  metric:string ->
-  (int * float) list ->
-  alert list
+  slope_threshold:float -> epoch:int -> metric:string -> (int * float) list -> alert list
 (** One alert when the slope over the window exceeds [slope_threshold]
-    units/epoch and at least [min_points] (default 3) epochs were
-    observed. *)
+    units/epoch and at least 3 epochs were observed. *)
 
 val silent_ranks :
   epoch:int -> expected:int list -> heard:int list -> down:int list -> alert list

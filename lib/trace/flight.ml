@@ -25,20 +25,21 @@ type dump = {
 type t = {
   tracer : Tracer.t;
   ring_capacity : int;
-  max_dumps : int;
   rings : (int, Tracer.event Ring_buffer.t) Hashtbl.t;
   mutable dumps : dump list; (* newest first *)
   mutable ndumps : int;
   seen_reasons : (int * string, unit) Hashtbl.t;
 }
 
-let create ?(capacity = 256) ?(max_dumps = 64) tracer =
+(* Retained dumps; later ones are still tagged into the trace. *)
+let max_dumps = 64
+
+let create ?(capacity = 256) tracer =
   if capacity <= 0 then invalid_arg "Flight.create: capacity must be positive";
   let t =
     {
       tracer;
       ring_capacity = capacity;
-      max_dumps;
       rings = Hashtbl.create 64;
       dumps = [];
       ndumps = 0;
@@ -58,8 +59,6 @@ let create ?(capacity = 256) ?(max_dumps = 64) tracer =
         Ring_buffer.push ring ev
       end);
   t
-
-let capacity t = t.ring_capacity
 
 let recent t ~rank =
   match Hashtbl.find_opt t.rings rank with
@@ -81,7 +80,7 @@ let dump t ~rank ~reason =
         ("capacity", Json.int t.ring_capacity);
       ]
     ();
-  if t.ndumps < t.max_dumps then begin
+  if t.ndumps < max_dumps then begin
     t.dumps <- d :: t.dumps;
     t.ndumps <- t.ndumps + 1
   end;
@@ -100,16 +99,3 @@ let dump_once t ~rank ~tag ~reason =
 let dumps t = List.rev t.dumps
 
 let dump_to_perfetto d = Export.events_to_perfetto d.d_events
-
-let dump_to_json d =
-  Json.obj
-    [
-      ("ts", Json.float d.d_ts);
-      ("rank", Json.int d.d_rank);
-      ("reason", Json.string d.d_reason);
-      ("events", Json.list (List.map Export.event_to_json d.d_events));
-    ]
-
-let pp_dump ppf d =
-  Format.fprintf ppf "flight dump rank=%d t=%.6f %S (%d events)" d.d_rank d.d_ts d.d_reason
-    (List.length d.d_events)

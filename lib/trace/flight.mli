@@ -20,19 +20,17 @@ type dump = {
 
 type t
 
-val create : ?capacity:int -> ?max_dumps:int -> Tracer.t -> t
+val create : ?capacity:int -> Tracer.t -> t
 (** Subscribe to the tracer. [capacity] (default 256) bounds each
-    rank's ring; [max_dumps] (default 64) bounds retained dumps.
-    Category filters apply: the recorder sees the retained stream.
-    Raises [Invalid_argument] when [capacity <= 0]. *)
-
-val capacity : t -> int
+    rank's ring; at most 64 dumps are retained. Category filters apply:
+    the recorder sees the retained stream. Raises [Invalid_argument]
+    when [capacity <= 0]. *)
 
 val recent : t -> rank:int -> Tracer.event list
 (** The rank's ring contents right now, oldest first (no dump taken). *)
 
 val dump : t -> rank:int -> reason:string -> dump
-(** Snapshot the rank's ring, record the dump (up to [max_dumps]), and
+(** Snapshot the rank's ring, record the dump (up to 64), and
     tag a [flight.dump] instant into the tracer carrying the reason. *)
 
 val dump_once : t -> rank:int -> tag:string -> reason:string -> dump option
@@ -45,6 +43,3 @@ val dumps : t -> dump list
 
 val dump_to_perfetto : dump -> string
 (** The dump as Chrome/Perfetto trace-event JSON. *)
-
-val dump_to_json : dump -> Json.t
-val pp_dump : Format.formatter -> dump -> unit

@@ -221,8 +221,6 @@ type snap = {
 
 let snap_empty = { sn_counters = []; sn_gauges = []; sn_hists = [] }
 
-let snap_is_empty s = s.sn_counters = [] && s.sn_gauges = [] && s.sn_hists = []
-
 let hist_snap_of h =
   let buckets = ref [] in
   for i = nbuckets - 1 downto 0 do

@@ -80,9 +80,6 @@ val summary : t -> name:string -> rank:int -> summary option
 val summary_merged : t -> name:string -> summary option
 (** Bucket-wise merge of the named histogram across all ranks. *)
 
-val hist_names : t -> string list
-(** Sorted names of histograms with at least one registration. *)
-
 (** {1 Export} *)
 
 val to_csv : t -> string
@@ -119,7 +116,6 @@ type snap = {
 (** All three binding lists are sorted by (name, rank) key. *)
 
 val snap_empty : snap
-val snap_is_empty : snap -> bool
 
 val snapshot : ?rank:int -> t -> snap
 (** Capture the registry (or just one rank's slice — what a broker's
@@ -142,18 +138,11 @@ val snap_record : t -> snap -> unit
     histogram buckets accumulate) — the restore side of the round-trip,
     used by tests and by tools replaying a rollup stream. *)
 
-val hist_snap_summary : hist_snap -> summary option
-(** Percentile summary of one histogram snapshot ([None] when empty). *)
-
 (** {2 Snapshot accessors} *)
 
 val snap_counter_names : snap -> string list
 val snap_gauge_names : snap -> string list
 val snap_hist_names : snap -> string list
-
-val snap_counters_of : snap -> name:string -> (int * int) list
-(** Per-rank (rank, count) bindings of one counter, rank-ascending. *)
-
 val snap_gauges_of : snap -> name:string -> (int * float) list
 val snap_hists_of : snap -> name:string -> (int * hist_snap) list
 val snap_counter_total : snap -> name:string -> int

@@ -1,4 +1,3 @@
-module Json = Flux_json.Json
 module Ring_buffer = Flux_util.Ring_buffer
 
 (* Center-level time series: the root of the telemetry plane folds each
@@ -25,7 +24,6 @@ let create ?(window = 256) () =
   if window <= 0 then invalid_arg "Series.create: window must be positive";
   { window; series = Hashtbl.create 64; last_epoch = -1; epochs_recorded = 0 }
 
-let window t = t.window
 let last_epoch t = t.last_epoch
 let epochs_recorded t = t.epochs_recorded
 
@@ -122,47 +120,6 @@ let to_csv t =
         (points t ~name))
     (names t);
   Buffer.contents b
-
-let point_to_json = function
-  | P_counter n -> Json.obj [ ("kind", Json.string "counter"); ("delta", Json.int n) ]
-  | P_gauge g ->
-    Json.obj
-      [
-        ("kind", Json.string "gauge");
-        ("ranks", Json.int g.gp_n);
-        ("min", Json.float g.gp_min);
-        ("max", Json.float g.gp_max);
-        ("sum", Json.float g.gp_sum);
-      ]
-  | P_hist s ->
-    Json.obj
-      [
-        ("kind", Json.string "hist");
-        ("count", Json.int s.Metrics.n);
-        ("sum", Json.float s.Metrics.sum);
-        ("min", Json.float s.Metrics.mn);
-        ("max", Json.float s.Metrics.mx);
-        ("p50", Json.float s.Metrics.p50);
-        ("p95", Json.float s.Metrics.p95);
-        ("p99", Json.float s.Metrics.p99);
-      ]
-
-let to_json t =
-  Json.obj
-    [
-      ("window", Json.int t.window);
-      ("last_epoch", Json.int t.last_epoch);
-      ( "series",
-        Json.obj
-          (List.map
-             (fun name ->
-               ( name,
-                 Json.list
-                   (List.map
-                      (fun (e, p) -> Json.obj [ ("epoch", Json.int e); ("point", point_to_json p) ])
-                      (points t ~name)) ))
-             (names t)) );
-    ]
 
 (* The "flux top" view: one row per metric at the newest epoch it
    reported in, newest-first column semantics kept simple (fixed-width

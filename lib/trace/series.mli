@@ -7,8 +7,6 @@
     histograms the bucket-merged percentile summary. Memory is bounded
     by [window] points per name regardless of run length. *)
 
-module Json = Flux_json.Json
-
 type gauge_point = { gp_min : float; gp_max : float; gp_sum : float; gp_n : int }
 
 type point =
@@ -22,8 +20,6 @@ val create : ?window:int -> unit -> t
 (** [window] (default 256) bounds retained points per metric; raises
     [Invalid_argument] when non-positive. *)
 
-val window : t -> int
-
 val record : t -> epoch:int -> Metrics.snap -> unit
 (** Fold one epoch's merged delta into the store. *)
 
@@ -31,9 +27,6 @@ val last_epoch : t -> int
 (** Newest epoch recorded; -1 before the first. *)
 
 val epochs_recorded : t -> int
-
-val names : t -> string list
-(** Sorted metric names with at least one point. *)
 
 val points : t -> name:string -> (int * point) list
 (** Retained (epoch, point) history, oldest first. *)
@@ -52,8 +45,6 @@ val tail_scalars : t -> name:string -> n:int -> (int * float) list
 val to_csv : t -> string
 (** [metric,epoch,kind,count,sum,min,max,p50,p95,p99] rows, sorted by
     metric then epoch. *)
-
-val to_json : t -> Json.t
 
 val render_top : t -> string
 (** A [flux top]-style fixed-width table of every metric at its latest

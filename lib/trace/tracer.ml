@@ -83,7 +83,7 @@ let add_duration t key d =
   Hashtbl.replace t.durations key
     (d +. match Hashtbl.find_opt t.durations key with Some x -> x | None -> 0.0)
 
-let span t ~cat ~name ?rank f =
+let span t ~cat ~name f =
   let t0 = t.now () in
   let finish ~raised =
     let dur = t.now () -. t0 in
@@ -92,7 +92,7 @@ let span t ~cat ~name ?rank f =
     let fields =
       ("dur", Json.float dur) :: (if raised then [ ("raised", Json.bool true) ] else [])
     in
-    emit t ~cat ~name ?rank ~fields ()
+    emit t ~cat ~name ~fields ()
   in
   match f () with
   | v ->
@@ -118,8 +118,3 @@ let counters t =
 
 let total_duration t ~cat ~name =
   match Hashtbl.find_opt t.durations (cat, name) with Some d -> d | None -> 0.0
-
-let clear t =
-  Ring_buffer.clear t.buf;
-  Hashtbl.reset t.counts;
-  Hashtbl.reset t.durations

@@ -44,10 +44,6 @@ val root_ctx : t -> ctx
 val child_ctx : t -> ctx -> ctx
 (** A fresh span caused by [parent], in the same trace. *)
 
-val ctx_fields : ctx -> (string * Json.t) list
-(** The ["trace"]/["span"]/["parent"] fields {!emit} attaches for
-    [?ctx]; exposed for code that assembles field lists by hand. *)
-
 val enable : t -> cats:string list -> unit
 (** Retain events only for the listed categories ([[]] = everything,
     the default). Filtering also suppresses subscriber callbacks. *)
@@ -71,9 +67,9 @@ val add_count : t -> cat:string -> name:string -> int -> unit
     Lets subsystems fold pre-existing integer counters (fault counts,
     byte totals) into the one counter namespace. *)
 
-val span : t -> cat:string -> name:string -> ?rank:int -> (unit -> 'a) -> 'a
-(** [span t ~cat ~name f] runs [f], emitting one event carrying the
-    elapsed virtual duration in field ["dur"]. For blocking protocol
+val span : t -> cat:string -> name:string -> (unit -> 'a) -> 'a
+(** [span t ~cat ~name f] runs [f], emitting one rank-less event
+    carrying the elapsed virtual duration in field ["dur"]. For blocking protocol
     code inside {!Flux_sim.Proc} bodies. Exceptions propagate after the
     event is recorded with field ["raised"] = true and the
     [cat.name.raised] counter bumped, so failures show up in
@@ -102,6 +98,3 @@ val counters : t -> ((string * string) * int) list
 
 val total_duration : t -> cat:string -> name:string -> float
 (** Sum of ["dur"] fields recorded by {!span} for this key. *)
-
-val clear : t -> unit
-(** Drop retained events and reset counters. *)

@@ -29,8 +29,5 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean. *)
 
-val pick : t -> 'a array -> 'a
-(** [pick t arr] is a uniformly chosen element. Raises on empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)

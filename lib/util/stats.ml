@@ -2,7 +2,6 @@ type t = {
   mutable samples : float list;
   mutable sorted : float array option; (* memoized sort, invalidated by add *)
   mutable n : int;
-  mutable sum : float;
   mutable mean_acc : float; (* Welford running mean *)
   mutable m2 : float; (* Welford sum of squared deviations *)
   mutable min_v : float;
@@ -14,7 +13,6 @@ let create () =
     samples = [];
     sorted = None;
     n = 0;
-    sum = 0.0;
     mean_acc = 0.0;
     m2 = 0.0;
     min_v = infinity;
@@ -25,7 +23,6 @@ let add t x =
   t.samples <- x :: t.samples;
   t.sorted <- None;
   t.n <- t.n + 1;
-  t.sum <- t.sum +. x;
   let delta = x -. t.mean_acc in
   t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
   t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
@@ -33,7 +30,6 @@ let add t x =
   if x > t.max_v then t.max_v <- x
 
 let count t = t.n
-let total t = t.sum
 let mean t = if t.n = 0 then 0.0 else t.mean_acc
 
 let min t =
@@ -71,9 +67,3 @@ let percentile t p =
   end
 
 let median t = percentile t 0.5
-
-let to_string t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.6g min=%.6g p50=%.6g p99=%.6g max=%.6g sd=%.6g"
-      t.n (mean t) t.min_v (median t) (percentile t 0.99) t.max_v (stddev t)

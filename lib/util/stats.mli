@@ -9,7 +9,6 @@ val add : t -> float -> unit
 (** [add t x] records one sample. *)
 
 val count : t -> int
-val total : t -> float
 
 val mean : t -> float
 (** [mean t] is 0. when no samples were recorded. *)
@@ -28,6 +27,3 @@ val percentile : t -> float -> float
     linear interpolation over the recorded samples. Raises when empty. *)
 
 val median : t -> float
-
-val to_string : t -> string
-(** One-line human-readable summary. *)

@@ -72,6 +72,33 @@ let test_non_idempotent_rpc_fails_fast () =
   check int "no retransmissions" 0 (Session.rpc_retries sess);
   check int "timeout counted" 1 (Session.rpc_timeouts sess)
 
+(* The fixed retry policy: 2 s per attempt, 4 transmissions for an
+   idempotent request, and a 50 ms backoff doubling up to a 1 s cap,
+   less up to 10% jitter. Over a link that never heals, the request
+   fails after four deadlines and three backoffs. *)
+let test_idempotent_retry_policy () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:8 () in
+  Session.load_module sess ~ranks:[ 0 ] echo_module;
+  Net.cut_link (Session.rpc_net sess) ~src:1 ~dst:0;
+  let got = ref None in
+  Session.request_up (Session.broker sess 1) ~idempotent:true ~topic:"echo.run" Json.null
+    ~reply:(fun r -> got := Some (r, Engine.now eng));
+  Engine.run eng;
+  let at =
+    match !got with
+    | Some (Error "timeout", at) -> at
+    | Some _ -> Alcotest.fail "expected Error timeout"
+    | None -> Alcotest.fail "rpc never completed"
+  in
+  check int "three retransmissions" 3 (Session.rpc_retries sess);
+  check int "one timeout" 1 (Session.rpc_timeouts sess);
+  (* 4 x 2 s + (0.05 + 0.1 + 0.2) s, the backoff less up to 10%. *)
+  check bool
+    (Printf.sprintf "failed at %.9f s, within [8.315, 8.35]" at)
+    true
+    (at >= 8.315 && at <= 8.35)
+
 (* --- KVS get under injected loss through a healed parent ----------------- *)
 
 let test_kvs_get_under_loss_via_healed_parent () =
@@ -113,7 +140,7 @@ let test_sparse_fence_with_dead_child () =
   let sess = Session.create eng ~size:7 () in
   let kvs = Kvs.load sess () in
   ignore kvs;
-  let window = Kvs.default_config.Kvs.fence_window in
+  let window = Kvs.fence_window in
   (* Rank 6 is dead but never marked down: its parent (rank 2) keeps it
      in the children list and must give up waiting for it after two quiet
      windows instead of deadlocking the fence. *)
@@ -448,6 +475,8 @@ let () =
             test_retry_succeeds_after_blackout;
           Alcotest.test_case "non-idempotent fails fast" `Quick
             test_non_idempotent_rpc_fails_fast;
+          Alcotest.test_case "idempotent retry policy over a cut link" `Quick
+            test_idempotent_retry_policy;
         ] );
       ( "kvs",
         [

@@ -134,7 +134,10 @@ let test_invalid_configs () =
       ignore (Kap.run { Kap.default with Kap.producers = 1000 }));
   Alcotest.check_raises "consumers without producers"
     (Invalid_argument "Kap.run: consumers need producers") (fun () ->
-      ignore (Kap.run { Kap.default with Kap.producers = 0 }))
+      ignore (Kap.run { Kap.default with Kap.producers = 0 }));
+  Alcotest.check_raises "one-byte redundant values"
+    (Invalid_argument "Kap.run: values need at least 2 bytes") (fun () ->
+      ignore (Kap.run { Kap.default with Kap.value_size = 1; value_kind = Kap.Redundant }))
 
 let test_access_stride_and_counts () =
   let r = run_fp ~ngets:4 4 in

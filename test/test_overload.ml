@@ -272,7 +272,7 @@ let soak_cfg seed =
     producers = [ 20; 21; 22; 23 ];
     duration = 0.08;
     rate = 2.0 *. Overload.master_capacity Overload.default;
-    flow = Some { Session.default_flow_config with Session.flow_credits = 128; flow_stash = 192 };
+    flow = Some { Session.flow_credits = 128; flow_stash = 192 };
     link_limits = Some { Net.max_msgs = 128; max_bytes = max_int; policy = Net.Block };
     kvs =
       {

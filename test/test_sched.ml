@@ -141,6 +141,22 @@ let test_chaos_requeues_exercised () =
   in
   check Alcotest.bool "some seed exercised the requeue path" true requeued
 
+let test_chaos_hop_means () =
+  (* A revived rank replays the starts of jobs the master already
+     failed; such a late start must not enter either hop mean. *)
+  List.iter
+    (fun seed ->
+      let r = Sched.run { chaos_base with Sched.seed } in
+      let ms = r.Sched.r_hop_match_start_mean and sc = r.Sched.r_hop_start_complete_mean in
+      check Alcotest.bool
+        (Printf.sprintf "seed %d: match->start %g s in [0, 1 ms)" seed ms)
+        true
+        (ms >= 0.0 && ms < 1e-3);
+      check Alcotest.bool
+        (Printf.sprintf "seed %d: start->complete %g s >= 0" seed sc)
+        true (sc >= 0.0))
+    chaos_seeds
+
 let test_chaos_deterministic () =
   let cfg = { chaos_base with Sched.seed = 15 } in
   let a = Sched.run cfg and b = Sched.run cfg in
@@ -168,6 +184,7 @@ let () =
           chaos_seeds
         @ [
             Alcotest.test_case "requeue path exercised" `Quick test_chaos_requeues_exercised;
+            Alcotest.test_case "hop means skip replayed starts" `Quick test_chaos_hop_means;
             Alcotest.test_case "chaos seed repeats exactly" `Quick test_chaos_deterministic;
           ] );
     ]

@@ -9,11 +9,8 @@ let check = Alcotest.check
 
 let chaos_seeds = List.init 16 (fun i -> 1 + (13 * i))
 
-let run_chaos seed =
-  Shard.chaos { Shard.chaos_default with Shard.cseed = seed }
-
 let test_chaos_schedule seed () =
-  let r = run_chaos seed in
+  let r = Shard.chaos seed in
   (match r.Shard.cviolations with
   | [] -> ()
   | vs ->
@@ -22,14 +19,11 @@ let test_chaos_schedule seed () =
   check Alcotest.int "no fence failed" 0 r.Shard.fences_failed;
   check Alcotest.bool "completed all rounds"
     true
-    (r.Shard.fences_ok
-    = Shard.chaos_default.Shard.crounds
-      * List.length Shard.chaos_default.Shard.cclients);
+    (r.Shard.fences_ok = Shard.chaos_rounds * List.length Shard.chaos_clients);
   check Alcotest.bool "the schedule killed someone" true (r.Shard.kills >= 1);
   check Alcotest.int "everyone killed was revived" r.Shard.kills r.Shard.revives;
   (* Every completed cross-shard fence bumped the merge epoch once. *)
-  check Alcotest.int "xepoch counts the merges" Shard.chaos_default.Shard.crounds
-    r.Shard.xepoch;
+  check Alcotest.int "xepoch counts the merges" Shard.chaos_rounds r.Shard.xepoch;
   check Alcotest.bool "readback exercised" true (r.Shard.keys_checked > 0)
 
 let fingerprint (r : Shard.chaos_report) =
@@ -42,7 +36,7 @@ let fingerprint (r : Shard.chaos_report) =
     (r.Shard.cfinal_clock, r.Shard.csim_events) )
 
 let test_chaos_deterministic () =
-  let a = run_chaos 5 and b = run_chaos 5 in
+  let a = Shard.chaos 5 and b = Shard.chaos 5 in
   if fingerprint a <> fingerprint b then
     Alcotest.fail "same seed produced different chaos runs"
 
@@ -51,7 +45,7 @@ let test_chaos_master_killed () =
      volume's acting master (takeover epoch > 0 on some volume). *)
   List.iter
     (fun seed ->
-      let r = run_chaos seed in
+      let r = Shard.chaos seed in
       check Alcotest.bool
         (Printf.sprintf "seed %d: a takeover happened" seed)
         true (r.Shard.takeovers >= 1))
