@@ -1,4 +1,4 @@
-.PHONY: all build test fmt harnesses check clean
+.PHONY: all build test fmt harnesses trajectory check clean
 
 all: build
 
@@ -35,10 +35,19 @@ harnesses:
 	rm -f $$log $$log.status; \
 	exit $$status
 
+# One seed-0 run of each benchmark workload with per-layer rows (about
+# 15 s): the deterministic rows must equal the tracked
+# bench/trajectory.json, and allocated words per event may move by at
+# most 2%. A change that moves a row on purpose regenerates the file
+# (see bench/trajectory.py) and says why.
+trajectory:
+	@python3 bench/trajectory.py > /dev/null
+
 # The pre-merge gate: format (when available), build with warnings
 # promoted to errors under lib/ (see lib/dune), run every test suite,
-# every harness sweep, and the benchmark's toy-size self-test.
-check: fmt build test harnesses
+# every harness sweep, the allocation trajectory, and the benchmark's
+# toy-size self-test.
+check: fmt build test harnesses trajectory
 	python3 perfbench/run.py --self-test
 
 clean:

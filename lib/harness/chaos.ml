@@ -20,10 +20,6 @@ let max_dead = 3
 let master_kill_bias = 0.4
 let op_timeout = 8.0
 
-(* Acked commits must survive master loss: replicate every fresh
-   interior object with the setroot announcing it. *)
-let replicated_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
-
 type report = {
   commits_ok : int;
   commits_indeterminate : int;
@@ -293,7 +289,7 @@ let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Chaos.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~size () in
-  let kvs = Kvs.load sess ~config:replicated_kvs () in
+  let kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let st =
     {
       cfg;

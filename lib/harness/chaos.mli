@@ -29,12 +29,12 @@
     schedule proved out); the harness never raises on a breach so
     benches can report instead of abort.
 
-    The schedule's shape is fixed: 15 ranks in a binary tree with delta
-    replication enabled ([setroot_delta_max = max_int]) so acked
-    commits survive master loss; every 6th round is a collective fence
-    with an 8 s deadline; every third value is a 400-byte string (not
-    inlined); and the injector acts every 0.8 s on average, keeps at
-    most 3 ranks dead, and aims 40% of its kills at the master. *)
+    The schedule's shape is fixed: 15 ranks in a binary tree running
+    {!Flux_kvs.Kvs_module.replicated_config} so acked commits survive
+    master loss; every 6th round is a collective fence with an 8 s
+    deadline; every third value is a 400-byte string (not inlined); and
+    the injector acts every 0.8 s on average, keeps at most 3 ranks
+    dead, and aims 40% of its kills at the master. *)
 
 type config = {
   seed : int;  (** everything stochastic derives from this *)

@@ -41,10 +41,6 @@ let value_bytes = 96
 let ckpt_timeout = 4.0
 let revive_after = 1.0
 
-(* Acked state must survive master loss: replicate fresh interior
-   objects with each setroot so a successor rebuilds from survivors. *)
-let replicated_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
-
 (* Rank 0 is the wexec job master (no failover) and the driver runs on
    rank [size-1], so schedules never kill either; [size-2] serves reads
    and snapshot captures. Workers live strictly between. *)
@@ -316,7 +312,7 @@ let restore_equivalence st snap =
       History.violate st.h "decode(encode) changed the root");
   let eng2 = Engine.create () in
   let sess2 = Session.create eng2 ~fanout:2 ~size:4 () in
-  let kvs2 = Kvs.load sess2 ~config:replicated_kvs () in
+  let kvs2 = Kvs.load sess2 ~config:Kvs.replicated_config () in
   match Kvs.restore kvs2.(0) snap with
   | Error e -> History.violate st.h "restore into fresh session failed: %s" e
   | Ok () ->
@@ -388,7 +384,7 @@ let run cfg =
   Result.iter_error (fun e -> invalid_arg ("Ckpt.run: " ^ e)) (validate cfg);
   let eng = Engine.create () in
   let sess = Session.create eng ~fanout:cfg.fanout ~size:cfg.size () in
-  let kvs = Kvs.load sess ~config:replicated_kvs () in
+  let kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let metrics = Metrics.create () in
   Kvs.set_metrics_all kvs metrics;
   ignore (Wexec.load sess () : Wexec.t array);

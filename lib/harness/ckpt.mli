@@ -26,10 +26,10 @@ type config = {
   epochs : int;
   keys_per_epoch : int;
 }
-(** The KVS always runs with setroot delta replication, so acked state
-    survives master loss. Tasks write 96-byte values; checkpoint fences
-    time out after 4 s; a killed rank is revived 1 s later; the job is
-    requeued at most 3 times. *)
+(** The KVS always runs {!Flux_kvs.Kvs_module.replicated_config}, so
+    acked state survives master loss. Tasks write 96-byte values;
+    checkpoint fences time out after 4 s; a killed rank is revived 1 s
+    later; the job is requeued at most 3 times. *)
 
 val default : config
 (** 13 ranks, workers on ranks 2..5, 4 epochs, a node killed mid-job.

@@ -229,11 +229,6 @@ let chaos_value_bytes = 64
 let round_gap = 0.25 (* mean inter-round gap per client *)
 let revive_after = 0.6 (* kill-to-revive delay *)
 
-(* Acked cross-shard fences must survive a shard-master loss: replicate
-   fresh interior objects with each setroot so a successor can rebuild
-   the authoritative store from survivors. *)
-let chaos_kvs = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
-
 type chaos_report = {
   fences_ok : int;
   fences_failed : int;
@@ -484,7 +479,7 @@ let chaos_finalize st =
 let chaos seed =
   let eng = Engine.create () in
   let sess = Session.create eng ~rank_topology:Session.Direct ~size:chaos_size () in
-  let vt = Volumes.load sess ~config:chaos_kvs ~shards:chaos_shards () in
+  let vt = Volumes.load sess ~config:Kvs.replicated_config ~shards:chaos_shards () in
   let st =
     {
       cseed = seed;

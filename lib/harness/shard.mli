@@ -46,8 +46,8 @@ val soak : soak_config -> soak_report
 (** {1 Cross-shard fence chaos}
 
     The schedule is fixed but for its seed: 12 ranks in a binary tree, 2
-    shards with setroot delta replication so acked fences survive a
-    shard-master loss, and {!chaos_clients} each running
+    shards running {!Flux_kvs.Kvs_module.replicated_config} so acked
+    fences survive a shard-master loss, and {!chaos_clients} each running
     {!chaos_rounds} rounds. A round writes one 64-byte value per shard
     and joins a cross-shard fence; rounds are 0.25 s apart on average.
     The seed picks the shard whose master dies mid-fence; odd seeds also

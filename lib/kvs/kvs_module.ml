@@ -11,7 +11,7 @@ module Metrics = Flux_trace.Metrics
 type config = {
   cache_capacity : int;
   apply_cpu_per_tuple : float;
-  setroot_delta_max : int;
+  setroot_interiors : bool;
   admission_max_intake : int;
   admission_retry_after : float;
 }
@@ -20,10 +20,12 @@ let default_config =
   {
     cache_capacity = 100_000;
     apply_cpu_per_tuple = 0.3e-6;
-    setroot_delta_max = 0;
+    setroot_interiors = false;
     admission_max_intake = 0;
     admission_retry_after = 1e-3;
   }
+
+let replicated_config = { default_config with setroot_interiors = true }
 
 let fence_window = 200e-6
 let put_cpu = 1e-6
@@ -494,7 +496,6 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
       t.apply_backlog <- t.apply_backlog - nresp;
       trace t ~name:"apply" ?ctx:trace_ctx ~fields:[ ("tuples", Json.int ntuples) ] ();
       let delta = ref [] in
-      let delta_bytes = ref 0 in
       let new_root =
         if ntuples = 0 then t.root
         else
@@ -506,13 +507,9 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
                  setroot event can replicate them to every live slave:
                  value objects already ride the flush path, and with the
                  interior nodes mirrored too a takeover finds everything
-                 it needs in surviving caches. Capped so huge directories
-                 do not turn every setroot into a bulk transfer. *)
-              let sz = Json.serialized_size v in
-              if !delta_bytes + sz <= t.cfg.setroot_delta_max then begin
+                 it needs in surviving caches. *)
+              if t.cfg.setroot_interiors then
                 delta := { Proto.osha = sha; value = v } :: !delta;
-                delta_bytes := !delta_bytes + sz
-              end;
               sha)
             ~root:t.root
             (List.map (fun (tp : Proto.tuple) -> (tp.Proto.key, dirent_of tp)) tuples)

@@ -25,14 +25,13 @@ module Session = Flux_cmb.Session
 type config = {
   cache_capacity : int;  (** slave LRU capacity, in objects *)
   apply_cpu_per_tuple : float;  (** master cost to apply one tuple *)
-  setroot_delta_max : int;
-      (** byte budget for replicating a commit's freshly created interior
-          tree objects inside its [setroot] event: with the interiors
-          mirrored into slave caches, a takeover after a master loss can
-          rebuild the full store from survivors. The default [0] keeps
-          the paper's fault-in phenomenology (slaves hold only what they
-          pulled or wrote) — deployments that need acked commits to
-          survive master loss set a budget, as the chaos harness does. *)
+  setroot_interiors : bool;
+      (** whether a commit's [setroot] event carries every interior tree
+          object the commit created: with the interiors mirrored into
+          slave caches, a takeover after a master loss can rebuild the
+          full store from survivors. The default [false] keeps the
+          paper's fault-in phenomenology (slaves hold only what they
+          pulled or wrote); {!replicated_config} turns it on. *)
   admission_max_intake : int;
       (** master admission control: shed write-side requests
           (commit/fence/mput/flush) once the intake depth — fence
@@ -56,6 +55,11 @@ val default_config : config
     at most 256 bytes are stored inline in their directory entry, as in
     the prototype, so reading one small value faults in its whole
     directory; and a fence aggregates over the window below. *)
+
+val replicated_config : config
+(** {!default_config} with [setroot_interiors] on, so acked commits
+    survive master loss. The chaos, shard-chaos and ckpt harnesses run
+    under it. *)
 
 val fence_window : float
 (** Fence aggregation window, 200 us: an interior instance forwards

@@ -1,19 +1,22 @@
 module Heap = Flux_util.Heap
 
-(* A handle knows how many copies of itself sit in the queue so that
-   [cancel] can account for them without touching the heap. [every]
-   reuses one handle across every tick it schedules. *)
+(* One record per scheduled event: the queue entry is the caller's
+   cancellation handle. Its state lets [cancel] count a cancelled entry
+   that still sits in the queue without touching the heap. *)
 type t = {
-  queue : event Heap.t;
+  queue : handle Heap.t;
   mutable clock : float;
   mutable executed : int;
   mutable cancelled_pending : int;
   mutable compactions : int;
 }
 
-and handle = { mutable cancelled : bool; mutable in_heap : int; eng : t }
+and handle = { fn : unit -> unit; eng : t; mutable state : state }
 
-and event = { h : handle; fn : unit -> unit }
+(* [Queued] from scheduling until the event fires ([Idle]) or is
+   cancelled. The handle [every] returns is never queued, so it starts
+   [Idle]. *)
+and state = Queued | Idle | Cancelled
 
 (* Below this size the lazy drain in [step] is already cheap; compacting
    would just churn the array. *)
@@ -34,52 +37,45 @@ let compactions t = t.compactions
 let maybe_compact t =
   let len = Heap.length t.queue in
   if len >= compact_floor && t.cancelled_pending > len - t.cancelled_pending then begin
-    Heap.filter t.queue (fun ev ->
-        if ev.h.cancelled then begin
-          ev.h.in_heap <- ev.h.in_heap - 1;
-          false
-        end
-        else true);
+    Heap.filter t.queue (fun h -> h.state <> Cancelled);
     t.cancelled_pending <- 0;
     t.compactions <- t.compactions + 1
   end
 
-let push_event t ~time h fn =
-  Heap.push t.queue time { h; fn };
-  h.in_heap <- h.in_heap + 1
-
 let schedule_at t ~time fn =
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time t.clock);
-  let h = { cancelled = false; in_heap = 0; eng = t } in
-  push_event t ~time h fn;
+  let h = { fn; eng = t; state = Queued } in
+  Heap.push t.queue time h;
   h
 
 let schedule t ~delay fn =
+  if Float.is_nan delay then invalid_arg "Engine.schedule: NaN delay";
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) fn
 
 let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
+  if h.state <> Cancelled then begin
     let t = h.eng in
-    t.cancelled_pending <- t.cancelled_pending + h.in_heap;
+    if h.state = Queued then t.cancelled_pending <- t.cancelled_pending + 1;
+    h.state <- Cancelled;
     maybe_compact t
   end
 
 let every t ~period fn =
-  if period <= 0.0 then invalid_arg "Engine.every: period must be positive";
+  if not (period > 0.0) then invalid_arg "Engine.every: period must be positive";
   (* A persistent handle: cancelling it stops the chain of reschedules.
-     Each queued tick still rides its own fresh handle, so a tick already
-     in flight when the chain is cancelled fires as a no-op — the clock
-     and event count advance exactly as they always did. [tick] is the
-     only closure this loop ever allocates; reschedules push it as-is. *)
-  let h = { cancelled = false; in_heap = 0; eng = t } in
+     Each queued tick rides its own fresh handle, so a tick already in
+     flight when the chain is cancelled fires as a no-op — the clock and
+     event count advance exactly as they always did. [tick] is the only
+     closure this loop ever allocates; reschedules push it as-is. *)
+  let h = { fn = ignore; eng = t; state = Idle } in
   let rec tick () =
-    if not h.cancelled then begin
+    if h.state <> Cancelled then begin
       fn ();
-      if not h.cancelled then ignore (schedule t ~delay:period tick : handle)
+      if h.state <> Cancelled then ignore (schedule t ~delay:period tick : handle)
     end
   in
   ignore (schedule t ~delay:period tick : handle);
@@ -87,38 +83,43 @@ let every t ~period fn =
 
 (* Cancelled events are drained without advancing the clock: a timer
    that was disarmed (e.g. an RPC deadline whose response arrived) must
-   not distort the simulation's end time. *)
-let rec step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (time, ev) ->
-    ev.h.in_heap <- ev.h.in_heap - 1;
-    if ev.h.cancelled then begin
-      t.cancelled_pending <- t.cancelled_pending - 1;
-      step t
-    end
-    else begin
-      t.clock <- time;
-      t.executed <- t.executed + 1;
-      ev.fn ();
-      true
-    end
+   not distort the simulation's end time. [live_head t] drops the
+   cancelled entries at the head of the queue and tells whether an event
+   remains to fire. *)
+let rec live_head t =
+  if Heap.is_empty t.queue then false
+  else if (Heap.min_value t.queue).state <> Cancelled then true
+  else begin
+    Heap.drop_min t.queue;
+    t.cancelled_pending <- t.cancelled_pending - 1;
+    live_head t
+  end
+
+(* Fires the head of the queue, which [live_head] found live. *)
+let fire t =
+  let h = Heap.min_value t.queue in
+  t.clock <- Heap.min_prio t.queue;
+  Heap.drop_min t.queue;
+  h.state <- Idle;
+  t.executed <- t.executed + 1;
+  h.fn ()
+
+let step t =
+  live_head t
+  && begin
+       fire t;
+       true
+     end
 
 let run ?until t =
-  let continue = ref true in
-  while !continue do
-    match Heap.peek t.queue with
-    | None -> continue := false
-    | Some (_, ev) when ev.h.cancelled ->
-      ignore (Heap.pop t.queue : _ option);
-      ev.h.in_heap <- ev.h.in_heap - 1;
-      t.cancelled_pending <- t.cancelled_pending - 1
-    | Some (time, _) -> (
-      match until with
-      | Some limit when time > limit ->
-        t.clock <- limit;
-        continue := false
-      | _ -> ignore (step t : bool))
-  done
+  match until with
+  | None -> while step t do () done
+  | Some limit ->
+    if not (limit >= t.clock) then
+      invalid_arg (Printf.sprintf "Engine.run: until %g is before now %g" limit t.clock);
+    while live_head t && Heap.min_prio t.queue <= limit do
+      fire t
+    done;
+    if not (Heap.is_empty t.queue) then t.clock <- limit
 
 let events_executed t = t.executed

@@ -22,12 +22,12 @@ val compactions : t -> int
     they outnumber the live entries. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> handle
-(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative delays
-    raise [Invalid_argument]. *)
+(** [schedule t ~delay f] fires [f] at [now t +. delay]. Negative and
+    NaN delays raise [Invalid_argument]. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** [schedule_at t ~time f] fires [f] at absolute [time]; raises
-    [Invalid_argument] if [time] is in the past. *)
+    [Invalid_argument] if [time] is NaN or in the past. *)
 
 val cancel : handle -> unit
 (** Cancelling an already-fired or cancelled event is a no-op. *)
@@ -38,8 +38,9 @@ val every : t -> period:float -> (unit -> unit) -> handle
 
 val run : ?until:float -> t -> unit
 (** [run t] executes events until the queue drains (or virtual time
-    exceeds [until], leaving later events queued). Re-raises the first
-    exception escaping an event callback. *)
+    exceeds [until], leaving later events queued and the clock at
+    [until]). Raises [Invalid_argument] if [until] is before [now t].
+    Re-raises the first exception escaping an event callback. *)
 
 val step : t -> bool
 (** [step t] executes the single next event; [false] when none remain. *)

@@ -20,14 +20,12 @@ let expect_ok label = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" label e
 
-let replicated_cfg = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
-
 (* --- Deterministic failover scenarios ------------------------------------ *)
 
 let test_master_failover_mid_commit () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let kvs = Kvs.load sess ~config:replicated_cfg () in
+  let kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let versions = ref [] in
   let commit_errors = ref 0 in
   ignore
@@ -76,7 +74,7 @@ let test_master_failover_mid_commit () =
 let test_rejoin_reaches_current_version () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let kvs = Kvs.load sess ~config:replicated_cfg () in
+  let kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let commit_n c n =
     for i = 1 to n do
       expect_ok "put" (Client.put c ~key:(Printf.sprintf "rj.k%d" i) (Json.int i));
@@ -126,7 +124,7 @@ let test_rejoin_reaches_current_version () =
 let test_fence_atomicity_under_master_kill () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let _kvs = Kvs.load sess ~config:replicated_cfg () in
+  let _kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let bodies = [ 9; 11; 13 ] in
   let outcomes = ref [] in
   List.iter

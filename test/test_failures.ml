@@ -339,14 +339,10 @@ let test_live_rejoin_clears_declared_down () =
 
 (* --- Watch / wait_version across a master failover ----------------------- *)
 
-(* Full replication so a takeover can adopt the newest root from any
-   surviving peer — same config the chaos harness runs under. *)
-let replicated_cfg = { Kvs.default_config with Kvs.setroot_delta_max = max_int }
-
 let test_watch_fires_after_takeover () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let kvs = Kvs.load sess ~config:replicated_cfg () in
+  let kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let seen = ref [] in
   ignore
     (Proc.spawn eng (fun () ->
@@ -374,7 +370,7 @@ let test_watch_fires_after_takeover () =
 let test_wait_version_crosses_failover () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let _kvs = Kvs.load sess ~config:replicated_cfg () in
+  let _kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let woke_at = ref None in
   (* Park a waiter on a version that does not exist yet. *)
   ignore
@@ -403,7 +399,7 @@ let test_wait_version_crosses_failover () =
 let test_unwatch_stops_across_failover () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let _kvs = Kvs.load sess ~config:replicated_cfg () in
+  let _kvs = Kvs.load sess ~config:Kvs.replicated_config () in
   let fired = ref 0 in
   ignore
     (Proc.spawn eng (fun () ->

@@ -79,6 +79,36 @@ let test_engine_negative_delay () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> ignore (Engine.schedule eng ~delay:(-1.0) (fun () -> ())))
 
+(* A NaN time never moves past a neighbour in the queue, so accepting
+   one would let the clock run backwards and then become NaN. *)
+let test_engine_rejects_nan () =
+  let eng = Engine.create () in
+  let times = ref [] in
+  let note () = times := Engine.now eng :: !times in
+  ignore (Engine.schedule_at eng ~time:1.0 note);
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: NaN time")
+    (fun () -> ignore (Engine.schedule_at eng ~time:Float.nan note));
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: NaN delay")
+    (fun () -> ignore (Engine.schedule eng ~delay:Float.nan note));
+  ignore (Engine.schedule_at eng ~time:2.0 note);
+  ignore (Engine.schedule_at eng ~time:0.5 note);
+  Engine.run eng;
+  check (Alcotest.list flt) "clock only moves forward" [ 0.5; 1.0; 2.0 ] (List.rev !times);
+  Alcotest.check_raises "past time"
+    (Invalid_argument "Engine.schedule_at: time 0.25 is before now 2") (fun () ->
+      ignore (Engine.schedule_at eng ~time:0.25 note))
+
+let test_engine_until_before_now () =
+  let eng = Engine.create () in
+  ignore (Engine.schedule eng ~delay:7.0 ignore);
+  Engine.run eng;
+  ignore (Engine.schedule eng ~delay:3.0 ignore);
+  Alcotest.check_raises "until before now" (Invalid_argument "Engine.run: until 3 is before now 7")
+    (fun () -> Engine.run ~until:3.0 eng);
+  check flt "clock kept" 7.0 (Engine.now eng);
+  Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time 4 is before now 7")
+    (fun () -> ignore (Engine.schedule_at eng ~time:4.0 ignore))
+
 let test_engine_exception_propagates () =
   let eng = Engine.create () in
   ignore (Engine.schedule eng ~delay:1.0 (fun () -> failwith "boom"));
@@ -344,6 +374,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "every" `Quick test_engine_every;
           Alcotest.test_case "negative delay" `Quick test_engine_negative_delay;
+          Alcotest.test_case "NaN time" `Quick test_engine_rejects_nan;
+          Alcotest.test_case "until before now" `Quick test_engine_until_before_now;
           Alcotest.test_case "exception propagates" `Quick test_engine_exception_propagates;
         ] );
       ( "ivar",

@@ -16,6 +16,20 @@ let string = Alcotest.string
 
 (* --- Heap ----------------------------------------------------------- *)
 
+(* The minimum as a pair, then removed; [None] on an empty heap. *)
+let pop h =
+  if Heap.is_empty h then None
+  else begin
+    let min = (Heap.min_prio h, Heap.min_value h) in
+    Heap.drop_min h;
+    Some min
+  end
+
+let pop_value h =
+  let v = Heap.min_value h in
+  Heap.drop_min h;
+  v
+
 let test_heap_basic () =
   let h = Heap.create () in
   check bool "empty" true (Heap.is_empty h);
@@ -23,9 +37,9 @@ let test_heap_basic () =
   Heap.push h 1.0 "a";
   Heap.push h 2.0 "b";
   check int "length" 3 (Heap.length h);
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) string)) "peek"
-    (Some (1.0, "a")) (Heap.peek h);
-  let order = List.init 3 (fun _ -> snd (Heap.pop_exn h)) in
+  check (Alcotest.pair (Alcotest.float 0.0) string) "min" (1.0, "a")
+    (Heap.min_prio h, Heap.min_value h);
+  let order = List.init 3 (fun _ -> pop_value h) in
   check (Alcotest.list string) "pop order" [ "a"; "b"; "c" ] order;
   check bool "empty again" true (Heap.is_empty h)
 
@@ -34,15 +48,22 @@ let test_heap_stability () =
   List.iteri (fun i name -> Heap.push h (float_of_int (i mod 2)) name)
     [ "a"; "b"; "c"; "d"; "e"; "f" ];
   (* prio 0: a c e (insertion order); prio 1: b d f *)
-  let popped = List.init 6 (fun _ -> snd (Heap.pop_exn h)) in
+  let popped = List.init 6 (fun _ -> pop_value h) in
   check (Alcotest.list string) "stable ties" [ "a"; "c"; "e"; "b"; "d"; "f" ] popped
 
 let test_heap_pop_empty () =
   let h : int Heap.t = Heap.create () in
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) int)) "pop empty" None
-    (Heap.pop h);
-  Alcotest.check_raises "pop_exn empty" (Invalid_argument "Heap.pop_exn: empty heap")
-    (fun () -> ignore (Heap.pop_exn h))
+  Alcotest.check_raises "min_prio empty" (Invalid_argument "Heap.min_prio: empty heap")
+    (fun () -> ignore (Heap.min_prio h : float));
+  Alcotest.check_raises "min_value empty" (Invalid_argument "Heap.min_value: empty heap")
+    (fun () -> ignore (Heap.min_value h : int));
+  Alcotest.check_raises "drop_min empty" (Invalid_argument "Heap.drop_min: empty heap")
+    (fun () -> Heap.drop_min h);
+  (* Emptied by removal, the heap raises the same way. *)
+  Heap.push h 1.0 1;
+  Heap.drop_min h;
+  Alcotest.check_raises "min_value emptied" (Invalid_argument "Heap.min_value: empty heap")
+    (fun () -> ignore (Heap.min_value h : int))
 
 let test_heap_clear () =
   let h = Heap.create () in
@@ -53,7 +74,48 @@ let test_heap_clear () =
   check int "cleared" 0 (Heap.length h);
   Heap.push h 5.0 42;
   check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) int)) "usable after clear"
-    (Some (5.0, 42)) (Heap.pop h)
+    (Some (5.0, 42)) (pop h)
+
+(* Pushes a fresh block at [prio], reachable only from the heap and,
+   weakly, from slot [i] of [w]. *)
+let push_fresh h w i prio =
+  let v = ref i in
+  Weak.set w i (Some v);
+  Heap.push h prio v
+
+let test_heap_drop_releases () =
+  let n = 100 in
+  let h = Heap.create () and w = Weak.create n in
+  for i = 0 to n - 1 do
+    push_fresh h w i (float_of_int ((i * 37) mod n))
+  done;
+  for _ = 1 to n / 2 do
+    Heap.drop_min h
+  done;
+  Gc.full_major ();
+  let alive i = Weak.check w i in
+  let dropped = List.filter (fun i -> (i * 37) mod n < n / 2) (List.init n Fun.id) in
+  check int "dropped values collected" 0 (List.length (List.filter alive dropped));
+  check int "queued values alive" (n / 2) (List.length (List.filter alive (List.init n Fun.id)));
+  while not (Heap.is_empty h) do
+    Heap.drop_min h
+  done;
+  Gc.full_major ();
+  check int "drained values collected" 0 (List.length (List.filter alive (List.init n Fun.id)))
+
+let test_heap_storage_follows_occupancy () =
+  let drained pushes =
+    let h = Heap.create () in
+    for i = 1 to pushes do
+      Heap.push h (float_of_int (i mod 97)) i
+    done;
+    while not (Heap.is_empty h) do
+      Heap.drop_min h
+    done;
+    Obj.reachable_words (Obj.repr h)
+  in
+  check bool "drained after 10,000 pushes holds no more than after one" true
+    (drained 10_000 <= drained 1)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
@@ -62,7 +124,7 @@ let prop_heap_sorted =
       let h = Heap.create () in
       List.iteri (fun i p -> Heap.push h p i) prios;
       let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
+        match pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc)
       in
       let out = drain [] in
       List.sort compare prios = out)
@@ -76,7 +138,7 @@ let prop_heap_grow =
         Heap.push h (float_of_int i) i
       done;
       Heap.length h = n
-      && (n = 0 || snd (Heap.pop_exn h) = 1))
+      && (n = 0 || pop_value h = 1))
 
 (* --- Rng ------------------------------------------------------------- *)
 
@@ -368,6 +430,9 @@ let () =
           Alcotest.test_case "stable ties" `Quick test_heap_stability;
           Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
           Alcotest.test_case "clear" `Quick test_heap_clear;
+          Alcotest.test_case "dropped values released" `Quick test_heap_drop_releases;
+          Alcotest.test_case "storage follows occupancy" `Quick
+            test_heap_storage_follows_occupancy;
         ] );
       qsuite "heap-props" [ prop_heap_sorted; prop_heap_grow ];
       ( "rng",
