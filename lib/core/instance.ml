@@ -340,7 +340,7 @@ and launch t job grant =
     let trace_ctx = job_ctx t job in
     let args =
       match args with
-      | Json.Obj fields -> Json.obj (fields @ [ ("duration", Json.float duration) ])
+      | Json.Obj { fields; _ } -> Json.obj (fields @ [ ("duration", Json.float duration) ])
       | Json.Null -> Json.obj [ ("duration", Json.float duration) ]
       | other -> other
     in

@@ -15,12 +15,12 @@ let report_file ~fast h =
   Printf.sprintf "BENCH_%s%s.json" (String.uppercase_ascii h.name) (if fast then ".fast" else "")
 
 let rec without host = function
-  | Json.Obj members ->
-    Json.Obj
+  | Json.Obj { fields; _ } ->
+    Json.obj
       (List.filter_map
          (fun (k, v) -> if List.mem k host then None else Some (k, without host v))
-         members)
-  | Json.List vs -> Json.List (List.map (without host) vs)
+         fields)
+  | Json.List { items; _ } -> Json.list (List.map (without host) items)
   | v -> v
 
 let fingerprint s = Digest.to_hex (Digest.string (Json.to_string (without s.host s.doc)))

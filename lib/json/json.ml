@@ -4,17 +4,20 @@ type t =
   | Int of int
   | Float of float
   | String of string
-  | List of t list
-  | Obj of (string * t) list
+  | List of { items : t list; mutable size : int }
+  | Obj of { fields : (string * t) list; mutable size : int }
+
+(* A container's [size] until the size model or the printer measures it. *)
+let unknown = -1
 
 let null = Null
 let bool b = Bool b
 let int i = Int i
 let float f = Float f
 let string s = String s
-let list l = List l
-let obj fields = Obj fields
-let strings l = List (List.map string l)
+let list items = List { items; size = unknown }
+let obj fields = Obj { fields; size = unknown }
+let strings l = list (List.map string l)
 
 let rec equal a b =
   match (a, b) with
@@ -23,9 +26,9 @@ let rec equal a b =
   | Int x, Int y -> x = y
   | Float x, Float y -> x = y
   | String x, String y -> String.equal x y
-  | List x, List y -> List.equal equal x y
+  | List x, List y -> List.equal equal x.items y.items
   | Obj x, Obj y ->
-    List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
+    List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x.fields y.fields
   | (Null | Bool _ | Int _ | Float _ | String _ | List _ | Obj _), _ -> false
 
 let tag = function
@@ -44,13 +47,13 @@ let rec compare a b =
   | Int x, Int y -> Stdlib.compare x y
   | Float x, Float y -> Stdlib.compare x y
   | String x, String y -> String.compare x y
-  | List x, List y -> List.compare compare x y
+  | List x, List y -> List.compare compare x.items y.items
   | Obj x, Obj y ->
     List.compare
       (fun (k1, v1) (k2, v2) ->
         let c = String.compare k1 k2 in
         if c <> 0 then c else compare v1 v2)
-      x y
+      x.fields y.fields
   | _, _ -> Stdlib.compare (tag a) (tag b)
 
 exception Type_error of string
@@ -76,16 +79,16 @@ let to_float = function
   | v -> type_error "float" v
 
 let to_string_v = function String s -> s | v -> type_error "string" v
-let to_list = function List l -> l | v -> type_error "list" v
-let to_obj = function Obj fields -> fields | v -> type_error "object" v
+let to_list = function List { items; _ } -> items | v -> type_error "list" v
+let to_obj = function Obj { fields; _ } -> fields | v -> type_error "object" v
 
 let member_opt k = function
-  | Obj fields -> List.assoc_opt k fields
+  | Obj { fields; _ } -> List.assoc_opt k fields
   | _ -> None
 
 let member k v =
   match v with
-  | Obj fields -> (
+  | Obj { fields; _ } -> (
     match List.assoc_opt k fields with
     | Some x -> x
     | None -> raise (Type_error (Printf.sprintf "missing field %S" k)))
@@ -96,58 +99,16 @@ let mem k v = match member_opt k v with Some _ -> true | None -> false
 let set_member k x v =
   let fields = to_obj v in
   if List.mem_assoc k fields then
-    Obj (List.map (fun (k', v') -> if String.equal k k' then (k', x) else (k', v')) fields)
-  else Obj (fields @ [ (k, x) ])
+    obj (List.map (fun (k', v') -> if String.equal k k' then (k', x) else (k', v')) fields)
+  else obj (fields @ [ (k, x) ])
 
 let remove_member k v =
-  Obj (List.filter (fun (k', _) -> not (String.equal k k')) (to_obj v))
+  obj (List.filter (fun (k', _) -> not (String.equal k k')) (to_obj v))
 
-(* Physical-identity memo ------------------------------------------------ *)
-
-(* Values are immutable and containers are structurally shared (a message
-   payload keeps the same [Obj] across every tree hop; a rebuilt KVS
-   directory shares all untouched children), so facts derived from a
-   container are memoized by physical identity. Keys are held weakly:
-   entries die with the value they describe. [Hashtbl.hash] only inspects
-   a bounded prefix of the structure, and [(==)] resolves collisions
-   exactly. *)
-module Memo = struct
-  module Tbl = Ephemeron.K1.Make (struct
-    type nonrec t = t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
-  type 'a t = 'a Tbl.t
-
-  let capacity = 512
-  let create () = Tbl.create (2 * capacity)
-  let find = Tbl.find_opt
-
-  (* Structurally similar containers (successive versions of one growing
-     directory) share a bucket, and weak entries are only swept lazily —
-     keep the table small so lookups stay O(1). *)
-  let add memo v x =
-    if Tbl.length memo > capacity then begin
-      Tbl.clean memo;
-      if Tbl.length memo > capacity then Tbl.reset memo
-    end;
-    Tbl.replace memo v x
-end
-
-let size_memo : int Memo.t = Memo.create ()
-
-(* Small containers are cheaper to re-walk than to track: keeping every
-   two-field RPC payload in the weak table just fills it with entries
-   that die by the next GC, and the dead slots slow later lookups. Only
-   payloads big enough for the walk itself to hurt are remembered. *)
-let memo_threshold = 1024
-
-let note_size v n = if n >= memo_threshold then Memo.add size_memo v n
-
+(* Below 1e17, [%.17g] prints an integral float without a point or an
+   exponent, and it would parse back as an [Int]. *)
 let float_repr f =
-  if Float.is_integer f && Float.abs f < 1e16 then Printf.sprintf "%.1f" f
+  if Float.is_integer f && Float.abs f < 1e17 then Printf.sprintf "%.1f" f
   else Printf.sprintf "%.17g" f
 
 (* The printed width of each byte inside a string: 1, 2 for a
@@ -240,15 +201,15 @@ let rec write p v =
   | List l ->
     let start = printed p in
     add_char p '[';
-    write_items p l;
+    write_items p l.items;
     add_char p ']';
-    note_size v (printed p - start)
-  | Obj fields ->
+    l.size <- printed p - start
+  | Obj o ->
     let start = printed p in
     add_char p '{';
-    write_fields p fields;
+    write_fields p o.fields;
     add_char p '}';
-    note_size v (printed p - start)
+    o.size <- printed p - start
 
 and write_items p = function
   | [] -> ()
@@ -295,36 +256,70 @@ let escaped_length s =
   done;
   !n
 
-let rec serialized_size v =
-  match v with
+(* Two brackets and a comma between each pair of the [n] items. *)
+let framing n = 2 + Stdlib.max 0 (n - 1)
+
+(* A container's length is stored only after its children's: a known
+   length means every length below it is known too. *)
+let rec serialized_size = function
   | Null -> 4
   | Bool true -> 4
   | Bool false -> 5
   | Int i -> String.length (string_of_int i)
   | Float f -> String.length (float_repr f)
   | String s -> escaped_length s
-  | List _ | Obj _ -> (
-    match Memo.find size_memo v with
-    | Some n -> n
-    | None ->
-      let n = container_size v in
-      note_size v n;
-      n)
-
-and container_size = function
-  | Null | Bool _ | Int _ | Float _ | String _ -> assert false
   | List l ->
-    let inner = List.fold_left (fun acc v -> acc + serialized_size v) 0 l in
-    let commas = Stdlib.max 0 (List.length l - 1) in
-    2 + inner + commas
-  | Obj fields ->
-    let inner =
-      List.fold_left
-        (fun acc (k, v) -> acc + escaped_length k + 1 + serialized_size v)
-        0 fields
-    in
-    let commas = Stdlib.max 0 (List.length fields - 1) in
-    2 + inner + commas
+    if l.size = unknown then
+      l.size <-
+        List.fold_left (fun acc v -> acc + serialized_size v) (framing (List.length l.items)) l.items;
+    l.size
+  | Obj o ->
+    if o.size = unknown then
+      o.size <-
+        List.fold_left
+          (fun acc (k, v) -> acc + escaped_length k + 1 + serialized_size v)
+          (framing (List.length o.fields))
+          o.fields;
+    o.size
+
+(* Physical-identity memo ------------------------------------------------ *)
+
+(* Values are immutable apart from their lengths, and containers are
+   structurally shared (a message payload keeps the same [Obj] across
+   every tree hop; a rebuilt KVS directory shares all untouched
+   children), so facts derived from a container are memoized by physical
+   identity. Keys are held weakly: entries die with the value they
+   describe. [Hashtbl.hash] only inspects a bounded prefix of the
+   structure, and [(==)] resolves collisions exactly. It reads the
+   lengths in that prefix too, so a key is measured before it is hashed:
+   its hash then never changes. *)
+module Memo = struct
+  module Tbl = Ephemeron.K1.Make (struct
+    type nonrec t = t
+
+    let equal = ( == )
+
+    let hash v =
+      ignore (serialized_size v : int);
+      Hashtbl.hash v
+  end)
+
+  type 'a t = 'a Tbl.t
+
+  let capacity = 512
+  let create () = Tbl.create (2 * capacity)
+  let find = Tbl.find_opt
+
+  (* Structurally similar containers (successive versions of one growing
+     directory) share a bucket, and weak entries are only swept lazily —
+     keep the table small so lookups stay O(1). *)
+  let add memo v x =
+    if Tbl.length memo > capacity then begin
+      Tbl.clean memo;
+      if Tbl.length memo > capacity then Tbl.reset memo
+    end;
+    Tbl.replace memo v x
+end
 
 (* Parsing ------------------------------------------------------------ *)
 
@@ -469,7 +464,7 @@ and parse_list st =
   match peek_char st with
   | Some ']' ->
     advance st;
-    List []
+    list []
   | _ ->
     let rec go acc =
       let v = parse_value st in
@@ -480,7 +475,7 @@ and parse_list st =
         go (v :: acc)
       | Some ']' ->
         advance st;
-        List (List.rev (v :: acc))
+        list (List.rev (v :: acc))
       | _ -> fail st "expected , or ] in array"
     in
     go []
@@ -491,7 +486,7 @@ and parse_obj st =
   match peek_char st with
   | Some '}' ->
     advance st;
-    Obj []
+    obj []
   | _ ->
     let rec go acc =
       skip_ws st;
@@ -506,7 +501,7 @@ and parse_obj st =
         go ((k, v) :: acc)
       | Some '}' ->
         advance st;
-        Obj (List.rev ((k, v) :: acc))
+        obj (List.rev ((k, v) :: acc))
       | _ -> fail st "expected , or } in object"
     in
     go []

@@ -5,16 +5,23 @@
     a compact printer, a strict parser, and a structural size model used
     by the network simulator to charge wire time. *)
 
-type t =
+type t = private
   | Null
   | Bool of bool
   | Int of int
   | Float of float
   | String of string
-  | List of t list
-  | Obj of (string * t) list
+  | List of { items : t list; mutable size : int }
+  | Obj of { fields : (string * t) list; mutable size : int }
       (** Object fields are ordered; duplicate keys are not rejected but
           accessors return the first binding. *)
+(** A value is immutable apart from each container's [size]: its
+    printed length once {!serialized_size} or {!print} has measured it,
+    [-1] before. Only this module sets it, so the type is [private]:
+    other code matches on values but builds them with the constructor
+    functions below and the parser. Compare values with {!equal} and
+    {!compare}, which ignore [size]; polymorphic [=], [compare] and
+    [Hashtbl.hash] would see it. *)
 
 val equal : t -> t -> bool
 (** Structural equality. [Int 1] and [Float 1.0] are distinct. *)
@@ -72,9 +79,9 @@ val print : chunk:Bytes.t -> (Bytes.t -> unit) -> t -> int
     of [chunk], not handed to [full]. A consumer sees the rendering in
     fixed-size pieces and it is never built whole: [Sha1.digest_json]
     hashes 64-byte chunks as they fill. Like {!serialized_size}, it
-    records the length of every container of 1,024 bytes or more in the
-    size memo, so a size query after printing is O(1). [full] must not
-    keep [chunk]. Raises [Invalid_argument] on an empty chunk. *)
+    stores every container's length in the container, so a size query
+    after printing is one field read. [full] must not keep [chunk].
+    Raises [Invalid_argument] on an empty chunk. *)
 
 val to_string : t -> string
 (** Compact single-line rendering: {!print} into a [Buffer]. *)
@@ -95,17 +102,21 @@ val of_string_opt : string -> t option
 val serialized_size : t -> int
 (** [serialized_size v] is [String.length (to_string v)], computed
     without building the string. The simulator charges this many bytes
-    of wire time for a payload. Container sizes are memoized per
-    physical value (values are immutable and payloads are structurally
-    shared across message hops), so repeated queries on a shared node
-    are O(1). *)
+    of wire time for a payload. The first query on a container walks
+    the containers below it that are not yet measured and stores each
+    one's length in it, children first; every later query on that
+    value is one field read. Payloads are structurally shared across
+    message hops, caches and commits, so a forwarded payload or a
+    directory inside a reply wrapper is measured once. *)
 
 (** {1 Physical-identity memo}
 
-    Facts derived from an immutable container — its serialized size, its
-    digest, a name index over a directory — keyed by the physical value,
-    so a container shared across message hops, caches and commits pays
-    for them once. Keys are weak: an entry dies with its value. *)
+    Facts derived from a container — its digest, a name index over a
+    directory — keyed by the physical value, so a container shared
+    across message hops, caches and commits pays for them once. Keys
+    are weak: an entry dies with its value. A key is measured
+    ({!serialized_size}) before it is hashed, since the hash reads the
+    lengths. *)
 
 module Memo : sig
   type json := t

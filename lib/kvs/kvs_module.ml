@@ -1226,11 +1226,11 @@ let joins_open_fence t m (req : Message.t) =
     | None -> false)
   | "flush" -> (
     match Json.member_opt "fence" req.Message.payload with
-    | Some fj when fj <> Json.Null -> (
+    | None | Some Json.Null -> false
+    | Some fj -> (
       match Json.member_opt "name" fj with
       | Some n -> Hashtbl.mem t.master_fences (Json.to_string_v n)
-      | None -> false)
-    | _ -> false)
+      | None -> false))
   | _ -> false
 
 let handle_request t (req : Message.t) =

@@ -38,7 +38,7 @@ let index_memo : (string, Json.t) Hashtbl.t Json.Memo.t = Json.Memo.create ()
 (* Agrees with [Json.member_opt]: the first binding of a name wins. *)
 let find_entry dir name =
   match dir with
-  | Json.Obj entries when List.compare_length_with entries index_threshold >= 0 ->
+  | Json.Obj { fields = entries; _ } when List.compare_length_with entries index_threshold >= 0 ->
     let index =
       match Json.Memo.find index_memo dir with
       | Some index -> index

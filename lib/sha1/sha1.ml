@@ -149,8 +149,7 @@ let hash_json v =
    cheap to hash and rarely shared, so only containers are memoized. *)
 let digest_memo : string Json.Memo.t = Json.Memo.create ()
 
-(* Matches the size-memo policy in [Json]: small values are cheaper to
-   re-hash than to track in the weak table. *)
+(* Small values are cheaper to re-hash than to track in the weak table. *)
 let memo_threshold = 1024
 
 let digest_json v =

@@ -55,6 +55,16 @@ let test_numbers () =
   check json_testable "float printed with point" (Json.float 2.0) (Json.of_string "2.0");
   check bool "int and float distinct" false (Json.equal (Json.int 1) (Json.float 1.0))
 
+(* [%.17g] prints an integral float below 1e17 without a point or an
+   exponent; printed that way, it would parse back as an [Int]. *)
+let test_integral_floats () =
+  List.iter
+    (fun f ->
+      let v = Json.float f and label = Printf.sprintf "%.17g" f in
+      check json_testable label v (Json.of_string (Json.to_string v));
+      check int label (String.length (Json.to_string v)) (Json.serialized_size v))
+    [ 1e16; 2e16; -1e16; 9.9e16; 1e17 ]
+
 let test_accessors () =
   check int "member int" 512 (Json.to_int (Json.member "size" sample));
   check string "member string" "flux" (Json.to_string_v (Json.member "name" sample));
@@ -153,8 +163,8 @@ let reference_quote s =
 (* A list whose rendering is exactly [n] bytes (n >= 4). *)
 let printed_length n = Json.list [ Json.pad (n - 2) ]
 
-(* Fresh values each call: the printer records sizes by physical
-   identity, so a shared value would hide what a first print does. The
+(* Fresh values each call: the printer stores each container's length in
+   the container, so a shared value would hide what a first print does. The
    lists are 55 to 128 bytes long, either side of one and two 64-byte
    blocks. *)
 let chunk_cases () =
@@ -213,6 +223,11 @@ let gen_json =
                   map Json.int (int_range (-1000000) 1000000);
                   map (fun f -> Json.float (Float.of_int (int_of_float (f *. 100.)) /. 4.))
                     (float_bound_inclusive 100.0);
+                  (* Finite floats from 2^-60 to 2^70 in magnitude, many of
+                     them integral and past 1e16. *)
+                  map2
+                    (fun m e -> Json.float (Float.ldexp (Float.of_int m) e))
+                    (int_range (-1_000_000) 1_000_000) (int_range (-60) 50);
                   (* Every byte, so control characters reach the
                      printer's escapes and the size model. *)
                   map Json.string (string_size ~gen:char (0 -- 10));
@@ -234,13 +249,38 @@ let gen_json =
 
 let arb_json = QCheck.make ~print:Json.to_string gen_json
 
+(* The printed value has its lengths stored and the parsed copy has
+   none: neither [equal] nor [compare] sees the difference. *)
 let prop_roundtrip =
   QCheck.Test.make ~name:"print/parse roundtrip" ~count:300 arb_json (fun v ->
-      Json.equal v (Json.of_string (Json.to_string v)))
+      let copy = Json.of_string (Json.to_string v) in
+      Json.equal v copy && Json.compare v copy = 0)
 
+(* Asked before printing, after it, inside a container built later, and
+   on a parsed copy that was never measured. *)
 let prop_size =
   QCheck.Test.make ~name:"size model is exact" ~count:300 arb_json (fun v ->
-      Json.serialized_size v = String.length (Json.to_string v))
+      let size = Json.serialized_size v in
+      let printed = Json.to_string v in
+      size = String.length printed
+      && Json.serialized_size v = size
+      && Json.serialized_size (Json.list [ v; v ]) = (2 * size) + 3
+      && Json.serialized_size (Json.of_string printed) = size)
+
+(* The memo's hash reads the lengths in a key, so a container added
+   while its length is unknown must still be found once the size model
+   or the printer has stored it. *)
+let test_memo_keys_measured_later () =
+  let memo = Json.Memo.create () in
+  let fresh name = Json.obj [ (name, Json.list [ Json.int 1; Json.obj [ ("k", Json.null) ] ]) ] in
+  let sized = fresh "sized" and printed = fresh "printed" in
+  Json.Memo.add memo sized "sized";
+  Json.Memo.add memo printed "printed";
+  ignore (Json.serialized_size sized : int);
+  ignore (Json.to_string printed : string);
+  let found = Alcotest.(option string) in
+  check found "after serialized_size" (Some "sized") (Json.Memo.find memo sized);
+  check found "after print" (Some "printed") (Json.Memo.find memo printed)
 
 let prop_compare_consistent =
   QCheck.Test.make ~name:"compare consistent with equal" ~count:200
@@ -260,6 +300,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_parse_escapes;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "numbers" `Quick test_numbers;
+          Alcotest.test_case "integral floats" `Quick test_integral_floats;
         ] );
       ( "accessors",
         [
@@ -284,6 +325,7 @@ let () =
           Alcotest.test_case "exact size" `Quick test_size_model;
           Alcotest.test_case "pad" `Quick test_pad;
           Alcotest.test_case "pad_unique" `Quick test_pad_unique;
+          Alcotest.test_case "memo keys measured later" `Quick test_memo_keys_measured_later;
         ] );
       qsuite "props" [ prop_roundtrip; prop_size; prop_compare_consistent ];
     ]
