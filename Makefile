@@ -35,11 +35,11 @@ harnesses:
 	rm -f $$log $$log.status; \
 	exit $$status
 
-# One seed-0 run of each benchmark workload with per-layer rows (about
-# 15 s): the deterministic rows must equal the tracked
-# bench/trajectory.json, and allocated words per event may move by at
-# most 2%. A change that moves a row on purpose regenerates the file
-# (see bench/trajectory.py) and says why.
+# Two seed-0 runs of each benchmark workload, one with per-layer rows
+# and one end to end (about 40 s): the deterministic rows must equal the
+# tracked bench/trajectory.json, and allocated words per event and the
+# live heap may move by at most 2%. A change that moves a row on purpose
+# regenerates the file (see bench/trajectory.py) and says why.
 trajectory:
 	@python3 bench/trajectory.py > /dev/null
 

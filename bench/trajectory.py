@@ -5,16 +5,20 @@ Run from the repository root:
 
     python3 bench/trajectory.py
 
-It runs each benchmark workload once at seed 0, with per-layer rows,
+It runs each benchmark workload at seed 0 twice, once with per-layer
+rows and once end to end,
 
     python3 perfbench/run.py --workload W --seed 0 --seconds 0 --trace 1
+    python3 perfbench/run.py --workload W --seed 0 --seconds 0 --trace 0
 
-and compares the deterministic rows of each run with the tracked
+and compares the deterministic rows of the runs with the tracked
 bench/trajectory.json: the fingerprint (sim.events, sim.clock_s,
-cmb.rpc_messages), every kvs.* and net.* row, and
-gc.alloc_words_per_event. Every row must be equal, except that words
-per event may move by up to 2%: the figure wobbles by up to 0.1 with
-the length of the checkout's path.
+cmb.rpc_messages), every kvs.* and net.* row,
+gc.alloc_words_per_event, and the end-to-end live_heap_mb (the live
+heap at drain, which a retained value inflates). Every row must be
+equal, except that words per event and the live heap may move by up to
+2%: words per event wobble by up to 0.1 with the length of the
+checkout's path.
 
 The fresh rows go to stdout in the tracked file's format, and every row
 outside the rule is reported on stderr; the exit status is 1 then. A
@@ -32,7 +36,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TRACKED = os.path.join(ROOT, "bench", "trajectory.json")
 WORKLOADS = ["kap-fence", "kap-get", "sched-pilot"]
 WORDS = "gc.alloc_words_per_event"
-WORDS_TOLERANCE = 0.02
+LIVE = "live_heap_mb"
+TOLERANCE = {WORDS: 0.02, LIVE: 0.02}
 
 
 def tracked_row(name):
@@ -43,9 +48,9 @@ def tracked_row(name):
     )
 
 
-def fresh_rows(workload):
+def metrics(workload, trace):
     run = subprocess.run(
-        ["python3", "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", "1"],
+        ["python3", "perfbench/run.py", "--workload", workload, "--seed", "0", "--seconds", "0", "--trace", trace],
         cwd=ROOT,
         stdout=subprocess.PIPE,
         text=True,
@@ -55,7 +60,13 @@ def fresh_rows(workload):
     result = json.loads(run.stdout.strip().splitlines()[-1])
     if not result["correct"]:
         sys.exit("trajectory: %s pass produced incorrect output" % workload)
-    return {name: m["value"] for name, m in result["metrics"].items() if tracked_row(name)}
+    return result["metrics"]
+
+
+def fresh_rows(workload):
+    rows = {name: m["value"] for name, m in metrics(workload, "1").items() if tracked_row(name)}
+    rows[LIVE] = metrics(workload, "0")[LIVE]["value"]
+    return rows
 
 
 def differences(tracked, fresh):
@@ -65,8 +76,8 @@ def differences(tracked, fresh):
             old, new = want.get(name), got.get(name)
             if old is None or new is None:
                 ok = False
-            elif name == WORDS:
-                ok = abs(new - old) <= WORDS_TOLERANCE * abs(old)
+            elif name in TOLERANCE:
+                ok = abs(new - old) <= TOLERANCE[name] * abs(old)
             else:
                 ok = new == old
             if not ok:

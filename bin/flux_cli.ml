@@ -365,7 +365,10 @@ let exec_cmd =
               let kvs = Client.connect sess ~rank:0 in
               (match
                  Client.get kvs
-                   ~key:(Printf.sprintf "lwj.cli-job.%d-0.stdout" (List.hd ranks))
+                   ~key:
+                     (Printf.sprintf "%s.%d-0.stdout"
+                        (Flux_modules.Wexec.job_key "cli-job")
+                        (List.hd ranks))
                with
               | Ok (Json.String out) -> Printf.printf "stdout of first task: %s" out
               | Ok _ | Error _ -> ());

@@ -71,7 +71,8 @@ let () =
   done;
 
   (* 4. Launch 2 tasks x 4 nodes of "greeter" in bulk; stdout is
-     captured in the KVS under lwj.<jobid>.*. *)
+     captured in the KVS under the job's record directory,
+     [Wexec.job_key jobid]. *)
   ignore
     (Proc.spawn eng ~name:"launcher" (fun () ->
          let api = Api.connect sess ~rank:0 in
@@ -83,7 +84,7 @@ let () =
          Printf.printf "wexec: %d tasks completed (%d failed)\n" c.Wexec.c_ntasks
            c.Wexec.c_failed;
          let kvs = Client.connect sess ~rank:0 in
-         match Client.get kvs ~key:"lwj.demo-job.5-1.stdout" with
+         match Client.get kvs ~key:(Wexec.job_key "demo-job" ^ ".5-1.stdout") with
          | Ok (Json.String out) -> Printf.printf "captured stdout of task 5-1: %s" out
          | Ok _ | Error _ -> print_endline "stdout missing?")
       : Proc.pid);

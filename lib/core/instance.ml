@@ -88,7 +88,7 @@ let record_state t (job : Job.t) =
                [
                  Json.obj
                    [
-                     ("key", Json.string (Printf.sprintf "lwj.%s.state" job.Job.jid));
+                     ("key", Json.string (Wexec.job_key job.Job.jid ^ ".state"));
                      ("v", Json.string (Job.state_to_string job.Job.jstate));
                    ];
                ] );

@@ -111,12 +111,11 @@ val serialized_size : t -> int
 
 (** {1 Physical-identity memo}
 
-    Facts derived from a container — its digest, a name index over a
-    directory — keyed by the physical value, so a container shared
-    across message hops, caches and commits pays for them once. Keys
-    are weak: an entry dies with its value. A key is measured
-    ({!serialized_size}) before it is hashed, since the hash reads the
-    lengths. *)
+    Facts derived from a container — the KVS's name index over a large
+    directory — keyed by the physical value, so a container shared by
+    every cache that holds it pays for them once. Keys are weak: an
+    entry dies with its value. A key is measured ({!serialized_size})
+    before it is hashed, since the hash reads the lengths. *)
 
 module Memo : sig
   type json := t

@@ -826,40 +826,61 @@ let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
 
 (* --- Request handlers -------------------------------------------------------- *)
 
+(* Keys are checked where a request enters the store (get, put, mput,
+   and the tuples of commit and fence), so a malformed key from any
+   client is an error reply, never an exception out of the master's
+   tree walk. *)
+let invalid_key key = Printf.sprintf "invalid key %S" key
+
+(* A commit's or fence's tuples, or the reason to refuse them. *)
+let request_tuples (req : Message.t) =
+  match Json.member_opt "tuples" req.Message.payload with
+  | None -> Ok []
+  | Some tj -> (
+    match Proto.tuples_of_json tj with
+    | exception (Json.Type_error _ | Invalid_argument _) -> Error "malformed tuples"
+    | tuples -> (
+      match List.find_opt (fun (tp : Proto.tuple) -> not (Tree.valid_key tp.Proto.key)) tuples with
+      | Some tp -> Error (invalid_key tp.Proto.key)
+      | None -> Ok tuples))
+
 let handle_put t (req : Message.t) =
   let key = Json.to_string_v (Json.member "key" req.Message.payload) in
-  let value = Json.member "v" req.Message.payload in
-  let vsize = Json.serialized_size value in
-  let now = Engine.now t.eng in
-  let start = Float.max now t.cpu_free_at in
-  let cost = put_cpu +. (float_of_int vsize *. hash_cpu_per_byte) in
-  t.cpu_free_at <- start +. cost;
-  let finish_at = start +. cost in
-  ignore key;
-  ignore
-    (Engine.schedule_at t.eng ~time:finish_at (fun () ->
-         let sha = Sha1.digest_json value in
-         if not (Hashtbl.mem t.dirty_objs (hex sha)) then
-           Hashtbl.replace t.dirty_objs (hex sha) value;
-         cache_put t sha value;
-         Session.respond t.b req (Proto.put_reply sha))
-      : Engine.handle)
+  if not (Tree.valid_key key) then Session.respond_error t.b req (invalid_key key)
+  else
+    let value = Json.member "v" req.Message.payload in
+    let vsize = Json.serialized_size value in
+    let now = Engine.now t.eng in
+    let start = Float.max now t.cpu_free_at in
+    let cost = put_cpu +. (float_of_int vsize *. hash_cpu_per_byte) in
+    t.cpu_free_at <- start +. cost;
+    let finish_at = start +. cost in
+    ignore
+      (Engine.schedule_at t.eng ~time:finish_at (fun () ->
+           let sha = Sha1.digest_json value in
+           if not (Hashtbl.mem t.dirty_objs (hex sha)) then
+             Hashtbl.replace t.dirty_objs (hex sha) value;
+           cache_put t sha value;
+           Session.respond t.b req (Proto.put_reply sha))
+        : Engine.handle)
 
 let handle_get t (req : Message.t) =
   let key = Json.to_string_v (Json.member "key" req.Message.payload) in
-  let pinned_root = t.root in
-  let rec walk () =
-    match
-      Tree.lookup ~fetch:(fun sha -> lookup_obj t sha) ~root:pinned_root ~key ()
-    with
-    | Tree.Found v -> Session.respond t.b req (Proto.load_reply v)
-    | Tree.No_key -> Session.respond_error t.b req (Printf.sprintf "key not found: %s" key)
-    | Tree.Need sha ->
-      fault_in t ?trace_ctx:req.Message.trace sha (function
-        | Ok () -> walk ()
-        | Error e -> Session.respond_error t.b req e)
-  in
-  walk ()
+  if not (Tree.valid_key key) then Session.respond_error t.b req (invalid_key key)
+  else
+    let pinned_root = t.root in
+    let rec walk () =
+      match
+        Tree.lookup ~fetch:(fun sha -> lookup_obj t sha) ~root:pinned_root ~key ()
+      with
+      | Tree.Found v -> Session.respond t.b req (Proto.load_reply v)
+      | Tree.No_key -> Session.respond_error t.b req (Printf.sprintf "key not found: %s" key)
+      | Tree.Need sha ->
+        fault_in t ?trace_ctx:req.Message.trace sha (function
+          | Ok () -> walk ()
+          | Error e -> Session.respond_error t.b req e)
+    in
+    walk ()
 
 let handle_load t (req : Message.t) =
   let sha = Proto.load_request_sha req.Message.payload in
@@ -890,44 +911,40 @@ let handle_fetch t (req : Message.t) =
       (Printf.sprintf "object %s not cached" (Sha1.short sha))
 
 let handle_commit t (req : Message.t) =
-  if not (flush_duplicate t req (req_fid req)) then begin
-    let tuples =
-      match Json.member_opt "tuples" req.Message.payload with
-      | Some tj -> Proto.tuples_of_json tj
-      | None -> []
-    in
-    let objects = resolve_objects t tuples in
-    if t.master then
-      master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
-    else
-      let payload =
-        Proto.flush_to_json
-          { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
-      in
-      send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
-        ~method_:"flush" payload ~reply:(fun r ->
-          match r with
-          | Ok reply ->
-            apply_root t (Proto.commit_reply_decode reply);
-            respond_result t req (Ok reply)
-          | Error e -> respond_result t req (Error e))
-  end
+  match request_tuples req with
+  | Error e -> Session.respond_error t.b req e
+  | Ok tuples ->
+    if not (flush_duplicate t req (req_fid req)) then begin
+      let objects = resolve_objects t tuples in
+      if t.master then
+        master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
+      else
+        let payload =
+          Proto.flush_to_json
+            { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
+        in
+        send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
+          ~method_:"flush" payload ~reply:(fun r ->
+            match r with
+            | Ok reply ->
+              apply_root t (Proto.commit_reply_decode reply);
+              respond_result t req (Ok reply)
+            | Error e -> respond_result t req (Error e))
+    end
 
 let handle_fence t (req : Message.t) =
-  if not (flush_duplicate t req (req_fid req)) then begin
-    let name = Json.to_string_v (Json.member "name" req.Message.payload) in
-    let nprocs = Json.to_int (Json.member "nprocs" req.Message.payload) in
-    let tuples =
-      match Json.member_opt "tuples" req.Message.payload with
-      | Some tj -> Proto.tuples_of_json tj
-      | None -> []
-    in
-    let objects = resolve_objects t tuples in
-    trace t ~name:"fence.enter" ?ctx:req.Message.trace
-      ~fields:[ ("name", Json.string name) ]
-      ();
-    fence_contribute t ~name ~nprocs ~count:1 ~tuples ~objects ~from_child:None (Some req)
-  end
+  match request_tuples req with
+  | Error e -> Session.respond_error t.b req e
+  | Ok tuples ->
+    if not (flush_duplicate t req (req_fid req)) then begin
+      let name = Json.to_string_v (Json.member "name" req.Message.payload) in
+      let nprocs = Json.to_int (Json.member "nprocs" req.Message.payload) in
+      let objects = resolve_objects t tuples in
+      trace t ~name:"fence.enter" ?ctx:req.Message.trace
+        ~fields:[ ("name", Json.string name) ]
+        ();
+      fence_contribute t ~name ~nprocs ~count:1 ~tuples ~objects ~from_child:None (Some req)
+    end
 
 (* A participant abandoned the fence (its client-side deadline fired):
    clear the name's aggregation state at every hop so a retried fence
@@ -977,35 +994,40 @@ let handle_fenceabort t (req : Message.t) =
 (* Atomic put-and-commit of a binding list: used by services (mon,
    resvc, provenance) that have no client-side transaction state. *)
 let handle_mput t (req : Message.t) =
-  let bindings = Json.to_list (Json.member "bindings" req.Message.payload) in
-  let tuples, objects =
-    List.fold_left
-      (fun (ts, os) b ->
-        let key = Json.to_string_v (Json.member "key" b) in
-        let v = Json.member "v" b in
-        let sha = Sha1.digest_json v in
-        cache_put t sha v;
-        ({ Proto.key; sha } :: ts, { Proto.osha = sha; value = v } :: os))
-      ([], []) bindings
+  let bindings =
+    List.map
+      (fun b -> (Json.to_string_v (Json.member "key" b), Json.member "v" b))
+      (Json.to_list (Json.member "bindings" req.Message.payload))
   in
-  let tuples = List.rev tuples and objects = List.rev objects in
-  if t.master then
-    master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
-  else
-    let payload =
-      Proto.flush_to_json
-        { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
+  match List.find_opt (fun (key, _) -> not (Tree.valid_key key)) bindings with
+  | Some (key, _) -> Session.respond_error t.b req (invalid_key key)
+  | None ->
+    let tuples, objects =
+      List.fold_left
+        (fun (ts, os) (key, v) ->
+          let sha = Sha1.digest_json v in
+          cache_put t sha v;
+          ({ Proto.key; sha } :: ts, { Proto.osha = sha; value = v } :: os))
+        ([], []) bindings
     in
-    (* Through [send_up], not a hardcoded "kvs.flush" tree RPC: a routed
-       family's flush must follow its own service topic and volume tree,
-       or every slave-side mput to a volume black-holes. *)
-    send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
-      ~method_:"flush" payload ~reply:(fun r ->
-        match r with
-        | Ok reply ->
-          apply_root t (Proto.commit_reply_decode reply);
-          Session.respond t.b req reply
-        | Error e -> Session.respond_error t.b req e)
+    let tuples = List.rev tuples and objects = List.rev objects in
+    if t.master then
+      master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
+    else
+      let payload =
+        Proto.flush_to_json
+          { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
+      in
+      (* Through [send_up], not a hardcoded "kvs.flush" tree RPC: a routed
+         family's flush must follow its own service topic and volume tree,
+         or every slave-side mput to a volume black-holes. *)
+      send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
+        ~method_:"flush" payload ~reply:(fun r ->
+          match r with
+          | Ok reply ->
+            apply_root t (Proto.commit_reply_decode reply);
+            Session.respond t.b req reply
+          | Error e -> Session.respond_error t.b req e)
 
 let handle_flush t (req : Message.t) =
   let f = Proto.flush_of_json req.Message.payload in

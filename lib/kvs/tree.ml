@@ -18,11 +18,20 @@ let dirent_ref entry =
 let dir_entries = Json.to_obj
 let dir_size d = List.length (Json.to_obj d)
 
+(* A component boundary (the start, or a dot) may not be followed by
+   another one, nor end the key. Top level, so a check allocates no
+   closure. *)
+let rec valid_from key i boundary =
+  if i = String.length key then not boundary
+  else
+    let dot = String.unsafe_get key i = '.' in
+    (not (dot && boundary)) && valid_from key (i + 1) dot
+
+let valid_key key = valid_from key 0 true
+
 let split_key key =
-  let comps = String.split_on_char '.' key in
-  if comps = [] || List.exists (fun c -> String.length c = 0) comps then
-    invalid_arg (Printf.sprintf "Tree.split_key: invalid key %S" key);
-  comps
+  if not (valid_key key) then invalid_arg (Printf.sprintf "Tree.split_key: invalid key %S" key);
+  String.split_on_char '.' key
 
 type lookup_result = Found of Json.t | No_key | Need of Sha1.digest
 

@@ -43,9 +43,14 @@ val dir_size : Json.t -> int
 
 (** {1 Key paths} *)
 
+val valid_key : string -> bool
+(** [valid_key k] holds when [k] is non-empty and none of its
+    ['.']-separated components is empty: ["a.b"] is valid, [""],
+    [".x"], ["x."] and ["a..b"] are not. One scan of [k]. *)
+
 val split_key : string -> string list
-(** ["a.b.c"] -> [["a"; "b"; "c"]]. Raises [Invalid_argument] on the
-    empty key or empty components. *)
+(** ["a.b.c"] -> [["a"; "b"; "c"]]. Raises [Invalid_argument] on a key
+    that is not {!valid_key}. *)
 
 (** {1 Lookup} *)
 
@@ -85,12 +90,11 @@ val apply_tuples :
     The rebuild is git-style structural sharing: only the directory
     spine touched by [tuples] is reconstructed and re-stored; every
     unchanged sibling subtree keeps its existing entry, so its SHA-1 is
-    carried over from the previous commit rather than recomputed (and
-    {!Sha1.digest_json} additionally memoizes digests of the shared
-    interior nodes themselves by physical identity). A directory is
-    rebuilt in one pass: the batch's sorted updates are merged into its
-    sorted entries, so the new object shares the old [(name, entry)]
-    pairs, and the whole tail of them past the last updated name.
+    carried over from the previous commit rather than recomputed, and
+    only the rebuilt directories are hashed. A directory is rebuilt in
+    one pass: the batch's sorted updates are merged into its sorted
+    entries, so the new object shares the old [(name, entry)] pairs,
+    and the whole tail of them past the last updated name.
 
     [store] sees objects bottom-up: for each touched subdirectory, in an
     order fixed by the batch's keys, {!empty_dir} first when the

@@ -78,8 +78,8 @@ let volume_routing sess ~volume ~master:static_master rank =
    interior components are never resolvable in the hash tree anyway. *)
 let check_key key =
   if String.length key = 0 then Error "volumes: empty key"
-  else if List.exists (fun c -> String.length c = 0) (String.split_on_char '.' key)
-  then Error (Printf.sprintf "volumes: key %S has an empty path component" key)
+  else if not (Tree.valid_key key) then
+    Error (Printf.sprintf "volumes: key %S has an empty path component" key)
   else Ok ()
 
 (* djb2 over the first path component: stable and spread. *)

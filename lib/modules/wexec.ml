@@ -25,6 +25,14 @@ type proc_ctx = {
 
 exception Task_failure of string
 
+(* A commit re-hashes every directory on its key's path, so job records
+   are spread over buckets: no directory on a record's path holds more
+   than about 1/16 of one parent's jobs. [Hashtbl.hash] is unseeded, so
+   the layout is the same in every run. *)
+let buckets = 16
+
+let job_key jobid = Printf.sprintf "lwj.b%d.%s" (Hashtbl.hash jobid mod buckets) jobid
+
 let programs : (string, proc_ctx -> unit) Hashtbl.t = Hashtbl.create 16
 
 let register_program name f = Hashtbl.replace programs name f
@@ -195,7 +203,7 @@ let start_local_tasks t ~jobid ~prog ~args ~per_rank ~rank_index ~ntasks =
             in
             (* Capture stdout and exit status in the KVS, as the paper
                describes for wexec. *)
-            let base = Printf.sprintf "lwj.%s.%d-%d" jobid rank i in
+            let base = Printf.sprintf "%s.%d-%d" (job_key jobid) rank i in
             ignore
               (Client.put ctx.px_kvs ~key:(base ^ ".stdout")
                  (Json.string (Buffer.contents stdout_buf))

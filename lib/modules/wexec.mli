@@ -6,8 +6,8 @@
     equivalent of executables); each launched task runs as a simulated
     process and may sleep, use the KVS, enter barriers, etc. Task output
     written through {!printf} lands in the KVS under
-    [lwj.<jobid>.<rank>-<index>.stdout] when the task finishes, along
-    with its exit code. *)
+    [<job_key jobid>.<rank>-<index>.stdout] when the task finishes,
+    along with its exit code under [.exit] (see {!job_key}). *)
 
 type proc_ctx = {
   px_rank : int;  (** rank the task runs on *)
@@ -23,6 +23,23 @@ type proc_ctx = {
 
 exception Task_failure of string
 (** Raise inside a program to exit non-zero. *)
+
+val job_key : string -> string
+(** [job_key jobid] is the KVS directory that holds the job's records:
+    [lwj.b<h>.<jobid>], where [h] is [Hashtbl.hash jobid mod 16]. Every
+    writer and reader of job records (the tasks' [stdout] and [exit],
+    {!Flux_core.Instance}'s [state]) goes through it.
+
+    The buckets bound the directories a commit rebuilds. A commit
+    re-prints and re-hashes every directory on its key's path, and
+    with one flat [lwj.<jobid>] listing, [lwj] (or, for the dotted ids
+    of a nested instance's jobs, the parent job's directory) held one
+    entry per job ever run, so each task's commit cost grew with the
+    jobs before it. Spread over 16 buckets, a directory on a record's
+    path holds about 1/16 of one parent's jobs, which keeps it under
+    the paper's Fig. 4(b) cap of 128 entries up to about 2,000 jobs
+    per parent. The bucket count is a constant, and the unseeded hash
+    gives every run the same layout. *)
 
 val register_program : string -> (proc_ctx -> unit) -> unit
 

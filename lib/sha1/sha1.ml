@@ -135,33 +135,12 @@ let digest_string s =
   finish st tail len
 
 (* Hash the printer's 64-byte chunks as they fill: the serialization is
-   never built as a string. Returns the digest and the printed length. *)
-let hash_json v =
+   never built as a string. *)
+let digest_json v =
   let st = init () in
   let chunk = Bytes.create 64 in
   let len = Json.print ~chunk (fun block -> process_block st block 0) v in
-  (finish st chunk len, len)
-
-(* The KVS tree shares unchanged interior nodes across commits (only the
-   rebuilt directory spine is fresh), so re-hashing a node the store has
-   already digested is pure waste: memoize per physical value, exactly
-   like git reuses the object id of an unchanged subtree. Scalars are
-   cheap to hash and rarely shared, so only containers are memoized. *)
-let digest_memo : string Json.Memo.t = Json.Memo.create ()
-
-(* Small values are cheaper to re-hash than to track in the weak table. *)
-let memo_threshold = 1024
-
-let digest_json v =
-  match v with
-  | Json.List _ | Json.Obj _ -> (
-    match Json.Memo.find digest_memo v with
-    | Some d -> d
-    | None ->
-      let d, len = hash_json v in
-      if len >= memo_threshold then Json.Memo.add digest_memo v d;
-      d)
-  | _ -> fst (hash_json v)
+  finish st chunk len
 
 (* One pass that validates and notes whether any digit needs lowering:
    a digest this module printed (the common case) comes back as is. *)

@@ -15,7 +15,9 @@ val digest_json : Flux_json.Json.t -> digest
     printer's 64-byte chunks as they fill ({!Flux_json.Json.print}), so
     the serialization is never built as a string. Structurally equal
     values therefore hash identically, which is what gives the KVS its
-    deduplication behaviour. *)
+    deduplication behaviour. Every call hashes afresh: the KVS digests
+    only freshly built directories and newly put values, so a memo
+    keyed by the value would never be hit. *)
 
 val of_hex : string -> digest
 (** Validates a 40-char hex string. Raises [Invalid_argument] otherwise. *)

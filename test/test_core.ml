@@ -437,7 +437,9 @@ let test_instance_app_payload () =
   ignore
     (Proc.spawn c.Center.eng (fun () ->
          let kvs = Center.kvs_client c ~rank:0 in
-         let key = Printf.sprintf "lwj.%s.%d-0.stdout" j.Job.jid (List.hd j.Job.granted_nodes) in
+         let key =
+           Printf.sprintf "%s.%d-0.stdout" (Wexec.job_key j.Job.jid) (List.hd j.Job.granted_nodes)
+         in
          got := Some (Flux_kvs.Client.get kvs ~key)));
   drain c;
   match !got with
@@ -786,11 +788,77 @@ let test_instance_provenance () =
   ignore
     (Proc.spawn c.Center.eng (fun () ->
          let kvs = Center.kvs_client c ~rank:1 in
-         got := Some (Flux_kvs.Client.get kvs ~key:(Printf.sprintf "lwj.%s.state" j.Job.jid))));
+         got := Some (Flux_kvs.Client.get kvs ~key:(Wexec.job_key j.Job.jid ^ ".state"))));
   drain c;
   match !got with
   | Some (Ok (Json.String s)) -> check Alcotest.string "final state recorded" "complete" s
   | _ -> Alcotest.fail "no provenance in KVS"
+
+(* The paper's Fig. 4(b) cap: no directory a job record sits under may
+   grow with the number of jobs. 600 jobs through one instance is the
+   size of a sched-pilot leaf, whose flat [lwj.<parent>] listing every
+   task commit used to re-hash. *)
+let test_job_records_bounded () =
+  let module Kvs = Flux_kvs.Kvs_module in
+  let module Tree = Flux_kvs.Tree in
+  let module Sha1 = Flux_sha1.Sha1 in
+  Wexec.register_program "core-record-app" (fun ctx -> ctx.Wexec.px_printf "ok");
+  let njobs = 600 and cap = 128 in
+  let c = Center.create ~nodes:16 ~provenance:true () in
+  let jobs =
+    List.init njobs (fun _ ->
+        Instance.submit c.Center.root ~spec:(Jobspec.make ~nnodes:1 ())
+          ~payload:
+            (Job.App
+               { prog = "core-record-app"; args = Json.null; per_rank = 1; duration = 0.01 }))
+  in
+  drain c;
+  check int "all complete" njobs
+    (List.length (List.filter (fun j -> j.Job.jstate = Job.Complete) jobs));
+  let master = List.find Kvs.is_master (Array.to_list c.Center.kvs) in
+  let snap =
+    match Kvs.snapshot master with Ok s -> s | Error e -> Alcotest.failf "snapshot: %s" e
+  in
+  let objects = Hashtbl.create 1024 in
+  List.iter (fun (h, v) -> Hashtbl.replace objects h v) snap.Flux_kvs.Snapshot.s_objects;
+  let dir sha = Hashtbl.find objects (Sha1.to_hex sha) in
+  let largest = ref 0 and dirs = ref 0 in
+  let rec walk d =
+    incr dirs;
+    largest := max !largest (Tree.dir_size d);
+    List.iter
+      (fun (_, e) ->
+        match Tree.dirent_ref e with `Dir sha -> walk (dir sha) | `File _ | `Val _ -> ())
+      (Tree.dir_entries d)
+  in
+  (match Json.member_opt "lwj" (dir snap.Flux_kvs.Snapshot.s_root) with
+  | Some e -> (
+    match Tree.dirent_ref e with
+    | `Dir sha -> walk (dir sha)
+    | `File _ | `Val _ -> Alcotest.fail "lwj is not a directory")
+  | None -> Alcotest.fail "no lwj directory");
+  if !largest > cap then
+    Alcotest.failf "a directory under lwj has %d entries (cap %d, %d directories)" !largest cap
+      !dirs;
+  let read = ref 0 in
+  ignore
+    (Proc.spawn c.Center.eng (fun () ->
+         let kvs = Center.kvs_client c ~rank:3 in
+         List.iter
+           (fun (j : Job.t) ->
+             let get suffix =
+               match Flux_kvs.Client.get kvs ~key:(Wexec.job_key j.Job.jid ^ suffix) with
+               | Ok v -> v
+               | Error e -> Alcotest.failf "%s%s: %s" j.Job.jid suffix e
+             in
+             let task = Printf.sprintf ".%d-0" (List.hd j.Job.granted_nodes) in
+             check Alcotest.string "stdout" "ok\n" (Json.to_string_v (get (task ^ ".stdout")));
+             check int "exit" 0 (Json.to_int (get (task ^ ".exit")));
+             check Alcotest.string "state" "complete" (Json.to_string_v (get ".state"));
+             incr read)
+           jobs));
+  drain c;
+  check int "every record read back" njobs !read
 
 (* --- PMI -------------------------------------------------------------------------- *)
 
@@ -962,6 +1030,7 @@ let () =
           Alcotest.test_case "oversized rejected" `Quick test_instance_rejects_oversized;
           Alcotest.test_case "cancel child refused" `Quick test_instance_cancel_child_refused;
           Alcotest.test_case "provenance" `Quick test_instance_provenance;
+          Alcotest.test_case "job records bounded" `Quick test_job_records_bounded;
         ] );
       ( "rmatch",
         [

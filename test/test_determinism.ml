@@ -1,6 +1,6 @@
 (* Determinism golden tests: the engine's hot-path optimizations
-   (heap compaction, memoized payload sizes and digests, session fast
-   paths) must be unobservable. Each workload here runs twice in the
+   (heap compaction, sizes carried by the value, session fast paths)
+   must be unobservable. Each workload here runs twice in the
    same process; everything a user can see — trace counters, the final
    simulated clock, event and message counts — must match exactly. The
    fig2 run is also pinned to recorded values, which holds across

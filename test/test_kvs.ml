@@ -301,9 +301,9 @@ let test_apply_allocation () =
   let _, store, fetch = memory_store () in
   let root =
     Tree.apply_tuples ~fetch ~store ~root:Tree.empty_dir_sha
-      (List.init 600 (fun i -> (Printf.sprintf "lwj.task%d" i, Tree.dirent_val (Json.int i))))
+      (List.init 600 (fun i -> (Printf.sprintf "dir.task%d" i, Tree.dirent_val (Json.int i))))
   in
-  let tuples = [ ("lwj.task300x", Tree.dirent_val (Json.int 1)) ] in
+  let tuples = [ ("dir.task300x", Tree.dirent_val (Json.int 1)) ] in
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Tree.apply_tuples ~fetch ~store ~root tuples));
   let words = Gc.minor_words () -. before in

@@ -295,6 +295,73 @@ let test_snapshot_isolation_during_update () =
         check json_t "v2" (Json.int 2) (expect_ok "get" (Client.get c ~key:"si.k")));
     ]
 
+(* --- Malformed keys ------------------------------------------------------------ *)
+
+let test_malformed_keys_refused () =
+  (* Every entry point answers a bad key with an error reply, at the
+     master and at a slave, and the session keeps serving afterwards. *)
+  let eng, sess, _ = make_world ~size:7 () in
+  let bad_keys = [ "a..b"; ""; ".x"; "x." ] in
+  let sha = Flux_sha1.Sha1.to_hex (Flux_sha1.Sha1.digest_json (Json.int 1)) in
+  let tuples key = Json.list [ Json.obj [ ("k", Json.string key); ("s", Json.string sha) ] ] in
+  let refused label = function
+    | Ok _ -> Alcotest.failf "%s: accepted" label
+    | Error _ -> ()
+  in
+  run_clients eng
+    (List.map
+       (fun rank () ->
+         let c = Client.connect sess ~rank in
+         let api = Api.connect sess ~rank in
+         List.iter
+           (fun key ->
+             let label op = Printf.sprintf "%s %S at rank %d" op key rank in
+             refused (label "get") (Client.get c ~key);
+             refused (label "put") (Client.put c ~key (Json.int 1));
+             ignore (expect_ok (label "commit after refused put") (Client.commit c) : int);
+             refused (label "mput")
+               (Api.rpc api ~topic:"kvs.mput"
+                  (Json.obj
+                     [
+                       ( "bindings",
+                         Json.list
+                           [
+                             Json.obj [ ("key", Json.string "ok.k"); ("v", Json.int 1) ];
+                             Json.obj [ ("key", Json.string key); ("v", Json.int 2) ];
+                           ] );
+                     ]));
+             refused (label "raw commit")
+               (Api.rpc api ~topic:"kvs.commit" (Json.obj [ ("tuples", tuples key) ]));
+             refused (label "raw fence")
+               (Api.rpc api ~topic:"kvs.fence"
+                  (Json.obj
+                     [
+                       ("name", Json.string (Printf.sprintf "bad.%d.%d" rank (String.length key)));
+                       ("nprocs", Json.int 1);
+                       ("tuples", tuples key);
+                     ])))
+           bad_keys;
+         refused "raw commit with a malformed digest"
+           (Api.rpc api ~topic:"kvs.commit"
+              (Json.obj
+                 [
+                   ( "tuples",
+                     Json.list
+                       [ Json.obj [ ("k", Json.string "ok.k"); ("s", Json.string "xyz") ] ] );
+                 ]));
+         let key = Printf.sprintf "after.r%d" rank in
+         expect_ok "valid put" (Client.put c ~key (Json.int rank));
+         ignore (expect_ok "valid commit" (Client.commit c) : int);
+         check json_t "valid get" (Json.int rank) (expect_ok "valid get" (Client.get c ~key)))
+       [ 0; 5 ]);
+  (* The refused mput left nothing behind: its valid binding is absent. *)
+  run_clients eng
+    [
+      (fun () ->
+        let c = Client.connect sess ~rank:3 in
+        refused "half of a refused mput" (Client.get c ~key:"ok.k"));
+    ]
+
 let () =
   Alcotest.run "flux_kvs_extra"
     [
@@ -307,6 +374,7 @@ let () =
           Alcotest.test_case "multiple waiters" `Quick test_multiple_version_waiters;
         ] );
       ("watch", [ Alcotest.test_case "unwatch" `Quick test_unwatch_stops_callbacks ]);
+      ("keys", [ Alcotest.test_case "malformed keys refused" `Quick test_malformed_keys_refused ]);
       ( "fence",
         [
           Alcotest.test_case "single participant" `Quick test_fence_single_participant;

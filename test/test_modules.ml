@@ -364,12 +364,14 @@ let test_wexec_bulk_launch_and_stdout () =
         (* Stdout was captured in the KVS. *)
         let kvs = Client.connect sess ~rank:0 in
         let out =
-          expect_ok "stdout" (Client.get kvs ~key:"lwj.job1.3-1.stdout")
+          expect_ok "stdout" (Client.get kvs ~key:(Wexec.job_key "job1" ^ ".3-1.stdout"))
         in
         (match out with
         | Json.String s -> check bool "has greeting" true (String.length s > 0)
         | _ -> Alcotest.fail "stdout not a string");
-        let exit_code = expect_ok "exit" (Client.get kvs ~key:"lwj.job1.3-1.exit") in
+        let exit_code =
+          expect_ok "exit" (Client.get kvs ~key:(Wexec.job_key "job1" ^ ".3-1.exit"))
+        in
         check int "exit 0" 0 (Json.to_int exit_code));
     ]
 

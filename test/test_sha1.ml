@@ -64,9 +64,9 @@ let hex_entry i = Json.obj [ ("d", Json.string (hex (Sha1.digest_string (string_
 (* A directory as the KVS stores it: sorted names, one reference each. *)
 let fresh_dir n = Json.obj (List.init n (fun i -> (Printf.sprintf "task%04d" i, hex_entry i)))
 
-(* Values are built afresh for each check: digests and sizes are
-   memoized by physical identity, and a memo hit would skip the
-   streamed path under test. *)
+(* Values are built afresh for each check: a container keeps its
+   printed length once measured, and [test_size_after_digest] needs
+   containers that neither the size walk nor the hash has seen. *)
 let streamed_cases () =
   [
     Json.null;
