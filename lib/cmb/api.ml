@@ -50,24 +50,16 @@ let publish t ~topic payload =
     (Engine.schedule eng ~delay:t.ipc (fun () -> Session.publish (broker t) ~topic payload)
       : Engine.handle)
 
-let subscribe t ~prefix cb =
-  Session.subscribe (broker t) ~prefix (fun (ev : Message.t) ->
-      let eng = Session.engine t.sess in
-      ignore
-        (Engine.schedule eng ~delay:t.ipc (fun () ->
-             cb ~topic:ev.Message.topic ev.Message.payload)
-          : Engine.handle))
+let deliver t cb (ev : Message.t) =
+  ignore
+    (Engine.schedule (Session.engine t.sess) ~delay:t.ipc (fun () ->
+         cb ~topic:ev.Message.topic ev.Message.payload)
+      : Engine.handle)
 
-let next_event t ~prefix =
+let subscribe t ~prefix cb = Session.subscribe (broker t) ~prefix (deliver t cb)
+let subscribe_once t ~topic cb = Session.subscribe_once (broker t) ~topic (deliver t cb)
+
+let next_event t ~topic =
   let iv = Ivar.create () in
-  let eng = Session.engine t.sess in
-  let armed = ref true in
-  Session.subscribe (broker t) ~prefix (fun ev ->
-      if !armed then begin
-        armed := false;
-        ignore
-          (Engine.schedule eng ~delay:t.ipc (fun () ->
-               Ivar.fill eng iv (ev.Message.topic, ev.Message.payload))
-            : Engine.handle)
-      end);
+  subscribe_once t ~topic (fun ~topic:_ p -> Ivar.fill (Session.engine t.sess) iv p);
   Proc.await iv

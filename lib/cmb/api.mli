@@ -47,7 +47,10 @@ val publish : t -> topic:string -> Flux_json.Json.t -> unit
 
 val subscribe : t -> prefix:string -> (topic:string -> Flux_json.Json.t -> unit) -> unit
 (** Register an event callback; fires for every event whose topic has
-    the given component-wise prefix. *)
+    the given component-wise prefix ({!Session.subscribe}). *)
 
-val next_event : t -> prefix:string -> string * Flux_json.Json.t
-(** Block until the next matching event; returns (topic, payload). *)
+val subscribe_once : t -> topic:string -> (topic:string -> Flux_json.Json.t -> unit) -> unit
+(** {!Session.subscribe_once} for a client: one event, exact topic. *)
+
+val next_event : t -> topic:string -> Flux_json.Json.t
+(** Block until the next event with exactly this topic; returns its payload. *)

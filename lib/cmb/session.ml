@@ -45,11 +45,7 @@ let busy_retry_after e =
 
 type handled = Consumed | Pass
 
-type module_instance = {
-  mod_name : string;
-  on_request : Message.t -> handled;
-  on_event : Message.t -> unit;
-}
+type module_instance = { mod_name : string; on_request : Message.t -> handled }
 
 type t = {
   eng : Engine.t;
@@ -88,10 +84,9 @@ type t = {
 and broker = {
   b_rank : int;
   b_session : t;
-  mutable modules : module_instance list; (* in load order *)
   mod_index : (string, module_instance) Hashtbl.t; (* name -> instance *)
   pending : (int, pending_rpc) Hashtbl.t;
-  mutable subs : (string * (Message.t -> unit)) list;
+  mutable subs : subscription list; (* modules' and clients', in subscription order *)
   mutable last_seq : int;
   event_log : Message.t Ring_buffer.t;
   stashed : (int, Message.t) Hashtbl.t; (* out-of-order events by seq *)
@@ -119,6 +114,10 @@ and pending_rpc = {
   pr_resend : (unit -> unit) option; (* re-route via the current topology *)
   pr_ctx : Tracer.ctx option; (* causal span, shared by all transmissions *)
 }
+
+and subscription =
+  | Prefix of string * (Message.t -> unit) (* permanent, component-wise prefix *)
+  | Once of string * (Message.t -> unit) (* exact topic; leaves [subs] when it fires *)
 
 and module_factory = broker -> module_instance
 
@@ -171,12 +170,6 @@ let tree_parent b = b.b_session.parent_of.(b.b_rank)
 let tree_children b = b.b_session.children_of.(b.b_rank)
 
 let find_module b name = Hashtbl.find_opt b.mod_index name
-
-(* Event dispatch iterates [b.modules] (load order matters); the index
-   only serves name lookups, so both structures must stay in sync. *)
-let install_module b m =
-  b.modules <- b.modules @ [ m ];
-  Hashtbl.replace b.mod_index m.mod_name m
 
 let is_down t r = t.down.(r)
 
@@ -683,11 +676,20 @@ and handle_ring_arrival b (msg : Message.t) =
 
 (* --- Event plane ----------------------------------------------------- *)
 
-let dispatch_event_local b (ev : Message.t) =
-  List.iter (fun m -> m.on_event ev) b.modules;
-  List.iter
-    (fun (prefix, cb) -> if Topic.prefixed ~prefix ev.Message.topic then cb ev)
-    b.subs
+(* Walks the list current at arrival, so a subscription added by a
+   handler sees only later events. A one-shot missing from [b.subs]
+   already fired, in a re-entrant publish by an earlier handler. *)
+let rec dispatch_subs b (ev : Message.t) = function
+  | [] -> ()
+  | s :: rest ->
+    (match s with
+    | Prefix (prefix, cb) -> if Topic.prefixed ~prefix ev.Message.topic then cb ev
+    | Once (topic, cb) ->
+      if String.equal topic ev.Message.topic && List.memq s b.subs then begin
+        b.subs <- List.filter (fun x -> x != s) b.subs;
+        cb ev
+      end);
+    dispatch_subs b ev rest
 
 let rec deliver_event b (ev : Message.t) =
   let seq = ev.Message.seq in
@@ -698,7 +700,7 @@ let rec deliver_event b (ev : Message.t) =
       trace b.b_session ~name:"event.deliver" ~rank:b.b_rank ?ctx:ev.Message.trace
         ~fields:[ ("topic", Json.string ev.Message.topic); ("seq", Json.int seq) ]
         ();
-      dispatch_event_local b ev;
+      dispatch_subs b ev b.subs;
       List.iter
         (fun c -> send_on b.b_session.event_net ~src:b.b_rank ~dst:c ev)
         (tree_children b);
@@ -779,7 +781,8 @@ let publish b ?trace_ctx ~topic payload =
   let ev = match trace_ctx with Some c -> Message.with_trace ev c | None -> ev in
   publish_msg b ev
 
-let subscribe b ~prefix cb = b.subs <- b.subs @ [ (prefix, cb) ]
+let subscribe b ~prefix cb = b.subs <- b.subs @ [ Prefix (prefix, cb) ]
+let subscribe_once b ~topic cb = b.subs <- b.subs @ [ Once (topic, cb) ]
 
 (* --- Plane dispatch --------------------------------------------------- *)
 
@@ -833,7 +836,7 @@ let cmb_module b =
       Consumed
     | _ -> Pass
   in
-  { mod_name = "cmb"; on_request = handle; on_event = (fun _ -> ()) }
+  { mod_name = "cmb"; on_request = handle }
 
 (* --- Session construction --------------------------------------------- *)
 
@@ -883,7 +886,6 @@ let create eng ?(fanout = 2) ?(rank_topology = Ring) ?flow ~size () =
         {
           b_rank = r;
           b_session = t;
-          modules = [];
           mod_index = Hashtbl.create 8;
           pending = Hashtbl.create 16;
           subs = [];
@@ -902,7 +904,7 @@ let create eng ?(fanout = 2) ?(rank_topology = Ring) ?flow ~size () =
       Net.set_handler t.rpc_net r (on_rpc_plane b);
       Net.set_handler t.event_net r (on_event_plane b);
       Net.set_handler t.ring_net r (on_ring_plane b);
-      install_module b (cmb_module b))
+      Hashtbl.replace b.mod_index "cmb" (cmb_module b))
     t.brokers;
   t
 
@@ -914,7 +916,7 @@ let load_module t ?ranks factory =
       let m = factory b in
       if find_module b m.mod_name <> None then
         invalid_arg (Printf.sprintf "Session.load_module: %S already loaded at rank %d" m.mod_name r);
-      install_module b m)
+      Hashtbl.replace b.mod_index m.mod_name m)
     targets
 
 (* --- Session hierarchy --------------------------------------------------- *)

@@ -11,8 +11,8 @@
       routing tables.
 
     Comms modules are plugins loaded into a broker; they receive the
-    requests and events that arrive at their broker and may respond,
-    aggregate-and-forward (reductions), or publish. *)
+    requests that arrive at their broker and the events they {!subscribe}
+    to, and may respond, aggregate-and-forward (reductions), or publish. *)
 
 type t
 (** A comms session over ranks [0 .. size-1]. *)
@@ -31,7 +31,6 @@ type handled = Consumed | Pass
 type module_instance = {
   mod_name : string;  (** must equal the topic service component it serves *)
   on_request : Message.t -> handled;
-  on_event : Message.t -> unit;
 }
 
 type module_factory = broker -> module_instance
@@ -204,7 +203,18 @@ val publish : broker -> ?trace_ctx:Flux_trace.Tracer.ctx -> topic:string -> Flux
     commit that caused a setroot). *)
 
 val subscribe : broker -> prefix:string -> (Message.t -> unit) -> unit
-(** Local event subscription with component-wise topic prefix match. *)
+(** Run the callback on every event delivered here whose topic has
+    [prefix] as a component-wise prefix. Modules subscribe in their load,
+    after {!load_module}; clients through {!Api}. One list per broker
+    holds both and the {!subscribe_once} waits: handlers run in
+    subscription order, one added during a dispatch sees only later
+    events, and a one-shot wait fires at most once, then leaves. *)
+
+val subscribe_once : broker -> topic:string -> (Message.t -> unit) -> unit
+(** Wait for one event with exactly this topic. The callback runs in
+    subscription order with the {!subscribe} handlers, only for events
+    dispatched after this call, and at most once, even under a
+    re-entrant publish; the wait then leaves the broker's list. *)
 
 (** {1 Session hierarchy}
 

@@ -2,28 +2,29 @@ let word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
   | _ -> false
 
-let is_valid s =
-  String.length s > 0
-  && (not (String.exists (fun c -> not (word_char c || c = '.')) s))
-  && List.for_all (fun comp -> String.length comp > 0) (String.split_on_char '.' s)
+let rec valid_from s i component_start =
+  if i = String.length s then not component_start
+  else if s.[i] = '.' then (not component_start) && valid_from s (i + 1) true
+  else word_char s.[i] && valid_from s (i + 1) false
+
+let is_valid s = valid_from s 0 true
 
 let service s =
-  if not (is_valid s) then invalid_arg (Printf.sprintf "Topic.service: invalid topic %S" s);
   match String.index_opt s '.' with
   | Some i -> String.sub s 0 i
   | None -> s
 
 let method_ s =
-  if not (is_valid s) then invalid_arg (Printf.sprintf "Topic.method_: invalid topic %S" s);
   match String.index_opt s '.' with
   | Some i -> String.sub s (i + 1) (String.length s - i - 1)
   | None -> ""
 
-let matches ~module_name topic = is_valid topic && String.equal (service topic) module_name
+let rec same_from prefix topic i =
+  i = String.length prefix || (prefix.[i] = topic.[i] && same_from prefix topic (i + 1))
 
 let prefixed ~prefix topic =
-  String.length prefix = 0
-  || String.equal prefix topic
-  || String.length topic > String.length prefix
-     && String.sub topic 0 (String.length prefix) = prefix
-     && topic.[String.length prefix] = '.'
+  let n = String.length prefix in
+  n = 0
+  || String.length topic >= n
+     && same_from prefix topic 0
+     && (String.length topic = n || topic.[n] = '.')

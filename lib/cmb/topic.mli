@@ -10,15 +10,12 @@ val is_valid : string -> bool
 
 val service : string -> string
 (** [service "kvs.put"] is ["kvs"] — the comms-module name component.
-    Raises [Invalid_argument] on an invalid topic. *)
+    Does not validate: {!Message.request} and {!Message.event} reject an
+    invalid topic, and every routed topic comes from a message. *)
 
 val method_ : string -> string
 (** [method_ "kvs.put"] is ["put"]; the empty string when the topic has
-    a single component. *)
-
-val matches : module_name:string -> string -> bool
-(** [matches ~module_name topic] is true when [topic]'s service equals
-    [module_name]. Invalid topics match nothing. *)
+    a single component. Does not validate, like {!service}. *)
 
 val prefixed : prefix:string -> string -> bool
 (** [prefixed ~prefix topic] is component-wise prefix matching:

@@ -1465,37 +1465,45 @@ let module_of t =
         trace t ~name:(Topic.method_ req.Message.topic) ?ctx:req.Message.trace ();
         handle_request t req;
         Session.Consumed);
-    on_event =
-      (fun (ev : Message.t) ->
-        let svc = t.routing.rt_service in
-        if String.equal ev.Message.topic (svc ^ ".setroot") then begin
-          let ri, objects = Proto.setroot_of_json ev.Message.payload in
-          trace t ~name:"setroot.deliver" ?ctx:ev.Message.trace
-            ~fields:[ ("version", Json.int ri.Proto.ri_version) ]
-            ();
-          (* Replicate the commit's interior objects before adopting the
-             root, so this cache can serve them to a future takeover. *)
-          List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
-          apply_root t ri;
-          match t.frozen with
-          | Some (Rejoin, _)
-            when ri.Proto.ri_master >= 0
-                 && ri.Proto.ri_epoch >= t.epoch
-                 && not (Session.is_down (Session.session_of t.b) ri.Proto.ri_master) ->
-            (* The incumbent master answered our hello (or a fresh commit
-               flowed past): we know who leads the current epoch and hold
-               its root, so the rejoin is complete. *)
-            unfreeze t
-          | _ -> ()
-        end
-        else if String.equal ev.Message.topic (svc ^ ".hello") then begin
-          (* A rejoiner asked for the current root: only the live master
-             of the current epoch answers, with a fresh setroot. *)
-          if t.master && t.frozen = None then
-            Session.publish t.b ~topic:(svc ^ ".setroot")
-              (Proto.setroot_to_json (current_ri t) ~objects:[])
-        end);
   }
+
+let on_setroot t (ev : Message.t) =
+  let ri, objects = Proto.setroot_of_json ev.Message.payload in
+  trace t ~name:"setroot.deliver" ?ctx:ev.Message.trace
+    ~fields:[ ("version", Json.int ri.Proto.ri_version) ]
+    ();
+  (* Replicate the commit's interior objects before adopting the root,
+     so this cache can serve them to a future takeover. *)
+  List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
+  apply_root t ri;
+  match t.frozen with
+  | Some (Rejoin, _)
+    when ri.Proto.ri_master >= 0
+         && ri.Proto.ri_epoch >= t.epoch
+         && not (Session.is_down (Session.session_of t.b) ri.Proto.ri_master) ->
+    (* The incumbent master answered our hello (or a fresh commit flowed
+       past): we know who leads the current epoch and hold its root, so
+       the rejoin is complete. *)
+    unfreeze t
+  | _ -> ()
+
+let subscribe_events t =
+  let setroot = t.routing.rt_service ^ ".setroot" in
+  Session.subscribe t.b ~prefix:setroot (on_setroot t);
+  Session.subscribe t.b ~prefix:(t.routing.rt_service ^ ".hello") (fun _ ->
+      (* A rejoiner asked for the current root: only the live master of
+         the current epoch answers, with a fresh setroot. *)
+      if t.master && t.frozen = None then
+        Session.publish t.b ~topic:setroot (Proto.setroot_to_json (current_ri t) ~objects:[]))
+
+(* Failover and rejoin are driven off the session's liveness transitions;
+   each instance reacts independently so the election is symmetric
+   (everyone computes the same lowest-live successor). *)
+let install sess ?ranks instances instance_at =
+  Session.load_module sess ?ranks (fun b -> module_of (instance_at (Session.rank b)));
+  Array.iter subscribe_events instances;
+  Session.add_liveness_watch sess (fun r up -> Array.iter (fun t -> on_liveness t r up) instances);
+  instances
 
 let ranks_to_depth sess d =
   let k = Session.fanout sess in
@@ -1518,14 +1526,7 @@ let load sess ?(config = default_config) ?ranks () =
   Array.iter (fun t -> t.service_ranks <- service_ranks) instances;
   let by_rank = Hashtbl.create 64 in
   List.iteri (fun i r -> Hashtbl.replace by_rank r instances.(i)) targets;
-  Session.load_module sess ~ranks:targets (fun b ->
-      module_of (Hashtbl.find by_rank (Session.rank b)));
-  (* Failover and rejoin are driven off the session's liveness
-     transitions; each instance reacts independently so the election is
-     symmetric (everyone computes the same lowest-live successor). *)
-  Session.add_liveness_watch sess (fun r up ->
-      Array.iter (fun t -> on_liveness t r up) instances);
-  instances
+  install sess ~ranks:targets instances (Hashtbl.find by_rank)
 
 (* Routed families (Volumes) fail over like the session store, but their
    election order follows the volume's *virtual ring*: successors are
@@ -1542,7 +1543,4 @@ let load_routed sess ?(config = default_config) ~routing () =
   let m0 = instances.(0).routing.rt_master in
   let ring_order = List.init n (fun i -> (m0 + i) mod n) in
   Array.iter (fun t -> t.service_ranks <- ring_order) instances;
-  Session.load_module sess (fun b -> module_of instances.(Session.rank b));
-  Session.add_liveness_watch sess (fun r up ->
-      Array.iter (fun t -> on_liveness t r up) instances);
-  instances
+  install sess instances (Array.get instances)

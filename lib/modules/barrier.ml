@@ -249,7 +249,6 @@ let module_of t =
           end
         | m -> Session.respond_error t.b req (Printf.sprintf "barrier: unknown method %S" m));
         Session.Consumed);
-    on_event = (fun _ -> ());
   }
 
 let load sess ?(max_pending = 0) () =

@@ -60,7 +60,6 @@ let module_of t =
            | m -> Session.respond_error t.b req (Printf.sprintf "group: unknown method %S" m));
           Session.Consumed
         end);
-    on_event = (fun _ -> ());
   }
 
 let load sess () =

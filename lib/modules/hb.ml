@@ -23,14 +23,12 @@ let module_of t =
       (fun req ->
         Session.respond_error t.b req "hb: no request interface";
         Session.Consumed);
-    on_event =
-      (fun (ev : Message.t) ->
-        if String.equal ev.Message.topic "hb.pulse" then begin
-          let e = Json.to_int (Json.member "epoch" ev.Message.payload) in
-          t.last_epoch <- e;
-          List.iter (fun cb -> cb e) t.callbacks
-        end);
   }
+
+let pulse t (ev : Message.t) =
+  let e = Json.to_int (Json.member "epoch" ev.Message.payload) in
+  t.last_epoch <- e;
+  List.iter (fun cb -> cb e) t.callbacks
 
 let load sess ?(period = 0.1) () =
   let instances =
@@ -44,6 +42,7 @@ let load sess ?(period = 0.1) () =
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  Array.iter (fun t -> Session.subscribe t.b ~prefix:"hb.pulse" (pulse t)) instances;
   let root = instances.(0) in
   let counter = ref 0 in
   root.timer <-

@@ -86,7 +86,6 @@ let module_of t =
           Session.respond t.b req Json.null
         | m -> Session.respond_error t.b req (Printf.sprintf "live: unknown method %S" m));
         Session.Consumed);
-    on_event = (fun _ -> ());
   }
 
 let load sess ~(hb : Hb.t array) ?(max_missed = 3) () =

@@ -133,19 +133,17 @@ let module_of t =
           Session.respond t.b req Json.null
         | m -> Session.respond_error t.b req (Printf.sprintf "log: unknown method %S" m));
         Session.Consumed);
-    on_event =
-      (fun (ev : Message.t) ->
-        if String.equal ev.Message.topic "log.fault" then begin
-          (* Dump the circular buffer toward the root for post-mortem
-             context. *)
-          let entries = Ring_buffer.to_list t.buffer in
-          if t.master then t.root_entries <- List.rev_append entries t.root_entries
-          else if entries <> [] then
-            Session.request_from_module t.b ~topic:"log.append"
-              (Json.obj [ ("entries", Json.list (List.map entry_to_json entries)) ])
-              ~reply:(fun _ -> ())
-        end);
   }
+
+(* On [log.fault], dump the circular buffer toward the root for
+   post-mortem context. *)
+let dump t _ =
+  let entries = Ring_buffer.to_list t.buffer in
+  if t.master then t.root_entries <- List.rev_append entries t.root_entries
+  else if entries <> [] then
+    Session.request_from_module t.b ~topic:"log.append"
+      (Json.obj [ ("entries", Json.list (List.map entry_to_json entries)) ])
+      ~reply:(fun _ -> ())
 
 let load sess () =
   let instances =
@@ -160,6 +158,7 @@ let load sess () =
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  Array.iter (fun t -> Session.subscribe t.b ~prefix:"log.fault" (dump t)) instances;
   instances
 
 let log api ~level text =

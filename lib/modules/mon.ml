@@ -147,21 +147,20 @@ let module_of t =
           Session.respond t.b req Json.null
         | m -> Session.respond_error t.b req (Printf.sprintf "mon: unknown method %S" m));
         Session.Consumed);
-    on_event =
-      (fun (ev : Message.t) ->
-        (* Activation rides the KVS: every setroot, re-read the config
-           key (cheap: it is cached after the first fault-in). *)
-        if String.equal ev.Message.topic "kvs.setroot" then
-          Session.request_up t.b ~idempotent:true ~topic:"kvs.get"
-            (Json.obj [ ("key", Json.string "conf.mon.script") ])
-            ~reply:(fun r ->
-              match r with
-              | Ok payload -> (
-                match Json.member "v" payload with
-                | Json.String s when s <> "" -> t.script <- Some s
-                | _ -> t.script <- None)
-              | Error _ -> t.script <- None))
   }
+
+(* Activation rides the KVS: every setroot, re-read the config key
+   (cheap: it is cached after the first fault-in). *)
+let reread_script t _ =
+  Session.request_up t.b ~idempotent:true ~topic:"kvs.get"
+    (Json.obj [ ("key", Json.string "conf.mon.script") ])
+    ~reply:(fun r ->
+      match r with
+      | Ok payload -> (
+        match Json.member "v" payload with
+        | Json.String s when s <> "" -> t.script <- Some s
+        | _ -> t.script <- None)
+      | Error _ -> t.script <- None)
 
 let load sess ~(hb : Hb.t array) () =
   let instances =
@@ -177,6 +176,7 @@ let load sess ~(hb : Hb.t array) () =
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  Array.iter (fun t -> Session.subscribe t.b ~prefix:"kvs.setroot" (reread_script t)) instances;
   Array.iteri (fun r t -> Hb.on_pulse hb.(r) (fun epoch -> on_heartbeat t epoch)) instances;
   instances
 

@@ -85,7 +85,6 @@ let module_of t =
           | m -> Session.respond_error t.b req (Printf.sprintf "resvc: unknown method %S" m));
           Session.Consumed
         end);
-    on_event = (fun _ -> ());
   }
 
 let load sess ?(resources = fun _ -> { cores = 16; memory_gb = 32 }) () =

@@ -329,7 +329,6 @@ let module_of t =
           Session.respond t.b req Json.null
         | m -> Session.respond_error t.b req (Printf.sprintf "telem: unknown method %S" m));
         Session.Consumed);
-    on_event = (fun _ -> ());
   }
 
 let load sess ?(config = default_config) () =

@@ -246,7 +246,8 @@ let handle_exec t (ev : Message.t) =
    later in the same backlog, so replay kills the zombies in the same
    engine step that spawned them, before their first suspension point
    resumes. Silent on purpose: the accounting is already final. *)
-let handle_complete_event t jobid =
+let handle_complete_event t (ev : Message.t) =
+  let jobid = Json.to_string_v (Json.member "jobid" ev.Message.payload) in
   match Hashtbl.find_opt t.jobs jobid with
   | None -> ()
   | Some jl ->
@@ -256,7 +257,8 @@ let handle_complete_event t jobid =
     if jl.jl_remaining > 0 then wcount t ~name:"wexec.tasks.stale_killed" jl.jl_remaining;
     Hashtbl.remove t.jobs jobid
 
-let handle_kill t jobid =
+let handle_kill t (ev : Message.t) =
+  let jobid = Json.to_string_v (Json.member "jobid" ev.Message.payload) in
   match Hashtbl.find_opt t.jobs jobid with
   | None -> ()
   | Some jl ->
@@ -384,14 +386,6 @@ let module_of t =
         | m ->
           Session.respond_error t.b req (Printf.sprintf "wexec: unknown method %S" m);
           Session.Consumed);
-    on_event =
-      (fun (ev : Message.t) ->
-        if Topic.prefixed ~prefix:"wexec.exec" ev.Message.topic then handle_exec t ev
-        else if Topic.prefixed ~prefix:"wexec.kill" ev.Message.topic then
-          handle_kill t (Json.to_string_v (Json.member "jobid" ev.Message.payload))
-        else if Topic.prefixed ~prefix:"wexec.complete" ev.Message.topic then
-          handle_complete_event t
-            (Json.to_string_v (Json.member "jobid" ev.Message.payload)));
   }
 
 let load sess () =
@@ -407,6 +401,12 @@ let load sess () =
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  Array.iter
+    (fun t ->
+      Session.subscribe t.b ~prefix:"wexec.exec" (handle_exec t);
+      Session.subscribe t.b ~prefix:"wexec.kill" (handle_kill t);
+      Session.subscribe t.b ~prefix:"wexec.complete" (handle_complete_event t))
+    instances;
   (* Down-node detection rides the session's liveness transitions (fed
      by {!Live} heartbeats or injected by a harness): the master
      accounts a dead rank's unfinished tasks as failures so completion
@@ -435,8 +435,8 @@ let run api ~jobid ~prog ?(args = Json.null) ?(per_rank = 1) ?trace_ctx ~ranks (
        obvious race on very short jobs. *)
     let eng = Session.engine (Api.session api) in
     let done_iv = Flux_sim.Ivar.create () in
-    Api.subscribe api ~prefix:("wexec.complete." ^ jobid) (fun ~topic:_ p ->
-        ignore (Flux_sim.Ivar.try_fill eng done_iv p : bool));
+    Api.subscribe_once api ~topic:("wexec.complete." ^ jobid) (fun ~topic:_ p ->
+        Flux_sim.Ivar.fill eng done_iv p);
     match Api.rpc api ?trace_ctx ~topic:"wexec.run" payload with
     | Error e -> Error e
     | Ok _ ->

@@ -86,10 +86,12 @@ val run :
   (completion, string) result
 (** Launch [per_rank] (default 1) tasks of [prog] on each listed rank
     and block until the whole job completes. Must run inside a
-    {!Flux_sim.Proc} body. Job ids must be fresh and form a valid topic
-    component (letters, digits, [-], [_]). [trace_ctx] links the whole
-    launch (run RPC, per-rank starts, completion event) into the
-    caller's causal trace. *)
+    {!Flux_sim.Proc} body. Job ids must be fresh and form valid topic
+    components: letters, digits, [-], [_], and dots, as in nested
+    instances' [<parent>.<n>]. [run] waits for the exact topic
+    [wexec.complete.<jobid>] ({!Flux_cmb.Api.subscribe_once}), so job
+    [a.b]'s completion does not end [a]'s wait. [trace_ctx] links the whole launch (run RPC, per-rank starts,
+    completion event) into the caller's causal trace. *)
 
 val kill : Flux_cmb.Api.t -> jobid:string -> unit
 (** Deliver a kill signal: every task of the job is terminated; the job

@@ -20,14 +20,41 @@ let test_topic () =
   check string "service" "kvs" (Topic.service "kvs.put");
   check string "method" "put" (Topic.method_ "kvs.put");
   check string "method nested" "commit.begin" (Topic.method_ "kvs.commit.begin");
-  check bool "matches" true (Topic.matches ~module_name:"kvs" "kvs.put");
-  check bool "no match" false (Topic.matches ~module_name:"kv" "kvs.put");
   check bool "prefixed" true (Topic.prefixed ~prefix:"hb" "hb.pulse");
   check bool "not prefixed" false (Topic.prefixed ~prefix:"hb" "hbx.pulse");
   check bool "empty prefix" true (Topic.prefixed ~prefix:"" "anything");
   check bool "invalid empty" false (Topic.is_valid "");
   check bool "invalid dots" false (Topic.is_valid "a..b");
   check bool "valid" true (Topic.is_valid "wexec.run-1_x")
+
+(* Reference definitions: a component split and a [String.sub]
+   comparison. [Topic] checks in one scan and compares in place. *)
+let ref_is_valid s =
+  let word_char = function
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
+    | _ -> false
+  in
+  String.length s > 0
+  && (not (String.exists (fun c -> not (word_char c || c = '.')) s))
+  && List.for_all (fun comp -> String.length comp > 0) (String.split_on_char '.' s)
+
+let ref_prefixed ~prefix topic =
+  String.length prefix = 0
+  || String.equal prefix topic
+  || String.length topic > String.length prefix
+     && String.sub topic 0 (String.length prefix) = prefix
+     && topic.[String.length prefix] = '.'
+
+let topic_matches_reference =
+  let str =
+    QCheck.string_gen_of_size (QCheck.Gen.int_range 0 8)
+      (QCheck.Gen.oneofl [ 'a'; 'b'; '.'; '-'; '_'; '!' ])
+  in
+  QCheck.Test.make ~name:"is_valid and prefixed match the reference" ~count:2000
+    (QCheck.pair str str) (fun (a, b) ->
+      Topic.is_valid a = ref_is_valid a
+      && Topic.prefixed ~prefix:a b = ref_prefixed ~prefix:a b
+      && Topic.prefixed ~prefix:a (a ^ b) = ref_prefixed ~prefix:a (a ^ b))
 
 (* --- Message ------------------------------------------------------------ *)
 
@@ -65,7 +92,6 @@ let echo_module b =
         | _ ->
           Session.respond_error b msg "unknown method";
           Session.Consumed);
-    on_event = (fun _ -> ());
   }
 
 let run_proc_expect eng f =
@@ -210,6 +236,44 @@ let test_event_prefix_filtering () =
   check int "prefix filtered" 1 !hb;
   check int "catch-all" 2 !all
 
+(* One list per broker serves modules and clients in subscription order:
+   hb, loaded first, has recorded each pulse's epoch before a client that
+   subscribed later sees the pulse, and a subscription added by a handler
+   sees only later events. *)
+let test_event_dispatch_order () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:3 () in
+  let hb = Flux_modules.Hb.load sess () in
+  let b = Session.broker sess 1 in
+  let epoch (ev : Message.t) = Json.to_int (Json.member "epoch" ev.Message.payload) in
+  let seen = ref [] and late = ref [] in
+  Session.subscribe b ~prefix:"hb.pulse" (fun ev ->
+      seen := (epoch ev, Flux_modules.Hb.epoch hb.(1)) :: !seen;
+      if epoch ev = 1 then
+        Session.subscribe b ~prefix:"hb.pulse" (fun ev -> late := epoch ev :: !late));
+  Engine.run eng ~until:0.35;
+  Flux_modules.Hb.stop hb;
+  let pairs = Alcotest.(list (pair int int)) in
+  check pairs "module handled each pulse first" [ (1, 1); (2, 2); (3, 3) ] (List.rev !seen);
+  check (Alcotest.list int) "added in a handler: later pulses only" [ 2; 3 ] (List.rev !late)
+
+(* A one-shot wait fires once, on its exact topic, even when a handler
+   ahead of it republishes that topic re-entrantly at the root. *)
+let test_event_once_reentrant () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:3 () in
+  let b = Session.broker sess 0 in
+  let fired = ref [] in
+  Session.subscribe b ~prefix:"re" (fun ev ->
+      if Json.to_int ev.Message.payload = 1 then Session.publish b ~topic:"re.x" (Json.int 2));
+  Session.subscribe_once b ~topic:"re.x" (fun ev ->
+      fired := Json.to_int ev.Message.payload :: !fired);
+  Session.publish b ~topic:"re.x.y" (Json.int 0);
+  Session.publish b ~topic:"re.x" (Json.int 1);
+  Session.publish b ~topic:"re.x" (Json.int 3);
+  Engine.run eng;
+  check (Alcotest.list int) "fired once, on the re-entrant event" [ 2 ] !fired
+
 (* --- Healing ---------------------------------------------------------------------- *)
 
 let test_heal_reroutes_rpc () =
@@ -286,7 +350,6 @@ let test_module_reduction_pattern () =
           pending := (Json.to_int msg.Message.payload, msg) :: !pending;
           forward_if_complete ();
           Session.Consumed);
-      on_event = (fun _ -> ());
     }
   in
   ignore factory;
@@ -321,7 +384,11 @@ let test_fanout_topology () =
 let () =
   Alcotest.run "flux_cmb"
     [
-      ("topic", [ Alcotest.test_case "parsing and matching" `Quick test_topic ]);
+      ( "topic",
+        [
+          Alcotest.test_case "parsing and matching" `Quick test_topic;
+          QCheck_alcotest.to_alcotest topic_matches_reference;
+        ] );
       ("message", [ Alcotest.test_case "construction" `Quick test_message ]);
       ( "rpc",
         [
@@ -341,6 +408,8 @@ let () =
           Alcotest.test_case "reaches all ranks" `Quick test_event_reaches_all_ranks;
           Alcotest.test_case "total order" `Quick test_events_in_order;
           Alcotest.test_case "prefix filtering" `Quick test_event_prefix_filtering;
+          Alcotest.test_case "one list, subscription order" `Quick test_event_dispatch_order;
+          Alcotest.test_case "one-shot fires once" `Quick test_event_once_reentrant;
         ] );
       ( "healing",
         [

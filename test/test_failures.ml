@@ -28,7 +28,6 @@ let echo_module b =
       (fun msg ->
         Session.respond b msg (Json.obj [ ("rank", Json.int (Session.rank b)) ]);
         Session.Consumed);
-    on_event = (fun _ -> ());
   }
 
 (* --- Retransmission through a healed link ------------------------------- *)

@@ -427,6 +427,49 @@ let test_wexec_unknown_program () =
         check int "all failed" 2 c.Wexec.c_failed);
     ]
 
+(* Nested instances give jobs dotted ids: [a.b]'s completion must not
+   end [a]'s wait. *)
+let test_wexec_dotted_jobid () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:7 () in
+  ignore (Kvs.load sess () : Kvs.t array);
+  ignore (Wexec.load sess () : Wexec.t array);
+  let api = Api.connect sess ~rank:0 in
+  run_clients eng
+    [
+      (fun () ->
+        let c =
+          expect_ok "run a"
+            (Wexec.run api ~jobid:"a" ~prog:"sleepy"
+               ~args:(Json.obj [ ("secs", Json.float 1.0) ])
+               ~ranks:[ 1; 2 ] ())
+        in
+        check int "a's own tasks" 2 c.Wexec.c_ntasks;
+        check bool "a waited for its tasks" true (Engine.now eng >= 1.0));
+      (fun () ->
+        let c = expect_ok "run a.b" (Wexec.run api ~jobid:"a.b" ~prog:"hello" ~ranks:[ 3; 4; 5 ] ()) in
+        check int "a.b's tasks" 3 c.Wexec.c_ntasks);
+    ]
+
+(* Once [run] returns, its wait is gone: republishing the job's
+   completion costs exactly what a completion nobody waits on costs. *)
+let test_wexec_wait_leaves_nothing () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:3 () in
+  ignore (Kvs.load sess () : Kvs.t array);
+  ignore (Wexec.load sess () : Wexec.t array);
+  let api = Api.connect sess ~rank:0 in
+  run_clients eng
+    [ (fun () -> ignore (expect_ok "run" (Wexec.run api ~jobid:"job5" ~prog:"hello" ~ranks:[ 1; 2 ] ()))) ];
+  let events_for topic =
+    let before = Engine.events_executed eng in
+    Session.publish (Session.broker sess 0) ~topic (Json.obj [ ("jobid", Json.string "none") ]);
+    Engine.run eng;
+    Engine.events_executed eng - before
+  in
+  let finished = events_for "wexec.complete.job5" in
+  check int "no work left behind" (events_for "wexec.complete.job6") finished
+
 (* --- resvc ----------------------------------------------------------------------------- *)
 
 let test_resvc_alloc_free () =
@@ -509,6 +552,9 @@ let () =
           Alcotest.test_case "failures counted" `Quick test_wexec_failures_counted;
           Alcotest.test_case "kill" `Quick test_wexec_kill;
           Alcotest.test_case "unknown program" `Quick test_wexec_unknown_program;
+          Alcotest.test_case "dotted job id waits for its own completion" `Quick
+            test_wexec_dotted_jobid;
+          Alcotest.test_case "finished wait leaves nothing" `Quick test_wexec_wait_leaves_nothing;
         ] );
       ( "resvc",
         [
