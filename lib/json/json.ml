@@ -5,10 +5,17 @@ type t =
   | Float of float
   | String of string
   | List of { items : t list; mutable size : int }
-  | Obj of { fields : (string * t) list; mutable size : int }
+  | Obj of { fields : (string * t) list; mutable size : int; mutable index : index }
+
+(* An object's name index, built by the first lookup that passes
+   [index_after] fields without finding its name. It maps each name to
+   its first binding. *)
+and index = Unindexed | Indexed of (string, t) Hashtbl.t
 
 (* A container's [size] until the size model or the printer measures it. *)
 let unknown = -1
+
+let index_after = 64
 
 let null = Null
 let bool b = Bool b
@@ -16,7 +23,7 @@ let int i = Int i
 let float f = Float f
 let string s = String s
 let list items = List { items; size = unknown }
-let obj fields = Obj { fields; size = unknown }
+let obj fields = Obj { fields; size = unknown; index = Unindexed }
 let strings l = list (List.map string l)
 
 let rec equal a b =
@@ -82,19 +89,45 @@ let to_string_v = function String s -> s | v -> type_error "string" v
 let to_list = function List { items; _ } -> items | v -> type_error "list" v
 let to_obj = function Obj { fields; _ } -> fields | v -> type_error "object" v
 
-let member_opt k = function
-  | Obj { fields; _ } -> List.assoc_opt k fields
-  | _ -> None
+(* Lookups answer with a field's value or with one of these two values,
+   which no object holds: [absent] when the name is not bound, [unscanned]
+   when [index_after] fields went by without it. A lookup allocates
+   nothing until its caller wraps a hit. *)
+let absent = String "absent"
+let unscanned = String "unscanned"
+
+let rec scan k n = function
+  | [] -> absent
+  | (k', v) :: rest ->
+    if String.equal k k' then v else if n = 1 then unscanned else scan k (n - 1) rest
+
+let probe tbl k = match Hashtbl.find tbl k with v -> v | exception Not_found -> absent
+
+let find k = function
+  | Obj { index = Indexed tbl; _ } -> probe tbl k
+  | Obj o ->
+    let v = scan k index_after o.fields in
+    if v != unscanned then v
+    else begin
+      let tbl = Hashtbl.create (List.length o.fields) in
+      List.iter (fun (k, v) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k v) o.fields;
+      o.index <- Indexed tbl;
+      probe tbl k
+    end
+  | _ -> absent
+
+let member_opt k v =
+  let x = find k v in
+  if x == absent then None else Some x
 
 let member k v =
   match v with
-  | Obj { fields; _ } -> (
-    match List.assoc_opt k fields with
-    | Some x -> x
-    | None -> raise (Type_error (Printf.sprintf "missing field %S" k)))
+  | Obj _ ->
+    let x = find k v in
+    if x == absent then raise (Type_error (Printf.sprintf "missing field %S" k)) else x
   | _ -> type_error "object" v
 
-let mem k v = match member_opt k v with Some _ -> true | None -> false
+let mem k v = find k v != absent
 
 let set_member k x v =
   let fields = to_obj v in
@@ -281,45 +314,6 @@ let rec serialized_size = function
           (framing (List.length o.fields))
           o.fields;
     o.size
-
-(* Physical-identity memo ------------------------------------------------ *)
-
-(* Values are immutable apart from their lengths, and containers are
-   structurally shared (a message payload keeps the same [Obj] across
-   every tree hop; a rebuilt KVS directory shares all untouched
-   children), so facts derived from a container are memoized by physical
-   identity. Keys are held weakly: entries die with the value they
-   describe. [Hashtbl.hash] only inspects a bounded prefix of the
-   structure, and [(==)] resolves collisions exactly. It reads the
-   lengths in that prefix too, so a key is measured before it is hashed:
-   its hash then never changes. *)
-module Memo = struct
-  module Tbl = Ephemeron.K1.Make (struct
-    type nonrec t = t
-
-    let equal = ( == )
-
-    let hash v =
-      ignore (serialized_size v : int);
-      Hashtbl.hash v
-  end)
-
-  type 'a t = 'a Tbl.t
-
-  let capacity = 512
-  let create () = Tbl.create (2 * capacity)
-  let find = Tbl.find_opt
-
-  (* Structurally similar containers (successive versions of one growing
-     directory) share a bucket, and weak entries are only swept lazily —
-     keep the table small so lookups stay O(1). *)
-  let add memo v x =
-    if Tbl.length memo > capacity then begin
-      Tbl.clean memo;
-      if Tbl.length memo > capacity then Tbl.reset memo
-    end;
-    Tbl.replace memo v x
-end
 
 (* Parsing ------------------------------------------------------------ *)
 

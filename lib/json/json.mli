@@ -5,6 +5,10 @@
     a compact printer, a strict parser, and a structural size model used
     by the network simulator to charge wire time. *)
 
+type index
+(** An object's name index (see {!member_opt}). Only this module reads
+    it. *)
+
 type t = private
   | Null
   | Bool of bool
@@ -12,16 +16,17 @@ type t = private
   | Float of float
   | String of string
   | List of { items : t list; mutable size : int }
-  | Obj of { fields : (string * t) list; mutable size : int }
+  | Obj of { fields : (string * t) list; mutable size : int; mutable index : index }
       (** Object fields are ordered; duplicate keys are not rejected but
           accessors return the first binding. *)
-(** A value is immutable apart from each container's [size]: its
-    printed length once {!serialized_size} or {!print} has measured it,
-    [-1] before. Only this module sets it, so the type is [private]:
-    other code matches on values but builds them with the constructor
-    functions below and the parser. Compare values with {!equal} and
-    {!compare}, which ignore [size]; polymorphic [=], [compare] and
-    [Hashtbl.hash] would see it. *)
+(** A value is immutable apart from each container's [size] and each
+    object's [index]. [size] is the printed length once
+    {!serialized_size} or {!print} has measured it, [-1] before; [index]
+    is the object's name index once a lookup has built it. Only this
+    module sets them, so the type is [private]: other code matches on
+    values but builds them with the constructor functions below and the
+    parser. Compare values with {!equal} and {!compare}, which ignore
+    both; polymorphic [=], [compare] and [Hashtbl.hash] would see them. *)
 
 val equal : t -> t -> bool
 (** Structural equality. [Int 1] and [Float 1.0] are distinct. *)
@@ -61,6 +66,14 @@ val member : string -> t -> t
     absent or [v] is not an object. *)
 
 val member_opt : string -> t -> t option
+(** [member_opt k v] is [v]'s first binding of [k], or [None] when [v]
+    has none or is not an object. A lookup scans the fields in order.
+    The first lookup that passes 64 fields without finding its name
+    builds the object's name index, a table from each name to its first
+    binding, and stores it in the object: every later lookup on that
+    value, by any holder of it, is one table probe. A large directory
+    shared by many caches is indexed once. {!member} and {!mem} share
+    the rule. *)
 
 val mem : string -> t -> bool
 
@@ -108,31 +121,6 @@ val serialized_size : t -> int
     value is one field read. Payloads are structurally shared across
     message hops, caches and commits, so a forwarded payload or a
     directory inside a reply wrapper is measured once. *)
-
-(** {1 Physical-identity memo}
-
-    Facts derived from a container — the KVS's name index over a large
-    directory — keyed by the physical value, so a container shared by
-    every cache that holds it pays for them once. Keys are weak: an
-    entry dies with its value. A key is measured ({!serialized_size})
-    before it is hashed, since the hash reads the lengths. *)
-
-module Memo : sig
-  type json := t
-  type 'a t
-
-  val create : unit -> 'a t
-
-  val find : 'a t -> json -> 'a option
-  (** [find memo v] is what was recorded for this very value ([(==)]),
-      never for a structurally equal copy. *)
-
-  val add : 'a t -> json -> 'a -> unit
-  (** Record a fact. The table holds about 512 entries: past that, dead
-      entries are swept, and if it is still full it is emptied. Callers
-      only record values big enough that recomputing is worse than a
-      lookup. *)
-end
 
 (** {1 Miscellany} *)
 

@@ -178,6 +178,7 @@ let lookup_obj t sha =
   let h = hex sha in
   let r =
     if t.master then Hashtbl.find_opt t.store h
+    else if Hashtbl.length t.dirty_objs = 0 then Lru.find t.cache h
     else
       match Hashtbl.find_opt t.dirty_objs h with
       | Some v -> Some v
@@ -486,85 +487,98 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
   in
   let nresp = List.length respond_to in
   t.apply_backlog <- t.apply_backlog + nresp;
+  let delta = ref [] in
+  let apply () =
+    delta := [];
+    if ntuples = 0 then t.root
+    else
+      Tree.apply_tuples
+        ~fetch:(fun sha -> lookup_obj t sha)
+        ~store:(fun v ->
+          let sha = master_store t v in
+          (* Record the interior objects this apply created so the
+             setroot event can replicate them to every live slave:
+             value objects already ride the flush path, and with the
+             interior nodes mirrored too a takeover finds everything it
+             needs in surviving caches. *)
+          if t.cfg.setroot_interiors then delta := { Proto.osha = sha; value = v } :: !delta;
+          sha)
+        ~root:t.root
+        (List.map (fun (tp : Proto.tuple) -> (tp.Proto.key, dirent_of tp)) tuples)
+  in
   let rec finish () =
     if t.held <> None then
       (* A cross-shard fence has frozen this master's root: applying now
          would invalidate the frozen proposal. Park behind the hold and
          re-run at release, against the post-fence root. *)
       t.held_applies <- finish :: t.held_applies
-    else begin
-      t.apply_backlog <- t.apply_backlog - nresp;
-      trace t ~name:"apply" ?ctx:trace_ctx ~fields:[ ("tuples", Json.int ntuples) ] ();
-      let delta = ref [] in
-      let new_root =
-        if ntuples = 0 then t.root
-        else
-          Tree.apply_tuples
-            ~fetch:(fun sha -> lookup_obj t sha)
-            ~store:(fun v ->
-              let sha = master_store t v in
-              (* Record the interior objects this apply created so the
-                 setroot event can replicate them to every live slave:
-                 value objects already ride the flush path, and with the
-                 interior nodes mirrored too a takeover finds everything
-                 it needs in surviving caches. *)
-              if t.cfg.setroot_interiors then
-                delta := { Proto.osha = sha; value = v } :: !delta;
-              sha)
-            ~root:t.root
-            (List.map (fun (tp : Proto.tuple) -> (tp.Proto.key, dirent_of tp)) tuples)
-      in
-      let proposed =
-        {
-          Proto.ri_epoch = t.epoch;
-          ri_master = Session.rank t.b;
-          ri_version = (if ntuples = 0 then t.version else t.version + 1);
-          ri_root = new_root;
-        }
-      in
-      let commit () =
-        (* Adopting through [apply_root] bumps the version and wakes
-           local wait_version callers in one place. *)
-        if ntuples > 0 then apply_root t proposed;
-        let ri = current_ri t in
-        let payload = Proto.commit_reply ri in
-        List.iter (fun req -> respond_result t req (Ok payload)) respond_to;
-        if ntuples > 0 then begin
-          (* The broadcast is its own span under the commit, so the
-             descent shows up as a distinct segment of the fence
-             critical path. *)
-          let pub_ctx = child_span t trace_ctx in
-          trace t ~name:"setroot.publish" ?ctx:pub_ctx
-            ~fields:[ ("version", Json.int t.version) ]
-            ();
-          Session.publish t.b ?trace_ctx:pub_ctx
-            ~topic:(t.routing.rt_service ^ ".setroot")
-            (Proto.setroot_to_json ri ~objects:(List.rev !delta))
-        end
-      in
-      match (t.fence_hold, fence) with
-      | Some hook, Some name ->
-        (* Phase 1 of the cross-shard fence: freeze the proposed root
-           and hand it to the coordinator. Responses, adoption and the
-           setroot all wait for phase 2 (the coordinator's release),
-           so no participant — and no slave — can observe this shard's
-           epoch-E data before every shard reached epoch E. *)
-        t.held <- Some (name, nresp);
-        trace t ~name:"fence.hold" ?ctx:trace_ctx
-          ~fields:[ ("name", Json.string name); ("version", Json.int proposed.Proto.ri_version) ]
+    else
+      match apply () with
+      | exception Tree.Missing_dir sha ->
+        (* A master elected from a slave cache may lack a directory of
+           its own root. Fault it in from the peers and apply again; the
+           requests stay in the backlog meanwhile. *)
+        let fail e =
+          t.apply_backlog <- t.apply_backlog - nresp;
+          List.iter (fun req -> respond_result t req (Error e)) respond_to
+        in
+        fault_in t ?trace_ctx sha (function
+          | Ok () -> if t.master then finish () else fail "kvs: master deposed"
+          | Error e -> fail e)
+      | new_root -> commit_root new_root
+  and commit_root new_root =
+    t.apply_backlog <- t.apply_backlog - nresp;
+    trace t ~name:"apply" ?ctx:trace_ctx ~fields:[ ("tuples", Json.int ntuples) ] ();
+    let proposed =
+      {
+        Proto.ri_epoch = t.epoch;
+        ri_master = Session.rank t.b;
+        ri_version = (if ntuples = 0 then t.version else t.version + 1);
+        ri_root = new_root;
+      }
+    in
+    let commit () =
+      (* Adopting through [apply_root] bumps the version and wakes
+         local wait_version callers in one place. *)
+      if ntuples > 0 then apply_root t proposed;
+      let ri = current_ri t in
+      let payload = Proto.commit_reply ri in
+      List.iter (fun req -> respond_result t req (Ok payload)) respond_to;
+      if ntuples > 0 then begin
+        (* The broadcast is its own span under the commit, so the
+           descent shows up as a distinct segment of the fence
+           critical path. *)
+        let pub_ctx = child_span t trace_ctx in
+        trace t ~name:"setroot.publish" ?ctx:pub_ctx
+          ~fields:[ ("version", Json.int t.version) ]
           ();
-        hook ~name ~ri:proposed ~release:(fun () ->
-            match t.held with
-            | Some (n, _) when String.equal n name && t.master ->
-              t.held <- None;
-              trace t ~name:"fence.release" ~fields:[ ("name", Json.string name) ] ();
-              commit ();
-              let parked = List.rev t.held_applies in
-              t.held_applies <- [];
-              List.iter (fun k -> k ()) parked
-            | _ -> ())
-      | _ -> commit ()
-    end
+        Session.publish t.b ?trace_ctx:pub_ctx
+          ~topic:(t.routing.rt_service ^ ".setroot")
+          (Proto.setroot_to_json ri ~objects:(List.rev !delta))
+      end
+    in
+    match (t.fence_hold, fence) with
+    | Some hook, Some name ->
+      (* Phase 1 of the cross-shard fence: freeze the proposed root
+         and hand it to the coordinator. Responses, adoption and the
+         setroot all wait for phase 2 (the coordinator's release),
+         so no participant — and no slave — can observe this shard's
+         epoch-E data before every shard reached epoch E. *)
+      t.held <- Some (name, nresp);
+      trace t ~name:"fence.hold" ?ctx:trace_ctx
+        ~fields:[ ("name", Json.string name); ("version", Json.int proposed.Proto.ri_version) ]
+        ();
+      hook ~name ~ri:proposed ~release:(fun () ->
+          match t.held with
+          | Some (n, _) when String.equal n name && t.master ->
+            t.held <- None;
+            trace t ~name:"fence.release" ~fields:[ ("name", Json.string name) ] ();
+            commit ();
+            let parked = List.rev t.held_applies in
+            t.held_applies <- [];
+            List.iter (fun k -> k ()) parked
+          | _ -> ())
+    | _ -> commit ()
   in
   (* Charge the master CPU for tuple application, serialized across
      concurrent batches: this is the linear term that keeps the

@@ -35,31 +35,6 @@ let split_key key =
 
 type lookup_result = Found of Json.t | No_key | Need of Sha1.digest
 
-(* A linear scan over an 8k-entry directory would dominate a read-heavy
-   run, so large directories are searched through a name index. A
-   directory object is immutable, and every cache that holds it holds
-   the same physical value, so the index is built once per object and
-   shared by every broker. *)
-let index_threshold = 64
-
-let index_memo : (string, Json.t) Hashtbl.t Json.Memo.t = Json.Memo.create ()
-
-(* Agrees with [Json.member_opt]: the first binding of a name wins. *)
-let find_entry dir name =
-  match dir with
-  | Json.Obj { fields = entries; _ } when List.compare_length_with entries index_threshold >= 0 ->
-    let index =
-      match Json.Memo.find index_memo dir with
-      | Some index -> index
-      | None ->
-        let index = Hashtbl.create (List.length entries) in
-        List.iter (fun (k, v) -> if not (Hashtbl.mem index k) then Hashtbl.add index k v) entries;
-        Json.Memo.add index_memo dir index;
-        index
-    in
-    Hashtbl.find_opt index name
-  | _ -> Json.member_opt name dir
-
 let lookup ~fetch ~root ~key () =
   let comps = split_key key in
   let rec walk dir_sha = function
@@ -68,7 +43,7 @@ let lookup ~fetch ~root ~key () =
       match fetch dir_sha with
       | None -> Need dir_sha
       | Some dir -> (
-        match find_entry dir name with
+        match Json.member_opt name dir with
         | None -> No_key
         | Some entry -> (
           match dirent_ref entry with
@@ -128,16 +103,12 @@ let rec first_of_runs = function
   | x :: rest -> x :: first_of_runs rest
   | [] -> []
 
+exception Missing_dir of Sha1.digest
+
 let apply_tuples ~fetch ~store ~root tuples =
   let trie = trie_create () in
   List.iter (fun (key, dirent) -> trie_add trie (split_key key) dirent) tuples;
-  let fetch_dir sha =
-    match fetch sha with
-    | Some d -> d
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Tree.apply_tuples: missing directory object %s" (Sha1.short sha))
-  in
+  let fetch_dir sha = match fetch sha with Some d -> d | None -> raise (Missing_dir sha) in
   let rec rebuild dir_sha trie =
     let entries = dir_entries (fetch_dir dir_sha) in
     (* Subdirectories are rebuilt, and their objects stored, in the

@@ -64,11 +64,18 @@ type lookup_result =
 val lookup :
   fetch:(Sha1.digest -> Json.t option) -> root:Sha1.digest -> key:string -> unit -> lookup_result
 (** [lookup ~fetch ~root ~key ()] walks the path from the directory at
-    [root]. A directory of 64 or more entries is searched through a name
-    index, built once per directory object and shared by every caller
-    that fetches the same physical value (see {!Json.Memo}). *)
+    [root], finding each component with {!Json.member_opt}: a large
+    directory is searched through the name index it carries, built once
+    per directory object and shared by every cache that holds the same
+    physical value. *)
 
 (** {1 Update (master side)} *)
+
+exception Missing_dir of Sha1.digest
+(** Raised by {!apply_tuples} when [fetch] lacks a directory object on a
+    touched path. The payload is that object's digest: fetch it and
+    apply again. Objects stored before the raise stay in the store, which
+    content addressing makes harmless. *)
 
 val apply_tuples :
   fetch:(Sha1.digest -> Json.t option) ->
@@ -83,9 +90,9 @@ val apply_tuples :
     tuples win on duplicate keys, and a value beats a directory created
     by a longer key in the same batch. A path component that currently
     names a value is replaced by a directory when the update descends
-    through it. [fetch] must succeed for every directory on the touched
-    paths (the master's store is authoritative), and every directory it
-    returns must have sorted, unique names (see {!dir_entries}).
+    through it. [fetch] must find every directory on the touched paths,
+    or the apply raises {!Missing_dir}, and every directory it returns
+    must have sorted, unique names (see {!dir_entries}).
 
     The rebuild is git-style structural sharing: only the directory
     spine touched by [tuples] is reconstructed and re-stored; every

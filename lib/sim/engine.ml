@@ -2,7 +2,8 @@ module Heap = Flux_util.Heap
 
 (* One record per scheduled event: the queue entry is the caller's
    cancellation handle. Its state lets [cancel] count a cancelled entry
-   that still sits in the queue without touching the heap. *)
+   that still sits in the queue without touching the heap, and [cancel]
+   swaps [fn] for a no-op so the entry pins nothing until it drains. *)
 type t = {
   queue : handle Heap.t;
   mutable clock : float;
@@ -11,7 +12,7 @@ type t = {
   mutable compactions : int;
 }
 
-and handle = { fn : unit -> unit; eng : t; mutable state : state }
+and handle = { mutable fn : unit -> unit; eng : t; mutable state : state }
 
 (* [Queued] from scheduling until the event fires ([Idle]) or is
    cancelled. The handle [every] returns is never queued, so it starts
@@ -61,6 +62,7 @@ let cancel h =
     let t = h.eng in
     if h.state = Queued then t.cancelled_pending <- t.cancelled_pending + 1;
     h.state <- Cancelled;
+    h.fn <- ignore;
     maybe_compact t
   end
 

@@ -30,7 +30,10 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
     [Invalid_argument] if [time] is NaN or in the past. *)
 
 val cancel : handle -> unit
-(** Cancelling an already-fired or cancelled event is a no-op. *)
+(** [cancel h] keeps [h]'s event from firing and releases its callback at
+    once, so a disarmed timer that still waits in the queue keeps nothing
+    its closure captured reachable. Cancelling an already-fired or
+    cancelled event is a no-op. *)
 
 val every : t -> period:float -> (unit -> unit) -> handle
 (** [every t ~period f] fires [f] every [period] seconds starting at

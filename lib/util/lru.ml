@@ -1,10 +1,13 @@
-(* Doubly-linked list threaded through a hashtable: O(1) find/put/evict. *)
+(* Doubly-linked list threaded through a hashtable: O(1) find/put/evict.
+   Each node carries its own [Some] cell, and every link to it reuses
+   that cell, so relinking a node allocates nothing. *)
 
 type 'a node = {
   key : string;
   mutable value : 'a;
   mutable prev : 'a node option;
   mutable next : 'a node option;
+  self : 'a node option; (* [Some] of this node *)
 }
 
 type 'a t = {
@@ -47,17 +50,19 @@ let unlink c node =
 let push_front c node =
   node.next <- c.head;
   node.prev <- None;
-  (match c.head with Some h -> h.prev <- Some node | None -> c.tail <- Some node);
-  c.head <- Some node
+  (match c.head with Some h -> h.prev <- node.self | None -> c.tail <- node.self);
+  c.head <- node.self
 
 let mem c k = Hashtbl.mem c.table k
 
 let find c k =
-  match Hashtbl.find_opt c.table k with
-  | None -> None
-  | Some node ->
-    unlink c node;
-    push_front c node;
+  match Hashtbl.find c.table k with
+  | exception Not_found -> None
+  | node ->
+    if c.head != node.self then begin
+      unlink c node;
+      push_front c node
+    end;
     Some node.value
 
 let evict_lru c =
@@ -76,7 +81,7 @@ let put c k v =
     unlink c node;
     push_front c node
   | None ->
-    let node = { key = k; value = v; prev = None; next = None } in
+    let rec node = { key = k; value = v; prev = None; next = None; self = Some node } in
     Hashtbl.replace c.table k node;
     push_front c node);
   while Hashtbl.length c.table > c.capacity do

@@ -16,7 +16,9 @@ val mem : 'a t -> string -> bool
 (** [mem c k] tests presence without touching recency. *)
 
 val find : 'a t -> string -> 'a option
-(** [find c k] returns the value and marks [k] most recently used. *)
+(** [find c k] returns the value and marks [k] most recently used. A hit
+    allocates only the returned option: moving the entry to the front
+    relinks it in place. *)
 
 val put : 'a t -> string -> 'a -> unit
 (** [put c k v] inserts or replaces, marking [k] most recently used and

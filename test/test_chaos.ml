@@ -214,6 +214,12 @@ let () =
             test_rejoin_reaches_current_version;
           Alcotest.test_case "fence atomic under master kill" `Quick
             test_fence_atomicity_under_master_kill;
+          (* At seed 348 a takeover elects a master whose store lacks a
+             directory object of its own root. Its next apply must fetch
+             the object from a peer and go on, not raise out of the
+             engine. *)
+          Alcotest.test_case "seed 348: master faults in a missing root directory" `Quick
+            (test_chaos_schedule 348);
         ] );
       ("determinism", [ Alcotest.test_case "same seed, same report" `Quick test_chaos_deterministic ]);
       ("validate", [ Alcotest.test_case "rejects no clients" `Quick test_rejects_no_clients ]);

@@ -267,20 +267,38 @@ let prop_size =
       && Json.serialized_size (Json.list [ v; v ]) = (2 * size) + 3
       && Json.serialized_size (Json.of_string printed) = size)
 
-(* The memo's hash reads the lengths in a key, so a container added
-   while its length is unknown must still be found once the size model
-   or the printer has stored it. *)
-let test_memo_keys_measured_later () =
-  let memo = Json.Memo.create () in
-  let fresh name = Json.obj [ (name, Json.list [ Json.int 1; Json.obj [ ("k", Json.null) ] ]) ] in
-  let sized = fresh "sized" and printed = fresh "printed" in
-  Json.Memo.add memo sized "sized";
-  Json.Memo.add memo printed "printed";
-  ignore (Json.serialized_size sized : int);
-  ignore (Json.to_string printed : string);
-  let found = Alcotest.(option string) in
-  check found "after serialized_size" (Some "sized") (Json.Memo.find memo sized);
-  check found "after print" (Some "printed") (Json.Memo.find memo printed)
+(* Names repeat and probes miss, on objects on both sides of the
+   64-field point where a lookup builds the name index. Every lookup
+   must give the first binding before and after the index exists, and
+   the index must not show through equality, order, printing or size. *)
+let prop_member_index =
+  let gen =
+    QCheck.Gen.(pair (list_size (int_range 0 200) (int_range 0 299)) (list_size (int_range 1 40) (int_range 0 319)))
+  in
+  QCheck.Test.make ~name:"member agrees with List.assoc_opt, indexed or not" ~count:200
+    (QCheck.make ~print:QCheck.Print.(pair (list int) (list int)) gen) (fun (names, probes) ->
+      let fields = List.mapi (fun i n -> (Printf.sprintf "k%d" n, Json.int i)) names in
+      let v = Json.obj fields in
+      let agrees k =
+        let expect = List.assoc_opt k fields in
+        Option.equal Json.equal (Json.member_opt k v) expect
+        && Json.mem k v = Option.is_some expect
+        &&
+        match Json.member k v with
+        | x -> Option.equal Json.equal (Some x) expect
+        | exception Json.Type_error _ -> Option.is_none expect
+      in
+      let keys = List.map (Printf.sprintf "k%d") probes in
+      let copy = Json.obj fields in
+      List.for_all agrees keys
+      && agrees "absent"
+      && List.for_all agrees keys
+      && List.for_all (fun (k, _) -> agrees k) fields
+      && Json.equal v copy
+      && Json.compare v copy = 0
+      && Json.compare copy v = 0
+      && String.equal (Json.to_string v) (Json.to_string copy)
+      && Json.serialized_size v = Json.serialized_size copy)
 
 let prop_compare_consistent =
   QCheck.Test.make ~name:"compare consistent with equal" ~count:200
@@ -325,7 +343,6 @@ let () =
           Alcotest.test_case "exact size" `Quick test_size_model;
           Alcotest.test_case "pad" `Quick test_pad;
           Alcotest.test_case "pad_unique" `Quick test_pad_unique;
-          Alcotest.test_case "memo keys measured later" `Quick test_memo_keys_measured_later;
         ] );
-      qsuite "props" [ prop_roundtrip; prop_size; prop_compare_consistent ];
+      qsuite "props" [ prop_roundtrip; prop_size; prop_compare_consistent; prop_member_index ];
     ]

@@ -115,14 +115,24 @@ let test_lookup_reports_missing () =
   let root = Tree.apply_tuples ~fetch ~store ~root:Tree.empty_dir_sha [ ("a.b", Tree.dirent_file sv) ] in
   (* A fetch that pretends the value object is missing. *)
   let fetch' sha = if Sha1.equal sha sv then None else fetch sha in
-  match Tree.lookup ~fetch:fetch' ~root ~key:"a.b" () with
+  (match Tree.lookup ~fetch:fetch' ~root ~key:"a.b" () with
   | Tree.Need sha -> check bool "names the missing object" true (Sha1.equal sha sv)
-  | _ -> Alcotest.fail "expected Need"
+  | _ -> Alcotest.fail "expected Need");
+  (* An apply through a directory the store lacks names that directory. *)
+  let dir_a =
+    match Tree.dirent_ref (List.assoc "a" (Tree.dir_entries (Option.get (fetch root)))) with
+    | `Dir d -> d
+    | `File _ | `Val _ -> Alcotest.fail "a is a directory"
+  in
+  let fetch'' sha = if Sha1.equal sha dir_a then None else fetch sha in
+  Alcotest.check_raises "apply names the missing directory" (Tree.Missing_dir dir_a) (fun () ->
+      ignore (Tree.apply_tuples ~fetch:fetch'' ~store ~root [ ("a.c", Tree.dirent_file sv) ] : Sha1.digest))
 
 (* Up to 200 names spread over 1-4 directories, so some directories
-   cross the 64-entry size at which lookups switch to a name index. Two
-   batches: the second rebuilds the directories the first created, and
-   both snapshots must still answer every name, present or absent. *)
+   grow past 64 entries and lookups there build [Json]'s per-object name
+   index. Two batches: the second rebuilds the directories the first
+   created, and both snapshots must still answer every name, present or
+   absent. *)
 let prop_tree_many_keys =
   let names = 200 in
   QCheck.Test.make ~name:"bulk apply then lookup" ~count:30

@@ -43,6 +43,26 @@ let test_engine_cancel () =
   Engine.run eng;
   check bool "cancelled" false !fired
 
+(* The callback captures a fresh block and nothing else holds it. *)
+let[@inline never] schedule_capturing eng w =
+  let payload = Bytes.create 64 in
+  Weak.set w 0 (Some payload);
+  Engine.schedule eng ~delay:1.0 (fun () -> ignore (Sys.opaque_identity payload))
+
+(* A disarmed deadline waits in the queue until the queue drains past
+   it; meanwhile it must not keep what its callback captured alive. *)
+let test_engine_cancel_releases () =
+  let eng = Engine.create () in
+  let w = Weak.create 1 in
+  let h = schedule_capturing eng w in
+  ignore (Engine.schedule eng ~delay:2.0 ignore : Engine.handle);
+  Engine.cancel h;
+  Gc.full_major ();
+  check bool "captured block collected" false (Weak.check w 0);
+  check int "entry not compacted away" 0 (Engine.compactions eng);
+  Engine.run eng;
+  check int "only the live event fired" 1 (Engine.events_executed eng)
+
 let test_engine_nested_schedule () =
   let eng = Engine.create () in
   let times = ref [] in
@@ -370,6 +390,7 @@ let () =
           Alcotest.test_case "time order" `Quick test_engine_order;
           Alcotest.test_case "fifo ties" `Quick test_engine_fifo_ties;
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "cancel releases the callback" `Quick test_engine_cancel_releases;
           Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
           Alcotest.test_case "run until" `Quick test_engine_until;
           Alcotest.test_case "every" `Quick test_engine_every;

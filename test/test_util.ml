@@ -221,6 +221,23 @@ let test_lru_mem_no_touch () =
   (* mem must not refresh recency, so "a" is the eviction victim *)
   check bool "a evicted" false (Lru.mem c "a")
 
+(* A slave cache hit moves the entry to the front. That relinking must
+   not allocate: only the returned option may. *)
+let test_lru_hit_allocation () =
+  let c = Lru.create ~capacity:8 in
+  let keys = [| "a"; "b"; "c" |] in
+  Array.iter (fun k -> Lru.put c k k) keys;
+  ignore (Lru.find c "c" : string option);
+  let hits = 300 in
+  let before = Gc.minor_words () in
+  (* Cycling a, b, c: each key found is not at the head. *)
+  for i = 0 to hits - 1 do
+    ignore (Sys.opaque_identity (Lru.find c keys.(i mod 3)))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int hits in
+  check bool (Printf.sprintf "%.2f words per hit, at most 2" words) true (words <= 2.0);
+  check (Alcotest.option Alcotest.string) "order kept" (Some "b") (Lru.find c "b")
+
 let prop_lru_capacity =
   QCheck.Test.make ~name:"lru never exceeds capacity" ~count:100
     QCheck.(pair (int_range 1 20) (small_list (string_of_size Gen.(return 3))))
@@ -450,6 +467,7 @@ let () =
           Alcotest.test_case "update in place" `Quick test_lru_update_in_place;
           Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "mem does not touch" `Quick test_lru_mem_no_touch;
+          Alcotest.test_case "hit allocates only the option" `Quick test_lru_hit_allocation;
         ] );
       qsuite "lru-props" [ prop_lru_capacity ];
       ( "stats",
