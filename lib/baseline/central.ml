@@ -18,10 +18,6 @@ type t = {
   jids : Flux_util.Idgen.t;
 }
 
-(* The same decision-cost model as Flux instances, so comparisons
-   isolate the architecture, not the constants. *)
-let cost = Instance.default_cost_model
-
 let create eng ~nnodes ?(policy = "fcfs") () =
   {
     eng;
@@ -40,11 +36,12 @@ let rec kick t =
   if not t.sched_armed then begin
     t.sched_armed <- true;
     (* The monolithic controller pays for the entire center's resources
-       and the entire center's queue, on one CPU. *)
+       and the entire center's queue, on one CPU, at the cost of a Flux
+       instance's cycle, so comparisons isolate the architecture, not
+       the constants. *)
     let cost =
-      cost.Instance.decision_base
-      +. (cost.Instance.decision_per_node *. float_of_int (Pool.total_nodes t.pool))
-      +. (cost.Instance.decision_per_job *. float_of_int (List.length t.queue))
+      Instance.cycle_cost ~decision_per_job:Instance.decision_per_job
+        ~nodes:(Pool.total_nodes t.pool) ~queued:(List.length t.queue)
     in
     let start = Float.max (Engine.now t.eng) t.cpu_free_at in
     t.cpu_free_at <- start +. cost;
@@ -67,7 +64,7 @@ and cycle t =
         match Pool.try_grant t.pool ~spec:job.Job.spec ~nnodes:s_nnodes with
         | Some grant ->
           t.cpu_free_at <-
-            Float.max (Engine.now t.eng) t.cpu_free_at +. cost.Instance.start_cost;
+            Float.max (Engine.now t.eng) t.cpu_free_at +. Instance.start_cost;
           t.queue <- List.filter (fun j -> j != job) t.queue;
           job.Job.granted_nodes <- grant.Pool.g_nodes;
           Job.set_state job ~now:(Engine.now t.eng) Job.Allocated;

@@ -12,9 +12,11 @@ type t
 val create : Flux_sim.Engine.t -> nnodes:int -> ?policy:string -> unit -> t
 (** A controller over [nnodes] nodes. No comms session is modeled —
     the traditional design keeps its own monolithic daemon
-    infrastructure; decision costs use Flux instances' default model
-    ({!Flux_core.Instance.default_cost_model}) so comparisons isolate
-    the architecture, not the constants. *)
+    infrastructure; a cycle and a job start cost what they cost a Flux
+    instance ({!Flux_core.Instance.cycle_cost} at the default
+    {!Flux_core.Instance.decision_per_job}, and
+    {!Flux_core.Instance.start_cost}), so comparisons isolate the
+    architecture, not the constants. *)
 
 val submit_plan : t -> Flux_core.Job.submission list -> unit
 (** Feed a workload ([Sleep] payloads only — the baseline cannot nest). *)

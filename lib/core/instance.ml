@@ -5,24 +5,15 @@ module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Wexec = Flux_modules.Wexec
 
-type cost_model = {
-  decision_base : float;
-  decision_per_node : float;
-  decision_per_job : float;
-  start_cost : float;
-  bootstrap_base : float;
-  bootstrap_per_node : float;
-}
+(* The scheduler cost model. Only the per-job decision cost varies
+   between instances. *)
+let decision_per_job = 20e-6
+let start_cost = 10e-3
+let bootstrap_base = 2e-3
+let bootstrap_per_node = 100e-6
 
-let default_cost_model =
-  {
-    decision_base = 500e-6;
-    decision_per_node = 2e-6;
-    decision_per_job = 20e-6;
-    start_cost = 10e-3;
-    bootstrap_base = 2e-3;
-    bootstrap_per_node = 100e-6;
-  }
+let cycle_cost ~decision_per_job ~nodes ~queued =
+  500e-6 +. (2e-6 *. float_of_int nodes) +. (decision_per_job *. float_of_int queued)
 
 type t = {
   i_name : string;
@@ -30,7 +21,7 @@ type t = {
   sess : Session.t;
   i_pool : Pool.t;
   mutable i_policy : (module Policy.S);
-  cost : cost_model;
+  decision_per_job : float;
   provenance : bool;
   i_parent : t option;
   mutable i_children : t list;
@@ -173,9 +164,8 @@ let rec kick t =
   if not t.sched_armed then begin
     t.sched_armed <- true;
     let cost =
-      t.cost.decision_base
-      +. (t.cost.decision_per_node *. float_of_int (Pool.total_nodes t.i_pool))
-      +. (t.cost.decision_per_job *. float_of_int (List.length t.queue))
+      cycle_cost ~decision_per_job:t.decision_per_job ~nodes:(Pool.total_nodes t.i_pool)
+        ~queued:(List.length t.queue)
     in
     let start = Float.max (Engine.now t.eng) t.cpu_free_at in
     t.cpu_free_at <- start +. cost;
@@ -202,7 +192,7 @@ and cycle t =
         | Some grant ->
           started_any := true;
           t.cpu_free_at <-
-            Float.max (Engine.now t.eng) t.cpu_free_at +. t.cost.start_cost;
+            Float.max (Engine.now t.eng) t.cpu_free_at +. start_cost;
           t.queue <- List.filter (fun j -> j != job) t.queue;
           job.Job.granted_nodes <- grant.Pool.g_nodes;
           span_job t job ~name:"match"
@@ -389,8 +379,7 @@ and launch t job grant =
 
 and boot_child t child ~grant ~workload =
     let boot =
-      t.cost.bootstrap_base
-      +. (t.cost.bootstrap_per_node *. float_of_int (List.length grant.Pool.g_nodes))
+      bootstrap_base +. (bootstrap_per_node *. float_of_int (List.length grant.Pool.g_nodes))
     in
     ignore
       (Engine.schedule t.eng ~delay:boot (fun () ->
@@ -408,7 +397,7 @@ and create_child t ~policy ~sess ~nested ~nodes ~power_budget ~job ~grant =
       sess;
       i_pool = Pool.create ~nodes ~power_budget ();
       i_policy = Policy.by_name policy;
-      cost = t.cost;
+      decision_per_job = t.decision_per_job;
       provenance = t.provenance;
       i_parent = Some t;
       i_children = [];
@@ -600,7 +589,7 @@ let set_power_cap t w =
 
 (* --- Construction ----------------------------------------------------------------- *)
 
-let create_root sess ?(policy = "fcfs") ?(cost_model = default_cost_model)
+let create_root sess ?(policy = "fcfs") ?(decision_per_job = decision_per_job)
     ?(power_budget = infinity) ?(fs_bandwidth = infinity) ?(provenance = false) ~name () =
   {
     i_name = name;
@@ -610,7 +599,7 @@ let create_root sess ?(policy = "fcfs") ?(cost_model = default_cost_model)
       Pool.create ~nodes:(List.init (Session.size sess) Fun.id) ~power_budget
         ~fs_bandwidth ();
     i_policy = Policy.by_name policy;
-    cost = cost_model;
+    decision_per_job;
     provenance;
     i_parent = None;
     i_children = [];

@@ -18,24 +18,30 @@
 
 type t
 
-type cost_model = {
-  decision_base : float;  (** seconds per scheduling cycle *)
-  decision_per_node : float;  (** + this x pool size *)
-  decision_per_job : float;  (** + this x queue length *)
-  start_cost : float;
-      (** serialized controller work per job start (launch bureaucracy:
-          prolog, credential, RPCs) — the per-job throughput limit of a
-          monolithic controller *)
-  bootstrap_base : float;  (** creating a child instance *)
-  bootstrap_per_node : float;  (** + this x child nodes *)
-}
+(** {1 Scheduler cost model}
 
-val default_cost_model : cost_model
+    A scheduling cycle costs 500 us, plus 2 us per pool node, plus
+    {!decision_per_job} per queued job, serialized on the instance's
+    scheduler CPU. Every job start adds {!start_cost} of serialized
+    controller work, and creating a child instance costs 2 ms plus
+    100 us per child node. Only the per-job decision cost is settable,
+    per root instance, and children inherit it. *)
+
+val decision_per_job : float
+(** The default per-job decision cost, 20 us. *)
+
+val start_cost : float
+(** Controller work per job start, 10 ms (launch bureaucracy: prolog,
+    credential, RPCs) — the per-job throughput limit of a monolithic
+    controller. *)
+
+val cycle_cost : decision_per_job:float -> nodes:int -> queued:int -> float
+(** One scheduling cycle over [nodes] pool nodes and [queued] jobs. *)
 
 val create_root :
   Flux_cmb.Session.t ->
   ?policy:string ->
-  ?cost_model:cost_model ->
+  ?decision_per_job:float ->
   ?power_budget:float ->
   ?fs_bandwidth:float ->
   ?provenance:bool ->

@@ -69,7 +69,7 @@ let slope_threshold = 3.0
    200 ms mean task, so goodput plateaus; an unbounded queue in the
    hundreds pushes cycles past the task duration and the collapse feeds
    itself. *)
-let cost_model = { Instance.default_cost_model with Instance.decision_per_job = 2e-3 }
+let decision_per_job = 2e-3
 
 (* No grow may fire later than this after arrivals stop. *)
 let converge_margin = 1.0
@@ -200,7 +200,7 @@ let run cfg =
     ignore (Engine.schedule eng ~delay:at (fun () -> Tmod.stop telem) : Engine.handle)
   | None -> ());
   let root =
-    Instance.create_root sess ~policy:"fcfs" ~cost_model ~name:"elastic" ()
+    Instance.create_root sess ~policy:"fcfs" ~decision_per_job ~name:"elastic" ()
   in
   Instance.set_tracer root (Some tracer);
   (* The worker child: carved from the root, kept alive past the

@@ -23,7 +23,7 @@ type config = {
   duration : float;
   profile : profile;
   flow : Session.flow_config option;
-  link_limits : Net.queue_limits option;
+  link_limits : int option;
   kvs : Kvs.config;
   chaos_kill : bool;
   telem : bool; (* run the live telemetry plane in-band with the soak *)
@@ -62,7 +62,7 @@ let default =
        100 us/op is a 25.6 ms pipe — deep enough to saturate the master,
        shallow enough that admission control still gets exercised. *)
     flow = Some { Session.flow_credits = 256; flow_stash = 512 };
-    link_limits = Some { Net.max_msgs = 512; max_bytes = max_int; policy = Net.Block };
+    link_limits = Some 512;
     (* A 100 us serial apply makes the master's capacity 10k ops/s —
        small enough to saturate with a short virtual-time run. *)
     kvs =
@@ -233,10 +233,9 @@ let check_bounds st =
       History.violate st.h "flow stash hwm %d exceeds bound %d" hwm fc.Session.flow_stash
   | None -> ());
   (match st.cfg.link_limits with
-  | Some l ->
+  | Some cap ->
     let hwm = Net.max_link_depth_hwm (Session.rpc_net st.sess) in
-    if hwm > l.Net.max_msgs then
-      History.violate st.h "link depth hwm %d exceeds bound %d" hwm l.Net.max_msgs
+    if hwm > cap then History.violate st.h "link depth hwm %d exceeds bound %d" hwm cap
   | None -> ());
   if st.cfg.kvs.Kvs.admission_max_intake > 0 then begin
     let hwm = Kvs.intake_hwm st.kvs.(0) in

@@ -53,7 +53,7 @@ type config = {
   duration : float;  (** injection window, virtual seconds *)
   profile : profile;
   flow : Session.flow_config option;  (** TBON credit window; [None] = off *)
-  link_limits : Net.queue_limits option;  (** RPC-plane caps; [None] = off *)
+  link_limits : int option;  (** RPC-plane in-flight messages per link; [None] = off *)
   kvs : Kvs.config;  (** admission control lives here *)
   chaos_kill : bool;
       (** overlay one interior-rank kill/revive mid-run, proving the

@@ -6,6 +6,7 @@ module Topic = Flux_cmb.Topic
 module Engine = Flux_sim.Engine
 module Lru = Flux_util.Lru
 module Tracer = Flux_trace.Tracer
+module Collective = Flux_cmb.Collective
 module Metrics = Flux_trace.Metrics
 
 type config = {
@@ -27,32 +28,15 @@ let default_config =
 
 let replicated_config = { default_config with setroot_interiors = true }
 
-let fence_window = 200e-6
 let put_cpu = 1e-6
 let hash_cpu_per_byte = 1.5e-9
 let inline_threshold = 256
 
-(* Fence aggregation state at a slave (or interior) instance. *)
-type fence_state = {
-  mutable fs_count : int; (* contributions accumulated, not yet forwarded *)
-  mutable fs_tuples : Proto.tuple list; (* reversed *)
-  fs_objects : (string, Json.t) Hashtbl.t; (* sha-hex -> value (deduplicated) *)
-  mutable fs_heard : int list; (* child ranks heard from since fence start *)
-  mutable fs_pending : Message.t list; (* requests awaiting fence completion *)
-  mutable fs_timer_armed : bool;
-  mutable fs_last_arrival : float;
-  fs_nprocs : int;
-  mutable fs_retries : int; (* upstream forwards that came back failed *)
-  mutable fs_ctx : Tracer.ctx option; (* causal parent of this batch's flush *)
-}
-
-type master_fence = {
-  mutable mf_count : int;
-  mutable mf_tuples : Proto.tuple list;
-  mf_objects : (string, Json.t) Hashtbl.t;
-  mutable mf_pending : Message.t list;
-  mf_nprocs : int;
-  mutable mf_ctx : Tracer.ctx option; (* first contribution's span *)
+(* A fence's content since its last forward: the tuples (reversed) and
+   the value objects, deduplicated by sha. *)
+type fence = {
+  mutable tuples : Proto.tuple list;
+  objects : (string, Json.t) Hashtbl.t; (* sha-hex -> value *)
 }
 
 type routing = {
@@ -61,15 +45,6 @@ type routing = {
   rt_parent : master:int -> int option;
   rt_children : master:int -> int list;
   rt_direct : bool;
-}
-
-(* Receiver-side duplicate suppression for retransmitted flushes.  The
-   first arrival of ([origin], [fid]) registers an entry; retransmits
-   that land while the original is still being processed wait on it, and
-   retransmits after completion get the recorded result. *)
-type flush_dup = {
-  mutable fd_result : (Json.t, string) result option;
-  mutable fd_waiting : Message.t list;
 }
 
 (* While frozen (a takeover or rejoin is reconstructing authoritative
@@ -93,12 +68,10 @@ type t = {
   mutable version : int;
   dirty_objs : (string, Json.t) Hashtbl.t; (* objects pinned until flushed *)
   pending_loads : (string, ((unit, string) result -> unit) list ref) Hashtbl.t;
-  fences : (string, fence_state) Hashtbl.t;
-  master_fences : (string, master_fence) Hashtbl.t;
+  fences : fence Collective.t; (* open below the master, accumulating at it *)
   mutable version_waiters : (int * Message.t) list;
   mutable cpu_free_at : float; (* serializes local put hashing *)
-  mutable next_fid : int; (* stamps outgoing flushes for dedup *)
-  flush_seen : (int * int, flush_dup) Hashtbl.t; (* (origin, fid) *)
+  dedup : Collective.dedup; (* flushes, commits and fences stamped with a [fid] *)
   mutable bytes_held : int;
   mutable n_loads_issued : int;
   mutable apply_backlog : int; (* requests awaiting a scheduled master apply *)
@@ -251,88 +224,15 @@ let send_up t ?timeout ?idempotent ?trace_ctx ~method_ payload ~reply =
 
 (* --- Flush duplicate suppression ---------------------------------------- *)
 
-let fresh_fid t =
-  let fid = t.next_fid in
-  t.next_fid <- t.next_fid + 1;
-  fid
-
 (* A flush may be retransmitted with the same fid while the first copy is
    in flight (the response was lost, or the fence it joined is slow), so
-   applying it must be keyed on ([origin], [fid]).  [flush_dup_key]
-   extracts that key from any request that carries one.  Client-issued
-   commit and fence requests may carry a fid too (the Volumes fan-out
-   stamps one): their retransmits — a fence reply is deferred until the
-   whole collective completes, easily outliving one RPC deadline — must
-   likewise contribute exactly once. *)
-let flush_dup_key (req : Message.t) =
-  match Topic.method_ req.Message.topic with
-  | "flush" | "commit" | "fence" -> (
-    match Json.member_opt "fid" req.Message.payload with
-    | Some fj -> Some (req.Message.origin, Json.to_int fj)
-    | None -> None)
-  | _ -> None
-
-(* Drop completed dedup entries when the table grows large; in-flight
-   entries (waiters still queued) are kept so retransmits keep folding
-   into the original request. *)
-let flush_seen_compact t =
-  if Hashtbl.length t.flush_seen > 8192 then begin
-    let stale =
-      Hashtbl.fold
-        (fun key d acc ->
-          if d.fd_result <> None && d.fd_waiting = [] then key :: acc else acc)
-        t.flush_seen []
-    in
-    List.iter (Hashtbl.remove t.flush_seen) stale
-  end
-
-(* Respond to [req] and, if it carries a dedup key, record the result so
-   retransmits that arrived meanwhile (or arrive later) are answered
-   without being re-applied. *)
-let respond_result t (req : Message.t) result =
-  let answer q =
-    match result with
-    | Ok payload -> Session.respond t.b q payload
-    | Error e -> Session.respond_error t.b q e
-  in
-  answer req;
-  match flush_dup_key req with
-  | None -> ()
-  | Some key -> (
-    match Hashtbl.find_opt t.flush_seen key with
-    | Some d ->
-      d.fd_result <- Some result;
-      let waiting = d.fd_waiting in
-      d.fd_waiting <- [];
-      List.iter answer waiting
-    | None -> ())
-
-(* Retransmitted flushes (and fid-stamped commits/fences) must be applied
-   exactly once: the first arrival of an ([origin], [fid]) pair registers
-   a dedup entry and is processed; later copies are answered from the
-   recorded result, or queued behind the in-flight original. Returns
-   [true] when [req] was a duplicate. *)
-let flush_duplicate t (req : Message.t) fid =
-  fid >= 0
-  &&
-  let key = (req.Message.origin, fid) in
-  match Hashtbl.find_opt t.flush_seen key with
-  | Some d ->
-    (match d.fd_result with
-    | Some (Ok payload) -> Session.respond t.b req payload
-    | Some (Error e) -> Session.respond_error t.b req e
-    | None -> d.fd_waiting <- req :: d.fd_waiting);
-    true
-  | None ->
-    flush_seen_compact t;
-    Hashtbl.replace t.flush_seen key { fd_result = None; fd_waiting = [] };
-    false
-
-(* Client-stamped request id, used by commit/fence retransmit dedup. *)
-let req_fid (req : Message.t) =
-  match Json.member_opt "fid" req.Message.payload with
-  | Some f -> Json.to_int f
-  | None -> -1
+   applying it must be keyed on ([origin], [fid]). Client-issued commit
+   and fence requests may carry a fid too (the Volumes fan-out stamps
+   one): their retransmits — a fence reply is deferred until the whole
+   collective completes, easily outliving one RPC deadline — must
+   likewise contribute exactly once. No other request carries a fid. *)
+let fresh_fid t = Collective.stamp t.dedup
+let respond_result t req result = Collective.respond t.dedup req result
 
 (* --- Fault-in with coalescing ------------------------------------------- *)
 
@@ -410,12 +310,9 @@ let demote t =
      way (their senders retransmit too). *)
   t.held <- None;
   t.held_applies <- [];
-  let mfs = Hashtbl.fold (fun name mf acc -> (name, mf) :: acc) t.master_fences [] in
-  Hashtbl.reset t.master_fences;
   List.iter
-    (fun (_, mf) ->
-      List.iter (fun req -> respond_result t req (Error "kvs: master deposed")) mf.mf_pending)
-    mfs;
+    (fun req -> respond_result t req (Error "kvs: master deposed"))
+    (Collective.drop_roots t.fences);
   let entries = Hashtbl.fold (fun h v acc -> (h, v) :: acc) t.store [] in
   Hashtbl.reset t.store;
   t.bytes_held <- 0;
@@ -594,44 +491,6 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
 
 (* --- Fence handling -------------------------------------------------------- *)
 
-let fence_get t name nprocs =
-  match Hashtbl.find_opt t.fences name with
-  | Some fs -> fs
-  | None ->
-    let fs =
-      {
-        fs_count = 0;
-        fs_tuples = [];
-        fs_objects = Hashtbl.create 64;
-        fs_heard = [];
-        fs_pending = [];
-        fs_timer_armed = false;
-        fs_last_arrival = 0.0;
-        fs_nprocs = nprocs;
-        fs_retries = 0;
-        fs_ctx = None;
-      }
-    in
-    Hashtbl.replace t.fences name fs;
-    fs
-
-let master_fence_get t name nprocs =
-  match Hashtbl.find_opt t.master_fences name with
-  | Some mf -> mf
-  | None ->
-    let mf =
-      {
-        mf_count = 0;
-        mf_tuples = [];
-        mf_objects = Hashtbl.create 64;
-        mf_pending = [];
-        mf_nprocs = nprocs;
-        mf_ctx = None;
-      }
-    in
-    Hashtbl.replace t.master_fences name mf;
-    mf
-
 (* Resolve a client transaction's tuples to the pinned value objects,
    unpinning them (they remain in the ordinary cache). *)
 let resolve_objects t tuples =
@@ -656,37 +515,6 @@ let resolve_objects t tuples =
       end)
     tuples
 
-let master_fence_check t name mf =
-  if mf.mf_count >= mf.mf_nprocs then begin
-    Hashtbl.remove t.master_fences name;
-    trace t ~name:"commit.begin" ?ctx:mf.mf_ctx
-      ~fields:
-        [ ("name", Json.string name); ("tuples", Json.int (List.length mf.mf_tuples)) ]
-      ();
-    let objects =
-      Hashtbl.fold (fun h v acc -> { Proto.osha = Sha1.of_hex h; value = v } :: acc)
-        mf.mf_objects []
-    in
-    master_apply t ?trace_ctx:mf.mf_ctx ~fence:name ~tuples:(List.rev mf.mf_tuples)
-      ~objects ~respond_to:mf.mf_pending ()
-  end
-
-let master_fence_contribute t ~name ~nprocs ~count ~tuples ~objects req =
-  let mf = master_fence_get t name nprocs in
-  mf.mf_count <- mf.mf_count + count;
-  mf.mf_tuples <- List.rev_append tuples mf.mf_tuples;
-  List.iter
-    (fun (o : Proto.obj) ->
-      if not (Hashtbl.mem mf.mf_objects (hex o.Proto.osha)) then
-        Hashtbl.replace mf.mf_objects (hex o.Proto.osha) o.Proto.value)
-    objects;
-  (match req with
-  | Some r ->
-    mf.mf_pending <- r :: mf.mf_pending;
-    if mf.mf_ctx = None then mf.mf_ctx <- r.Message.trace
-  | None -> ());
-  master_fence_check t name mf
-
 (* A fence abort is terminal for the collective: the error must not be
    refolded into a retry loop (that would resurrect exactly the stale
    aggregation state the abort exists to clear), so every abort reply
@@ -699,53 +527,38 @@ let is_abort_error e =
   let rec at i = i + n <= m && (String.equal (String.sub e i n) abort_marker || at (i + 1)) in
   at 0
 
-let rec fence_forward t name fs =
-  let tuples = List.rev fs.fs_tuples in
-  let objects =
-    Hashtbl.fold (fun h v acc -> { Proto.osha = Sha1.of_hex h; value = v } :: acc)
-      fs.fs_objects []
-  in
-  let count = fs.fs_count in
-  let pending = fs.fs_pending in
-  let ctx = child_span t fs.fs_ctx in
-  fs.fs_count <- 0;
-  fs.fs_tuples <- [];
-  Hashtbl.reset fs.fs_objects;
-  fs.fs_pending <- [];
-  fs.fs_ctx <- None;
-  (* Fold the in-flight batch back into the open fence: used when a
-     forward fails (dead parent, deposed master) so the contributions
-     survive to be re-forwarded through the healed topology. *)
-  let refold () =
-    fs.fs_count <- fs.fs_count + count;
-    fs.fs_tuples <- List.rev_append tuples fs.fs_tuples;
-    List.iter
-      (fun (o : Proto.obj) ->
-        if not (Hashtbl.mem fs.fs_objects (hex o.Proto.osha)) then
-          Hashtbl.replace fs.fs_objects (hex o.Proto.osha) o.Proto.value)
-      objects;
-    fs.fs_pending <- pending @ fs.fs_pending;
-    fs.fs_last_arrival <- Engine.now t.eng
-  in
-  if t.master then begin
+let absorb (fc : fence) tuples (objects : Proto.obj list) =
+  fc.tuples <- List.rev_append tuples fc.tuples;
+  List.iter
+    (fun (o : Proto.obj) ->
+      let h = hex o.Proto.osha in
+      if not (Hashtbl.mem fc.objects h) then Hashtbl.replace fc.objects h o.Proto.value)
+    objects
+
+let fence_objects (fc : fence) =
+  Hashtbl.fold (fun h v acc -> { Proto.osha = Sha1.of_hex h; value = v } :: acc) fc.objects []
+
+let merge_fence (fc : fence) ~into = absorb into (List.rev fc.tuples) (fence_objects fc)
+
+let fence_forward t (g : fence Collective.group) (batch : fence Collective.batch) =
+  let name = g.Collective.name and count = batch.Collective.b_count in
+  let parked = batch.Collective.b_parked in
+  let ctx = child_span t batch.Collective.b_ctx in
+  if t.master then
     (* Elected mid-fence: the contributions this instance was
        aggregating as a slave terminate here now. *)
-    let mf = master_fence_get t name fs.fs_nprocs in
-    mf.mf_count <- mf.mf_count + count;
-    mf.mf_tuples <- List.rev_append tuples mf.mf_tuples;
-    List.iter
-      (fun (o : Proto.obj) ->
-        if not (Hashtbl.mem mf.mf_objects (hex o.Proto.osha)) then
-          Hashtbl.replace mf.mf_objects (hex o.Proto.osha) o.Proto.value)
-      objects;
-    mf.mf_pending <- pending @ mf.mf_pending;
-    if fs.fs_count = 0 && fs.fs_pending = [] then Hashtbl.remove t.fences name;
-    master_fence_check t name mf
-  end
+    Collective.to_root t.fences g batch
   else begin
+    let fc = batch.Collective.b_content in
     let payload =
       Proto.flush_to_json
-        { Proto.fence = Some (name, fs.fs_nprocs); count; fid = fresh_fid t; tuples; objects }
+        {
+          Proto.fence = Some (name, g.Collective.nprocs);
+          count;
+          fid = fresh_fid t;
+          tuples = List.rev fc.tuples;
+          objects = fence_objects fc;
+        }
     in
     trace t ~name:"flush.forward" ?ctx
       ~fields:[ ("name", Json.string name); ("count", Json.int count) ]
@@ -758,8 +571,8 @@ let rec fence_forward t name fs =
         (match r with
         | Ok reply ->
           apply_root t (Proto.commit_reply_decode reply);
-          List.iter (fun req -> respond_result t req (Ok reply)) pending
-        | Error e when fs.fs_retries < 12 && not (is_abort_error e) ->
+          List.iter (fun req -> respond_result t req (Ok reply)) parked
+        | Error e when g.Collective.failures < 12 && not (is_abort_error e) ->
           (* Failover-transient errors (the parent died mid-collective,
              the master was deposed, the successor is still freezing, a
              busy budget ran out): keep the contributions and try again
@@ -767,76 +580,37 @@ let rec fence_forward t name fs =
              degrade to latency, not errors. (Abort errors are terminal:
              refolding them would re-register the very state the abort
              cleared.) *)
-          fs.fs_retries <- fs.fs_retries + 1;
-          refold ();
+          Collective.retry t.fences g batch ~delay:(fun n ->
+              Float.min 1.0 (0.005 *. (2.0 ** float_of_int n)));
           trace t ~name:"flush.retry"
             ~fields:
               [
                 ("name", Json.string name);
-                ("attempt", Json.int fs.fs_retries);
+                ("attempt", Json.int g.Collective.failures);
                 ("error", Json.string e);
               ]
-            ();
-          arm_fence_timer t name fs
-            (Float.min 1.0 (0.005 *. (2.0 ** float_of_int fs.fs_retries)))
-        | Error e -> List.iter (fun req -> respond_result t req (Error e)) pending);
-        if fs.fs_count = 0 && fs.fs_pending = [] then Hashtbl.remove t.fences name)
+            ()
+        | Error e -> List.iter (fun req -> respond_result t req (Error e)) parked);
+        Collective.close t.fences g)
   end
 
-(* Forwarding policy: forward as soon as the subtree is known complete;
-   otherwise wait until every live child has contributed and the fence
-   has gone quiet for half a window (so locally staggered enters batch
-   into one message); a subtree with silent children forwards after two
-   full windows of quiet so sparse fences cannot deadlock. *)
-and fence_check_ready t name fs =
-  if fs.fs_count > 0 then begin
-    let children = t.routing.rt_children ~master:t.master_rank in
-    let all_heard = List.for_all (fun c -> List.mem c fs.fs_heard) children in
-    let idle = Engine.now t.eng -. fs.fs_last_arrival in
-    let complete = fs.fs_count >= fs.fs_nprocs in
-    if
-      complete
-      || (all_heard && idle >= fence_window /. 2.0)
-      || idle >= 2.0 *. fence_window
-    then fence_forward t name fs
-    else arm_fence_timer t name fs (fence_window /. 4.0)
-  end
-
-and arm_fence_timer t name fs delay =
-  if not fs.fs_timer_armed then begin
-    fs.fs_timer_armed <- true;
-    ignore
-      (Engine.schedule t.eng ~delay (fun () ->
-           fs.fs_timer_armed <- false;
-           fence_check_ready t name fs)
-        : Engine.handle)
-  end
+(* The master has heard every contribution: apply the batch. *)
+let fence_complete t (g : fence Collective.group) ~last:_ =
+  let name = g.Collective.name and fc = g.Collective.content in
+  let ctx = g.Collective.ctx in
+  trace t ~name:"commit.begin" ?ctx
+    ~fields:[ ("name", Json.string name); ("tuples", Json.int (List.length fc.tuples)) ]
+    ();
+  master_apply t ?trace_ctx:ctx ~fence:name ~tuples:(List.rev fc.tuples)
+    ~objects:(fence_objects fc) ~respond_to:g.Collective.parked ()
 
 let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
-  if t.master then master_fence_contribute t ~name ~nprocs ~count ~tuples ~objects req
-  else begin
-    let fs = fence_get t name nprocs in
-    fs.fs_count <- fs.fs_count + count;
-    fs.fs_tuples <- List.rev_append tuples fs.fs_tuples;
-    List.iter
-      (fun (o : Proto.obj) ->
-        (* Write-through caching: objects passing by stay in the cache. *)
-        cache_put t o.Proto.osha o.Proto.value;
-        if not (Hashtbl.mem fs.fs_objects (hex o.Proto.osha)) then
-          Hashtbl.replace fs.fs_objects (hex o.Proto.osha) o.Proto.value)
-      objects;
-    (match from_child with
-    | Some c -> if not (List.mem c fs.fs_heard) then fs.fs_heard <- c :: fs.fs_heard
-    | None -> ());
-    (match req with
-    | Some r ->
-      fs.fs_pending <- r :: fs.fs_pending;
-      if fs.fs_ctx = None then fs.fs_ctx <- r.Message.trace
-    | None -> ());
-    fs.fs_last_arrival <- Engine.now t.eng;
-    if fs.fs_count >= fs.fs_nprocs then fence_check_ready t name fs
-    else arm_fence_timer t name fs (fence_window /. 2.0)
-  end
+  (* Write-through caching: objects passing by a slave stay in its cache. *)
+  if not t.master then
+    List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
+  Collective.contribute t.fences ~name ~nprocs ~count ~from_child
+    ~add:(fun fc -> absorb fc tuples objects)
+    req
 
 (* --- Request handlers -------------------------------------------------------- *)
 
@@ -928,7 +702,7 @@ let handle_commit t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
   | Ok tuples ->
-    if not (flush_duplicate t req (req_fid req)) then begin
+    if not (Collective.duplicate t.dedup req) then begin
       let objects = resolve_objects t tuples in
       if t.master then
         master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
@@ -950,14 +724,14 @@ let handle_fence t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
   | Ok tuples ->
-    if not (flush_duplicate t req (req_fid req)) then begin
+    if not (Collective.duplicate t.dedup req) then begin
       let name = Json.to_string_v (Json.member "name" req.Message.payload) in
       let nprocs = Json.to_int (Json.member "nprocs" req.Message.payload) in
       let objects = resolve_objects t tuples in
       trace t ~name:"fence.enter" ?ctx:req.Message.trace
         ~fields:[ ("name", Json.string name) ]
         ();
-      fence_contribute t ~name ~nprocs ~count:1 ~tuples ~objects ~from_child:None (Some req)
+      fence_contribute t ~name ~nprocs ~count:1 ~tuples ~objects ~from_child:None req
     end
 
 (* A participant abandoned the fence (its client-side deadline fired):
@@ -975,26 +749,11 @@ let handle_fenceabort t (req : Message.t) =
   let held_here = match t.held with Some (n, _) -> String.equal n name | None -> false in
   if not held_here then begin
     trace t ~name:"fence.abort" ?ctx:req.Message.trace ~fields:[ ("name", Json.string name) ] ();
-    (match Hashtbl.find_opt t.fences name with
-    | Some fs ->
-      let parked = fs.fs_pending in
-      fs.fs_count <- 0;
-      fs.fs_tuples <- [];
-      Hashtbl.reset fs.fs_objects;
-      fs.fs_pending <- [];
-      fs.fs_ctx <- None;
-      Hashtbl.remove t.fences name;
-      metric_incr t "kvs.fence.abort";
-      List.iter (fun r -> respond_result t r (Error (fence_abort_error name))) parked
-    | None -> ());
-    if t.master then begin
-      match Hashtbl.find_opt t.master_fences name with
-      | Some mf ->
-        Hashtbl.remove t.master_fences name;
+    List.iter
+      (fun parked ->
         metric_incr t "kvs.fence.abort";
-        List.iter (fun r -> respond_result t r (Error (fence_abort_error name))) mf.mf_pending
-      | None -> ()
-    end
+        List.iter (fun r -> respond_result t r (Error (fence_abort_error name))) parked)
+      (Collective.withdraw t.fences name)
   end;
   if t.master || held_here then Session.respond t.b req Json.null
   else
@@ -1045,13 +804,13 @@ let handle_mput t (req : Message.t) =
 
 let handle_flush t (req : Message.t) =
   let f = Proto.flush_of_json req.Message.payload in
-  if not (flush_duplicate t req f.Proto.fid) then begin
+  if not (Collective.duplicate t.dedup req) then begin
     (* [origin] is the rank of the child kvs instance that forwarded. *)
     let from_child = Some req.Message.origin in
     match f.Proto.fence with
     | Some (name, nprocs) ->
       fence_contribute t ~name ~nprocs ~count:f.Proto.count ~tuples:f.Proto.tuples
-        ~objects:f.Proto.objects ~from_child (Some req)
+        ~objects:f.Proto.objects ~from_child req
     | None ->
       if t.master then
         master_apply t ?trace_ctx:req.Message.trace ~tuples:f.Proto.tuples
@@ -1210,9 +969,7 @@ let intake_depth t =
   let held =
     (match t.held with Some (_, n) -> n | None -> 0) + List.length t.held_applies
   in
-  Hashtbl.fold
-    (fun _ mf acc -> acc + List.length mf.mf_pending)
-    t.master_fences (t.apply_backlog + held)
+  Collective.parked_at_root t.fences + t.apply_backlog + held
 
 let write_method = function
   | "commit" | "fence" | "mput" | "flush" -> true
@@ -1258,14 +1015,14 @@ let joins_open_fence t m (req : Message.t) =
   match m with
   | "fence" -> (
     match Json.member_opt "name" req.Message.payload with
-    | Some n -> Hashtbl.mem t.master_fences (Json.to_string_v n)
+    | Some n -> Collective.open_at_root t.fences (Json.to_string_v n)
     | None -> false)
   | "flush" -> (
     match Json.member_opt "fence" req.Message.payload with
     | None | Some Json.Null -> false
     | Some fj -> (
       match Json.member_opt "name" fj with
-      | Some n -> Hashtbl.mem t.master_fences (Json.to_string_v n)
+      | Some n -> Collective.open_at_root t.fences (Json.to_string_v n)
       | None -> false))
   | _ -> false
 
@@ -1381,8 +1138,7 @@ let begin_takeover t =
 let begin_rejoin t =
   if t.master then demote t;
   t.frozen <- Some (Rejoin, ref []);
-  Hashtbl.reset t.fences;
-  Hashtbl.reset t.master_fences;
+  Collective.reset t.fences;
   t.held <- None;
   t.held_applies <- [];
   let stale_loads = Hashtbl.fold (fun _ w acc -> List.rev !w @ acc) t.pending_loads [] in
@@ -1428,7 +1184,8 @@ let default_routing b =
 
 let create_instance cfg ?routing b =
   let routing = match routing with Some r -> r | None -> default_routing b in
-  let t =
+  let rec t =
+    lazy
     {
       b;
       cfg;
@@ -1445,15 +1202,22 @@ let create_instance cfg ?routing b =
       version = 0;
       dirty_objs = Hashtbl.create 64;
       pending_loads = Hashtbl.create 64;
-      fences = Hashtbl.create 8;
-      master_fences = Hashtbl.create 8;
+      fences =
+        Collective.create b
+          ~fresh:(fun () -> { tuples = []; objects = Hashtbl.create 64 })
+          ~merge:merge_fence
+          ~is_root:(fun () -> (Lazy.force t).master)
+          ~children:(fun () ->
+            let t = Lazy.force t in
+            t.routing.rt_children ~master:t.master_rank)
+          ~forward:(fun g batch -> fence_forward (Lazy.force t) g batch)
+          ~complete:(fun g ~last -> fence_complete (Lazy.force t) g ~last);
       version_waiters = [];
       cpu_free_at = 0.0;
       fence_hold = None;
       held = None;
       held_applies = [];
-      next_fid = 0;
-      flush_seen = Hashtbl.create 64;
+      dedup = Collective.dedup b ~field:"fid";
       bytes_held = 0;
       n_loads_issued = 0;
       apply_backlog = 0;
@@ -1463,6 +1227,7 @@ let create_instance cfg ?routing b =
       metrics = None;
     }
   in
+  let t = Lazy.force t in
   (* Evicted cache entries must release their accounted bytes, or
      [bytes_held] creeps upward forever on a busy slave. *)
   Lru.set_on_evict t.cache (fun _h v ->

@@ -54,17 +54,13 @@ val default_config : config
     per value byte of hashing and serialization; values serialized to
     at most 256 bytes are stored inline in their directory entry, as in
     the prototype, so reading one small value faults in its whole
-    directory; and a fence aggregates over the window below. *)
+    directory; and a fence aggregates over
+    {!Flux_cmb.Collective.window}, forwarding by its policy. *)
 
 val replicated_config : config
 (** {!default_config} with [setroot_interiors] on, so acked commits
     survive master loss. The chaos, shard-chaos and ckpt harnesses run
     under it. *)
-
-val fence_window : float
-(** Fence aggregation window, 200 us: an interior instance forwards
-    once every live child has contributed and the fence has been quiet
-    for half a window, or after two windows of quiet. *)
 
 type t
 (** Per-rank instance state (introspection handle for tests/benches). *)

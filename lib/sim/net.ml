@@ -21,28 +21,15 @@ let default_config =
     local_delivery = 0.5e-6;
   }
 
-type overflow = Mailbox.overflow = Block | Drop_newest | Drop_oldest
-
-type queue_limits = { max_msgs : int; max_bytes : int; policy : overflow }
-
-(* One message in flight on a link, tracked only when limits are set:
-   [Drop_oldest] needs a cancellation handle for the head of line and
-   [Block] needs arrival times to compute when occupancy drains. *)
-type inflight = {
-  if_wire : int;
-  if_arrive : float;
-  mutable if_handle : Engine.handle option;
-  mutable if_live : bool;
-}
-
 type link = {
   mutable free_at : float;
   mutable bytes : int; (* cumulative wire bytes delivered *)
   mutable msgs : int; (* cumulative messages delivered *)
   mutable q_msgs : int; (* messages currently in flight (occupancy) *)
-  mutable q_bytes : int; (* wire bytes currently in flight *)
   mutable q_hwm : int; (* high-water mark of [q_msgs] *)
-  inflight : inflight Queue.t; (* populated only when limits are set *)
+  inflight : float Queue.t;
+      (* arrival times of the messages sent while a cap was set, in send
+         order, which on a FIFO pipe is arrival order *)
 }
 
 type 'msg host = {
@@ -60,13 +47,12 @@ type 'msg t = {
   cuts : (int, float) Hashtbl.t; (* key: src * n + dst -> blackout end *)
   rng : Rng.t;
   mutable loss_prob : float;
-  mutable limits : queue_limits option;
+  mutable cap : int option; (* in-flight messages per link *)
   mutable messages : int;
   mutable total_bytes : int;
   mutable dropped : int;
   mutable dropped_bytes : int;
   mutable dead_letters : int;
-  mutable overload_drops : int;
   mutable overload_defers : int;
   (* Observability hooks; [None] (the default) costs one branch per
      drop/send and allocates nothing. *)
@@ -80,7 +66,6 @@ type 'msg t = {
    [label ^ ".queue_wait"]-style names there (or hashing them) would
    dominate the cost of the updates themselves. *)
 and metric_families = {
-  mf_overload_drop : Metrics.counter_family;
   mf_link_defer : Metrics.counter_family;
   mf_queue_wait : Metrics.hist_family;
   mf_transit : Metrics.hist_family;
@@ -92,7 +77,6 @@ and metric_families = {
 
 let resolve_families label m =
   {
-    mf_overload_drop = Metrics.counter_family m ~name:(label ^ ".overload_drop");
     mf_link_defer = Metrics.counter_family m ~name:(label ^ ".link_defer");
     mf_queue_wait = Metrics.hist_family m ~name:(label ^ ".queue_wait");
     mf_transit = Metrics.hist_family m ~name:(label ^ ".transit");
@@ -113,13 +97,12 @@ let create eng ?(config = default_config) ~nodes () =
     cuts = Hashtbl.create 8;
     rng = Rng.create 0x464c5558;
     loss_prob = 0.0;
-    limits = None;
+    cap = None;
     messages = 0;
     total_bytes = 0;
     dropped = 0;
     dropped_bytes = 0;
     dead_letters = 0;
-    overload_drops = 0;
     overload_defers = 0;
     tracer = None;
     metrics = None;
@@ -134,12 +117,11 @@ let set_metrics t ?label m =
 
 let config t = t.cfg
 
-let set_link_limits t lim =
-  (match lim with
-  | Some l when l.max_msgs < 1 || l.max_bytes < 1 ->
-    invalid_arg "Net.set_link_limits: bounds must be >= 1"
+let set_link_limits t cap =
+  (match cap with
+  | Some c when c < 1 -> invalid_arg "Net.set_link_limits: bound must be >= 1"
   | _ -> ());
-  t.limits <- lim
+  t.cap <- cap
 
 let check_rank t r name =
   if r < 0 || r >= t.n then invalid_arg (Printf.sprintf "Net.%s: rank %d out of range" name r)
@@ -159,7 +141,6 @@ let link_of t src dst =
         bytes = 0;
         msgs = 0;
         q_msgs = 0;
-        q_bytes = 0;
         q_hwm = 0;
         inflight = Queue.create ();
       }
@@ -203,45 +184,18 @@ let drop t ~wire ~fault =
     Tracer.add_count tr ~cat:"net" ~name:"drop" 1;
     if fault then Tracer.add_count tr ~cat:"net" ~name:"dead_letter" 1
 
-(* A policy (not fault) loss: the queue was full and the message was
-   shed to bound memory. Counted separately from wire faults so shed
-   rate is distinguishable from lossy-network drops. *)
-let overload_drop t ~wire ~src =
-  t.overload_drops <- t.overload_drops + 1;
-  t.dropped <- t.dropped + 1;
-  t.dropped_bytes <- t.dropped_bytes + wire;
-  (match t.tracer with
-  | None -> ()
-  | Some tr -> Tracer.add_count tr ~cat:"net" ~name:"overload_drop" 1);
-  match t.metrics with
-  | None -> ()
-  | Some mf -> Metrics.family_incr mf.mf_overload_drop ~rank:src
-
-(* Occupancy released when the message leaves the wire (arrival, loss
-   point, or eviction). *)
-let occupy link ~wire =
+(* Occupancy released when the message leaves the wire (arrival or
+   loss point). *)
+let occupy link =
   link.q_msgs <- link.q_msgs + 1;
-  link.q_bytes <- link.q_bytes + wire;
   if link.q_msgs > link.q_hwm then link.q_hwm <- link.q_msgs
 
-let release link ~wire =
-  link.q_msgs <- link.q_msgs - 1;
-  link.q_bytes <- link.q_bytes - wire
+let release link = link.q_msgs <- link.q_msgs - 1
 
-let retire_inflight link e =
-  if e.if_live then begin
-    e.if_live <- false;
-    release link ~wire:e.if_wire
-  end;
-  (* Shed already-dead heads so the queue stays O(occupancy). *)
-  let rec trim () =
-    match Queue.peek_opt link.inflight with
-    | Some h when not h.if_live ->
-      ignore (Queue.take link.inflight : inflight);
-      trim ()
-    | _ -> ()
-  in
-  trim ()
+(* A tracked message arrives: it is the oldest one on the link. *)
+let retire link =
+  release link;
+  ignore (Queue.take link.inflight : float)
 
 (* Runs at arrival time, when the message reaches the receiving host.
    Dead hosts drop without any CPU charge; live hosts serialize through
@@ -272,66 +226,31 @@ let deliver_via_cpu t dst ~wire ~size ~src ?link payload =
         : Engine.handle)
   end
 
-(* Admission decision against the per-link occupancy caps. *)
-type admission = Admitted | Shed | Deferred_until of float
+(* With a cap set, a send that would overfill the link waits until
+   enough in-flight messages have arrived for it to fit. Messages sent
+   before the cap was set are not tracked; all of them have arrived
+   once the pipe has drained. *)
+let deferral t link =
+  match t.cap with
+  | Some cap when link.q_msgs >= cap ->
+    let drained =
+      match Seq.uncons (Seq.drop (link.q_msgs - cap) (Queue.to_seq link.inflight)) with
+      | Some (arrive, _) -> arrive
+      | None -> link.free_at +. t.cfg.link_latency
+    in
+    Some (Float.max (Engine.now t.eng) drained)
+  | _ -> None
 
-let admit t link ~wire ~src =
-  match t.limits with
-  | None -> Admitted
-  | Some lim ->
-    let fits () = link.q_msgs < lim.max_msgs && link.q_bytes + wire <= lim.max_bytes in
-    if fits () then Admitted
-    else begin
-      match lim.policy with
-      | Drop_newest -> Shed
-      | Drop_oldest ->
-        let rec evict () =
-          if not (fits ()) then begin
-            match Queue.take_opt link.inflight with
-            | None -> ()
-            | Some e when not e.if_live -> evict ()
-            | Some e ->
-              (match e.if_handle with Some h -> Engine.cancel h | None -> ());
-              e.if_live <- false;
-              release link ~wire:e.if_wire;
-              overload_drop t ~wire:e.if_wire ~src;
-              evict ()
-          end
-        in
-        evict ();
-        if fits () then Admitted else Shed
-      | Block ->
-        (* Earliest instant enough in-flight messages will have drained
-           for this one to fit: walk live entries in send order, which
-           is arrival order. *)
-        let need_msgs = link.q_msgs - lim.max_msgs + 1 in
-        let need_bytes = link.q_bytes + wire - lim.max_bytes in
-        let freed_msgs = ref 0 and freed_bytes = ref 0 and at = ref (Engine.now t.eng) in
-        let found = ref false in
-        Queue.iter
-          (fun e ->
-            if e.if_live && not !found then begin
-              incr freed_msgs;
-              freed_bytes := !freed_bytes + e.if_wire;
-              if e.if_arrive > !at then at := e.if_arrive;
-              if !freed_msgs >= need_msgs && !freed_bytes >= need_bytes then found := true
-            end)
-          link.inflight;
-        if !found then Deferred_until !at
-        else Shed (* can never fit, e.g. wire > max_bytes *)
-    end
-
-(* Remote transmission path, re-entered by [Block]-policy deferrals so
-   cuts and caps are re-evaluated at the actual transmit attempt. *)
+(* Remote transmission path, re-entered by deferrals so cuts and the
+   cap are re-evaluated at the actual transmit attempt. *)
 let rec send_remote t ~src ~dst ~size m =
   let wire = size + t.cfg.per_msg_overhead in
   if not t.hosts.(src).alive then drop t ~wire:size ~fault:false
   else if link_cut t ~src ~dst then drop t ~wire ~fault:true
   else begin
     let link = link_of t src dst in
-    match admit t link ~wire ~src with
-    | Shed -> overload_drop t ~wire ~src
-    | Deferred_until at ->
+    match deferral t link with
+    | Some at ->
       t.overload_defers <- t.overload_defers + 1;
       (match t.metrics with
       | None -> ()
@@ -339,7 +258,7 @@ let rec send_remote t ~src ~dst ~size m =
       ignore
         (Engine.schedule_at t.eng ~time:at (fun () -> send_remote t ~src ~dst ~size m)
           : Engine.handle)
-    | Admitted ->
+    | None ->
       let lost = t.loss_prob > 0.0 && Rng.float t.rng 1.0 < t.loss_prob in
       let now = Engine.now t.eng in
       let xfer = float_of_int wire /. t.cfg.bandwidth in
@@ -348,7 +267,7 @@ let rec send_remote t ~src ~dst ~size m =
          them, the fault eats them en route. *)
       link.free_at <- start +. xfer;
       let arrive = start +. xfer +. t.cfg.link_latency in
-      occupy link ~wire;
+      occupy link;
       (match t.metrics with
       | None -> ()
       | Some mf ->
@@ -369,36 +288,36 @@ let rec send_remote t ~src ~dst ~size m =
         in
         if hwm > prev then
           Metrics.family_set_gauge mf.mf_link_depth_hwm ~rank:src hwm);
-      if t.limits = None then begin
-        (* Unbounded fast path: occupancy tracked with plain counters,
+      if t.cap = None then begin
+        (* Unbounded fast path: occupancy tracked with a plain counter,
            no per-message record. *)
         if lost then
           ignore
             (Engine.schedule_at t.eng ~time:arrive (fun () ->
-                 release link ~wire;
+                 release link;
                  drop t ~wire ~fault:true)
               : Engine.handle)
         else
           ignore
             (Engine.schedule_at t.eng ~time:arrive (fun () ->
-                 release link ~wire;
+                 release link;
                  deliver_via_cpu t dst ~wire ~size ~src ~link m)
               : Engine.handle)
       end
       else begin
-        let e = { if_wire = wire; if_arrive = arrive; if_handle = None; if_live = true } in
-        Queue.add e link.inflight;
-        let h =
-          if lost then
-            Engine.schedule_at t.eng ~time:arrive (fun () ->
-                retire_inflight link e;
-                drop t ~wire ~fault:true)
-          else
-            Engine.schedule_at t.eng ~time:arrive (fun () ->
-                retire_inflight link e;
-                deliver_via_cpu t dst ~wire ~size ~src ~link m)
-        in
-        e.if_handle <- Some h
+        Queue.add arrive link.inflight;
+        if lost then
+          ignore
+            (Engine.schedule_at t.eng ~time:arrive (fun () ->
+                 retire link;
+                 drop t ~wire ~fault:true)
+              : Engine.handle)
+        else
+          ignore
+            (Engine.schedule_at t.eng ~time:arrive (fun () ->
+                 retire link;
+                 deliver_via_cpu t dst ~wire ~size ~src ~link m)
+              : Engine.handle)
       end
   end
 
@@ -431,7 +350,6 @@ type stats = {
   dropped : int;
   dropped_bytes : int;
   dead_letters : int;
-  overload_drops : int;
   overload_defers : int;
 }
 
@@ -442,7 +360,6 @@ let stats (t : _ t) =
     dropped = t.dropped;
     dropped_bytes = t.dropped_bytes;
     dead_letters = t.dead_letters;
-    overload_drops = t.overload_drops;
     overload_defers = t.overload_defers;
   }
 

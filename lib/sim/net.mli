@@ -41,29 +41,18 @@ val config : 'msg t -> config
 
 (** {1 Bounded links}
 
-    By default every directed link is an unbounded FIFO pipe. Setting
-    limits caps the number of in-flight messages and wire bytes per
-    link; the policy decides what happens to a send that would exceed a
-    cap. Opt-in: with limits unset the delivery schedule is bit-for-bit
-    identical to the historical model. *)
+    By default every directed link is an unbounded FIFO pipe. A cap
+    bounds the messages in flight on each link: a send that would
+    exceed it waits at the sender until enough in-flight messages have
+    arrived (backpressure; nothing is shed). Opt-in: with no cap the
+    delivery schedule is bit-for-bit identical to the historical
+    model. *)
 
-type overflow = Mailbox.overflow =
-  | Block
-      (** Defer transmission until enough in-flight messages drain
-          (sender-side backpressure: the message waits at the sender
-          instead of on the wire). *)
-  | Drop_newest  (** Shed the incoming message. *)
-  | Drop_oldest
-      (** Evict the oldest in-flight message (its pipe time is not
-          reclaimed — the bytes were already transmitted). *)
-
-type queue_limits = { max_msgs : int; max_bytes : int; policy : overflow }
-
-val set_link_limits : 'msg t -> queue_limits option -> unit
-(** Install (or clear) per-link occupancy caps. Applies to every
-    non-loopback link of this fabric; loop-back delivery is host-local
-    IPC and is never capped. Raises [Invalid_argument] when a bound
-    is < 1. *)
+val set_link_limits : 'msg t -> int option -> unit
+(** Install (or clear) the per-link cap on in-flight messages. Applies
+    to every non-loopback link of this fabric; loop-back delivery is
+    host-local IPC and is never capped. Raises [Invalid_argument] when
+    the cap is < 1. *)
 
 val set_handler : 'msg t -> int -> (src:int -> 'msg -> unit) -> unit
 (** [set_handler t rank f] installs the delivery callback for [rank],
@@ -89,8 +78,7 @@ val set_metrics : 'msg t -> ?label:string -> Flux_trace.Metrics.t option -> unit
     [<label>.link_backlog] gauge (seconds of queued transmission), and
     queue-occupancy gauges [<label>.link_depth] (in-flight messages on
     the last-used link) / [<label>.link_depth_hwm] (high-water mark
-    across the rank's links). Policy sheds bump a
-    [<label>.overload_drop] counter and [Block] deferrals a
+    across the rank's links). Sends deferred by the cap bump a
     [<label>.link_defer] counter. [label] defaults to ["net"]; sessions
     label their three planes ["net.rpc"] / ["net.event"] /
     ["net.ring"]. *)
@@ -134,10 +122,7 @@ type stats = {
   dead_letters : int;  (** subset of [dropped] due to injected faults
                            (loss, cut links, blackouts) rather than dead
                            hosts *)
-  overload_drops : int;  (** subset of [dropped] shed by queue-limit
-                             policy (full link under [Drop_newest] /
-                             [Drop_oldest]) *)
-  overload_defers : int;  (** sends postponed by the [Block] policy *)
+  overload_defers : int;  (** sends postponed by the link cap *)
 }
 
 val stats : 'msg t -> stats
@@ -147,5 +132,5 @@ val link_bytes : 'msg t -> src:int -> dst:int -> int
 
 val max_link_depth_hwm : 'msg t -> int
 (** Highest number of messages ever in flight at once on one link of
-    the fabric — the bound the overload harness asserts against
-    configured caps. *)
+    the fabric — the bound the overload harness asserts against the
+    configured cap. *)

@@ -55,7 +55,19 @@ let test_kap_goldens () =
   check Alcotest.string "final simulated clock" "0x1.475a07c480b47p-10"
     (Printf.sprintf "%h" r.Kap.r_wallclock);
   check Alcotest.int "rpc messages" 56 r.Kap.r_rpc_messages;
-  check Alcotest.int "loads" 14 r.Kap.r_loads_issued
+  check Alcotest.int "loads" 14 r.Kap.r_loads_issued;
+  (* The traced stream itself: every event, field and span of the
+     barrier, the fence and the commit, by digest. *)
+  let md5 s = Digest.to_hex (Digest.string s) in
+  (match (r.Kap.r_trace, r.Kap.r_metrics) with
+  | Some tr, Some m ->
+    check Alcotest.string "trace jsonl" "4354497d6e22551f4a47a638bce1bcaf"
+      (md5 (Export.to_jsonl tr));
+    check Alcotest.string "trace counters" "f00f2b56fd883fdc932ab54c61dc8466"
+      (md5 (Export.counters_csv tr));
+    check Alcotest.string "metrics csv" "ee248bc6193bdcefea30e164096877f0"
+      (md5 (Flux_trace.Metrics.to_csv m))
+  | _ -> Alcotest.fail "expected a tracer and metrics on a trace=true run")
 
 (* Tracing must be pay-for-what-you-use in behaviour, not just cost:
    attaching the tracer and metrics registry (trace = true) must leave

@@ -139,7 +139,7 @@ let test_sparse_fence_with_dead_child () =
   let sess = Session.create eng ~size:7 () in
   let kvs = Kvs.load sess () in
   ignore kvs;
-  let window = Kvs.fence_window in
+  let window = Flux_cmb.Collective.window in
   (* Rank 6 is dead but never marked down: its parent (rank 2) keeps it
      in the children list and must give up waiting for it after two quiet
      windows instead of deadlocking the fence. *)

@@ -98,6 +98,51 @@ let test_barrier_two_procs_per_node () =
   run_clients eng bodies;
   check int "8 released" 8 !done_count
 
+(* The barrier's root follows the overlay root: with rank 0 dead and
+   marked down, rank 1 roots the tree and completes the barrier. *)
+let test_barrier_rank0_down () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:7 () in
+  ignore (Barrier.load sess () : Barrier.t array);
+  Session.crash sess 0;
+  Session.mark_down sess 0;
+  let released = ref 0 in
+  let bodies =
+    List.map
+      (fun r () ->
+        let api = Api.connect sess ~rank:r in
+        expect_ok "enter" (Barrier.enter api ~name:"b-down" ~nprocs:6);
+        incr released)
+      [ 1; 2; 3; 4; 5; 6 ]
+  in
+  run_clients eng bodies;
+  check int "all six released" 6 !released
+
+(* Rank 6 enters 40 s late, past the 30 s deadline of the aggregates
+   the interior ranks forwarded, so those are retransmitted under their
+   original ids. The root must count each aggregate once: nobody leaves
+   before the last participant has entered. *)
+let test_barrier_late_entrant () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:7 () in
+  ignore (Barrier.load sess () : Barrier.t array);
+  let release_times = ref [] in
+  let bodies =
+    List.map
+      (fun r () ->
+        let api = Api.connect sess ~rank:r in
+        if r = 6 then Proc.sleep 40.0;
+        expect_ok "enter" (Barrier.enter api ~name:"late" ~nprocs:7);
+        release_times := Engine.now eng :: !release_times)
+      (List.init 7 Fun.id)
+  in
+  run_clients eng bodies;
+  check int "all released" 7 (List.length !release_times);
+  check bool "aggregates were retransmitted" true (Session.rpc_retries sess > 0);
+  List.iter
+    (fun t -> check bool "released after the last entrant" true (t >= 40.0))
+    !release_times
+
 (* --- hb ------------------------------------------------------------------- *)
 
 let test_hb_epochs_reach_all_ranks () =
@@ -518,6 +563,9 @@ let () =
           Alcotest.test_case "releases all at once" `Quick test_barrier_releases_all_at_once;
           Alcotest.test_case "sequential barriers" `Quick test_barrier_multiple_sequential;
           Alcotest.test_case "two procs per node" `Quick test_barrier_two_procs_per_node;
+          Alcotest.test_case "rank 0 down" `Quick test_barrier_rank0_down;
+          Alcotest.test_case "late entrant, retransmitted aggregates" `Quick
+            test_barrier_late_entrant;
         ] );
       ( "hb",
         [

@@ -1,91 +1,21 @@
-(* Overload protection, end to end: bounded mailboxes and per-link net
-   queues, credit-based flow control on the request tree, master
-   admission control with retry_after hints, barrier shedding — and the
-   soak harness proving the composed stack keeps occupancy bounded,
-   never loses an acked write, and drains once the storm stops. *)
+(* Overload protection, end to end: per-link net caps, credit-based
+   flow control on the request tree, master admission control with
+   retry_after hints — and the soak harness proving the composed stack
+   keeps occupancy bounded, never loses an acked write, and drains once
+   the storm stops. *)
 
 module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
 module Proc = Flux_sim.Proc
-module Mailbox = Flux_sim.Mailbox
 module Net = Flux_sim.Net
 module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
-module Barrier = Flux_modules.Barrier
 module Overload = Flux_harness.Overload
 
 let check = Alcotest.check
 let int = Alcotest.int
 let bool = Alcotest.bool
-
-(* --- Bounded mailboxes ---------------------------------------------------- *)
-
-let test_mailbox_drop_newest () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create ~capacity:2 ~policy:Mailbox.Drop_newest () in
-  List.iter (fun i -> Mailbox.send eng mb i) [ 1; 2; 3; 4 ];
-  check int "capacity holds" 2 (Mailbox.length mb);
-  check int "overflow dropped" 2 (Mailbox.dropped mb);
-  check int "hwm at capacity" 2 (Mailbox.hwm mb);
-  let got = ref [] in
-  ignore
-    (Proc.spawn eng (fun () ->
-         let a = Mailbox.recv mb in
-         let b = Mailbox.recv mb in
-         got := [ a; b ])
-      : Proc.pid);
-  Engine.run eng;
-  (* Oldest survive: the newest were rejected. *)
-  check (Alcotest.list int) "fifo of survivors" [ 1; 2 ] !got
-
-let test_mailbox_drop_oldest () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create ~capacity:2 ~policy:Mailbox.Drop_oldest () in
-  List.iter (fun i -> Mailbox.send eng mb i) [ 1; 2; 3; 4 ];
-  check int "capacity holds" 2 (Mailbox.length mb);
-  check int "evictions counted" 2 (Mailbox.dropped mb);
-  let got = ref [] in
-  ignore
-    (Proc.spawn eng (fun () ->
-         let a = Mailbox.recv mb in
-         let b = Mailbox.recv mb in
-         got := [ a; b ])
-      : Proc.pid);
-  Engine.run eng;
-  (* Newest survive: the head was evicted to make room. *)
-  check (Alcotest.list int) "ring-buffer survivors" [ 3; 4 ] !got
-
-let test_mailbox_block_parks_and_drains () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create ~capacity:1 ~policy:Mailbox.Block () in
-  List.iter (fun i -> Mailbox.send eng mb i) [ 1; 2; 3 ];
-  check int "one queued" 1 (Mailbox.length mb);
-  check int "two parked" 2 (Mailbox.blocked_senders mb);
-  check int "nothing dropped" 0 (Mailbox.dropped mb);
-  let got = ref [] in
-  ignore
-    (Proc.spawn eng (fun () ->
-         for _ = 1 to 3 do
-           got := Mailbox.recv mb :: !got
-         done)
-      : Proc.pid);
-  Engine.run eng;
-  check (Alcotest.list int) "admitted in send order" [ 1; 2; 3 ] (List.rev !got);
-  check int "drained" 0 (Mailbox.blocked_senders mb)
-
-let test_mailbox_byte_bound () =
-  let eng = Engine.create () in
-  let mb =
-    Mailbox.create ~max_bytes:10 ~policy:Mailbox.Drop_newest
-      ~size_of:String.length ()
-  in
-  Mailbox.send eng mb "123456";
-  Mailbox.send eng mb "7890";
-  Mailbox.send eng mb "x";
-  check int "bytes at cap" 10 (Mailbox.bytes mb);
-  check int "over-byte send dropped" 1 (Mailbox.dropped mb);
-  check int "byte hwm" 10 (Mailbox.hwm_bytes mb)
 
 (* --- Bounded net links ---------------------------------------------------- *)
 
@@ -97,7 +27,7 @@ let flood net ~n =
 let test_net_block_defers_without_loss () =
   let eng = Engine.create () in
   let net = Net.create eng ~nodes:2 () in
-  Net.set_link_limits net (Some { Net.max_msgs = 4; max_bytes = max_int; policy = Net.Block });
+  Net.set_link_limits net (Some 4);
   let got = ref 0 in
   Net.set_handler net 1 (fun ~src:_ _ -> incr got);
   flood net ~n:32;
@@ -105,40 +35,8 @@ let test_net_block_defers_without_loss () =
   let s = Net.stats net in
   check int "all delivered" 32 !got;
   check bool "sends were deferred" true (s.Net.overload_defers > 0);
-  check int "nothing dropped" 0 s.Net.overload_drops;
+  check int "nothing dropped" 0 s.Net.dropped;
   check bool "depth bounded" true (Net.max_link_depth_hwm net <= 4)
-
-let test_net_drop_newest_sheds () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~nodes:2 () in
-  Net.set_link_limits net
-    (Some { Net.max_msgs = 4; max_bytes = max_int; policy = Net.Drop_newest });
-  let got = ref 0 in
-  Net.set_handler net 1 (fun ~src:_ _ -> incr got);
-  flood net ~n:32;
-  Engine.run eng;
-  let s = Net.stats net in
-  check bool "some shed" true (s.Net.overload_drops > 0);
-  check int "delivered + shed = offered" 32 (!got + s.Net.overload_drops);
-  check bool "depth bounded" true (Net.max_link_depth_hwm net <= 4)
-
-let test_net_drop_oldest_keeps_latest () =
-  let eng = Engine.create () in
-  let net = Net.create eng ~nodes:2 () in
-  Net.set_link_limits net
-    (Some { Net.max_msgs = 2; max_bytes = max_int; policy = Net.Drop_oldest });
-  let last = ref 0 in
-  let got = ref 0 in
-  Net.set_handler net 1 (fun ~src:_ i ->
-      incr got;
-      last := i);
-  flood net ~n:16;
-  Engine.run eng;
-  let s = Net.stats net in
-  check bool "some evicted" true (s.Net.overload_drops > 0);
-  check int "delivered + evicted = offered" 16 (!got + s.Net.overload_drops);
-  (* Eviction favours fresh data: the final message always survives. *)
-  check int "latest delivered" 16 !last
 
 let test_net_unbounded_unchanged () =
   (* The bounded machinery must be pay-for-what-you-use: with no limits
@@ -156,7 +54,7 @@ let test_net_unbounded_unchanged () =
     Engine.run eng;
     !log
   in
-  let loose = Some { Net.max_msgs = max_int; max_bytes = max_int; policy = Net.Block } in
+  let loose = Some max_int in
   Alcotest.(check bool)
     "loose limits deliver identically" true
     (run None = run loose)
@@ -230,38 +128,6 @@ let test_busy_error_roundtrip () =
   check bool "timeout is not busy" true (Session.busy_retry_after "timeout" = None);
   check bool "prefix must be exact" true (Session.busy_retry_after "busybody" = None)
 
-(* --- Barrier shedding ----------------------------------------------------- *)
-
-let test_barrier_sheds_direct_enters () =
-  let eng = Engine.create () in
-  let sess = Session.create eng ~size:2 () in
-  let bars = Barrier.load sess ~max_pending:1 () in
-  let done_ok = ref 0 and busy_seen = ref 0 in
-  for _ = 1 to 3 do
-    ignore
-      (Proc.spawn eng (fun () ->
-           let api = Api.connect sess ~rank:1 in
-           let rec go tries =
-             if tries > 20 then Alcotest.fail "barrier retry budget exhausted";
-             match Barrier.enter api ~name:"ov" ~nprocs:3 with
-             | Ok () -> incr done_ok
-             | Error e -> (
-               match Session.busy_retry_after e with
-               | Some after ->
-                 incr busy_seen;
-                 Proc.sleep (Float.max after 1e-4);
-                 go (tries + 1)
-               | None -> Alcotest.failf "unexpected barrier error: %s" e)
-           in
-           go 0)
-        : Proc.pid)
-  done;
-  Engine.run eng;
-  check int "all three released" 3 !done_ok;
-  check bool "overflow enters were shed" true (!busy_seen > 0);
-  check int "instance counted sheds" !busy_seen
-    (Array.fold_left (fun acc b -> acc + Barrier.sheds b) 0 bars)
-
 (* --- The soak ------------------------------------------------------------- *)
 
 let soak_cfg seed =
@@ -273,7 +139,7 @@ let soak_cfg seed =
     duration = 0.08;
     rate = 2.0 *. Overload.master_capacity Overload.default;
     flow = Some { Session.flow_credits = 128; flow_stash = 192 };
-    link_limits = Some { Net.max_msgs = 128; max_bytes = max_int; policy = Net.Block };
+    link_limits = Some 128;
     kvs =
       {
         Overload.default.Overload.kvs with
@@ -335,18 +201,9 @@ let () =
   let seeds = List.init 8 (fun i -> 1 + (13 * i)) in
   Alcotest.run "overload"
     [
-      ( "mailbox",
-        [
-          Alcotest.test_case "drop_newest" `Quick test_mailbox_drop_newest;
-          Alcotest.test_case "drop_oldest" `Quick test_mailbox_drop_oldest;
-          Alcotest.test_case "block parks and drains" `Quick test_mailbox_block_parks_and_drains;
-          Alcotest.test_case "byte bound" `Quick test_mailbox_byte_bound;
-        ] );
       ( "net",
         [
           Alcotest.test_case "block defers without loss" `Quick test_net_block_defers_without_loss;
-          Alcotest.test_case "drop_newest sheds" `Quick test_net_drop_newest_sheds;
-          Alcotest.test_case "drop_oldest keeps latest" `Quick test_net_drop_oldest_keeps_latest;
           Alcotest.test_case "unbounded path unchanged" `Quick test_net_unbounded_unchanged;
         ] );
       ( "admission",
@@ -354,7 +211,6 @@ let () =
           Alcotest.test_case "sheds and recovers" `Quick test_admission_sheds_and_recovers;
           Alcotest.test_case "busy error roundtrip" `Quick test_busy_error_roundtrip;
         ] );
-      ("barrier", [ Alcotest.test_case "sheds direct enters" `Quick test_barrier_sheds_direct_enters ]);
       ( "soak",
         List.map
           (fun seed ->

@@ -1,10 +1,9 @@
-(* Tests for the discrete-event engine, processes, ivars, mailboxes and
-   the network model. *)
+(* Tests for the discrete-event engine, processes, ivars and the
+   network model. *)
 
 module Engine = Flux_sim.Engine
 module Ivar = Flux_sim.Ivar
 module Proc = Flux_sim.Proc
-module Mailbox = Flux_sim.Mailbox
 module Net = Flux_sim.Net
 
 let check = Alcotest.check
@@ -229,38 +228,6 @@ let test_proc_join_all () =
   Engine.run eng;
   check flt "joined at slowest" 3.0 !done_at
 
-(* --- Mailbox ------------------------------------------------------------ *)
-
-let test_mailbox_order () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let got = ref [] in
-  ignore
-    (Proc.spawn eng (fun () ->
-         for _ = 1 to 3 do
-           got := Mailbox.recv mb :: !got
-         done));
-  ignore
-    (Engine.schedule eng ~delay:1.0 (fun () ->
-         Mailbox.send eng mb 1;
-         Mailbox.send eng mb 2;
-         Mailbox.send eng mb 3));
-  Engine.run eng;
-  check (Alcotest.list int) "fifo" [ 1; 2; 3 ] (List.rev !got)
-
-let test_mailbox_blocking () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let when_got = ref 0.0 in
-  ignore
-    (Proc.spawn eng (fun () ->
-         ignore (Mailbox.recv mb : int);
-         when_got := Engine.now eng));
-  ignore (Engine.schedule eng ~delay:4.0 (fun () -> Mailbox.send eng mb 9));
-  Engine.run eng;
-  check flt "blocked until send" 4.0 !when_got;
-  check (Alcotest.option int) "try_recv empty" None (Mailbox.try_recv mb)
-
 (* --- Net ----------------------------------------------------------------- *)
 
 let cfg : Net.config =
@@ -411,11 +378,6 @@ let () =
           Alcotest.test_case "interleave" `Quick test_proc_two_procs_interleave;
           Alcotest.test_case "kill" `Quick test_proc_kill;
           Alcotest.test_case "join_all" `Quick test_proc_join_all;
-        ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "order" `Quick test_mailbox_order;
-          Alcotest.test_case "blocking" `Quick test_mailbox_blocking;
         ] );
       ( "net",
         [

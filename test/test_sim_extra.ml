@@ -4,7 +4,6 @@
 module Engine = Flux_sim.Engine
 module Ivar = Flux_sim.Ivar
 module Proc = Flux_sim.Proc
-module Mailbox = Flux_sim.Mailbox
 module Net = Flux_sim.Net
 module Rng = Flux_util.Rng
 
@@ -89,28 +88,6 @@ let test_proc_self_name () =
   ignore (Proc.spawn eng ~name:"my-proc" (fun () -> name := Proc.self_name ()));
   Engine.run eng;
   check Alcotest.string "self name" "my-proc" !name
-
-let test_mailbox_multiple_waiters_fifo () =
-  let eng = Engine.create () in
-  let mb = Mailbox.create () in
-  let order = ref [] in
-  for i = 1 to 3 do
-    ignore
-      (Proc.spawn eng (fun () ->
-           let v = Mailbox.recv mb in
-           order := (i, v) :: !order))
-  done;
-  ignore
-    (Engine.schedule eng ~delay:1.0 (fun () ->
-         List.iter (fun v -> Mailbox.send eng mb v) [ 10; 20; 30 ])
-      : Engine.handle);
-  Engine.run eng;
-  (* Waiters are served in the order they blocked. *)
-  check
-    (Alcotest.list (Alcotest.pair int int))
-    "fifo pairing"
-    [ (1, 10); (2, 20); (3, 30) ]
-    (List.rev !order)
 
 (* --- RNG distributional sanity ------------------------------------------------ *)
 
@@ -218,7 +195,6 @@ let () =
           Alcotest.test_case "yield interleaves" `Quick test_proc_yield_interleaves;
           Alcotest.test_case "nested spawn" `Quick test_proc_nested_spawn;
           Alcotest.test_case "self name" `Quick test_proc_self_name;
-          Alcotest.test_case "mailbox waiter fifo" `Quick test_mailbox_multiple_waiters_fifo;
           Alcotest.test_case "ivar waiter order" `Quick test_ivar_waiter_order;
         ] );
       ( "rng",
