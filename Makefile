@@ -1,4 +1,4 @@
-.PHONY: all build test fmt harnesses trajectory check clean
+.PHONY: all build test fmt harnesses seeds surface trajectory check clean
 
 all: build
 
@@ -35,6 +35,22 @@ harnesses:
 	rm -f $$log $$log.status; \
 	exit $$status
 
+# The fast wide-seed report (about 3 s): every kill schedule over its
+# fast seed range, one line per run (see bench/seeds/seeds.ml), must
+# equal the tracked bench/seeds.fast, failing seeds included. A change
+# that moves a line regenerates the file with
+#   BENCH_FAST=1 dune exec bench/seeds/seeds.exe > bench/seeds.fast
+# and says why.
+seeds:
+	@BENCH_FAST=1 dune exec bench/seeds/seeds.exe | diff -u bench/seeds.fast - \
+		|| { echo "wide-seed report differs from bench/seeds.fast"; exit 1; }
+
+# Every export of lib/ that no program names must be listed, with the
+# guarantee its test states, in bench/surface.keep, and every line
+# there must still name such an export (see bench/surface.py).
+surface:
+	@python3 bench/surface.py --check
+
 # Two seed-0 runs of each benchmark workload, one with per-layer rows
 # and one end to end (about 40 s): the deterministic rows must equal the
 # tracked bench/trajectory.json, and allocated words per event and the
@@ -45,9 +61,10 @@ trajectory:
 
 # The pre-merge gate: format (when available), build with warnings
 # promoted to errors under lib/ (see lib/dune), run every test suite,
-# every harness sweep, the allocation trajectory, and the benchmark's
-# toy-size self-test.
-check: fmt build test harnesses trajectory
+# every harness sweep, the fast wide-seed report, the unused-export
+# scan, the allocation trajectory, and the benchmark's toy-size
+# self-test.
+check: fmt build test harnesses seeds surface trajectory
 	python3 perfbench/run.py --self-test
 
 clean:

@@ -65,7 +65,7 @@ type t = {
   (* (overall, per-depth) RPC latency histogram families, resolved once
      when a registry attaches — [instrument_reply] runs per RPC. *)
   mutable lat_fams : (Metrics.hist_family * Metrics.hist_family array) option;
-  mutable parent : (t * int list) option; (* parent session + host ranks *)
+  mutable parent : t option;
   mutable children : t list; (* creation order, live only *)
   mutable destroyed : bool;
   flow : flow_config option;
@@ -73,12 +73,8 @@ type t = {
   mutable rpc_retries : int;
   mutable rpc_busy_retries : int;
   mutable flow_stash_hwm : int;
-  mutable root_rank : int; (* lowest live rank; overlay root after heal *)
-  mutable topo_epoch : int; (* bumped on every mark_down / mark_up *)
   mutable on_liveness : (int -> bool -> unit) list; (* rank, is_up *)
   static_parent : int option array; (* k-ary tree parents, fixed at create *)
-  mutable alive_cache : int list; (* memoized [alive_ranks], valid for... *)
-  mutable alive_cache_epoch : int; (* ...this topology epoch (-1 = stale) *)
 }
 
 and broker = {
@@ -173,20 +169,6 @@ let find_module b name = Hashtbl.find_opt b.mod_index name
 
 let is_down t r = t.down.(r)
 
-let alive_ranks t =
-  if t.alive_cache_epoch <> t.topo_epoch then begin
-    let acc = ref [] in
-    for r = t.n - 1 downto 0 do
-      if not t.down.(r) then acc := r :: !acc
-    done;
-    t.alive_cache <- !acc;
-    t.alive_cache_epoch <- t.topo_epoch
-  end;
-  t.alive_cache
-
-let root_rank t = t.root_rank
-let topology_epoch t = t.topo_epoch
-
 let add_liveness_watch t f = t.on_liveness <- t.on_liveness @ [ f ]
 
 (* Effective topology: the overlay re-roots at the lowest live rank, and
@@ -207,7 +189,6 @@ let heal t =
        end
      done
    with Exit -> ());
-  t.root_rank <- !root;
   for r = 0 to t.n - 1 do
     if t.down.(r) || r = !root then t.parent_of.(r) <- None
     else begin
@@ -873,12 +854,8 @@ let create eng ?(fanout = 2) ?(rank_topology = Ring) ?flow ~size () =
       rpc_retries = 0;
       rpc_busy_retries = 0;
       flow_stash_hwm = 0;
-      root_rank = 0;
-      topo_epoch = 0;
       on_liveness = [];
       static_parent = Array.init size (fun r -> Treemath.parent ~k:fanout r);
-      alive_cache = [];
-      alive_cache_epoch = -1;
     }
   in
   t.brokers <-
@@ -921,16 +898,7 @@ let load_module t ?ranks factory =
 
 (* --- Session hierarchy --------------------------------------------------- *)
 
-let parent_session t = match t.parent with Some (p, _) -> Some p | None -> None
-
 let child_sessions t = List.rev t.children
-
-let rec session_depth t =
-  match t.parent with Some (p, _) -> 1 + session_depth p | None -> 0
-
-let hosted_on t r =
-  if r < 0 || r >= t.n then invalid_arg "Session.hosted_on: rank out of range";
-  match t.parent with Some (_, hosts) -> List.nth hosts r | None -> r
 
 let create_child parent ~nodes () =
   if parent.destroyed then invalid_arg "Session.create_child: parent destroyed";
@@ -945,7 +913,7 @@ let create_child parent ~nodes () =
         invalid_arg (Printf.sprintf "Session.create_child: parent rank %d is down" r))
     nodes;
   let child = create parent.eng ?flow:parent.flow ~size:(List.length nodes) () in
-  child.parent <- Some (parent, nodes);
+  child.parent <- Some parent;
   parent.children <- child :: parent.children;
   child
 
@@ -958,7 +926,7 @@ let rec destroy t =
       crash_rank t r
     done;
     match t.parent with
-    | Some (p, _) ->
+    | Some p ->
       p.children <- List.filter (fun c -> c != t) p.children;
       t.parent <- None
     | None -> ()
@@ -980,7 +948,6 @@ let mark_down t r =
     trace t ~name:"mark_down" ~rank:r ();
     crash t r;
     t.down.(r) <- true;
-    t.topo_epoch <- t.topo_epoch + 1;
     let old_parents = Array.copy t.parent_of in
     heal t;
     (* Brokers adopted by a new parent may have missed events; resync. *)
@@ -999,7 +966,6 @@ let mark_up t r =
     Net.revive_node t.event_net r;
     Net.revive_node t.ring_net r;
     t.down.(r) <- false;
-    t.topo_epoch <- t.topo_epoch + 1;
     let old_parents = Array.copy t.parent_of in
     heal t;
     (* The revived broker rejoins with a stale event cursor: drop any

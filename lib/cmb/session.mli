@@ -231,16 +231,8 @@ val create_child : t -> nodes:int list -> unit -> t
     Raises [Invalid_argument] on an empty list, duplicate ranks, ranks
     out of range, or dead parent ranks. *)
 
-val parent_session : t -> t option
 val child_sessions : t -> t list
 (** Live children, in creation order. *)
-
-val session_depth : t -> int
-(** 0 at the root session. *)
-
-val hosted_on : t -> int -> int
-(** [hosted_on child r] is the parent-session rank carrying child rank
-    [r] (identity for a root session). *)
 
 val destroy : t -> unit
 (** Tear a session down: every broker stops (all traffic dropped), its
@@ -272,17 +264,6 @@ val mark_up : t -> int -> unit
     [is_up = true]. Idempotent; a no-op on destroyed sessions. *)
 
 val is_down : t -> int -> bool
-
-val alive_ranks : t -> int list
-
-val root_rank : t -> int
-(** The current overlay root: the lowest live rank (-1 if every rank is
-    down). Deterministic, which is what services use for leader
-    election. *)
-
-val topology_epoch : t -> int
-(** Bumped by every {!mark_down} / {!mark_up}; lets modules detect that
-    the overlay changed under them. *)
 
 val add_liveness_watch : t -> (int -> bool -> unit) -> unit
 (** [add_liveness_watch t f] registers [f rank is_up] to run after every

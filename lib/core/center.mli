@@ -1,13 +1,12 @@
 (** One-call assembly of a simulated HPC center: the comms session, the
-    standard comms modules, the resource inventory, and a root Flux
-    instance managing the whole facility under one framework. *)
+    standard comms modules and a root Flux instance managing the whole
+    facility under one framework. *)
 
 type t = {
   eng : Flux_sim.Engine.t;
   sess : Flux_cmb.Session.t;
   kvs : Flux_kvs.Kvs_module.t array;
   wexec : Flux_modules.Wexec.t array;
-  resources : Resource.t;
   root : Instance.t;
 }
 
@@ -17,16 +16,13 @@ val create :
   ?policy:string ->
   ?power_budget:float ->
   ?fs_bandwidth:float ->
-  ?provenance:bool ->
   ?name:string ->
   unit ->
   t
 (** Build a center of [nodes] nodes (default 64) with kvs, barrier and
-    wexec loaded and the resource tree registered. Its root instance
-    uses the default scheduler cost model. *)
+    wexec loaded. Its root instance grants from a pool of every rank
+    and uses the default scheduler cost model. *)
 
 val run : t -> unit
 (** Drive the simulation until its queue drains (wraps
     {!Flux_sim.Engine.run}). *)
-
-val kvs_client : t -> rank:int -> Flux_kvs.Client.t

@@ -22,7 +22,6 @@ type t = {
   i_pool : Pool.t;
   mutable i_policy : (module Policy.S);
   decision_per_job : float;
-  provenance : bool;
   i_parent : t option;
   mutable i_children : t list;
   mutable queue : Job.t list; (* pending, submission order *)
@@ -65,27 +64,6 @@ let rec depth t = match t.i_parent with None -> 0 | Some p -> 1 + depth p
 let jobs t = List.rev t.all_jobs
 let queue_length t = List.length t.queue
 let running_count t = List.length t.running
-
-(* --- Provenance ------------------------------------------------------- *)
-
-let record_state t (job : Job.t) =
-  if t.provenance then begin
-    let b = Session.broker t.sess 0 in
-    Session.request_up b ~topic:"kvs.mput"
-      (Json.obj
-         [
-           ( "bindings",
-             Json.list
-               [
-                 Json.obj
-                   [
-                     ("key", Json.string (Wexec.job_key job.Job.jid ^ ".state"));
-                     ("v", Json.string (Job.state_to_string job.Job.jstate));
-                   ];
-               ] );
-         ])
-      ~reply:(fun _ -> ())
-  end
 
 let set_tracer t tr = t.tracer <- tr
 
@@ -144,7 +122,6 @@ let transition t job s =
       ]
     ();
   if Job.is_terminal s then Hashtbl.remove t.job_ctxs job.Job.jid;
-  record_state t job;
   match s with
   | Job.Failed _ when not (Hashtbl.mem t.preempted job.Job.jid) ->
     fire_fail_hooks t ~owner:t job
@@ -398,7 +375,6 @@ and create_child t ~policy ~sess ~nested ~nodes ~power_budget ~job ~grant =
       i_pool = Pool.create ~nodes ~power_budget ();
       i_policy = Policy.by_name policy;
       decision_per_job = t.decision_per_job;
-      provenance = t.provenance;
       i_parent = Some t;
       i_children = [];
       queue = [];
@@ -475,7 +451,6 @@ and submit ?jid t ~spec ~payload =
   span_job t job ~name:"submit"
     ~fields:[ ("queue", Flux_json.Json.int (List.length t.queue)) ]
     ();
-  record_state t job;
   kick t;
   job
 
@@ -590,7 +565,7 @@ let set_power_cap t w =
 (* --- Construction ----------------------------------------------------------------- *)
 
 let create_root sess ?(policy = "fcfs") ?(decision_per_job = decision_per_job)
-    ?(power_budget = infinity) ?(fs_bandwidth = infinity) ?(provenance = false) ~name () =
+    ?(power_budget = infinity) ?(fs_bandwidth = infinity) ~name () =
   {
     i_name = name;
     eng = Session.engine sess;
@@ -600,7 +575,6 @@ let create_root sess ?(policy = "fcfs") ?(decision_per_job = decision_per_job)
         ~fs_bandwidth ();
     i_policy = Policy.by_name policy;
     decision_per_job;
-    provenance;
     i_parent = None;
     i_children = [];
     queue = [];

@@ -44,16 +44,10 @@ val create_root :
   ?decision_per_job:float ->
   ?power_budget:float ->
   ?fs_bandwidth:float ->
-  ?provenance:bool ->
   name:string ->
   unit ->
   t
-(** Root instance owning every rank of the session. [provenance]
-    (default false) records job state transitions in the KVS under
-    [<job_key jid>.state], beside the job's task records
-    ({!Flux_modules.Wexec.job_key}: [lwj.b<h>.<jid>], bucketed 16 ways
-    by a hash of the job id so that a commit never re-hashes a
-    directory listing every job of the instance). *)
+(** Root instance owning every rank of the session. *)
 
 (** {1 Identity and introspection} *)
 

@@ -74,10 +74,6 @@ let wait_time t =
   if Float.is_nan t.start_time then invalid_arg "Job.wait_time: not started";
   t.start_time -. t.submit_time
 
-let turnaround t =
-  if Float.is_nan t.end_time then invalid_arg "Job.turnaround: not finished";
-  t.end_time -. t.submit_time
-
 let runtime t =
   if Float.is_nan t.end_time || Float.is_nan t.start_time then
     invalid_arg "Job.runtime: not finished";

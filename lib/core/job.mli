@@ -56,9 +56,6 @@ val is_terminal : state -> bool
 val wait_time : t -> float
 (** start - submit; raises if not started. *)
 
-val turnaround : t -> float
-(** end - submit; raises if not finished. *)
-
 val runtime : t -> float
 
 val state_to_string : state -> string

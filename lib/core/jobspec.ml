@@ -2,8 +2,6 @@ type elasticity = Rigid | Moldable of int * int | Malleable of int * int
 
 type t = {
   nnodes : int;
-  cores_per_node : int;
-  memory_per_node_gb : float;
   walltime_est : float;
   power_per_node : float;
   fs_bandwidth : float;
@@ -12,13 +10,10 @@ type t = {
   priority : int;
 }
 
-let make ?(cores_per_node = 16) ?(memory_per_node_gb = 0.0) ?(walltime_est = 3600.0)
-    ?(power_per_node = 0.0) ?(fs_bandwidth = 0.0) ?(elasticity = Rigid)
-    ?(user = "default") ?(priority = 0) ~nnodes () =
+let make ?(walltime_est = 3600.0) ?(power_per_node = 0.0) ?(fs_bandwidth = 0.0)
+    ?(elasticity = Rigid) ?(user = "default") ?(priority = 0) ~nnodes () =
   {
     nnodes;
-    cores_per_node;
-    memory_per_node_gb;
     walltime_est;
     power_per_node;
     fs_bandwidth;
@@ -41,11 +36,9 @@ let power_needed t ~nnodes = float_of_int nnodes *. t.power_per_node
 
 let validate t =
   if t.nnodes <= 0 then Error "nnodes must be positive"
-  else if t.cores_per_node <= 0 then Error "cores_per_node must be positive"
   else if t.walltime_est <= 0.0 then Error "walltime_est must be positive"
   else if t.power_per_node < 0.0 then Error "power_per_node must be non-negative"
   else if t.fs_bandwidth < 0.0 then Error "fs_bandwidth must be non-negative"
-  else if t.memory_per_node_gb < 0.0 then Error "memory must be non-negative"
   else
     match t.elasticity with
     | Rigid -> Ok ()

@@ -1,9 +1,8 @@
 (** Job resource request specifications.
 
-    A jobspec asks for discrete resources (whole nodes with a core
-    count) and consumable resources (power, shared-filesystem
-    bandwidth), plus the walltime estimate that backfill scheduling
-    relies on, and an elasticity class (Feitelson's rigid / moldable /
+    A jobspec asks for discrete resources (whole nodes) and consumable
+    resources (power, shared-filesystem bandwidth), plus the walltime
+    estimate that backfill scheduling relies on, and an elasticity class (Feitelson's rigid / moldable /
     malleable taxonomy referenced by the paper). *)
 
 type elasticity =
@@ -15,8 +14,6 @@ type elasticity =
 
 type t = {
   nnodes : int;  (** nodes requested (the target for moldable/malleable) *)
-  cores_per_node : int;
-  memory_per_node_gb : float;  (** 0.0 = no memory constraint *)
   walltime_est : float;  (** user estimate in seconds (backfill bound) *)
   power_per_node : float;  (** watts drawn per allocated node *)
   fs_bandwidth : float;  (** GB/s of shared filesystem while running *)
@@ -26,8 +23,6 @@ type t = {
 }
 
 val make :
-  ?cores_per_node:int ->
-  ?memory_per_node_gb:float ->
   ?walltime_est:float ->
   ?power_per_node:float ->
   ?fs_bandwidth:float ->

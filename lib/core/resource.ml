@@ -1,5 +1,3 @@
-module Json = Flux_json.Json
-
 type rtype =
   | Center
   | Cluster
@@ -34,23 +32,6 @@ let rtype_to_string = function
   | Bandwidth -> "bandwidth"
   | Custom s -> "custom:" ^ s
 
-let rtype_of_string = function
-  | "center" -> Center
-  | "cluster" -> Cluster
-  | "rack" -> Rack
-  | "node" -> Node
-  | "socket" -> Socket
-  | "core" -> Core
-  | "memory" -> Memory
-  | "power" -> Power
-  | "filesystem" -> Filesystem
-  | "bandwidth" -> Bandwidth
-  | s ->
-    let prefix = "custom:" in
-    if String.length s > String.length prefix && String.sub s 0 (String.length prefix) = prefix
-    then Custom (String.sub s (String.length prefix) (String.length s - String.length prefix))
-    else invalid_arg (Printf.sprintf "Resource.rtype_of_string: %S" s)
-
 let next_id = ref 0
 
 let fresh_id () =
@@ -63,16 +44,14 @@ let leaf ?(quantity = 1.0) ~name rtype =
 let composite ~name rtype children =
   { id = fresh_id (); name; rtype; quantity = 1.0; children }
 
-let node ?(sockets = 2) ?(cores_per_socket = 8) ?(memory_gb = 32.0) ~name () =
+(* A compute node: 2 sockets x 8 cores and 32 GB, the Zin/Cab nodes of
+   the paper. *)
+let node ~name =
   let socket i =
     composite ~name:(Printf.sprintf "%s.s%d" name i) Socket
-      (List.init cores_per_socket (fun c ->
-           leaf ~name:(Printf.sprintf "%s.s%d.c%d" name i c) Core))
+      (List.init 8 (fun c -> leaf ~name:(Printf.sprintf "%s.s%d.c%d" name i c) Core))
   in
-  composite ~name Node
-    (List.init sockets socket @ [ leaf ~quantity:memory_gb ~name:(name ^ ".mem") Memory ])
-
-let rack ~nodes ~name () = composite ~name Rack nodes
+  composite ~name Node (List.init 2 socket @ [ leaf ~quantity:32.0 ~name:(name ^ ".mem") Memory ])
 
 let nodes_per_rack = 32
 
@@ -83,9 +62,9 @@ let cluster ?(power_watts = 0.0) ~nnodes ~name () =
         let in_rack = min nodes_per_rack (nnodes - (r * nodes_per_rack)) in
         let nodes =
           List.init in_rack (fun i ->
-              node ~name:(Printf.sprintf "%s%d" name ((r * nodes_per_rack) + i)) ())
+              node ~name:(Printf.sprintf "%s%d" name ((r * nodes_per_rack) + i)))
         in
-        rack ~nodes ~name:(Printf.sprintf "%s-rack%d" name r) ())
+        composite ~name:(Printf.sprintf "%s-rack%d" name r) Rack nodes)
   in
   let extras =
     if power_watts > 0.0 then [ leaf ~quantity:power_watts ~name:(name ^ ".power") Power ]
@@ -118,20 +97,6 @@ let count rt t = fold (fun acc v -> if v.rtype = rt then acc + 1 else acc) 0 t
 let total_quantity rt t =
   fold (fun acc v -> if v.rtype = rt then acc +. v.quantity else acc) 0.0 t
 
-let find_all p t = List.rev (fold (fun acc v -> if p v then v :: acc else acc) [] t)
-
-let find_by_name name t =
-  match find_all (fun v -> String.equal v.name name) t with
-  | v :: _ -> Some v
-  | [] -> None
-
-let nodes_of t = find_all (fun v -> v.rtype = Node) t
-
-let rec depth t =
-  match t.children with
-  | [] -> 0
-  | cs -> 1 + List.fold_left (fun acc c -> max acc (depth c)) 0 cs
-
 let rec pp_indent ppf ~indent t =
   Format.fprintf ppf "%s%s[%s]" (String.make indent ' ') t.name (rtype_to_string t.rtype);
   if t.quantity <> 1.0 then Format.fprintf ppf " x%g" t.quantity;
@@ -139,22 +104,3 @@ let rec pp_indent ppf ~indent t =
   List.iter (pp_indent ppf ~indent:(indent + 2)) t.children
 
 let pp ppf t = pp_indent ppf ~indent:0 t
-
-let rec to_json t =
-  Json.obj
-    [
-      ("id", Json.int t.id);
-      ("name", Json.string t.name);
-      ("type", Json.string (rtype_to_string t.rtype));
-      ("quantity", Json.float t.quantity);
-      ("children", Json.list (List.map to_json t.children));
-    ]
-
-let rec of_json j =
-  {
-    id = Json.to_int (Json.member "id" j);
-    name = Json.to_string_v (Json.member "name" j);
-    rtype = rtype_of_string (Json.to_string_v (Json.member "type" j));
-    quantity = Json.to_float (Json.member "quantity" j);
-    children = List.map of_json (Json.to_list (Json.member "children" j));
-  }

@@ -31,15 +31,10 @@ type t = {
 
 (** {1 Builders} *)
 
-val node : ?sockets:int -> ?cores_per_socket:int -> ?memory_gb:float -> name:string -> unit -> t
-(** A compute node (default 2 sockets x 8 cores, 32 GB: the Zin/Cab
-    nodes of the paper). *)
-
-val rack : nodes:t list -> name:string -> unit -> t
-
 val cluster : ?power_watts:float -> nnodes:int -> name:string -> unit -> t
 (** A cluster of [nnodes] nodes split into racks of 32, with a power
-    envelope attached at cluster level. *)
+    envelope attached at cluster level. Each node has 2 sockets x 8
+    cores and 32 GB, the Zin/Cab nodes of the paper. *)
 
 val filesystem : ?bandwidth_gbs:float -> name:string -> unit -> t
 
@@ -54,22 +49,5 @@ val count : rtype -> t -> int
 val total_quantity : rtype -> t -> float
 (** Sum of [quantity] over vertices of a type. *)
 
-val find_all : (t -> bool) -> t -> t list
-(** Preorder matches. *)
-
-val find_by_name : string -> t -> t option
-
-val nodes_of : t -> t list
-(** All Node vertices, preorder. *)
-
-val depth : t -> int
-(** Longest root-to-leaf path length. *)
-
 val pp : Format.formatter -> t -> unit
 (** Indented tree rendering. *)
-
-(** {1 Serialization} — the resource inventory is published into the
-    KVS under [resrc.*], as the resvc module does. *)
-
-val to_json : t -> Flux_json.Json.t
-val of_json : Flux_json.Json.t -> t

@@ -5,16 +5,6 @@ let duration_of_payload = function
   | Job.App { duration; _ } -> duration
   | Job.Child _ | Job.Nested _ -> 0.0
 
-let poisson_arrivals rng ~rate ~n =
-  (* Cumulative exponential gaps; rate <= 0 means everything at t=0. *)
-  let t = ref 0.0 in
-  List.init n (fun _ ->
-      if rate <= 0.0 then 0.0
-      else begin
-        t := !t +. Rng.exponential rng (1.0 /. rate);
-        !t
-      end)
-
 let uq_ensemble rng ~n ?(mean_duration = 60.0) () =
   List.init n (fun _ ->
       let d = Float.max 1.0 (Rng.exponential rng mean_duration) in
@@ -42,29 +32,16 @@ let batch_mix rng ~n ~max_nodes ?(mean_duration = 120.0) () =
         sub_payload = Job.Sleep d;
       })
 
-let io_phased rng ~n ~max_nodes ~fs_bandwidth_each () =
-  List.init n (fun _ ->
-      let nnodes = min max_nodes (log_uniform rng ~max_value:max_nodes) in
-      let d = Float.max 1.0 (Rng.exponential rng 120.0) in
-      {
-        Job.sub_after = 0.0;
-        sub_spec =
-          Jobspec.make ~nnodes ~walltime_est:(2.0 *. d) ~fs_bandwidth:fs_bandwidth_each ();
-        sub_payload = Job.Sleep d;
-      })
-
 let pilot_mean_duration = 0.1
 
-let pilot_tasks rng ~n ?(prog = "") ?(arrival_rate = 0.0) () =
-  (* Merzky-style pilot stream: many single-node sub-second tasks,
-     submitted open-loop. With [prog] the tasks are wexec launches
-     (args carry a stable logical task id for exactly-once accounting
-     across requeues); without, synthetic [Sleep]s with the identical
-     duration/arrival draws — so a baseline can consume the same stream
-     shape without a wexec stack. *)
-  let arrivals = poisson_arrivals rng ~rate:arrival_rate ~n in
-  List.mapi
-    (fun i at ->
+let pilot_tasks rng ~n ?(prog = "") () =
+  (* Merzky-style pilot stream: many single-node sub-second tasks, all
+     submitted at t=0. With [prog] the tasks are wexec launches (args
+     carry a stable logical task id for exactly-once accounting across
+     requeues); without, synthetic [Sleep]s with the identical duration
+     draws — so a baseline can consume the same stream shape without a
+     wexec stack. *)
+  List.init n (fun i ->
       let d = Float.max 0.01 (Rng.exponential rng pilot_mean_duration) in
       let payload =
         if prog = "" then Job.Sleep d
@@ -78,11 +55,10 @@ let pilot_tasks rng ~n ?(prog = "") ?(arrival_rate = 0.0) () =
             }
       in
       {
-        Job.sub_after = at;
+        Job.sub_after = 0.0;
         sub_spec = Jobspec.make ~nnodes:1 ~walltime_est:(2.0 *. d) ();
         sub_payload = payload;
       })
-    arrivals
 
 let split_round_robin k subs =
   if k <= 0 then invalid_arg "Workload.split_round_robin: k must be positive";

@@ -18,18 +18,10 @@ val batch_mix :
     [1, max_nodes], exponential durations, walltime estimates twice the
     true duration (users overestimate). *)
 
-val io_phased :
-  Rng.t -> n:int -> max_nodes:int -> fs_bandwidth_each:float -> unit -> Job.submission list
-(** Jobs that also consume shared-filesystem bandwidth while running —
-    used to demonstrate co-scheduling compute with the global file
-    system. Durations are exponential with a 120 s mean. *)
-
-val pilot_tasks :
-  Rng.t -> n:int -> ?prog:string -> ?arrival_rate:float -> unit -> Job.submission list
+val pilot_tasks : Rng.t -> n:int -> ?prog:string -> unit -> Job.submission list
 (** A pilot-style many-task stream (Merzky et al.): [n] single-node tasks
     with exponential sub-second durations (mean {!pilot_mean_duration},
-    floor 0.01 s) arriving open-loop at [arrival_rate] tasks/s (default:
-    all at t=0). With [prog] each task is a wexec [App] launch whose args
+    floor 0.01 s), all submitted at t=0. With [prog] each task is a wexec [App] launch whose args
     carry a stable logical task id ([tid] = stream index) for exactly-once
     accounting across requeues; without, [Sleep] payloads drawn from the
     identical random sequence — the same stream shape for baselines with

@@ -69,12 +69,10 @@ type report = {
   sim_events : int;  (** engine callbacks fired (a determinism fingerprint) *)
 }
 
-val validate : config -> (unit, string) result
-(** Clients present and in range, one or more rounds. *)
-
 val run : config -> report
 (** Deterministic for a given config: same seed, same schedule, same
-    report. Raises [Invalid_argument] when {!validate} fails. *)
+    report. Raises [Invalid_argument] unless the clients are present and
+    in range and there are one or more rounds. *)
 
 val harness : Harness.t
 (** The bench sweep: 10 seeds ([fast]: 3) at the default config. *)

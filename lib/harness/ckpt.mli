@@ -59,11 +59,9 @@ type report = {
   r_sim_events : int;
 }
 
-val validate : config -> (unit, string) result
-(** Workers present and clear of the never-killed ranks; positive counts. *)
-
 val run : config -> report
-(** Raises [Invalid_argument] when {!validate} fails. *)
+(** Raises [Invalid_argument] unless the workers are present and clear
+    of the never-killed ranks and the counts are positive. *)
 
 val row : report -> Harness.row
 

@@ -77,14 +77,11 @@ type report = {
   e_events : int;
 }
 
-val validate : config -> (unit, string) result
-(** A child of 2..size-1 of at least 8 ranks, a positive duration,
-    queue cap and seed, non-negative [drain] and [silence_at], a valid
-    policy. *)
-
 val run : config -> report
-(** One soak under one regime. Raises [Invalid_argument] when
-    {!validate} fails. *)
+(** One soak under one regime. Raises [Invalid_argument] unless the
+    child has 2..size-1 and at least 8 ranks, the duration, queue cap
+    and seed are positive, [drain] and [silence_at] are non-negative and
+    the policy is valid. *)
 
 val harness : Harness.t
 (** The bench sweep: the three regimes on one stream plus a same-seed

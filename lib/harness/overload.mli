@@ -104,11 +104,9 @@ type report = {
   telem_dumps : int;  (** flight-recorder dumps taken *)
 }
 
-val validate : config -> (unit, string) result
-(** Producers present and in 1..size-1; positive rate and duration. *)
-
 val run : config -> report
-(** Raises [Invalid_argument] when {!validate} fails. *)
+(** Raises [Invalid_argument] unless the producers are present and in
+    1..size-1 and the rate and duration are positive. *)
 
 val row : report -> Harness.row
 

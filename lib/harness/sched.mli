@@ -71,13 +71,11 @@ type report = {
   r_sim_events : int;
 }
 
-val validate : config -> (unit, string) result
-(** A feasible tree of depth 0..4, positive counts, a known policy, and
-    [kill_leaf] only with [Wexec_tasks]. *)
-
 val run : config -> report
-(** Raises [Invalid_argument] when {!validate} fails. The center comes
-    from {!Flux_core.Center.create}. *)
+(** Raises [Invalid_argument] unless the tree is feasible with depth
+    0..4, the counts are positive, the policy is known and [kill_leaf]
+    comes only with [Wexec_tasks]. The center comes from
+    {!Flux_core.Center.create}. *)
 
 type central_report = {
   c_completed : int;

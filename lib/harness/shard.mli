@@ -37,11 +37,9 @@ type soak_report = {
   sim_events : int;
 }
 
-val soak_validate : soak_config -> (unit, string) result
-(** Shards, producers in 0..31, a positive duration. *)
-
 val soak : soak_config -> soak_report
-(** Raises [Invalid_argument] when {!soak_validate} fails. *)
+(** Raises [Invalid_argument] unless there are shards, the producers are
+    in 0..31 and the duration is positive. *)
 
 (** {1 Cross-shard fence chaos}
 

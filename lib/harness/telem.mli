@@ -55,12 +55,11 @@ type report = {
   t_flight : Flux_trace.Flight.t;
 }
 
-val validate : config -> (unit, string) result
-(** At least 4 ranks and epochs, a positive interval and counts, an onset
-    inside the run, fault ranks in 1..size-1, a straggler factor above 1. *)
-
 val run : config -> report
-(** Raises [Invalid_argument] when {!validate} fails. *)
+(** Raises [Invalid_argument] unless there are at least 4 ranks and
+    epochs, the interval and counts are positive, the onset is inside
+    the run, the fault ranks are in 1..size-1 and the straggler factor
+    is above 1. *)
 
 val harness : Harness.t
 (** The bench sweep: telemetry-on vs -off wall cost on an {!Overload}

@@ -77,7 +77,6 @@ let type_name = function
 let type_error expected v =
   raise (Type_error (Printf.sprintf "expected %s, got %s" expected (type_name v)))
 
-let to_bool = function Bool b -> b | v -> type_error "bool" v
 let to_int = function Int i -> i | v -> type_error "int" v
 
 let to_float = function
@@ -127,16 +126,12 @@ let member k v =
     if x == absent then raise (Type_error (Printf.sprintf "missing field %S" k)) else x
   | _ -> type_error "object" v
 
-let mem k v = find k v != absent
 
 let set_member k x v =
   let fields = to_obj v in
   if List.mem_assoc k fields then
     obj (List.map (fun (k', v') -> if String.equal k k' then (k', x) else (k', v')) fields)
   else obj (fields @ [ (k, x) ])
-
-let remove_member k v =
-  obj (List.filter (fun (k', _) -> not (String.equal k k')) (to_obj v))
 
 (* Below 1e17, [%.17g] prints an integral float without a point or an
    exponent, and it would parse back as an [Int]. *)

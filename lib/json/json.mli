@@ -52,7 +52,6 @@ val strings : string list -> t
 
 exception Type_error of string
 
-val to_bool : t -> bool
 val to_int : t -> int
 val to_float : t -> float
 (** [to_float] accepts both [Float] and [Int]. *)
@@ -75,12 +74,8 @@ val member_opt : string -> t -> t option
     shared by many caches is indexed once. {!member} and {!mem} share
     the rule. *)
 
-val mem : string -> t -> bool
-
 val set_member : string -> t -> t -> t
 (** [set_member k x v] returns [v] with field [k] replaced or appended. *)
-
-val remove_member : string -> t -> t
 
 (** {1 Printing and parsing} *)
 

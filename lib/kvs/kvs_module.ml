@@ -122,7 +122,6 @@ let child_span t parent =
 let set_fence_hold t hook = t.fence_hold <- hook
 let is_master t = t.master
 let epoch t = t.epoch
-let master_rank t = t.master_rank
 let version t = t.version
 let root_ref t = t.root
 let cached_objects t = if t.master then Hashtbl.length t.store else Lru.length t.cache
@@ -765,7 +764,7 @@ let handle_fenceabort t (req : Message.t) =
       ~reply:(fun _ -> Session.respond t.b req Json.null)
 
 (* Atomic put-and-commit of a binding list: used by services (mon,
-   resvc, provenance) that have no client-side transaction state. *)
+   resvc) that have no client-side transaction state. *)
 let handle_mput t (req : Message.t) =
   let bindings =
     List.map
@@ -1278,34 +1277,18 @@ let subscribe_events t =
 (* Failover and rejoin are driven off the session's liveness transitions;
    each instance reacts independently so the election is symmetric
    (everyone computes the same lowest-live successor). *)
-let install sess ?ranks instances instance_at =
-  Session.load_module sess ?ranks (fun b -> module_of (instance_at (Session.rank b)));
+let install sess instances =
+  Session.load_module sess (fun b -> module_of instances.(Session.rank b));
   Array.iter subscribe_events instances;
   Session.add_liveness_watch sess (fun r up -> Array.iter (fun t -> on_liveness t r up) instances);
   instances
 
-let ranks_to_depth sess d =
-  let k = Session.fanout sess in
-  List.filter
-    (fun r -> Flux_util.Treemath.depth ~k r <= d)
-    (List.init (Session.size sess) Fun.id)
-
-let load sess ?(config = default_config) ?ranks () =
-  let targets =
-    match ranks with
-    | Some rs ->
-      if not (List.mem 0 rs) then invalid_arg "Kvs_module.load: ranks must include the master (0)";
-      rs
-    | None -> List.init (Session.size sess) Fun.id
-  in
-  let instances =
-    Array.of_list (List.map (fun r -> create_instance config (Session.broker sess r)) targets)
-  in
-  let service_ranks = List.sort_uniq compare targets in
+let load sess ?(config = default_config) () =
+  let n = Session.size sess in
+  let instances = Array.init n (fun r -> create_instance config (Session.broker sess r)) in
+  let service_ranks = List.init n Fun.id in
   Array.iter (fun t -> t.service_ranks <- service_ranks) instances;
-  let by_rank = Hashtbl.create 64 in
-  List.iteri (fun i r -> Hashtbl.replace by_rank r instances.(i)) targets;
-  install sess ~ranks:targets instances (Hashtbl.find by_rank)
+  install sess instances
 
 (* Routed families (Volumes) fail over like the session store, but their
    election order follows the volume's *virtual ring*: successors are
@@ -1322,4 +1305,4 @@ let load_routed sess ?(config = default_config) ~routing () =
   let m0 = instances.(0).routing.rt_master in
   let ring_order = List.init n (fun i -> (m0 + i) mod n) in
   Array.iter (fun t -> t.service_ranks <- ring_order) instances;
-  install sess instances (Array.get instances)
+  install sess instances

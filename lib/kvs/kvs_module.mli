@@ -65,17 +65,9 @@ val replicated_config : config
 type t
 (** Per-rank instance state (introspection handle for tests/benches). *)
 
-val load : Session.t -> ?config:config -> ?ranks:int list -> unit -> t array
-(** Load the module on every rank of the session (or only on [ranks],
-    to load at a configurable tree depth: leaf brokers without an
-    instance route KVS requests upstream to the nearest loaded one,
-    conserving node resources for the application). Result index [i]
-    holds the instance of the [i]-th listed rank (rank [i] when loading
-    everywhere). [ranks] must include rank 0 — the master. *)
-
-val ranks_to_depth : Session.t -> int -> int list
-(** Ranks whose RPC-tree depth is at most the argument — convenience
-    for depth-based loading. *)
+val load : Session.t -> ?config:config -> unit -> t array
+(** Load the module on every rank of the session; index [i] holds rank
+    [i]'s instance, and rank 0 is the master. *)
 
 (** {1 Routed loading (distributed masters)}
 
@@ -142,9 +134,6 @@ val is_master : t -> bool
 
 val epoch : t -> int
 (** Mastership epoch this instance has reached (0 until a failover). *)
-
-val master_rank : t -> int
-(** The rank this instance currently believes is master. *)
 
 val version : t -> int
 val root_ref : t -> Sha1.digest

@@ -16,7 +16,6 @@ let dirent_ref entry =
   | _ -> raise (Json.Type_error "malformed directory entry")
 
 let dir_entries = Json.to_obj
-let dir_size d = List.length (Json.to_obj d)
 
 (* A component boundary (the start, or a dot) may not be followed by
    another one, nor end the key. Top level, so a check allocates no

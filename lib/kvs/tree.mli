@@ -20,9 +20,6 @@ val empty_dir_sha : Sha1.digest
 val dirent_file : Sha1.digest -> Json.t
 (** Entry referencing a value object: [{"f": sha}]. *)
 
-val dirent_dir : Sha1.digest -> Json.t
-(** Entry referencing a subdirectory object: [{"d": sha}]. *)
-
 val dirent_val : Json.t -> Json.t
 (** Entry carrying a small value inline: [{"v": value}]. Small values
     live inside the directory object itself — which is why a consumer of
@@ -38,19 +35,12 @@ val dir_entries : Json.t -> (string * Json.t) list
     {!apply_tuples} stores keep this invariant, and {!apply_tuples}
     relies on it when it merges updates into an existing directory. *)
 
-val dir_size : Json.t -> int
-(** Number of entries in a directory object. *)
-
 (** {1 Key paths} *)
 
 val valid_key : string -> bool
 (** [valid_key k] holds when [k] is non-empty and none of its
     ['.']-separated components is empty: ["a.b"] is valid, [""],
     [".x"], ["x."] and ["a..b"] are not. One scan of [k]. *)
-
-val split_key : string -> string list
-(** ["a.b.c"] -> [["a"; "b"; "c"]]. Raises [Invalid_argument] on a key
-    that is not {!valid_key}. *)
 
 (** {1 Lookup} *)
 
@@ -67,7 +57,8 @@ val lookup :
     [root], finding each component with {!Json.member_opt}: a large
     directory is searched through the name index it carries, built once
     per directory object and shared by every cache that holds the same
-    physical value. *)
+    physical value. Raises [Invalid_argument] on a key that is not
+    {!valid_key}. *)
 
 (** {1 Update (master side)} *)
 

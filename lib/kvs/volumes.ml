@@ -33,7 +33,6 @@ type t = {
   mutable next_cid : int; (* stamps client fan-out RPCs for dedup *)
 }
 
-let shards t = t.n_shards
 let master_rank t i = t.masters.(i)
 let instance t ~volume ~rank = t.instances.(volume).(rank)
 
@@ -232,116 +231,6 @@ let load sess ?config ~shards () =
     subscribe_coords t
   end;
   t
-
-(* --- Snapshot / restore ----------------------------------------------------- *)
-
-(* The instance currently holding a volume's authoritative store: a live
-   rank believing itself master, preferring the highest epoch when a
-   takeover has not fully settled. *)
-let acting_master_instance t ~volume =
-  let n = Session.size t.sess in
-  let best = ref None in
-  for r = 0 to n - 1 do
-    let inst = t.instances.(volume).(r) in
-    if (not (Session.is_down t.sess r)) && Kvs_module.is_master inst then
-      match !best with
-      | Some b when Kvs_module.epoch b >= Kvs_module.epoch inst -> ()
-      | _ -> best := Some inst
-  done;
-  !best
-
-(* One snapshot spanning every volume: each acting master's reachable
-   object set, unioned (content addressing dedups shared objects), plus
-   a composite record naming each volume's root — the same record shape
-   the cross-shard fence publishes, so a restore re-establishes a
-   consistent cut, not [n_shards] unrelated stores. *)
-let snapshot t =
-  let rec per_vol acc vol =
-    if vol = t.n_shards then Ok (List.rev acc)
-    else
-      match acting_master_instance t ~volume:vol with
-      | None ->
-        Error (Printf.sprintf "%s: no live master to snapshot" (service_of vol))
-      | Some inst -> (
-        match Kvs_module.snapshot inst with
-        | Ok s -> per_vol ((inst, s) :: acc) (vol + 1)
-        | Error _ as e -> e)
-  in
-  match per_vol [] 0 with
-  | Error e -> Error e
-  | Ok per ->
-    let seen = Hashtbl.create 256 in
-    let objects =
-      List.filter
-        (fun (h, _) ->
-          if Hashtbl.mem seen h then false
-          else begin
-            Hashtbl.replace seen h ();
-            true
-          end)
-        (List.concat_map (fun (_, s) -> s.Snapshot.s_objects) per)
-    in
-    let roots =
-      Array.of_list
-        (List.map
-           (fun (inst, (s : Snapshot.t)) ->
-             {
-               Proto.ri_epoch = s.Snapshot.s_epoch;
-               ri_master = Kvs_module.master_rank inst;
-               ri_version = s.Snapshot.s_version;
-               ri_root = s.Snapshot.s_root;
-             })
-           per)
-    in
-    let cx_epoch =
-      Array.fold_left (fun acc c -> max acc c.co_epoch) 0 t.coords
-    in
-    Ok
-      {
-        Snapshot.s_service = "kvsx";
-        s_root = Tree.empty_dir_sha;
-        s_version = Array.fold_left (fun a ri -> max a ri.Proto.ri_version) 0 roots;
-        s_epoch = Array.fold_left (fun a ri -> max a ri.Proto.ri_epoch) 0 roots;
-        s_composite = Some { Proto.cx_name = "snapshot"; cx_epoch; cx_roots = roots };
-        s_objects = objects;
-      }
-
-(* Restore each volume's acting master from its composite member root.
-   Every volume sees the unioned object set; content addressing makes
-   the extra objects harmless and the per-volume root names what is
-   reachable. *)
-let restore t (snap : Snapshot.t) =
-  match snap.Snapshot.s_composite with
-  | None -> Error "volumes: snapshot carries no cross-shard composite record"
-  | Some cx ->
-    if Array.length cx.Proto.cx_roots <> t.n_shards then
-      Error
-        (Printf.sprintf "volumes: snapshot has %d volumes, store has %d"
-           (Array.length cx.Proto.cx_roots) t.n_shards)
-    else
-      let rec go vol =
-        if vol = t.n_shards then Ok ()
-        else
-          match acting_master_instance t ~volume:vol with
-          | None ->
-            Error (Printf.sprintf "%s: no live master to restore into" (service_of vol))
-          | Some inst -> (
-            let ri = cx.Proto.cx_roots.(vol) in
-            let view =
-              {
-                snap with
-                Snapshot.s_service = service_of vol;
-                s_root = ri.Proto.ri_root;
-                s_version = ri.Proto.ri_version;
-                s_epoch = ri.Proto.ri_epoch;
-                s_composite = None;
-              }
-            in
-            match Kvs_module.restore inst view with
-            | Ok () -> go (vol + 1)
-            | Error _ as e -> e)
-      in
-      go 0
 
 (* --- Client --------------------------------------------------------------- *)
 

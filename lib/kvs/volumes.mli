@@ -36,24 +36,19 @@ val load :
 (** Raises [Invalid_argument] if [shards] is not positive or exceeds the
     session size. *)
 
-val shards : t -> int
-
 val master_rank : t -> int -> int
 (** Rank initially hosting volume [i]'s master (failover may move it;
-    see {!Kvs_module.master_rank} on the instance for the live view). *)
+    see {!Kvs_module.is_master} on the instances for the live view). *)
 
 val volume_of_key : t -> string -> int
 (** Deterministic shard choice from the key's first path component.
-    Raises [Invalid_argument] on a key {!check_key} rejects. *)
-
-val check_key : string -> (unit, string) result
-(** A key is legal iff it is non-empty and no ['.']-separated path
-    component is empty — such keys would otherwise silently collapse
-    onto one shard or be unresolvable in the hash tree. *)
+    Raises [Invalid_argument] on an illegal key (see {!volume_for_key}). *)
 
 val volume_for_key : t -> string -> (int, string) result
 (** Like {!volume_of_key} but returns the validation error instead of
-    raising. *)
+    raising. A key is legal iff it is non-empty and no ['.']-separated
+    path component is empty — such keys would otherwise silently
+    collapse onto one shard or be unresolvable in the hash tree. *)
 
 val instance : t -> volume:int -> rank:int -> Kvs_module.t
 (** Introspection handle for one volume's instance at one rank. *)
@@ -67,21 +62,6 @@ val xfence_epoch : t -> rank:int -> int
 val last_composite : t -> rank:int -> Proto.composite option
 (** The most recent merged setroot record [rank] derived: the frozen
     roots of all volumes under one cross-shard epoch. *)
-
-(** {1 Snapshot / restore} *)
-
-val snapshot : t -> (Snapshot.t, string) result
-(** One serialized store spanning every volume: the union of each acting
-    master's reachable object set (content addressing dedups shared
-    objects) plus a {!Proto.composite} record naming each volume's
-    (epoch, version, root) — the same record shape the cross-shard fence
-    publishes, so the snapshot names one consistent cut. *)
-
-val restore : t -> Snapshot.t -> (unit, string) result
-(** Rebuild each volume's acting master from its composite member root
-    (see {!Kvs_module.restore} for the verification and forward-only
-    rules). Fails if the snapshot's volume count differs from this
-    store's. *)
 
 (** {1 Client} *)
 

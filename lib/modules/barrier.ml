@@ -25,31 +25,40 @@ let child_span t parent =
   | Some tr, Some c -> Some (Tracer.child_ctx tr c)
   | _ -> None
 
+(* A broker that became the root while the collective was open (its
+   parent died) folds the batch in at its own root, whether the forward
+   was still to be sent or came back failed. *)
 let forward t (g : unit Collective.group) (batch : unit Collective.batch) =
-  let name = g.Collective.name and count = batch.Collective.b_count in
-  let bid = Collective.stamp t.seen in
-  let ctx = child_span t batch.Collective.b_ctx in
-  trace t ~name:"forward" ?ctx
-    ~fields:
-      [ ("name", Json.string name); ("count", Json.int count); ("bid", Json.int bid) ]
-    ();
-  let payload =
-    Json.obj
-      [
-        ("name", Json.string name);
-        ("nprocs", Json.int g.Collective.nprocs);
-        ("count", Json.int count);
-        ("bid", Json.int bid);
-      ]
-  in
-  (* The reply blocks until the whole barrier completes, so the deadline
-     must cover a slow collective; the bid lets the parent suppress the
-     duplicate count if an attempt's response is lost. *)
-  Session.request_from_module t.b ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx
-    ~topic:"barrier.enter" payload ~reply:(fun r ->
-      let r = match r with Ok _ -> Ok Json.null | Error _ -> r in
-      List.iter (fun req -> Collective.respond t.seen req r) batch.Collective.b_parked;
-      Collective.close t.coll g)
+  if Session.tree_parent t.b = None then Collective.to_root t.coll g batch
+  else begin
+    let name = g.Collective.name and count = batch.Collective.b_count in
+    let bid = Collective.stamp t.seen in
+    let ctx = child_span t batch.Collective.b_ctx in
+    trace t ~name:"forward" ?ctx
+      ~fields:
+        [ ("name", Json.string name); ("count", Json.int count); ("bid", Json.int bid) ]
+      ();
+    let payload =
+      Json.obj
+        [
+          ("name", Json.string name);
+          ("nprocs", Json.int g.Collective.nprocs);
+          ("count", Json.int count);
+          ("bid", Json.int bid);
+        ]
+    in
+    (* The reply blocks until the whole barrier completes, so the deadline
+       must cover a slow collective; the bid lets the parent suppress the
+       duplicate count if an attempt's response is lost. *)
+    Session.request_from_module t.b ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx
+      ~topic:"barrier.enter" payload ~reply:(fun r ->
+        match r with
+        | Error _ when Session.tree_parent t.b = None -> Collective.to_root t.coll g batch
+        | _ ->
+          let r = match r with Ok _ -> Ok Json.null | Error _ -> r in
+          List.iter (fun req -> Collective.respond t.seen req r) batch.Collective.b_parked;
+          Collective.close t.coll g)
+  end
 
 let complete t (g : unit Collective.group) ~last =
   let name = g.Collective.name in

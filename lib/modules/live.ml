@@ -3,18 +3,18 @@ module Session = Flux_cmb.Session
 module Message = Flux_cmb.Message
 module Topic = Flux_cmb.Topic
 
+(* A child is declared dead after this many heartbeats without a hello. *)
+let max_missed = 3
+
 type t = {
   b : Session.broker;
-  max_missed : int;
   period : float; (* heartbeat period, for replay-burst detection *)
   last_hello : (int, int) Hashtbl.t; (* child rank -> epoch of last hello *)
   mutable last_epoch : int; (* last heartbeat processed here *)
   mutable last_pulse_at : float;
-  mutable hellos : int;
   mutable down : int list;
 }
 
-let hellos_received t = t.hellos
 let declared_down t = t.down
 
 let send_hello t epoch =
@@ -49,7 +49,7 @@ let check_children t epoch =
       | Some last ->
         if gap then Hashtbl.replace t.last_hello child epoch
         else if
-          epoch - last > t.max_missed
+          epoch - last > max_missed
           && (not (Session.is_down sess child))
           && not (List.mem child t.down)
         then begin
@@ -81,24 +81,21 @@ let module_of t =
         | "hello" ->
           let rank = Json.to_int (Json.member "rank" req.Message.payload) in
           let epoch = Json.to_int (Json.member "epoch" req.Message.payload) in
-          t.hellos <- t.hellos + 1;
           Hashtbl.replace t.last_hello rank epoch;
           Session.respond t.b req Json.null
         | m -> Session.respond_error t.b req (Printf.sprintf "live: unknown method %S" m));
         Session.Consumed);
   }
 
-let load sess ~(hb : Hb.t array) ?(max_missed = 3) () =
+let load sess ~(hb : Hb.t array) () =
   let instances =
     Array.init (Session.size sess) (fun r ->
         {
           b = Session.broker sess r;
-          max_missed;
           period = Hb.period hb.(r);
           last_hello = Hashtbl.create 8;
           last_epoch = 0;
           last_pulse_at = neg_infinity;
-          hellos = 0;
           down = [];
         })
   in

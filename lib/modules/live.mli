@@ -12,12 +12,9 @@
 
 type t
 
-val load :
-  Flux_cmb.Session.t -> hb:Hb.t array -> ?max_missed:int -> unit -> t array
+val load : Flux_cmb.Session.t -> hb:Hb.t array -> unit -> t array
 (** Requires the [hb] module to be loaded first. A child is declared
-    dead after [max_missed] (default 3) heartbeats without a hello. *)
-
-val hellos_received : t -> int
+    dead after 3 heartbeats without a hello. *)
 
 val declared_down : t -> int list
 (** Ranks this instance has declared dead (root aggregates all). *)

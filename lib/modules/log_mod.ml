@@ -42,7 +42,6 @@ type t = {
 }
 
 let root_log t = List.rev t.root_entries
-let local_buffer t = Ring_buffer.to_list t.buffer
 
 let entry_to_json e =
   Json.obj

@@ -25,10 +25,6 @@ val log : Flux_cmb.Api.t -> level:level -> string -> unit
 val root_log : t -> entry list
 (** The accumulated session log (meaningful at rank 0), oldest first. *)
 
-val local_buffer : t -> entry list
-(** This rank's circular debug buffer (the last 128 messages), oldest
-    first. *)
-
 val dump_buffers : Flux_cmb.Api.t -> unit
 (** Publish a fault event asking every rank to dump its debug buffer to
     the root log. *)

@@ -3,7 +3,6 @@ module Session = Flux_cmb.Session
 module Message = Flux_cmb.Message
 module Topic = Flux_cmb.Topic
 
-type node_resources = { cores : int; memory_gb : int }
 
 type t = {
   b : Session.broker;
@@ -12,19 +11,19 @@ type t = {
   allocations : (string, int list) Hashtbl.t; (* jobid -> ranks, root only *)
 }
 
-let enumerate_in_kvs t resources =
+(* Every node is a Zin/Cab node of the paper: 16 cores, 32 GB. *)
+let enumerate_in_kvs t =
   (* Write the whole inventory under resrc.* in one atomic batch through
      the root's kvs module. *)
   let n = Session.b_size t.b in
   let bindings =
     List.init n (fun r ->
-        let res = resources r in
         Json.obj
           [
             ("key", Json.string (Printf.sprintf "resrc.rank%d" r));
             ( "v",
               Json.obj
-                [ ("cores", Json.int res.cores); ("mem_gb", Json.int res.memory_gb) ] );
+                [ ("cores", Json.int 16); ("mem_gb", Json.int 32) ] );
           ])
   in
   Session.request_up t.b ~topic:"kvs.mput"
@@ -87,7 +86,7 @@ let module_of t =
         end);
   }
 
-let load sess ?(resources = fun _ -> { cores = 16; memory_gb = 32 }) () =
+let load sess () =
   let instances =
     Array.init (Session.size sess) (fun r ->
         {
@@ -98,7 +97,7 @@ let load sess ?(resources = fun _ -> { cores = 16; memory_gb = 32 }) () =
         })
   in
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
-  enumerate_in_kvs instances.(0) resources;
+  enumerate_in_kvs instances.(0);
   instances
 
 let alloc api ~jobid ~nnodes =

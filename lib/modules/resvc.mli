@@ -7,15 +7,12 @@
     (hierarchical) scheduling built on top of this lives in
     [flux_core]. *)
 
-type node_resources = { cores : int; memory_gb : int }
-
 type t
 
-val load :
-  Flux_cmb.Session.t -> ?resources:(int -> node_resources) -> unit -> t array
-(** [resources] maps a rank to its node description (default: 16 cores,
-    32 GB — the Zin/Cab nodes of the paper). The inventory is committed
-    to the KVS (requires the kvs module). *)
+val load : Flux_cmb.Session.t -> unit -> t array
+(** Every rank is a node of 16 cores and 32 GB (the Zin/Cab nodes of
+    the paper). The inventory is committed to the KVS (requires the kvs
+    module). *)
 
 val alloc :
   Flux_cmb.Api.t -> jobid:string -> nnodes:int -> (int list, string) result

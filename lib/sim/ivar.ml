@@ -4,8 +4,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
 
-let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
-
 let fill eng iv v =
   match iv.state with
   | Full _ -> invalid_arg "Ivar.fill: already full"
@@ -14,13 +12,6 @@ let fill eng iv v =
     List.iter
       (fun w -> ignore (Engine.schedule eng ~delay:0.0 (fun () -> w v) : Engine.handle))
       (List.rev waiters)
-
-let try_fill eng iv v =
-  match iv.state with
-  | Full _ -> false
-  | Empty _ ->
-    fill eng iv v;
-    true
 
 let on_full eng iv f =
   match iv.state with

@@ -13,11 +13,5 @@ val fill : Engine.t -> 'a t -> 'a -> unit
 (** [fill eng iv v] sets the value and schedules all waiters at the
     current instant. Raises [Invalid_argument] on double fill. *)
 
-val try_fill : Engine.t -> 'a t -> 'a -> bool
-(** Like {!fill} but returns [false] instead of raising when already
-    full. *)
-
-val peek : 'a t -> 'a option
-
 val on_full : Engine.t -> 'a t -> ('a -> unit) -> unit
 (** [on_full eng iv f] runs [f v] once [iv] holds [v] (possibly already). *)

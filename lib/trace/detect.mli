@@ -37,14 +37,10 @@ val stragglers : k:float -> epoch:int -> metric:string -> (int * float) list -> 
     noise. Fewer than 3 ranks yields no
     alerts (no meaningful distribution). Output is rank-ascending. *)
 
-val trend_slope : (int * float) list -> float
-(** Least-squares slope (value per epoch) of the points; 0 with fewer
-    than two points or a degenerate epoch axis. *)
-
 val queue_growth :
   slope_threshold:float -> epoch:int -> metric:string -> (int * float) list -> alert list
-(** One alert when the slope over the window exceeds [slope_threshold]
-    units/epoch and at least 3 epochs were observed. *)
+(** One alert when the least-squares slope of the points (value per
+    epoch) exceeds [slope_threshold] and at least 3 epochs were observed. *)
 
 val silent_ranks :
   epoch:int -> expected:int list -> heard:int list -> down:int list -> alert list

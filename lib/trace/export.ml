@@ -10,15 +10,6 @@ let event_to_json (e : Tracer.event) =
       ("fields", Json.obj e.Tracer.ev_fields);
     ]
 
-let event_of_json j =
-  {
-    Tracer.ev_ts = Json.to_float (Json.member "ts" j);
-    ev_cat = Json.to_string_v (Json.member "cat" j);
-    ev_name = Json.to_string_v (Json.member "name" j);
-    ev_rank = Json.to_int (Json.member "rank" j);
-    ev_fields = Json.to_obj (Json.member "fields" j);
-  }
-
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   List.iter

@@ -4,9 +4,6 @@ val to_jsonl : Tracer.t -> string
 (** One JSON object per line (ts, cat, name, rank, fields) — the format
     external analysis tools would ingest. *)
 
-val event_of_json : Flux_json.Json.t -> Tracer.event
-(** Parse one line back (inverse of the {!to_jsonl} row encoding). *)
-
 val to_text : Tracer.t -> string
 (** Human-readable listing, one event per line, time-ordered. *)
 

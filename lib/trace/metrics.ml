@@ -187,9 +187,6 @@ let summary_merged t ~name =
     Hashtbl.iter (fun _ h -> merge_into acc h) f;
     if acc.h_count = 0 then None else Some (summarize acc)
 
-let hist_names t =
-  List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.hists [])
-
 (* Flatten a two-level table back to ((name, rank), value) folds — the
    shape snapshots and exports are defined over. *)
 let fold_flat tbl f acc =
@@ -382,14 +379,6 @@ let snap_hist_merged s ~name =
   | (_, h0) :: rest ->
     hist_snap_summary (List.fold_left (fun acc (_, h) -> hist_snap_add acc h) h0 rest)
 
-let snap_ranks s =
-  let seen = Hashtbl.create 16 in
-  let see ((_, r), _) = Hashtbl.replace seen r () in
-  List.iter see s.sn_counters;
-  List.iter see s.sn_gauges;
-  List.iter see s.sn_hists;
-  List.sort compare (Hashtbl.fold (fun r () acc -> r :: acc) seen [])
-
 (* --- Snapshot wire codec ---------------------------------------------- *)
 
 (* Compact JSON rows: ["name", rank, v]. Key order is the sorted
@@ -474,39 +463,3 @@ let to_csv t =
     (fun (n, r, v) -> Buffer.add_string b (Printf.sprintf "%s,%d,%s\n" n r v))
     (List.sort compare !rows);
   Buffer.contents b
-
-let summary_json s =
-  Json.obj
-    [
-      ("count", Json.int s.n);
-      ("sum", Json.float s.sum);
-      ("min", Json.float s.mn);
-      ("max", Json.float s.mx);
-      ("p50", Json.float s.p50);
-      ("p95", Json.float s.p95);
-      ("p99", Json.float s.p99);
-    ]
-
-(* JSON view: counters summed across ranks, gauges per rank, histograms
-   merged across ranks (per-rank detail lives in the CSV). *)
-let to_json t =
-  let counter_names =
-    List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t.counters [])
-  in
-  let counters =
-    List.map (fun n -> (n, Json.int (counter_total t ~name:n))) counter_names
-  in
-  let gauges =
-    List.sort compare (fold_flat t.gauges (fun (n, r) v acc -> ((n, r), v.g) :: acc) [])
-    |> List.map (fun ((n, r), v) -> (Printf.sprintf "%s[%d]" n r, Json.float v))
-  in
-  let hists =
-    List.filter_map
-      (fun n ->
-        match summary_merged t ~name:n with
-        | Some s -> Some (n, summary_json s)
-        | None -> None)
-      (hist_names t)
-  in
-  Json.obj
-    [ ("counters", Json.obj counters); ("gauges", Json.obj gauges); ("histograms", Json.obj hists) ]

@@ -86,10 +86,6 @@ val to_csv : t -> string
 (** [metric,rank,value] rows, sorted by (metric, rank). Histograms
     expand to [name.count/.sum/.min/.max/.p50/.p95/.p99] rows. *)
 
-val to_json : t -> Json.t
-(** Counters summed across ranks, gauges per rank, histogram summaries
-    merged across ranks — the shape embedded in BENCH_*.json. *)
-
 (** {1 Snapshots — the unit of in-band telemetry}
 
     A snapshot is an immutable, key-sorted view of (a rank slice of) a
@@ -147,8 +143,6 @@ val snap_gauges_of : snap -> name:string -> (int * float) list
 val snap_hists_of : snap -> name:string -> (int * hist_snap) list
 val snap_counter_total : snap -> name:string -> int
 val snap_hist_merged : snap -> name:string -> summary option
-val snap_ranks : snap -> int list
-(** Ranks contributing at least one binding, ascending. *)
 
 (** {2 Wire codec} *)
 

@@ -17,15 +17,11 @@ type t = {
   window : int;
   series : (string, (int * point) Ring_buffer.t) Hashtbl.t;
   mutable last_epoch : int;
-  mutable epochs_recorded : int;
 }
 
 let create ?(window = 256) () =
   if window <= 0 then invalid_arg "Series.create: window must be positive";
-  { window; series = Hashtbl.create 64; last_epoch = -1; epochs_recorded = 0 }
-
-let last_epoch t = t.last_epoch
-let epochs_recorded t = t.epochs_recorded
+  { window; series = Hashtbl.create 64; last_epoch = -1 }
 
 let ring t name =
   match Hashtbl.find_opt t.series name with
@@ -49,7 +45,6 @@ let gauge_rollup values =
 
 let record t ~epoch (snap : Metrics.snap) =
   t.last_epoch <- max t.last_epoch epoch;
-  t.epochs_recorded <- t.epochs_recorded + 1;
   List.iter
     (fun name ->
       Ring_buffer.push (ring t name)

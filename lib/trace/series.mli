@@ -23,14 +23,6 @@ val create : ?window:int -> unit -> t
 val record : t -> epoch:int -> Metrics.snap -> unit
 (** Fold one epoch's merged delta into the store. *)
 
-val last_epoch : t -> int
-(** Newest epoch recorded; -1 before the first. *)
-
-val epochs_recorded : t -> int
-
-val points : t -> name:string -> (int * point) list
-(** Retained (epoch, point) history, oldest first. *)
-
 val latest : t -> name:string -> (int * point) option
 
 val latest_scalar : t -> name:string -> (int * float) option

@@ -9,4 +9,3 @@ let next_int t =
 
 let next t = t.prefix ^ string_of_int (next_int t)
 
-let current t = t.counter

@@ -11,6 +11,3 @@ val next : t -> string
 
 val next_int : t -> int
 (** Fresh integer id (shares the counter with {!next}). *)
-
-val current : t -> int
-(** Number of ids handed out so far. *)

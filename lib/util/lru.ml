@@ -15,7 +15,6 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option; (* most recently used *)
   mutable tail : 'a node option; (* least recently used *)
-  mutable evicted : int;
   mutable on_evict : (string -> 'a -> unit) option;
 }
 
@@ -26,7 +25,6 @@ let create ~capacity =
     table = Hashtbl.create 64;
     head = None;
     tail = None;
-    evicted = 0;
     on_evict = None;
   }
 
@@ -71,7 +69,6 @@ let evict_lru c =
   | Some node ->
     unlink c node;
     Hashtbl.remove c.table node.key;
-    c.evicted <- c.evicted + 1;
     notify_evict c node.key node.value
 
 let put c k v =
@@ -95,8 +92,6 @@ let remove c k =
     unlink c node;
     Hashtbl.remove c.table k;
     notify_evict c node.key node.value
-
-let evictions c = c.evicted
 
 let clear c =
   Hashtbl.reset c.table;

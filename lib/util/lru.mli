@@ -32,9 +32,6 @@ val set_on_evict : 'a t -> (string -> 'a -> unit) -> unit
     callers need to keep their totals honest. Not fired by {!clear}
     (bulk invalidation resets accounting wholesale). *)
 
-val evictions : 'a t -> int
-(** [evictions c] counts entries evicted by capacity pressure so far. *)
-
 val clear : 'a t -> unit
 (** Empties the cache without firing the eviction hook. *)
 

@@ -14,7 +14,6 @@ let create ~capacity =
   { cap = capacity; arr = [||]; start = 0; len = 0; dropped = 0 }
 
 let capacity b = b.cap
-let length b = b.len
 let dropped b = b.dropped
 
 let push b x =

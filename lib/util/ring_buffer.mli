@@ -13,7 +13,6 @@ val create : capacity:int -> 'a t
 val push : 'a t -> 'a -> unit
 (** [push b x] appends [x], dropping the oldest element when full. *)
 
-val length : 'a t -> int
 val capacity : 'a t -> int
 
 val to_list : 'a t -> 'a list

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. *)
 
-val int64 : t -> int64
-(** [int64 t] is the next raw 64-bit output. *)
-
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if
     [n <= 0]. *)

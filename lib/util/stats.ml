@@ -3,7 +3,6 @@ type t = {
   mutable sorted : float array option; (* memoized sort, invalidated by add *)
   mutable n : int;
   mutable mean_acc : float; (* Welford running mean *)
-  mutable m2 : float; (* Welford sum of squared deviations *)
   mutable min_v : float;
   mutable max_v : float;
 }
@@ -14,7 +13,6 @@ let create () =
     sorted = None;
     n = 0;
     mean_acc = 0.0;
-    m2 = 0.0;
     min_v = infinity;
     max_v = neg_infinity;
   }
@@ -25,7 +23,6 @@ let add t x =
   t.n <- t.n + 1;
   let delta = x -. t.mean_acc in
   t.mean_acc <- t.mean_acc +. (delta /. float_of_int t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean_acc));
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
@@ -39,9 +36,6 @@ let min t =
 let max t =
   if t.n = 0 then invalid_arg "Stats.max: no samples";
   t.max_v
-
-let stddev t =
-  if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
 
 let sorted t =
   match t.sorted with
@@ -65,5 +59,3 @@ let percentile t p =
     let frac = rank -. float_of_int lo in
     a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
   end
-
-let median t = percentile t 0.5

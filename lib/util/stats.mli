@@ -19,11 +19,6 @@ val min : t -> float
 val max : t -> float
 (** Raises [Invalid_argument] when empty. *)
 
-val stddev : t -> float
-(** Sample standard deviation (Welford); 0. for fewer than two samples. *)
-
 val percentile : t -> float -> float
 (** [percentile t p] with [p] in [\[0,1\]] computes the p-th percentile by
     linear interpolation over the recorded samples. Raises when empty. *)
-
-val median : t -> float

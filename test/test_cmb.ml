@@ -291,7 +291,8 @@ let test_heal_reroutes_rpc () =
   | Ok payload -> check int "still reaches root" 0 (Json.to_int (Json.member "rank" payload))
   | Error e -> Alcotest.failf "rpc after heal failed: %s" e);
   check bool "down recorded" true (Session.is_down sess 6);
-  check int "alive count" 14 (List.length (Session.alive_ranks sess))
+  check int "alive count" 14
+    (List.length (List.filter (fun r -> not (Session.is_down sess r)) (List.init (Session.size sess) Fun.id)))
 
 let test_heal_events_resync () =
   let eng = Engine.create () in

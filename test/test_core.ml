@@ -40,27 +40,13 @@ let test_resource_counts () =
   check int "cores" (96 * 16) (Resource.count Resource.Core c);
   check flt "power" 50_000.0 (Resource.total_quantity Resource.Power c);
   check flt "fs bandwidth" 500.0 (Resource.total_quantity Resource.Bandwidth c);
-  check flt "memory" (96.0 *. 32.0) (Resource.total_quantity Resource.Memory c);
-  check bool "depth >= 4" true (Resource.depth c >= 4)
-
-let test_resource_find () =
-  let c = sample_center () in
-  (match Resource.find_by_name "zin12" c with
-  | Some v -> check bool "found a node" true (v.Resource.rtype = Resource.Node)
-  | None -> Alcotest.fail "zin12 missing");
-  check int "nodes_of" 96 (List.length (Resource.nodes_of c))
+  check flt "memory" (96.0 *. 32.0) (Resource.total_quantity Resource.Memory c)
 
 let test_resource_unique_ids () =
   let c = sample_center () in
-  let ids = List.map (fun v -> v.Resource.id) (Resource.find_all (fun _ -> true) c) in
+  let rec ids v = v.Resource.id :: List.concat_map ids v.Resource.children in
+  let ids = ids c in
   check int "ids unique" (List.length ids) (List.length (List.sort_uniq compare ids))
-
-let test_resource_json_roundtrip () =
-  let c = sample_center () in
-  let c' = Resource.of_json (Resource.to_json c) in
-  check int "same node count" (Resource.count Resource.Node c)
-    (Resource.count Resource.Node c');
-  check flt "same power" 50_000.0 (Resource.total_quantity Resource.Power c')
 
 (* --- Jobspec -------------------------------------------------------------- *)
 
@@ -88,7 +74,6 @@ let test_job_transitions () =
   Job.set_state j ~now:2.0 Job.Running;
   Job.set_state j ~now:10.0 Job.Complete;
   check flt "wait" 2.0 (Job.wait_time j);
-  check flt "turnaround" 10.0 (Job.turnaround j);
   check flt "runtime" 8.0 (Job.runtime j);
   let j2 =
     Job.create ~jid:"t2" ~spec:(Jobspec.make ~nnodes:1 ()) ~payload:(Job.Sleep 1.0) ~now:0.0
@@ -300,88 +285,6 @@ let test_fair_share_policy () =
   check (Alcotest.list Alcotest.string) "bob jumps the hogging user" [ "qb" ]
     (List.map (fun s -> s.Policy.s_job.Job.jid) starts)
 
-(* --- Resource matching ------------------------------------------------------------- *)
-
-module Rmatch = Flux_core.Rmatch
-
-let hetero_center () =
-  (* One rack of 4 fat nodes (64 GB) and two racks of 4 thin nodes. *)
-  Resource.center ~name:"hc"
-    [
-      Resource.rack
-        ~nodes:
-          (List.init 4 (fun i ->
-               Resource.node ~memory_gb:64.0 ~name:(Printf.sprintf "fat%d" i) ()))
-        ~name:"rack-fat" ();
-      Resource.rack
-        ~nodes:
-          (List.init 4 (fun i ->
-               Resource.node ~memory_gb:16.0 ~name:(Printf.sprintf "thin%d" i) ()))
-        ~name:"rack-thin0" ();
-      Resource.rack
-        ~nodes:
-          (List.init 4 (fun i ->
-               Resource.node ~memory_gb:16.0 ~name:(Printf.sprintf "thin%d" (4 + i)) ()))
-        ~name:"rack-thin1" ();
-    ]
-
-let test_rmatch_memory_constraint () =
-  let c = hetero_center () in
-  let spec = Jobspec.make ~nnodes:3 ~memory_per_node_gb:32.0 () in
-  (match Rmatch.select c ~spec Rmatch.First_fit with
-  | Some sel ->
-    check int "three nodes" 3 (List.length sel.Rmatch.sel_nodes);
-    List.iter
-      (fun n -> check bool "fat node chosen" true (Rmatch.node_memory_gb n >= 32.0))
-      sel.Rmatch.sel_nodes
-  | None -> Alcotest.fail "should fit");
-  (* Five big-memory nodes do not exist. *)
-  let spec5 = Jobspec.make ~nnodes:5 ~memory_per_node_gb:32.0 () in
-  (match Rmatch.select c ~spec:spec5 Rmatch.First_fit with
-  | None -> ()
-  | Some _ -> Alcotest.fail "must not fit");
-  check Alcotest.string "shortfall explained" "only 4 nodes also have >= 32 GB memory"
-    (Rmatch.explain_shortfall c ~spec:spec5)
-
-let test_rmatch_best_fit_preserves_fat_nodes () =
-  let c = hetero_center () in
-  let spec = Jobspec.make ~nnodes:2 ~memory_per_node_gb:8.0 () in
-  match Rmatch.select c ~spec Rmatch.Best_fit with
-  | Some sel ->
-    List.iter
-      (fun n ->
-        check bool "thin nodes preferred" true (Rmatch.node_memory_gb n <= 16.0))
-      sel.Rmatch.sel_nodes
-  | None -> Alcotest.fail "should fit"
-
-let test_rmatch_pack_by_rack () =
-  let c = hetero_center () in
-  let spec = Jobspec.make ~nnodes:4 () in
-  match Rmatch.select c ~spec Rmatch.Pack_by_rack with
-  | Some sel -> check int "single rack suffices" 1 (List.length sel.Rmatch.sel_racks)
-  | None -> Alcotest.fail "should fit"
-
-let test_rmatch_core_constraint () =
-  let c =
-    Resource.center ~name:"cc"
-      [
-        Resource.rack
-          ~nodes:
-            [
-              Resource.node ~sockets:4 ~cores_per_socket:8 ~name:"big" ();
-              Resource.node ~name:"small0" ();
-              Resource.node ~name:"small1" ();
-            ]
-          ~name:"r0" ();
-      ]
-  in
-  let spec = Jobspec.make ~nnodes:1 ~cores_per_node:32 () in
-  match Rmatch.select c ~spec Rmatch.First_fit with
-  | Some sel ->
-    check Alcotest.string "the 32-core node" "big"
-      (List.hd sel.Rmatch.sel_nodes).Resource.name
-  | None -> Alcotest.fail "should fit"
-
 (* --- Instance ---------------------------------------------------------------------- *)
 
 let drain c = Center.run c
@@ -436,7 +339,7 @@ let test_instance_app_payload () =
   let got = ref None in
   ignore
     (Proc.spawn c.Center.eng (fun () ->
-         let kvs = Center.kvs_client c ~rank:0 in
+         let kvs = Flux_kvs.Client.connect c.Center.sess ~rank:0 in
          let key =
            Printf.sprintf "%s.%d-0.stdout" (Wexec.job_key j.Job.jid) (List.hd j.Job.granted_nodes)
          in
@@ -523,7 +426,7 @@ let test_instance_nested_session_isolation () =
   let from_parent = ref None in
   ignore
     (Proc.spawn c.Center.eng (fun () ->
-         let kvs = Center.kvs_client c ~rank:0 in
+         let kvs = Flux_kvs.Client.connect c.Center.sess ~rank:0 in
          from_parent := Some (Flux_kvs.Client.get kvs ~key:"nested.secret")));
   drain c;
   (match !from_parent with
@@ -780,20 +683,6 @@ let test_instance_rejects_oversized () =
            ~payload:(Job.Sleep 1.0)
           : Job.t))
 
-let test_instance_provenance () =
-  let c = Center.create ~nodes:4 ~provenance:true () in
-  let j = Instance.submit c.Center.root ~spec:(Jobspec.make ~nnodes:2 ()) ~payload:(Job.Sleep 3.0) in
-  drain c;
-  let got = ref None in
-  ignore
-    (Proc.spawn c.Center.eng (fun () ->
-         let kvs = Center.kvs_client c ~rank:1 in
-         got := Some (Flux_kvs.Client.get kvs ~key:(Wexec.job_key j.Job.jid ^ ".state"))));
-  drain c;
-  match !got with
-  | Some (Ok (Json.String s)) -> check Alcotest.string "final state recorded" "complete" s
-  | _ -> Alcotest.fail "no provenance in KVS"
-
 (* The paper's Fig. 4(b) cap: no directory a job record sits under may
    grow with the number of jobs. 600 jobs through one instance is the
    size of a sched-pilot leaf, whose flat [lwj.<parent>] listing every
@@ -804,7 +693,7 @@ let test_job_records_bounded () =
   let module Sha1 = Flux_sha1.Sha1 in
   Wexec.register_program "core-record-app" (fun ctx -> ctx.Wexec.px_printf "ok");
   let njobs = 600 and cap = 128 in
-  let c = Center.create ~nodes:16 ~provenance:true () in
+  let c = Center.create ~nodes:16 () in
   let jobs =
     List.init njobs (fun _ ->
         Instance.submit c.Center.root ~spec:(Jobspec.make ~nnodes:1 ())
@@ -825,7 +714,7 @@ let test_job_records_bounded () =
   let largest = ref 0 and dirs = ref 0 in
   let rec walk d =
     incr dirs;
-    largest := max !largest (Tree.dir_size d);
+    largest := max !largest (List.length (Tree.dir_entries d));
     List.iter
       (fun (_, e) ->
         match Tree.dirent_ref e with `Dir sha -> walk (dir sha) | `File _ | `Val _ -> ())
@@ -843,7 +732,7 @@ let test_job_records_bounded () =
   let read = ref 0 in
   ignore
     (Proc.spawn c.Center.eng (fun () ->
-         let kvs = Center.kvs_client c ~rank:3 in
+         let kvs = Flux_kvs.Client.connect c.Center.sess ~rank:3 in
          List.iter
            (fun (j : Job.t) ->
              let get suffix =
@@ -854,7 +743,6 @@ let test_job_records_bounded () =
              let task = Printf.sprintf ".%d-0" (List.hd j.Job.granted_nodes) in
              check Alcotest.string "stdout" "ok\n" (Json.to_string_v (get (task ^ ".stdout")));
              check int "exit" 0 (Json.to_int (get (task ^ ".exit")));
-             check Alcotest.string "state" "complete" (Json.to_string_v (get ".state"));
              incr read)
            jobs));
   drain c;
@@ -905,14 +793,6 @@ let test_workload_bounds () =
       check bool "nodes in range" true (n >= 1 && n <= 16))
     subs;
   check bool "positive work" true (Workload.total_node_seconds subs > 0.0)
-
-let test_workload_io_phased () =
-  let subs = Workload.io_phased (Rng.create 2) ~n:20 ~max_nodes:8 ~fs_bandwidth_each:12.5 () in
-  check int "count" 20 (List.length subs);
-  List.iter
-    (fun (s : Job.submission) ->
-      check flt "bandwidth attached" 12.5 s.Job.sub_spec.Jobspec.fs_bandwidth)
-    subs
 
 let test_workload_split () =
   let subs = Workload.uq_ensemble (Rng.create 3) ~n:10 () in
@@ -981,9 +861,7 @@ let () =
       ( "resource",
         [
           Alcotest.test_case "counts" `Quick test_resource_counts;
-          Alcotest.test_case "find" `Quick test_resource_find;
           Alcotest.test_case "unique ids" `Quick test_resource_unique_ids;
-          Alcotest.test_case "json roundtrip" `Quick test_resource_json_roundtrip;
         ] );
       ("jobspec", [ Alcotest.test_case "validation and bounds" `Quick test_jobspec ]);
       ("job", [ Alcotest.test_case "state machine" `Quick test_job_transitions ]);
@@ -1029,15 +907,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_instance_cancel;
           Alcotest.test_case "oversized rejected" `Quick test_instance_rejects_oversized;
           Alcotest.test_case "cancel child refused" `Quick test_instance_cancel_child_refused;
-          Alcotest.test_case "provenance" `Quick test_instance_provenance;
           Alcotest.test_case "job records bounded" `Quick test_job_records_bounded;
-        ] );
-      ( "rmatch",
-        [
-          Alcotest.test_case "memory constraint" `Quick test_rmatch_memory_constraint;
-          Alcotest.test_case "best fit" `Quick test_rmatch_best_fit_preserves_fat_nodes;
-          Alcotest.test_case "pack by rack" `Quick test_rmatch_pack_by_rack;
-          Alcotest.test_case "core constraint" `Quick test_rmatch_core_constraint;
         ] );
       ("pmi", [ Alcotest.test_case "bootstrap exchange" `Quick test_pmi_exchange ]);
       ( "workload",
@@ -1045,7 +915,6 @@ let () =
           Alcotest.test_case "determinism" `Quick test_workload_determinism;
           Alcotest.test_case "bounds" `Quick test_workload_bounds;
           Alcotest.test_case "split" `Quick test_workload_split;
-          Alcotest.test_case "io phased" `Quick test_workload_io_phased;
         ] );
       ( "baseline",
         [

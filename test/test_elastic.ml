@@ -287,7 +287,7 @@ let test_shrink_mid_job_requeues () =
   let missing = ref 5 in
   ignore
     (Proc.spawn c.Center.eng (fun () ->
-         let kv = Center.kvs_client c ~rank:0 in
+         let kv = Flux_kvs.Client.connect c.Center.sess ~rank:0 in
          let m = ref 0 in
          for tid = 0 to 4 do
            match Client.get kv ~key:(Printf.sprintf "shrinktest.t%d" tid) with

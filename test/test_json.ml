@@ -70,8 +70,6 @@ let test_accessors () =
   check string "member string" "flux" (Json.to_string_v (Json.member "name" sample));
   check (Alcotest.float 1e-9) "to_float of int" 512.0
     (Json.to_float (Json.member "size" sample));
-  check bool "mem" true (Json.mem "ok" sample);
-  check bool "not mem" false (Json.mem "nope" sample);
   Alcotest.check_raises "missing member" (Json.Type_error "missing field \"nope\"")
     (fun () -> ignore (Json.member "nope" sample));
   (match Json.member_opt "nope" sample with
@@ -87,8 +85,7 @@ let test_set_remove_member () =
     (Json.set_member "a" (Json.int 9) v);
   check json_testable "append"
     (Json.obj [ ("a", Json.int 1); ("b", Json.int 2); ("c", Json.int 3) ])
-    (Json.set_member "c" (Json.int 3) v);
-  check json_testable "remove" (Json.obj [ ("b", Json.int 2) ]) (Json.remove_member "a" v)
+    (Json.set_member "c" (Json.int 3) v)
 
 let test_size_model () =
   check int "size equals printed length"
@@ -282,7 +279,6 @@ let prop_member_index =
       let agrees k =
         let expect = List.assoc_opt k fields in
         Option.equal Json.equal (Json.member_opt k v) expect
-        && Json.mem k v = Option.is_some expect
         &&
         match Json.member k v with
         | x -> Option.equal Json.equal (Some x) expect

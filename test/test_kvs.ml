@@ -104,10 +104,11 @@ let test_tree_value_overwritten_by_dir () =
   check (Alcotest.option json_t) "old value gone" None (lookup_value fetch root' "a")
 
 let test_split_key_invalid () =
-  Alcotest.check_raises "empty" (Invalid_argument "Tree.split_key: invalid key \"\"")
-    (fun () -> ignore (Tree.split_key ""));
+  let _, _, fetch = memory_store () in
+  let lookup key () = ignore (Tree.lookup ~fetch ~root:Tree.empty_dir_sha ~key () : Tree.lookup_result) in
+  Alcotest.check_raises "empty" (Invalid_argument "Tree.split_key: invalid key \"\"") (lookup "");
   Alcotest.check_raises "double dot" (Invalid_argument "Tree.split_key: invalid key \"a..b\"")
-    (fun () -> ignore (Tree.split_key "a..b"))
+    (lookup "a..b")
 
 let test_lookup_reports_missing () =
   let _, store, fetch = memory_store () in
@@ -191,7 +192,7 @@ module Reference = struct
 
   let apply_tuples ~fetch ~store ~root tuples =
     let trie = trie_create () in
-    List.iter (fun (key, dirent) -> trie_add trie (Tree.split_key key) dirent) tuples;
+    List.iter (fun (key, dirent) -> trie_add trie (String.split_on_char '.' key) dirent) tuples;
     let rec rebuild dir_sha trie =
       let dir = Option.get (fetch dir_sha) in
       let entries = Hashtbl.create 32 in
@@ -207,7 +208,8 @@ module Reference = struct
             | None -> Tree.empty_dir_sha
           in
           if Sha1.equal sub_sha Tree.empty_dir_sha then ignore (store Tree.empty_dir : Sha1.digest);
-          Hashtbl.replace entries name (Tree.dirent_dir (rebuild sub_sha sub)))
+          Hashtbl.replace entries name
+            (Json.obj [ ("d", Json.string (Sha1.to_hex (rebuild sub_sha sub))) ]))
         trie.subs;
       List.iter (fun (name, dirent) -> Hashtbl.replace entries name dirent) (List.rev trie.leaves);
       let sorted =
@@ -302,7 +304,7 @@ let prop_merge_matches_reference =
           (List.length got) (List.length expected);
       if not (List.for_all (fun d -> strictly_increasing (Tree.dir_entries d)) got) then
         QCheck.Test.fail_report "a stored directory's names are not strictly increasing";
-      List.exists (fun d -> Tree.dir_size d >= 690) got)
+      List.exists (fun d -> List.length (Tree.dir_entries d) >= 690) got)
 
 (* Allocation counts repeat exactly from run to run: one key into a
    600-entry directory reuses the old entries and hashes the new object
@@ -659,13 +661,14 @@ let test_kvs_overwrite_visible () =
         check json_t "overwritten" (Json.int 2) (expect_ok "get" (Client.get c ~key:"ow")));
     ]
 
-let test_kvs_depth_loading () =
-  (* kvs loaded only at tree depth <= 1 (ranks 0,1,2 of a binary tree):
-     leaf clients transparently reach the nearest loaded instance. *)
+let test_kvs_leaves_route_upstream () =
+  (* Every rank of a 15-rank binary tree runs an instance: a commit from
+     one leaf climbs to the master, and a get at another leaf faults the
+     new root's objects in from upstream. *)
   let eng = Engine.create () in
   let sess = Session.create eng ~size:15 () in
-  let kvs = Kvs.load sess ~ranks:(Kvs.ranks_to_depth sess 1) () in
-  check int "three instances" 3 (Array.length kvs);
+  let kvs = Kvs.load sess () in
+  check int "one instance per rank" 15 (Array.length kvs);
   let remaining = ref 2 in
   ignore
     (Proc.spawn eng (fun () ->
@@ -684,7 +687,7 @@ let test_kvs_depth_loading () =
       : Proc.pid);
   Engine.run eng;
   check int "clients completed" 0 !remaining;
-  (* Fence across all leaves also works through upstream routing. *)
+  (* A fence whose members all sit at leaves completes through the tree. *)
   let n_fence = 6 in
   let released = ref 0 in
   for i = 0 to n_fence - 1 do
@@ -697,13 +700,6 @@ let test_kvs_depth_loading () =
   done;
   Engine.run eng;
   check int "fence released all" n_fence !released
-
-let test_kvs_depth_loading_requires_master () =
-  let eng = Engine.create () in
-  let sess = Session.create eng ~size:7 () in
-  Alcotest.check_raises "ranks must include 0"
-    (Invalid_argument "Kvs_module.load: ranks must include the master (0)") (fun () ->
-      ignore (Kvs.load sess ~ranks:[ 1; 2 ] () : Kvs.t array))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -745,11 +741,8 @@ let () =
           Alcotest.test_case "fault-in coalescing" `Quick test_kvs_fault_in_coalescing;
           Alcotest.test_case "expiry refault" `Quick test_kvs_cache_expiry_refault;
         ] );
-      ( "depth-loading",
-        [
-          Alcotest.test_case "leaves route upstream" `Quick test_kvs_depth_loading;
-          Alcotest.test_case "master required" `Quick test_kvs_depth_loading_requires_master;
-        ] );
+      ( "leaf-requests",
+        [ Alcotest.test_case "leaves route upstream" `Quick test_kvs_leaves_route_upstream ] );
       ( "watch",
         [
           Alcotest.test_case "value watch" `Quick test_kvs_watch;

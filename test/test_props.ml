@@ -141,12 +141,15 @@ let prop_lru_model =
     ~count:500 lru_ops_arb (fun (cap, ops) ->
       let c = Lru.create ~capacity:cap in
       let bytes = ref 0 in
-      Lru.set_on_evict c (fun _k v -> bytes := !bytes - v);
+      let hooks = ref 0 in
+      Lru.set_on_evict c (fun _k v ->
+          incr hooks;
+          bytes := !bytes - v);
       (* most-recent-first assoc list *)
       let model = ref [] in
       let model_bytes = ref 0 in
       let ok = ref true in
-      let model_evictions = ref 0 in
+      let model_hooks = ref 0 in
       let model_put k v =
         (match List.assoc_opt k !model with
         | Some old ->
@@ -160,7 +163,7 @@ let prop_lru_model =
           | (lk, lv) :: _ ->
             model := List.remove_assoc lk !model;
             model_bytes := !model_bytes - lv;
-            incr model_evictions
+            incr model_hooks
           | [] -> ()
         end
       in
@@ -193,7 +196,9 @@ let prop_lru_model =
           | L_rem k ->
             Lru.remove c k;
             (match List.assoc_opt k !model with
-            | Some v -> model_bytes := !model_bytes - v
+            | Some v ->
+              model_bytes := !model_bytes - v;
+              incr model_hooks
             | None -> ());
             model := List.remove_assoc k !model)
         ops;
@@ -203,7 +208,7 @@ let prop_lru_model =
       let contents = List.rev !contents in
       !ok && contents = !model
       && Lru.length c = List.length !model
-      && Lru.evictions c = !model_evictions
+      && !hooks = !model_hooks
       && !bytes = !model_bytes
       && !model_bytes = List.fold_left (fun a (_, v) -> a + v) 0 !model)
 

@@ -84,7 +84,7 @@ let test_pilot_stream_shapes () =
         | Job.Sleep d -> d
         | Job.App { duration; _ } -> duration
         | _ -> Alcotest.fail "unexpected payload in pilot stream")
-      (Workload.pilot_tasks (Rng.create 5) ~n:40 ~prog ~arrival_rate:100.0 ())
+      (Workload.pilot_tasks (Rng.create 5) ~n:40 ~prog ())
   in
   check (Alcotest.list (Alcotest.float 0.0)) "durations identical" (durs "") (durs "p");
   (* Round-robin nesting conserves the stream. *)

@@ -80,7 +80,7 @@ let test_span_duration () =
      Tracer.span tr ~cat:"s" ~name:"boom" (fun () -> failwith "x")
    with Failure _ -> ());
   match List.rev (Tracer.events tr) with
-  | e :: _ -> check bool "raised flag" true (Json.to_bool (List.assoc "raised" e.Tracer.ev_fields))
+  | e :: _ -> check bool "raised flag" true (Json.equal (Json.bool true) (List.assoc "raised" e.Tracer.ev_fields))
   | [] -> Alcotest.fail "no events"
 
 let test_subscribers () =
@@ -96,11 +96,11 @@ let test_export_roundtrip () =
   Tracer.emit tr ~cat:"kvs" ~name:"commit" ~rank:7 ~fields:[ ("tuples", Json.int 4) ] ();
   let lines = String.split_on_char '\n' (String.trim (Export.to_jsonl tr)) in
   check int "one line" 1 (List.length lines);
-  let e = Export.event_of_json (Json.of_string (List.hd lines)) in
-  check string "cat" "kvs" e.Tracer.ev_cat;
-  check string "name" "commit" e.Tracer.ev_name;
-  check int "rank" 7 e.Tracer.ev_rank;
-  check int "field" 4 (Json.to_int (List.assoc "tuples" e.Tracer.ev_fields));
+  let e = Json.of_string (List.hd lines) in
+  check string "cat" "kvs" (Json.to_string_v (Json.member "cat" e));
+  check string "name" "commit" (Json.to_string_v (Json.member "name" e));
+  check int "rank" 7 (Json.to_int (Json.member "rank" e));
+  check int "field" 4 (Json.to_int (Json.member "tuples" (Json.member "fields" e)));
   check bool "text mentions event" true
     (let text = Export.to_text tr in
      String.length text > 0
@@ -180,12 +180,13 @@ let test_event_json_nested () =
     ~fields:[ ("detail", nested); ("n", Json.int 3) ]
     ();
   let line = List.hd (String.split_on_char '\n' (String.trim (Export.to_jsonl tr))) in
-  let e = Export.event_of_json (Json.of_string line) in
+  let e = Json.of_string line in
+  let fields = Json.member "fields" e in
   check string "nested field roundtrips" (Json.to_string nested)
-    (Json.to_string (List.assoc "detail" e.Tracer.ev_fields));
-  check int "sibling field" 3 (Json.to_int (List.assoc "n" e.Tracer.ev_fields));
-  check (Alcotest.float 1e-12) "timestamp" 1.25 e.Tracer.ev_ts;
-  check int "rank" 2 e.Tracer.ev_rank
+    (Json.to_string (Json.member "detail" fields));
+  check int "sibling field" 3 (Json.to_int (Json.member "n" fields));
+  check (Alcotest.float 1e-12) "timestamp" 1.25 (Json.to_float (Json.member "ts" e));
+  check int "rank" 2 (Json.to_int (Json.member "rank" e))
 
 let test_perfetto_wellformed () =
   let clock = ref 0.0 in
@@ -284,11 +285,7 @@ let test_metrics_csv_format () =
      h.lat.p95,0,1\n\
      h.lat.p99,0,1\n\
      h.lat.sum,0,1\n"
-    (Metrics.to_csv m);
-  let j = Metrics.to_json m in
-  check int "json counter total" 1 (Json.to_int (Json.member "c.a" (Json.member "counters" j)));
-  check int "json histogram count" 1
-    (Json.to_int (Json.member "count" (Json.member "h.lat" (Json.member "histograms" j))))
+    (Metrics.to_csv m)
 
 (* --- Integrations ------------------------------------------------------------- *)
 
