@@ -46,8 +46,9 @@ seeds:
 		|| { echo "wide-seed report differs from bench/seeds.fast"; exit 1; }
 
 # Every export of lib/ that no program names must be listed, with the
-# guarantee its test states, in bench/surface.keep, and every line
-# there must still name such an export (see bench/surface.py).
+# guarantee of program code its test states, in bench/surface.keep;
+# every line there must still name such an export, and none may mark
+# its guarantee "deferred:" (see bench/surface.py).
 surface:
 	@python3 bench/surface.py --check
 

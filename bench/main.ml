@@ -25,7 +25,6 @@ module Instance = Flux_core.Instance
 module Job = Flux_core.Job
 module Jobspec = Flux_core.Jobspec
 module Workload = Flux_core.Workload
-module Central = Flux_baseline.Central
 module Export = Flux_trace.Export
 
 let fast = Sys.getenv_opt "BENCH_FAST" <> None
@@ -289,14 +288,15 @@ let ablate_sched () =
   Printf.printf "%d one-node ensemble jobs on %d nodes (10 ms controller cost per start)\n"
     n_jobs nodes;
   Printf.printf "%-22s %-10s %-10s %-10s\n" "configuration" "makespan" "jobs/s" "mean_wait";
-  let eng = Engine.create () in
-  let central = Central.create eng ~nnodes:nodes () in
-  Central.submit_plan central (mk_wl ());
-  Engine.run eng;
-  let cs = Central.stats central in
-  Printf.printf "%-22s %-10.1f %-10.1f %-10.1f\n%!" "centralized (1 ctrl)" cs.Central.bs_makespan
-    (float_of_int cs.Central.bs_completed /. cs.Central.bs_makespan)
-    cs.Central.bs_mean_wait;
+  (* The centralized controller: one flat root instance deciding for
+     every node and the whole queue on one scheduler CPU. *)
+  let flat = Center.create ~nodes () in
+  Instance.submit_plan flat.Center.root (mk_wl ());
+  Center.run flat;
+  let cs = Instance.stats flat.Center.root in
+  Printf.printf "%-22s %-10.1f %-10.1f %-10.1f\n%!" "centralized (1 ctrl)" cs.Instance.st_makespan
+    (float_of_int cs.Instance.st_completed /. cs.Instance.st_makespan)
+    cs.Instance.st_mean_wait;
   List.iter
     (fun k ->
       let c = Center.create ~nodes () in

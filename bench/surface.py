@@ -21,9 +21,10 @@ program other than its own module names it, through any of:
 
 Comments and string literals are not uses. A hit prints as
 `Flux_lib.Mod.name`. Each line of bench/surface.keep is such a name,
-then the guarantee a test states through it; `--check` exits 1 when a
-hit is missing from the keep file or a keep line names something that
-is no longer a hit.
+then the guarantee of program code a test states through it; `--check`
+exits 1 when a hit is missing from the keep file, a keep line names
+something that is no longer a hit, or a keep line's guarantee is marked
+`deferred:` (a guarantee of code no program runs keeps nothing).
 """
 
 import os
@@ -191,6 +192,10 @@ def main():
     for k in sorted(kept):
         if k not in hits:
             print("surface: bench/surface.keep lists %s, which is no longer a hit" % k)
+            bad = True
+        if kept[k].startswith("deferred:"):
+            print("surface: bench/surface.keep defers %s: delete it, or name the program "
+                  "guarantee its test checks" % k)
             bad = True
     print("surface: %d hits, %d kept" % (len(hits), len(kept)))
     sys.exit(1 if bad else 0)

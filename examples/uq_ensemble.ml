@@ -4,18 +4,18 @@
    workload: a monolithic controller serializes every job start, while
    Flux lets a parent lease resource blocks to child instances whose
    schedulers run in parallel. This example runs the same ensemble both
-   ways and prints the comparison.
+   ways and prints the comparison; the monolithic controller is one
+   flat Flux instance over every node, paying Flux's cycle and start
+   costs on its one scheduler CPU.
 
    Run with: dune exec examples/uq_ensemble.exe *)
 
 module Rng = Flux_util.Rng
-module Engine = Flux_sim.Engine
 module Center = Flux_core.Center
 module Instance = Flux_core.Instance
 module Job = Flux_core.Job
 module Jobspec = Flux_core.Jobspec
 module Workload = Flux_core.Workload
-module Central = Flux_baseline.Central
 
 let nodes = 64
 let n_jobs = 1500
@@ -34,15 +34,14 @@ let () =
     (Workload.total_node_seconds (ensemble ()))
     nodes;
 
-  (* Traditional centralized RJMS. *)
-  let eng = Engine.create () in
-  let central = Central.create eng ~nnodes:nodes () in
-  Central.submit_plan central (ensemble ());
-  Engine.run eng;
-  let cs = Central.stats central in
+  (* Traditional centralized RJMS: one flat instance over every node. *)
+  let flat = Center.create ~nodes () in
+  Instance.submit_plan flat.Center.root (ensemble ());
+  Center.run flat;
+  let cs = Instance.stats flat.Center.root in
   Printf.printf "centralized controller : completed=%d makespan=%6.1fs mean_wait=%5.1fs (%d sched cycles on one CPU)\n"
-    cs.Central.bs_completed cs.Central.bs_makespan cs.Central.bs_mean_wait
-    cs.Central.bs_sched_cycles;
+    cs.Instance.st_completed cs.Instance.st_makespan cs.Instance.st_mean_wait
+    cs.Instance.st_sched_cycles;
 
   (* Hierarchical Flux: the root leases 8-node blocks to 8 child
      instances; each child schedules its share independently. *)
@@ -62,4 +61,4 @@ let () =
     (fs.Instance.st_completed - 8) (* subtract the 8 wrapper jobs *)
     fs.Instance.st_makespan fs.Instance.st_mean_wait fs.Instance.st_sched_cycles;
   Printf.printf "\nscheduler parallelism speedup: %.2fx\n"
-    (cs.Central.bs_makespan /. fs.Instance.st_makespan)
+    (cs.Instance.st_makespan /. fs.Instance.st_makespan)

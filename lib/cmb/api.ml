@@ -58,8 +58,3 @@ let deliver t cb (ev : Message.t) =
 
 let subscribe t ~prefix cb = Session.subscribe (broker t) ~prefix (deliver t cb)
 let subscribe_once t ~topic cb = Session.subscribe_once (broker t) ~topic (deliver t cb)
-
-let next_event t ~topic =
-  let iv = Ivar.create () in
-  subscribe_once t ~topic (fun ~topic:_ p -> Ivar.fill (Session.engine t.sess) iv p);
-  Proc.await iv

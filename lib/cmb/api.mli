@@ -51,6 +51,3 @@ val subscribe : t -> prefix:string -> (topic:string -> Flux_json.Json.t -> unit)
 
 val subscribe_once : t -> topic:string -> (topic:string -> Flux_json.Json.t -> unit) -> unit
 (** {!Session.subscribe_once} for a client: one event, exact topic. *)
-
-val next_event : t -> topic:string -> Flux_json.Json.t
-(** Block until the next event with exactly this topic; returns its payload. *)

@@ -20,23 +20,15 @@ type t
 
 (** {1 Scheduler cost model}
 
-    A scheduling cycle costs 500 us, plus 2 us per pool node, plus
-    {!decision_per_job} per queued job, serialized on the instance's
-    scheduler CPU. Every job start adds {!start_cost} of serialized
-    controller work, and creating a child instance costs 2 ms plus
-    100 us per child node. Only the per-job decision cost is settable,
-    per root instance, and children inherit it. *)
-
-val decision_per_job : float
-(** The default per-job decision cost, 20 us. *)
-
-val start_cost : float
-(** Controller work per job start, 10 ms (launch bureaucracy: prolog,
-    credential, RPCs) — the per-job throughput limit of a monolithic
-    controller. *)
-
-val cycle_cost : decision_per_job:float -> nodes:int -> queued:int -> float
-(** One scheduling cycle over [nodes] pool nodes and [queued] jobs. *)
+    A scheduling cycle costs 500 us, plus 2 us per pool node, plus a
+    per-job decision cost (20 us by default) per queued job, serialized
+    on the instance's scheduler CPU. Every job start adds 10 ms of
+    serialized controller work (launch bureaucracy: prolog, credential,
+    RPCs), the per-job throughput limit of a monolithic controller, and
+    creating a child instance costs 2 ms plus 100 us per child node.
+    Only the per-job decision cost is settable, per root instance, and
+    children inherit it. A flat root instance over every node is thus
+    the centralized comparator the hierarchy is measured against. *)
 
 val create_root :
   Flux_cmb.Session.t ->

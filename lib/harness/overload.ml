@@ -2,10 +2,7 @@ module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
 module Net = Flux_sim.Net
 module Proc = Flux_sim.Proc
-module Rng = Flux_util.Rng
-module Stats = Flux_util.Stats
 module Session = Flux_cmb.Session
-module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
 module Client = Flux_kvs.Client
 module Tracer = Flux_trace.Tracer
@@ -37,10 +34,6 @@ let burst_period = 0.05
 (* Above the inline threshold: values stay by-reference, so directories
    hold 20-byte shas rather than the payloads. *)
 let value_bytes = 512
-
-(* Per-attempt client deadline and transmissions per mput. *)
-let op_timeout = 1.0
-let op_attempts = 6
 
 let master_capacity cfg =
   if cfg.kvs.Kvs.apply_cpu_per_tuple <= 0.0 then infinity
@@ -77,13 +70,7 @@ let default =
   }
 
 type report = {
-  offered : int;
-  acked : int;
-  shed : int;
-  failed : int;
-  goodput : float;
-  ack_p50 : float;
-  ack_p99 : float;
+  load : Open_loop.summary;
   admission_sheds : int;
   intake_hwm : int;
   flow_stash_hwm : int;
@@ -91,7 +78,6 @@ type report = {
   rpc_busy_retries : int;
   rpc_retries : int;
   rpc_timeouts : int;
-  lost_acks : int;
   drained : bool;
   violations : string list;
   final_version : int;
@@ -109,21 +95,11 @@ type state = {
   sess : Session.t;
   kvs : Kvs.t array;
   h : History.t;
-  lat : Stats.t;
-  mutable offered : int;
-  mutable acked : int;
-  mutable shed : int;
-  mutable failed : int;
-  mutable last_ack : float; (* when the final ack landed *)
 }
 
 (* --- Open-loop producers -------------------------------------------------- *)
 
-(* Offered load is open loop: arrivals are scheduled on the engine at
-   drawn interarrival times regardless of how many ops are still in
-   flight — the overload regime closed-loop clients can never reach. *)
-
-let stream_rate st ~now =
+let stream_rate st now =
   let per = st.cfg.rate /. float_of_int (List.length st.cfg.producers) in
   match st.cfg.profile with
   | Sustained -> per
@@ -144,48 +120,13 @@ let value_for ~rank ~seq =
       ("pad", Json.string (String.make value_bytes 'x'));
     ]
 
-let inject st ~api ~rank ~seq =
-  (* Shard each stream across 64 subdirectories so no directory grows
-     with the run: an apply rewrites every directory on the touched
-     path, and a single flat directory would make op cost linear in the
-     ops so far. *)
-  let key = Printf.sprintf "ov.%d.%d.%d" rank (seq land 63) seq in
-  let v = value_for ~rank ~seq in
-  let sent = Engine.now st.eng in
-  st.offered <- st.offered + 1;
-  Api.rpc_async api ~timeout:op_timeout ~attempts:op_attempts
-    ~idempotent:true ~topic:"kvs.mput"
-    (Json.obj [ ("bindings", Json.list [ Json.obj [ ("key", Json.string key); ("v", v) ] ]) ])
-    ~reply:(fun r ->
-      match r with
-      | Ok _ ->
-        st.acked <- st.acked + 1;
-        st.last_ack <- Engine.now st.eng;
-        Stats.add st.lat (Engine.now st.eng -. sent);
-        History.ack st.h key v
-      | Error e ->
-        if Session.busy_retry_after e <> None then st.shed <- st.shed + 1
-        else st.failed <- st.failed + 1)
-
-let producer st ~rank =
-  let api = Api.connect st.sess ~rank in
-  let rng = Rng.create (st.cfg.seed lxor (rank * 0x9e3779b1)) in
-  let seq = ref 0 in
-  let rec arm () =
-    let now = Engine.now st.eng in
-    if now < st.cfg.duration then begin
-      let gap = Rng.exponential rng (1.0 /. stream_rate st ~now) in
-      ignore
-        (Engine.schedule st.eng ~delay:gap (fun () ->
-             if Engine.now st.eng < st.cfg.duration then begin
-               incr seq;
-               inject st ~api ~rank ~seq:!seq;
-               arm ()
-             end)
-          : Engine.handle)
-    end
-  in
-  arm ()
+(* Each stream shards its keys across 64 subdirectories so no directory
+   grows with the run: an apply rewrites every directory on the touched
+   path, and a single flat directory would make op cost linear in the
+   ops so far. *)
+let producer st load ~rank =
+  Open_loop.producer load ~rank ~seed:st.cfg.seed ~rate:(stream_rate st) (fun seq ->
+      ("kvs.mput", Printf.sprintf "ov.%d.%d.%d" rank (seq land 63) seq, value_for ~rank ~seq))
 
 (* A version monitor at the first producer rank: monotonic reads must
    survive shedding — rejected writes may be lost, observed roots may
@@ -300,44 +241,18 @@ let run cfg =
       sess;
       kvs;
       h = History.create ?flight:(Option.map snd telem) sess;
-      lat = Stats.create ();
-      offered = 0;
-      acked = 0;
-      shed = 0;
-      failed = 0;
-      last_ack = 0.0;
     }
   in
-  List.iter (fun r -> producer st ~rank:r) cfg.producers;
+  let load = Open_loop.create sess st.h ~duration:cfg.duration in
+  List.iter (fun r -> producer st load ~rank:r) cfg.producers;
   monitor st;
   if cfg.chaos_kill then chaos_overlay st;
-  (* Drains completely: open-loop arrivals stop at [duration], then
-     every in-flight RPC resolves (ack, busy, or timeout) and the
-     engine goes quiet. *)
-  Engine.run eng;
-  (* Goodput over the full busy window (injection plus drain-to-last-
-     ack), so work absorbed into queues and finished late cannot be
-     counted as above-capacity throughput. The raw engine clock would
-     overshoot: idle housekeeping timers (stash sweeps, deadline arming)
-     can fire long after the last useful event. *)
-  let drain_clock = Float.max cfg.duration st.last_ack in
   (* Every acked write must read back with the committed value: shedding
      may reject offered load, never acknowledged load. *)
-  let before = List.length (History.violations st.h) in
   let rank = List.hd cfg.producers in
-  ignore
-    (Proc.spawn eng (fun () ->
-         let c = Client.connect sess ~rank in
-         ignore
-           (History.verify st.h ~label:(Printf.sprintf "verify@%d" rank) (fun key ->
-                Client.get c ~key)
-             : int))
-      : Proc.pid);
-  Engine.run eng;
-  let lost_acks = List.length (History.violations st.h) - before in
+  let c = Client.connect sess ~rank in
+  let load = Open_loop.drain load ~rank (fun key -> Client.get c ~key) in
   check_bounds st;
-  let unresolved = st.offered - st.acked - st.shed - st.failed in
-  if unresolved <> 0 then History.violate st.h "%d offered ops never resolved" unresolved;
   let stash_left =
     List.init cfg.size (fun r -> Session.flow_stash_depth sess r)
     |> List.fold_left ( + ) 0
@@ -346,13 +261,7 @@ let run cfg =
   if not drained then
     History.violate st.h "undrained: stash=%d intake=%d" stash_left (Kvs.intake_depth kvs.(0));
   {
-    offered = st.offered;
-    acked = st.acked;
-    shed = st.shed;
-    failed = st.failed;
-    goodput = float_of_int st.acked /. drain_clock;
-    ack_p50 = (if Stats.count st.lat = 0 then 0.0 else Stats.percentile st.lat 0.50);
-    ack_p99 = (if Stats.count st.lat = 0 then 0.0 else Stats.percentile st.lat 0.99);
+    load;
     admission_sheds = Kvs.admission_sheds kvs.(0);
     intake_hwm = Kvs.intake_hwm kvs.(0);
     flow_stash_hwm = Session.flow_stash_hwm sess;
@@ -360,7 +269,6 @@ let run cfg =
     rpc_busy_retries = Session.rpc_busy_retries sess;
     rpc_retries = Session.rpc_retries sess;
     rpc_timeouts = Session.rpc_timeouts sess;
-    lost_acks;
     drained;
     violations = History.violations st.h;
     final_version = Kvs.version kvs.(0);
@@ -372,19 +280,20 @@ let run cfg =
   }
 
 let row (r : report) =
+  let l = r.load in
   [
-    ("offered", Json.int r.offered);
-    ("acked", Json.int r.acked);
-    ("shed", Json.int r.shed);
-    ("failed", Json.int r.failed);
-    ("goodput", Json.float r.goodput);
-    ("ack_p50", Json.float r.ack_p50);
-    ("ack_p99", Json.float r.ack_p99);
+    ("offered", Json.int l.offered);
+    ("acked", Json.int l.acked);
+    ("shed", Json.int l.shed);
+    ("failed", Json.int l.failed);
+    ("goodput", Json.float l.goodput);
+    ("ack_p50", Json.float l.ack_p50);
+    ("ack_p99", Json.float l.ack_p99);
     ("admission_sheds", Json.int r.admission_sheds);
     ("intake_hwm", Json.int r.intake_hwm);
     ("flow_stash_hwm", Json.int r.flow_stash_hwm);
     ("link_depth_hwm", Json.int r.link_depth_hwm);
-    ("lost_acks", Json.int r.lost_acks);
+    ("lost_acks", Json.int l.lost_acks);
     ("drained", Json.bool r.drained);
     ("sim_events", Json.int r.sim_events);
     ("violations", Json.int (List.length r.violations));
@@ -434,7 +343,7 @@ let harness =
     let goodput_at m =
       List.find_map
         (fun (label, mult, _, (r : report)) ->
-          if label = "sustained" && mult = m then Some r.goodput else None)
+          if label = "sustained" && mult = m then Some r.load.goodput else None)
         runs
       |> Option.value ~default:0.0
     in

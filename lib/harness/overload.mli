@@ -3,10 +3,9 @@
     engaged, and the run is checked against the guarantees shedding must
     not break.
 
-    Producers inject [kvs.mput] streams at a configured aggregate rate
-    — open loop, so offered load does not slacken as queues fill, which
-    is the regime closed-loop clients can never reach. The protection
-    stack under test:
+    {!Open_loop} producers inject [kvs.mput] streams at a configured
+    aggregate rate, so offered load does not slacken as queues fill.
+    The protection stack under test:
 
     - bounded per-link queues on the RPC plane ({!Flux_sim.Net.set_link_limits});
     - credit-based flow control on the request tree
@@ -43,8 +42,7 @@ type profile =
           queues while the average stays at the configured rate *)
 
 (** Producers write 512-byte padded values (above the inline
-    threshold) with idempotent [kvs.mput]s of up to 6 transmissions and
-    a 1 s deadline per attempt, over a binary tree. *)
+    threshold) over a binary tree. *)
 type config = {
   seed : int;  (** everything stochastic derives from this *)
   size : int;  (** session ranks *)
@@ -79,13 +77,7 @@ val master_capacity : config -> float
     (1-tuple ops): the natural unit for choosing [rate] multiples. *)
 
 type report = {
-  offered : int;  (** ops injected *)
-  acked : int;  (** ops acknowledged Ok *)
-  shed : int;  (** ops rejected busy after retries *)
-  failed : int;  (** other failures (timeouts) *)
-  goodput : float;  (** acked ops / (injection + drain) window, ops/second *)
-  ack_p50 : float;  (** median ack latency, seconds *)
-  ack_p99 : float;
+  load : Open_loop.summary;
   admission_sheds : int;  (** master-gate busy rejections *)
   intake_hwm : int;
   flow_stash_hwm : int;
@@ -93,7 +85,6 @@ type report = {
   rpc_busy_retries : int;
   rpc_retries : int;
   rpc_timeouts : int;
-  lost_acks : int;  (** acked writes that failed read-back — must be 0 *)
   drained : bool;  (** all queues empty after arrivals stopped *)
   violations : string list;  (** invariant breaches; empty = proved *)
   final_version : int;

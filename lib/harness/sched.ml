@@ -1,8 +1,8 @@
 (* Center-scale scheduling ablation harness: a pilot-style open-loop
    stream of sub-second single-node tasks is fed either to a hierarchy
    of nested Flux instances (configurable depth and per-level fanout)
-   or to the centralized baseline controller, measuring jobs/sec,
-   makespan, and — from the tracer's causal span chain
+   or to the centralized comparator (one flat instance), measuring
+   jobs/sec, makespan, and — from the tracer's causal span chain
    (sched.submit -> sched.match -> wexec.start -> wexec.complete) —
    per-level scheduler-hop latency: the paper's log2(C)*T(G) argument,
    measured.
@@ -30,11 +30,12 @@ module Job = Flux_core.Job
 module Jobspec = Flux_core.Jobspec
 module Pool = Flux_core.Pool
 module Workload = Flux_core.Workload
-module Central = Flux_baseline.Central
 module Center = Flux_core.Center
 
 type task_kind =
-  | Sleep_tasks  (** synthetic: pure scheduler study, no launch stack *)
+  | Sleep_tasks
+      (** synthetic: pure scheduler study, no launch stack; at depth 0,
+          the centralized comparator *)
   | Wexec_tasks  (** real launches through wexec with the full span chain *)
 
 type config = {
@@ -525,38 +526,15 @@ let run cfg =
     r_sim_events = Engine.events_executed eng;
   }
 
-(* --- Centralized baseline -------------------------------------------------- *)
+(* --- Centralized comparator ------------------------------------------------ *)
 
-type central_report = {
-  c_completed : int;
-  c_makespan : float;
-  c_jobs_per_s : float;
-  c_mean_wait : float;
-  c_sched_cycles : int;
-}
-
-(* The identical pilot stream (same seed, so the same durations and
-   arrivals) against one monolithic controller. The baseline has no
-   launch stack at all — tasks are pure timers — which only flatters
-   it: the hierarchy pays wexec RPCs on top and must still win. *)
-let run_central cfg =
-  let eng = Engine.create () in
-  let ctl = Central.create eng ~nnodes:cfg.nodes ~policy:cfg.policy () in
-  let rng = Rng.create cfg.seed in
-  let stream = Workload.pilot_tasks rng ~n:cfg.tasks ~prog:"" () in
-  Central.submit_plan ctl stream;
-  Engine.run eng;
-  let s = Central.stats ctl in
-  {
-    c_completed = s.Central.bs_completed;
-    c_makespan = s.Central.bs_makespan;
-    c_jobs_per_s =
-      (if s.Central.bs_makespan > 0.0 then
-         float_of_int s.Central.bs_completed /. s.Central.bs_makespan
-       else 0.0);
-    c_mean_wait = s.Central.bs_mean_wait;
-    c_sched_cycles = s.Central.bs_sched_cycles;
-  }
+(* The traditional monolithic RJMS under Flux's own cost model: one
+   flat root instance deciding for the whole pool and queue on one
+   scheduler CPU, fed the identical pilot stream (same seed, so the
+   same durations and arrivals) as pure timers. Having no launch stack
+   only flatters it: the hierarchy pays wexec RPCs on top and must
+   still win. *)
+let comparator cfg = run { cfg with depth = 0; task_kind = Sleep_tasks; kill_leaf = false }
 
 (* --- Reporting ------------------------------------------------------------- *)
 
@@ -587,16 +565,16 @@ let row (r : report) =
     ("violations", Json.int (List.length r.r_violations));
   ]
 
-let central_row (c : central_report) =
+let central_row (c : report) =
   [
-    ("completed", Json.int c.c_completed);
-    ("jobs_per_s", Json.float c.c_jobs_per_s);
-    ("makespan", Json.float c.c_makespan);
-    ("mean_wait", Json.float c.c_mean_wait);
-    ("sched_cycles", Json.int c.c_sched_cycles);
+    ("completed", Json.int c.r_acked);
+    ("jobs_per_s", Json.float c.r_jobs_per_s);
+    ("makespan", Json.float c.r_makespan);
+    ("mean_wait", Json.float c.r_mean_wait);
+    ("sched_cycles", Json.int c.r_sched_cycles);
   ]
 
-let speedup r c = if c.c_jobs_per_s > 0.0 then r.r_jobs_per_s /. c.c_jobs_per_s else 0.0
+let speedup r c = if c.r_jobs_per_s > 0.0 then r.r_jobs_per_s /. c.r_jobs_per_s else 0.0
 
 (* --- Bench sweep ----------------------------------------------------------- *)
 
@@ -607,10 +585,10 @@ let harness =
     let base = { default with nodes; tasks } in
     let report_row (label, r) = ("config", Json.string label) :: row r in
     (* Curve 1: throughput vs hierarchy depth at fixed fanout 2 — the
-       paper's log2(C)*T(G) argument. Depth 0 is one flat Flux instance;
-       the centralized baseline is the traditional monolithic scheduler
-       with the same decision-cost model. *)
-    let central = run_central base in
+       paper's log2(C)*T(G) argument. Depth 0 is one flat Flux instance
+       launching through wexec; the central comparator is the same flat
+       instance on pure timers. *)
+    let central = comparator base in
     let depth_runs =
       List.map
         (fun depth -> (Printf.sprintf "depth-%d" depth, run { base with depth }))
@@ -686,7 +664,7 @@ let harness =
           let r = run cfg in
           Harness.print_row (row r);
           if central then begin
-            let c = run_central cfg in
+            let c = comparator cfg in
             Harness.print_row (central_row c);
             Printf.printf "hierarchy/central throughput: %.2fx\n" (speedup r c)
           end;
@@ -705,7 +683,9 @@ let harness =
         $ Arg.(
             value & flag
             & info [ "central" ]
-                ~doc:"Also run the centralized single-controller baseline for comparison.")
+                ~doc:
+                  "Also run the centralized comparator: one flat instance scheduling the \
+                   same stream as pure timers.")
         $ Arg.(
             value & flag
             & info [ "kill-leaf" ]

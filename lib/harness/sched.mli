@@ -1,7 +1,7 @@
 (** Center-scale scheduling ablation harness: a pilot-style open-loop
     stream of sub-second single-node tasks fed either to a hierarchy of
-    nested Flux instances or to the centralized baseline controller,
-    measuring jobs/s, makespan and — from the tracer's causal span chain
+    nested Flux instances or to the centralized comparator, measuring
+    jobs/s, makespan and — from the tracer's causal span chain
     (sched.submit -> sched.match -> wexec.start -> wexec.complete) —
     per-level scheduler-hop latency.
 
@@ -9,10 +9,18 @@
     leaf instance mid-batch and a requeue monitor moves its failed tasks
     to surviving sibling leaves. Checked (breaches land in
     [r_violations]): every task acked exactly once, every acked task
-    executed, no execution after its task's ack. *)
+    executed, no execution after its task's ack.
+
+    The centralized comparator stands in for a traditional monolithic
+    RJMS (SLURM, MOAB): the same stream run at depth 0 with
+    [Sleep_tasks], so one flat root instance decides for the whole pool
+    and queue on one scheduler CPU, under Flux's cost model, with no
+    launch stack. *)
 
 type task_kind =
-  | Sleep_tasks  (** synthetic: pure scheduler study, no launch stack *)
+  | Sleep_tasks
+      (** synthetic: pure scheduler study, no launch stack; at depth 0,
+          the centralized comparator *)
   | Wexec_tasks  (** real launches through wexec with the full span chain *)
 
 type config = {
@@ -77,18 +85,8 @@ val run : config -> report
     comes only with [Wexec_tasks]. The center comes from
     {!Flux_core.Center.create}. *)
 
-type central_report = {
-  c_completed : int;
-  c_makespan : float;
-  c_jobs_per_s : float;
-  c_mean_wait : float;
-  c_sched_cycles : int;
-}
-
-val run_central : config -> central_report
-(** The identical pilot stream against the centralized baseline
-    ({!Flux_baseline.Central}). *)
-
 val harness : Harness.t
-(** The bench sweep: central vs depth 0..3, fanout 2/4/8 at depth 1, and
-    a leaf-kill chaos row; depth 2 must beat central's jobs/s. *)
+(** The bench sweep: the centralized comparator vs depth 0..3, fanout
+    2/4/8 at depth 1, and a leaf-kill chaos row; depth 2 must beat the
+    comparator's jobs/s. [flux sched --central] prints the comparator's
+    row after the configured run's. *)

@@ -7,7 +7,6 @@ module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
 module Proc = Flux_sim.Proc
 module Rng = Flux_util.Rng
-module Stats = Flux_util.Stats
 module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
@@ -35,8 +34,6 @@ let soak_default = { shards = 1; producers = List.init 8 (fun i -> 24 + i); dura
 let soak_seed = 1
 let soak_size = 32
 let soak_value_bytes = 256
-let soak_op_timeout = 1.0
-let soak_op_attempts = 6
 
 let soak_kvs =
   { Kvs.default_config with Kvs.apply_cpu_per_tuple = 100e-6; admission_max_intake = 256 }
@@ -48,35 +45,14 @@ let soak_rate = 20_000.0
 
 type soak_report = {
   shards : int;
-  offered : int;
-  acked : int;
-  shed : int;
-  failed : int;
-  goodput : float;
-  ack_p50 : float;
-  ack_p99 : float;
+  load : Open_loop.summary;
   admission_sheds : int;
   intake_hwm : int;  (** max over shard masters *)
   rpc_busy_retries : int;
-  lost_acks : int;
   drained : bool;
   violations : string list;
   final_clock : float;
   sim_events : int;
-}
-
-type soak_state = {
-  scfg : soak_config;
-  eng : Engine.t;
-  sess : Session.t;
-  vt : Volumes.t;
-  h : History.t;
-  lat : Stats.t;
-  mutable offered : int;
-  mutable acked : int;
-  mutable shed : int;
-  mutable failed : int;
-  mutable last_ack : float;
 }
 
 (* Producers are assigned to volumes round-robin and address their
@@ -86,54 +62,18 @@ type soak_state = {
    written to. *)
 let soak_volume key = Scanf.sscanf key "sh%d." Fun.id
 
-let soak_inject st ~api ~vol ~rank ~seq =
-  let key = Printf.sprintf "sh%d.%d.%d.%d" vol rank (seq land 63) seq in
-  let v =
-    Json.obj
-      [
-        ("r", Json.int rank);
-        ("n", Json.int seq);
-        ("pad", Json.string (String.make soak_value_bytes 'x'));
-      ]
-  in
-  let sent = Engine.now st.eng in
-  st.offered <- st.offered + 1;
-  Api.rpc_async api ~timeout:soak_op_timeout ~attempts:soak_op_attempts
-    ~idempotent:true
-    ~topic:(Printf.sprintf "kvs-%d.mput" vol)
-    (Json.obj
-       [ ("bindings", Json.list [ Json.obj [ ("key", Json.string key); ("v", v) ] ]) ])
-    ~reply:(fun r ->
-      match r with
-      | Ok _ ->
-        st.acked <- st.acked + 1;
-        st.last_ack <- Engine.now st.eng;
-        Stats.add st.lat (Engine.now st.eng -. sent);
-        History.ack st.h key v
-      | Error e ->
-        if Session.busy_retry_after e <> None then st.shed <- st.shed + 1
-        else st.failed <- st.failed + 1)
-
-let soak_producer st ~idx ~rank =
-  let api = Api.connect st.sess ~rank in
-  let vol = idx mod st.scfg.shards in
-  let rng = Rng.create (soak_seed lxor (rank * 0x9e3779b1)) in
-  let per = soak_rate /. float_of_int (List.length st.scfg.producers) in
-  let seq = ref 0 in
-  let rec arm () =
-    if Engine.now st.eng < st.scfg.duration then begin
-      let gap = Rng.exponential rng (1.0 /. per) in
-      ignore
-        (Engine.schedule st.eng ~delay:gap (fun () ->
-             if Engine.now st.eng < st.scfg.duration then begin
-               incr seq;
-               soak_inject st ~api ~vol ~rank ~seq:!seq;
-               arm ()
-             end)
-          : Engine.handle)
-    end
-  in
-  arm ()
+let soak_producer (cfg : soak_config) load ~idx ~rank =
+  let vol = idx mod cfg.shards in
+  let per = soak_rate /. float_of_int (List.length cfg.producers) in
+  Open_loop.producer load ~rank ~seed:soak_seed ~rate:(fun _ -> per) (fun seq ->
+      ( Printf.sprintf "kvs-%d.mput" vol,
+        Printf.sprintf "sh%d.%d.%d.%d" vol rank (seq land 63) seq,
+        Json.obj
+          [
+            ("r", Json.int rank);
+            ("n", Json.int seq);
+            ("pad", Json.string (String.make soak_value_bytes 'x'));
+          ] ))
 
 let soak_validate (cfg : soak_config) =
   Harness.require
@@ -150,40 +90,19 @@ let soak cfg =
   let eng = Engine.create () in
   let sess = Session.create eng ~rank_topology:Session.Direct ~size:soak_size () in
   let vt = Volumes.load sess ~config:soak_kvs ~shards:cfg.shards () in
-  let st =
-    {
-      scfg = cfg;
-      eng;
-      sess;
-      vt;
-      h = History.create sess;
-      lat = Stats.create ();
-      offered = 0;
-      acked = 0;
-      shed = 0;
-      failed = 0;
-      last_ack = 0.0;
-    }
-  in
-  List.iteri (fun idx rank -> soak_producer st ~idx ~rank) cfg.producers;
-  Engine.run eng;
-  let drain_clock = Float.max cfg.duration st.last_ack in
+  let h = History.create sess in
+  let load = Open_loop.create sess h ~duration:cfg.duration in
+  List.iteri (fun idx rank -> soak_producer cfg load ~idx ~rank) cfg.producers;
   (* Acked writes must read back through the owning volume. *)
-  let before = List.length (History.violations st.h) in
   let rank = List.hd cfg.producers in
-  ignore
-    (Proc.spawn eng (fun () ->
-         let api = Api.connect sess ~rank in
-         ignore
-           (History.verify st.h ~label:(Printf.sprintf "verify@%d" rank) (fun key ->
-                Api.rpc api
-                  ~topic:(Printf.sprintf "kvs-%d.get" (soak_volume key))
-                  (Json.obj [ ("key", Json.string key) ])
-                |> Result.map Proto.load_reply_value)
-             : int))
-      : Proc.pid);
-  Engine.run eng;
-  let lost_acks = List.length (History.violations st.h) - before in
+  let api = Api.connect sess ~rank in
+  let load =
+    Open_loop.drain load ~rank (fun key ->
+        Api.rpc api
+          ~topic:(Printf.sprintf "kvs-%d.get" (soak_volume key))
+          (Json.obj [ ("key", Json.string key) ])
+        |> Result.map Proto.load_reply_value)
+  in
   let masters = List.init cfg.shards (Volumes.master_rank vt) in
   let inst vol = Volumes.instance vt ~volume:vol ~rank:(List.nth masters vol) in
   let hwm = ref 0 and sheds = ref 0 and intake_left = ref 0 in
@@ -192,29 +111,20 @@ let soak cfg =
     sheds := !sheds + Kvs.admission_sheds (inst vol);
     intake_left := !intake_left + Kvs.intake_depth (inst vol);
     if Kvs.intake_hwm (inst vol) > soak_kvs.Kvs.admission_max_intake then
-      History.violate st.h "volume %d intake hwm %d exceeds bound %d" vol
+      History.violate h "volume %d intake hwm %d exceeds bound %d" vol
         (Kvs.intake_hwm (inst vol))
         soak_kvs.Kvs.admission_max_intake
   done;
-  let unresolved = st.offered - st.acked - st.shed - st.failed in
-  if unresolved <> 0 then History.violate st.h "%d offered ops never resolved" unresolved;
   let drained = !intake_left = 0 in
-  if not drained then History.violate st.h "undrained: intake=%d" !intake_left;
+  if not drained then History.violate h "undrained: intake=%d" !intake_left;
   {
     shards = cfg.shards;
-    offered = st.offered;
-    acked = st.acked;
-    shed = st.shed;
-    failed = st.failed;
-    goodput = float_of_int st.acked /. drain_clock;
-    ack_p50 = (if Stats.count st.lat = 0 then 0.0 else Stats.percentile st.lat 0.50);
-    ack_p99 = (if Stats.count st.lat = 0 then 0.0 else Stats.percentile st.lat 0.99);
+    load;
     admission_sheds = !sheds;
     intake_hwm = !hwm;
     rpc_busy_retries = Session.rpc_busy_retries sess;
-    lost_acks;
     drained;
-    violations = History.violations st.h;
+    violations = History.violations h;
     final_clock = Engine.now eng;
     sim_events = Engine.events_executed eng;
   }
@@ -529,18 +439,19 @@ let chaos seed =
 (* --- Bench sweep ------------------------------------------------------------ *)
 
 let soak_row (r : soak_report) =
+  let l = r.load in
   [
     ("shards", Json.int r.shards);
-    ("offered", Json.int r.offered);
-    ("acked", Json.int r.acked);
-    ("shed", Json.int r.shed);
-    ("failed", Json.int r.failed);
-    ("goodput", Json.float r.goodput);
-    ("ack_p50", Json.float r.ack_p50);
-    ("ack_p99", Json.float r.ack_p99);
+    ("offered", Json.int l.offered);
+    ("acked", Json.int l.acked);
+    ("shed", Json.int l.shed);
+    ("failed", Json.int l.failed);
+    ("goodput", Json.float l.goodput);
+    ("ack_p50", Json.float l.ack_p50);
+    ("ack_p99", Json.float l.ack_p99);
     ("admission_sheds", Json.int r.admission_sheds);
     ("intake_hwm", Json.int r.intake_hwm);
-    ("lost_acks", Json.int r.lost_acks);
+    ("lost_acks", Json.int l.lost_acks);
     ("drained", Json.bool r.drained);
     ("sim_events", Json.int r.sim_events);
     ("violations", Json.int (List.length r.violations));
@@ -557,7 +468,7 @@ let harness =
     let rows = List.map soak_row runs in
     Harness.print_table rows;
     let goodput_of n =
-      List.find_map (fun (r : soak_report) -> if r.shards = n then Some r.goodput else None) runs
+      List.find_map (fun (r : soak_report) -> if r.shards = n then Some r.load.goodput else None) runs
       |> Option.value ~default:0.0
     in
     let g1 = goodput_of 1 and g4 = goodput_of 4 in

@@ -7,10 +7,10 @@
 (** {1 Goodput-vs-shards soak} *)
 
 (** The soak's session is fixed at 32 ranks in a binary tree, with
-    seed 1. Its producers offer 20k ops/s in aggregate — twice one
-    master's 10k ops/s capacity (a 100 us serial apply) — as idempotent
-    [kvs.mput]s of 256-byte values, up to 6 transmissions with a 1 s
-    deadline each. Admission control sheds past an intake of 256. *)
+    seed 1. Its {!Open_loop} producers offer 20k ops/s in aggregate —
+    twice one master's 10k ops/s capacity (a 100 us serial apply) — as
+    [kvs-<v>.mput]s of 256-byte values, each producer to one volume,
+    round-robin. Admission control sheds past an intake of 256. *)
 type soak_config = { shards : int; producers : int list; duration : float }
 
 val soak_default : soak_config
@@ -18,17 +18,10 @@ val soak_default : soak_config
 
 type soak_report = {
   shards : int;
-  offered : int;
-  acked : int;
-  shed : int;
-  failed : int;
-  goodput : float;
-  ack_p50 : float;
-  ack_p99 : float;
+  load : Open_loop.summary;
   admission_sheds : int;
   intake_hwm : int;  (** max over shard masters *)
   rpc_busy_retries : int;
-  lost_acks : int;
   drained : bool;
   violations : string list;
       (** bounded intake, zero acked-write loss, every offered op

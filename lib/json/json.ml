@@ -38,31 +38,6 @@ let rec equal a b =
     List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x.fields y.fields
   | (Null | Bool _ | Int _ | Float _ | String _ | List _ | Obj _), _ -> false
 
-let tag = function
-  | Null -> 0
-  | Bool _ -> 1
-  | Int _ -> 2
-  | Float _ -> 3
-  | String _ -> 4
-  | List _ -> 5
-  | Obj _ -> 6
-
-let rec compare a b =
-  match (a, b) with
-  | Null, Null -> 0
-  | Bool x, Bool y -> Stdlib.compare x y
-  | Int x, Int y -> Stdlib.compare x y
-  | Float x, Float y -> Stdlib.compare x y
-  | String x, String y -> String.compare x y
-  | List x, List y -> List.compare compare x.items y.items
-  | Obj x, Obj y ->
-    List.compare
-      (fun (k1, v1) (k2, v2) ->
-        let c = String.compare k1 k2 in
-        if c <> 0 then c else compare v1 v2)
-      x.fields y.fields
-  | _, _ -> Stdlib.compare (tag a) (tag b)
-
 exception Type_error of string
 
 let type_name = function

@@ -25,14 +25,11 @@ type t = private
     is the object's name index once a lookup has built it. Only this
     module sets them, so the type is [private]: other code matches on
     values but builds them with the constructor functions below and the
-    parser. Compare values with {!equal} and {!compare}, which ignore
-    both; polymorphic [=], [compare] and [Hashtbl.hash] would see them. *)
+    parser. Compare values with {!equal}, which ignores both;
+    polymorphic [=], [compare] and [Hashtbl.hash] would see them. *)
 
 val equal : t -> t -> bool
 (** Structural equality. [Int 1] and [Float 1.0] are distinct. *)
-
-val compare : t -> t -> int
-(** Total order consistent with {!equal}. *)
 
 (** {1 Constructors} *)
 

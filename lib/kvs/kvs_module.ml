@@ -162,14 +162,6 @@ let lookup_obj t sha =
     metric_incr t (match r with Some _ -> "kvs.cache.hit" | None -> "kvs.cache.miss"));
   r
 
-let expire_cache t =
-  if not t.master then begin
-    Lru.clear t.cache;
-    t.bytes_held <- 0;
-    (* Dirty objects are pinned until the next flush. *)
-    Hashtbl.iter (fun _ v -> t.bytes_held <- t.bytes_held + Json.serialized_size v) t.dirty_objs
-  end
-
 (* Service peers that are currently reachable (election candidates and
    fetch sources). *)
 let live_peers t =

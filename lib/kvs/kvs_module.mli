@@ -162,9 +162,6 @@ val intake_hwm : t -> int
 val admission_sheds : t -> int
 (** Requests rejected with a busy error by admission control. *)
 
-val expire_cache : t -> unit
-(** Drop every clean cached object (simulates the idle-expiry sweep). *)
-
 (** {1 Snapshot / restore}
 
     The content-addressed design makes a snapshot *be* a root hash; these

@@ -9,8 +9,6 @@ type pid = {
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Await : 'a Ivar.t -> 'a Effect.t
-  | Yield : unit Effect.t
-  | Self_name : string Effect.t
 
 let names = Flux_util.Idgen.create ~prefix:"proc-" ()
 
@@ -45,13 +43,6 @@ let spawn eng ?name f =
                     : Engine.handle))
           | Await iv ->
             Some (fun (k : (a, unit) continuation) -> Ivar.on_full eng iv (resume k))
-          | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                ignore
-                  (Engine.schedule eng ~delay:0.0 (fun () -> resume k ())
-                    : Engine.handle))
-          | Self_name -> Some (fun (k : (a, unit) continuation) -> continue k p.name)
           | _ -> None);
     }
   in
@@ -68,18 +59,3 @@ let sleep d =
   Effect.perform (Sleep d)
 
 let await iv = Effect.perform (Await iv)
-let yield () = Effect.perform Yield
-let self_name () = Effect.perform Self_name
-
-let join_all eng ivs =
-  let done_iv = Ivar.create () in
-  let remaining = ref (List.length ivs) in
-  if !remaining = 0 then Ivar.fill eng done_iv ()
-  else
-    List.iter
-      (fun iv ->
-        Ivar.on_full eng iv (fun () ->
-            decr remaining;
-            if !remaining = 0 then Ivar.fill eng done_iv ()))
-      ivs;
-  done_iv

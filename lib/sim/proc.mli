@@ -29,13 +29,3 @@ val sleep : float -> unit
 
 val await : 'a Ivar.t -> 'a
 (** Suspend until the ivar is full; returns its value. *)
-
-val yield : unit -> unit
-(** Reschedule at the current instant, letting other ready events run. *)
-
-val self_name : unit -> string
-
-(** {1 Blocking conveniences} *)
-
-val join_all : Engine.t -> unit Ivar.t list -> unit Ivar.t
-(** [join_all eng ivs] fills when every listed ivar has filled. *)

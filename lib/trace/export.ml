@@ -33,13 +33,15 @@ let to_text t =
     (Tracer.events t);
   Buffer.contents buf
 
+(* The [total_dur_s] column is always zero: no event kind records a
+   duration. It stays so the CSV keeps the layout that test_determinism
+   pins by digest for the traced fig2 run. *)
 let counters_csv t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "category,name,count,total_dur_s\n";
   List.iter
     (fun ((cat, name), count) ->
-      let dur = Tracer.total_duration t ~cat ~name in
-      Buffer.add_string buf (Printf.sprintf "%s,%s,%d,%.9f\n" cat name count dur))
+      Buffer.add_string buf (Printf.sprintf "%s,%s,%d,0.000000000\n" cat name count))
     (Tracer.counters t);
   Buffer.contents buf
 
@@ -241,27 +243,12 @@ let fault_counters_csv ?(extra = []) ~rpc_timeouts ~rpc_retries ~dead_letters ~d
     @ extra);
   Buffer.contents buf
 
-(* Same CSV, but derived from the tracer's own counter table: Session
-   bumps cmb.rpc.timeout/rpc.retry, Net bumps net.drop/net.dead_letter,
-   so nobody has to thread the four integers by hand any more. *)
-let fault_counters_csv_of ?extra t =
-  fault_counters_csv ?extra
-    ~rpc_timeouts:(Tracer.count t ~cat:"cmb" ~name:"rpc.timeout")
-    ~rpc_retries:(Tracer.count t ~cat:"cmb" ~name:"rpc.retry")
-    ~dead_letters:(Tracer.count t ~cat:"net" ~name:"dead_letter")
-    ~dropped:(Tracer.count t ~cat:"net" ~name:"drop")
-    ()
-
 let summary t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-10s %-24s %10s %14s\n" "category" "name" "count" "total dur (s)");
+  Buffer.add_string buf (Printf.sprintf "%-10s %-24s %10s\n" "category" "name" "count");
   List.iter
     (fun ((cat, name), count) ->
-      let dur = Tracer.total_duration t ~cat ~name in
-      Buffer.add_string buf
-        (Printf.sprintf "%-10s %-24s %10d %14s\n" cat name count
-           (if dur > 0.0 then Printf.sprintf "%.6f" dur else "-")))
+      Buffer.add_string buf (Printf.sprintf "%-10s %-24s %10d\n" cat name count))
     (Tracer.counters t);
   (if Tracer.dropped t > 0 then
      Buffer.add_string buf

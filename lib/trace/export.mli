@@ -8,12 +8,14 @@ val to_text : Tracer.t -> string
 (** Human-readable listing, one event per line, time-ordered. *)
 
 val summary : Tracer.t -> string
-(** Per-(category, name) table: occurrence count and, where spans were
-    recorded, total virtual duration. *)
+(** Per-(category, name) occurrence counts, with a warning when the
+    capacity bound truncated the stream. *)
 
 val counters_csv : Tracer.t -> string
-(** {!summary} as machine-readable CSV:
-    [category,name,count,total_dur_s]. *)
+(** The counts of {!summary} as machine-readable CSV:
+    [category,name,count,total_dur_s]. No event kind records a
+    duration, so [total_dur_s] is always 0; the column keeps the
+    layout. *)
 
 val to_perfetto : Tracer.t -> string
 (** Chrome / Perfetto trace-event JSON ([{"traceEvents": [...]}]).
@@ -62,8 +64,3 @@ val fault_counters_csv :
     library stays independent of the simulator; callers feed it
     [Session.rpc_timeouts], [Net.stats ...] etc., plus any [extra]
     rows (e.g. takeover counts). *)
-
-val fault_counters_csv_of : ?extra:(string * int) list -> Tracer.t -> string
-(** Same CSV, sourced from the tracer's counter table
-    ([cmb.rpc.timeout], [cmb.rpc.retry], [net.dead_letter],
-    [net.drop]) — no hand-threaded integers. *)

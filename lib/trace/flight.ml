@@ -8,12 +8,12 @@ module Ring_buffer = Flux_util.Ring_buffer
    it was doing; the per-rank ring guarantees the last [capacity]
    events of *every* rank survive until dumped.
 
-   The recorder subscribes to the tracer, so it sees exactly the
-   retained event stream (category filters apply) and costs one ring
-   push per event. Dumps are taken on demand — the telemetry plane
-   triggers them on mark_down and on alerts, harnesses on guarantee
-   trips — and are tagged back into the tracer as [flight.dump] events
-   so the trigger is visible in the main trace too. *)
+   The recorder subscribes to the tracer, so it sees every event the
+   tracer records and costs one ring push per event. Dumps are taken on
+   demand — the telemetry plane triggers them on mark_down and on
+   alerts, harnesses on guarantee trips — and are tagged back into the
+   tracer as [flight.dump] events so the trigger is visible in the main
+   trace too. *)
 
 type dump = {
   d_ts : float; (* virtual time of the dump *)

@@ -22,9 +22,9 @@ type t
 
 val create : ?capacity:int -> Tracer.t -> t
 (** Subscribe to the tracer. [capacity] (default 256) bounds each
-    rank's ring; at most 64 dumps are retained. Category filters apply:
-    the recorder sees the retained stream. Raises [Invalid_argument]
-    when [capacity <= 0]. *)
+    rank's ring; at most 64 dumps are retained. The recorder sees every
+    event the tracer records. Raises [Invalid_argument] when
+    [capacity <= 0]. *)
 
 val recent : t -> rank:int -> Tracer.event list
 (** The rank's ring contents right now, oldest first (no dump taken). *)

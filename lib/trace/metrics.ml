@@ -341,15 +341,6 @@ let diff ~base next =
   let hists = List.filter (fun (_, hs) -> hs.hs_count >= 0) hists in
   { sn_counters = counters; sn_gauges = gauges; sn_hists = hists }
 
-let snap_record t s =
-  List.iter (fun ((name, rank), n) -> add t ~name ~rank n) s.sn_counters;
-  List.iter (fun ((name, rank), v) -> set_gauge t ~name ~rank v) s.sn_gauges;
-  List.iter
-    (fun ((name, rank), hs) ->
-      let h = family_hist (hist_family t ~name) ~rank in
-      merge_into h (hist_of_snap hs))
-    s.sn_hists
-
 (* --- Snapshot accessors (what the detectors and series consume) ------- *)
 
 let names_of bindings =

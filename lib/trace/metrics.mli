@@ -129,11 +129,6 @@ val merge : snap -> snap -> snap
 (** Keyed union: counters sum, gauges right-biased (the second operand
     is the fresher contribution), histograms add bucket-wise. *)
 
-val snap_record : t -> snap -> unit
-(** Fold a snapshot into a registry (counters add, gauges set,
-    histogram buckets accumulate) — the restore side of the round-trip,
-    used by tests and by tools replaying a rollup stream. *)
-
 (** {2 Snapshot accessors} *)
 
 val snap_counter_names : snap -> string list

@@ -14,9 +14,7 @@ type ctx = { tc_trace : int; tc_span : int; tc_parent : int }
 type t = {
   now : unit -> float;
   buf : event Ring_buffer.t;
-  mutable cats : string list; (* [] = all *)
   counts : (string * string, int) Hashtbl.t;
-  durations : (string * string, float) Hashtbl.t;
   mutable subscribers : (event -> unit) list;
   mutable next_id : int; (* span/trace id allocator, deterministic *)
 }
@@ -25,9 +23,7 @@ let create ?(capacity = 100_000) ~now () =
   {
     now;
     buf = Ring_buffer.create ~capacity;
-    cats = [];
     counts = Hashtbl.create 64;
-    durations = Hashtbl.create 16;
     subscribers = [];
     next_id = 1;
   }
@@ -53,10 +49,6 @@ let ctx_fields c =
     ("parent", Json.int c.tc_parent);
   ]
 
-let enable t ~cats = t.cats <- cats
-
-let retained t cat = t.cats = [] || List.mem cat t.cats
-
 let bump t key =
   Hashtbl.replace t.counts key
     (1 + match Hashtbl.find_opt t.counts key with Some c -> c | None -> 0)
@@ -67,40 +59,15 @@ let add_count t ~cat ~name n =
 
 let emit t ~cat ~name ?(rank = -1) ?ctx ?(fields = []) () =
   bump t (cat, name);
-  if retained t cat then begin
-    let fields = match ctx with None -> fields | Some c -> ctx_fields c @ fields in
-    let ev = { ev_ts = t.now (); ev_cat = cat; ev_name = name; ev_rank = rank; ev_fields = fields } in
-    let dropped_before = Ring_buffer.dropped t.buf in
-    Ring_buffer.push t.buf ev;
-    (* Capacity truncation is itself an observable: exports surface the
-       [trace.dropped] counter so a truncated stream can never be
-       mistaken for a complete one. *)
-    if Ring_buffer.dropped t.buf > dropped_before then bump t ("trace", "dropped");
-    List.iter (fun f -> f ev) t.subscribers
-  end
-
-let add_duration t key d =
-  Hashtbl.replace t.durations key
-    (d +. match Hashtbl.find_opt t.durations key with Some x -> x | None -> 0.0)
-
-let span t ~cat ~name f =
-  let t0 = t.now () in
-  let finish ~raised =
-    let dur = t.now () -. t0 in
-    add_duration t (cat, name) dur;
-    if raised then bump t (cat, name ^ ".raised");
-    let fields =
-      ("dur", Json.float dur) :: (if raised then [ ("raised", Json.bool true) ] else [])
-    in
-    emit t ~cat ~name ~fields ()
-  in
-  match f () with
-  | v ->
-    finish ~raised:false;
-    v
-  | exception e ->
-    finish ~raised:true;
-    raise e
+  let fields = match ctx with None -> fields | Some c -> ctx_fields c @ fields in
+  let ev = { ev_ts = t.now (); ev_cat = cat; ev_name = name; ev_rank = rank; ev_fields = fields } in
+  let dropped_before = Ring_buffer.dropped t.buf in
+  Ring_buffer.push t.buf ev;
+  (* Capacity truncation is itself an observable: exports surface the
+     [trace.dropped] counter so a truncated stream can never be
+     mistaken for a complete one. *)
+  if Ring_buffer.dropped t.buf > dropped_before then bump t ("trace", "dropped");
+  List.iter (fun f -> f ev) t.subscribers
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
@@ -115,6 +82,3 @@ let count t ~cat ~name =
 
 let counters t =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts [])
-
-let total_duration t ~cat ~name =
-  match Hashtbl.find_opt t.durations (cat, name) with Some d -> d | None -> 0.0

@@ -3,9 +3,9 @@
     The paper's Challenge 1 calls for "managing a drastically increased
     amount of run-time information that must be monitored, traced, and
     stored". This tracer is the common sink: subsystems emit typed
-    events (category + name + rank + fields), the tracer filters,
-    counts, bounds memory, and can notify subscribers; {!Export} renders
-    the stream for humans or machines.
+    events (category + name + rank + fields), the tracer counts them,
+    bounds memory, and can notify subscribers; {!Export} renders the
+    stream for humans or machines.
 
     One tracer serves one simulation; it is driven by the virtual clock
     supplied at creation, so traces are as deterministic as the runs
@@ -44,10 +44,6 @@ val root_ctx : t -> ctx
 val child_ctx : t -> ctx -> ctx
 (** A fresh span caused by [parent], in the same trace. *)
 
-val enable : t -> cats:string list -> unit
-(** Retain events only for the listed categories ([[]] = everything,
-    the default). Filtering also suppresses subscriber callbacks. *)
-
 val emit :
   t ->
   cat:string ->
@@ -57,26 +53,16 @@ val emit :
   ?fields:(string * Json.t) list ->
   unit ->
   unit
-(** Record one event (subject to the category filter) and bump the
-    [cat.name] counter (always). [?ctx] prepends the causal
-    trace/span/parent fields (only when the event is retained, so
-    filtered categories stay allocation-free). *)
+(** Record one event and bump the [cat.name] counter. [?ctx] prepends
+    the causal trace/span/parent fields. *)
 
 val add_count : t -> cat:string -> name:string -> int -> unit
 (** Bump the [cat.name] counter by [n] without recording an event.
     Lets subsystems fold pre-existing integer counters (fault counts,
     byte totals) into the one counter namespace. *)
 
-val span : t -> cat:string -> name:string -> (unit -> 'a) -> 'a
-(** [span t ~cat ~name f] runs [f], emitting one rank-less event
-    carrying the elapsed virtual duration in field ["dur"]. For blocking protocol
-    code inside {!Flux_sim.Proc} bodies. Exceptions propagate after the
-    event is recorded with field ["raised"] = true and the
-    [cat.name.raised] counter bumped, so failures show up in
-    {!Export.counters_csv} too. *)
-
 val subscribe : t -> (event -> unit) -> unit
-(** Called for every retained event. *)
+(** Called for every event. *)
 
 val events : t -> event list
 (** Retained events, oldest first. *)
@@ -91,10 +77,8 @@ val capacity : t -> int
 (** The retained-event bound this tracer was created with. *)
 
 val count : t -> cat:string -> name:string -> int
-(** Occurrences of [cat.name] since creation (includes filtered ones). *)
+(** Occurrences of [cat.name] since creation, including events the
+    capacity bound has dropped. *)
 
 val counters : t -> ((string * string) * int) list
 (** All counters, sorted by key. *)
-
-val total_duration : t -> cat:string -> name:string -> float
-(** Sum of ["dur"] fields recorded by {!span} for this key. *)

@@ -118,10 +118,6 @@ let drop_min h =
   if last > 0 then sift_down h 0;
   shrink_to_fit h
 
-let clear h =
-  h.size <- 0;
-  resize h min_capacity
-
 (* Survivors keep their original (priority, rank), and pop order is a
    pure function of (priority, rank), so an O(n) compact-and-heapify
    cannot be observed through the minimum. *)

@@ -35,9 +35,6 @@ val drop_min : 'a t -> unit
 (** [drop_min h] removes the minimum element. Raises [Invalid_argument]
     on an empty heap. *)
 
-val clear : 'a t -> unit
-(** [clear h] removes all elements. *)
-
 val filter : 'a t -> ('a -> bool) -> unit
 (** [filter h keep] removes every element for which [keep] is false, in
     O(n). Survivors keep their insertion rank, so their relative pop

@@ -10,19 +10,3 @@ let encode s =
   done;
   Bytes.unsafe_to_string out
 
-let nibble c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> invalid_arg "Hexs.decode: non-hex character"
-
-let decode h =
-  let n = String.length h in
-  if n mod 2 <> 0 then invalid_arg "Hexs.decode: odd length";
-  let out = Bytes.create (n / 2) in
-  for i = 0 to (n / 2) - 1 do
-    let hi = nibble h.[2 * i] and lo = nibble h.[(2 * i) + 1] in
-    Bytes.set out i (Char.chr ((hi lsl 4) lor lo))
-  done;
-  Bytes.unsafe_to_string out

@@ -85,14 +85,6 @@ let put c k v =
     evict_lru c
   done
 
-let remove c k =
-  match Hashtbl.find_opt c.table k with
-  | None -> ()
-  | Some node ->
-    unlink c node;
-    Hashtbl.remove c.table k;
-    notify_evict c node.key node.value
-
 let clear c =
   Hashtbl.reset c.table;
   c.head <- None;

@@ -24,13 +24,11 @@ val put : 'a t -> string -> 'a -> unit
 (** [put c k v] inserts or replaces, marking [k] most recently used and
     evicting the LRU entry if over capacity. *)
 
-val remove : 'a t -> string -> unit
-
 val set_on_evict : 'a t -> (string -> 'a -> unit) -> unit
 (** [set_on_evict c f] registers [f] to run whenever an entry leaves the
-    cache via capacity eviction or {!remove} — the hook byte-accounting
-    callers need to keep their totals honest. Not fired by {!clear}
-    (bulk invalidation resets accounting wholesale). *)
+    cache via capacity eviction — the hook byte-accounting callers need
+    to keep their totals honest. Not fired by {!clear} (bulk
+    invalidation resets accounting wholesale). *)
 
 val clear : 'a t -> unit
 (** Empties the cache without firing the eviction hook. *)

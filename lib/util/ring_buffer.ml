@@ -41,8 +41,3 @@ let to_list b =
       | None -> go (i - 1) acc
   in
   go (b.len - 1) []
-
-let clear b =
-  b.arr <- [||];
-  b.start <- 0;
-  b.len <- 0

@@ -20,5 +20,3 @@ val to_list : 'a t -> 'a list
 
 val dropped : 'a t -> int
 (** Number of elements overwritten so far. *)
-
-val clear : 'a t -> unit

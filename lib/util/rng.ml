@@ -31,11 +31,3 @@ let bool t = Int64.logand (int64 t) 1L = 1L
 let exponential t mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -25,6 +25,3 @@ val bool : t -> bool
 val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean. *)
-
-val shuffle : t -> 'a array -> unit
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)

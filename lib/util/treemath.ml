@@ -30,19 +30,6 @@ let tree_height ~k ~size =
 let on_path ~k ~ancestor rank =
   rank = ancestor || List.mem ancestor (ancestors ~k rank)
 
-let subtree ~k ~size rank =
-  let q = Queue.create () in
-  Queue.add rank q;
-  let rec go acc =
-    if Queue.is_empty q then List.rev acc
-    else begin
-      let r = Queue.pop q in
-      List.iter (fun c -> Queue.add c q) (children ~k ~size r);
-      go (r :: acc)
-    end
-  in
-  go []
-
 let ring_next ~size rank =
   if size <= 0 then invalid_arg "Treemath.ring_next: empty ring";
   (rank + 1) mod size

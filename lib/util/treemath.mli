@@ -21,9 +21,5 @@ val on_path : k:int -> ancestor:int -> int -> bool
 (** [on_path ~k ~ancestor rank] is true when [ancestor] lies on the path
     from [rank] to the root (inclusive of [rank] itself). *)
 
-val subtree : k:int -> size:int -> int -> int list
-(** [subtree ~k ~size rank] is every rank in the subtree rooted at
-    [rank], in breadth-first order (including [rank]). *)
-
 val ring_next : size:int -> int -> int
 (** [ring_next ~size rank] is the successor on the ring overlay. *)

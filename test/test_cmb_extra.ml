@@ -98,27 +98,6 @@ let test_event_from_dead_publisher_dropped () =
   Engine.run eng;
   check int "nothing delivered" 0 !seen
 
-let test_next_event_blocking () =
-  let eng = Engine.create () in
-  let sess = Session.create eng ~size:4 () in
-  let got = ref None in
-  ignore
-    (Proc.spawn eng (fun () ->
-         let api = Api.connect sess ~rank:3 in
-         got := Some (Api.next_event api ~topic:"later.now")));
-  let pub = Api.connect sess ~rank:1 in
-  (* The wait matches its topic exactly: a longer topic does not end it. *)
-  List.iter
-    (fun (delay, topic, v) ->
-      ignore
-        (Engine.schedule eng ~delay (fun () -> Api.publish pub ~topic (Json.int v))
-          : Engine.handle))
-    [ (0.2, "later.now.x", 5); (0.5, "later.now", 7) ];
-  Engine.run eng;
-  match !got with
-  | Some payload -> check int "payload" 7 (Json.to_int payload)
-  | None -> Alcotest.fail "next_event did not resolve"
-
 (* --- Message size model ------------------------------------------------------------ *)
 
 let test_message_size_components () =
@@ -281,7 +260,6 @@ let () =
           Alcotest.test_case "resume after reattach" `Quick
             test_events_resume_for_reattached_subtree;
           Alcotest.test_case "dead publisher dropped" `Quick test_event_from_dead_publisher_dropped;
-          Alcotest.test_case "next_event blocks" `Quick test_next_event_blocking;
           Alcotest.test_case "total order in 4-ary 85-rank session" `Quick
             test_event_total_order_large_kary;
         ] );

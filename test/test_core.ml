@@ -1,6 +1,6 @@
 (* Tests for the Flux core: resource model, jobspecs, jobs, pools,
    policies, hierarchical instances, elasticity, power capping, PMI and
-   the centralized baseline. *)
+   a flat instance against a two-level hierarchy. *)
 
 module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
@@ -15,7 +15,6 @@ module Instance = Flux_core.Instance
 module Center = Flux_core.Center
 module Workload = Flux_core.Workload
 module Pmi = Flux_core.Pmi
-module Central = Flux_baseline.Central
 module Wexec = Flux_modules.Wexec
 
 let check = Alcotest.check
@@ -802,16 +801,6 @@ let test_workload_split () =
 
 (* --- Baseline ------------------------------------------------------------------------- *)
 
-let test_central_completes_workload () =
-  let eng = Engine.create () in
-  let central = Central.create eng ~nnodes:32 () in
-  let wl = Workload.batch_mix (Rng.create 11) ~n:60 ~max_nodes:16 ~mean_duration:30.0 () in
-  Central.submit_plan central wl;
-  Engine.run eng;
-  let st = Central.stats central in
-  check int "all completed" 60 st.Central.bs_completed;
-  check bool "nonzero makespan" true (st.Central.bs_makespan > 0.0)
-
 let test_hierarchy_beats_central_on_ensembles () =
   (* Same ensemble of tiny jobs; the centralized controller serializes
      all decisions, the two-level Flux splits them across 8 children. *)
@@ -829,12 +818,11 @@ let test_hierarchy_beats_central_on_ensembles () =
         | _ -> s)
       (Workload.uq_ensemble (Rng.create 42) ~n:n_jobs ~mean_duration:2.0 ())
   in
-  (* centralized *)
-  let eng1 = Engine.create () in
-  let central = Central.create eng1 ~nnodes () in
-  Central.submit_plan central (mk_wl ());
-  Engine.run eng1;
-  let cs = Central.stats central in
+  (* centralized: one flat instance over every node *)
+  let flat = Center.create ~nodes:nnodes () in
+  Instance.submit_plan flat.Center.root (mk_wl ());
+  drain flat;
+  let cs = Instance.stats flat.Center.root in
   (* two-level flux *)
   let c = Center.create ~nodes:nnodes () in
   let parts = Workload.split_round_robin 8 (mk_wl ()) in
@@ -847,13 +835,13 @@ let test_hierarchy_beats_central_on_ensembles () =
     parts;
   drain c;
   let fs = Instance.stats_recursive c.Center.root in
-  check int "central completed" n_jobs cs.Central.bs_completed;
+  check int "central completed" n_jobs cs.Instance.st_completed;
   check int "flux completed" (n_jobs + 8) fs.Instance.st_completed;
   check bool
     (Printf.sprintf "flux makespan (%.1f) < central (%.1f)" fs.Instance.st_makespan
-       cs.Central.bs_makespan)
+       cs.Instance.st_makespan)
     true
-    (fs.Instance.st_makespan < cs.Central.bs_makespan)
+    (fs.Instance.st_makespan < cs.Instance.st_makespan)
 
 let () =
   Alcotest.run "flux_core"
@@ -918,7 +906,6 @@ let () =
         ] );
       ( "baseline",
         [
-          Alcotest.test_case "central completes" `Quick test_central_completes_workload;
           Alcotest.test_case "hierarchy beats central" `Quick
             test_hierarchy_beats_central_on_ensembles;
         ] );

@@ -220,6 +220,26 @@ let test_ckpt_defaults () =
        (Json.obj (Ckpt.row (Ckpt.run Ckpt.default)))
        (Json.of_string (String.trim printed)))
 
+(* [flux sched --central] follows the configured run with the
+   centralized comparator's row. The comparator has no workers to kill,
+   so [--kill-leaf] applies to the hierarchy only. *)
+let test_sched_central_kill_leaf () =
+  let tasks = 40 in
+  let (code, _), printed =
+    capture (fun () ->
+        eval [ "sched"; "-N"; "8"; "--tasks"; string_of_int tasks; "--central"; "--kill-leaf" ])
+  in
+  check Alcotest.int "exit" 0 code;
+  match String.split_on_char '\n' (String.trim printed) with
+  | [ run; central; ratio ] ->
+    check Alcotest.int "the hierarchy acked every task" tasks
+      (Json.to_int (Json.member "acked" (Json.of_string run)));
+    check Alcotest.int "the comparator completed every task" tasks
+      (Json.to_int (Json.member "completed" (Json.of_string central)));
+    check Alcotest.bool "throughput ratio printed" true
+      (String.starts_with ~prefix:"hierarchy/central throughput: " ratio)
+  | lines -> Alcotest.failf "expected three lines, got %d:\n%s" (List.length lines) printed
+
 let () =
   Alcotest.run "harness"
     [
@@ -236,5 +256,6 @@ let () =
           Alcotest.test_case "help for every harness" `Quick test_help;
           Alcotest.test_case "violations exit 1" `Quick test_violation_exit;
           Alcotest.test_case "ckpt defaults" `Quick test_ckpt_defaults;
+          Alcotest.test_case "sched central with kill-leaf" `Quick test_sched_central_kill_leaf;
         ] );
     ]

@@ -247,11 +247,10 @@ let gen_json =
 let arb_json = QCheck.make ~print:Json.to_string gen_json
 
 (* The printed value has its lengths stored and the parsed copy has
-   none: neither [equal] nor [compare] sees the difference. *)
+   none: [equal] does not see the difference. *)
 let prop_roundtrip =
   QCheck.Test.make ~name:"print/parse roundtrip" ~count:300 arb_json (fun v ->
-      let copy = Json.of_string (Json.to_string v) in
-      Json.equal v copy && Json.compare v copy = 0)
+      Json.equal v (Json.of_string (Json.to_string v)))
 
 (* Asked before printing, after it, inside a container built later, and
    on a parsed copy that was never measured. *)
@@ -267,7 +266,7 @@ let prop_size =
 (* Names repeat and probes miss, on objects on both sides of the
    64-field point where a lookup builds the name index. Every lookup
    must give the first binding before and after the index exists, and
-   the index must not show through equality, order, printing or size. *)
+   the index must not show through equality, printing or size. *)
 let prop_member_index =
   let gen =
     QCheck.Gen.(pair (list_size (int_range 0 200) (int_range 0 299)) (list_size (int_range 1 40) (int_range 0 319)))
@@ -291,15 +290,9 @@ let prop_member_index =
       && List.for_all agrees keys
       && List.for_all (fun (k, _) -> agrees k) fields
       && Json.equal v copy
-      && Json.compare v copy = 0
-      && Json.compare copy v = 0
+      && Json.equal copy v
       && String.equal (Json.to_string v) (Json.to_string copy)
       && Json.serialized_size v = Json.serialized_size copy)
-
-let prop_compare_consistent =
-  QCheck.Test.make ~name:"compare consistent with equal" ~count:200
-    (QCheck.pair arb_json arb_json) (fun (a, b) ->
-      Json.equal a b = (Json.compare a b = 0))
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -340,5 +333,5 @@ let () =
           Alcotest.test_case "pad" `Quick test_pad;
           Alcotest.test_case "pad_unique" `Quick test_pad_unique;
         ] );
-      qsuite "props" [ prop_roundtrip; prop_size; prop_compare_consistent; prop_member_index ];
+      qsuite "props" [ prop_roundtrip; prop_size; prop_member_index ];
     ]

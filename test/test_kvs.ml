@@ -564,21 +564,6 @@ let test_kvs_fault_in_coalescing () =
      at most one load per missing object (root dir, "big" dir, value). *)
   check bool "coalesced loads" true (Kvs.loads_issued w.kvs.(6) <= 3)
 
-let test_kvs_cache_expiry_refault () =
-  let w = make_world ~size:7 () in
-  run_clients w
-    [
-      (fun () ->
-        let c = Client.connect w.sess ~rank:5 in
-        expect_ok "put" (Client.put c ~key:"e.k" (Json.int 5));
-        ignore (expect_ok "commit" (Client.commit c) : int);
-        check json_t "before expiry" (Json.int 5) (expect_ok "get" (Client.get c ~key:"e.k"));
-        (* Expire the slave cache; the next get must re-fault from up
-           the tree and still succeed. *)
-        Kvs.expire_cache w.kvs.(5);
-        check json_t "after expiry" (Json.int 5) (expect_ok "get" (Client.get c ~key:"e.k")));
-    ]
-
 let test_kvs_watch () =
   let w = make_world ~size:7 () in
   let fired = ref [] in
@@ -739,7 +724,6 @@ let () =
       ( "caching",
         [
           Alcotest.test_case "fault-in coalescing" `Quick test_kvs_fault_in_coalescing;
-          Alcotest.test_case "expiry refault" `Quick test_kvs_cache_expiry_refault;
         ] );
       ( "leaf-requests",
         [ Alcotest.test_case "leaves route upstream" `Quick test_kvs_leaves_route_upstream ] );

@@ -12,6 +12,7 @@ module Session = Flux_cmb.Session
 module Api = Flux_cmb.Api
 module Kvs = Flux_kvs.Kvs_module
 module Overload = Flux_harness.Overload
+module Open_loop = Flux_harness.Open_loop
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -150,11 +151,12 @@ let soak_cfg seed =
 let assert_protected label (r : Overload.report) =
   List.iter (fun v -> Printf.printf "%s violation: %s\n%!" label v) r.Overload.violations;
   check int (label ^ ": no violations") 0 (List.length r.Overload.violations);
-  check int (label ^ ": zero acked-write loss") 0 r.Overload.lost_acks;
+  let l = r.Overload.load in
+  check int (label ^ ": zero acked-write loss") 0 l.Open_loop.lost_acks;
   check bool (label ^ ": drained") true r.Overload.drained;
-  check bool (label ^ ": made progress") true (r.Overload.acked > 0);
+  check bool (label ^ ": made progress") true (l.Open_loop.acked > 0);
   check bool (label ^ ": every op resolved") true
-    (r.Overload.offered = r.Overload.acked + r.Overload.shed + r.Overload.failed)
+    (l.Open_loop.offered = l.Open_loop.acked + l.Open_loop.shed + l.Open_loop.failed)
 
 let test_soak seed () =
   let cfg = soak_cfg seed in
@@ -167,9 +169,9 @@ let test_soak seed () =
 let test_soak_deterministic () =
   let a = Overload.run (soak_cfg 42) in
   let b = Overload.run (soak_cfg 42) in
-  check int "offered" a.Overload.offered b.Overload.offered;
-  check int "acked" a.Overload.acked b.Overload.acked;
-  check int "shed" a.Overload.shed b.Overload.shed;
+  check int "offered" a.Overload.load.Open_loop.offered b.Overload.load.Open_loop.offered;
+  check int "acked" a.Overload.load.Open_loop.acked b.Overload.load.Open_loop.acked;
+  check int "shed" a.Overload.load.Open_loop.shed b.Overload.load.Open_loop.shed;
   check int "sim_events" a.Overload.sim_events b.Overload.sim_events;
   check int "final_version" a.Overload.final_version b.Overload.final_version;
   check bool "clock" true (a.Overload.final_clock = b.Overload.final_clock)
@@ -195,7 +197,7 @@ let test_unprotected_still_correct () =
   in
   let r = Overload.run cfg in
   assert_protected "unprotected" r;
-  check int "nothing shed without a gate" 0 r.Overload.shed
+  check int "nothing shed without a gate" 0 r.Overload.load.Open_loop.shed
 
 let () =
   let seeds = List.init 8 (fun i -> 1 + (13 * i)) in

@@ -108,7 +108,7 @@ let prop_heap_filter_preserves_order =
    byte accounting the KVS slave caches layer on top of the eviction
    hook — bytes_held must always equal the sum over the live entries. *)
 
-type lru_op = L_put of string * int | L_find of string | L_mem of string | L_rem of string
+type lru_op = L_put of string * int | L_find of string | L_mem of string
 
 let lru_key_gen = QCheck.Gen.(map (fun i -> Printf.sprintf "k%d" i) (int_range 0 9))
 
@@ -119,7 +119,6 @@ let lru_op_gen =
         (4, map2 (fun k v -> L_put (k, v)) lru_key_gen (int_range 1 100));
         (2, map (fun k -> L_find k) lru_key_gen);
         (1, map (fun k -> L_mem k) lru_key_gen);
-        (1, map (fun k -> L_rem k) lru_key_gen);
       ])
 
 let lru_ops_arb =
@@ -131,8 +130,7 @@ let lru_ops_arb =
               (function
                 | L_put (k, v) -> Printf.sprintf "put %s %d" k v
                 | L_find k -> "find " ^ k
-                | L_mem k -> "mem " ^ k
-                | L_rem k -> "rem " ^ k)
+                | L_mem k -> "mem " ^ k)
               ops)))
     QCheck.Gen.(pair (int_range 1 6) (list_size (int_range 0 120) lru_op_gen))
 
@@ -192,15 +190,7 @@ let prop_lru_model =
             match want with
             | Some v -> model := (k, v) :: List.remove_assoc k !model
             | None -> ())
-          | L_mem k -> if Lru.mem c k <> List.mem_assoc k !model then ok := false
-          | L_rem k ->
-            Lru.remove c k;
-            (match List.assoc_opt k !model with
-            | Some v ->
-              model_bytes := !model_bytes - v;
-              incr model_hooks
-            | None -> ());
-            model := List.remove_assoc k !model)
+          | L_mem k -> if Lru.mem c k <> List.mem_assoc k !model then ok := false)
         ops;
       (* Final-state agreement: contents, recency order, counters, bytes. *)
       let contents = ref [] in

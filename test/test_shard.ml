@@ -4,6 +4,7 @@
    state alongside another's pre-fence state. *)
 
 module Shard = Flux_harness.Shard
+module Open_loop = Flux_harness.Open_loop
 
 let check = Alcotest.check
 
@@ -66,12 +67,12 @@ let test_soak_scaling () =
       | vs -> Alcotest.failf "shards=%d: %s" r.Shard.shards (String.concat "; " vs));
       check Alcotest.int
         (Printf.sprintf "shards=%d zero lost acks" r.Shard.shards)
-        0 r.Shard.lost_acks;
+        0 r.Shard.load.Open_loop.lost_acks;
       check Alcotest.bool
         (Printf.sprintf "shards=%d drained" r.Shard.shards)
         true r.Shard.drained)
     [ r1; r4 ];
-  let ratio = r4.Shard.goodput /. r1.Shard.goodput in
+  let ratio = r4.Shard.load.Open_loop.goodput /. r1.Shard.load.Open_loop.goodput in
   if ratio < 1.8 then
     Alcotest.failf "goodput scaled only %.2fx from 1 to 4 shards (want >= 1.8)" ratio
 

@@ -207,25 +207,6 @@ let test_proc_kill () =
   Engine.run eng;
   check bool "killed before resumption" false !reached
 
-let test_proc_join_all () =
-  let eng = Engine.create () in
-  let ivs = List.init 3 (fun _ -> Ivar.create ()) in
-  List.iteri
-    (fun i iv ->
-      ignore
-        (Proc.spawn eng (fun () ->
-             Proc.sleep (float_of_int (i + 1));
-             Ivar.fill eng iv ())))
-    ivs;
-  let all = Proc.join_all eng ivs in
-  let done_at = ref 0.0 in
-  ignore
-    (Proc.spawn eng (fun () ->
-         Proc.await all;
-         done_at := Engine.now eng));
-  Engine.run eng;
-  check flt "joined at slowest" 3.0 !done_at
-
 (* --- Net ----------------------------------------------------------------- *)
 
 let cfg : Net.config =
@@ -375,7 +356,6 @@ let () =
           Alcotest.test_case "await" `Quick test_proc_await;
           Alcotest.test_case "interleave" `Quick test_proc_two_procs_interleave;
           Alcotest.test_case "kill" `Quick test_proc_kill;
-          Alcotest.test_case "join_all" `Quick test_proc_join_all;
         ] );
       ( "net",
         [

@@ -109,25 +109,6 @@ let prop_codec_roundtrips =
       let s = snap_of_ops ops in
       snap_eq (Metrics.snap_of_json (Json.of_string (Json.to_string (Metrics.snap_to_json s)))) s)
 
-let prop_snap_record_roundtrips =
-  QCheck.Test.make ~name:"snapshot (snap_record fresh s) = s" ~count:300 ops_arb
-    (fun ops ->
-      let s = snap_of_ops ops in
-      let m = Metrics.create () in
-      Metrics.snap_record m s;
-      (* Histogram min/max are not carried by buckets alone: restored
-         extremes are bucket-boundary approximations, so compare the
-         invertible parts. *)
-      let r = Metrics.snapshot m in
-      r.Metrics.sn_counters = s.Metrics.sn_counters
-      && r.Metrics.sn_gauges = s.Metrics.sn_gauges
-      && List.for_all2
-           (fun (ka, (ha : Metrics.hist_snap)) (kb, (hb : Metrics.hist_snap)) ->
-             ka = kb
-             && ha.Metrics.hs_buckets = hb.Metrics.hs_buckets
-             && ha.Metrics.hs_count = hb.Metrics.hs_count)
-           r.Metrics.sn_hists s.Metrics.sn_hists)
-
 let test_rank_slice_snapshot () =
   let m = Metrics.create () in
   Metrics.add m ~name:"c" ~rank:1 5;
@@ -360,7 +341,6 @@ let () =
             prop_merge_matches_oracle;
             prop_diff_then_merge_roundtrips;
             prop_codec_roundtrips;
-            prop_snap_record_roundtrips;
           ]
         @ [
             Alcotest.test_case "rank-slice snapshot" `Quick test_rank_slice_snapshot;

@@ -43,15 +43,6 @@ let test_emit_and_count () =
     check int "rank recorded" 3 e2.Tracer.ev_rank
   | _ -> Alcotest.fail "expected three events"
 
-let test_category_filter () =
-  let tr = Tracer.create ~now:(fun () -> 0.0) () in
-  Tracer.enable tr ~cats:[ "keep" ];
-  Tracer.emit tr ~cat:"keep" ~name:"a" ();
-  Tracer.emit tr ~cat:"drop" ~name:"b" ();
-  check int "retained only filtered" 1 (List.length (Tracer.events tr));
-  (* Counters still see everything. *)
-  check int "counter unaffected" 1 (Tracer.count tr ~cat:"drop" ~name:"b")
-
 let test_capacity_bound () =
   let tr = Tracer.create ~capacity:5 ~now:(fun () -> 0.0) () in
   for i = 1 to 8 do
@@ -63,24 +54,6 @@ let test_capacity_bound () =
   (* Oldest dropped: the first retained event is i=4. *)
   match Tracer.events tr with
   | e :: _ -> check int "oldest is 4" 4 (Json.to_int (List.assoc "i" e.Tracer.ev_fields))
-  | [] -> Alcotest.fail "no events"
-
-let test_span_duration () =
-  let clock = ref 0.0 in
-  let tr = Tracer.create ~now:(fun () -> !clock) () in
-  let result =
-    Tracer.span tr ~cat:"s" ~name:"work" (fun () ->
-        clock := 2.5;
-        42)
-  in
-  check int "value through" 42 result;
-  check (Alcotest.float 1e-9) "duration summed" 2.5 (Tracer.total_duration tr ~cat:"s" ~name:"work");
-  (* Exceptions propagate and are flagged. *)
-  (try
-     Tracer.span tr ~cat:"s" ~name:"boom" (fun () -> failwith "x")
-   with Failure _ -> ());
-  match List.rev (Tracer.events tr) with
-  | e :: _ -> check bool "raised flag" true (Json.equal (Json.bool true) (List.assoc "raised" e.Tracer.ev_fields))
   | [] -> Alcotest.fail "no events"
 
 let test_subscribers () =
@@ -111,29 +84,24 @@ let test_export_roundtrip () =
      with Not_found -> false)
 
 let test_summary_table () =
-  let clock = ref 0.0 in
-  let tr = Tracer.create ~now:(fun () -> !clock) () in
+  let tr = Tracer.create ~now:(fun () -> 0.0) () in
   Tracer.emit tr ~cat:"cmb" ~name:"send" ();
   Tracer.emit tr ~cat:"cmb" ~name:"send" ();
-  ignore (Tracer.span tr ~cat:"kvs" ~name:"fence" (fun () -> clock := 1.0));
+  Tracer.emit tr ~cat:"kvs" ~name:"fence" ();
   let s = Export.summary tr in
   check bool "has cmb row" true
     (try ignore (Str.search_forward (Str.regexp "cmb +send +2") s 0); true with Not_found -> false);
-  check bool "has duration" true
-    (try ignore (Str.search_forward (Str.regexp_string "1.000000") s 0); true with Not_found -> false)
+  check bool "has kvs row" true
+    (try ignore (Str.search_forward (Str.regexp "kvs +fence +1") s 0); true with Not_found -> false)
 
 let test_counters_csv () =
-  let clock = ref 0.0 in
-  let tr = Tracer.create ~now:(fun () -> !clock) () in
+  let tr = Tracer.create ~now:(fun () -> 0.0) () in
   Tracer.emit tr ~cat:"cmb" ~name:"send" ();
   Tracer.emit tr ~cat:"cmb" ~name:"send" ();
-  ignore (Tracer.span tr ~cat:"kvs" ~name:"fence" (fun () -> clock := 0.5));
+  Tracer.emit tr ~cat:"kvs" ~name:"fence" ();
   let csv = Export.counters_csv tr in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  check string "header" "category,name,count,total_dur_s" (List.hd lines);
-  check bool "cmb send row" true (List.exists (fun l -> l = "cmb,send,2,0.000000000") lines);
-  check bool "kvs fence duration" true
-    (List.exists (fun l -> l = "kvs,fence,1,0.500000000" || l = "kvs,fence,2,0.500000000") lines)
+  check string "exact rows"
+    "category,name,count,total_dur_s\ncmb,send,2,0.000000000\nkvs,fence,1,0.000000000\n" csv
 
 let test_fault_counters_csv () =
   let csv =
@@ -160,13 +128,6 @@ let test_ctx_ids () =
   let tr2 = Tracer.create ~now:(fun () -> 0.0) () in
   let r2 = Tracer.root_ctx tr2 in
   check int "deterministic ids" r.Tracer.tc_trace r2.Tracer.tc_trace
-
-let test_span_raised_counter () =
-  let tr = Tracer.create ~now:(fun () -> 0.0) () in
-  (try Tracer.span tr ~cat:"s" ~name:"boom" (fun () -> failwith "x") with Failure _ -> ());
-  check int "raised counter bumped" 1 (Tracer.count tr ~cat:"s" ~name:"boom.raised");
-  ignore (Tracer.span tr ~cat:"s" ~name:"boom" (fun () -> ()));
-  check int "success does not bump it" 1 (Tracer.count tr ~cat:"s" ~name:"boom.raised")
 
 (* --- Export: nested fields and Perfetto ---------------------------------- *)
 
@@ -211,17 +172,6 @@ let test_perfetto_wellformed () =
       ignore (Json.to_int (Json.member "pid" e));
       ignore (Json.to_int (Json.member "tid" e)))
     evs
-
-let test_fault_counters_csv_of () =
-  let tr = Tracer.create ~now:(fun () -> 0.0) () in
-  Tracer.add_count tr ~cat:"cmb" ~name:"rpc.timeout" 3;
-  Tracer.add_count tr ~cat:"cmb" ~name:"rpc.retry" 5;
-  Tracer.add_count tr ~cat:"net" ~name:"dead_letter" 7;
-  Tracer.add_count tr ~cat:"net" ~name:"drop" 11;
-  check string "matches the hand-threaded variant"
-    (Export.fault_counters_csv ~extra:[ ("takeovers", 2) ] ~rpc_timeouts:3 ~rpc_retries:5
-       ~dead_letters:7 ~dropped:11 ())
-    (Export.fault_counters_csv_of ~extra:[ ("takeovers", 2) ] tr)
 
 (* --- Metrics registry ------------------------------------------------------ *)
 
@@ -473,12 +423,9 @@ let () =
       ( "tracer",
         [
           Alcotest.test_case "emit and count" `Quick test_emit_and_count;
-          Alcotest.test_case "category filter" `Quick test_category_filter;
           Alcotest.test_case "capacity bound" `Quick test_capacity_bound;
-          Alcotest.test_case "span duration" `Quick test_span_duration;
           Alcotest.test_case "subscribers" `Quick test_subscribers;
           Alcotest.test_case "causal context ids" `Quick test_ctx_ids;
-          Alcotest.test_case "span raised counter" `Quick test_span_raised_counter;
         ] );
       ( "export",
         [
@@ -488,7 +435,6 @@ let () =
           Alcotest.test_case "summary" `Quick test_summary_table;
           Alcotest.test_case "counters csv" `Quick test_counters_csv;
           Alcotest.test_case "fault counters csv" `Quick test_fault_counters_csv;
-          Alcotest.test_case "fault counters from tracer" `Quick test_fault_counters_csv_of;
         ] );
       ( "metrics",
         [

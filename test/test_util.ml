@@ -65,17 +65,6 @@ let test_heap_pop_empty () =
   Alcotest.check_raises "min_value emptied" (Invalid_argument "Heap.min_value: empty heap")
     (fun () -> ignore (Heap.min_value h : int))
 
-let test_heap_clear () =
-  let h = Heap.create () in
-  for i = 0 to 99 do
-    Heap.push h (float_of_int i) i
-  done;
-  Heap.clear h;
-  check int "cleared" 0 (Heap.length h);
-  Heap.push h 5.0 42;
-  check (Alcotest.option (Alcotest.pair (Alcotest.float 0.0) int)) "usable after clear"
-    (Some (5.0, 42)) (pop h)
-
 (* Pushes a fresh block at [prio], reachable only from the heap and,
    weakly, from slot [i] of [w]. *)
 let push_fresh h w i prio =
@@ -176,14 +165,6 @@ let test_rng_exponential_positive () =
     check bool "exponential >= 0" true (Rng.exponential r 5.0 >= 0.0)
   done
 
-let test_rng_shuffle_permutation () =
-  let r = Rng.create 11 in
-  let arr = Array.init 50 Fun.id in
-  Rng.shuffle r arr;
-  let sorted = Array.copy arr in
-  Array.sort compare sorted;
-  check (Alcotest.array int) "permutation" (Array.init 50 Fun.id) sorted
-
 (* --- Lru -------------------------------------------------------------- *)
 
 let test_lru_basic () =
@@ -203,13 +184,6 @@ let test_lru_update_in_place () =
   Lru.put c "a" 10;
   check int "no duplicate" 1 (Lru.length c);
   check (Alcotest.option int) "updated" (Some 10) (Lru.find c "a")
-
-let test_lru_remove () =
-  let c = Lru.create ~capacity:4 in
-  Lru.put c "x" 1;
-  Lru.remove c "x";
-  check (Alcotest.option int) "removed" None (Lru.find c "x");
-  Lru.remove c "x" (* idempotent *)
 
 let test_lru_mem_no_touch () =
   let c = Lru.create ~capacity:2 in
@@ -280,18 +254,22 @@ let prop_stats_mean_bounds =
 
 (* --- Hexs -------------------------------------------------------------- *)
 
+(* The reference decoder: each byte is two hex digits, read back by the
+   standard library. *)
+let unhex h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
 let test_hex_roundtrip () =
   let s = "\x00\x01\xfe\xff flux" in
-  check string "roundtrip" s (Hexs.decode (Hexs.encode s));
-  check string "encode" "00" (Hexs.encode "\x00")
-
-let test_hex_invalid () =
-  Alcotest.check_raises "odd length" (Invalid_argument "Hexs.decode: odd length")
-    (fun () -> ignore (Hexs.decode "abc"))
+  check string "roundtrip" s (unhex (Hexs.encode s));
+  check string "encode" "00" (Hexs.encode "\x00");
+  check string "lowercase" "feff" (Hexs.encode "\xfe\xff")
 
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex roundtrip" ~count:200 QCheck.string (fun s ->
-      Hexs.decode (Hexs.encode s) = s)
+      let h = Hexs.encode s in
+      String.length h = 2 * String.length s && unhex h = s)
 
 (* --- Ring_buffer -------------------------------------------------------- *)
 
@@ -301,9 +279,7 @@ let test_ring_basic () =
   check (Alcotest.list int) "full" [ 1; 2; 3 ] (Ring_buffer.to_list b);
   Ring_buffer.push b 4;
   check (Alcotest.list int) "wrapped" [ 2; 3; 4 ] (Ring_buffer.to_list b);
-  check int "dropped" 1 (Ring_buffer.dropped b);
-  Ring_buffer.clear b;
-  check (Alcotest.list int) "cleared" [] (Ring_buffer.to_list b)
+  check int "dropped" 1 (Ring_buffer.dropped b)
 
 let test_ring_capacity_one () =
   let b = Ring_buffer.create ~capacity:1 in
@@ -336,16 +312,6 @@ let test_ring_invalid_capacity () =
   Alcotest.check_raises "negative capacity"
     (Invalid_argument "Ring_buffer.create: capacity must be positive") (fun () ->
       ignore (Ring_buffer.create ~capacity:(-3) : int Ring_buffer.t))
-
-let test_ring_clear_then_reuse () =
-  let b = Ring_buffer.create ~capacity:3 in
-  List.iter (Ring_buffer.push b) [ 1; 2; 3; 4; 5 ];
-  Ring_buffer.clear b;
-  check (Alcotest.list int) "empty after clear" [] (Ring_buffer.to_list b);
-  (* The buffer must be fully usable again, with oldest-first ordering
-     across a fresh wrap after the clear. *)
-  List.iter (Ring_buffer.push b) [ 10; 11; 12; 13 ];
-  check (Alcotest.list int) "reused after clear" [ 11; 12; 13 ] (Ring_buffer.to_list b)
 
 let prop_ring_dropped_counts =
   QCheck.Test.make ~name:"dropped = max 0 (pushed - capacity)" ~count:100
@@ -388,12 +354,6 @@ let test_tree_kary () =
     (Treemath.children ~k:4 ~size:100 0);
   check (Alcotest.option int) "parent k=4" (Some 0) (Treemath.parent ~k:4 4);
   check (Alcotest.option int) "parent k=4 of 5" (Some 1) (Treemath.parent ~k:4 5)
-
-let test_tree_subtree () =
-  check (Alcotest.list int) "subtree of 1 in 7-node binary tree" [ 1; 3; 4 ]
-    (Treemath.subtree ~k:2 ~size:7 1);
-  check (Alcotest.list int) "whole tree" [ 0; 1; 2; 3; 4; 5; 6 ]
-    (Treemath.subtree ~k:2 ~size:7 0)
 
 let test_tree_on_path () =
   check bool "0 on path of 5" true (Treemath.on_path ~k:2 ~ancestor:0 5);
@@ -440,7 +400,6 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "stable ties" `Quick test_heap_stability;
           Alcotest.test_case "pop empty" `Quick test_heap_pop_empty;
-          Alcotest.test_case "clear" `Quick test_heap_clear;
           Alcotest.test_case "dropped values released" `Quick test_heap_drop_releases;
           Alcotest.test_case "storage follows occupancy" `Quick
             test_heap_storage_follows_occupancy;
@@ -453,13 +412,11 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "exponential positive" `Quick test_rng_exponential_positive;
-          Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         ] );
       ( "lru",
         [
           Alcotest.test_case "basic eviction" `Quick test_lru_basic;
           Alcotest.test_case "update in place" `Quick test_lru_update_in_place;
-          Alcotest.test_case "remove" `Quick test_lru_remove;
           Alcotest.test_case "mem does not touch" `Quick test_lru_mem_no_touch;
           Alcotest.test_case "hit allocates only the option" `Quick test_lru_hit_allocation;
         ] );
@@ -474,7 +431,6 @@ let () =
       ( "hex",
         [
           Alcotest.test_case "roundtrip" `Quick test_hex_roundtrip;
-          Alcotest.test_case "invalid" `Quick test_hex_invalid;
         ] );
       qsuite "hex-props" [ prop_hex_roundtrip ];
       ( "ring_buffer",
@@ -483,14 +439,12 @@ let () =
           Alcotest.test_case "capacity one" `Quick test_ring_capacity_one;
           Alcotest.test_case "multiple wraps" `Quick test_ring_multi_wrap;
           Alcotest.test_case "invalid capacity" `Quick test_ring_invalid_capacity;
-          Alcotest.test_case "clear then reuse" `Quick test_ring_clear_then_reuse;
         ] );
       qsuite "ring-props" [ prop_ring_keeps_latest; prop_ring_dropped_counts ];
       ( "treemath",
         [
           Alcotest.test_case "binary" `Quick test_tree_binary;
           Alcotest.test_case "k-ary" `Quick test_tree_kary;
-          Alcotest.test_case "subtree" `Quick test_tree_subtree;
           Alcotest.test_case "on_path" `Quick test_tree_on_path;
           Alcotest.test_case "ring math" `Quick test_ring_math;
         ] );
