@@ -465,7 +465,7 @@ let watch_cmd =
     @@ fun () ->
     with_session nodes fanout (fun eng sess ->
         ignore
-          (Proc.spawn eng ~name:"watcher" (fun () ->
+          (Proc.spawn eng (fun () ->
                let c = Client.connect sess ~rank:(nodes - 1) in
                (match
                   Client.watch c ~key (fun v ->
@@ -477,7 +477,7 @@ let watch_cmd =
                Proc.sleep 1.0)
             : Proc.pid);
         ignore
-          (Proc.spawn eng ~name:"writer" (fun () ->
+          (Proc.spawn eng (fun () ->
                let c = Client.connect sess ~rank:0 in
                Proc.sleep 0.2;
                List.iter

@@ -39,7 +39,7 @@ let () =
      KVS with causal consistency. *)
   let version = Flux_sim.Ivar.create () in
   ignore
-    (Proc.spawn eng ~name:"writer" (fun () ->
+    (Proc.spawn eng (fun () ->
          let c = Client.connect sess ~rank:3 in
          expect "put" (Client.put c ~key:"demo.message" (Json.string "flux works"));
          expect "put" (Client.put c ~key:"demo.answer" (Json.int 42));
@@ -48,7 +48,7 @@ let () =
          Flux_sim.Ivar.fill eng version v)
       : Proc.pid);
   ignore
-    (Proc.spawn eng ~name:"reader" (fun () ->
+    (Proc.spawn eng (fun () ->
          let c = Client.connect sess ~rank:14 in
          let v = Proc.await version in
          expect "wait_version" (Client.wait_version c v);
@@ -74,7 +74,7 @@ let () =
      captured in the KVS under the job's record directory,
      [Wexec.job_key jobid]. *)
   ignore
-    (Proc.spawn eng ~name:"launcher" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:0 in
          let c =
            expect "wexec.run"

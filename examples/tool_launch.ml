@@ -73,7 +73,7 @@ let () =
   ignore (Wexec.load sess () : Wexec.t array);
   let logm = Log_mod.load sess () in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:0 in
          (* 1. Launch the application. *)
          ignore

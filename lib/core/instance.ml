@@ -277,7 +277,7 @@ and requeue_preempted t job =
       fire_fail_hooks t ~owner:t job
     else
       ignore
-        (Proc.spawn t.eng ~name:("requeue-" ^ fresh) (fun () ->
+        (Proc.spawn t.eng (fun () ->
              let kvs = Flux_kvs.Client.connect t.sess ~rank:0 in
              let past = List.init (k + 1) (Checkpoint.attempt_jobid base) in
              let resumed = Checkpoint.newest_across kvs ~jobids:past ~max_epoch:16 in
@@ -312,7 +312,7 @@ and launch t job grant =
       | other -> other
     in
     ignore
-      (Proc.spawn t.eng ~name:("launch-" ^ job.Job.jid) (fun () ->
+      (Proc.spawn t.eng (fun () ->
            match
              Wexec.run api ~jobid:job.Job.jid ~prog ~args ~per_rank ?trace_ctx
                ~ranks:grant.Pool.g_nodes ()

@@ -63,18 +63,8 @@ type state = {
   mutable master_kills : int;
 }
 
-(* The rank currently acting as master, if any live instance claims it.
-   A dead rank's instance still believes it is master until it rejoins,
-   so down ranks must be skipped. *)
-let acting_master st =
-  let m = ref (-1) in
-  Array.iteri
-    (fun r t -> if Kvs.is_master t && not (Session.is_down st.sess r) then m := r)
-    st.kvs;
-  !m
-
 let kill st r =
-  if r = acting_master st then st.master_kills <- st.master_kills + 1;
+  if Kvs.acting_master st.kvs = Some r then st.master_kills <- st.master_kills + 1;
   History.kill st.h r
 
 let revive_oldest st =
@@ -95,14 +85,14 @@ let assassin st =
   Proc.sleep 0.01;
   let deadline = st.cfg.duration in
   while
-    (st.in_flight_commits = 0 || acting_master st < 0)
+    (st.in_flight_commits = 0 || Kvs.acting_master st.kvs = None)
     && Engine.now st.eng < deadline
   do
     Proc.sleep 0.0005
   done;
-  let m = acting_master st in
-  if m >= 0 && (not (List.mem m st.cfg.clients)) && not (Session.is_down st.sess m)
-  then kill st m
+  match Kvs.acting_master st.kvs with
+  | Some m when not (List.mem m st.cfg.clients) -> kill st m
+  | _ -> ()
 
 let injector st =
   let rng = Rng.split st.rng in
@@ -112,19 +102,15 @@ let injector st =
     if Engine.now st.eng >= st.cfg.duration then continue := false
     else if List.length (History.dead st.h) >= max_dead then revive_oldest st
     else begin
-      let m = acting_master st in
-      let want_master =
-        Rng.float rng 1.0 < master_kill_bias
-        && m >= 0
-        && (not (List.mem m st.cfg.clients))
-        && not (Session.is_down st.sess m)
-      in
-      if want_master then kill st m
-      else if History.dead st.h <> [] && Rng.bool rng then revive_oldest st
-      else
-        match victims st with
-        | [] -> ()
-        | vs -> kill st (List.nth vs (Rng.int rng (List.length vs)))
+      let want_master = Rng.float rng 1.0 < master_kill_bias in
+      match Kvs.acting_master st.kvs with
+      | Some m when want_master && not (List.mem m st.cfg.clients) -> kill st m
+      | _ -> (
+        if History.dead st.h <> [] && Rng.bool rng then revive_oldest st
+        else
+          match victims st with
+          | [] -> ()
+          | vs -> kill st (List.nth vs (Rng.int rng (List.length vs))))
     end
   done
 
@@ -249,7 +235,7 @@ let finalize st =
   | [ _ ] -> ()
   | ms -> History.violate st.h "expected exactly one master, got [%s]"
             (String.concat ";" (List.map string_of_int ms)));
-  let final_master = acting_master st in
+  let final_master = Option.value (Kvs.acting_master st.kvs) ~default:(-1) in
   let vmax = Array.fold_left (fun acc t -> max acc (Kvs.version t)) 0 st.kvs in
   let emax = Array.fold_left (fun acc t -> max acc (Kvs.epoch t)) 0 st.kvs in
   Array.iteri

@@ -131,13 +131,6 @@ let promote st ~ntasks ~from_e ~to_e =
     done
   done
 
-let acting_kvs_master st =
-  let m = ref (-1) in
-  Array.iteri
-    (fun r t -> if Kvs.is_master t && not (Session.is_down st.sess r) then m := r)
-    st.kvs;
-  !m
-
 (* --- The checkpointing program ------------------------------------------- *)
 
 let worker st (ctx : Wexec.proc_ctx) =
@@ -241,7 +234,7 @@ let master_prephase st =
      liveness and no takeover ever starts. *)
   Proc.sleep 0.05;
   History.kill st.h 0;
-  while acting_kvs_master st < 0 && Engine.now st.eng < 60.0 do
+  while Kvs.acting_master st.kvs = None && Engine.now st.eng < 60.0 do
     Proc.sleep 0.005
   done;
   Proc.sleep revive_after;
@@ -273,9 +266,9 @@ let master_assassin st =
     Proc.sleep 0.0002
   done;
   Proc.sleep (Rng.float rng 0.001);
-  let m = acting_kvs_master st in
-  if m >= 0 && (not (protected st m)) && st.capturing then
-    History.outage st.h m ~for_:revive_after
+  match Kvs.acting_master st.kvs with
+  | Some m when (not (protected st m)) && st.capturing -> History.outage st.h m ~for_:revive_after
+  | _ -> ()
 
 (* --- Driver and finalization --------------------------------------------- *)
 
@@ -431,9 +424,9 @@ let run cfg =
     | None -> (0, Metrics.counter_total st.metrics ~name:"ckpt.requeue")
   in
   let final_version, final_root =
-    match acting_kvs_master st with
-    | -1 -> (-1, "")
-    | m -> (Kvs.version st.kvs.(m), Sha1.to_hex (Kvs.root_ref st.kvs.(m)))
+    match Kvs.acting_master st.kvs with
+    | None -> (-1, "")
+    | Some m -> (Kvs.version st.kvs.(m), Sha1.to_hex (Kvs.root_ref st.kvs.(m)))
   in
   {
     r_kind = cfg.kill;

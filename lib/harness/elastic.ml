@@ -323,7 +323,7 @@ let run cfg =
   ignore
     (Engine.schedule eng ~delay:(t_end +. 0.3) (fun () ->
          ignore
-           (Proc.spawn eng ~name:"elastic-audit" (fun () ->
+           (Proc.spawn eng (fun () ->
                 match !child with
                 | None -> ()
                 | Some c ->

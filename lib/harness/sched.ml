@@ -458,8 +458,8 @@ let run cfg =
   Instance.submit_plan root plan;
   if cfg.kill_leaf then begin
     install_monitor st;
-    ignore (Proc.spawn eng ~name:"sched-assassin" (fun () -> assassin st) : Proc.pid);
-    ignore (Proc.spawn eng ~name:"sched-acks" (fun () -> ack_watcher st) : Proc.pid)
+    ignore (Proc.spawn eng (fun () -> assassin st) : Proc.pid);
+    ignore (Proc.spawn eng (fun () -> ack_watcher st) : Proc.pid)
   end;
   Engine.run eng;
   (* Reset the live ledger and audit from ground truth (job records). *)

@@ -182,18 +182,6 @@ let chaos_value ~vol ~rank ~round =
       ("pad", Json.string (String.make chaos_value_bytes 'y'));
     ]
 
-(* The rank currently acting as master for a volume (skipping dead ranks,
-   whose instances still believe in their old role). *)
-let acting_master st ~vol =
-  let m = ref (-1) in
-  for r = 0 to chaos_size - 1 do
-    if
-      Kvs.is_master (Volumes.instance st.cvt ~volume:vol ~rank:r)
-      && not (Session.is_down st.csess r)
-    then m := r
-  done;
-  !m
-
 (* Kill the seeded target volume's acting master the moment a cross-shard
    fence is in flight — the window where one shard may have prepared
    while another has not — then revive it later. *)
@@ -206,8 +194,10 @@ let assassin st =
   done;
   (* A seeded extra beat varies which phase of the fence the kill hits. *)
   Proc.sleep (Rng.float rng 0.01);
-  let m = acting_master st ~vol:target_vol in
-  if m >= 0 && not (List.mem m chaos_clients) then History.outage st.ch m ~for_:revive_after
+  let instances = Array.init chaos_size (fun rank -> Volumes.instance st.cvt ~volume:target_vol ~rank) in
+  match Kvs.acting_master instances with
+  | Some m when not (List.mem m chaos_clients) -> History.outage st.ch m ~for_:revive_after
+  | _ -> ()
 
 (* Odd seeds also fell an interior slave of the other volume's tree
    mid-run, exercising the healed-tree forwarding under the same fence

@@ -168,7 +168,7 @@ let run cfg =
     let is_producer = p < cfg.producers in
     let is_consumer = p < cfg.consumers in
     ignore
-      (Proc.spawn eng ~name:(Printf.sprintf "kap-%d" p) (fun () ->
+      (Proc.spawn eng (fun () ->
            let api = Api.connect sess ~rank:node in
            let c = Client.connect sess ~rank:node in
            (* Phase 1: setup — all testers rendezvous. *)

@@ -47,21 +47,16 @@ type routing = {
   rt_direct : bool;
 }
 
-(* While frozen (a takeover or rejoin is reconstructing authoritative
-   state) only pure read-side methods are served; everything else queues
-   and replays once the instance thaws. *)
-type freeze_reason = Takeover | Rejoin
-
 type t = {
   b : Session.broker;
   cfg : config;
   eng : Engine.t;
   routing : routing;
-  mutable master : bool;
-  mutable epoch : int; (* mastership epoch; bumped by every takeover *)
-  mutable master_rank : int; (* current believed master *)
-  mutable service_ranks : int list; (* sorted ranks hosting this service *)
-  mutable frozen : (freeze_reason * Message.t list ref) option;
+  mutable el : Election.state; (* every mastership fact: see Election *)
+  mutable service_ranks : int list; (* the election order *)
+  live : int -> bool;
+  mutable parked : Message.t list; (* newest first, held while not thawed *)
+  mutable round : int; (* the peer round out; [forget] moves it on *)
   cache : Json.t Lru.t; (* slave object cache *)
   store : (string, Json.t) Hashtbl.t; (* master authoritative store *)
   mutable root : Sha1.digest;
@@ -120,22 +115,28 @@ let child_span t parent =
   | _ -> None
 
 let set_fence_hold t hook = t.fence_hold <- hook
-let is_master t = t.master
-let epoch t = t.epoch
+let is_master t = t.el.Election.is_master
+let master_rank t = t.el.Election.master
+let epoch t = t.el.Election.epoch
 let version t = t.version
 let root_ref t = t.root
-let cached_objects t = if t.master then Hashtbl.length t.store else Lru.length t.cache
+let cached_objects t = if is_master t then Hashtbl.length t.store else Lru.length t.cache
 let store_bytes t = t.bytes_held
 let dirty_count t = Hashtbl.length t.dirty_objs
 let loads_issued t = t.n_loads_issued
 let intake_hwm t = t.intake_hwm
 let admission_sheds t = t.admission_sheds
 
+let acting_master instances =
+  let m = ref None in
+  Array.iteri (fun r t -> if is_master t && t.live r then m := Some r) instances;
+  !m
+
 (* --- Object access ----------------------------------------------------- *)
 
 let cache_put t sha v =
   let h = hex sha in
-  if t.master then begin
+  if is_master t then begin
     if not (Hashtbl.mem t.store h) then begin
       Hashtbl.replace t.store h v;
       t.bytes_held <- t.bytes_held + Json.serialized_size v
@@ -149,7 +150,7 @@ let cache_put t sha v =
 let lookup_obj t sha =
   let h = hex sha in
   let r =
-    if t.master then Hashtbl.find_opt t.store h
+    if is_master t then Hashtbl.find_opt t.store h
     else if Hashtbl.length t.dirty_objs = 0 then Lru.find t.cache h
     else
       match Hashtbl.find_opt t.dirty_objs h with
@@ -165,53 +166,39 @@ let lookup_obj t sha =
 (* Service peers that are currently reachable (election candidates and
    fetch sources). *)
 let live_peers t =
-  let sess = Session.session_of t.b in
   let self = Session.rank t.b in
-  List.filter (fun r -> r <> self && not (Session.is_down sess r)) t.service_ranks
+  List.filter (fun r -> r <> self && t.live r) t.service_ranks
 
 (* Upstream transport: the session's RPC tree by default, or a direct
    rank-addressed hop along the volume's relabeled tree. *)
 let send_up t ?timeout ?idempotent ?trace_ctx ~method_ payload ~reply =
   let topic = t.routing.rt_service ^ "." ^ method_ in
-  if t.routing.rt_direct then
-    match t.routing.rt_parent ~master:t.master_rank with
-    | Some p ->
-      (* Retransmits re-resolve the parent, so a send outliving its
-         first target follows the healed tree (or a new master). If the
-         healed tree says we have no parent by then, loop back to self:
-         either we were just elected (the local handler applies) or the
-         belief is stale and the handler re-forwards once it updates. *)
-      let route () =
-        match t.routing.rt_parent ~master:t.master_rank with
-        | Some p -> p
-        | None -> Session.rank t.b
-      in
-      Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~route ~dst:p ~topic
-        payload ~reply
-    | None ->
-      if t.master then reply (Error (t.routing.rt_service ^ ": master has no parent"))
-      else
-        (* We believe the master is (or has become) ourselves but hold no
-           mastership: a takeover is still in flight. Fail fast; callers
-           on the fence path re-contribute and retry. *)
-        reply (Error (t.routing.rt_service ^ ": no live master"))
-  else
-    match t.routing.rt_parent ~master:t.master_rank with
-    | Some _ ->
-      Session.request_from_module t.b ?timeout ?idempotent ?trace_ctx ~topic
-        payload ~reply
-    | None ->
-      (* This broker is the overlay root but not the master: the session
-         re-rooted here (e.g. rank 0 revived) while mastership stayed
-         with the elected successor. Hop straight to the master over the
-         rank plane; a loop-back to self lands in our own handler, which
-         queues it while a takeover is still in flight. *)
-      if t.master then reply (Error (t.routing.rt_service ^ ": master has no parent"))
-      else if t.master_rank = Session.rank t.b && t.frozen = None then
-        reply (Error (t.routing.rt_service ^ ": no live master"))
-      else
-        Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~dst:t.master_rank
-          ~topic payload ~reply
+  let self = Session.rank t.b and master = master_rank t in
+  match t.routing.rt_parent ~master with
+  | Some p when t.routing.rt_direct ->
+    (* Retransmits re-resolve the parent, so a send outliving its first
+       target follows the healed tree (or a new master). If the healed
+       tree says we have no parent by then, loop back to self: either we
+       were just elected (the local handler applies) or the belief is
+       stale and the handler re-forwards once it updates. *)
+    let route () =
+      match t.routing.rt_parent ~master:(master_rank t) with Some p -> p | None -> self
+    in
+    Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~route ~dst:p ~topic payload ~reply
+  | Some _ -> Session.request_from_module t.b ?timeout ?idempotent ?trace_ctx ~topic payload ~reply
+  | None when is_master t -> reply (Error (t.routing.rt_service ^ ": master has no parent"))
+  | None when t.routing.rt_direct || master < 0 || (master = self && t.el.Election.phase = Thawed) ->
+    (* No master to reach: a takeover is still in flight or no live
+       master is known. Fail fast; callers on the fence path
+       re-contribute and retry. *)
+    reply (Error (t.routing.rt_service ^ ": no live master"))
+  | None ->
+    (* This broker is the overlay root but not the master: the session
+       re-rooted here (e.g. rank 0 revived) while mastership stayed with
+       the elected successor. Hop straight to the master over the rank
+       plane; a loop-back to self lands in our own handler, which parks
+       it while a takeover is still in flight. *)
+    Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~dst:master ~topic payload ~reply
 
 (* --- Flush duplicate suppression ---------------------------------------- *)
 
@@ -257,7 +244,7 @@ let fault_in t ?trace_ctx sha k =
         List.iter (fun k -> k outcome) (List.rev !waiters)
       | None -> ()
     in
-    if t.master then begin
+    if is_master t then begin
       (* The master is authoritative yet a freshly elected one may hold
          an incomplete store: any replica of a content-addressed object
          is as good as another (the git-store property the paper leans
@@ -293,7 +280,7 @@ let fault_in t ?trace_ctx sha k =
    successor) and fold the authoritative store back into the ordinary
    object cache. *)
 let demote t =
-  t.master <- false;
+  trace t ~name:"demote" ~fields:[ ("epoch", Json.int (epoch t)) ] ();
   (* A fence held for the cross-shard merge dies with the mastership:
      its parked participants time out and their idempotent retransmits
      re-aggregate at the successor, which re-prepares with the
@@ -318,40 +305,129 @@ let demote t =
       end)
     entries
 
-(* Adopt an epoch-stamped root announcement. Ordering is lexicographic
-   on (epoch, version): announcements from a stale epoch are ignored
-   outright — that is the split-brain guard — and within the current
-   epoch the version only moves forward, so reads at this rank are
-   monotonic even across failovers. A master that learns of a newer
-   epoch led by someone else demotes itself. *)
-let apply_root t (ri : Proto.root_info) =
-  if ri.Proto.ri_epoch >= t.epoch then begin
-    if ri.Proto.ri_epoch > t.epoch then t.epoch <- ri.Proto.ri_epoch;
-    if ri.Proto.ri_master >= 0 && ri.Proto.ri_master <> t.master_rank then begin
-      t.master_rank <- ri.Proto.ri_master;
-      if t.master && ri.Proto.ri_master <> Session.rank t.b then begin
-        trace t ~name:"demote" ~fields:[ ("epoch", Json.int t.epoch) ] ();
-        demote t
-      end
-    end;
-    if ri.Proto.ri_version > t.version then begin
-      t.version <- ri.Proto.ri_version;
-      t.root <- ri.Proto.ri_root;
-      let ready, waiting =
-        List.partition (fun (v, _) -> v <= t.version) t.version_waiters
-      in
-      t.version_waiters <- waiting;
-      List.iter (fun (_, req) -> Session.respond t.b req Json.null) ready
-    end
-  end
-
 let current_ri t =
   {
-    Proto.ri_epoch = t.epoch;
-    ri_master = t.master_rank;
+    Proto.ri_epoch = epoch t;
+    ri_master = master_rank t;
     ri_version = t.version;
     ri_root = t.root;
   }
+
+(* The [Adopt] effect: an announcement the election found current moves
+   the version only forward, so reads at this rank are monotonic even
+   across failovers. *)
+let adopt t (ri : Proto.root_info) =
+  if ri.Proto.ri_version > t.version then begin
+    t.version <- ri.Proto.ri_version;
+    t.root <- ri.Proto.ri_root;
+    let ready, waiting = List.partition (fun (v, _) -> v <= t.version) t.version_waiters in
+    t.version_waiters <- waiting;
+    List.iter (fun (_, req) -> Session.respond t.b req Json.null) ready
+  end
+
+(* Fold the object cache (and still-pinned dirty objects) into the
+   authoritative store of a rank assuming mastership. *)
+let promote t =
+  t.bytes_held <- 0;
+  let keep h v =
+    if not (Hashtbl.mem t.store h) then begin
+      Hashtbl.replace t.store h v;
+      t.bytes_held <- t.bytes_held + Json.serialized_size v
+    end
+  in
+  Lru.iter keep t.cache;
+  Lru.clear t.cache;
+  Hashtbl.iter keep t.dirty_objs;
+  trace t ~name:"master_elected"
+    ~fields:[ ("epoch", Json.int (epoch t)); ("version", Json.int t.version) ]
+    ()
+
+(* A revived rank drops what it held in flight: the parked requests, its
+   peer round, the collectives and the loads (their senders timed out
+   long ago). *)
+let forget t =
+  t.parked <- [];
+  t.round <- t.round + 1;
+  Collective.reset t.fences;
+  t.held <- None;
+  t.held_applies <- [];
+  let stale_loads = Hashtbl.fold (fun _ w acc -> List.rev !w @ acc) t.pending_loads [] in
+  Hashtbl.reset t.pending_loads;
+  List.iter (fun k -> k (Error "kvs: node rejoined")) stale_loads
+
+let publish_root t =
+  Session.publish t.b
+    ~topic:(t.routing.rt_service ^ ".setroot")
+    (Proto.setroot_to_json (current_ri t) ~objects:[])
+
+let serve = ref (fun _ (_ : Message.t) -> ()) (* the dispatcher below; a thaw replays *)
+
+(* Step the election and perform its effects in order. [ri] is the
+   announcement an [Adopt] takes its version and root from. *)
+let rec run t ri input =
+  let el, effects =
+    Election.step ~self:(Session.rank t.b) ~order:t.service_ranks ~live:t.live t.el input
+  in
+  t.el <- el;
+  List.iter (perform t ri) effects
+
+and perform t ri = function
+  | Election.Adopt -> adopt t ri
+  | Demote -> demote t
+  | Promote -> promote t
+  | Forget -> forget t
+  | Publish_setroot -> publish_root t
+  | Publish_hello ->
+    trace t ~name:"rejoin" ();
+    Session.publish t.b
+      ~topic:(t.routing.rt_service ^ ".hello")
+      (Json.obj [ ("rank", Json.int (Session.rank t.b)) ])
+  | Thaw ->
+    let queued = List.rev t.parked in
+    t.parked <- [];
+    trace t ~name:"unfreeze" ~fields:[ ("queued", Json.int (List.length queued)) ] ();
+    List.iter (!serve t) queued
+  | Ask_peers -> ask_peers t
+
+(* The takeover's peer round: the newest (epoch, version, root) any live
+   peer has seen, this rank's own included, and a peer of the newest
+   epoch that names itself master, if any. *)
+and ask_peers t =
+  trace t ~name:"takeover" ~fields:[ ("epoch", Json.int (epoch t)) ] ();
+  let peers = live_peers t in
+  let best = ref (current_ri t) and round = t.round in
+  let remaining = ref (List.length peers) in
+  let finish () =
+    let b = !best in
+    if t.round = round then
+      run t b (Election.Round_ended { epoch = b.Proto.ri_epoch; master = b.Proto.ri_master })
+  in
+  if peers = [] then finish ()
+  else
+    List.iter
+      (fun p ->
+        Session.rpc_rank t.b ~idempotent:true ~timeout:1.0 ~dst:p
+          ~topic:(t.routing.rt_service ^ ".getroot")
+          Json.null
+          ~reply:(fun r ->
+            (match r with
+            | Ok payload ->
+              let ri = Proto.commit_reply_decode payload and b = !best in
+              let c = compare ri.Proto.ri_epoch b.Proto.ri_epoch in
+              let master = if c >= 0 && ri.Proto.ri_master = p then p else if c > 0 then -1 else b.Proto.ri_master in
+              let newer = c > 0 || (c = 0 && ri.Proto.ri_version > b.Proto.ri_version) in
+              best := { (if newer then ri else b) with Proto.ri_master = master }
+            | Error _ -> ());
+            decr remaining;
+            if !remaining = 0 then finish ()))
+      peers
+
+(* Adopt an epoch-stamped root announcement: the election ignores one
+   from a stale epoch (the split-brain guard) and demotes a master that
+   learns of a newer epoch led by someone else. *)
+let apply_root t (ri : Proto.root_info) =
+  if Election.settled t.el ~epoch:ri.Proto.ri_epoch ~master:ri.Proto.ri_master then adopt t ri
+  else run t ri (Election.Adopted { epoch = ri.Proto.ri_epoch; master = ri.Proto.ri_master })
 
 (* --- Master: applying batches --------------------------------------------- *)
 
@@ -411,7 +487,7 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
           List.iter (fun req -> respond_result t req (Error e)) respond_to
         in
         fault_in t ?trace_ctx sha (function
-          | Ok () -> if t.master then finish () else fail "kvs: master deposed"
+          | Ok () -> if is_master t then finish () else fail "kvs: master deposed"
           | Error e -> fail e)
       | new_root -> commit_root new_root
   and commit_root new_root =
@@ -419,7 +495,7 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
     trace t ~name:"apply" ?ctx:trace_ctx ~fields:[ ("tuples", Json.int ntuples) ] ();
     let proposed =
       {
-        Proto.ri_epoch = t.epoch;
+        Proto.ri_epoch = epoch t;
         ri_master = Session.rank t.b;
         ri_version = (if ntuples = 0 then t.version else t.version + 1);
         ri_root = new_root;
@@ -458,7 +534,7 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
         ();
       hook ~name ~ri:proposed ~release:(fun () ->
           match t.held with
-          | Some (n, _) when String.equal n name && t.master ->
+          | Some (n, _) when String.equal n name && is_master t ->
             t.held <- None;
             trace t ~name:"fence.release" ~fields:[ ("name", Json.string name) ] ();
             commit ();
@@ -535,7 +611,7 @@ let fence_forward t (g : fence Collective.group) (batch : fence Collective.batch
   let name = g.Collective.name and count = batch.Collective.b_count in
   let parked = batch.Collective.b_parked in
   let ctx = child_span t batch.Collective.b_ctx in
-  if t.master then
+  if is_master t then
     (* Elected mid-fence: the contributions this instance was
        aggregating as a slave terminate here now. *)
     Collective.to_root t.fences g batch
@@ -597,7 +673,7 @@ let fence_complete t (g : fence Collective.group) ~last:_ =
 
 let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
   (* Write-through caching: objects passing by a slave stay in its cache. *)
-  if not t.master then
+  if not (is_master t) then
     List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
   Collective.contribute t.fences ~name ~nprocs ~count ~from_child
     ~add:(fun fc -> absorb fc tuples objects)
@@ -689,27 +765,30 @@ let handle_fetch t (req : Message.t) =
     Session.respond_error t.b req
       (Printf.sprintf "object %s not cached" (Sha1.short sha))
 
+(* The one write path of commit, mput and plain flush: apply at the
+   master, or forward upstream as a plain flush under this instance's
+   own fid (a child's fid is unique only per sender, and the next hop
+   sees this rank as origin), adopt the reply's root and answer. Through
+   [send_up], so a routed family's flush follows its own service topic
+   and volume tree. *)
+let write t (req : Message.t) ~tuples ~objects =
+  if is_master t then
+    master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
+  else
+    let payload =
+      Proto.flush_to_json { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
+    in
+    send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace) ~method_:"flush"
+      payload ~reply:(fun r ->
+        (match r with Ok reply -> apply_root t (Proto.commit_reply_decode reply) | Error _ -> ());
+        respond_result t req r)
+
 let handle_commit t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
   | Ok tuples ->
-    if not (Collective.duplicate t.dedup req) then begin
-      let objects = resolve_objects t tuples in
-      if t.master then
-        master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
-      else
-        let payload =
-          Proto.flush_to_json
-            { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
-        in
-        send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
-          ~method_:"flush" payload ~reply:(fun r ->
-            match r with
-            | Ok reply ->
-              apply_root t (Proto.commit_reply_decode reply);
-              respond_result t req (Ok reply)
-            | Error e -> respond_result t req (Error e))
-    end
+    if not (Collective.duplicate t.dedup req) then
+      write t req ~tuples ~objects:(resolve_objects t tuples)
 
 let handle_fence t (req : Message.t) =
   match request_tuples req with
@@ -746,7 +825,7 @@ let handle_fenceabort t (req : Message.t) =
         List.iter (fun r -> respond_result t r (Error (fence_abort_error name))) parked)
       (Collective.withdraw t.fences name)
   end;
-  if t.master || held_here then Session.respond t.b req Json.null
+  if is_master t || held_here then Session.respond t.b req Json.null
   else
     (* Propagate toward the master so interior aggregates and the
        master's pending map clear too; answer once the upstream hop
@@ -774,24 +853,7 @@ let handle_mput t (req : Message.t) =
           ({ Proto.key; sha } :: ts, { Proto.osha = sha; value = v } :: os))
         ([], []) bindings
     in
-    let tuples = List.rev tuples and objects = List.rev objects in
-    if t.master then
-      master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
-    else
-      let payload =
-        Proto.flush_to_json
-          { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
-      in
-      (* Through [send_up], not a hardcoded "kvs.flush" tree RPC: a routed
-         family's flush must follow its own service topic and volume tree,
-         or every slave-side mput to a volume black-holes. *)
-      send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
-        ~method_:"flush" payload ~reply:(fun r ->
-          match r with
-          | Ok reply ->
-            apply_root t (Proto.commit_reply_decode reply);
-            Session.respond t.b req reply
-          | Error e -> Session.respond_error t.b req e)
+    write t req ~tuples:(List.rev tuples) ~objects:(List.rev objects)
 
 let handle_flush t (req : Message.t) =
   let f = Proto.flush_of_json req.Message.payload in
@@ -803,25 +865,9 @@ let handle_flush t (req : Message.t) =
       fence_contribute t ~name ~nprocs ~count:f.Proto.count ~tuples:f.Proto.tuples
         ~objects:f.Proto.objects ~from_child req
     | None ->
-      if t.master then
-        master_apply t ?trace_ctx:req.Message.trace ~tuples:f.Proto.tuples
-          ~objects:f.Proto.objects ~respond_to:[ req ] ()
-      else begin
-        (* Plain commit: write objects through this cache and forward.
-           Re-stamp with this instance's own fid — the child's fid is only
-           unique per sender, and the next hop sees this rank as origin. *)
-        List.iter
-          (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value)
-          f.Proto.objects;
-        let fwd = Proto.flush_to_json { f with Proto.fid = fresh_fid t } in
-        send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace)
-          ~method_:"flush" fwd ~reply:(fun r ->
-            match r with
-            | Ok reply ->
-              apply_root t (Proto.commit_reply_decode reply);
-              respond_result t req (Ok reply)
-            | Error e -> respond_result t req (Error e))
-      end
+      (* Plain commit: objects write through this cache (or the store). *)
+      List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) f.Proto.objects;
+      write t req ~tuples:f.Proto.tuples ~objects:f.Proto.objects
   end
 
 let handle_getversion t (req : Message.t) =
@@ -878,7 +924,7 @@ let snapshot t =
           Snapshot.s_service = t.routing.rt_service;
           s_root = t.root;
           s_version = t.version;
-          s_epoch = t.epoch;
+          s_epoch = epoch t;
           s_composite = None;
           s_objects = List.rev !objects;
         }
@@ -893,7 +939,7 @@ let snapshot t =
    a snapshot older than (or divergent from) the store's current version
    is refused rather than silently losing acked writes. *)
 let restore t (snap : Snapshot.t) =
-  if not t.master then
+  if not (is_master t) then
     Error (t.routing.rt_service ^ ": restore requires the acting master")
   else
     match Snapshot.verify snap with
@@ -912,14 +958,12 @@ let restore t (snap : Snapshot.t) =
         List.iter (fun (h, v) -> cache_put t (Sha1.of_hex h) v) snap.Snapshot.s_objects;
         apply_root t
           {
-            Proto.ri_epoch = Int.max t.epoch snap.Snapshot.s_epoch;
+            Proto.ri_epoch = Int.max (epoch t) snap.Snapshot.s_epoch;
             ri_master = Session.rank t.b;
             ri_version = snap.Snapshot.s_version;
             ri_root = snap.Snapshot.s_root;
           };
-        Session.publish t.b
-          ~topic:(t.routing.rt_service ^ ".setroot")
-          (Proto.setroot_to_json (current_ri t) ~objects:[]);
+        publish_root t;
         trace t ~name:"restore"
           ~fields:
             [
@@ -982,7 +1026,7 @@ let admission_shed t (req : Message.t) =
    gauge when metrics are on) — sampling at the gate is enough because
    every accepted write passed through it. *)
 let admission_overloaded t m =
-  t.cfg.admission_max_intake > 0 && t.master && write_method m
+  t.cfg.admission_max_intake > 0 && is_master t && write_method m
   && begin
        let depth = intake_depth t in
        if depth > t.intake_hwm then t.intake_hwm <- depth;
@@ -1001,7 +1045,7 @@ let admission_overloaded t m =
    intake can drain — shedding a completer would wedge the fence at the
    admission limit. *)
 let joins_open_fence t m (req : Message.t) =
-  t.master
+  is_master t
   &&
   match m with
   | "fence" -> (
@@ -1019,8 +1063,8 @@ let joins_open_fence t m (req : Message.t) =
 
 let handle_request t (req : Message.t) =
   let m = Topic.method_ req.Message.topic in
-  match t.frozen with
-  | Some (_, q) when not (pure_while_frozen m) -> q := req :: !q
+  match t.el.Election.phase with
+  | Taking_over | Rejoining when not (pure_while_frozen m) -> t.parked <- req :: t.parked
   | _ when admission_overloaded t m && not (joins_open_fence t m req) ->
     admission_shed t req
   | _ -> (
@@ -1041,124 +1085,7 @@ let handle_request t (req : Message.t) =
       Session.respond_error t.b req
         (Printf.sprintf "%s: unknown method %S" t.routing.rt_service m))
 
-let unfreeze t =
-  match t.frozen with
-  | None -> ()
-  | Some (_, q) ->
-    t.frozen <- None;
-    trace t ~name:"unfreeze" ~fields:[ ("queued", Json.int (List.length !q)) ] ();
-    let queued = List.rev !q in
-    q := [];
-    List.iter (fun req -> handle_request t req) queued
-
-(* --- Failover: election, takeover, rejoin --------------------------------------- *)
-
-(* Fold the object cache (and still-pinned dirty objects) into the
-   authoritative store of a rank assuming mastership. *)
-let promote t =
-  t.master <- true;
-  t.bytes_held <- 0;
-  let adopt h v =
-    if not (Hashtbl.mem t.store h) then begin
-      Hashtbl.replace t.store h v;
-      t.bytes_held <- t.bytes_held + Json.serialized_size v
-    end
-  in
-  Lru.iter adopt t.cache;
-  Lru.clear t.cache;
-  Hashtbl.iter adopt t.dirty_objs
-
-(* Deterministic, non-preemptive takeover: freeze, snapshot the newest
-   (epoch, version, root) any surviving peer has seen, move to a fresh
-   epoch above all of them, promote the local cache to the store, and
-   re-announce via an epoch-stamped setroot. Objects the promoted cache
-   is missing are faulted in lazily from surviving peers ([fault_in]). *)
-let begin_takeover t =
-  if not t.master then begin
-    (match t.frozen with
-    | Some _ -> ()
-    | None -> t.frozen <- Some (Takeover, ref []));
-    trace t ~name:"takeover" ~fields:[ ("epoch", Json.int t.epoch) ] ();
-    let self = Session.rank t.b in
-    t.master_rank <- self;
-    let peers = live_peers t in
-    let best = ref (t.epoch, t.version, t.root) in
-    let remaining = ref (List.length peers) in
-    let finish () =
-      let e, v, root = !best in
-      apply_root t
-        { Proto.ri_epoch = e + 1; ri_master = self; ri_version = v; ri_root = root };
-      promote t;
-      let ri = current_ri t in
-      Session.publish t.b
-        ~topic:(t.routing.rt_service ^ ".setroot")
-        (Proto.setroot_to_json ri ~objects:[]);
-      trace t ~name:"master_elected"
-        ~fields:[ ("epoch", Json.int t.epoch); ("version", Json.int t.version) ]
-        ();
-      unfreeze t
-    in
-    if peers = [] then finish ()
-    else
-      List.iter
-        (fun p ->
-          Session.rpc_rank t.b ~idempotent:true ~timeout:1.0 ~dst:p
-            ~topic:(t.routing.rt_service ^ ".getroot")
-            Json.null
-            ~reply:(fun r ->
-              (match r with
-              | Ok payload ->
-                let ri = Proto.commit_reply_decode payload in
-                let be, bv, _ = !best in
-                if
-                  ri.Proto.ri_epoch > be
-                  || (ri.Proto.ri_epoch = be && ri.Proto.ri_version > bv)
-                then best := (ri.Proto.ri_epoch, ri.Proto.ri_version, ri.Proto.ri_root)
-              | Error _ -> ());
-              decr remaining;
-              if !remaining = 0 then finish ()))
-        peers
-  end
-
-(* A rank coming back from a blackout: everything it believed may be
-   stale and, if it was the master, a successor has been elected in the
-   meantime. Freeze, drop in-flight collective state (the participants
-   timed out long ago), announce ourselves, and thaw once the incumbent
-   master's epoch-stamped setroot arrives. With no surviving peer there
-   is nobody to learn from: adopt what we have via a self-takeover. *)
-let begin_rejoin t =
-  if t.master then demote t;
-  t.frozen <- Some (Rejoin, ref []);
-  Collective.reset t.fences;
-  t.held <- None;
-  t.held_applies <- [];
-  let stale_loads = Hashtbl.fold (fun _ w acc -> List.rev !w @ acc) t.pending_loads [] in
-  Hashtbl.reset t.pending_loads;
-  List.iter (fun k -> k (Error "kvs: node rejoined")) stale_loads;
-  match live_peers t with
-  | [] -> begin_takeover t
-  | _ :: _ ->
-    trace t ~name:"rejoin" ();
-    Session.publish t.b
-      ~topic:(t.routing.rt_service ^ ".hello")
-      (Json.obj [ ("rank", Json.int (Session.rank t.b)) ])
-
-(* Liveness transitions, fed by the session's watch list. Election is
-   deterministic (the lowest live service rank succeeds a dead master)
-   and non-preemptive (mastership moves only when the master dies). *)
-let on_liveness t r up =
-  let sess = Session.session_of t.b in
-  let self = Session.rank t.b in
-  if up then begin
-    if r = self then begin_rejoin t
-  end
-  else if r <> self && r = t.master_rank && not (Session.is_down sess self) then begin
-    match List.filter (fun c -> not (Session.is_down sess c)) t.service_ranks with
-    | [] -> ()
-    | lowest :: _ ->
-      t.master_rank <- lowest;
-      if lowest = self then begin_takeover t
-  end
+let () = serve := handle_request
 
 (* --- Module wiring -------------------------------------------------------------- *)
 
@@ -1182,11 +1109,11 @@ let create_instance cfg ?routing b =
       cfg;
       eng = Session.b_engine b;
       routing;
-      master = Session.rank b = routing.rt_master;
-      epoch = 0;
-      master_rank = routing.rt_master;
+      el = Election.init ~self:(Session.rank b) ~master:routing.rt_master;
       service_ranks = [ routing.rt_master ];
-      frozen = None;
+      live = (let sess = Session.session_of b in fun r -> not (Session.is_down sess r));
+      parked = [];
+      round = 0;
       cache = Lru.create ~capacity:cfg.cache_capacity;
       store = Hashtbl.create 1024;
       root = Tree.empty_dir_sha;
@@ -1197,10 +1124,10 @@ let create_instance cfg ?routing b =
         Collective.create b
           ~fresh:(fun () -> { tuples = []; objects = Hashtbl.create 64 })
           ~merge:merge_fence
-          ~is_root:(fun () -> (Lazy.force t).master)
+          ~is_root:(fun () -> is_master (Lazy.force t))
           ~children:(fun () ->
             let t = Lazy.force t in
-            t.routing.rt_children ~master:t.master_rank)
+            t.routing.rt_children ~master:(master_rank t))
           ~forward:(fun g batch -> fence_forward (Lazy.force t) g batch)
           ~complete:(fun g ~last -> fence_complete (Lazy.force t) g ~last);
       version_waiters = [];
@@ -1245,34 +1172,25 @@ let on_setroot t (ev : Message.t) =
   (* Replicate the commit's interior objects before adopting the root,
      so this cache can serve them to a future takeover. *)
   List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
-  apply_root t ri;
-  match t.frozen with
-  | Some (Rejoin, _)
-    when ri.Proto.ri_master >= 0
-         && ri.Proto.ri_epoch >= t.epoch
-         && not (Session.is_down (Session.session_of t.b) ri.Proto.ri_master) ->
-    (* The incumbent master answered our hello (or a fresh commit flowed
-       past): we know who leads the current epoch and hold its root, so
-       the rejoin is complete. *)
-    unfreeze t
-  | _ -> ()
+  apply_root t ri
 
 let subscribe_events t =
-  let setroot = t.routing.rt_service ^ ".setroot" in
-  Session.subscribe t.b ~prefix:setroot (on_setroot t);
-  Session.subscribe t.b ~prefix:(t.routing.rt_service ^ ".hello") (fun _ ->
-      (* A rejoiner asked for the current root: only the live master of
-         the current epoch answers, with a fresh setroot. *)
-      if t.master && t.frozen = None then
-        Session.publish t.b ~topic:setroot (Proto.setroot_to_json (current_ri t) ~objects:[]))
+  Session.subscribe t.b ~prefix:(t.routing.rt_service ^ ".setroot") (on_setroot t);
+  Session.subscribe t.b ~prefix:(t.routing.rt_service ^ ".hello") (fun (ev : Message.t) ->
+      run t (current_ri t) (Election.Hello (Json.to_int (Json.member "rank" ev.Message.payload))))
 
 (* Failover and rejoin are driven off the session's liveness transitions;
-   each instance reacts independently so the election is symmetric
-   (everyone computes the same lowest-live successor). *)
+   each instance steps its own election, so all compute the same
+   lowest-live successor. *)
 let install sess instances =
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
   Array.iter subscribe_events instances;
-  Session.add_liveness_watch sess (fun r up -> Array.iter (fun t -> on_liveness t r up) instances);
+  Session.add_liveness_watch sess (fun r up ->
+      Array.iter
+        (fun t ->
+          if not up then run t (current_ri t) (Election.Died r)
+          else if r = Session.rank t.b then run t (current_ri t) Election.Revived)
+        instances);
   instances
 
 let load sess ?(config = default_config) () =
@@ -1286,7 +1204,7 @@ let load sess ?(config = default_config) () =
    election order follows the volume's *virtual ring*: successors are
    preferred in relabeled-tree order starting at the static master, so a
    dead master's role moves to the next rank of its own volume instead
-   of piling every volume's mastership onto rank 0. [on_liveness] takes
+   of piling every volume's mastership onto rank 0. The election takes
    the first live rank of [service_ranks], which encodes that order. *)
 
 let load_routed sess ?(config = default_config) ~routing () =

@@ -116,21 +116,29 @@ val set_fence_hold :
 
 (** {1 Failover and rejoin}
 
-    Loading via {!load} registers a session liveness watch. When the
-    master is marked down, the lowest live service rank deterministically
-    assumes mastership: it freezes non-pure requests, adopts the newest
-    (epoch, version, root) any surviving peer has seen, bumps the epoch,
-    promotes its object cache to the authoritative store (faulting
-    missing objects in from peers), and re-announces via an epoch-stamped
-    [setroot] — announcements from stale epochs are ignored everywhere,
-    so a deposed master cannot split-brain. When a rank is marked up
-    again it freezes, publishes a [hello], and thaws once the incumbent
-    master's setroot brings it to the current epoch and version.
-    Mastership is non-preemptive: a revived lower rank rejoins as a
-    slave. {!load_routed} families fail over the same way, with the
-    election preference in virtual-ring order (see {!load_routed}). *)
+    {!Election} decides; this module performs its effects. Loading via
+    {!load} registers a session liveness watch. When the master is
+    marked down, the lowest live service rank freezes non-pure requests
+    and asks its peers: if one names itself master it follows it,
+    otherwise it adopts the newest (epoch, version, root) heard, moves
+    to a fresh epoch, promotes its object cache to the authoritative
+    store (faulting missing objects in from peers), and re-announces via
+    an epoch-stamped [setroot]. Announcements from stale epochs are
+    ignored everywhere, so a deposed master cannot split-brain. When a
+    rank is marked up again it freezes, forgets whom it believed master,
+    publishes a [hello], and thaws once a setroot names a live master.
+    While it rejoins, any death may be the master's: as the lowest live
+    rank it takes over. Mastership is non-preemptive: a revived lower
+    rank rejoins as a slave. {!load_routed} families fail over the same
+    way, with the election preference in virtual-ring order (see
+    {!load_routed}). *)
 
 val is_master : t -> bool
+
+val acting_master : t array -> int option
+(** The highest live rank whose instance (index [r] is rank [r]'s) holds
+    mastership. A dead rank's instance believes it leads until it
+    rejoins, so dead ranks are skipped. *)
 
 val epoch : t -> int
 (** Mastership epoch this instance has reached (0 until a failover). *)

@@ -60,12 +60,13 @@ let volume_routing sess ~volume ~master:static_master rank =
   {
     Kvs_module.rt_service = service_of volume;
     rt_master = static_master;
+    (* A revived rank believes in no master ([-1]) until it hears one. *)
     rt_parent =
-      (fun ~master -> if rank = master then None else healed_parent master rank);
+      (fun ~master -> if rank = master || master < 0 then None else healed_parent master rank);
     rt_children =
       (fun ~master ->
         List.filter
-          (fun c -> c <> rank && live c && healed_parent master c = Some rank)
+          (fun c -> c <> rank && live c && master >= 0 && healed_parent master c = Some rank)
           (List.init n Fun.id));
     rt_direct = true;
   }

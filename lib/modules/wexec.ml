@@ -192,7 +192,7 @@ let start_local_tasks t ~jobid ~prog ~args ~per_rank ~rank_index ~ntasks =
         }
       in
       let pid =
-        Proc.spawn eng ~name:(Printf.sprintf "%s.%d-%d" jobid rank i) (fun () ->
+        Proc.spawn eng (fun () ->
             let failed =
               try
                 body ctx;

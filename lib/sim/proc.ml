@@ -1,37 +1,21 @@
 exception Stopped
 
-type pid = {
-  name : string;
-  mutable killed : bool;
-  mutable finished : bool;
-}
+type pid = { mutable killed : bool }
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
   | Await : 'a Ivar.t -> 'a Effect.t
 
-let names = Flux_util.Idgen.create ~prefix:"proc-" ()
-
-let spawn eng ?name f =
-  let p =
-    {
-      name = (match name with Some n -> n | None -> Flux_util.Idgen.next names);
-      killed = false;
-      finished = false;
-    }
-  in
+let spawn eng ?name:_ f =
+  let p = { killed = false } in
   let open Effect.Deep in
   let resume : type a. (a, unit) continuation -> a -> unit =
    fun k v -> if p.killed then discontinue k Stopped else continue k v
   in
   let handler =
     {
-      retc = (fun () -> p.finished <- true);
-      exnc =
-        (fun e ->
-          match e with
-          | Stopped -> p.finished <- true
-          | e -> raise e);
+      retc = Fun.id;
+      exnc = (function Stopped -> () | e -> raise e);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
@@ -48,11 +32,11 @@ let spawn eng ?name f =
   in
   ignore
     (Engine.schedule eng ~delay:0.0 (fun () ->
-         if not p.killed then match_with f () handler else p.finished <- true)
+         if not p.killed then match_with f () handler)
       : Engine.handle);
   p
 
-let kill _eng p = if not p.finished then p.killed <- true
+let kill _eng p = p.killed <- true
 
 let sleep d =
   if d < 0.0 then invalid_arg "Proc.sleep: negative duration";

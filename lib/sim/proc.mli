@@ -15,7 +15,8 @@ type pid
 val spawn : Engine.t -> ?name:string -> (unit -> unit) -> pid
 (** [spawn eng f] queues process body [f] to start at the current
     instant. Uncaught exceptions (other than {!Stopped}) propagate out
-    of {!Engine.run}. *)
+    of {!Engine.run}. [name] is unused: nothing reads a process label,
+    and the argument stays only for callers that still pass one. *)
 
 val kill : Engine.t -> pid -> unit
 (** [kill eng p] makes the next suspension point of [p] raise

@@ -33,15 +33,11 @@ let to_text t =
     (Tracer.events t);
   Buffer.contents buf
 
-(* The [total_dur_s] column is always zero: no event kind records a
-   duration. It stays so the CSV keeps the layout that test_determinism
-   pins by digest for the traced fig2 run. *)
 let counters_csv t =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "category,name,count,total_dur_s\n";
+  Buffer.add_string buf "category,name,count\n";
   List.iter
-    (fun ((cat, name), count) ->
-      Buffer.add_string buf (Printf.sprintf "%s,%s,%d,0.000000000\n" cat name count))
+    (fun ((cat, name), count) -> Buffer.add_string buf (Printf.sprintf "%s,%s,%d\n" cat name count))
     (Tracer.counters t);
   Buffer.contents buf
 

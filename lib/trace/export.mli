@@ -13,9 +13,7 @@ val summary : Tracer.t -> string
 
 val counters_csv : Tracer.t -> string
 (** The counts of {!summary} as machine-readable CSV:
-    [category,name,count,total_dur_s]. No event kind records a
-    duration, so [total_dur_s] is always 0; the column keeps the
-    layout. *)
+    [category,name,count]. *)
 
 val to_perfetto : Tracer.t -> string
 (** Chrome / Perfetto trace-event JSON ([{"traceEvents": [...]}]).

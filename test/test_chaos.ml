@@ -219,6 +219,18 @@ let () =
              engine. *)
           Alcotest.test_case "seed 348: master faults in a missing root directory" `Quick
             (test_chaos_schedule 348);
+          (* At seeds 58 and 318 a rank revives believing it still leads
+             and the acting master then dies: every other rank elects the
+             rejoiner, which must take over although the death is not of
+             the master it believed in. At seed 2372 the dying rank was
+             mid-takeover, and its round must not promote it once it is
+             down. Each ended with no master before. *)
+          Alcotest.test_case "seed 58: a rejoiner takes over after any death" `Quick
+            (test_chaos_schedule 58);
+          Alcotest.test_case "seed 318: a rejoiner takes over after any death" `Quick
+            (test_chaos_schedule 318);
+          Alcotest.test_case "seed 2372: a takeover marked down does not promote" `Quick
+            (test_chaos_schedule 2372);
         ] );
       ("determinism", [ Alcotest.test_case "same seed, same report" `Quick test_chaos_deterministic ]);
       ("validate", [ Alcotest.test_case "rejects no clients" `Quick test_rejects_no_clients ]);

@@ -253,13 +253,13 @@ let test_die_before_ack () =
       execs.(ctx.Wexec.px_rank) <- execs.(ctx.Wexec.px_rank) + 1);
   let result = ref None in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:0 in
          result :=
            Some (Wexec.run api ~jobid:"j-die" ~prog:"life.slow" ~ranks:[ 1; 3 ] ()))
       : Proc.pid);
   ignore
-    (Proc.spawn eng ~name:"assassin" (fun () ->
+    (Proc.spawn eng (fun () ->
          Proc.sleep 0.1;
          Session.mark_down sess 3;
          Proc.sleep 0.5;
@@ -292,7 +292,7 @@ let test_no_zombie_after_revival () =
       execs.(ctx.Wexec.px_rank) <- execs.(ctx.Wexec.px_rank) + 1);
   let result = ref None in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          Session.mark_down sess 3;
          Proc.sleep 0.05;
          let api = Api.connect sess ~rank:0 in
@@ -333,13 +333,13 @@ let test_duplicate_done_idempotent () =
   in
   let result = ref None in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:0 in
          result :=
            Some (Wexec.run api ~jobid:"j-dup" ~prog:"life.quick" ~ranks:[ 1; 2 ] ()))
       : Proc.pid);
   ignore
-    (Proc.spawn eng ~name:"forger" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:2 in
          (* Mid-run: rank 2 has not reported yet; the forged failure
             claims its quota. The real report must then be clamped, not
@@ -393,7 +393,7 @@ let test_requeue_resumes_from_manifest () =
       execs.(ctx.Wexec.px_rank) <- execs.(ctx.Wexec.px_rank) + 1);
   let first = ref None and second = ref None in
   ignore
-    (Proc.spawn eng ~name:"driver" (fun () ->
+    (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:0 in
          first := Some (Wexec.run api ~jobid:"j-rq" ~prog:"life.ckpt" ~ranks:[ 1; 2 ] ());
          (* The worker died mid-epoch-2; requeue the same logical job
@@ -402,7 +402,7 @@ let test_requeue_resumes_from_manifest () =
          second := Some (Wexec.run api ~jobid:"j-rq" ~prog:"life.ckpt" ~ranks:[ 1; 2 ] ()))
       : Proc.pid);
   ignore
-    (Proc.spawn eng ~name:"assassin" (fun () ->
+    (Proc.spawn eng (fun () ->
          (* Epoch 1 fences at ~0.2; strike during epoch 2's work phase,
             then revive well before the requeue. *)
          Proc.sleep 0.3;
@@ -427,7 +427,7 @@ let test_requeue_resumes_from_manifest () =
   check Alcotest.bool "epoch 2 eventually checkpointed" true (List.mem 2 !epochs_done);
   (* The epoch-2 manifest from the successful attempt must verify. *)
   ignore
-    (Proc.spawn eng ~name:"reader" (fun () ->
+    (Proc.spawn eng (fun () ->
          let kvs = Client.connect sess ~rank:0 in
          match Wexec.newest_manifest kvs ~jobid:"j-rq" ~max_epoch:2 with
          | Some m -> check Alcotest.int "newest manifest is epoch 2" 2 m.Wexec.m_epoch

@@ -63,7 +63,7 @@ let test_kap_goldens () =
   | Some tr, Some m ->
     check Alcotest.string "trace jsonl" "4354497d6e22551f4a47a638bce1bcaf"
       (md5 (Export.to_jsonl tr));
-    check Alcotest.string "trace counters" "f00f2b56fd883fdc932ab54c61dc8466"
+    check Alcotest.string "trace counters" "aa44eb2ef8d964f7881dc6523beff076"
       (md5 (Export.counters_csv tr));
     check Alcotest.string "metrics csv" "ee248bc6193bdcefea30e164096877f0"
       (md5 (Flux_trace.Metrics.to_csv m))

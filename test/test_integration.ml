@@ -32,7 +32,7 @@ let kvs_model_run ~seed ~nodes ~ops =
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let final_version = Flux_sim.Ivar.create () in
   ignore
-    (Proc.spawn eng ~name:"mutator" (fun () ->
+    (Proc.spawn eng (fun () ->
          let c = Client.connect sess ~rank:(Rng.int rng nodes) in
          let last_v = ref 0 in
          for _ = 1 to ops do
@@ -63,7 +63,7 @@ let kvs_model_run ~seed ~nodes ~ops =
   for _ = 1 to 3 do
     let rank = Rng.int rng nodes in
     ignore
-      (Proc.spawn eng ~name:"reader" (fun () ->
+      (Proc.spawn eng (fun () ->
            let c = Client.connect sess ~rank in
            let v = Proc.await final_version in
            (match Client.wait_version c v with
