@@ -2,8 +2,6 @@ module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
 module Tracer = Flux_trace.Tracer
 
-let window = 200e-6
-
 (* --- Exactly-once replies ----------------------------------------------- *)
 
 type entry = {
@@ -75,173 +73,141 @@ let respond d (req : Message.t) result =
       List.iter (fun q -> answer d.db q result) waiting
     | None -> ()
 
-(* --- Open collectives ------------------------------------------------------ *)
+(* --- Collectives ------------------------------------------------------------- *)
 
-type 'c group = {
-  name : string;
-  nprocs : int;
-  mutable content : 'c;
-  mutable count : int;
-  mutable heard : int list;
-  mutable parked : Message.t list;
-  mutable ctx : Tracer.ctx option;
-  mutable last_arrival : float;
-  mutable armed : bool;
-  mutable failures : int;
-}
+type 'c item = { req : Message.t; content : 'c }
 
 type 'c batch = {
-  b_count : int;
-  b_parked : Message.t list;
-  b_ctx : Tracer.ctx option;
-  b_content : 'c;
+  name : string;
+  nprocs : int;
+  count : int;
+  items : 'c item list;
+  ctx : Tracer.ctx option;
 }
 
 type 'c t = {
   eng : Engine.t;
-  fresh : unit -> 'c;
-  merge : 'c -> into:'c -> unit;
+  budget : int;
+  final : string -> bool;
   is_root : unit -> bool;
   children : unit -> int list;
-  forward : 'c group -> 'c batch -> unit;
-  complete : 'c group -> last:Tracer.ctx option -> unit;
-  opened : (string, 'c group) Hashtbl.t; (* below the root *)
-  rooted : (string, 'c group) Hashtbl.t; (* at the root *)
+  send : 'c batch -> ((Json.t, string) result -> unit) -> unit;
+  answer : Message.t -> (Json.t, string) result -> unit;
+  complete : 'c batch -> last:Tracer.ctx option -> unit;
+  opened : (string, 'c item Tally.below ref) Hashtbl.t; (* below the root *)
+  rooted : (string, 'c item Tally.batch) Hashtbl.t; (* at the root *)
 }
 
-let create b ~fresh ~merge ~is_root ~children ~forward ~complete =
+let create b ~budget ~final ~is_root ~children ~send ~answer ~complete =
   {
     eng = Session.b_engine b;
-    fresh;
-    merge;
+    budget;
+    final;
     is_root;
     children;
-    forward;
+    send;
+    answer;
     complete;
     opened = Hashtbl.create 8;
     rooted = Hashtbl.create 8;
   }
 
-let group_in c tbl name nprocs =
-  match Hashtbl.find_opt tbl name with
-  | Some g -> g
-  | None ->
-    let g =
-      {
-        name;
-        nprocs;
-        content = c.fresh ();
-        count = 0;
-        heard = [];
-        parked = [];
-        ctx = None;
-        last_arrival = 0.0;
-        armed = false;
-        failures = 0;
-      }
-    in
-    Hashtbl.replace tbl name g;
-    g
-
-(* Root side: the collective completes once its count reaches [nprocs].
-   [ctx] is the causal context of this contribution. *)
-let accumulate c ~name ~nprocs ~count ~parked ~ctx ~add =
-  let g = group_in c c.rooted name nprocs in
-  g.count <- g.count + count;
-  add g.content;
-  g.parked <- parked @ g.parked;
-  if g.ctx = None then g.ctx <- ctx;
-  if g.count >= g.nprocs then begin
-    Hashtbl.remove c.rooted name;
-    c.complete g ~last:ctx
-  end
-
-let take c g =
-  let batch = { b_count = g.count; b_parked = g.parked; b_ctx = g.ctx; b_content = g.content } in
-  g.count <- 0;
-  g.parked <- [];
-  g.ctx <- None;
-  g.content <- c.fresh ();
-  batch
-
-(* Forward as soon as the subtree is known complete; otherwise once
-   every child has been heard and the collective has been quiet for half
-   a window (so locally staggered enters batch into one message), or
-   after two windows of quiet so that silent children cannot wedge it. *)
-let rec check c g =
-  if g.count > 0 then begin
-    let children = c.children () in
-    let all_heard = List.for_all (fun ch -> List.mem ch g.heard) children in
-    let idle = Engine.now c.eng -. g.last_arrival in
-    if g.count >= g.nprocs || (all_heard && idle >= window /. 2.0) || idle >= 2.0 *. window
-    then c.forward g (take c g)
-    else arm c g (window /. 4.0)
-  end
-
-and arm c g delay =
-  if not g.armed then begin
-    g.armed <- true;
-    ignore
-      (Engine.schedule c.eng ~delay (fun () ->
-           g.armed <- false;
-           check c g)
-        : Engine.handle)
-  end
-
-let contribute c ~name ~nprocs ~count ~from_child ~add (req : Message.t) =
-  if c.is_root () then
-    accumulate c ~name ~nprocs ~count ~parked:[ req ] ~ctx:req.Message.trace ~add
-  else begin
-    let g = group_in c c.opened name nprocs in
-    g.count <- g.count + count;
-    add g.content;
-    (match from_child with
-    | Some ch -> if not (List.mem ch g.heard) then g.heard <- ch :: g.heard
-    | None -> ());
-    g.parked <- req :: g.parked;
-    if g.ctx = None then g.ctx <- req.Message.trace;
-    g.last_arrival <- Engine.now c.eng;
-    if g.count >= g.nprocs then check c g else arm c g (window /. 2.0)
-  end
-
-let close c g = if g.count = 0 && g.parked = [] then Hashtbl.remove c.opened g.name
-
-let to_root c g batch =
-  close c g;
-  accumulate c ~name:g.name ~nprocs:g.nprocs ~count:batch.b_count ~parked:batch.b_parked
-    ~ctx:None ~add:(fun into -> c.merge batch.b_content ~into)
-
-let retry c g batch ~delay =
-  g.failures <- g.failures + 1;
-  g.count <- g.count + batch.b_count;
-  c.merge batch.b_content ~into:g.content;
-  g.parked <- batch.b_parked @ g.parked;
-  g.last_arrival <- Engine.now c.eng;
-  arm c g (delay g.failures)
-
-let withdraw c name =
-  let below =
-    match Hashtbl.find_opt c.opened name with
-    | Some g ->
-      let parked = (take c g).b_parked in
-      Hashtbl.remove c.opened name;
-      [ parked ]
-    | None -> []
+(* The first causal context among [items], oldest first. *)
+let batch name nprocs count items =
+  let ctx =
+    List.fold_left
+      (fun acc it -> match it.req.Message.trace with Some _ as x -> x | None -> acc)
+      None items
   in
-  match Hashtbl.find_opt c.rooted name with
-  | Some g ->
-    Hashtbl.remove c.rooted name;
-    below @ [ g.parked ]
-  | None -> below
+  { name; nprocs; count; items; ctx }
+
+let outcome c = function
+  | Ok _ -> Tally.Delivered
+  | Error e -> if c.final e then Tally.Aborted else Tally.Failed
+
+(* Step [name] and keep the next state. A forward's reply and a check
+   step the open side that sent or armed them, [cell], even once it has
+   left the table. *)
+let advance c name ~nprocs cell input =
+  let cell =
+    match cell with
+    | Some _ -> cell
+    | None -> ( match Hashtbl.find c.opened name with r -> Some r | exception Not_found -> None)
+  in
+  let root = match Hashtbl.find c.rooted name with r -> Some r | exception Not_found -> None in
+  let s = { Tally.nprocs; below = Option.map ( ! ) cell; root } in
+  let s', effects =
+    Tally.step ~now:(Engine.now c.eng) ~root:(c.is_root ()) ~children:c.children
+      ~budget:c.budget s input
+  in
+  if s'.Tally.root != root then begin
+    match s'.Tally.root with
+    | Some r -> Hashtbl.replace c.rooted name r
+    | None -> Hashtbl.remove c.rooted name
+  end;
+  let cell =
+    match (s'.Tally.below, cell) with
+    | None, _ -> cell
+    | Some g, Some r ->
+      r := g;
+      cell
+    | Some g, None ->
+      let r = ref g in
+      Hashtbl.replace c.opened name r;
+      Some r
+  in
+  (cell, effects)
+
+(* Step [name] and perform the effects in order; [result] answers an
+   [Answer]. *)
+let rec feed c name ~nprocs cell result input =
+  match advance c name ~nprocs cell input with
+  | _, [] -> ()
+  | cell, effects -> List.iter (perform c name nprocs cell input result) effects
+
+and perform c name nprocs cell input result = function
+  | Tally.Forward b ->
+    c.send (batch name nprocs b.Tally.count b.Tally.parked) (fun r ->
+        feed c name ~nprocs cell r (Tally.Replied (b, outcome c r)))
+  | Arm delay ->
+    ignore
+      (Engine.schedule c.eng ~delay (fun () -> feed c name ~nprocs cell result Tally.Check)
+        : Engine.handle)
+  | Complete items ->
+    let last = match input with Tally.Contribute { item; _ } -> item.req.Message.trace | _ -> None in
+    c.complete (batch name nprocs nprocs items) ~last
+  | Answer items -> List.iter (fun it -> c.answer it.req result) items
+  | Forget -> Hashtbl.remove c.opened name
+
+let nothing = Ok Json.null
+
+let contribute c ~name ~nprocs ~count ~from_child req content =
+  feed c name ~nprocs None nothing (Tally.Contribute { count; from_child; item = { req; content } })
+
+(* Step every name in [names] and collect what its [Answer]s release. *)
+let release c input names =
+  List.concat_map
+    (fun name ->
+      List.filter_map
+        (function
+          | Tally.Answer items -> Some (List.map (fun it -> it.req) items)
+          | Forget ->
+            Hashtbl.remove c.opened name;
+            None
+          | _ -> None)
+        (snd (advance c name ~nprocs:0 None input)))
+    names
+
+let withdraw c name = release c Tally.Abort [ name ]
 
 let drop_roots c =
-  let groups = Hashtbl.fold (fun _ g acc -> g :: acc) c.rooted [] in
-  Hashtbl.reset c.rooted;
-  List.concat_map (fun g -> g.parked) groups
+  List.concat (release c Tally.Demote (Hashtbl.fold (fun name _ acc -> name :: acc) c.rooted []))
 
 let reset c =
   Hashtbl.reset c.opened;
   Hashtbl.reset c.rooted
 
 let open_at_root c name = Hashtbl.mem c.rooted name
-let parked_at_root c = Hashtbl.fold (fun _ g acc -> acc + List.length g.parked) c.rooted 0
+
+let parked_at_root c =
+  Hashtbl.fold (fun _ (r : _ Tally.batch) acc -> acc + List.length r.Tally.parked) c.rooted 0

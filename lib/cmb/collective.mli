@@ -13,13 +13,6 @@
 
 module Json = Flux_json.Json
 
-val window : float
-(** Aggregation window, 200 us. A collective forwards when its count
-    reaches [nprocs]; otherwise once every child has been heard and it
-    has been quiet for half a window, or once it has been quiet for two
-    windows. A contribution arms a check at half a window, and a check
-    that does not forward re-arms at a quarter window. *)
-
 (** {1 Exactly-once replies}
 
     A request that outlives its RPC deadline is retransmitted under the
@@ -46,74 +39,45 @@ val respond : dedup -> Message.t -> (Json.t, string) result -> unit
 
 (** {1 Collectives} *)
 
-type 'c group = private {
-  name : string;
-  nprocs : int;
-  mutable content : 'c;  (** the caller's content since the last forward *)
-  mutable count : int;
-  mutable heard : int list;  (** children heard from *)
-  mutable parked : Message.t list;  (** requests awaiting completion, newest first *)
-  mutable ctx : Flux_trace.Tracer.ctx option;  (** first causal context *)
-  mutable last_arrival : float;
-  mutable armed : bool;
-  mutable failures : int;  (** forwards that came back failed *)
-}
-(** One named collective at one broker, open below the root or
-    accumulating at it. *)
+type 'c item = { req : Message.t; content : 'c }
+(** A parked request and the caller's content it carried. *)
 
 type 'c batch = {
-  b_count : int;
-  b_parked : Message.t list;
-  b_ctx : Flux_trace.Tracer.ctx option;
-  b_content : 'c;
+  name : string;
+  nprocs : int;
+  count : int;
+  items : 'c item list;  (** newest first *)
+  ctx : Flux_trace.Tracer.ctx option;  (** the first item's causal context *)
 }
-(** What one forward carries upstream, taken out of its group. *)
+(** What one forward carries upstream, or what the root completed. *)
 
 type 'c t
 (** One caller's collectives at one broker. *)
 
 val create :
   Session.broker ->
-  fresh:(unit -> 'c) ->
-  merge:('c -> into:'c -> unit) ->
+  budget:int ->
+  final:(string -> bool) ->
   is_root:(unit -> bool) ->
   children:(unit -> int list) ->
-  forward:('c group -> 'c batch -> unit) ->
-  complete:('c group -> last:Flux_trace.Tracer.ctx option -> unit) ->
+  send:('c batch -> ((Json.t, string) result -> unit) -> unit) ->
+  answer:(Message.t -> (Json.t, string) result -> unit) ->
+  complete:('c batch -> last:Flux_trace.Tracer.ctx option -> unit) ->
   'c t
-(** [fresh] makes empty content; [merge] folds a batch's content into a
-    group's. [is_root] and [children] are asked at each contribution and
-    each check. [forward] sends a batch upstream; it answers the batch's
-    requests or hands the batch to {!retry} or {!to_root}, and calls
-    {!close} once the reply is settled. [complete] runs at the root when
-    a collective's count reaches [nprocs], after it has been removed;
-    [last] is the causal context of the contribution that completed
-    it. *)
+(** [budget] is the number of failed forwards {!Tally} refolds before it
+    answers one; [final] marks an error that is never refolded. [is_root]
+    and [children] are asked at each step. [send] carries a batch
+    upstream and calls back with the reply, which answers the batch's
+    requests through [answer] or goes back to {!Tally}. [complete] runs
+    at the root when a collective's count reaches [nprocs], after it has
+    been removed; [last] is the causal context of the contribution that
+    completed it. *)
 
 val contribute :
-  'c t ->
-  name:string ->
-  nprocs:int ->
-  count:int ->
-  from_child:int option ->
-  add:('c -> unit) ->
-  Message.t ->
-  unit
-(** Count [count] contributions to [name], add their content with [add]
-    and park the request until the collective completes. [from_child] is
-    the child an aggregate came from, [None] for a client's own enter. *)
-
-val close : 'c t -> 'c group -> unit
-(** Forget the group if nothing has been contributed since its forward. *)
-
-val to_root : 'c t -> 'c group -> 'c batch -> unit
-(** Accumulate a taken batch at this broker's root, for a broker that
-    became the root while the batch was open. *)
-
-val retry : 'c t -> 'c group -> 'c batch -> delay:(int -> float) -> unit
-(** A forward that failed: count the failure, fold the batch back into
-    the group as a fresh arrival, and check again after [delay] of the
-    failure count. *)
+  'c t -> name:string -> nprocs:int -> count:int -> from_child:int option -> Message.t -> 'c -> unit
+(** Count [count] contributions to [name] with their content and park
+    the request until the collective completes. [from_child] is the
+    child an aggregate came from, [None] for a client's own enter. *)
 
 val withdraw : 'c t -> string -> Message.t list list
 (** Drop [name] here, below the root and at it, and return the requests

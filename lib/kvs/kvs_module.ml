@@ -32,12 +32,15 @@ let put_cpu = 1e-6
 let hash_cpu_per_byte = 1.5e-9
 let inline_threshold = 256
 
-(* A fence's content since its last forward: the tuples (reversed) and
-   the value objects, deduplicated by sha. *)
+(* A fence's content folded from its contributions: the tuples
+   (reversed) and the value objects, deduplicated by sha. *)
 type fence = {
   mutable tuples : Proto.tuple list;
   objects : (string, Json.t) Hashtbl.t; (* sha-hex -> value *)
 }
+
+(* What one fence contribution carries: its tuples and value objects. *)
+type fence_part = Proto.tuple list * Proto.obj list
 
 type routing = {
   rt_service : string;
@@ -63,7 +66,7 @@ type t = {
   mutable version : int;
   dirty_objs : (string, Json.t) Hashtbl.t; (* objects pinned until flushed *)
   pending_loads : (string, ((unit, string) result -> unit) list ref) Hashtbl.t;
-  fences : fence Collective.t; (* open below the master, accumulating at it *)
+  fences : fence_part Collective.t; (* open below the master, accumulating at it *)
   mutable version_waiters : (int * Message.t) list;
   mutable cpu_free_at : float; (* serializes local put hashing *)
   dedup : Collective.dedup; (* flushes, commits and fences stamped with a [fid] *)
@@ -605,79 +608,58 @@ let absorb (fc : fence) tuples (objects : Proto.obj list) =
 let fence_objects (fc : fence) =
   Hashtbl.fold (fun h v acc -> { Proto.osha = Sha1.of_hex h; value = v } :: acc) fc.objects []
 
-let merge_fence (fc : fence) ~into = absorb into (List.rev fc.tuples) (fence_objects fc)
+(* The content of a batch's items, folded oldest first. *)
+let fence_content items =
+  let fc = { tuples = []; objects = Hashtbl.create 64 } in
+  List.iter
+    (fun (it : _ Collective.item) ->
+      let tuples, objects = it.Collective.content in
+      absorb fc tuples objects)
+    (List.rev items);
+  fc
 
-let fence_forward t (g : fence Collective.group) (batch : fence Collective.batch) =
-  let name = g.Collective.name and count = batch.Collective.b_count in
-  let parked = batch.Collective.b_parked in
-  let ctx = child_span t batch.Collective.b_ctx in
-  if is_master t then
-    (* Elected mid-fence: the contributions this instance was
-       aggregating as a slave terminate here now. *)
-    Collective.to_root t.fences g batch
-  else begin
-    let fc = batch.Collective.b_content in
-    let payload =
-      Proto.flush_to_json
-        {
-          Proto.fence = Some (name, g.Collective.nprocs);
-          count;
-          fid = fresh_fid t;
-          tuples = List.rev fc.tuples;
-          objects = fence_objects fc;
-        }
-    in
-    trace t ~name:"flush.forward" ?ctx
-      ~fields:[ ("name", Json.string name); ("count", Json.int count) ]
-      ();
-    (* The reply blocks until the whole fence completes, so the deadline
-       must cover a slow collective; the fid lets the parent suppress the
-       duplicate contribution if an attempt's response is lost. *)
-    send_up t ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx ~method_:"flush" payload
-      ~reply:(fun r ->
-        (match r with
-        | Ok reply ->
-          apply_root t (Proto.commit_reply_decode reply);
-          List.iter (fun req -> respond_result t req (Ok reply)) parked
-        | Error e when g.Collective.failures < 12 && not (is_abort_error e) ->
-          (* Failover-transient errors (the parent died mid-collective,
-             the master was deposed, the successor is still freezing, a
-             busy budget ran out): keep the contributions and try again
-             once the topology and mastership have settled — fences
-             degrade to latency, not errors. (Abort errors are terminal:
-             refolding them would re-register the very state the abort
-             cleared.) *)
-          Collective.retry t.fences g batch ~delay:(fun n ->
-              Float.min 1.0 (0.005 *. (2.0 ** float_of_int n)));
-          trace t ~name:"flush.retry"
-            ~fields:
-              [
-                ("name", Json.string name);
-                ("attempt", Json.int g.Collective.failures);
-                ("error", Json.string e);
-              ]
-            ()
-        | Error e -> List.iter (fun req -> respond_result t req (Error e)) parked);
-        Collective.close t.fences g)
-  end
+let fence_send t (batch : fence_part Collective.batch) k =
+  let name = batch.Collective.name and count = batch.Collective.count in
+  let ctx = child_span t batch.Collective.ctx in
+  let fc = fence_content batch.Collective.items in
+  let payload =
+    Proto.flush_to_json
+      {
+        Proto.fence = Some (name, batch.Collective.nprocs);
+        count;
+        fid = fresh_fid t;
+        tuples = List.rev fc.tuples;
+        objects = fence_objects fc;
+      }
+  in
+  trace t ~name:"flush.forward" ?ctx
+    ~fields:[ ("name", Json.string name); ("count", Json.int count) ]
+    ();
+  (* The reply blocks until the whole fence completes, so the deadline
+     must cover a slow collective; the fid lets the parent suppress the
+     duplicate contribution if an attempt's response is lost. *)
+  send_up t ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx ~method_:"flush" payload
+    ~reply:(fun r ->
+      (match r with Ok reply -> apply_root t (Proto.commit_reply_decode reply) | Error _ -> ());
+      k r)
 
 (* The master has heard every contribution: apply the batch. *)
-let fence_complete t (g : fence Collective.group) ~last:_ =
-  let name = g.Collective.name and fc = g.Collective.content in
-  let ctx = g.Collective.ctx in
+let fence_complete t (batch : fence_part Collective.batch) =
+  let fc = fence_content batch.Collective.items and ctx = batch.Collective.ctx in
   trace t ~name:"commit.begin" ?ctx
-    ~fields:[ ("name", Json.string name); ("tuples", Json.int (List.length fc.tuples)) ]
+    ~fields:
+      [ ("name", Json.string batch.Collective.name); ("tuples", Json.int (List.length fc.tuples)) ]
     ();
-  master_apply t ?trace_ctx:ctx ~fence:name ~tuples:(List.rev fc.tuples)
-    ~objects:(fence_objects fc) ~respond_to:g.Collective.parked ()
+  master_apply t ?trace_ctx:ctx ~fence:batch.Collective.name ~tuples:(List.rev fc.tuples)
+    ~objects:(fence_objects fc)
+    ~respond_to:(List.map (fun (it : _ Collective.item) -> it.Collective.req) batch.Collective.items)
+    ()
 
 let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
   (* Write-through caching: objects passing by a slave stay in its cache. *)
   if not (is_master t) then
     List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
-  Collective.contribute t.fences ~name ~nprocs ~count ~from_child
-    ~add:(fun fc -> absorb fc tuples objects)
-    req
+  Collective.contribute t.fences ~name ~nprocs ~count ~from_child req (tuples, objects)
 
 (* --- Request handlers -------------------------------------------------------- *)
 
@@ -1121,15 +1103,15 @@ let create_instance cfg ?routing b =
       dirty_objs = Hashtbl.create 64;
       pending_loads = Hashtbl.create 64;
       fences =
-        Collective.create b
-          ~fresh:(fun () -> { tuples = []; objects = Hashtbl.create 64 })
-          ~merge:merge_fence
+        (* A failed forward is refolded 12 times, an abort never. *)
+        Collective.create b ~budget:12 ~final:is_abort_error
           ~is_root:(fun () -> is_master (Lazy.force t))
           ~children:(fun () ->
             let t = Lazy.force t in
             t.routing.rt_children ~master:(master_rank t))
-          ~forward:(fun g batch -> fence_forward (Lazy.force t) g batch)
-          ~complete:(fun g ~last -> fence_complete (Lazy.force t) g ~last);
+          ~send:(fun batch k -> fence_send (Lazy.force t) batch k)
+          ~answer:(fun req r -> respond_result (Lazy.force t) req r)
+          ~complete:(fun batch ~last:_ -> fence_complete (Lazy.force t) batch);
       version_waiters = [];
       cpu_free_at = 0.0;
       fence_hold = None;

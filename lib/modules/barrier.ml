@@ -25,48 +25,38 @@ let child_span t parent =
   | Some tr, Some c -> Some (Tracer.child_ctx tr c)
   | _ -> None
 
-(* A broker that became the root while the collective was open (its
-   parent died) folds the batch in at its own root, whether the forward
-   was still to be sent or came back failed. *)
-let forward t (g : unit Collective.group) (batch : unit Collective.batch) =
-  if Session.tree_parent t.b = None then Collective.to_root t.coll g batch
-  else begin
-    let name = g.Collective.name and count = batch.Collective.b_count in
-    let bid = Collective.stamp t.seen in
-    let ctx = child_span t batch.Collective.b_ctx in
-    trace t ~name:"forward" ?ctx
-      ~fields:
-        [ ("name", Json.string name); ("count", Json.int count); ("bid", Json.int bid) ]
-      ();
-    let payload =
-      Json.obj
-        [
-          ("name", Json.string name);
-          ("nprocs", Json.int g.Collective.nprocs);
-          ("count", Json.int count);
-          ("bid", Json.int bid);
-        ]
-    in
-    (* The reply blocks until the whole barrier completes, so the deadline
-       must cover a slow collective; the bid lets the parent suppress the
-       duplicate count if an attempt's response is lost. *)
-    Session.request_from_module t.b ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx
-      ~topic:"barrier.enter" payload ~reply:(fun r ->
-        match r with
-        | Error _ when Session.tree_parent t.b = None -> Collective.to_root t.coll g batch
-        | _ ->
-          let r = match r with Ok _ -> Ok Json.null | Error _ -> r in
-          List.iter (fun req -> Collective.respond t.seen req r) batch.Collective.b_parked;
-          Collective.close t.coll g)
-  end
+let send t (batch : unit Collective.batch) k =
+  let name = batch.Collective.name and count = batch.Collective.count in
+  let bid = Collective.stamp t.seen in
+  let ctx = child_span t batch.Collective.ctx in
+  trace t ~name:"forward" ?ctx
+    ~fields:[ ("name", Json.string name); ("count", Json.int count); ("bid", Json.int bid) ]
+    ();
+  let payload =
+    Json.obj
+      [
+        ("name", Json.string name);
+        ("nprocs", Json.int batch.Collective.nprocs);
+        ("count", Json.int count);
+        ("bid", Json.int bid);
+      ]
+  in
+  (* The reply blocks until the whole barrier completes, so the deadline
+     must cover a slow collective; the bid lets the parent suppress the
+     duplicate count if an attempt's response is lost. *)
+  Session.request_from_module t.b ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx
+    ~topic:"barrier.enter" payload ~reply:(fun r ->
+      k (match r with Ok _ -> Ok Json.null | Error _ -> r))
 
-let complete t (g : unit Collective.group) ~last =
-  let name = g.Collective.name in
+let complete t (batch : unit Collective.batch) ~last =
+  let name = batch.Collective.name in
   let ctx = child_span t last in
   trace t ~name:"exit" ?ctx
-    ~fields:[ ("name", Json.string name); ("nprocs", Json.int g.Collective.nprocs) ]
+    ~fields:[ ("name", Json.string name); ("nprocs", Json.int batch.Collective.nprocs) ]
     ();
-  List.iter (fun r -> Collective.respond t.seen r (Ok Json.null)) g.Collective.parked;
+  List.iter
+    (fun (it : unit Collective.item) -> Collective.respond t.seen it.Collective.req (Ok Json.null))
+    batch.Collective.items;
   Session.publish t.b ?trace_ctx:ctx ~topic:"barrier.exit"
     (Json.obj [ ("name", Json.string name) ])
 
@@ -93,7 +83,7 @@ let module_of t =
               trace t ~name:"enter" ?ctx:req.Message.trace
                 ~fields:[ ("name", Json.string name); ("nprocs", Json.int nprocs) ]
                 ();
-            Collective.contribute t.coll ~name ~nprocs ~count ~from_child ~add:ignore req
+            Collective.contribute t.coll ~name ~nprocs ~count ~from_child req ()
           end
         | m -> Session.respond_error t.b req (Printf.sprintf "barrier: unknown method %S" m));
         Session.Consumed);
@@ -108,12 +98,13 @@ let create b =
         b;
         seen = Collective.dedup b ~field:"bid";
         coll =
-          Collective.create b ~fresh:ignore
-            ~merge:(fun () ~into:() -> ())
+          Collective.create b ~budget:0
+            ~final:(fun _ -> false)
             ~is_root:(fun () -> Session.tree_parent b = None)
             ~children:(fun () -> Session.tree_children b)
-            ~forward:(fun g batch -> forward (Lazy.force t) g batch)
-            ~complete:(fun g ~last -> complete (Lazy.force t) g ~last);
+            ~send:(fun batch k -> send (Lazy.force t) batch k)
+            ~answer:(fun req r -> Collective.respond (Lazy.force t).seen req r)
+            ~complete:(fun batch ~last -> complete (Lazy.force t) batch ~last);
         tracer = None;
       }
   in
