@@ -37,13 +37,19 @@ harnesses:
 
 # The fast wide-seed report (about 3 s): every kill schedule over its
 # fast seed range, one line per run (see bench/seeds/seeds.ml), must
-# equal the tracked bench/seeds.fast, failing seeds included. A change
-# that moves a line regenerates the file with
+# equal the tracked bench/seeds.fast. A change that moves a line
+# regenerates the file with
 #   BENCH_FAST=1 dune exec bench/seeds/seeds.exe > bench/seeds.fast
-# and says why.
+# and says why. Without BENCH_FAST the full report (9,400 runs, about
+# 1.5 min) runs too and fails on any run with a violation (its fifth
+# column), printing those runs.
 seeds:
 	@BENCH_FAST=1 dune exec bench/seeds/seeds.exe | diff -u bench/seeds.fast - \
 		|| { echo "wide-seed report differs from bench/seeds.fast"; exit 1; }
+	@if [ -z "$$BENCH_FAST" ]; then \
+		dune exec bench/seeds/seeds.exe | awk '$$5 != 0 { print; bad = 1 } END { exit bad }' \
+			|| { echo "the full wide-seed report has violations"; exit 1; }; \
+	fi
 
 # Every export of lib/ that no program names must be listed, with the
 # guarantee of program code its test states, in bench/surface.keep;
@@ -62,7 +68,8 @@ trajectory:
 
 # The pre-merge gate: format (when available), build with warnings
 # promoted to errors under lib/ (see lib/dune), run every test suite,
-# every harness sweep, the fast wide-seed report, the unused-export
+# every harness sweep, the wide-seed report (fast, and full without
+# BENCH_FAST), the unused-export
 # scan, the allocation trajectory, and the benchmark's toy-size
 # self-test.
 check: fmt build test harnesses seeds surface trajectory

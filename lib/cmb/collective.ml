@@ -2,212 +2,163 @@ module Json = Flux_json.Json
 module Engine = Flux_sim.Engine
 module Tracer = Flux_trace.Tracer
 
-(* --- Exactly-once replies ----------------------------------------------- *)
-
-type entry = {
-  mutable result : (Json.t, string) result option;
-  mutable waiting : Message.t list; (* retransmits parked behind the original *)
-}
-
-type dedup = {
-  db : Session.broker;
-  field : string;
-  seen : (int * int, entry) Hashtbl.t; (* (origin, id) *)
-  mutable next_id : int;
-}
-
-let dedup b ~field = { db = b; field; seen = Hashtbl.create 16; next_id = 0 }
-
-let stamp d =
-  let id = d.next_id in
-  d.next_id <- id + 1;
-  id
-
-let id_of d (req : Message.t) =
-  match Json.member_opt d.field req.Message.payload with
-  | Some j -> Json.to_int j
-  | None -> -1
-
-let answer b q = function
-  | Ok payload -> Session.respond b q payload
-  | Error e -> Session.respond_error b q e
-
-(* Drop completed entries once the table grows large; entries whose
-   original is still in flight are kept, so retransmits keep folding
-   into it. *)
-let compact d =
-  if Hashtbl.length d.seen > 8192 then begin
-    let stale =
-      Hashtbl.fold
-        (fun key e acc -> if e.result <> None && e.waiting = [] then key :: acc else acc)
-        d.seen []
-    in
-    List.iter (Hashtbl.remove d.seen) stale
-  end
-
-let duplicate d (req : Message.t) =
-  let id = id_of d req in
-  id >= 0
-  &&
-  let key = (req.Message.origin, id) in
-  match Hashtbl.find_opt d.seen key with
-  | Some e ->
-    (match e.result with
-    | Some r -> answer d.db req r
-    | None -> e.waiting <- req :: e.waiting);
-    true
-  | None ->
-    compact d;
-    Hashtbl.replace d.seen key { result = None; waiting = [] };
-    false
-
-let respond d (req : Message.t) result =
-  answer d.db req result;
-  let id = id_of d req in
-  if id >= 0 then
-    match Hashtbl.find_opt d.seen (req.Message.origin, id) with
-    | Some e ->
-      e.result <- Some result;
-      let waiting = e.waiting in
-      e.waiting <- [];
-      List.iter (fun q -> answer d.db q result) waiting
-    | None -> ()
-
-(* --- Collectives ------------------------------------------------------------- *)
-
+type reply = (Json.t, string) result
 type 'c item = { req : Message.t; content : 'c }
 
 type 'c batch = {
   name : string;
   nprocs : int;
+  leaves : Tally.leaf list;
   count : int;
   items : 'c item list;
   ctx : Tracer.ctx option;
 }
 
 type 'c t = {
+  b : Session.broker;
   eng : Engine.t;
-  budget : int;
   final : string -> bool;
   is_root : unit -> bool;
+  parent : unit -> int option;
   children : unit -> int list;
-  send : 'c batch -> ((Json.t, string) result -> unit) -> unit;
-  answer : Message.t -> (Json.t, string) result -> unit;
-  complete : 'c batch -> last:Tracer.ctx option -> unit;
-  opened : (string, 'c item Tally.below ref) Hashtbl.t; (* below the root *)
-  rooted : (string, 'c item Tally.batch) Hashtbl.t; (* at the root *)
+  send : 'c batch -> (reply -> unit) -> unit;
+  answer : Message.t -> reply -> unit;
+  complete : 'c batch -> last:Tracer.ctx option -> settle:(reply -> unit) -> unit;
+  names : (string, ('c item, reply) Tally.state) Hashtbl.t;
+  mutable fresh : int; (* never reset: stamps and tags stay unique *)
+  mutable sent_to : int option; (* the parent of the last forward *)
 }
 
-let create b ~budget ~final ~is_root ~children ~send ~answer ~complete =
+let create b ~final ~is_root ~parent ~children ~send ~answer ~complete =
   {
+    b;
     eng = Session.b_engine b;
-    budget;
     final;
     is_root;
+    parent;
     children;
     send;
     answer;
     complete;
-    opened = Hashtbl.create 8;
-    rooted = Hashtbl.create 8;
+    names = Hashtbl.create 8;
+    fresh = 0;
+    sent_to = None;
   }
 
-(* The first causal context among [items], oldest first. *)
-let batch name nprocs count items =
+let leaves_to_json leaves =
+  Json.list
+    (List.concat_map
+       (fun (l : Tally.leaf) -> [ Json.int l.Tally.origin; Json.int l.Tally.stamp; Json.int l.Tally.n ])
+       leaves)
+
+let leaves_of_json j =
+  let rec go = function
+    | o :: s :: n :: rest ->
+      { Tally.origin = Json.to_int o; stamp = Json.to_int s; n = Json.to_int n } :: go rest
+    | _ -> []
+  in
+  go (Json.to_list j)
+
+(* [ctx] is the first causal context among [items], oldest first. *)
+let batch name nprocs leaves items =
   let ctx =
     List.fold_left
       (fun acc it -> match it.req.Message.trace with Some _ as x -> x | None -> acc)
       None items
   in
-  { name; nprocs; count; items; ctx }
+  { name; nprocs; leaves; count = List.fold_left (fun n l -> n + l.Tally.n) 0 leaves; items; ctx }
 
-let outcome c = function
-  | Ok _ -> Tally.Delivered
-  | Error e -> if c.final e then Tally.Aborted else Tally.Failed
+(* Past 8,192 names, forget the completed ones whose reply is settled. *)
+let compact c =
+  if Hashtbl.length c.names > 8192 then begin
+    let stale =
+      Hashtbl.fold
+        (fun name (s : _ Tally.state) acc ->
+          match s with
+          | { Tally.below = None; root = Some (Completed { reply = Some _; _ }); _ } -> name :: acc
+          | _ -> acc)
+        c.names []
+    in
+    List.iter (Hashtbl.remove c.names) stale
+  end
 
-(* Step [name] and keep the next state. A forward's reply and a check
-   step the open side that sent or armed them, [cell], even once it has
-   left the table. *)
-let advance c name ~nprocs cell input =
-  let cell =
-    match cell with
-    | Some _ -> cell
-    | None -> ( match Hashtbl.find c.opened name with r -> Some r | exception Not_found -> None)
+(* Step [name], keep its next state while it holds anything, and perform
+   the effects in order. *)
+let rec feed c name ~nprocs input =
+  let s =
+    match Hashtbl.find c.names name with
+    | s -> s
+    | exception Not_found ->
+      compact c;
+      { Tally.nprocs; below = None; root = None }
   in
-  let root = match Hashtbl.find c.rooted name with r -> Some r | exception Not_found -> None in
-  let s = { Tally.nprocs; below = Option.map ( ! ) cell; root } in
+  let fresh = c.fresh in
+  c.fresh <- fresh + 1;
   let s', effects =
-    Tally.step ~now:(Engine.now c.eng) ~root:(c.is_root ()) ~children:c.children
-      ~budget:c.budget s input
+    Tally.step ~self:(Session.rank c.b) ~fresh ~now:(Engine.now c.eng) ~root:(c.is_root ())
+      ~children:c.children s input
   in
-  if s'.Tally.root != root then begin
-    match s'.Tally.root with
-    | Some r -> Hashtbl.replace c.rooted name r
-    | None -> Hashtbl.remove c.rooted name
-  end;
-  let cell =
-    match (s'.Tally.below, cell) with
-    | None, _ -> cell
-    | Some g, Some r ->
-      r := g;
-      cell
-    | Some g, None ->
-      let r = ref g in
-      Hashtbl.replace c.opened name r;
-      Some r
-  in
-  (cell, effects)
+  if s'.Tally.below = None && s'.Tally.root = None then Hashtbl.remove c.names name
+  else if s' != s then Hashtbl.replace c.names name s';
+  match effects with [] -> () | _ -> List.iter (perform c name s.Tally.nprocs input) effects
 
-(* Step [name] and perform the effects in order; [result] answers an
-   [Answer]. *)
-let rec feed c name ~nprocs cell result input =
-  match advance c name ~nprocs cell input with
-  | _, [] -> ()
-  | cell, effects -> List.iter (perform c name nprocs cell input result) effects
-
-and perform c name nprocs cell input result = function
-  | Tally.Forward b ->
-    c.send (batch name nprocs b.Tally.count b.Tally.parked) (fun r ->
-        feed c name ~nprocs cell r (Tally.Replied (b, outcome c r)))
+and perform c name nprocs input = function
+  | Tally.Forward (tag, b) ->
+    c.sent_to <- c.parent ();
+    c.send (batch name nprocs b.Tally.leaves b.Tally.parked) (fun r ->
+        let outcome =
+          match r with
+          | Ok _ -> Tally.Delivered
+          | Error e -> if c.final e then Tally.Aborted else Tally.Failed
+        in
+        feed c name ~nprocs (Tally.Replied { tag; outcome; reply = r }))
   | Arm delay ->
-    ignore
-      (Engine.schedule c.eng ~delay (fun () -> feed c name ~nprocs cell result Tally.Check)
-        : Engine.handle)
+    ignore (Engine.schedule c.eng ~delay (fun () -> feed c name ~nprocs Tally.Check) : Engine.handle)
   | Complete items ->
-    let last = match input with Tally.Contribute { item; _ } -> item.req.Message.trace | _ -> None in
-    c.complete (batch name nprocs nprocs items) ~last
-  | Answer items -> List.iter (fun it -> c.answer it.req result) items
-  | Forget -> Hashtbl.remove c.opened name
+    let last =
+      match input with
+      | Tally.Enter { item; _ } | Aggregate { item; _ } -> item.req.Message.trace
+      | _ -> None
+    in
+    c.complete (batch name nprocs [] items) ~last ~settle:(fun r -> feed c name ~nprocs (Tally.Settled r))
+  | Answer (items, r) -> List.iter (fun it -> c.answer it.req r) items
 
-let nothing = Ok Json.null
+let enter c ~name ~nprocs ~count req content =
+  feed c name ~nprocs (Tally.Enter { count; item = { req; content } })
 
-let contribute c ~name ~nprocs ~count ~from_child req content =
-  feed c name ~nprocs None nothing (Tally.Contribute { count; from_child; item = { req; content } })
+let aggregate c ~name ~nprocs ~leaves ~from_child req content =
+  feed c name ~nprocs (Tally.Aggregate { leaves; from_child; item = { req; content } })
 
-(* Step every name in [names] and collect what its [Answer]s release. *)
-let release c input names =
-  List.concat_map
-    (fun name ->
-      List.filter_map
-        (function
-          | Tally.Answer items -> Some (List.map (fun it -> it.req) items)
-          | Forget ->
-            Hashtbl.remove c.opened name;
-            None
-          | _ -> None)
-        (snd (advance c name ~nprocs:0 None input)))
-    names
+(* Feed [input] to the names [pick] selects. *)
+let each c pick input =
+  List.iter
+    (fun (name, nprocs) -> feed c name ~nprocs input)
+    (Hashtbl.fold (fun name s acc -> if pick s then (name, s.Tally.nprocs) :: acc else acc) c.names [])
 
-let withdraw c name = release c Tally.Abort [ name ]
+let reroute c =
+  let parent = c.parent () in
+  if parent <> c.sent_to && not (Session.is_down (Session.session_of c.b) (Session.rank c.b)) then begin
+    c.sent_to <- parent;
+    each c
+      (fun s -> match s.Tally.below with Some { Tally.inflight = _ :: _; _ } -> true | _ -> false)
+      Tally.Rerouted
+  end
 
-let drop_roots c =
-  List.concat (release c Tally.Demote (Hashtbl.fold (fun name _ acc -> name :: acc) c.rooted []))
+let withdraw c name error =
+  match Hashtbl.find_opt c.names name with
+  | Some s -> feed c name ~nprocs:s.Tally.nprocs (Tally.Abort error)
+  | None -> ()
 
-let reset c =
-  Hashtbl.reset c.opened;
-  Hashtbl.reset c.rooted
+let drop_roots c error = each c (fun s -> s.Tally.root <> None) (Tally.Demote error)
+let reset c = Hashtbl.reset c.names
 
-let open_at_root c name = Hashtbl.mem c.rooted name
+let open_at_root c name =
+  match Hashtbl.find_opt c.names name with
+  | Some { Tally.root = Some (Counting _); _ } -> true
+  | _ -> false
 
 let parked_at_root c =
-  Hashtbl.fold (fun _ (r : _ Tally.batch) acc -> acc + List.length r.Tally.parked) c.rooted 0
+  Hashtbl.fold
+    (fun _ s acc ->
+      match s.Tally.root with Some (Counting r) -> acc + List.length r.parked | _ -> acc)
+    c.names 0

@@ -4,40 +4,23 @@
     KVS fence (Sec. IV) are its two callers: the barrier carries no
     content, the fence carries tuples and objects.
 
-    This module owns what the two share: the open collective at each
-    broker, the forwarding policy over one {!window}, the accumulation
-    at the root, and the exactly-once table that answers a retransmitted
-    request from its original. Each caller keeps its content, its
-    forward RPC and payload, its tree, its root and what it does when a
-    forward fails or the root completes. *)
+    Every decision is {!Tally}'s: when to forward, what a failed forward
+    does, when the root completes and what a late or duplicate
+    contribution gets. This module keeps each name's {!Tally.state} at
+    one broker, feeds it the contributions, the armed checks, the
+    forwards' replies, parent changes, aborts and demotions, and
+    performs the effects in order through the caller's transport. The
+    caller keeps its content, its payload and its forward RPC.
+
+    A forward carries the {!Tally.leaf} identities it covers, and the
+    root counts each once, so exactly-once is decided there and nowhere
+    else: a retransmit, a refold or a re-aggregation adds nothing. The
+    root keeps a completed name with its reply until a demotion drops
+    it, and forgets completed names once it holds more than 8,192. *)
 
 module Json = Flux_json.Json
 
-(** {1 Exactly-once replies}
-
-    A request that outlives its RPC deadline is retransmitted under the
-    same stamp, so a receiver must apply it once. The first arrival of
-    [(origin, id)] registers an entry; a retransmit is answered from the
-    recorded result, or parked behind the original until it is
-    answered. Completed entries are dropped once a table passes 8,192. *)
-
-type dedup
-
-val dedup : Session.broker -> field:string -> dedup
-(** One table per broker. A request's id is its integer payload member
-    [field]; a request without one is never deduplicated. *)
-
-val stamp : dedup -> int
-(** A fresh id for a request this broker sends upstream. *)
-
-val duplicate : dedup -> Message.t -> bool
-(** [true] when the request is a retransmit, which has then been
-    answered or parked; [false] registers it for the caller to handle. *)
-
-val respond : dedup -> Message.t -> (Json.t, string) result -> unit
-(** Answer a request, and the retransmits parked behind it. *)
-
-(** {1 Collectives} *)
+type reply = (Json.t, string) result
 
 type 'c item = { req : Message.t; content : 'c }
 (** A parked request and the caller's content it carried. *)
@@ -45,7 +28,8 @@ type 'c item = { req : Message.t; content : 'c }
 type 'c batch = {
   name : string;
   nprocs : int;
-  count : int;
+  leaves : Tally.leaf list;  (** the leaves a forward covers *)
+  count : int;  (** their contributions *)
   items : 'c item list;  (** newest first *)
   ctx : Flux_trace.Tracer.ctx option;  (** the first item's causal context *)
 }
@@ -56,41 +40,50 @@ type 'c t
 
 val create :
   Session.broker ->
-  budget:int ->
   final:(string -> bool) ->
   is_root:(unit -> bool) ->
+  parent:(unit -> int option) ->
   children:(unit -> int list) ->
-  send:('c batch -> ((Json.t, string) result -> unit) -> unit) ->
-  answer:(Message.t -> (Json.t, string) result -> unit) ->
-  complete:('c batch -> last:Flux_trace.Tracer.ctx option -> unit) ->
+  send:('c batch -> (reply -> unit) -> unit) ->
+  answer:(Message.t -> reply -> unit) ->
+  complete:('c batch -> last:Flux_trace.Tracer.ctx option -> settle:(reply -> unit) -> unit) ->
   'c t
-(** [budget] is the number of failed forwards {!Tally} refolds before it
-    answers one; [final] marks an error that is never refolded. [is_root]
-    and [children] are asked at each step. [send] carries a batch
-    upstream and calls back with the reply, which answers the batch's
-    requests through [answer] or goes back to {!Tally}. [complete] runs
-    at the root when a collective's count reaches [nprocs], after it has
-    been removed; [last] is the causal context of the contribution that
-    completed it. *)
+(** [final] marks an error reply that is never retried. [is_root],
+    [parent] and [children] are asked at each step. [send] carries a
+    batch upstream and calls back with its reply; [answer] replies to a
+    parked request. [complete] runs at the root when a name's distinct
+    leaves count [nprocs]; [last] is the causal context of the
+    contribution that completed it, and [settle] records the reply the
+    root then answers late contributions with. *)
 
-val contribute :
-  'c t -> name:string -> nprocs:int -> count:int -> from_child:int option -> Message.t -> 'c -> unit
-(** Count [count] contributions to [name] with their content and park
-    the request until the collective completes. [from_child] is the
-    child an aggregate came from, [None] for a client's own enter. *)
+val leaves_to_json : Tally.leaf list -> Json.t
+val leaves_of_json : Json.t -> Tally.leaf list
 
-val withdraw : 'c t -> string -> Message.t list list
-(** Drop [name] here, below the root and at it, and return the requests
-    each side had parked, one list per side that held it. *)
+val enter : 'c t -> name:string -> nprocs:int -> count:int -> Message.t -> 'c -> unit
+(** [count] enters of this broker's own clients, parked until the
+    collective completes. *)
 
-val drop_roots : 'c t -> Message.t list
-(** Drop every collective accumulating at this root and return their
-    parked requests. *)
+val aggregate :
+  'c t -> name:string -> nprocs:int -> leaves:Tally.leaf list -> from_child:int -> Message.t -> 'c -> unit
+(** A child's forward, covering [leaves]. *)
+
+val reroute : 'c t -> unit
+(** The parent may have changed: if it has, re-forward at once every
+    forward still out, or fold them in if this broker became the root. *)
+
+val withdraw : 'c t -> string -> reply -> unit
+(** Answer the requests [name] has pending and accumulating here with
+    the reply, and drop them. A completed name is left alone. *)
+
+val drop_roots : 'c t -> reply -> unit
+(** Drop every name's root side, accumulating or completed, answering
+    the requests parked there with the reply. *)
 
 val reset : 'c t -> unit
 (** Drop every collective without answering anyone. *)
 
 val open_at_root : 'c t -> string -> bool
+(** [name] is accumulating at this root. *)
 
 val parked_at_root : 'c t -> int
-(** Requests parked on collectives accumulating at this root. *)
+(** Requests parked on names accumulating at this root. *)

@@ -58,6 +58,7 @@ type t = {
   mutable brokers : broker array;
   down : bool array;
   parent_of : int option array; (* effective topology, recomputed by heal *)
+  mutable root : int; (* the overlay root, -1 before the first heal *)
   children_of : int list array;
   mutable next_seq : int; (* event sequence, assigned at the root *)
   mutable tracer : Tracer.t option;
@@ -171,26 +172,32 @@ let is_down t r = t.down.(r)
 
 let add_liveness_watch t f = t.on_liveness <- t.on_liveness @ [ f ]
 
-(* Effective topology: the overlay re-roots at the lowest live rank, and
-   each other live rank's parent is its nearest live ancestor in the
-   static k-ary tree. A live rank whose whole static ancestor chain is
-   dead (the root's death orphans its other subtrees) attaches directly
-   to the overlay root, keeping the session a single connected tree. In
-   heap numbering ancestors are always lower-ranked, so the lowest live
-   rank has no live ancestor and attachment stays acyclic. *)
+(* Effective topology: the overlay root stays put while it lives, so a
+   revived rank does not take it back (the KVS master is elected the
+   same non-preemptive way), and otherwise moves to the lowest live
+   rank. Each other live rank's parent is its nearest live ancestor in
+   the static k-ary tree. A live rank with no live static ancestor (the
+   static root once the overlay root has moved, or an orphan of its
+   death) attaches directly to the overlay root, keeping the session a
+   single connected tree. In heap numbering ancestors are always
+   lower-ranked, so every chain descends to the overlay root, which has
+   no parent: attachment stays acyclic. *)
 let heal t =
   Array.fill t.children_of 0 t.n [];
-  let root = ref (-1) in
-  (try
-     for r = 0 to t.n - 1 do
-       if not t.down.(r) then begin
-         root := r;
-         raise Exit
-       end
-     done
-   with Exit -> ());
+  if t.root < 0 || t.down.(t.root) then begin
+    t.root <- -1;
+    try
+      for r = 0 to t.n - 1 do
+        if not t.down.(r) then begin
+          t.root <- r;
+          raise Exit
+        end
+      done
+    with Exit -> ()
+  end;
+  let root = t.root in
   for r = 0 to t.n - 1 do
-    if t.down.(r) || r = !root then t.parent_of.(r) <- None
+    if t.down.(r) || r = root then t.parent_of.(r) <- None
     else begin
       let rec find_live_ancestor rank =
         match t.static_parent.(rank) with
@@ -200,7 +207,7 @@ let heal t =
       t.parent_of.(r) <-
         (match find_live_ancestor r with
         | Some p -> Some p
-        | None -> Some !root)
+        | None -> Some root)
     end
   done;
   for r = t.n - 1 downto 0 do
@@ -841,6 +848,7 @@ let create eng ?(fanout = 2) ?(rank_topology = Ring) ?flow ~size () =
       brokers = [||];
       down = Array.make size false;
       parent_of = Array.make size None;
+      root = -1;
       children_of = Array.make size [];
       next_seq = 0;
       tracer = None;

@@ -250,15 +250,17 @@ val crash : t -> int -> unit
 val mark_down : t -> int -> unit
 (** [mark_down t r] records [r] as dead and rewires the overlays: orphan
     subtrees reattach to their nearest live ancestor (or, when the whole
-    ancestor chain is dead, directly to the new overlay root — the
-    lowest live rank); brokers whose parent changed resynchronize their
+    ancestor chain is dead, directly to the overlay root). The overlay
+    root stays where it is while it lives; when it dies it moves to the
+    lowest live rank. Brokers whose parent changed resynchronize their
     event streams. Registered liveness watchers fire after the heal.
     Idempotent. *)
 
 val mark_up : t -> int -> unit
 (** [mark_up t r] reverses {!mark_down}: the rank's network endpoints
-    are revived on all three planes, the overlay re-heals (the static
-    topology is restored once every rank is back), the revived broker
+    are revived on all three planes, the overlay re-heals (every static
+    parent is restored once every rank is back, except that the overlay
+    root keeps the root: a revived static root rejoins as its child), the revived broker
     pulls the event backlog it missed (the overlay root pulls from a
     live child over the rank plane), and liveness watchers fire with
     [is_up = true]. Idempotent; a no-op on destroyed sessions. *)

@@ -1,117 +1,217 @@
 let window = 200e-6
+let half = window /. 2.0
+
+type leaf = { origin : int; stamp : int; n : int }
+
+module Ids = Set.Make (struct
+  type t = int * int
+
+  let compare (a, b) (c, d) = if a <> c then Int.compare a c else Int.compare b d
+end)
+
+type 'p batch = { leaves : leaf list; parked : 'p list }
 
 type 'p below = {
+  own : (int * int) option;
+  leaves : leaf list;
   count : int;
-  heard : int list;
   parked : 'p list;
+  heard : int list;
   last_arrival : float;
   armed : bool;
   failures : int;
+  inflight : (int * 'p batch) list;
 }
 
-type 'p batch = { count : int; parked : 'p list }
-type 'p state = { nprocs : int; below : 'p below option; root : 'p batch option }
+type ('p, 'r) root =
+  | Counting of { counted : Ids.t; count : int; parked : 'p list }
+  | Completed of { reply : 'r option; late : 'p list }
+
+type ('p, 'r) state = { nprocs : int; below : 'p below option; root : ('p, 'r) root option }
 type outcome = Delivered | Failed | Aborted
 
-type 'p input =
-  | Contribute of { count : int; from_child : int option; item : 'p }
+type ('p, 'r) input =
+  | Enter of { count : int; item : 'p }
+  | Aggregate of { leaves : leaf list; from_child : int; item : 'p }
   | Check
-  | Replied of 'p batch * outcome
-  | Abort
-  | Demote
+  | Replied of { tag : int; outcome : outcome; reply : 'r }
+  | Rerouted
+  | Settled of 'r
+  | Abort of 'r
+  | Demote of 'r
 
-type 'p effect =
-  | Forward of 'p batch
+type ('p, 'r) effect =
+  | Forward of int * 'p batch
   | Arm of float
   | Complete of 'p list
-  | Answer of 'p list
-  | Forget
+  | Answer of 'p list * 'r
 
 let opened =
-  { count = 0; heard = []; parked = []; last_arrival = 0.0; armed = false; failures = 0 }
+  {
+    own = None;
+    leaves = [];
+    count = 0;
+    parked = [];
+    heard = [];
+    last_arrival = 0.0;
+    armed = false;
+    failures = 0;
+    inflight = [];
+  }
 
-let half = window /. 2.0
 let rearm = [ Arm (window /. 4.0) ]
+
+(* Failed forwards refolded before one is answered with its error: a
+   collective that can no longer complete (a participant is gone and
+   its abort missed this broker) must not retry without end. *)
+let budget = 12
+
 let backoff failures = Float.min 1.0 (0.005 *. (2.0 ** float_of_int failures))
+let weight leaves = List.fold_left (fun n l -> n + l.n) 0 leaves
 
-(* Forget the open side once nothing is counted or parked. *)
-let close s (g : _ below) =
-  ({ s with below = Some g }, if g.count = 0 && g.parked = [] then [ Forget ] else [])
+(* The open side stays while anything is pending or in flight. *)
+let keep s g = { s with below = (if g.parked = [] && g.inflight = [] then None else Some g) }
 
-(* Root side: the collective completes once its count reaches [nprocs]. *)
-let accumulate s (b : _ batch) =
-  let r =
-    match s.root with
-    | Some r -> { count = r.count + b.count; parked = b.parked @ r.parked }
-    | None -> b
+(* The root counts each leaf once, so a duplicate adds nothing, and
+   keeps a completed name to answer a late contribution from its reply. *)
+let accumulate s leaves parked =
+  match s.root with
+  | Some (Completed { reply = Some r; _ }) -> (s, [ Answer (parked, r) ])
+  | Some (Completed { reply = None; late }) ->
+    ({ s with root = Some (Completed { reply = None; late = parked @ late }) }, [])
+  | root ->
+    let counted, count, parked =
+      match root with
+      | Some (Counting c) -> (c.counted, c.count, parked @ c.parked)
+      | _ -> (Ids.empty, 0, parked)
+    in
+    let counted, count =
+      List.fold_left
+        (fun (ids, k) l ->
+          let id = (l.origin, l.stamp) in
+          if Ids.mem id ids then (ids, k) else (Ids.add id ids, k + l.n))
+        (counted, count) leaves
+    in
+    if count >= s.nprocs then
+      ({ s with root = Some (Completed { reply = None; late = [] }) }, [ Complete parked ])
+    else ({ s with root = Some (Counting { counted; count; parked }) }, [])
+
+(* Forward what is pending under tag [fresh], this broker's own enters
+   as one leaf, or fold it in here if this broker is the root. *)
+let send ~self ~fresh ~root s g =
+  let leaves =
+    match g.own with Some (stamp, n) -> { origin = self; stamp; n } :: g.leaves | None -> g.leaves
   in
-  if r.count >= s.nprocs then ({ s with root = None }, [ Complete r.parked ])
-  else ({ s with root = Some r }, [])
+  let b = { leaves; parked = g.parked } in
+  let g = { g with own = None; leaves = []; count = 0; parked = [] } in
+  if root then accumulate (keep s g) leaves b.parked
+  else ({ s with below = Some { g with inflight = (fresh, b) :: g.inflight } }, [ Forward (fresh, b) ])
 
-(* A broker that became the root folds a batch in at its own root. *)
-let fold_in s g b =
-  let s, forget = close s g in
-  let s, complete = accumulate s b in
-  (s, forget @ complete)
-
-let arm s (g : _ below) delay =
+let arm s g delay =
   if g.armed then ({ s with below = Some g }, [])
   else ({ s with below = Some { g with armed = true } }, [ Arm delay ])
+
+let refold g (b : _ batch) =
+  {
+    g with
+    leaves = List.rev_append b.leaves g.leaves;
+    count = g.count + weight b.leaves;
+    parked = b.parked @ g.parked;
+  }
 
 (* Forward as soon as the subtree is known complete; otherwise once
    every child has been heard and the collective has been quiet for half
    a window (so locally staggered enters batch into one message), or
    after two windows of quiet so that silent children cannot wedge it.
    [fired] is a check whose timer just fired: [g.armed] then reads false. *)
-let check ~now ~root ~children ~fired s (g : _ below) =
+let check ~self ~fresh ~now ~root ~children ~fired s g =
   let idle = now -. g.last_arrival in
-  if g.count = 0 then (if fired then ({ s with below = Some { g with armed = false } }, []) else (s, []))
+  if g.parked = [] then ((if fired then keep s { g with armed = false } else s), [])
   else if
     g.count >= s.nprocs
-    || (idle >= half && List.for_all (fun ch -> List.mem ch g.heard) (children ()))
     || idle >= 2.0 *. window
-  then
-    let b = { count = g.count; parked = g.parked } in
-    let g = { g with count = 0; parked = []; armed = g.armed && not fired } in
-    if root then fold_in s g b else ({ s with below = Some g }, [ Forward b ])
+    || (idle >= half && List.for_all (fun ch -> List.mem ch g.heard) (children ()))
+  then send ~self ~fresh ~root s { g with armed = g.armed && not fired }
   else if fired then (s, rearm)
   else arm s g (window /. 4.0)
 
-let step ~now ~root ~children ~budget s = function
-  | Contribute { count; item; _ } when root -> accumulate s { count; parked = [ item ] }
-  | Contribute { count; from_child; item } ->
-    let (g : _ below) = Option.value s.below ~default:opened in
+(* [own] contributions of this broker's clients, or the [leaves] of a
+   child's aggregate. *)
+let contribute ~self ~fresh ~now ~root ~children s ~own ~leaves ~from_child item =
+  if root then
+    accumulate s (if own > 0 then { origin = self; stamp = fresh; n = own } :: leaves else leaves) [ item ]
+  else
+    let g = Option.value s.below ~default:opened in
     let heard =
       match from_child with
       | Some ch when not (List.mem ch g.heard) -> ch :: g.heard
       | _ -> g.heard
     in
     let g =
-      { g with count = g.count + count; heard; parked = item :: g.parked; last_arrival = now }
+      {
+        g with
+        own =
+          (match g.own with
+          | _ when own = 0 -> g.own
+          | Some (stamp, n) -> Some (stamp, n + own)
+          | None -> Some (fresh, own));
+        leaves = List.rev_append leaves g.leaves;
+        count = g.count + own + weight leaves;
+        heard;
+        parked = item :: g.parked;
+        last_arrival = now;
+      }
     in
-    if g.count >= s.nprocs then check ~now ~root ~children ~fired:false { s with below = Some g } g
+    if g.count >= s.nprocs then
+      check ~self ~fresh ~now ~root ~children ~fired:false { s with below = Some g } g
     else arm s g half
+
+let step ~self ~fresh ~now ~root ~children s = function
+  | Enter { count; item } ->
+    contribute ~self ~fresh ~now ~root ~children s ~own:count ~leaves:[] ~from_child:None item
+  | Aggregate { leaves; from_child; item } ->
+    contribute ~self ~fresh ~now ~root ~children s ~own:0 ~leaves ~from_child:(Some from_child) item
   | Check -> (
-    match s.below with Some g -> check ~now ~root ~children ~fired:true s g | None -> (s, []))
-  | Replied (b, outcome) -> (
-    let (g : _ below) = Option.value s.below ~default:opened in
-    match outcome with
-    | Failed when g.failures < budget ->
-      (* Refold the batch as a fresh arrival and check again after a
-         backoff that doubles with each failure. *)
-      let failures = g.failures + 1 in
-      arm s
-        { g with failures; count = g.count + b.count; parked = b.parked @ g.parked; last_arrival = now }
-        (backoff failures)
-    | Failed when root && budget = 0 -> fold_in s g b
-    | Delivered | Failed | Aborted ->
-      let s, forget = close s g in
-      (s, Answer b.parked :: forget))
-  | Abort ->
-    let below, forget =
+    match s.below with
+    | Some g -> check ~self ~fresh ~now ~root ~children ~fired:true s g
+    | None -> (s, []))
+  | Replied { tag; outcome; reply } -> (
+    match s.below with
+    | Some g when List.mem_assoc tag g.inflight -> (
+      let b = List.assoc tag g.inflight in
+      let g = { g with inflight = List.remove_assoc tag g.inflight } in
+      match outcome with
+      | Failed when g.failures < budget ->
+        (* Refold the batch as a fresh arrival and check again after a
+           backoff that doubles with each failure. *)
+        let failures = g.failures + 1 in
+        arm s (refold { g with failures; last_arrival = now } b) (backoff failures)
+      | Delivered | Failed | Aborted -> (keep s g, [ Answer (b.parked, reply) ]))
+    | _ -> (s, []))
+  | Rerouted -> (
+    match s.below with
+    | Some ({ inflight = _ :: _; _ } as g) ->
+      let g = List.fold_left (fun g (_, b) -> refold g b) { g with inflight = [] } g.inflight in
+      send ~self ~fresh ~root s { g with last_arrival = now }
+    | _ -> (s, []))
+  | Settled r -> (
+    match s.root with
+    | Some (Completed { reply = None; late }) ->
+      ( { s with root = Some (Completed { reply = Some r; late = [] }) },
+        if late = [] then [] else [ Answer (late, r) ] )
+    | _ -> (s, []))
+  | Abort r -> (
+    let s, pending =
       match s.below with
-      | Some g -> (Some { g with count = 0; parked = [] }, [ Answer g.parked; Forget ])
-      | None -> (None, [])
+      | Some g when g.parked <> [] ->
+        (keep s { g with own = None; leaves = []; count = 0; parked = [] }, [ Answer (g.parked, r) ])
+      | _ -> (s, [])
     in
-    ({ s with below; root = None }, forget @ match s.root with Some r -> [ Answer r.parked ] | None -> [])
-  | Demote -> ({ s with root = None }, match s.root with Some r -> [ Answer r.parked ] | None -> [])
+    match s.root with
+    | Some (Counting c) -> ({ s with root = None }, pending @ [ Answer (c.parked, r) ])
+    | _ -> (s, pending))
+  | Demote r -> (
+    match s.root with
+    | Some (Counting { parked; _ } | Completed { late = parked; _ }) ->
+      ({ s with root = None }, if parked = [] then [] else [ Answer (parked, r) ])
+    | None -> (s, []))

@@ -47,7 +47,7 @@ let step ~self ~order ~live s input =
     let deposed = named && s.is_master && master <> self in
     let s = { s with epoch; master = (if named then master else s.master); is_master = s.is_master && not deposed } in
     let adopt = if deposed then [ Demote; Adopt ] else [ Adopt ] in
-    if s.phase = Rejoining && s.master >= 0 && live s.master then
+    if s.phase = Rejoining && s.master >= 0 && live s.master && (s.master <> self || s.is_master) then
       ({ s with phase = Thawed }, adopt @ [ Thaw ])
     else (s, adopt)
   | Hello r when r = s.master && r <> self -> elect ~self ~order ~live ~gone:r s

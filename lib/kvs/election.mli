@@ -54,7 +54,8 @@ val step :
     rejoining; a rejoiner treats any death as a possible master death.
     An announcement from an older epoch changes nothing; one naming
     another rank deposes a master; one naming a live rank thaws a
-    rejoiner. A peer round follows a live peer that named itself master,
+    rejoiner, unless it names the rejoiner itself while it is not
+    master (a replayed announcement of its own old epoch). A peer round follows a live peer that named itself master,
     and otherwise moves to a fresh epoch and promotes; a master, or a
     rank marked down before its round ended, ignores the round. *)
 

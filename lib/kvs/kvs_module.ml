@@ -14,7 +14,6 @@ type config = {
   apply_cpu_per_tuple : float;
   setroot_interiors : bool;
   admission_max_intake : int;
-  admission_retry_after : float;
 }
 
 let default_config =
@@ -23,12 +22,12 @@ let default_config =
     apply_cpu_per_tuple = 0.3e-6;
     setroot_interiors = false;
     admission_max_intake = 0;
-    admission_retry_after = 1e-3;
   }
 
 let replicated_config = { default_config with setroot_interiors = true }
 
 let put_cpu = 1e-6
+let admission_retry_after = 1e-3 (* floor of a shed request's retry hint *)
 let hash_cpu_per_byte = 1.5e-9
 let inline_threshold = 256
 
@@ -41,6 +40,10 @@ type fence = {
 
 (* What one fence contribution carries: its tuples and value objects. *)
 type fence_part = Proto.tuple list * Proto.obj list
+
+(* One [(origin, fid)] request: its reply once known, and the
+   retransmits parked behind it meanwhile. *)
+type entry = { mutable result : (Json.t, string) result option; mutable waiting : Message.t list }
 
 type routing = {
   rt_service : string;
@@ -69,7 +72,8 @@ type t = {
   fences : fence_part Collective.t; (* open below the master, accumulating at it *)
   mutable version_waiters : (int * Message.t) list;
   mutable cpu_free_at : float; (* serializes local put hashing *)
-  dedup : Collective.dedup; (* flushes, commits and fences stamped with a [fid] *)
+  seen : (int * int, entry) Hashtbl.t; (* client requests and plain flushes by (origin, fid) *)
+  mutable next_fid : int;
   mutable bytes_held : int;
   mutable n_loads_issued : int;
   mutable apply_backlog : int; (* requests awaiting a scheduled master apply *)
@@ -196,24 +200,71 @@ let send_up t ?timeout ?idempotent ?trace_ctx ~method_ payload ~reply =
        re-contribute and retry. *)
     reply (Error (t.routing.rt_service ^ ": no live master"))
   | None ->
-    (* This broker is the overlay root but not the master: the session
-       re-rooted here (e.g. rank 0 revived) while mastership stayed with
-       the elected successor. Hop straight to the master over the rank
-       plane; a loop-back to self lands in our own handler, which parks
-       it while a takeover is still in flight. *)
+    (* This broker is the overlay root but not the master: the overlay
+       and the election each moved on a death, and this broker's belief
+       names another rank, or its own takeover is still in flight. Hop
+       straight to the master over the rank plane; a loop-back to self
+       lands in our own handler, which parks it while the takeover
+       runs. *)
     Session.rpc_rank t.b ?timeout ?idempotent ?trace_ctx ~dst:master ~topic payload ~reply
 
-(* --- Flush duplicate suppression ---------------------------------------- *)
+(* --- Exactly-once client requests and plain flushes ------------------------ *)
 
-(* A flush may be retransmitted with the same fid while the first copy is
-   in flight (the response was lost, or the fence it joined is slow), so
-   applying it must be keyed on ([origin], [fid]). Client-issued commit
-   and fence requests may carry a fid too (the Volumes fan-out stamps
-   one): their retransmits — a fence reply is deferred until the whole
-   collective completes, easily outliving one RPC deadline — must
-   likewise contribute exactly once. No other request carries a fid. *)
-let fresh_fid t = Collective.stamp t.dedup
-let respond_result t req result = Collective.respond t.dedup req result
+(* A plain flush may be retransmitted with the same fid while the first
+   copy is in flight (the response was lost), so applying it must be
+   keyed on ([origin], [fid]). Client-issued commit and fence requests
+   may carry a fid too (the Volumes fan-out stamps one): their
+   retransmits must likewise apply or contribute once. The first arrival
+   registers an entry; a retransmit is answered from the recorded reply,
+   or parked behind the original until it is answered. Completed entries
+   are dropped once the table passes 8,192. A fence's forwards carry no
+   fid: the root counts their leaves once (see {!Flux_cmb.Tally}). *)
+
+let fresh_fid t =
+  let id = t.next_fid in
+  t.next_fid <- id + 1;
+  id
+
+let fid_of (req : Message.t) =
+  match Json.member_opt "fid" req.Message.payload with Some j -> Json.to_int j | None -> -1
+
+let answer t q = function
+  | Ok payload -> Session.respond t.b q payload
+  | Error e -> Session.respond_error t.b q e
+
+let duplicate t (req : Message.t) =
+  let id = fid_of req in
+  id >= 0
+  &&
+  let key = (req.Message.origin, id) in
+  match Hashtbl.find_opt t.seen key with
+  | Some e ->
+    (match e.result with Some r -> answer t req r | None -> e.waiting <- req :: e.waiting);
+    true
+  | None ->
+    if Hashtbl.length t.seen > 8192 then begin
+      let stale =
+        Hashtbl.fold
+          (fun key e acc -> if e.result <> None && e.waiting = [] then key :: acc else acc)
+          t.seen []
+      in
+      List.iter (Hashtbl.remove t.seen) stale
+    end;
+    Hashtbl.replace t.seen key { result = None; waiting = [] };
+    false
+
+(* Answer a request, and the retransmits parked behind it. *)
+let respond_result t (req : Message.t) result =
+  answer t req result;
+  let id = fid_of req in
+  if id >= 0 then
+    match Hashtbl.find_opt t.seen (req.Message.origin, id) with
+    | Some e ->
+      e.result <- Some result;
+      let waiting = e.waiting in
+      e.waiting <- [];
+      List.iter (fun q -> answer t q result) waiting
+    | None -> ()
 
 (* --- Fault-in with coalescing ------------------------------------------- *)
 
@@ -291,9 +342,7 @@ let demote t =
      way (their senders retransmit too). *)
   t.held <- None;
   t.held_applies <- [];
-  List.iter
-    (fun req -> respond_result t req (Error "kvs: master deposed"))
-    (Collective.drop_roots t.fences);
+  Collective.drop_roots t.fences (Error "kvs: master deposed");
   let entries = Hashtbl.fold (fun h v acc -> (h, v) :: acc) t.store [] in
   Hashtbl.reset t.store;
   t.bytes_held <- 0;
@@ -372,7 +421,8 @@ let rec run t ri input =
     Election.step ~self:(Session.rank t.b) ~order:t.service_ranks ~live:t.live t.el input
   in
   t.el <- el;
-  List.iter (perform t ri) effects
+  List.iter (perform t ri) effects;
+  Collective.reroute t.fences
 
 and perform t ri = function
   | Election.Adopt -> adopt t ri
@@ -439,7 +489,7 @@ let master_store t v =
   cache_put t sha v;
   sha
 
-let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
+let master_apply t ?trace_ctx ?fence ?(settle = ignore) ~tuples ~objects ~respond_to () =
   List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
   let ntuples = List.length tuples in
   metric_incr t "kvs.commits";
@@ -487,7 +537,8 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
            requests stay in the backlog meanwhile. *)
         let fail e =
           t.apply_backlog <- t.apply_backlog - nresp;
-          List.iter (fun req -> respond_result t req (Error e)) respond_to
+          List.iter (fun req -> respond_result t req (Error e)) respond_to;
+          settle (Error e)
         in
         fault_in t ?trace_ctx sha (function
           | Ok () -> if is_master t then finish () else fail "kvs: master deposed"
@@ -511,6 +562,7 @@ let master_apply t ?trace_ctx ?fence ~tuples ~objects ~respond_to () =
       let ri = current_ri t in
       let payload = Proto.commit_reply ri in
       List.iter (fun req -> respond_result t req (Ok payload)) respond_to;
+      settle (Ok payload);
       if ntuples > 0 then begin
         (* The broadcast is its own span under the commit, so the
            descent shows up as a distinct segment of the fence
@@ -588,7 +640,7 @@ let resolve_objects t tuples =
 (* A fence abort is terminal for the collective: the error must not be
    refolded into a retry loop (that would resurrect exactly the stale
    aggregation state the abort exists to clear), so every abort reply
-   embeds this marker and the retry arms test for it. *)
+   embeds this marker and the collective treats it as final. *)
 let abort_marker = "fence aborted: "
 let fence_abort_error name = abort_marker ^ name
 
@@ -626,8 +678,8 @@ let fence_send t (batch : fence_part Collective.batch) k =
     Proto.flush_to_json
       {
         Proto.fence = Some (name, batch.Collective.nprocs);
-        count;
-        fid = fresh_fid t;
+        leaves = batch.Collective.leaves;
+        fid = -1;
         tuples = List.rev fc.tuples;
         objects = fence_objects fc;
       }
@@ -636,30 +688,37 @@ let fence_send t (batch : fence_part Collective.batch) k =
     ~fields:[ ("name", Json.string name); ("count", Json.int count) ]
     ();
   (* The reply blocks until the whole fence completes, so the deadline
-     must cover a slow collective; the fid lets the parent suppress the
-     duplicate contribution if an attempt's response is lost. *)
+     must cover a slow collective; a retransmit carries the same leaves,
+     which the master counts once. *)
   send_up t ~timeout:30.0 ~idempotent:true ?trace_ctx:ctx ~method_:"flush" payload
     ~reply:(fun r ->
       (match r with Ok reply -> apply_root t (Proto.commit_reply_decode reply) | Error _ -> ());
       k r)
 
-(* The master has heard every contribution: apply the batch. *)
-let fence_complete t (batch : fence_part Collective.batch) =
+(* The master has heard every contribution: apply each distinct tuple
+   once, since a retransmitted contribution may carry its tuples twice. *)
+let fence_complete t (batch : fence_part Collective.batch) ~settle =
   let fc = fence_content batch.Collective.items and ctx = batch.Collective.ctx in
+  let seen = Hashtbl.create 64 in
+  let tuples =
+    List.filter
+      (fun (tp : Proto.tuple) ->
+        let k = (tp.Proto.key, (tp.Proto.sha :> string)) in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true))
+      (List.rev fc.tuples)
+  in
   trace t ~name:"commit.begin" ?ctx
-    ~fields:
-      [ ("name", Json.string batch.Collective.name); ("tuples", Json.int (List.length fc.tuples)) ]
+    ~fields:[ ("name", Json.string batch.Collective.name); ("tuples", Json.int (List.length tuples)) ]
     ();
-  master_apply t ?trace_ctx:ctx ~fence:batch.Collective.name ~tuples:(List.rev fc.tuples)
+  master_apply t ?trace_ctx:ctx ~fence:batch.Collective.name ~settle ~tuples
     ~objects:(fence_objects fc)
     ~respond_to:(List.map (fun (it : _ Collective.item) -> it.Collective.req) batch.Collective.items)
     ()
 
-let fence_contribute t ~name ~nprocs ~count ~tuples ~objects ~from_child req =
-  (* Write-through caching: objects passing by a slave stay in its cache. *)
+(* Write-through caching: objects passing by a slave stay in its cache. *)
+let cache_through t objects =
   if not (is_master t) then
-    List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects;
-  Collective.contribute t.fences ~name ~nprocs ~count ~from_child req (tuples, objects)
+    List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) objects
 
 (* --- Request handlers -------------------------------------------------------- *)
 
@@ -758,7 +817,7 @@ let write t (req : Message.t) ~tuples ~objects =
     master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
   else
     let payload =
-      Proto.flush_to_json { Proto.fence = None; count = 0; fid = fresh_fid t; tuples; objects }
+      Proto.flush_to_json { Proto.fence = None; leaves = []; fid = fresh_fid t; tuples; objects }
     in
     send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace) ~method_:"flush"
       payload ~reply:(fun r ->
@@ -769,21 +828,22 @@ let handle_commit t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
   | Ok tuples ->
-    if not (Collective.duplicate t.dedup req) then
+    if not (duplicate t req) then
       write t req ~tuples ~objects:(resolve_objects t tuples)
 
 let handle_fence t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
   | Ok tuples ->
-    if not (Collective.duplicate t.dedup req) then begin
+    if not (duplicate t req) then begin
       let name = Json.to_string_v (Json.member "name" req.Message.payload) in
       let nprocs = Json.to_int (Json.member "nprocs" req.Message.payload) in
       let objects = resolve_objects t tuples in
       trace t ~name:"fence.enter" ?ctx:req.Message.trace
         ~fields:[ ("name", Json.string name) ]
         ();
-      fence_contribute t ~name ~nprocs ~count:1 ~tuples ~objects ~from_child:None req
+      cache_through t objects;
+      Collective.enter t.fences ~name ~nprocs ~count:1 req (tuples, objects)
     end
 
 (* A participant abandoned the fence (its client-side deadline fired):
@@ -801,11 +861,8 @@ let handle_fenceabort t (req : Message.t) =
   let held_here = match t.held with Some (n, _) -> String.equal n name | None -> false in
   if not held_here then begin
     trace t ~name:"fence.abort" ?ctx:req.Message.trace ~fields:[ ("name", Json.string name) ] ();
-    List.iter
-      (fun parked ->
-        metric_incr t "kvs.fence.abort";
-        List.iter (fun r -> respond_result t r (Error (fence_abort_error name))) parked)
-      (Collective.withdraw t.fences name)
+    metric_incr t "kvs.fence.abort";
+    Collective.withdraw t.fences name (Error (fence_abort_error name))
   end;
   if is_master t || held_here then Session.respond t.b req Json.null
   else
@@ -839,18 +896,18 @@ let handle_mput t (req : Message.t) =
 
 let handle_flush t (req : Message.t) =
   let f = Proto.flush_of_json req.Message.payload in
-  if not (Collective.duplicate t.dedup req) then begin
+  match f.Proto.fence with
+  | Some (name, nprocs) ->
     (* [origin] is the rank of the child kvs instance that forwarded. *)
-    let from_child = Some req.Message.origin in
-    match f.Proto.fence with
-    | Some (name, nprocs) ->
-      fence_contribute t ~name ~nprocs ~count:f.Proto.count ~tuples:f.Proto.tuples
-        ~objects:f.Proto.objects ~from_child req
-    | None ->
+    cache_through t f.Proto.objects;
+    Collective.aggregate t.fences ~name ~nprocs ~leaves:f.Proto.leaves ~from_child:req.Message.origin
+      req (f.Proto.tuples, f.Proto.objects)
+  | None ->
+    if not (duplicate t req) then begin
       (* Plain commit: objects write through this cache (or the store). *)
       List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) f.Proto.objects;
       write t req ~tuples:f.Proto.tuples ~objects:f.Proto.objects
-  end
+    end
 
 let handle_getversion t (req : Message.t) =
   Session.respond t.b req (Json.obj [ ("version", Json.int t.version) ])
@@ -995,7 +1052,7 @@ let write_method = function
 let admission_shed t (req : Message.t) =
   t.admission_sheds <- t.admission_sheds + 1;
   let retry_after =
-    Float.max t.cfg.admission_retry_after (t.cpu_free_at -. Engine.now t.eng)
+    Float.max admission_retry_after (t.cpu_free_at -. Engine.now t.eng)
   in
   metric_incr t "kvs.admission.shed";
   trace t ~name:"admission.shed" ?ctx:req.Message.trace
@@ -1103,21 +1160,24 @@ let create_instance cfg ?routing b =
       dirty_objs = Hashtbl.create 64;
       pending_loads = Hashtbl.create 64;
       fences =
-        (* A failed forward is refolded 12 times, an abort never. *)
-        Collective.create b ~budget:12 ~final:is_abort_error
+        Collective.create b ~final:is_abort_error
           ~is_root:(fun () -> is_master (Lazy.force t))
+          ~parent:(fun () ->
+            let t = Lazy.force t in
+            if is_master t then None else t.routing.rt_parent ~master:(master_rank t))
           ~children:(fun () ->
             let t = Lazy.force t in
             t.routing.rt_children ~master:(master_rank t))
           ~send:(fun batch k -> fence_send (Lazy.force t) batch k)
           ~answer:(fun req r -> respond_result (Lazy.force t) req r)
-          ~complete:(fun batch ~last:_ -> fence_complete (Lazy.force t) batch);
+          ~complete:(fun batch ~last:_ ~settle -> fence_complete (Lazy.force t) batch ~settle);
       version_waiters = [];
       cpu_free_at = 0.0;
       fence_hold = None;
       held = None;
       held_applies = [];
-      dedup = Collective.dedup b ~field:"fid";
+      seen = Hashtbl.create 16;
+      next_fid = 0;
       bytes_held = 0;
       n_loads_issued = 0;
       apply_backlog = 0;
@@ -1163,7 +1223,8 @@ let subscribe_events t =
 
 (* Failover and rejoin are driven off the session's liveness transitions;
    each instance steps its own election, so all compute the same
-   lowest-live successor. *)
+   lowest-live successor. An instance whose route to the master changed
+   re-forwards its open fence batches at once. *)
 let install sess instances =
   Session.load_module sess (fun b -> module_of instances.(Session.rank b));
   Array.iter subscribe_events instances;
@@ -1171,7 +1232,8 @@ let install sess instances =
       Array.iter
         (fun t ->
           if not up then run t (current_ri t) (Election.Died r)
-          else if r = Session.rank t.b then run t (current_ri t) Election.Revived)
+          else if r = Session.rank t.b then run t (current_ri t) Election.Revived
+          else Collective.reroute t.fences)
         instances);
   instances
 

@@ -7,7 +7,13 @@
     the collective variant, aggregating contributions hop by hop up the
     tree — identical value objects are deduplicated at each hop while
     the [(key, sha)] tuples are concatenated, which is what produces the
-    paper's Figure 3 behaviour. Gets walk the hash tree from the current
+    paper's Figure 3 behaviour. The fence is a {!Flux_cmb.Collective}:
+    each forward carries the leaves (the contributions one broker first
+    aggregated) it covers, the master counts each leaf once and applies
+    each distinct [(key, sha)] tuple once, so a retransmit re-routed
+    through another hop adds nothing, and a late contribution to a
+    completed fence gets that fence's reply. A broker whose route to the
+    master changes re-sends its open batches at once. Gets walk the hash tree from the current
     root, faulting missing objects in from the CMB-tree parent
     (concurrent misses for one object coalesce into one upstream load),
     which yields the [log2(C) * T(G)] consumer latency of Figure 4.
@@ -40,15 +46,13 @@ type config = {
           requests get a structured [Session.busy_error] whose
           [retry_after] hint is sized to the current apply backlog, so
           well-behaved clients (the Session RPC layer honours the hint)
-          retry once the queue has had time to drain. [0] (the default)
-          disables admission control. *)
-  admission_retry_after : float;
-      (** floor for the [retry_after] hint, seconds *)
+          retry once the queue has had time to drain, and never sooner
+          than 1 ms. [0] (the default) disables admission control. *)
 }
 
 val default_config : config
 (** 100,000 cached objects, 0.3 us per applied tuple, no setroot
-    replication, no admission control, a 1 ms [retry_after] floor.
+    replication, no admission control.
 
     The rest of the cost model is fixed: a put costs 1 us plus 1.5 ns
     per value byte of hashing and serialization; values serialized to
@@ -126,10 +130,13 @@ val set_fence_hold :
     an epoch-stamped [setroot]. Announcements from stale epochs are
     ignored everywhere, so a deposed master cannot split-brain. When a
     rank is marked up again it freezes, forgets whom it believed master,
-    publishes a [hello], and thaws once a setroot names a live master.
-    While it rejoins, any death may be the master's: as the lowest live
+    publishes a [hello], and thaws once a setroot names a live master
+    other than itself (one naming itself thaws it only once it is
+    master). While it rejoins, any death may be the master's: as the lowest live
     rank it takes over. Mastership is non-preemptive: a revived lower
-    rank rejoins as a slave. {!load_routed} families fail over the same
+    rank rejoins as a slave, as the session's overlay root does. A
+    deposed master answers the fences parked at it with an error and
+    forgets their completed records. {!load_routed} families fail over the same
     way, with the election preference in virtual-ring order (see
     {!load_routed}). *)
 

@@ -7,7 +7,7 @@ type obj = { osha : Sha1.digest; value : Json.t }
 
 type flush = {
   fence : (string * int) option;
-  count : int;
+  leaves : Flux_cmb.Tally.leaf list;
   fid : int; (* per-sender flush id for duplicate suppression; -1 = none *)
   tuples : tuple list;
   objects : obj list;
@@ -38,8 +38,8 @@ let flush_to_json f =
        | Some (name, nprocs) ->
          Json.obj [ ("name", Json.string name); ("nprocs", Json.int nprocs) ]
        | None -> Json.null )
-    :: ("count", Json.int f.count)
-    :: (if f.fid >= 0 then [ ("fid", Json.int f.fid) ] else [])
+    :: (if f.fence <> None then [ ("ids", Flux_cmb.Collective.leaves_to_json f.leaves) ] else [])
+    @ (if f.fid >= 0 then [ ("fid", Json.int f.fid) ] else [])
     @ [
         ("tuples", Json.list (List.map tuple_to_json f.tuples));
         ("objects", Json.list (List.map obj_to_json f.objects));
@@ -54,7 +54,10 @@ let flush_of_json j =
         Some
           ( Json.to_string_v (Json.member "name" fj),
             Json.to_int (Json.member "nprocs" fj) ));
-    count = Json.to_int (Json.member "count" j);
+    leaves =
+      (match Json.member_opt "ids" j with
+      | Some ids -> Flux_cmb.Collective.leaves_of_json ids
+      | None -> []);
     fid = (match Json.member_opt "fid" j with Some f -> Json.to_int f | None -> -1);
     tuples = List.map tuple_of_json (Json.to_list (Json.member "tuples" j));
     objects = List.map obj_of_json (Json.to_list (Json.member "objects" j));

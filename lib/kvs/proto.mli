@@ -14,10 +14,13 @@ type obj = { osha : Sha1.digest; value : Json.t }
 
 type flush = {
   fence : (string * int) option;  (** fence name and nprocs, [None] = plain commit *)
-  count : int;  (** fence contributions aggregated into this message *)
-  fid : int;  (** per-sender flush id: receivers suppress duplicates of
-                  ([origin], [fid]) so retransmitted flushes are applied
-                  exactly once; [-1] disables dedup *)
+  leaves : Flux_cmb.Tally.leaf list;
+      (** the fence contributions this message covers, which the master
+          counts once each *)
+  fid : int;
+      (** a plain flush's per-sender id: receivers suppress duplicates of
+          ([origin], [fid]) so a retransmitted flush is applied exactly
+          once; [-1] for none *)
   tuples : tuple list;
   objects : obj list;
 }

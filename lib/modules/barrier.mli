@@ -7,7 +7,12 @@
     has seen [nprocs] enters, completion responses cascade back down,
     releasing every participant. The root is whichever broker has no
     tree parent, so barriers keep working after rank 0 is marked down.
-    Barrier names must be fresh per use. *)
+    Each forward carries the leaves it covers and the root counts each
+    once, so a retransmit re-routed by a heal adds nothing; a broker
+    whose parent changes re-sends its open aggregates at once instead
+    of waiting out the forward's 30 s deadline. Barrier names must be
+    fresh per use: a late enter to a completed name is released at
+    once. *)
 
 type t
 

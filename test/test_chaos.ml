@@ -231,6 +231,12 @@ let () =
             (test_chaos_schedule 318);
           Alcotest.test_case "seed 2372: a takeover marked down does not promote" `Quick
             (test_chaos_schedule 2372);
+          (* At seed 10 rank 0 dies, rank 1 takes over both the overlay
+             root and mastership, and rank 0 revives. The overlay root
+             must stay with rank 1: taking it back left rank 0 the root
+             of a tree whose master it was not, stuck at an old version. *)
+          Alcotest.test_case "seed 10: a revived rank 0 does not take the root back" `Quick
+            (test_chaos_schedule 10);
         ] );
       ("determinism", [ Alcotest.test_case "same seed, same report" `Quick test_chaos_deterministic ]);
       ("validate", [ Alcotest.test_case "rejects no clients" `Quick test_rejects_no_clients ]);

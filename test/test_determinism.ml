@@ -52,7 +52,7 @@ let test_kap_run_twice () =
 let test_kap_goldens () =
   let r = Kap.run fig2_cfg in
   check Alcotest.int "engine events" 1980 r.Kap.r_events;
-  check Alcotest.string "final simulated clock" "0x1.475a07c480b47p-10"
+  check Alcotest.string "final simulated clock" "0x1.475b8abe801b5p-10"
     (Printf.sprintf "%h" r.Kap.r_wallclock);
   check Alcotest.int "rpc messages" 56 r.Kap.r_rpc_messages;
   check Alcotest.int "loads" 14 r.Kap.r_loads_issued;
@@ -61,11 +61,11 @@ let test_kap_goldens () =
   let md5 s = Digest.to_hex (Digest.string s) in
   (match (r.Kap.r_trace, r.Kap.r_metrics) with
   | Some tr, Some m ->
-    check Alcotest.string "trace jsonl" "4354497d6e22551f4a47a638bce1bcaf"
+    check Alcotest.string "trace jsonl" "8474f19c3311f43d59630c6839a35ff1"
       (md5 (Export.to_jsonl tr));
     check Alcotest.string "trace counters" "aa44eb2ef8d964f7881dc6523beff076"
       (md5 (Export.counters_csv tr));
-    check Alcotest.string "metrics csv" "ee248bc6193bdcefea30e164096877f0"
+    check Alcotest.string "metrics csv" "f92478747b213927229168e521717efc"
       (md5 (Flux_trace.Metrics.to_csv m))
   | _ -> Alcotest.fail "expected a tracer and metrics on a trace=true run")
 

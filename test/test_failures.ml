@@ -293,9 +293,13 @@ let test_heal_then_rejoin_roundtrip () =
   Session.mark_up sess 6;
   Session.mark_up sess 0;
   Engine.run eng;
-  (* Pristine static topology restored. *)
-  check int "rank 0 is root again" 0 (overlay_root sess);
-  for r = 1 to 14 do
+  (* The root is non-preemptive: rank 1 stays root while it lives, the
+     revived rank 0 rejoins as its child, and every other static parent
+     is restored. *)
+  check int "rank 1 stays root" 1 (overlay_root sess);
+  check (Alcotest.option int) "rank 0 rejoins under the root" (Some 1)
+    (Session.tree_parent (Session.broker sess 0));
+  for r = 2 to 14 do
     check (Alcotest.option int)
       (Printf.sprintf "rank %d static parent restored" r)
       (Some ((r - 1) / 2))

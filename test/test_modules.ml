@@ -120,10 +120,11 @@ let test_barrier_rank0_down () =
 
 (* A barrier still open when rank 0 dies: ranks 1-5 enter at t = 0,
    rank 0 dies at 0.5 s holding the aggregates of ranks 1-5, and rank 6
-   enters at 1 s. Rank 1, now the root, folds its own aggregate back in
-   when its forward to rank 0 fails, and rank 2 retransmits to it, so
-   every participant is released once those forwards give up on rank 0
-   (their 30 s deadline), none of them with an error. *)
+   enters at 1 s. The heal makes rank 1 the root, which folds its own
+   aggregate in at once, and moves rank 2 under it, which re-forwards at
+   once: every participant is released shortly after the last entry,
+   none of them with an error, instead of once the forwards to rank 0
+   give up at their 30 s deadline. *)
 let test_barrier_root_death_mid_barrier () =
   let eng = Engine.create () in
   let sess = Session.create eng ~size:7 () in
@@ -149,8 +150,8 @@ let test_barrier_root_death_mid_barrier () =
     (fun (r, res, at) ->
       match res with
       | Ok () ->
-        check bool (Printf.sprintf "rank %d released within a deadline" r) true
-          (at >= 30.0 && at < 31.0)
+        check bool (Printf.sprintf "rank %d released just after the last entry" r) true
+          (at >= 1.0 && at < 1.01)
       | Error e -> Alcotest.failf "rank %d: %s at t=%.3f" r e at)
     !outcomes
 

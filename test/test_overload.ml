@@ -72,7 +72,6 @@ let test_admission_sheds_and_recovers () =
           Kvs.default_config with
           Kvs.apply_cpu_per_tuple = 1e-3;
           admission_max_intake = 2;
-          admission_retry_after = 1e-3;
         }
       ()
   in

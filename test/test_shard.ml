@@ -98,6 +98,19 @@ let () =
               `Quick (test_chaos_schedule seed))
           chaos_seeds
         @ [
+            (* At seed 99 interior rank 1 revives under a forward that
+               rank 4 had re-sent to the root around it, and rank 4's
+               retransmit reaches rank 1, which aggregates it afresh: the
+               root must count that contribution once. At seed 1853 the
+               root completed fence r1 and its replies died with rank 1;
+               the participants' retransmits reach the revived rank 1,
+               and the root must answer them from the completed record
+               instead of opening the fence a second time. Both failed
+               an atomicity check before the root counted leaves. *)
+            Alcotest.test_case "seed 99: a re-aggregated retransmit counted once" `Quick
+              (test_chaos_schedule 99);
+            Alcotest.test_case "seed 1853: a late retransmit answered, not reopened" `Quick
+              (test_chaos_schedule 1853);
             Alcotest.test_case "same seed, same run" `Quick test_chaos_deterministic;
             Alcotest.test_case "takeovers happen" `Quick test_chaos_master_killed;
           ] );
