@@ -9,7 +9,6 @@ type 'c batch = {
   name : string;
   nprocs : int;
   leaves : Tally.leaf list;
-  count : int;
   items : 'c item list;
   ctx : Tracer.ctx option;
 }
@@ -66,7 +65,7 @@ let batch name nprocs leaves items =
       (fun acc it -> match it.req.Message.trace with Some _ as x -> x | None -> acc)
       None items
   in
-  { name; nprocs; leaves; count = List.fold_left (fun n l -> n + l.Tally.n) 0 leaves; items; ctx }
+  { name; nprocs; leaves; items; ctx }
 
 (* Past 8,192 names, forget the completed ones whose reply is settled. *)
 let compact c =
@@ -74,8 +73,8 @@ let compact c =
     let stale =
       Hashtbl.fold
         (fun name (s : _ Tally.state) acc ->
-          match s with
-          | { Tally.below = None; root = Some (Completed { reply = Some _; _ }); _ } -> name :: acc
+          match s.Tally.root with
+          | Some (Completed { reply = Some _; _ }) when not (Tally.open_below s) -> name :: acc
           | _ -> acc)
         c.names []
     in
@@ -90,7 +89,7 @@ let rec feed c name ~nprocs input =
     | s -> s
     | exception Not_found ->
       compact c;
-      { Tally.nprocs; below = None; root = None }
+      Tally.init nprocs
   in
   let fresh = c.fresh in
   c.fresh <- fresh + 1;
@@ -98,11 +97,17 @@ let rec feed c name ~nprocs input =
     Tally.step ~self:(Session.rank c.b) ~fresh ~now:(Engine.now c.eng) ~root:(c.is_root ())
       ~children:c.children s input
   in
-  if s'.Tally.below = None && s'.Tally.root = None then Hashtbl.remove c.names name
+  if s'.Tally.root = None && not (Tally.open_below s') then Hashtbl.remove c.names name
   else if s' != s then Hashtbl.replace c.names name s';
-  match effects with [] -> () | _ -> List.iter (perform c name s.Tally.nprocs input) effects
+  perform c name s.Tally.nprocs input effects
 
 and perform c name nprocs input = function
+  | [] -> ()
+  | effect :: rest ->
+    perform_one c name nprocs input effect;
+    perform c name nprocs input rest
+
+and perform_one c name nprocs input = function
   | Tally.Forward (tag, b) ->
     c.sent_to <- c.parent ();
     c.send (batch name nprocs b.Tally.leaves b.Tally.parked) (fun r ->
@@ -140,7 +145,7 @@ let reroute c =
   if parent <> c.sent_to && not (Session.is_down (Session.session_of c.b) (Session.rank c.b)) then begin
     c.sent_to <- parent;
     each c
-      (fun s -> match s.Tally.below with Some { Tally.inflight = _ :: _; _ } -> true | _ -> false)
+      (fun s -> s.Tally.inflight <> [])
       Tally.Rerouted
   end
 

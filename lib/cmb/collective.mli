@@ -29,7 +29,6 @@ type 'c batch = {
   name : string;
   nprocs : int;
   leaves : Tally.leaf list;  (** the leaves a forward covers *)
-  count : int;  (** their contributions *)
   items : 'c item list;  (** newest first *)
   ctx : Flux_trace.Tracer.ctx option;  (** the first item's causal context *)
 }

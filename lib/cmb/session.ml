@@ -433,6 +433,12 @@ and forward_up b msg =
         deliver_response b
           (Message.error_response ~of_:msg (busy_error ~retry_after:flow_timeout))
       end)
+  | None when b.b_rank <> 0 && (not b.b_session.down.(0)) && not (List.mem 0 msg.Message.route) ->
+    (* The overlay root moved off rank 0, which lives again as its
+       child: the services mastered at rank 0 (wexec, resvc, log, mon,
+       telem) are still there, so a request no module here consumed goes
+       on to it. A route through rank 0 means rank 0 passed it too. *)
+    send_parent b 0 msg
   | None ->
     (* At the root with no matching module: fail the RPC. *)
     deliver_response b

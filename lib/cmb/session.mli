@@ -260,10 +260,13 @@ val mark_up : t -> int -> unit
 (** [mark_up t r] reverses {!mark_down}: the rank's network endpoints
     are revived on all three planes, the overlay re-heals (every static
     parent is restored once every rank is back, except that the overlay
-    root keeps the root: a revived static root rejoins as its child), the revived broker
-    pulls the event backlog it missed (the overlay root pulls from a
-    live child over the rank plane), and liveness watchers fire with
-    [is_up = true]. Idempotent; a no-op on destroyed sessions. *)
+    root keeps the root: a revived static root rejoins as its child), the
+    revived broker pulls the event backlog it missed (the overlay root
+    pulls from a live child over the rank plane), and liveness watchers
+    fire with [is_up = true]. While rank 0 lives under another overlay
+    root, a request that reaches that root unconsumed goes on to rank 0,
+    where the wexec, resvc, log, mon and telem masters stay. Idempotent;
+    a no-op on destroyed sessions. *)
 
 val is_down : t -> int -> bool
 

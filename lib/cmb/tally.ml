@@ -11,23 +11,23 @@ end)
 
 type 'p batch = { leaves : leaf list; parked : 'p list }
 
-type 'p below = {
-  own : (int * int) option;
+type ('p, 'r) root =
+  | Counting of { counted : Ids.t; count : int; parked : 'p list }
+  | Completed of { reply : 'r option; late : 'p list }
+
+type ('p, 'r) state = {
+  nprocs : int;
+  own : int;
   leaves : leaf list;
-  count : int;
   parked : 'p list;
   heard : int list;
   last_arrival : float;
   armed : bool;
   failures : int;
   inflight : (int * 'p batch) list;
+  root : ('p, 'r) root option;
 }
 
-type ('p, 'r) root =
-  | Counting of { counted : Ids.t; count : int; parked : 'p list }
-  | Completed of { reply : 'r option; late : 'p list }
-
-type ('p, 'r) state = { nprocs : int; below : 'p below option; root : ('p, 'r) root option }
 type outcome = Delivered | Failed | Aborted
 
 type ('p, 'r) input =
@@ -46,19 +46,22 @@ type ('p, 'r) effect =
   | Complete of 'p list
   | Answer of 'p list * 'r
 
-let opened =
+let init nprocs =
   {
-    own = None;
+    nprocs;
+    own = 0;
     leaves = [];
-    count = 0;
     parked = [];
     heard = [];
     last_arrival = 0.0;
     armed = false;
     failures = 0;
     inflight = [];
+    root = None;
   }
 
+let open_below s = s.parked <> [] || s.inflight <> []
+let arm_half = [ Arm half ]
 let rearm = [ Arm (window /. 4.0) ]
 
 (* Failed forwards refolded before one is answered with its error: a
@@ -69,8 +72,11 @@ let budget = 12
 let backoff failures = Float.min 1.0 (0.005 *. (2.0 ** float_of_int failures))
 let weight leaves = List.fold_left (fun n l -> n + l.n) 0 leaves
 
-(* The open side stays while anything is pending or in flight. *)
-let keep s g = { s with below = (if g.parked = [] && g.inflight = [] then None else Some g) }
+(* Once nothing is pending or in flight the name closes below the root:
+   its children heard, last arrival and failures start over. *)
+let keep s =
+  if open_below s then s
+  else { s with heard = []; last_arrival = 0.0; armed = false; failures = 0 }
 
 (* The root counts each leaf once, so a duplicate adds nothing, and
    keeps a completed name to answer a late contribution from its reply. *)
@@ -97,103 +103,87 @@ let accumulate s leaves parked =
     else ({ s with root = Some (Counting { counted; count; parked }) }, [])
 
 (* Forward what is pending under tag [fresh], this broker's own enters
-   as one leaf, or fold it in here if this broker is the root. *)
-let send ~self ~fresh ~root s g =
+   as one leaf stamped [fresh], or fold it in here if this broker is the
+   root. *)
+let send ~self ~fresh ~root s =
   let leaves =
-    match g.own with Some (stamp, n) -> { origin = self; stamp; n } :: g.leaves | None -> g.leaves
+    if s.own > 0 then { origin = self; stamp = fresh; n = s.own } :: s.leaves else s.leaves
   in
-  let b = { leaves; parked = g.parked } in
-  let g = { g with own = None; leaves = []; count = 0; parked = [] } in
-  if root then accumulate (keep s g) leaves b.parked
-  else ({ s with below = Some { g with inflight = (fresh, b) :: g.inflight } }, [ Forward (fresh, b) ])
+  let b = { leaves; parked = s.parked } in
+  if root then accumulate (keep { s with own = 0; leaves = []; parked = [] }) leaves b.parked
+  else
+    ( { s with own = 0; leaves = []; parked = []; inflight = (fresh, b) :: s.inflight },
+      [ Forward (fresh, b) ] )
 
-let arm s g delay =
-  if g.armed then ({ s with below = Some g }, [])
-  else ({ s with below = Some { g with armed = true } }, [ Arm delay ])
+let refold s (b : _ batch) =
+  { s with leaves = List.rev_append b.leaves s.leaves; parked = b.parked @ s.parked }
 
-let refold g (b : _ batch) =
-  {
-    g with
-    leaves = List.rev_append b.leaves g.leaves;
-    count = g.count + weight b.leaves;
-    parked = b.parked @ g.parked;
-  }
-
-(* Forward as soon as the subtree is known complete; otherwise once
-   every child has been heard and the collective has been quiet for half
-   a window (so locally staggered enters batch into one message), or
-   after two windows of quiet so that silent children cannot wedge it.
-   [fired] is a check whose timer just fired: [g.armed] then reads false. *)
-let check ~self ~fresh ~now ~root ~children ~fired s g =
-  let idle = now -. g.last_arrival in
-  if g.parked = [] then ((if fired then keep s { g with armed = false } else s), [])
+(* The armed check fires. Forward once every child has been heard and
+   the collective has been quiet for half a window (so locally staggered
+   enters batch into one message), or after two windows of quiet so that
+   silent children cannot wedge it; otherwise check again. *)
+let check ~self ~fresh ~now ~root ~children s =
+  let idle = now -. s.last_arrival in
+  if s.parked = [] then (keep { s with armed = false }, [])
   else if
-    g.count >= s.nprocs
+    s.own + weight s.leaves >= s.nprocs
     || idle >= 2.0 *. window
-    || (idle >= half && List.for_all (fun ch -> List.mem ch g.heard) (children ()))
-  then send ~self ~fresh ~root s { g with armed = g.armed && not fired }
-  else if fired then (s, rearm)
-  else arm s g (window /. 4.0)
+    || (idle >= half && List.for_all (fun ch -> List.mem ch s.heard) (children ()))
+  then send ~self ~fresh ~root { s with armed = false }
+  else (s, rearm)
 
 (* [own] contributions of this broker's clients, or the [leaves] of a
-   child's aggregate. *)
-let contribute ~self ~fresh ~now ~root ~children s ~own ~leaves ~from_child item =
+   child's aggregate. Forward as soon as the subtree is known complete;
+   short of [nprocs], arm a check at half a window. *)
+let contribute ~self ~fresh ~now ~root s ~own ~leaves ~from_child item =
   if root then
-    accumulate s (if own > 0 then { origin = self; stamp = fresh; n = own } :: leaves else leaves) [ item ]
+    let leaves = if own > 0 then { origin = self; stamp = fresh; n = own } :: leaves else leaves in
+    accumulate s leaves [ item ]
   else
-    let g = Option.value s.below ~default:opened in
-    let heard =
-      match from_child with
-      | Some ch when not (List.mem ch g.heard) -> ch :: g.heard
-      | _ -> g.heard
-    in
-    let g =
+    let leaves = List.rev_append leaves s.leaves in
+    let short = s.own + own + weight leaves < s.nprocs in
+    let s' =
       {
-        g with
-        own =
-          (match g.own with
-          | _ when own = 0 -> g.own
-          | Some (stamp, n) -> Some (stamp, n + own)
-          | None -> Some (fresh, own));
-        leaves = List.rev_append leaves g.leaves;
-        count = g.count + own + weight leaves;
-        heard;
-        parked = item :: g.parked;
+        s with
+        own = s.own + own;
+        leaves;
+        heard =
+          (match from_child with
+          | Some ch when not (List.mem ch s.heard) -> ch :: s.heard
+          | _ -> s.heard);
+        parked = item :: s.parked;
         last_arrival = now;
+        armed = s.armed || short;
       }
     in
-    if g.count >= s.nprocs then
-      check ~self ~fresh ~now ~root ~children ~fired:false { s with below = Some g } g
-    else arm s g half
+    if not short then send ~self ~fresh ~root s'
+    else (s', if s.armed then [] else arm_half)
 
 let step ~self ~fresh ~now ~root ~children s = function
   | Enter { count; item } ->
-    contribute ~self ~fresh ~now ~root ~children s ~own:count ~leaves:[] ~from_child:None item
+    contribute ~self ~fresh ~now ~root s ~own:count ~leaves:[] ~from_child:None item
   | Aggregate { leaves; from_child; item } ->
-    contribute ~self ~fresh ~now ~root ~children s ~own:0 ~leaves ~from_child:(Some from_child) item
-  | Check -> (
-    match s.below with
-    | Some g -> check ~self ~fresh ~now ~root ~children ~fired:true s g
-    | None -> (s, []))
+    contribute ~self ~fresh ~now ~root s ~own:0 ~leaves ~from_child:(Some from_child) item
+  | Check -> check ~self ~fresh ~now ~root ~children s
   | Replied { tag; outcome; reply } -> (
-    match s.below with
-    | Some g when List.mem_assoc tag g.inflight -> (
-      let b = List.assoc tag g.inflight in
-      let g = { g with inflight = List.remove_assoc tag g.inflight } in
+    match List.assoc_opt tag s.inflight with
+    | Some b -> (
+      let s = { s with inflight = List.remove_assoc tag s.inflight } in
       match outcome with
-      | Failed when g.failures < budget ->
+      | Failed when s.failures < budget ->
         (* Refold the batch as a fresh arrival and check again after a
            backoff that doubles with each failure. *)
-        let failures = g.failures + 1 in
-        arm s (refold { g with failures; last_arrival = now } b) (backoff failures)
-      | Delivered | Failed | Aborted -> (keep s g, [ Answer (b.parked, reply) ]))
-    | _ -> (s, []))
+        let failures = s.failures + 1 in
+        let s = refold { s with failures; last_arrival = now } b in
+        if s.armed then (s, []) else ({ s with armed = true }, [ Arm (backoff failures) ])
+      | Delivered | Failed | Aborted -> (keep s, [ Answer (b.parked, reply) ]))
+    | None -> (s, []))
   | Rerouted -> (
-    match s.below with
-    | Some ({ inflight = _ :: _; _ } as g) ->
-      let g = List.fold_left (fun g (_, b) -> refold g b) { g with inflight = [] } g.inflight in
-      send ~self ~fresh ~root s { g with last_arrival = now }
-    | _ -> (s, []))
+    match s.inflight with
+    | [] -> (s, [])
+    | inflight ->
+      let s = { s with inflight = []; last_arrival = now } in
+      send ~self ~fresh ~root (List.fold_left (fun s (_, b) -> refold s b) s inflight))
   | Settled r -> (
     match s.root with
     | Some (Completed { reply = None; late }) ->
@@ -202,10 +192,8 @@ let step ~self ~fresh ~now ~root ~children s = function
     | _ -> (s, []))
   | Abort r -> (
     let s, pending =
-      match s.below with
-      | Some g when g.parked <> [] ->
-        (keep s { g with own = None; leaves = []; count = 0; parked = [] }, [ Answer (g.parked, r) ])
-      | _ -> (s, [])
+      if s.parked = [] then (s, [])
+      else (keep { s with own = 0; leaves = []; parked = [] }, [ Answer (s.parked, r) ])
     in
     match s.root with
     | Some (Counting c) -> ({ s with root = None }, pending @ [ Answer (c.parked, r) ])

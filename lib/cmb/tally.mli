@@ -5,12 +5,12 @@
     or tracing. ['p] is a parked request and ['r] a reply, which this
     module only moves.
 
-    {b State.} Below the root a name is open while anything is pending
-    or in flight: the leaves and parked requests since the last forward,
-    the children heard, the last arrival, whether a check is armed, the
-    failed forwards and the forwards out. At the root it is counting
-    (the leaf identities counted and their sum) or completed (with its
-    reply once known).
+    {b State}, per name: below the root, the own enters, leaves and
+    parked requests since the last forward, the children heard, the
+    last arrival, whether a check is armed, the failed forwards and the
+    forwards out; the name is open there while anything is pending or
+    out. At the root it is counting (the leaf identities counted and
+    their sum) or completed (with its reply once known).
 
     {b Inputs}: a contribution (this broker's clients' enters, or a
     child's forward), a check firing, a forward's reply, a parent change
@@ -19,8 +19,9 @@
     answer parked requests.
 
     {b Exactly-once is decided once, at the root.} The contributions a
-    broker first aggregates from its own clients form a {!leaf}: the
-    broker's rank, a stamp unique at that broker, and their count. A
+    broker aggregates from its own clients form a {!leaf} when it first
+    forwards or counts them: the broker's rank, a stamp unique at that
+    broker, and their count. A
     forward carries every leaf it covers, and a refold or a
     re-aggregation further up carries them unchanged, so a retransmit
     re-routed to another broker keeps its identity. The root counts
@@ -35,7 +36,11 @@
     retransmits along its current route). After every step the root has
     counted no participant twice and a name completes at most once; once
     drained, the name has completed and every parked request has been
-    answered exactly once. *)
+    answered exactly once. The enumeration never kills the root and
+    feeds no [Abort] or [Demote]: a deposed root dropping its side,
+    forwards folded in when a broker becomes the root, and an abort
+    racing a forward in flight are checked only by the KVS harnesses'
+    fault schedules (chaos, shard, ckpt). *)
 
 val window : float
 (** Aggregation window, 200 us. A collective forwards when its count
@@ -55,19 +60,6 @@ type 'p batch = { leaves : leaf list; parked : 'p list }
 (** What one forward carries: its leaves and its requests, newest
     first. *)
 
-type 'p below = {
-  own : (int * int) option;  (** stamp and count of the own enters pending *)
-  leaves : leaf list;  (** children's leaves pending *)
-  count : int;  (** contributions pending *)
-  parked : 'p list;  (** requests pending, newest first *)
-  heard : int list;  (** children heard from *)
-  last_arrival : float;
-  armed : bool;  (** a check is scheduled *)
-  failures : int;  (** forwards that came back failed *)
-  inflight : (int * 'p batch) list;  (** forwards out, by tag *)
-}
-(** The name open below the root, while anything is pending or out. *)
-
 type ('p, 'r) root =
   | Counting of { counted : Ids.t; count : int; parked : 'p list }
       (** accumulating: the leaves counted and the sum of their counts *)
@@ -76,9 +68,25 @@ type ('p, 'r) root =
 
 type ('p, 'r) state = {
   nprocs : int;
-  below : 'p below option;
+  own : int;  (** this broker's clients' enters pending, one leaf once sent *)
+  leaves : leaf list;  (** children's and refolded leaves pending *)
+  parked : 'p list;  (** requests pending, newest first *)
+  heard : int list;  (** children heard from *)
+  last_arrival : float;
+  armed : bool;  (** a check is scheduled *)
+  failures : int;  (** forwards that came back failed *)
+  inflight : (int * 'p batch) list;  (** forwards out, by tag *)
   root : ('p, 'r) root option;  (** at this broker's root *)
 }
+
+val init : int -> ('p, 'r) state
+(** A name of [nprocs] contributions that holds nothing yet. *)
+
+val open_below : ('p, 'r) state -> bool
+(** Something is pending or out below the root. *)
+
+val weight : leaf list -> int
+(** The contributions the leaves cover. *)
 
 type outcome =
   | Delivered  (** the forward's reply came back *)

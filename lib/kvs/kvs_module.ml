@@ -671,7 +671,7 @@ let fence_content items =
   fc
 
 let fence_send t (batch : fence_part Collective.batch) k =
-  let name = batch.Collective.name and count = batch.Collective.count in
+  let name = batch.Collective.name and count = Flux_cmb.Tally.weight batch.Collective.leaves in
   let ctx = child_span t batch.Collective.ctx in
   let fc = fence_content batch.Collective.items in
   let payload =
@@ -696,16 +696,18 @@ let fence_send t (batch : fence_part Collective.batch) k =
       k r)
 
 (* The master has heard every contribution: apply each distinct tuple
-   once, since a retransmitted contribution may carry its tuples twice. *)
+   once, since a retransmitted contribution may carry its tuples twice.
+   The last copy is kept, so the later tuple for a key still wins. *)
 let fence_complete t (batch : fence_part Collective.batch) ~settle =
   let fc = fence_content batch.Collective.items and ctx = batch.Collective.ctx in
   let seen = Hashtbl.create 64 in
   let tuples =
-    List.filter
-      (fun (tp : Proto.tuple) ->
-        let k = (tp.Proto.key, (tp.Proto.sha :> string)) in
-        (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true))
-      (List.rev fc.tuples)
+    List.rev
+      (List.filter
+         (fun (tp : Proto.tuple) ->
+           let k = (tp.Proto.key, (tp.Proto.sha :> string)) in
+           (not (Hashtbl.mem seen k)) && (Hashtbl.replace seen k (); true))
+         fc.tuples)
   in
   trace t ~name:"commit.begin" ?ctx
     ~fields:[ ("name", Json.string batch.Collective.name); ("tuples", Json.int (List.length tuples)) ]

@@ -10,11 +10,12 @@
     paper's Figure 3 behaviour. The fence is a {!Flux_cmb.Collective}:
     each forward carries the leaves (the contributions one broker first
     aggregated) it covers, the master counts each leaf once and applies
-    each distinct [(key, sha)] tuple once, so a retransmit re-routed
-    through another hop adds nothing, and a late contribution to a
-    completed fence gets that fence's reply. A broker whose route to the
-    master changes re-sends its open batches at once. Gets walk the hash tree from the current
-    root, faulting missing objects in from the CMB-tree parent
+    each distinct [(key, sha)] tuple once (its last copy, so the later
+    tuple for a key still wins), so a retransmit re-routed through
+    another hop adds nothing, and a late contribution to a completed
+    fence gets that fence's reply. A broker whose route to the master
+    changes re-sends its open batches at once. Gets walk the hash tree
+    from the current root, faulting missing objects in from the CMB-tree parent
     (concurrent misses for one object coalesce into one upstream load),
     which yields the [log2(C) * T(G)] consumer latency of Figure 4.
 

@@ -21,7 +21,7 @@ let child_span t parent =
   | _ -> None
 
 let send t (batch : unit Collective.batch) k =
-  let name = batch.Collective.name and count = batch.Collective.count in
+  let name = batch.Collective.name and count = Flux_cmb.Tally.weight batch.Collective.leaves in
   let ctx = child_span t batch.Collective.ctx in
   trace t ~name:"forward" ?ctx
     ~fields:[ ("name", Json.string name); ("count", Json.int count) ]

@@ -52,7 +52,7 @@ let test_kap_run_twice () =
 let test_kap_goldens () =
   let r = Kap.run fig2_cfg in
   check Alcotest.int "engine events" 1980 r.Kap.r_events;
-  check Alcotest.string "final simulated clock" "0x1.475b8abe801b5p-10"
+  check Alcotest.string "final simulated clock" "0x1.475be5cc259cep-10"
     (Printf.sprintf "%h" r.Kap.r_wallclock);
   check Alcotest.int "rpc messages" 56 r.Kap.r_rpc_messages;
   check Alcotest.int "loads" 14 r.Kap.r_loads_issued;
@@ -61,11 +61,11 @@ let test_kap_goldens () =
   let md5 s = Digest.to_hex (Digest.string s) in
   (match (r.Kap.r_trace, r.Kap.r_metrics) with
   | Some tr, Some m ->
-    check Alcotest.string "trace jsonl" "8474f19c3311f43d59630c6839a35ff1"
+    check Alcotest.string "trace jsonl" "34d8b4f3e402ccbd982ad3af3d603fab"
       (md5 (Export.to_jsonl tr));
     check Alcotest.string "trace counters" "aa44eb2ef8d964f7881dc6523beff076"
       (md5 (Export.counters_csv tr));
-    check Alcotest.string "metrics csv" "f92478747b213927229168e521717efc"
+    check Alcotest.string "metrics csv" "e512df8227ed61e899c21630e42aeea9"
       (md5 (Flux_trace.Metrics.to_csv m))
   | _ -> Alcotest.fail "expected a tracer and metrics on a trace=true run")
 

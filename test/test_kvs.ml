@@ -509,6 +509,19 @@ let test_kvs_fence_collective () =
   (* The fence produced exactly one version bump. *)
   check int "single version" 1 (Kvs.version w.kvs.(0))
 
+(* A fence applies each distinct tuple once but keeps their order: a
+   key put 1, then 2, then 1 again ends at 1, as a plain commit would. *)
+let test_kvs_fence_repeated_key () =
+  let w = make_world ~size:1 () in
+  run_clients w
+    [
+      (fun () ->
+        let c = Client.connect w.sess ~rank:0 in
+        List.iter (fun v -> expect_ok "put" (Client.put c ~key:"rk.k" (Json.int v))) [ 1; 2; 1 ];
+        ignore (expect_ok "fence" (Client.fence c ~name:"rk" ~nprocs:1) : int);
+        check json_t "last put wins" (Json.int 1) (expect_ok "get" (Client.get c ~key:"rk.k")));
+    ]
+
 let test_kvs_fence_dedup_bytes () =
   (* Redundant values must cross the root links once per hop, unique
      values concatenate: root ingress bytes differ accordingly. *)
@@ -720,6 +733,7 @@ let () =
         [
           Alcotest.test_case "collective completion" `Quick test_kvs_fence_collective;
           Alcotest.test_case "value dedup on the wire" `Quick test_kvs_fence_dedup_bytes;
+          Alcotest.test_case "repeated key: last put wins" `Quick test_kvs_fence_repeated_key;
         ] );
       ( "caching",
         [

@@ -549,6 +549,33 @@ let test_wexec_wait_leaves_nothing () =
   let finished = events_for "wexec.complete.job5" in
   check int "no work left behind" (events_for "wexec.complete.job6") finished
 
+(* The overlay root stays with rank 1 once rank 0 revives, but the
+   services mastered at rank 0 still serve the subtree under rank 1: a
+   job there completes and its log entries reach rank 0's root log. *)
+let test_wexec_master_after_root_moves () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:7 () in
+  ignore (Kvs.load sess () : Kvs.t array);
+  ignore (Wexec.load sess () : Wexec.t array);
+  let logm = Log_mod.load sess () in
+  Session.mark_down sess 0;
+  Engine.run eng;
+  Session.mark_up sess 0;
+  Engine.run eng;
+  check (Alcotest.option int) "rank 1 stays root" None (Session.tree_parent (Session.broker sess 1));
+  run_clients eng
+    [
+      (fun () ->
+        let api = Api.connect sess ~rank:3 in
+        let c = expect_ok "run" (Wexec.run api ~jobid:"j-moved" ~prog:"hello" ~ranks:[ 3; 4 ] ()) in
+        check int "ntasks" 2 c.Wexec.c_ntasks;
+        check int "no failures" 0 c.Wexec.c_failed;
+        Log_mod.log api ~level:Log_mod.Warn "under rank 1";
+        Proc.sleep 0.2);
+    ];
+  check bool "log entry reached rank 0" true
+    (List.exists (fun e -> e.Log_mod.e_text = "under rank 1") (Log_mod.root_log logm.(0)))
+
 (* --- resvc ----------------------------------------------------------------------------- *)
 
 let test_resvc_alloc_free () =
@@ -636,6 +663,8 @@ let () =
           Alcotest.test_case "dotted job id waits for its own completion" `Quick
             test_wexec_dotted_jobid;
           Alcotest.test_case "finished wait leaves nothing" `Quick test_wexec_wait_leaves_nothing;
+          Alcotest.test_case "rank 0 masters after the root moved" `Quick
+            test_wexec_master_after_root_moves;
         ] );
       ( "resvc",
         [

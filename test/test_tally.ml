@@ -21,7 +21,8 @@
    Once drained with every participant in: the name has completed,
    every participant has been answered exactly once, and no live broker
    holds anything open. A violation fails with the event sequence and
-   the invariant it broke. *)
+   the invariant it broke. The root never dies and no abort or demotion
+   is fed: those inputs are left to the KVS harnesses. *)
 
 module T = Flux_cmb.Tally
 
@@ -220,7 +221,7 @@ let apply w ev =
   | Revive r ->
     w.faults <- w.faults + 1;
     w.alive.(r) <- true;
-    w.st.(r) <- { T.nprocs = w.nprocs; below = None; root = None };
+    w.st.(r) <- T.init w.nprocs;
     w.pending.(r) <- [];
     reparent w
   | Lose rpc ->
@@ -254,7 +255,7 @@ let check_drained w =
     (participants w);
   Array.iteri
     (fun r (s : _ T.state) ->
-      if w.alive.(r) && s.T.below <> None then
+      if w.alive.(r) && T.open_below s then
         fail w "once drained, broker %d still holds the name open" r)
     w.st
 
@@ -264,7 +265,7 @@ let initial n =
     {
       n;
       nprocs;
-      st = Array.make n { T.nprocs; below = None; root = None };
+      st = Array.make n (T.init nprocs);
       alive = Array.make n true;
       parent = Array.make n None;
       fresh = Array.make n 0;
@@ -317,15 +318,14 @@ let key w =
     (fun r (s : _ T.state) ->
       int (if w.alive.(r) then 250 else 251);
       int (List.length w.pending.(r));
-      (match s.T.below with
-      | Some g ->
-        int (if g.T.own <> None then 252 else 253);
-        leaves g.T.leaves;
+      if T.open_below s then begin
+        int (if s.T.own > 0 then 252 else 253);
+        leaves s.T.leaves;
         int 255;
-        List.iter item g.T.parked;
+        List.iter item s.T.parked;
         int 255;
-        int (List.length g.T.inflight)
-      | None -> ());
+        int (List.length s.T.inflight)
+      end;
       match s.T.root with
       | Some (T.Counting { counted; parked; _ }) ->
         int 254;
