@@ -55,10 +55,14 @@ let header title = Printf.printf "\n=== %s ===\n%!" title
 
 (* --- Table I: the comms-module inventory, exercised ------------------- *)
 
+(* Table I modules whose probe failed; a failed probe fails the run. *)
+let table1_failures = ref 0
+
 let table1 () =
   header "Table I: prototyped comms modules (all loaded and exercised in one session)";
   let eng = Engine.create () in
-  let sess = Session.create eng ~size:16 () in
+  let size = 16 in
+  let sess = Session.create eng ~size () in
   ignore (Kvs.load sess () : Kvs.t array);
   ignore (Flux_modules.Barrier.load sess () : Flux_modules.Barrier.t array);
   ignore (Flux_modules.Wexec.load sess () : Flux_modules.Wexec.t array);
@@ -66,72 +70,81 @@ let table1 () =
   ignore (Flux_modules.Resvc.load sess () : Flux_modules.Resvc.t array);
   let logm = Flux_modules.Log_mod.load sess () in
   let hb = Flux_modules.Hb.load sess ~period:0.05 () in
-  let live = Flux_modules.Live.load sess ~hb () in
+  ignore (Flux_modules.Live.load sess ~hb () : Flux_modules.Live.t array);
   let mon = Flux_modules.Mon.load sess ~hb () in
   Flux_modules.Mon.register_sampler "load" (fun ~rank ~epoch:_ -> float_of_int rank);
   Flux_modules.Wexec.register_program "noop" (fun ctx -> ctx.Flux_modules.Wexec.px_printf "ok");
-  let results : (string * string) list ref = ref [] in
-  let ok name detail = results := (name, detail) :: !results in
+  let results : (string * (string, string) result) list ref = ref [] in
+  let probe name r = results := (name, r) :: !results in
+  let check name ok detail = probe name (if ok then Ok detail else Error detail) in
   ignore
     (Proc.spawn eng (fun () ->
          let api = Api.connect sess ~rank:13 in
          let c = Client.connect sess ~rank:13 in
          (* hb + mon *)
-         (match Flux_modules.Mon.activate api ~script:"load" with
-         | Ok () -> ()
-         | Error e -> failwith e);
+         Result.iter_error
+           (fun e -> probe "mon" (Error ("activate: " ^ e)))
+           (Flux_modules.Mon.activate api ~script:"load");
          Proc.sleep 0.4;
-         ok "hb"
-           (Printf.sprintf "heartbeat epoch %d multicast to all 16 ranks"
-              (Flux_modules.Hb.epoch hb.(13)));
+         let epoch = Flux_modules.Hb.epoch hb.(13) in
+         check "hb" (epoch > 0) (Printf.sprintf "heartbeat epoch %d multicast to all %d ranks" epoch size);
          (match Flux_modules.Mon.latest_aggregate mon.(0) with
          | Some (_, s) ->
-           ok "mon"
+           check "mon" (s.Flux_modules.Mon.s_count = size)
              (Printf.sprintf "sampled %d ranks, min/max/sum = %g/%g/%g -> stored in KVS"
                 s.Flux_modules.Mon.s_count s.Flux_modules.Mon.s_min s.Flux_modules.Mon.s_max
                 s.Flux_modules.Mon.s_sum)
-         | None -> ok "mon" "NO AGGREGATE");
+         | None -> check "mon" false "no aggregate");
          (* log *)
          Flux_modules.Log_mod.log api ~level:Flux_modules.Log_mod.Warn "bench message";
          Flux_modules.Log_mod.log api ~level:Flux_modules.Log_mod.Warn "bench message";
          Proc.sleep 0.05;
-         ok "log"
-           (Printf.sprintf "root log holds %d reduced entries"
-              (List.length (Flux_modules.Log_mod.root_log logm.(0))));
+         let logged = List.length (Flux_modules.Log_mod.root_log logm.(0)) in
+         check "log" (logged > 0) (Printf.sprintf "root log holds %d reduced entries" logged);
          (* group + barrier *)
-         ignore (Flux_modules.Group.join api ~group:"g" ~tag:"bench" : (int, string) result);
-         ok "group" "membership tracked at session root";
-         ok "barrier" "collective barriers gate every KAP phase below";
+         probe "group"
+           (Flux_modules.Group.join api ~group:"g" ~tag:"bench"
+           |> Result.map (fun _ -> "membership tracked at session root"));
+         probe "barrier"
+           (Flux_modules.Barrier.enter api ~name:"table1" ~nprocs:1
+           |> Result.map (fun () -> "entered and released through the tree"));
          (* kvs *)
-         (match Client.put c ~key:"bench.k" (Json.int 1) with Ok () -> () | Error e -> failwith e);
-         (match Client.commit c with
-         | Ok v -> ok "kvs" (Printf.sprintf "put+commit -> version %d, setroot multicast" v)
-         | Error e -> failwith e);
+         probe "kvs"
+           (Result.bind (Client.put c ~key:"bench.k" (Json.int 1)) (fun () -> Client.commit c)
+           |> Result.map (Printf.sprintf "put+commit -> version %d, setroot multicast"));
          (* wexec *)
-         (match Flux_modules.Wexec.run api ~jobid:"t1-job" ~prog:"noop" ~ranks:[ 1; 2; 3 ] () with
-         | Ok comp ->
-           ok "wexec"
-             (Printf.sprintf "bulk-launched %d tasks, stdout captured in KVS"
-                comp.Flux_modules.Wexec.c_ntasks)
-         | Error e -> failwith e);
+         probe "wexec"
+           (Flux_modules.Wexec.run api ~jobid:"t1-job" ~prog:"noop" ~ranks:[ 1; 2; 3 ] ()
+           |> Result.map (fun comp ->
+                  Printf.sprintf "bulk-launched %d tasks, stdout captured in KVS"
+                    comp.Flux_modules.Wexec.c_ntasks));
          (* resvc *)
-         (match Flux_modules.Resvc.alloc api ~jobid:"t1-alloc" ~nnodes:4 with
-         | Ok ranks ->
-           ok "resvc"
-             (Printf.sprintf "allocated nodes [%s] from the KVS-enumerated pool"
-                (String.concat ";" (List.map string_of_int ranks)))
-         | Error e -> failwith e);
+         probe "resvc"
+           (Flux_modules.Resvc.alloc api ~jobid:"t1-alloc" ~nnodes:4
+           |> Result.map (fun ranks ->
+                  Printf.sprintf "allocated nodes [%s] from the KVS-enumerated pool"
+                    (String.concat ";" (List.map string_of_int ranks))));
          (* live: crash a leaf and wait for detection *)
          Session.crash sess 9;
          Proc.sleep 0.4;
-         ok "live"
-           (Printf.sprintf "rank 9 declared dead by its parent after missed hellos (%s)"
-              (if Session.is_down sess 9 then "overlays rewired" else "NOT DETECTED"));
+         check "live" (Session.is_down sess 9)
+           "rank 9 declared dead by its parent after missed hellos, overlays rewired";
          Flux_modules.Hb.stop hb)
       : Proc.pid);
   Engine.run eng;
-  ignore live;
-  List.iter (fun (m, d) -> Printf.printf "  %-8s %s\n" m d) (List.rev !results)
+  List.iter
+    (fun (m, r) ->
+      match r with
+      | Ok d -> Printf.printf "  %-8s %s\n" m d
+      | Error e ->
+        incr table1_failures;
+        Printf.printf "  %-8s FAILED: %s\n" m e)
+    (List.rev !results);
+  (* A probe that never returns leaves the others unrun. *)
+  if List.length !results < 9 then begin
+    incr table1_failures;
+    Printf.printf "  the probes stopped after %d of 9 modules\n" (List.length !results)
+  end
 
 (* --- Figure 2: producer (kvs_put) max latency --------------------------- *)
 
@@ -518,6 +531,7 @@ let () =
           exit 1)
       0 requested
   in
-  Printf.printf "\nall requested experiments done in %.1fs (real time), %d harness violations\n"
-    (Unix.gettimeofday () -. t0) violations;
-  if violations > 0 then exit 1
+  Printf.printf
+    "\nall requested experiments done in %.1fs (real time), %d harness violations, %d failed Table I probes\n"
+    (Unix.gettimeofday () -. t0) violations !table1_failures;
+  if violations > 0 || !table1_failures > 0 then exit 1

@@ -587,65 +587,39 @@ let instrument_reply b ~topic ~ctx reply =
         ();
       reply r
 
-let request_up b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payload ~reply =
-  let t = b.b_session in
+(* A fresh request from this broker, under a new nonce, in the span
+   [trace_ctx] names or a fresh root span. *)
+let new_request b ?dst ?trace_ctx ~topic payload =
+  let msg = Message.request ?dst ~topic ~origin:b.b_rank ~nonce:(fresh_nonce b) payload in
+  match request_ctx b.b_session trace_ctx with
+  | Some c -> Message.with_trace msg c
+  | None -> msg
+
+(* What every client RPC shares: its retry options, its instrumented
+   reply, the [rpc.send] event and its registration under the request's
+   nonce. [first_hop] sends the request, and sends it again on each
+   retransmission. *)
+let send_rpc b ?timeout ?attempts ~idempotent ~first_hop (msg : Message.t) ~reply =
+  let topic = msg.Message.topic and ctx = msg.Message.trace in
   let timeout, attempts = rpc_opts ?timeout ?attempts ~idempotent () in
-  let ctx = request_ctx t trace_ctx in
   let reply = instrument_reply b ~topic ~ctx reply in
-  let nonce = fresh_nonce b in
-  let msg = Message.request ~topic ~origin:b.b_rank ~nonce payload in
-  let msg = match ctx with Some c -> Message.with_trace msg c | None -> msg in
-  trace t ~name:"rpc.send" ~rank:b.b_rank ?ctx ~fields:[ ("topic", Json.string topic) ] ();
-  let resend = if attempts > 1 then Some (fun () -> route_request b msg) else None in
-  register_pending b ~nonce ~timeout ~attempts ?resend ?ctx reply;
-  route_request b msg
+  trace b.b_session ~name:"rpc.send" ~rank:b.b_rank ?ctx ~fields:[ ("topic", Json.string topic) ] ();
+  let resend = if attempts > 1 then Some (fun () -> first_hop b msg) else None in
+  register_pending b ~nonce:msg.Message.nonce ~timeout ~attempts ?resend ?ctx reply;
+  first_hop b msg
+
+let request_up b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payload ~reply =
+  send_rpc b ?timeout ?attempts ~idempotent ~first_hop:route_request
+    (new_request b ?trace_ctx ~topic payload) ~reply
 
 let request_from_module b ?timeout ?attempts ?(idempotent = false) ?trace_ctx ~topic payload
     ~reply =
-  let t = b.b_session in
-  let timeout, attempts = rpc_opts ?timeout ?attempts ~idempotent () in
-  let ctx = request_ctx t trace_ctx in
-  let reply = instrument_reply b ~topic ~ctx reply in
-  let nonce = fresh_nonce b in
-  let msg = Message.request ~topic ~origin:b.b_rank ~nonce payload in
-  let msg = match ctx with Some c -> Message.with_trace msg c | None -> msg in
-  trace t ~name:"rpc.send" ~rank:b.b_rank ?ctx ~fields:[ ("topic", Json.string topic) ] ();
-  let resend = if attempts > 1 then Some (fun () -> forward_up b msg) else None in
-  register_pending b ~nonce ~timeout ~attempts ?resend ?ctx reply;
-  forward_up b msg
+  send_rpc b ?timeout ?attempts ~idempotent ~first_hop:forward_up
+    (new_request b ?trace_ctx ~topic payload) ~reply
 
 (* --- Ring plane ------------------------------------------------------ *)
 
-let rec rpc_rank b ?timeout ?(idempotent = false) ?trace_ctx ?route ~dst ~topic payload
-    ~reply =
-  let t = b.b_session in
-  let timeout, attempts = rpc_opts ?timeout ~idempotent () in
-  let ctx = request_ctx t trace_ctx in
-  let reply = instrument_reply b ~topic ~ctx reply in
-  let nonce = fresh_nonce b in
-  trace t ~name:"rpc.send" ~rank:b.b_rank ?ctx ~fields:[ ("topic", Json.string topic) ] ();
-  (* Each (re)transmission resolves its destination afresh: with [route]
-     a retransmit follows the *current* topology (e.g. a volume tree
-     healed around a dead parent, or a freshly elected master) instead
-     of hammering the original, possibly dead, rank. *)
-  let transmit () =
-    let dst = match route with Some f -> f () | None -> dst in
-    let msg = Message.request ~dst ~topic ~origin:b.b_rank ~nonce payload in
-    let msg = match ctx with Some c -> Message.with_trace msg c | None -> msg in
-    if dst = b.b_rank then
-      (* Loop-back: deliver to the local module directly. *)
-      ignore
-        (Engine.schedule b.b_session.eng
-           ~delay:(Net.config b.b_session.ring_net).Net.local_delivery (fun () ->
-             handle_ring_arrival b msg)
-          : Engine.handle)
-    else ring_forward b msg
-  in
-  let resend = if attempts > 1 then Some transmit else None in
-  register_pending b ~nonce ~timeout ~attempts ?resend ?ctx reply;
-  transmit ()
-
-and handle_ring_arrival b (msg : Message.t) =
+let handle_ring_arrival b (msg : Message.t) =
   match msg.Message.kind with
   | Message.Request ->
     if msg.Message.dst = Some b.b_rank then begin
@@ -667,6 +641,29 @@ and handle_ring_arrival b (msg : Message.t) =
       deliver_response b { msg with Message.route = [] }
     else ring_forward b msg
   | Message.Event -> ()
+
+(* A loop-back request goes to the local module directly. *)
+let ring_send b (msg : Message.t) =
+  match msg.Message.dst with
+  | Some d when d = b.b_rank ->
+    ignore
+      (Engine.schedule b.b_session.eng
+         ~delay:(Net.config b.b_session.ring_net).Net.local_delivery (fun () ->
+           handle_ring_arrival b msg)
+        : Engine.handle)
+  | _ -> ring_forward b msg
+
+let rpc_rank b ?timeout ?(idempotent = false) ?trace_ctx ?route ~dst ~topic payload ~reply =
+  (* Each (re)transmission resolves its destination afresh: with [route]
+     a retransmit follows the *current* topology (e.g. a volume tree
+     healed around a dead parent, or a freshly elected master) instead
+     of hammering the original, possibly dead, rank. *)
+  let first_hop =
+    match route with
+    | None -> ring_send
+    | Some f -> fun b msg -> ring_send b { msg with Message.dst = Some (f ()) }
+  in
+  send_rpc b ?timeout ~idempotent ~first_hop (new_request b ~dst ?trace_ctx ~topic payload) ~reply
 
 (* --- Event plane ----------------------------------------------------- *)
 

@@ -1,8 +1,6 @@
 module Json = Flux_json.Json
 module Session = Flux_cmb.Session
-module Message = Flux_cmb.Message
-module Topic = Flux_cmb.Topic
-module Engine = Flux_sim.Engine
+module Rollup = Flux_cmb.Rollup
 
 type sample = { s_min : float; s_max : float; s_sum : float; s_count : int }
 
@@ -37,93 +35,31 @@ let samplers : (string, rank:int -> epoch:int -> float) Hashtbl.t = Hashtbl.crea
 
 let register_sampler name f = Hashtbl.replace samplers name f
 
-(* Per-epoch reduction state. *)
-type epoch_acc = {
-  mutable acc : sample option;
-  mutable heard : int list;
-  mutable timer_armed : bool;
-}
-
 type t = {
   b : Session.broker;
-  master : bool;
   mutable script : string option; (* from conf.mon.script via KVS watch *)
-  epochs : (int, epoch_acc) Hashtbl.t;
   mutable latest : (int * sample) option;
   mutable taken : int;
-  window : float;
 }
 
 let latest_aggregate t = t.latest
 let samples_taken t = t.taken
 
-let acc_get t epoch =
-  match Hashtbl.find_opt t.epochs epoch with
-  | Some a -> a
-  | None ->
-    let a = { acc = None; heard = []; timer_armed = false } in
-    Hashtbl.replace t.epochs epoch a;
-    a
+(* A kvs.mput of one key: the KVS's atomic put-and-commit. *)
+let mput key v =
+  Json.obj [ ("bindings", Json.list [ Json.obj [ ("key", Json.string key); ("v", v) ] ]) ]
 
-let kvs_put_root t ~key value =
-  (* The root stores the aggregate under mon.<script>.<epoch> through
-     its local kvs module's atomic put-and-commit. *)
-  Session.request_up t.b ~topic:"kvs.mput"
-    (Json.obj
-       [ ("bindings", Json.list [ Json.obj [ ("key", Json.string key); ("v", value) ] ]) ])
-    ~reply:(fun _ -> ())
-
-let forward t epoch a =
-  match a.acc with
+(* Rank 0 stores each finalized epoch under mon.<script>.<epoch>. *)
+let store t epoch s =
+  t.latest <- Some (epoch, s);
+  match t.script with
+  | Some name ->
+    Session.request_up t.b ~topic:"kvs.mput"
+      (mput (Printf.sprintf "mon.%s.%d" name epoch) (sample_to_json s))
+      ~reply:(fun _ -> ())
   | None -> ()
-  | Some s ->
-    a.acc <- None;
-    Hashtbl.remove t.epochs epoch;
-    if t.master then begin
-      t.latest <- Some (epoch, s);
-      match t.script with
-      | Some name ->
-        kvs_put_root t ~key:(Printf.sprintf "mon.%s.%d" name epoch) (sample_to_json s)
-      | None -> ()
-    end
-    else
-      (* Safe to retransmit: the parent folds at most one contribution
-         per (child, epoch) — see the [heard] guard in [contribute]. *)
-      Session.request_from_module t.b ~idempotent:true ~topic:"mon.reduce"
-        (Json.obj [ ("epoch", Json.int epoch); ("sample", sample_to_json s) ])
-        ~reply:(fun _ -> ())
 
-let check_ready t epoch a =
-  let children = Session.tree_children t.b in
-  let all_heard = List.for_all (fun c -> List.mem c a.heard) children in
-  if all_heard then forward t epoch a
-
-let arm_timer t epoch a =
-  if not a.timer_armed then begin
-    a.timer_armed <- true;
-    ignore
-      (Engine.schedule (Session.b_engine t.b) ~delay:t.window (fun () -> forward t epoch a)
-        : Engine.handle)
-  end
-
-let contribute t ~epoch ~from_child s =
-  (* Each child forwards once per epoch, so a second arrival from the
-     same child is a retransmitted duplicate: drop it instead of
-     double-merging its sample. *)
-  let duplicate =
-    match from_child with Some c -> List.mem c (acc_get t epoch).heard | None -> false
-  in
-  if not duplicate then begin
-    let a = acc_get t epoch in
-    a.acc <- (match a.acc with None -> Some s | Some prev -> Some (sample_merge prev s));
-    (match from_child with
-    | Some c -> if not (List.mem c a.heard) then a.heard <- c :: a.heard
-    | None -> ());
-    arm_timer t epoch a;
-    check_ready t epoch a
-  end
-
-let on_heartbeat t epoch =
+let on_heartbeat t rollup epoch =
   match t.script with
   | None -> ()
   | Some name -> (
@@ -131,23 +67,8 @@ let on_heartbeat t epoch =
     | None -> ()
     | Some f ->
       t.taken <- t.taken + 1;
-      let v = f ~rank:(Session.rank t.b) ~epoch in
-      contribute t ~epoch ~from_child:None (sample_of_value v))
-
-let module_of t =
-  {
-    Session.mod_name = "mon";
-    on_request =
-      (fun (req : Message.t) ->
-        (match Topic.method_ req.Message.topic with
-        | "reduce" ->
-          let epoch = Json.to_int (Json.member "epoch" req.Message.payload) in
-          let s = sample_of_json (Json.member "sample" req.Message.payload) in
-          contribute t ~epoch ~from_child:(Some req.Message.origin) s;
-          Session.respond t.b req Json.null
-        | m -> Session.respond_error t.b req (Printf.sprintf "mon: unknown method %S" m));
-        Session.Consumed);
-  }
+      let rank = Session.rank t.b in
+      Rollup.contribute rollup ~rank ~epoch (sample_of_value (f ~rank ~epoch)))
 
 (* Activation rides the KVS: every setroot, re-read the config key
    (cheap: it is cached after the first fault-in). *)
@@ -165,33 +86,20 @@ let reread_script t _ =
 let load sess ~(hb : Hb.t array) () =
   let instances =
     Array.init (Session.size sess) (fun r ->
-        {
-          b = Session.broker sess r;
-          master = r = 0;
-          script = None;
-          epochs = Hashtbl.create 8;
-          latest = None;
-          taken = 0;
-          window = Hb.period hb.(r) /. 2.0;
-        })
+        { b = Session.broker sess r; script = None; latest = None; taken = 0 })
   in
-  Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  let rollup =
+    Rollup.create sess ~service:"mon" ~window:(Hb.period hb.(0) /. 2.0) ~merge:sample_merge
+      ~to_fields:(fun s -> [ ("sample", sample_to_json s) ])
+      ~of_json:(fun p -> sample_of_json (Json.member "sample" p))
+      ~finalize:(store instances.(0)) ()
+  in
   Array.iter (fun t -> Session.subscribe t.b ~prefix:"kvs.setroot" (reread_script t)) instances;
-  Array.iteri (fun r t -> Hb.on_pulse hb.(r) (fun epoch -> on_heartbeat t epoch)) instances;
+  Array.iteri (fun r t -> Hb.on_pulse hb.(r) (on_heartbeat t rollup)) instances;
   instances
 
 let set_script api value =
-  match
-    Flux_cmb.Api.rpc api ~topic:"kvs.mput"
-      (Json.obj
-         [
-           ( "bindings",
-             Json.list
-               [ Json.obj [ ("key", Json.string "conf.mon.script"); ("v", value) ] ] );
-         ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error e
+  Result.map ignore (Flux_cmb.Api.rpc api ~topic:"kvs.mput" (mput "conf.mon.script" value))
 
 let activate api ~script = set_script api (Json.string script)
 let deactivate api = set_script api (Json.string "")

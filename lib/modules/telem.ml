@@ -1,7 +1,6 @@
 module Json = Flux_json.Json
 module Session = Flux_cmb.Session
-module Message = Flux_cmb.Message
-module Topic = Flux_cmb.Topic
+module Rollup = Flux_cmb.Rollup
 module Engine = Flux_sim.Engine
 module Metrics = Flux_trace.Metrics
 module Series = Flux_trace.Series
@@ -11,18 +10,17 @@ module Tracer = Flux_trace.Tracer
 
 (* Live telemetry plane: in-band TBON metric rollups.
 
-   [mon] ships one scripted scalar per heartbeat; this module
-   generalizes its epoch scheme to whole {!Metrics} registry slices.
-   Every [interval] sim-seconds each rank snapshots its own slice of
-   the registry, diffs it against the previous epoch's snapshot, and
-   sends the delta up the tree. Interior ranks merge child deltas with
-   their own (dedup'd per child, partial-forwarded on a window
-   timeout, exactly [mon]'s accumulator discipline) so the root
-   receives one merged cross-rank delta per epoch over O(log n) hops —
-   the paper's reduction network carrying the center's run-time
-   information instead of a side channel.
+   [mon] ships one scripted scalar per heartbeat; this module ships
+   whole {!Metrics} registry slices over the same {!Rollup}. Every
+   [interval] sim-seconds each rank snapshots its own slice of the
+   registry, diffs it against the previous epoch's snapshot, and
+   contributes the delta. The rollup merges child deltas hop by hop
+   (once per child, a partial on a depth-scaled window, late arrivals
+   dropped), so rank 0 receives one merged cross-rank delta per epoch
+   over O(log n) hops — the paper's reduction network carrying the
+   center's run-time information instead of a side channel.
 
-   At the root the merged delta lands in a bounded {!Series} store and
+   At rank 0 the merged delta lands in a bounded {!Series} store and
    the {!Detect} detectors run: stragglers, queue-growth trends,
    silent ranks. Alerts become [telem.alert] trace events, counters,
    and (first occurrence per rank and cause) {!Flight} dumps, so the
@@ -64,18 +62,10 @@ let contrib_merge a b =
     c_snap = Metrics.merge a.c_snap b.c_snap;
   }
 
-type epoch_acc = {
-  mutable acc : contribution option;
-  mutable heard : int list;
-  mutable timer_armed : bool;
-}
-
 type t = {
   b : Session.broker;
-  master : bool;
   cfg : config;
-  epochs : (int, epoch_acc) Hashtbl.t;
-  mutable forwarded_upto : int; (* late contributions for <= this are dropped *)
+  rollup : contribution Rollup.t;
   mutable epoch : int; (* local epoch counter, advances every tick *)
   mutable last_snap : Metrics.snap;
   mutable metrics : Metrics.t option;
@@ -92,11 +82,7 @@ type t = {
   mutable rollup_subs : (int -> unit) list;
 }
 
-(* Partial-forward timeout for an epoch's reduction. *)
-let reduce_window t = t.cfg.interval /. 2.0
-
-let set_metrics t m = t.metrics <- m
-let set_metrics_all ts m = Array.iter (fun t -> set_metrics t (Some m)) ts
+let set_metrics_all ts m = Array.iter (fun t -> t.metrics <- Some m) ts
 
 (* Subscriptions live on the rollup master (rank 0): that is where
    epochs finalize and alerts are raised. Callbacks run synchronously
@@ -106,14 +92,6 @@ let on_alert ts f = ts.(0).alert_subs <- ts.(0).alert_subs @ [ f ]
 let on_rollup ts f = ts.(0).rollup_subs <- ts.(0).rollup_subs @ [ f ]
 let set_tracer_all ts tr = Array.iter (fun t -> t.tracer <- Some tr) ts
 let set_flight_all ts f = Array.iter (fun t -> t.flight <- Some f) ts
-
-let acc_get t epoch =
-  match Hashtbl.find_opt t.epochs epoch with
-  | Some a -> a
-  | None ->
-    let a = { acc = None; heard = []; timer_armed = false } in
-    Hashtbl.replace t.epochs epoch a;
-    a
 
 (* Per-rank values the straggler detector compares: histogram means
    from this epoch's delta when the metric has one (latency-style
@@ -190,110 +168,6 @@ let finalize t epoch c =
   List.iter (handle_alert t) alerts;
   List.iter (fun f -> f epoch) t.rollup_subs
 
-let forward t epoch a =
-  match a.acc with
-  | None -> Hashtbl.remove t.epochs epoch
-  | Some c ->
-    a.acc <- None;
-    Hashtbl.remove t.epochs epoch;
-    if epoch > t.forwarded_upto then t.forwarded_upto <- epoch;
-    if t.master then finalize t epoch c
-    else begin
-      let payload =
-        Json.obj
-          [
-            ("epoch", Json.int epoch);
-            ("ranks", Json.list (List.map Json.int c.c_ranks));
-            ("snap", Metrics.snap_to_json c.c_snap);
-          ]
-      in
-      (* The rollup's own cost is part of the telemetry it carries:
-         wire bytes are charged per sending rank, so the overhead of
-         the plane shows up in its own series. *)
-      let bytes = Json.serialized_size payload in
-      t.sent_bytes <- t.sent_bytes + bytes;
-      (match t.metrics with
-      | Some m ->
-        let rank = Session.rank t.b in
-        Metrics.add m ~name:"telem.rollup.bytes" ~rank bytes;
-        Metrics.incr m ~name:"telem.rollup.msgs" ~rank
-      | None -> ());
-      (* Safe to retransmit: the parent folds at most one contribution
-         per (child, epoch) — the [heard] guard in [contribute]. *)
-      Session.request_from_module t.b ~idempotent:true ~topic:"telem.reduce" payload
-        ~reply:(fun _ -> ())
-    end
-
-let check_ready t epoch a =
-  let sess = Session.session_of t.b in
-  let children = Session.tree_children t.b in
-  (* A dead child will never report; waiting for it would stall every
-     epoch until the window timeout. Known-down children are excused —
-     the root's silent-rank detector still sees the coverage gap. *)
-  let all_heard =
-    List.for_all (fun c -> Session.is_down sess c || List.mem c a.heard) children
-  in
-  if all_heard then forward t epoch a
-
-(* Partial-forward timeouts must fire child-before-parent or a slow
-   subtree's partial arrives just after its parent already forwarded
-   and is dropped as late all the way up. Scale each node's window by
-   how far it is from the leaves (approximated from the static tree
-   shape), so deeper accumulators give up first and their partials
-   still make the next hop's deadline. *)
-let levels t =
-  let sess = Session.session_of t.b in
-  let f = max 2 (Session.fanout sess) in
-  let n = Session.size sess in
-  int_of_float (ceil (log (float_of_int (max 2 n)) /. log (float_of_int f)))
-
-let depth_of t =
-  let sess = Session.session_of t.b in
-  let rec go b acc =
-    match Session.tree_parent b with
-    | None -> acc
-    | Some p -> go (Session.broker sess p) (acc + 1)
-  in
-  go t.b 0
-
-let arm_timer t epoch a =
-  if not a.timer_armed then begin
-    a.timer_armed <- true;
-    let mult = max 1 (1 + levels t - depth_of t) in
-    ignore
-      (Engine.schedule (Session.b_engine t.b)
-         ~delay:(reduce_window t *. float_of_int mult)
-         (fun () -> forward t epoch a)
-        : Engine.handle)
-  end
-
-let contribute t ~epoch ~from_child c =
-  if epoch <= t.forwarded_upto then begin
-    (* This epoch already left: merging now would double-report the
-       subtree in a second partial. Drop and count; the root flags the
-       gap as a silent rank if the straggling subtree matters. *)
-    t.late <- t.late + 1;
-    match t.metrics with
-    | Some m -> Metrics.incr m ~name:"telem.late_drop" ~rank:(Session.rank t.b)
-    | None -> ()
-  end
-  else begin
-    let duplicate =
-      match from_child with
-      | Some ch -> List.mem ch (acc_get t epoch).heard
-      | None -> false
-    in
-    if not duplicate then begin
-      let a = acc_get t epoch in
-      a.acc <- (match a.acc with None -> Some c | Some prev -> Some (contrib_merge prev c));
-      (match from_child with
-      | Some ch -> a.heard <- ch :: a.heard
-      | None -> ());
-      arm_timer t epoch a;
-      check_ready t epoch a
-    end
-  end
-
 let on_tick t =
   (* The epoch counter advances even while this rank is down so a
      revived rank rejoins the cluster-wide epoch numbering instead of
@@ -310,38 +184,57 @@ let on_tick t =
     in
     let delta = Metrics.diff ~base:t.last_snap next in
     t.last_snap <- next;
-    contribute t ~epoch:t.epoch ~from_child:None { c_ranks = [ rank ]; c_snap = delta }
+    Rollup.contribute t.rollup ~rank ~epoch:t.epoch { c_ranks = [ rank ]; c_snap = delta }
   end
 
-let module_of t =
+(* The rollup's own cost is part of the telemetry it carries: wire
+   bytes are charged per sending rank, so the overhead of the plane
+   shows up in its own series. *)
+let charge t bytes =
+  t.sent_bytes <- t.sent_bytes + bytes;
+  match t.metrics with
+  | Some m ->
+    let rank = Session.rank t.b in
+    Metrics.add m ~name:"telem.rollup.bytes" ~rank bytes;
+    Metrics.incr m ~name:"telem.rollup.msgs" ~rank
+  | None -> ()
+
+(* A late contribution is dropped; rank 0 flags the gap as a silent
+   rank if the straggling subtree matters. *)
+let count_late t =
+  t.late <- t.late + 1;
+  match t.metrics with
+  | Some m -> Metrics.incr m ~name:"telem.late_drop" ~rank:(Session.rank t.b)
+  | None -> ()
+
+let contribution_fields c =
+  [ ("ranks", Json.list (List.map Json.int c.c_ranks)); ("snap", Metrics.snap_to_json c.c_snap) ]
+
+let contribution_of_json p =
   {
-    Session.mod_name = "telem";
-    on_request =
-      (fun (req : Message.t) ->
-        (match Topic.method_ req.Message.topic with
-        | "reduce" ->
-          let p = req.Message.payload in
-          let epoch = Json.to_int (Json.member "epoch" p) in
-          let ranks = List.map Json.to_int (Json.to_list (Json.member "ranks" p)) in
-          let snap = Metrics.snap_of_json (Json.member "snap" p) in
-          contribute t ~epoch ~from_child:(Some req.Message.origin)
-            { c_ranks = ranks; c_snap = snap };
-          Session.respond t.b req Json.null
-        | m -> Session.respond_error t.b req (Printf.sprintf "telem: unknown method %S" m));
-        Session.Consumed);
+    c_ranks = List.map Json.to_int (Json.to_list (Json.member "ranks" p));
+    c_snap = Metrics.snap_of_json (Json.member "snap" p);
   }
 
 let load sess ?(config = default_config) () =
   if config.interval <= 0.0 then invalid_arg "Telem.load: interval must be positive";
   if config.window <= 0 then invalid_arg "Telem.load: window must be positive";
+  (* The rollup's callbacks reach the instances, which hold it. *)
+  let ts = ref [||] in
+  let rollup =
+    Rollup.create sess ~service:"telem" ~window:(config.interval /. 2.0) ~merge:contrib_merge
+      ~to_fields:contribution_fields ~of_json:contribution_of_json
+      ~on_send:(fun rank bytes -> charge !ts.(rank) bytes)
+      ~on_late:(fun rank -> count_late !ts.(rank))
+      ~finalize:(fun epoch c -> finalize !ts.(0) epoch c)
+      ()
+  in
   let instances =
     Array.init (Session.size sess) (fun r ->
         {
           b = Session.broker sess r;
-          master = r = 0;
           cfg = config;
-          epochs = Hashtbl.create 8;
-          forwarded_upto = 0;
+          rollup;
           epoch = 0;
           last_snap = Metrics.snap_empty;
           metrics = None;
@@ -357,7 +250,7 @@ let load sess ?(config = default_config) () =
           rollup_subs = [];
         })
   in
-  Session.load_module sess (fun b -> module_of instances.(Session.rank b));
+  ts := instances;
   (* The moment a rank is marked down its recent history is still in
      the flight ring; dump it before the trace moves on. *)
   Session.add_liveness_watch sess (fun r up ->
@@ -370,23 +263,12 @@ let load sess ?(config = default_config) () =
 (* Fault injection for harnesses: the rank's telemetry agent dies
    while its broker stays up — exactly the "expected sample missing
    without a mark_down" case the silent-rank detector exists for. *)
-let mute ts ~rank =
-  let t = ts.(rank) in
-  match t.timer with
-  | None -> ()
-  | Some h ->
-    Engine.cancel h;
-    t.timer <- None
+let silence t =
+  Option.iter Engine.cancel t.timer;
+  t.timer <- None
 
-let stop ts =
-  Array.iter
-    (fun t ->
-      match t.timer with
-      | None -> ()
-      | Some h ->
-        Engine.cancel h;
-        t.timer <- None)
-    ts
+let mute ts ~rank = silence ts.(rank)
+let stop ts = Array.iter silence ts
 
 let start ?until ts =
   Array.iter

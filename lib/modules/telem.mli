@@ -1,15 +1,18 @@
 (** Live telemetry plane: in-band TBON metric rollups.
 
-    Generalizes {!Mon}'s epoch scheme from one scripted scalar to
-    whole {!Flux_trace.Metrics} registry slices. Every [interval]
-    sim-seconds each rank diffs its own slice against the previous
-    epoch and ships the delta up the tree; interior ranks merge child
-    deltas with their own (per-child dedup, partial forward on a
-    window timeout) so the root sees one merged cross-rank delta per
-    epoch over O(log n) hops — run-time information flowing through
-    the paper's reduction network rather than a side channel.
+    Widens {!Mon}'s payload from one scripted scalar to whole
+    {!Flux_trace.Metrics} registry slices over the same
+    {!Flux_cmb.Rollup}. Every [interval] sim-seconds each rank diffs its
+    own slice against the previous epoch and ships the delta up the
+    tree; interior ranks merge child deltas with their own (once per
+    child, a partial on a depth-scaled window, late arrivals dropped)
+    so rank 0 sees one merged cross-rank delta per epoch over O(log n)
+    hops — run-time information flowing through the paper's reduction
+    network rather than a side channel. When the overlay root has moved
+    off rank 0, the root hands its epoch to rank 0, which finalizes it
+    as received; while rank 0 is down no epoch finalizes.
 
-    The root folds each epoch into a bounded {!Flux_trace.Series}
+    Rank 0 folds each epoch into a bounded {!Flux_trace.Series}
     store and runs the {!Flux_trace.Detect} detectors (stragglers,
     queue-growth trends, silent ranks). Alerts surface as
     [telem.alert] trace events, [telem.alert.*] counters, and — once
@@ -31,7 +34,7 @@ type config = {
       (** metrics scanned for cross-rank outliers (histogram mean per
           rank when present, else per-rank gauge values) *)
   queue_metrics : string list;
-      (** metrics trend-checked at the root over the last [window]
+      (** metrics trend-checked at rank 0 over the last [window]
           epochs *)
 }
 
@@ -39,7 +42,8 @@ val default_config : config
 (** interval 0.1 s, window 64, slope 1.0/epoch, no metrics watched
     (detectors idle until told what matters). Fixed: the straggler
     detector flags ranks beyond median + 4 * MAD, and an epoch's
-    reduction forwards a partial after [interval /. 2]. *)
+    reduction forwards a partial after [interval /. 2] times the
+    broker's levels above the leaves. *)
 
 type t
 
@@ -79,27 +83,27 @@ val mute : t array -> rank:int -> unit
     stays up — the silent-rank case the detector exists for. *)
 
 val on_alert : t array -> (Detect.alert -> unit) -> unit
-(** Subscribe to the root's [telem.alert] stream. Callbacks run
+(** Subscribe to rank 0's [telem.alert] stream. Callbacks run
     synchronously as each alert is raised (after the trace event,
     counter, and flight dump), in registration order — the hook an
     elasticity controller hangs its grow trigger on. Same-seed runs
     replay the identical callback sequence. *)
 
 val on_rollup : t array -> (int -> unit) -> unit
-(** Subscribe to epoch finalization at the root: called with the epoch
+(** Subscribe to epoch finalization at rank 0: called with the epoch
     number after its delta is folded into {!series} and its detectors
     have run. The liveness signal controllers use to tell "telemetry is
     quiet" from "telemetry is dead". *)
 
 val series : t array -> Series.t
-(** The root's per-metric time series. *)
+(** Rank 0's per-metric time series. *)
 
 val alerts : t array -> Detect.alert list
-(** Every alert the root raised, in emission order. Same-seed runs
+(** Every alert rank 0 raised, in emission order. Same-seed runs
     produce identical sequences. *)
 
 val epochs_completed : t array -> int
-(** Rollup epochs the root finalized. *)
+(** Rollup epochs rank 0 finalized. *)
 
 val rollup_bytes : t array -> int
 (** Total in-band payload bytes sent up the tree (sum over edges). *)

@@ -557,6 +557,7 @@ let test_wexec_master_after_root_moves () =
   let sess = Session.create eng ~size:7 () in
   ignore (Kvs.load sess () : Kvs.t array);
   ignore (Wexec.load sess () : Wexec.t array);
+  ignore (Resvc.load sess () : Resvc.t array);
   let logm = Log_mod.load sess () in
   Session.mark_down sess 0;
   Engine.run eng;
@@ -571,6 +572,8 @@ let test_wexec_master_after_root_moves () =
         check int "ntasks" 2 c.Wexec.c_ntasks;
         check int "no failures" 0 c.Wexec.c_failed;
         Log_mod.log api ~level:Log_mod.Warn "under rank 1";
+        check (Alcotest.list int) "resvc allocates from rank 0's pool" [ 0; 1 ]
+          (expect_ok "alloc" (Resvc.alloc api ~jobid:"j-moved" ~nnodes:2));
         Proc.sleep 0.2);
     ];
   check bool "log entry reached rank 0" true

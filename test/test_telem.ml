@@ -11,6 +11,9 @@ module Series = Flux_trace.Series
 module Detect = Flux_trace.Detect
 module Flight = Flux_trace.Flight
 module KTelem = Flux_harness.Telem
+module Tmod = Flux_modules.Telem
+module Engine = Flux_sim.Engine
+module Session = Flux_cmb.Session
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -332,6 +335,34 @@ let test_harness_rejects_bad_config () =
   expect_invalid "onset" { KTelem.default with KTelem.onset_frac = 1.0 };
   expect_invalid "kill rank" { KTelem.default with KTelem.kill = Some 0 }
 
+(* Rank 0 revives as a child of rank 1, which kept the overlay root:
+   every epoch reduces up to rank 1 and is handed to rank 0 whole, so
+   no live rank looks silent and no partial arrives late. *)
+let test_rank0_revived_under_moved_root () =
+  let eng = Engine.create () in
+  let sess = Session.create eng ~size:7 () in
+  let ts = Tmod.load sess ~config:{ Tmod.default_config with Tmod.interval = 0.1 } () in
+  Tmod.set_metrics_all ts (Metrics.create ());
+  (* Epoch k ticks at k * 0.1 s: 11 is the first after the revival. *)
+  let settled = 12 in
+  let late_at_settled = ref (-1) in
+  Tmod.on_rollup ts (fun e -> if e = settled then late_at_settled := Tmod.late_drops ts);
+  Tmod.start ~until:3.0 ts;
+  ignore (Engine.schedule eng ~delay:0.55 (fun () -> Session.mark_down sess 0) : Engine.handle);
+  ignore (Engine.schedule eng ~delay:1.05 (fun () -> Session.mark_up sess 0) : Engine.handle);
+  Engine.run eng;
+  check (Alcotest.option int) "rank 1 kept the root" None
+    (Session.tree_parent (Session.broker sess 1));
+  check bool "the settled epoch finalized" true (!late_at_settled >= 0);
+  check bool "later epochs finalized" true (Tmod.epochs_completed ts >= 15);
+  let silent =
+    List.filter
+      (fun (a : Detect.alert) -> a.Detect.al_kind = Detect.Silent && a.Detect.al_epoch >= settled)
+      (Tmod.alerts ts)
+  in
+  check (Alcotest.list int) "no live rank silent" [] (List.map (fun a -> a.Detect.al_rank) silent);
+  check int "no late drops once settled" !late_at_settled (Tmod.late_drops ts)
+
 let () =
   Alcotest.run "flux_telem"
     [
@@ -373,5 +404,10 @@ let () =
           Alcotest.test_case "queue growth detected" `Quick test_harness_queue_growth_detected;
           Alcotest.test_case "same seed, same alerts" `Quick test_harness_deterministic;
           Alcotest.test_case "config validation" `Quick test_harness_rejects_bad_config;
+        ] );
+      ( "rollup",
+        [
+          Alcotest.test_case "rank 0 revived under the moved root" `Quick
+            test_rank0_revived_under_moved_root;
         ] );
     ]
