@@ -41,8 +41,8 @@ type fence = {
 (* What one fence contribution carries: its tuples and value objects. *)
 type fence_part = Proto.tuple list * Proto.obj list
 
-(* One [(origin, fid)] request: its reply once known, and the
-   retransmits parked behind it meanwhile. *)
+(* One write's or client request's identity: its reply once known, and
+   the retransmits parked behind it meanwhile. *)
 type entry = { mutable result : (Json.t, string) result option; mutable waiting : Message.t list }
 
 type routing = {
@@ -72,7 +72,7 @@ type t = {
   fences : fence_part Collective.t; (* open below the master, accumulating at it *)
   mutable version_waiters : (int * Message.t) list;
   mutable cpu_free_at : float; (* serializes local put hashing *)
-  seen : (int * int, entry) Hashtbl.t; (* client requests and plain flushes by (origin, fid) *)
+  seen : (int * int, entry) Hashtbl.t; (* by identity: see [wid_of] *)
   mutable next_fid : int;
   mutable bytes_held : int;
   mutable n_loads_issued : int;
@@ -210,61 +210,66 @@ let send_up t ?timeout ?idempotent ?trace_ctx ~method_ payload ~reply =
 
 (* --- Exactly-once client requests and plain flushes ------------------------ *)
 
-(* A plain flush may be retransmitted with the same fid while the first
-   copy is in flight (the response was lost), so applying it must be
-   keyed on ([origin], [fid]). Client-issued commit and fence requests
-   may carry a fid too (the Volumes fan-out stamps one): their
-   retransmits must likewise apply or contribute once. The first arrival
-   registers an entry; a retransmit is answered from the recorded reply,
-   or parked behind the original until it is answered. Completed entries
-   are dropped once the table passes 8,192. A fence's forwards carry no
-   fid: the root counts their leaves once (see {!Flux_cmb.Tally}). *)
+(* A write (commit, mput) gets one identity [(origin, fid)] at its first
+   hop: the Volumes client's origin and the fid it stamped on the
+   request, or else the first hop's rank and a fid fresh there (a family
+   is written through Volumes or not at all, so the two never meet). The
+   plain flush carries it unchanged to the master, which alone applies
+   the write once per identity, however a retransmit was re-routed. A
+   client's stamped fence is checked where it enters the collective,
+   whose root counts its leaves once (see {!Flux_cmb.Tally}). The first
+   arrival registers an entry; a retransmit is answered from the
+   recorded reply, or parked behind the original until it is answered.
+   Completed entries are dropped once the table passes 8,192. *)
 
 let fresh_fid t =
   let id = t.next_fid in
   t.next_fid <- id + 1;
   id
 
-let fid_of (req : Message.t) =
-  match Json.member_opt "fid" req.Message.payload with Some j -> Json.to_int j | None -> -1
+let wid_of (req : Message.t) =
+  let p = req.Message.payload in
+  match Json.member_opt "wid" p with
+  | Some w -> Some (Proto.wid_of_json w)
+  | None -> Option.map (fun f -> (req.Message.origin, Json.to_int f)) (Json.member_opt "fid" p)
 
 let answer t q = function
   | Ok payload -> Session.respond t.b q payload
   | Error e -> Session.respond_error t.b q e
 
 let duplicate t (req : Message.t) =
-  let id = fid_of req in
-  id >= 0
-  &&
-  let key = (req.Message.origin, id) in
-  match Hashtbl.find_opt t.seen key with
-  | Some e ->
-    (match e.result with Some r -> answer t req r | None -> e.waiting <- req :: e.waiting);
-    true
-  | None ->
-    if Hashtbl.length t.seen > 8192 then begin
-      let stale =
-        Hashtbl.fold
-          (fun key e acc -> if e.result <> None && e.waiting = [] then key :: acc else acc)
-          t.seen []
-      in
-      List.iter (Hashtbl.remove t.seen) stale
-    end;
-    Hashtbl.replace t.seen key { result = None; waiting = [] };
-    false
+  match wid_of req with
+  | None -> false
+  | Some key -> (
+    match Hashtbl.find_opt t.seen key with
+    | Some e ->
+      (match e.result with Some r -> answer t req r | None -> e.waiting <- req :: e.waiting);
+      true
+    | None ->
+      if Hashtbl.length t.seen > 8192 then begin
+        let stale =
+          Hashtbl.fold
+            (fun key e acc -> if e.result <> None && e.waiting = [] then key :: acc else acc)
+            t.seen []
+        in
+        List.iter (Hashtbl.remove t.seen) stale
+      end;
+      Hashtbl.replace t.seen key { result = None; waiting = [] };
+      false)
 
 (* Answer a request, and the retransmits parked behind it. *)
 let respond_result t (req : Message.t) result =
   answer t req result;
-  let id = fid_of req in
-  if id >= 0 then
-    match Hashtbl.find_opt t.seen (req.Message.origin, id) with
+  match wid_of req with
+  | Some key -> (
+    match Hashtbl.find_opt t.seen key with
     | Some e ->
       e.result <- Some result;
       let waiting = e.waiting in
       e.waiting <- [];
       List.iter (fun q -> answer t q result) waiting
-    | None -> ()
+    | None -> ())
+  | None -> ()
 
 (* --- Fault-in with coalescing ------------------------------------------- *)
 
@@ -679,7 +684,7 @@ let fence_send t (batch : fence_part Collective.batch) k =
       {
         Proto.fence = Some (name, batch.Collective.nprocs);
         leaves = batch.Collective.leaves;
-        fid = -1;
+        wid = None;
         tuples = List.rev fc.tuples;
         objects = fence_objects fc;
       }
@@ -809,17 +814,19 @@ let handle_fetch t (req : Message.t) =
       (Printf.sprintf "object %s not cached" (Sha1.short sha))
 
 (* The one write path of commit, mput and plain flush: apply at the
-   master, or forward upstream as a plain flush under this instance's
-   own fid (a child's fid is unique only per sender, and the next hop
-   sees this rank as origin), adopt the reply's root and answer. Through
-   [send_up], so a routed family's flush follows its own service topic
-   and volume tree. *)
+   master once per identity, or forward upstream as a plain flush under
+   the write's identity (minted here at its first hop), adopt the reply's
+   root and answer. Through [send_up], so a routed family's flush follows
+   its own service topic and volume tree. *)
 let write t (req : Message.t) ~tuples ~objects =
-  if is_master t then
-    master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
+  if is_master t then begin
+    if not (duplicate t req) then
+      master_apply t ?trace_ctx:req.Message.trace ~tuples ~objects ~respond_to:[ req ] ()
+  end
   else
+    let wid = match wid_of req with Some w -> w | None -> (Session.rank t.b, fresh_fid t) in
     let payload =
-      Proto.flush_to_json { Proto.fence = None; leaves = []; fid = fresh_fid t; tuples; objects }
+      Proto.flush_to_json { Proto.fence = None; leaves = []; wid = Some wid; tuples; objects }
     in
     send_up t ~idempotent:true ?trace_ctx:(child_span t req.Message.trace) ~method_:"flush"
       payload ~reply:(fun r ->
@@ -829,9 +836,7 @@ let write t (req : Message.t) ~tuples ~objects =
 let handle_commit t (req : Message.t) =
   match request_tuples req with
   | Error e -> Session.respond_error t.b req e
-  | Ok tuples ->
-    if not (duplicate t req) then
-      write t req ~tuples ~objects:(resolve_objects t tuples)
+  | Ok tuples -> write t req ~tuples ~objects:(resolve_objects t tuples)
 
 let handle_fence t (req : Message.t) =
   match request_tuples req with
@@ -905,11 +910,9 @@ let handle_flush t (req : Message.t) =
     Collective.aggregate t.fences ~name ~nprocs ~leaves:f.Proto.leaves ~from_child:req.Message.origin
       req (f.Proto.tuples, f.Proto.objects)
   | None ->
-    if not (duplicate t req) then begin
-      (* Plain commit: objects write through this cache (or the store). *)
-      List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) f.Proto.objects;
-      write t req ~tuples:f.Proto.tuples ~objects:f.Proto.objects
-    end
+    (* Plain commit: objects write through this cache (or the store). *)
+    List.iter (fun (o : Proto.obj) -> cache_put t o.Proto.osha o.Proto.value) f.Proto.objects;
+    write t req ~tuples:f.Proto.tuples ~objects:f.Proto.objects
 
 let handle_getversion t (req : Message.t) =
   Session.respond t.b req (Json.obj [ ("version", Json.int t.version) ])

@@ -14,7 +14,13 @@
     tuple for a key still wins), so a retransmit re-routed through
     another hop adds nothing, and a late contribution to a completed
     fence gets that fence's reply. A broker whose route to the master
-    changes re-sends its open batches at once. Gets walk the hash tree
+    changes re-sends its open batches at once. A commit or mput gets one
+    identity at its first hop (the Volumes client's origin and stamped
+    fid, or the first hop's rank and a fresh fid) and keeps it to the
+    master, which alone applies each identity once: a retransmit
+    re-routed around a dead relay is answered, not applied again. A
+    write re-applied after the master itself fails over is out of
+    scope, as for the fence. Gets walk the hash tree
     from the current root, faulting missing objects in from the CMB-tree parent
     (concurrent misses for one object coalesce into one upstream load),
     which yields the [log2(C) * T(G)] consumer latency of Figure 4.

@@ -8,7 +8,7 @@ type obj = { osha : Sha1.digest; value : Json.t }
 type flush = {
   fence : (string * int) option;
   leaves : Flux_cmb.Tally.leaf list;
-  fid : int; (* per-sender flush id for duplicate suppression; -1 = none *)
+  wid : (int * int) option; (* a plain flush's write identity *)
   tuples : tuple list;
   objects : obj list;
 }
@@ -31,6 +31,13 @@ let obj_of_json j =
     value = Json.member "v" j;
   }
 
+let wid_to_json (origin, fid) = Json.list [ Json.int origin; Json.int fid ]
+
+let wid_of_json j =
+  match Json.to_list j with
+  | [ origin; fid ] -> (Json.to_int origin, Json.to_int fid)
+  | _ -> raise (Json.Type_error "wid: expected [origin, fid]")
+
 let flush_to_json f =
   Json.obj
     (( "fence",
@@ -39,7 +46,7 @@ let flush_to_json f =
          Json.obj [ ("name", Json.string name); ("nprocs", Json.int nprocs) ]
        | None -> Json.null )
     :: (if f.fence <> None then [ ("ids", Flux_cmb.Collective.leaves_to_json f.leaves) ] else [])
-    @ (if f.fid >= 0 then [ ("fid", Json.int f.fid) ] else [])
+    @ (match f.wid with Some w -> [ ("wid", wid_to_json w) ] | None -> [])
     @ [
         ("tuples", Json.list (List.map tuple_to_json f.tuples));
         ("objects", Json.list (List.map obj_to_json f.objects));
@@ -58,7 +65,7 @@ let flush_of_json j =
       (match Json.member_opt "ids" j with
       | Some ids -> Flux_cmb.Collective.leaves_of_json ids
       | None -> []);
-    fid = (match Json.member_opt "fid" j with Some f -> Json.to_int f | None -> -1);
+    wid = Option.map wid_of_json (Json.member_opt "wid" j);
     tuples = List.map tuple_of_json (Json.to_list (Json.member "tuples" j));
     objects = List.map obj_of_json (Json.to_list (Json.member "objects" j));
   }

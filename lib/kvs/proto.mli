@@ -17,13 +17,15 @@ type flush = {
   leaves : Flux_cmb.Tally.leaf list;
       (** the fence contributions this message covers, which the master
           counts once each *)
-  fid : int;
-      (** a plain flush's per-sender id: receivers suppress duplicates of
-          ([origin], [fid]) so a retransmitted flush is applied exactly
-          once; [-1] for none *)
+  wid : (int * int) option;
+      (** a plain flush's write identity, [(origin, fid)]: minted once at
+          the write's first hop and forwarded unchanged, so the master
+          applies the write once however its retransmits are routed *)
   tuples : tuple list;
   objects : obj list;
 }
+
+val wid_of_json : Json.t -> int * int
 
 val flush_to_json : flush -> Json.t
 val flush_of_json : Json.t -> flush

@@ -701,6 +701,39 @@ let test_kvs_leaves_route_upstream () =
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
+(* An acknowledged write must not be overwritten by a retransmit of an
+   older one. Rank 3's commit of A reaches the master through rank 1,
+   which is marked down as the master publishes v1, so the reply never
+   returns and rank 3's flush is retransmitted through the healed tree
+   straight to rank 0 after rank 5's B was acked at v2. The write keeps
+   the identity minted at its first hop, and the master applies it
+   once: k reads B. *)
+let test_kvs_rerouted_retransmit_applied_once () =
+  let w = make_world ~size:7 () in
+  Session.subscribe (Session.broker w.sess 0) ~prefix:"kvs.setroot" (fun ev ->
+      if Json.to_int (Json.member "version" ev.Flux_cmb.Message.payload) = 1 then
+        ignore
+          (Engine.schedule w.eng ~delay:0.0 (fun () -> Session.mark_down w.sess 1)
+            : Engine.handle));
+  run_clients w
+    [
+      (fun () ->
+        let c = Client.connect w.sess ~rank:3 in
+        expect_ok "put A" (Client.put c ~key:"k" (Json.string "A"));
+        ignore (Client.commit c : (int, string) result));
+      (fun () ->
+        Proc.sleep 0.5;
+        let c = Client.connect w.sess ~rank:5 in
+        expect_ok "put B" (Client.put c ~key:"k" (Json.string "B"));
+        check int "B acked at v2" 2 (expect_ok "commit B" (Client.commit c)));
+      (fun () ->
+        Proc.sleep 10.0;
+        let c = Client.connect w.sess ~rank:4 in
+        check json_t "the acked write stands" (Json.string "B")
+          (expect_ok "get" (Client.get c ~key:"k"));
+        check int "A applied once" 2 (Kvs.version w.kvs.(0)));
+    ]
+
 let () =
   Alcotest.run "flux_kvs"
     [
@@ -738,6 +771,11 @@ let () =
       ( "caching",
         [
           Alcotest.test_case "fault-in coalescing" `Quick test_kvs_fault_in_coalescing;
+        ] );
+      ( "exactly-once",
+        [
+          Alcotest.test_case "rerouted retransmit applied once" `Quick
+            test_kvs_rerouted_retransmit_applied_once;
         ] );
       ( "leaf-requests",
         [ Alcotest.test_case "leaves route upstream" `Quick test_kvs_leaves_route_upstream ] );
